@@ -12,12 +12,11 @@ use crate::campaign::{time_wire, FoldTrace};
 use crate::figures::{self, Figures, Tally};
 use crate::metrics::{self, CAT_CRAWL, CAT_OTHER};
 use hb_analysis::DatasetIndexBuilder;
-use hb_crawler::VisitScratch;
 use hb_distd::{
     run_worker_session, Connector, CoordConfig, CoordStats, Coordinator, DistdError, Msg,
     TcpConnector, Transport, WorkerConfig, WorkerStats,
 };
-use hb_ecosystem::{Ecosystem, EcosystemConfig};
+use hb_ecosystem::EcosystemConfig;
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -69,26 +68,89 @@ impl FabricRun {
     }
 }
 
+/// The coordinator as the `distd-coord` defaults configure it, spooling to
+/// `spool`.
+fn coord_config(eco: &EcosystemConfig, spool: &Path) -> CoordConfig {
+    CoordConfig {
+        chunk_visits: CHUNK_VISITS,
+        lease_blocks: LEASE_BLOCKS,
+        spool_dir: Some(spool.to_path_buf()),
+        compact_every: COMPACT_EVERY,
+        ..CoordConfig::new(eco.clone())
+    }
+}
+
+fn worker_config(addr: &str, eco: &EcosystemConfig, instance: usize) -> WorkerConfig {
+    WorkerConfig {
+        chunk_visits: CHUNK_VISITS,
+        instance: instance as u64,
+        ..WorkerConfig::new(addr.to_string(), eco.clone())
+    }
+}
+
 /// The set-up a repetition performs, alone: spool directory, coordinator
-/// bind, and `workers` threads each building the universe and visit
-/// scratch the way `run_worker_session` does before its first dial.
+/// bind, and `workers` threads running `run_worker_session` up to its first
+/// dial, which [`RefusingConnector`] refuses so the session ends there.
 pub fn setup_only(eco: &EcosystemConfig, workers: usize, spool: &Path) -> Result<Duration, String> {
     let t = Instant::now();
     std::fs::create_dir_all(spool).map_err(|e| format!("spool {}: {e}", spool.display()))?;
-    let coordinator = Coordinator::bind("127.0.0.1:0", CoordConfig::new(eco.clone()))
+    let coordinator = Coordinator::bind("127.0.0.1:0", coord_config(eco, spool))
         .map_err(|e| format!("coordinator bind: {e}"))?;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let universe = Ecosystem::generate(eco.clone());
-                std::hint::black_box(VisitScratch::new(universe.factory().partner_list()));
-            });
-        }
+    let addr = coordinator
+        .local_addr()
+        .map_err(|e| format!("coordinator addr: {e}"))?
+        .to_string();
+    let dials: Vec<Result<Instant, String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|i| {
+                let wcfg = WorkerConfig {
+                    connect_attempts: 1,
+                    ..worker_config(&addr, eco, i)
+                };
+                scope.spawn(move || {
+                    let refuse = RefusingConnector::default();
+                    let mut stats = WorkerStats::default();
+                    match run_worker_session(&wcfg, &refuse, &mut stats) {
+                        Err(DistdError::CoordinatorLost) => refuse
+                            .0
+                            .get()
+                            .copied()
+                            .ok_or("worker never dialed".to_string()),
+                        Err(e) => Err(format!("set-up-only worker: {e}")),
+                        Ok(()) => Err("set-up-only worker finished a session".to_string()),
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|_| Err("worker panicked".to_string()))
+            })
+            .collect()
     });
-    let d = t.elapsed();
     drop(coordinator);
     remove_spool(spool);
-    Ok(d)
+    let mut ready = t;
+    for dialed in dials {
+        ready = ready.max(dialed?);
+    }
+    Ok(ready - t)
+}
+
+/// Records when a worker first dials, then refuses the connection.
+#[derive(Default)]
+struct RefusingConnector(OnceLock<Instant>);
+
+impl Connector for RefusingConnector {
+    fn connect(&self) -> Result<Box<dyn Transport>, DistdError> {
+        self.0.get_or_init(Instant::now);
+        Err(DistdError::Io(std::io::Error::new(
+            std::io::ErrorKind::ConnectionRefused,
+            "set-up only",
+        )))
+    }
 }
 
 /// Remove a spool directory, and its parent once no other spool is left.
@@ -120,15 +182,8 @@ fn run_inner(
 ) -> Result<FabricRun, String> {
     let t_setup = Instant::now();
     std::fs::create_dir_all(spool).map_err(|e| format!("spool {}: {e}", spool.display()))?;
-    let cfg = CoordConfig {
-        chunk_visits: CHUNK_VISITS,
-        lease_blocks: LEASE_BLOCKS,
-        spool_dir: Some(spool.to_path_buf()),
-        compact_every: COMPACT_EVERY,
-        ..CoordConfig::new(eco.clone())
-    };
-    let coordinator =
-        Coordinator::bind("127.0.0.1:0", cfg).map_err(|e| format!("coordinator bind: {e}"))?;
+    let coordinator = Coordinator::bind("127.0.0.1:0", coord_config(eco, spool))
+        .map_err(|e| format!("coordinator bind: {e}"))?;
     let addr = coordinator
         .local_addr()
         .map_err(|e| format!("coordinator addr: {e}"))?
@@ -143,11 +198,7 @@ fn run_inner(
     let outcome = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|i| {
-                let wcfg = WorkerConfig {
-                    chunk_visits: CHUNK_VISITS,
-                    instance: i as u64,
-                    ..WorkerConfig::new(addr.clone(), eco.clone())
-                };
+                let wcfg = worker_config(&addr, eco, i);
                 scope.spawn(move || {
                     metrics::set_thread_category(CAT_CRAWL);
                     let log = Arc::new(Mutex::new(WireLog::default()));

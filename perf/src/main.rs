@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hb-perf --workload <paper_campaign|serve_zipf|distd_spool> --seed N \
-//!         --seconds S --trace <0|1> [--scale paper|tiny] [--workers N]
+//!         --seconds S --trace <0|1>
 //! hb-perf --self-test
 //! ```
 //!
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 static ALLOC: metrics::CountingAlloc = metrics::CountingAlloc;
 
 const USAGE: &str = "usage: hb-perf --workload paper_campaign|serve_zipf|distd_spool --seed N \
---seconds S --trace 0|1 [--scale paper|tiny] [--workers N]\n       hb-perf --self-test";
+--seconds S --trace 0|1\n       hb-perf --self-test";
 
 /// Requests per `serve_zipf` repetition at each scale.
 const SERVE_REQUESTS_PAPER: u64 = 1_200_000;
@@ -38,6 +38,10 @@ const SERVE_REQUESTS_TINY: u64 = 4_000;
 /// Throwaway set-ups timed before the first repetition, so `setup_s` is a
 /// median over several set-ups even when only one repetition fits.
 const EXTRA_SETUPS: usize = 30;
+/// Idle time before each throwaway set-up, so each runs cold, as a
+/// process's first set-up does. Back to back, their readings flip between
+/// two modes about 40% apart as the thread moves between cores.
+const SETUP_GAP: Duration = Duration::from_millis(5);
 /// Largest share of the traced wall time the timed layers may leave
 /// uncovered before the layer-sum check fails.
 const LAYER_SUM_TOLERANCE: f64 = 0.10;
@@ -132,8 +136,6 @@ fn parse_args(args: &[String]) -> Result<Option<Opts>, String> {
     let mut seed = None;
     let mut seconds = None;
     let mut trace = None;
-    let mut scale = Scale::Paper;
-    let mut workers = nproc();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
@@ -157,21 +159,6 @@ fn parse_args(args: &[String]) -> Result<Option<Opts>, String> {
                     _ => return Err(bad("0 or 1")),
                 })
             }
-            "--scale" => {
-                scale = match value.as_str() {
-                    "paper" => Scale::Paper,
-                    "tiny" => Scale::Tiny,
-                    _ => return Err(bad("paper or tiny")),
-                }
-            }
-            "--workers" => {
-                workers = value
-                    .parse::<usize>()
-                    .map_err(|_| bad("a positive integer"))?;
-                if workers == 0 {
-                    return Err(bad("a positive integer"));
-                }
-            }
             other => return Err(format!("unrecognized argument {other:?}")),
         }
     }
@@ -180,8 +167,8 @@ fn parse_args(args: &[String]) -> Result<Option<Opts>, String> {
         seed: seed.ok_or("--seed is required")?,
         seconds: seconds.ok_or("--seconds is required")?,
         trace: trace.ok_or("--trace is required")?,
-        scale,
-        workers,
+        scale: Scale::Paper,
+        workers: nproc(),
     }))
 }
 
@@ -505,6 +492,7 @@ fn untraced(opts: &Opts) -> Result<Outcome, String> {
     let mut out = Outcome::new();
     let eco = opts.eco();
     for _ in 0..EXTRA_SETUPS {
+        std::thread::sleep(SETUP_GAP);
         let d = setup_only(opts)?;
         out.metrics.record("setup_s", "s", d.as_secs_f64());
     }
@@ -544,9 +532,7 @@ fn untraced(opts: &Opts) -> Result<Outcome, String> {
                     s.auctions as f64 / r.wall.as_secs_f64(),
                 );
                 m.record("wall_s", "s", r.wall.as_secs_f64());
-                let h = &r.report.hist;
-                let q = |q| serving::latency_ms(h, q);
-                record_latency(m, (q(0.50), q(0.99), q(0.999)));
+                record_latency(m, r.report.latency_ms());
                 record_pct(m, "completed_pct", s.admitted, s.auctions);
                 out.attempted += s.auctions;
                 Ok(())
@@ -613,19 +599,20 @@ fn record_tally(m: &mut Metrics, t: &figures::Tally) {
     m.record("crawler.hb_sites_day0", "count", t.hb_day0 as f64);
 }
 
-/// The layer-sum line and its check: the timed layers on the critical
-/// path must cover the traced wall time within [`LAYER_SUM_TOLERANCE`].
+/// The layer-sum line and its check: the `parts` must cover the traced
+/// wall time within [`LAYER_SUM_TOLERANCE`]; `basis` says what they are.
 /// Enforced at paper scale only: at tiny scale fixed costs outside the
 /// timed layers (thread start, universe builds) dominate a run of a few
 /// milliseconds.
 fn layer_sum(
     out: &mut Outcome,
     opts: &Opts,
+    basis: &str,
     parts: &[(&str, f64)],
     wall: f64,
 ) -> Result<(), String> {
     let sum: f64 = parts.iter().map(|(_, s)| s).sum();
-    let mut line = String::from("layer sum:");
+    let mut line = format!("layer sum ({basis}):");
     for (name, s) in parts {
         let _ = write!(line, " {name}={s:.4}s");
     }
@@ -733,33 +720,35 @@ fn traced(opts: &Opts) -> Result<Outcome, String> {
                 t.run.wall.as_secs_f64(),
                 reference.wall.as_secs_f64(),
             );
-            // The fold thread is the critical path: it waits for chunks,
-            // folds them, then finishes the index and renders.
-            let f = &t.fold;
+            // Self time only: the crawl threads' layers (and their waits on
+            // the in-flight bound) over the crawl, then the fold thread's
+            // finish and render. The fold thread's idle sink wait is left
+            // out, as is its fold work, which overlaps the crawl.
+            let c = &t.crawl;
+            let per_thread = |s: f64| s / opts.workers as f64;
             layer_sum(
                 &mut out,
                 opts,
+                "self time: per crawl thread, then the post-crawl tail",
                 &[
-                    ("crawler.sink_wait", f.sink_wait.as_secs_f64()),
-                    ("analysis.fold", total_s(&f.fold)),
-                    ("core.wire", total_s(&f.encode) + total_s(&f.decode)),
-                    ("bench.tally", f.bench.as_secs_f64()),
+                    (
+                        "ecosystem.derive",
+                        per_thread(total_s(&c.derive_day0) + total_s(&c.derive_revisit)),
+                    ),
+                    ("crawler.visit", per_thread(total_s(&c.visit))),
+                    (
+                        "crawler.block_overhead",
+                        per_thread(total_s(&c.block_overhead)),
+                    ),
+                    (
+                        "crawler.in_flight_wait",
+                        per_thread(c.worker_wait.as_secs_f64()),
+                    ),
                     ("analysis.finish", t.finish.as_secs_f64()),
                     ("analysis.render", t.render.as_secs_f64()),
                 ],
                 t.run.wall.as_secs_f64(),
             )?;
-            let c = &t.crawl;
-            let busy = total_s(&c.derive_day0)
-                + total_s(&c.derive_revisit)
-                + total_s(&c.visit)
-                + total_s(&c.block_overhead);
-            out.notes.push(format!(
-                "crawl workers: derive+visit+block self time {busy:.3}s, in-flight waits {:.3}s, over {} threads x {:.3}s crawl wall",
-                c.worker_wait.as_secs_f64(),
-                opts.workers,
-                t.run.crawl.as_secs_f64()
-            ));
             out.digests.push(("figures", digest.seen.unwrap_or(0)));
         }
         Workload::ServeZipf => {
@@ -826,6 +815,7 @@ fn traced(opts: &Opts) -> Result<Outcome, String> {
             layer_sum(
                 &mut out,
                 opts,
+                "identity: serve_load_with is one call, nothing inside it is timed",
                 &[
                     ("setup", r.setup.as_secs_f64()),
                     ("serve.orchestrate", r.wall.as_secs_f64()),
@@ -902,15 +892,17 @@ fn traced(opts: &Opts) -> Result<Outcome, String> {
             })?;
             let t = last.expect("at least one traced repetition");
             overhead(&mut out, t.wall.as_secs_f64(), reference.wall.as_secs_f64());
-            // The workers are the critical path: every moment of a worker
-            // session is a round trip, a wait, or the worker's own work.
-            // Their mean session plus the fold tail must cover the wall.
+            // Every moment of a worker session is a round trip, a wait, or
+            // the worker's own work, so only time outside the sessions
+            // (worker set-up after the coordinator starts, the fold tail)
+            // can open a gap.
             let wl = &t.wire;
             let n = wl.sessions.max(1) as f64;
             let (finish, render) = t.finish_render;
             layer_sum(
                 &mut out,
                 opts,
+                "identity within a worker session: mean session, then finish and render",
                 &[
                     ("distd.rtt", wl.rtt_total().as_secs_f64() / n),
                     ("distd.worker_wait", wl.worker_wait.as_secs_f64() / n),
@@ -1043,40 +1035,6 @@ fn git_revision() -> String {
         .unwrap_or_else(|| "none".to_string())
 }
 
-/// XXH64 over the program's sources (every file under `crates/` and
-/// `src/`, plus the root manifest and lock file), so a result names the
-/// code it measured even outside a git checkout.
-fn source_fingerprint() -> String {
-    fn walk(dir: &std::path::Path, files: &mut Vec<PathBuf>) {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for e in entries.flatten() {
-            let p = e.path();
-            match e.file_type() {
-                Ok(t) if t.is_dir() && e.file_name() != "target" => walk(&p, files),
-                Ok(t) if t.is_file() => files.push(p),
-                _ => {}
-            }
-        }
-    }
-    let mut files = vec![PathBuf::from("Cargo.toml"), PathBuf::from("Cargo.lock")];
-    walk(std::path::Path::new("crates"), &mut files);
-    walk(std::path::Path::new("src"), &mut files);
-    files.sort();
-    let mut buf = Vec::new();
-    let mut n = 0;
-    for f in &files {
-        if let Ok(bytes) = std::fs::read(f) {
-            buf.extend_from_slice(f.to_string_lossy().as_bytes());
-            buf.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-            buf.extend_from_slice(&bytes);
-            n += 1;
-        }
-    }
-    format!("{:016x}/{n}files", hb_core::xxh64(&buf))
-}
-
 fn json_number(v: f64) -> String {
     // Rust's shortest round-trip form; integral values keep their ".0"
     // off so counts print as integers.
@@ -1090,16 +1048,14 @@ fn json_number(v: f64) -> String {
 fn print_result(opts: &Opts, out: &Outcome) -> Result<(), String> {
     let rows = finalize(out, opts.trace)?;
     println!(
-        "hb-perf rev={} source={} date={} nproc={} workers={} workload={} seed={} trace={} scale={} seconds={} reps={}",
+        "hb-perf rev={} date={} nproc={} workers={} workload={} seed={} trace={} seconds={} reps={}",
         git_revision(),
-        source_fingerprint(),
         utc_now(),
         nproc(),
         opts.workers,
         opts.workload.name(),
         opts.seed,
         u8::from(opts.trace),
-        if opts.scale == Scale::Paper { "paper" } else { "tiny" },
         opts.seconds,
         out.reps
     );

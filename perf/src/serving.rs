@@ -7,8 +7,6 @@ use hb_adtech::Net;
 use hb_ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory};
 use hb_serve::{serve_load_with, LoadGenConfig, ServeConfig, ServeReport};
 use hb_simnet::{Dist, HostFaultProfile, SimDuration};
-use hb_stats::loghist::SUB_BUCKETS;
-use hb_stats::LogHistogram;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -126,54 +124,10 @@ fn check(report: &ServeReport, inp: &ServeInputs) -> Result<(), String> {
     }
     let budget_ms = inp.cfg.budget.as_micros() as f64 / 1e3;
     let (_, _, p999) = report.latency_ms();
-    if p999 > budget_ms || latency_ms(&report.hist, 0.999) > p999 {
+    if p999 > budget_ms {
         return Err(format!("p99.9 {p999} ms exceeds the {budget_ms} ms budget"));
     }
     Ok(())
-}
-
-/// The `q`-quantile of an admitted-latency histogram (µs) in ms,
-/// interpolated linearly by rank inside the log bucket that holds it.
-/// `ServeReport::latency_ms` reports that bucket's upper bound, which steps
-/// by up to 3% and so reads the same for most traffic seeds; the
-/// interpolation keeps the reading within the bucket but lets it move with
-/// the samples.
-pub fn latency_ms(h: &LogHistogram, q: f64) -> f64 {
-    let n = h.count();
-    if n == 0 {
-        return 0.0;
-    }
-    // Upper bound of the bucket holding the `rank`-th smallest sample.
-    let at = |rank: u64| h.value_at_quantile((rank as f64 - 0.5) / n as f64);
-    let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
-    let upper = at(rank);
-    // Ranks `first..=last` share the bucket; bisect for both ends.
-    let (mut below, mut first) = (0, rank);
-    while first - below > 1 {
-        let mid = (below + first) / 2;
-        if at(mid) == upper {
-            first = mid;
-        } else {
-            below = mid;
-        }
-    }
-    let (mut last, mut above) = (rank, n + 1);
-    while above - last > 1 {
-        let mid = (last + above) / 2;
-        if at(mid) == upper {
-            last = mid;
-        } else {
-            above = mid;
-        }
-    }
-    // The bucket is at most upper/32 wide, and starts above the bucket
-    // holding the previous sample.
-    let mut lower = upper - upper / SUB_BUCKETS;
-    if below > 0 {
-        lower = lower.max(at(below));
-    }
-    let frac = (rank - first + 1) as f64 / (last - first + 1) as f64;
-    (lower as f64 + (upper - lower) as f64 * frac) / 1e3
 }
 
 /// Mean cost of `LoadGenConfig::request` over the run's request numbers,
