@@ -1,44 +1,38 @@
-//! The columnar analysis index: build once per dataset (or incrementally
-//! from streamed shard chunks), read by every figure.
+//! The columnar analysis index: folded incrementally from a campaign's
+//! streamed chunks, read by every figure.
 //!
 //! ## Why
 //!
-//! The row-oriented [`CrawlDataset`] stores one `VisitRecord` per visit
-//! with nested bid/latency/slot vectors. Every figure used to re-walk
-//! that structure — visiting ~20 pointer-chasing fields to extract the
-//! two or three columns it actually needed, and re-deriving the same
-//! per-site partner unions and popularity rankings up to five times per
-//! report run. [`DatasetIndex`] hoists all of that into flat, parallel
+//! A visit row carries ~20 fields and nested bid/latency/slot vectors;
+//! every figure needs two or three columns of it, and several figures
+//! share the same derived tables (per-site partner unions, popularity
+//! rankings). [`DatasetIndex`] hoists all of that into flat, parallel
 //! arrays (struct-of-arrays) plus the shared derived tables, so figure
 //! builders become tight scans over contiguous memory.
 //!
-//! ## Two ways to build
+//! ## One way to build
 //!
-//! * [`DatasetIndex::build`] performs **one** pass over a materialized
-//!   dataset; symbols already live in the campaign interner, which the
-//!   index shares by `Arc` — no strings are copied.
-//! * [`DatasetIndexBuilder`] consumes streamed [`VisitChunk`]s as the
-//!   sharded campaign produces them, re-interning chunk-local symbols
-//!   into its own table. Figures built this way never need the full row
-//!   dataset resident — chunks are folded and dropped one at a time.
-//!   Feed chunks in `(day, shard, seq)` order (what
-//!   [`run_campaign_streamed`](hb_crawler::run_campaign_streamed) emits)
-//!   and the resulting figures are byte-identical to the
-//!   dataset-then-index path.
+//! [`DatasetIndexBuilder`] consumes [`VisitChunk`]s as the campaign
+//! streams them, re-interning chunk-local symbols into its own table.
+//! Chunks are folded and dropped one at a time, so no row dataset is ever
+//! resident. Feed chunks in `(day, shard, seq)` order — what
+//! [`run_campaign_streamed`] emits and what the distributed coordinator
+//! folds — and the figures are byte-identical for every parallelism and
+//! shard layout. [`index_campaign`] runs that fold over an in-process
+//! campaign.
 //!
 //! ## Contract: build once, read many
 //!
-//! * The index is immutable after build; share it freely (`Sync`, fully
-//!   owned — no borrow of the dataset remains).
-//! * Figure builders take `&DatasetIndex` and must not re-scan
-//!   `ds.visits`; everything order-sensitive (site tables sorted by
-//!   domain, partner tables sorted by name, popularity sorted by count
-//!   desc / name asc) is precomputed here so ported figures stay
-//!   byte-identical to their row-scan ancestors.
+//! * The index is immutable after [`DatasetIndexBuilder::finish`]; share
+//!   it freely (`Sync`, fully owned).
+//! * Figure builders take `&DatasetIndex`; everything order-sensitive
+//!   (site tables sorted by domain, partner tables sorted by name,
+//!   popularity sorted by count desc / name asc) is precomputed here so
+//!   figures never depend on symbol numbering.
 //!
 //! Every column below is consumed by at least one figure builder — when a
-//! figure stops needing a column, delete it here too; `DatasetIndex::build`
-//! cost (tracked by the `figure/INDEX_build` bench) is paid per column.
+//! figure stops needing a column, delete it here too; the fold (tracked
+//! by the `figure/INDEX_build` bench) is paid per column.
 //!
 //! Column groups, all parallel within their group:
 //!
@@ -52,7 +46,8 @@
 //! | ground truth | `t_*` | truth record with a measured latency |
 
 use hb_core::{DetectedFacet, Interner, Symbol, VisitView};
-use hb_crawler::{CrawlDataset, TruthRecord, VisitChunk};
+use hb_crawler::{run_campaign_streamed, CampaignConfig, TruthRecord, VisitChunk};
+use hb_ecosystem::SiteFactory;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -153,8 +148,8 @@ pub struct DatasetIndex {
     pub partner_latency_by_sym: HashMap<Symbol, u32>,
 }
 
-/// Symbol-space-agnostic accumulation state shared by the one-shot and
-/// incremental builders.
+/// Accumulation state of [`DatasetIndexBuilder`], symbol-space agnostic:
+/// the builder supplies the chunk-to-index symbol map.
 #[derive(Default)]
 struct IndexAccum {
     v_rank: Vec<u32>,
@@ -188,7 +183,7 @@ struct IndexAccum {
 
 impl IndexAccum {
     /// Fold one visit; `map` migrates symbols into the index's symbol
-    /// space (identity when the interner is shared).
+    /// space.
     fn push_visit(&mut self, v: VisitView<'_>, map: &mut dyn FnMut(Symbol) -> Symbol) {
         if v.day == 0 {
             self.d0_rank.push(v.rank);
@@ -335,20 +330,6 @@ impl IndexAccum {
 }
 
 impl DatasetIndex {
-    /// Build the index in one pass over `ds` (plus derived-table sorts).
-    /// The campaign interner is shared, not copied.
-    pub fn build(ds: &CrawlDataset) -> DatasetIndex {
-        let mut accum = IndexAccum::default();
-        let mut identity = |sym: Symbol| sym;
-        for v in &ds.visits {
-            accum.push_visit(VisitView::from(v), &mut identity);
-        }
-        for t in &ds.truths {
-            accum.push_truth(t);
-        }
-        accum.finish(ds.strings.clone(), ds.n_sites, ds.n_days)
-    }
-
     /// Resolve a symbol against the index interner.
     pub fn str(&self, sym: Symbol) -> &str {
         self.strings.resolve(sym)
@@ -370,6 +351,16 @@ impl DatasetIndex {
             .get(&partner)
             .map(|&i| &self.partner_latency[i as usize].1[..])
     }
+}
+
+/// Run the campaign in process and fold its chunk stream into an index:
+/// `run_campaign_streamed` → [`DatasetIndexBuilder`], the one path from a
+/// visit to a figure.
+pub fn index_campaign(factory: &SiteFactory, cfg: &CampaignConfig) -> DatasetIndex {
+    let config = factory.config();
+    let mut builder = DatasetIndexBuilder::new(config.n_sites, config.crawl_days);
+    run_campaign_streamed(factory, cfg, &mut |chunk| builder.push_chunk(&chunk));
+    builder.finish()
 }
 
 /// Incremental index construction from streamed shard chunks.
@@ -425,7 +416,7 @@ impl DatasetIndexBuilder {
 
 #[cfg(test)]
 mod tests {
-    use crate::test_fixtures::{small_dataset, small_index};
+    use crate::test_fixtures::{small_chunks, small_index};
 
     #[test]
     fn columns_are_consistent() {
@@ -439,13 +430,16 @@ mod tests {
         assert_eq!(ix.s_visit.len(), ix.s_size.len());
         // Bid rows point at valid visit rows.
         assert!(ix.b_visit.iter().all(|&v| (v as usize) < n));
-        // Totals line up with the row-oriented accessors.
-        let ds = small_dataset();
+        // Totals line up with the chunks the index was folded from.
         let total_bids: u32 = ix.v_n_bids.iter().sum();
         assert_eq!(total_bids as usize, ix.b_visit.len());
-        assert_eq!(total_bids as u64, ds.total_bids());
-        assert_eq!(ix.n_sites, ds.n_sites);
-        assert_eq!(ix.n_days, ds.n_days);
+        let chunk_bids: usize = small_chunks()
+            .iter()
+            .flat_map(|c| c.visits.iter())
+            .filter(|v| v.hb_detected)
+            .map(|v| v.bids.len())
+            .sum();
+        assert_eq!(total_bids as usize, chunk_bids);
     }
 
     #[test]
@@ -456,7 +450,16 @@ mod tests {
         let mut sorted = domains.clone();
         sorted.sort_unstable();
         assert_eq!(domains, sorted);
-        assert_eq!(ix.n_hb_sites(), small_dataset().hb_domains().len());
+        let hb_domains: std::collections::BTreeSet<&str> = small_chunks()
+            .iter()
+            .flat_map(|c| {
+                c.visits
+                    .iter()
+                    .filter(|v| v.hb_detected)
+                    .map(|v| c.strings.resolve(v.domain))
+            })
+            .collect();
+        assert_eq!(ix.n_hb_sites(), hb_domains.len());
     }
 
     #[test]
@@ -484,16 +487,12 @@ mod tests {
     #[test]
     fn truth_latency_columns_match_dataset() {
         let ix = small_index();
-        let ds = small_dataset();
-        let hb: Vec<f64> = ds
-            .truths
-            .iter()
+        let truths = || small_chunks().iter().flat_map(|c| &c.truths);
+        let hb: Vec<f64> = truths()
             .filter(|t| t.facet != "none")
             .filter_map(|t| t.hb_latency_ms)
             .collect();
-        let wf: Vec<f64> = ds
-            .truths
-            .iter()
+        let wf: Vec<f64> = truths()
             .filter(|t| t.facet == "none")
             .filter_map(|t| t.waterfall_latency_ms)
             .collect();

@@ -1,7 +1,9 @@
 //! # hb-analysis
 //!
 //! The analysis layer regenerating every table and figure of the paper
-//! from a [`CrawlDataset`](hb_crawler::CrawlDataset): dataset summary
+//! from a [`DatasetIndex`] folded out of a campaign's streamed chunks
+//! ([`DatasetIndexBuilder`], or [`index_campaign`] for an in-process
+//! run; see [`index`]): dataset summary
 //! (Table 1), adoption (§4.1, Fig. 4), facets (§4.6), partners
 //! (Figs. 8-11), latency (Figs. 12-16), late bids (Figs. 17-18), ad slots
 //! (Figs. 19-21), prices (Figs. 22-24), and the waterfall baseline
@@ -29,6 +31,6 @@ pub mod waterfall_cmp;
 pub mod test_fixtures;
 
 pub use faults::{fault_reports, FaultSlice};
-pub use index::{DatasetIndex, DatasetIndexBuilder};
-pub use registry::{all_reports, dataset_reports, history_reports, indexed_reports};
+pub use index::{index_campaign, DatasetIndex, DatasetIndexBuilder};
+pub use registry::{history_reports, indexed_reports};
 pub use report::FigureReport;

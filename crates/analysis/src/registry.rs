@@ -2,7 +2,7 @@
 
 use crate::index::DatasetIndex;
 use crate::report::FigureReport;
-use hb_crawler::{AdoptionPoint, CrawlDataset, OverlapPoint};
+use hb_crawler::{AdoptionPoint, OverlapPoint};
 
 /// Build every dataset-driven report (T1 + A1/A2 + F8..F24 + X1) from a
 /// prebuilt index (build once, read many).
@@ -32,12 +32,6 @@ pub fn indexed_reports(ix: &DatasetIndex) -> Vec<FigureReport> {
     ]
 }
 
-/// Build every dataset-driven report, indexing the dataset first.
-pub fn dataset_reports(ds: &CrawlDataset) -> Vec<FigureReport> {
-    let ix = DatasetIndex::build(ds);
-    indexed_reports(&ix)
-}
-
 /// Build the historical reports (F4 + F4b) from the Wayback study outputs.
 pub fn history_reports(
     adoption: &[AdoptionPoint],
@@ -49,29 +43,18 @@ pub fn history_reports(
     ]
 }
 
-/// Build everything.
-pub fn all_reports(
-    ds: &CrawlDataset,
-    adoption: &[AdoptionPoint],
-    overlaps: &[OverlapPoint],
-) -> Vec<FigureReport> {
-    let mut v = history_reports(adoption, overlaps);
-    v.extend(dataset_reports(ds));
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_fixtures::small_dataset;
+    use crate::test_fixtures::small_index;
     use hb_crawler::{adoption_study, overlap_study};
 
     #[test]
     fn registry_builds_all_reports_with_unique_ids() {
-        let ds = small_dataset();
         let adoption = adoption_study(1, 500);
         let overlaps = overlap_study(1, 500);
-        let reports = all_reports(&ds, &adoption, &overlaps);
+        let mut reports = history_reports(&adoption, &overlaps);
+        reports.extend(indexed_reports(small_index()));
         assert_eq!(reports.len(), 23);
         let mut ids: Vec<&str> = reports.iter().map(|r| r.id.as_str()).collect();
         ids.sort_unstable();

@@ -162,11 +162,21 @@ mod tests {
     #[test]
     fn t1_counts_match_dataset() {
         let ix = small_index();
-        let ds = crate::test_fixtures::small_dataset();
         let r = t1_summary(ix);
-        assert_eq!(r.metric("websites_crawled"), Some(ds.n_sites as f64));
-        assert_eq!(r.metric("auctions"), Some(ds.total_auctions() as f64));
-        assert_eq!(r.metric("partners"), Some(ds.distinct_partners().len() as f64));
+        // Recount straight from the chunks the index was folded from.
+        let mut auctions = 0u64;
+        let mut partners = std::collections::BTreeSet::new();
+        for c in crate::test_fixtures::small_chunks() {
+            for v in c.visits.iter().filter(|v| v.hb_detected) {
+                auctions += v.slots_auctioned as u64;
+                partners.extend(v.partners.iter().map(|p| c.strings.resolve(*p)));
+                partners.extend(v.bids.iter().map(|b| c.strings.resolve(b.partner_name)));
+            }
+        }
+        let n_sites = hb_ecosystem::EcosystemConfig::test_scale().n_sites;
+        assert_eq!(r.metric("websites_crawled"), Some(n_sites as f64));
+        assert_eq!(r.metric("auctions"), Some(auctions as f64));
+        assert_eq!(r.metric("partners"), Some(partners.len() as f64));
         assert!(r.metric("bids_per_auction").unwrap() < 1.5);
         assert!(r.render().contains("Table 1"));
     }

@@ -84,9 +84,14 @@ fn distd_local_bench(c: &mut Criterion) {
     let visits = {
         // One warm-up distributed run to learn the visit count (sweep +
         // dailies) and to pre-warm the derivation memo pattern.
-        let eco = hb_ecosystem::Ecosystem::generate(cfg.eco.clone());
-        let ds = hb_crawler::run_campaign(&eco, &hb_crawler::CampaignConfig::default());
-        ds.visits.len() as u64
+        let factory = hb_ecosystem::SiteFactory::new(cfg.eco.clone());
+        let mut visits = 0;
+        hb_crawler::run_campaign_streamed(
+            &factory,
+            &hb_crawler::CampaignConfig::default(),
+            &mut |chunk| visits += chunk.len() as u64,
+        );
+        visits
     };
     let mut group = c.benchmark_group("campaign");
     group.sample_size(10);

@@ -1,12 +1,12 @@
 //! Criterion benches — one per table/figure of the paper.
 //!
 //! Each bench measures regenerating one artifact from the cached
-//! test-scale dataset (the crawl itself is benchmarked separately in
+//! test-scale index (the crawl itself is benchmarked separately in
 //! `pipeline.rs`). This keeps a per-figure performance budget visible:
 //! a regression in any analysis path shows up under its figure id.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hb_bench::{cached_test_dataset, cached_test_index};
+use hb_bench::{cached_test_chunks, cached_test_index, fold_test_index};
 use hb_crawler::{adoption_study, overlap_study};
 use std::hint::black_box;
 
@@ -21,11 +21,12 @@ macro_rules! figure_bench {
     };
 }
 
-/// The one-off cost the figure benches amortize: building the index.
+/// The one-off cost the figure benches amortize: folding the campaign's
+/// chunks (symbol re-interning included) into the index.
 fn bench_index_build(c: &mut Criterion) {
-    let ds = cached_test_dataset();
+    let chunks = cached_test_chunks();
     c.bench_function("figure/INDEX_build", |b| {
-        b.iter(|| black_box(hb_analysis::DatasetIndex::build(black_box(ds))))
+        b.iter(|| black_box(fold_test_index(black_box(chunks))))
     });
 }
 

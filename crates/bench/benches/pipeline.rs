@@ -4,55 +4,18 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hb_adtech::{HbFacet, RobustnessPolicy};
 use hb_core::{Interner, VisitColumns};
-use hb_crawler::{crawl_site_into, crawl_site_pooled, SessionConfig, VisitScratch};
+use hb_crawler::{
+    crawl_site_into, run_campaign_streamed, CampaignConfig, SessionConfig, VisitScratch,
+};
 use hb_ecosystem::{Ecosystem, EcosystemConfig, ScenarioConfig, SiteFactory};
 use hb_http::{Json, Request, RequestId, Url};
 use hb_simnet::{Dist, HostFaultProfile, LatencyModel};
 use std::hint::black_box;
 
-/// One steady-state visit per flow type, through the pooled per-worker
-/// path the campaign actually runs: the scratch (browser, detector
-/// buffers, message pools) and the shared runtime survive across
+/// One steady-state visit per flow type through [`crawl_site_into`] —
+/// the direct-to-column path campaign workers run. The scratch (browser,
+/// detector buffers, message pools) and the shared runtime survive across
 /// iterations, exactly as they survive across a worker's visits.
-fn visit_bench(c: &mut Criterion) {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-    let pick = |facet: Option<HbFacet>| {
-        eco.sites()
-            .iter()
-            .find(|s| s.facet == facet)
-            .expect("facet present in tiny universe")
-    };
-    let cases = [
-        ("client_side", pick(Some(HbFacet::ClientSide))),
-        ("server_side", pick(Some(HbFacet::ServerSide))),
-        ("hybrid", pick(Some(HbFacet::Hybrid))),
-        ("waterfall", pick(None)),
-    ];
-    let session = SessionConfig::default();
-    for (label, site) in cases {
-        let mut strings = Interner::new();
-        let mut scratch = VisitScratch::new(eco.partner_list());
-        c.bench_function(&format!("visit/{label}"), |b| {
-            b.iter(|| {
-                black_box(crawl_site_pooled(
-                    eco.net(),
-                    eco.runtime_shared(site.rank),
-                    eco.visit_rng(site.rank, 0),
-                    0,
-                    &session,
-                    &mut strings,
-                    &mut scratch,
-                ))
-            })
-        });
-    }
-}
-
-/// Columnar twins of `visit/*`: the same steady-state flows through
-/// [`crawl_site_into`] — the direct-to-column path campaign workers
-/// actually run. The row benches above stay for cross-PR continuity;
-/// these report what a worker's visit really costs (no `SiteVisit`
-/// materialization, records appended straight to the columns).
 fn visit_columnar_bench(c: &mut Criterion) {
     let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
     let pick = |facet: Option<HbFacet>| {
@@ -131,34 +94,32 @@ fn detector_hot_paths(c: &mut Criterion) {
     });
 }
 
+/// Run a campaign to completion, dropping each chunk as it arrives (the
+/// cost every streaming consumer pays before its own fold); returns the
+/// visit count.
+fn crawl(factory: &SiteFactory, cfg: &CampaignConfig) -> u64 {
+    let mut visits = 0;
+    run_campaign_streamed(factory, cfg, &mut |chunk| visits += chunk.len() as u64);
+    visits
+}
+
 fn campaign_bench(c: &mut Criterion) {
     c.bench_function("campaign/tiny_200_sites", |b| {
         b.iter(|| {
             let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-            black_box(hb_crawler::run_campaign(
-                &eco,
-                &hb_crawler::CampaignConfig::default(),
-            ))
+            black_box(crawl(eco.factory(), &CampaignConfig::default()))
         })
     });
     // Visits/sec throughput over a prebuilt tiny universe: the campaign
     // re-crawls the same 200 sites each iteration, so Criterion reports
     // elements/sec directly comparable to the crawl binary's output.
     let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-    let visits = {
-        // One warm-up run to learn the visit count (sweep + dailies).
-        let ds = hb_crawler::run_campaign(&eco, &hb_crawler::CampaignConfig::default());
-        ds.visits.len() as u64
-    };
+    // One warm-up run to learn the visit count (sweep + dailies).
+    let visits = crawl(eco.factory(), &CampaignConfig::default());
     let mut group = c.benchmark_group("campaign");
     group.throughput(Throughput::Elements(visits));
     group.bench_function("throughput", |b| {
-        b.iter(|| {
-            black_box(hb_crawler::run_campaign(
-                &eco,
-                &hb_crawler::CampaignConfig::default(),
-            ))
-        })
+        b.iter(|| black_box(crawl(eco.factory(), &CampaignConfig::default())))
     });
     group.finish();
 }
@@ -187,20 +148,12 @@ fn campaign_faulty_bench(c: &mut Criterion) {
         .with_degraded_link(specs[2].host(), LatencyModel::constant(1_200.0))
         .with_robustness(RobustnessPolicy::degraded_defaults());
     let eco = Ecosystem::generate(base.with_scenario(scenario));
-    let visits = {
-        // One warm-up run to learn the visit count (sweep + dailies).
-        let ds = hb_crawler::run_campaign(&eco, &hb_crawler::CampaignConfig::default());
-        ds.visits.len() as u64
-    };
+    // One warm-up run to learn the visit count (sweep + dailies).
+    let visits = crawl(eco.factory(), &CampaignConfig::default());
     let mut group = c.benchmark_group("campaign");
     group.throughput(Throughput::Elements(visits));
     group.bench_function("faulty_sweep", |b| {
-        b.iter(|| {
-            black_box(hb_crawler::run_campaign(
-                &eco,
-                &hb_crawler::CampaignConfig::default(),
-            ))
-        })
+        b.iter(|| black_box(crawl(eco.factory(), &CampaignConfig::default())))
     });
     group.finish();
 }
@@ -209,14 +162,10 @@ fn campaign_faulty_bench(c: &mut Criterion) {
 /// eager universe construction used to dominate. Reported as visits/sec
 /// (`Throughput::Elements`), directly comparable to the crawl binary.
 fn campaign_small_bench(c: &mut Criterion) {
-    let factory =
-        hb_ecosystem::SiteFactory::new(EcosystemConfig::paper_scale().with_sites(2_000).with_days(1));
-    let cfg = hb_crawler::CampaignConfig::default();
-    let visits = {
-        // One warm-up run to learn the visit count (sweep + dailies).
-        let ds = hb_crawler::run_factory_campaign(&factory, &cfg);
-        ds.visits.len() as u64
-    };
+    let factory = SiteFactory::new(EcosystemConfig::paper_scale().with_sites(2_000).with_days(1));
+    let cfg = CampaignConfig::default();
+    // One warm-up run to learn the visit count (sweep + dailies).
+    let visits = crawl(&factory, &cfg);
     let mut group = c.benchmark_group("campaign");
     group.sample_size(10);
     // One campaign run takes tens of milliseconds; stretch the sample
@@ -225,7 +174,7 @@ fn campaign_small_bench(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     group.throughput(Throughput::Elements(visits));
     group.bench_function("small_2k_sites", |b| {
-        b.iter(|| black_box(hb_crawler::run_factory_campaign(&factory, &cfg)))
+        b.iter(|| black_box(crawl(&factory, &cfg)))
     });
     group.finish();
 }
@@ -241,17 +190,14 @@ fn campaign_small_bench(c: &mut Criterion) {
 /// `speedup_8w` (scaling_1w median / scaling_8w median) is folded into
 /// the snapshot and gated in CI.
 fn campaign_scaling_bench(c: &mut Criterion) {
-    let factory = hb_ecosystem::SiteFactory::new(
-        EcosystemConfig::paper_scale().with_sites(2_000).with_days(1),
-    );
-    let visits = {
-        let cfg = hb_crawler::CampaignConfig {
+    let factory = SiteFactory::new(EcosystemConfig::paper_scale().with_sites(2_000).with_days(1));
+    let visits = crawl(
+        &factory,
+        &CampaignConfig {
             chunk_visits: 64,
-            ..hb_crawler::CampaignConfig::default()
-        };
-        let ds = hb_crawler::run_factory_campaign(&factory, &cfg);
-        ds.visits.len() as u64
-    };
+            ..CampaignConfig::default()
+        },
+    );
     let mut group = c.benchmark_group("campaign");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
@@ -259,12 +205,12 @@ fn campaign_scaling_bench(c: &mut Criterion) {
     for workers in [1usize, 2, 4, 8] {
         group.bench_function(&format!("scaling_{workers}w"), |b| {
             b.iter(|| {
-                let cfg = hb_crawler::CampaignConfig {
+                let cfg = CampaignConfig {
                     parallelism: workers,
                     chunk_visits: 64,
-                    ..hb_crawler::CampaignConfig::default()
+                    ..CampaignConfig::default()
                 };
-                black_box(hb_crawler::run_factory_campaign(&factory, &cfg))
+                black_box(crawl(&factory, &cfg))
             })
         });
     }
@@ -335,7 +281,7 @@ fn campaign_cold_sweep_bench(c: &mut Criterion) {
 criterion_group!(
     name = pipeline;
     config = Criterion::default().sample_size(10);
-    targets = visit_bench, visit_columnar_bench, detector_hot_paths, campaign_bench,
+    targets = visit_columnar_bench, detector_hot_paths, campaign_bench,
         campaign_faulty_bench, campaign_small_bench, campaign_scaling_bench,
         derive_site_cold_bench, campaign_cold_sweep_bench
 );

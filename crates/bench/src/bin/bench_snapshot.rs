@@ -8,10 +8,9 @@
 //!
 //! The snapshot additionally records the **measured allocation counts per
 //! visit flow** (client/server/hybrid/waterfall), observed with a
-//! counting global allocator over the same visit paths
-//! `tests/alloc_free.rs` budgets: the pooled row path (`alloc_per_visit`,
-//! comparable to BENCH_3/BENCH_4) and the direct-to-column campaign hot
-//! path with its steady/cold-fresh/memo-cleared split
+//! counting global allocator over the same visit path
+//! `tests/alloc_free.rs` budgets: the direct-to-column campaign hot path
+//! with its steady/cold-fresh/memo-cleared split
 //! (`alloc_per_visit_columnar`) — so both the allocation trajectory and
 //! the cold-visit tax are tracked alongside throughput.
 //!
@@ -30,7 +29,7 @@
 
 use hb_adtech::HbFacet;
 use hb_core::{Interner, VisitColumns};
-use hb_crawler::{crawl_site_into, crawl_site_pooled, SessionConfig, TruthRecord, VisitScratch};
+use hb_crawler::{crawl_site_into, SessionConfig, TruthRecord, VisitScratch};
 use hb_ecosystem::{Ecosystem, EcosystemConfig, ScenarioConfig};
 use hb_serve::{serve_load_with, LoadGenConfig, ServeConfig};
 use hb_simnet::{Dist, HostFaultProfile, SimDuration};
@@ -65,51 +64,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Steady-state allocations for one pooled visit of each flow at tiny
-/// scale (3 warm-up visits, then one measured). Keep the flow table and
-/// warm-up protocol in lockstep with `tests/alloc_free.rs`, which
-/// enforces the budgets over the same procedure — a drift between the
-/// two would make the tracked trajectory incomparable to the gate.
-fn measure_visit_allocs() -> Vec<(&'static str, u64)> {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-    let cfg = SessionConfig::default();
-    let flows: [(&'static str, Option<HbFacet>); 4] = [
-        ("client_side", Some(HbFacet::ClientSide)),
-        ("server_side", Some(HbFacet::ServerSide)),
-        ("hybrid", Some(HbFacet::Hybrid)),
-        ("waterfall", None),
-    ];
-    let mut out = Vec::new();
-    for (label, facet) in flows {
-        let Some(site) = eco.sites().iter().find(|s| s.facet == facet) else {
-            // Don't silently drop a flow from the snapshot — a missing
-            // key would read as "never measured" across PRs.
-            eprintln!("warning: no {label} site in the tiny universe; alloc_per_visit omits it");
-            continue;
-        };
-        let mut scratch = VisitScratch::new(eco.partner_list());
-        let mut strings = Interner::new();
-        let visit = |strings: &mut Interner, scratch: &mut VisitScratch| {
-            crawl_site_pooled(
-                eco.net(),
-                eco.runtime_shared(site.rank),
-                eco.visit_rng(site.rank, 0),
-                0,
-                &cfg,
-                strings,
-                scratch,
-            )
-        };
-        for _ in 0..3 {
-            let _ = visit(&mut strings, &mut scratch);
-        }
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let _ = visit(&mut strings, &mut scratch);
-        out.push((label, ALLOCS.load(Ordering::Relaxed) - before));
-    }
-    out
-}
 
 /// Allocations of `f` (single-threaded process, counter is exact).
 fn allocs_during<R>(f: impl FnOnce() -> R) -> u64 {
@@ -376,16 +330,9 @@ fn main() {
          \"fills\": {fills},\n    \"sheds\": {sheds},\n    \"breaker_trips\": {trips},\n    \
          \"hedges_fired\": {hedges}\n  }},\n"
     ));
-    out.push_str("  \"alloc_per_visit\": {\n");
-    let allocs = measure_visit_allocs();
-    let n_flows = allocs.len();
-    for (i, (label, count)) in allocs.iter().enumerate() {
-        out.push_str(&format!("    \"{label}\": {count}"));
-        out.push_str(if i + 1 == n_flows { "\n" } else { ",\n" });
-    }
     // The direct-to-column hot path, steady and cold (see
     // measure_columnar_allocs for the protocol).
-    out.push_str("  },\n  \"alloc_per_visit_columnar\": {\n");
+    out.push_str("  \"alloc_per_visit_columnar\": {\n");
     let columnar = measure_columnar_allocs();
     let n_columnar = columnar.len();
     for (i, (label, steady, fresh, cleared)) in columnar.iter().enumerate() {

@@ -2,50 +2,67 @@
 //!
 //! Usage: `crawl [tiny|test|medium|paper] [--out DIR] [--shards N]`
 //!
-//! Writes `visits.csv`, `bids.csv` and `truth.csv` under the output
-//! directory (default `results/dataset/`), ready for external analysis
-//! tooling. The run is deterministic in the ecosystem seed *and* in the
-//! shard count: chunks merge in `(day, shard, seq)` order, so `--shards 4`
-//! produces byte-identical CSVs to an unsharded run.
+//! Streams `visits.csv`, `bids.csv` and `truth.csv` under the output
+//! directory (default `results/dataset/`) chunk by chunk as the campaign
+//! runs, ready for external analysis tooling. The run is deterministic in
+//! the ecosystem seed *and* in the shard count: chunks arrive in
+//! `(day, shard, seq)` order, so `--shards 4` produces byte-identical CSVs
+//! to an unsharded run.
+//!
+//! Exit codes: 0 on success, 1 when the dataset cannot be written, 2 on a
+//! malformed command line.
 
 use hb_bench::{stderr_progress, Scale};
-use hb_crawler::{crawl_shard_streamed, merge_chunks, CampaignConfig, VisitChunk};
+use hb_crawler::{run_campaign_streamed, CampaignConfig, DatasetWriter};
+use hb_distd::cli::{flag_parse, flag_value, EXIT_USAGE};
 use hb_ecosystem::SiteFactory;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+const USAGE: &str = "usage: crawl [tiny|test|medium|paper] [--out DIR] [--shards N]";
+
+fn die(msg: String) -> ! {
+    eprintln!("crawl: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(EXIT_USAGE);
+}
+
+fn write_failed(out: &Path, err: std::io::Error) -> ! {
+    eprintln!(
+        "crawl: cannot write the dataset under {}: {err}",
+        out.display()
+    );
+    std::process::exit(1);
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Test;
     let mut out = PathBuf::from("results/dataset");
     let mut shards: u32 = 1;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--out" => {
-                i += 1;
-                out = PathBuf::from(args.get(i).expect("--out needs a directory"));
+                out = flag_value(&mut args, "--out")
+                    .unwrap_or_else(|e| die(e))
+                    .into()
             }
             "--shards" => {
-                i += 1;
-                shards = args
-                    .get(i)
-                    .expect("--shards needs a count")
-                    .parse()
-                    .expect("--shards needs a positive integer");
-                assert!(shards > 0, "--shards needs a positive integer");
+                shards = flag_parse(&mut args, "--shards").unwrap_or_else(|e| die(e));
+                if shards == 0 {
+                    die("--shards must be positive".into());
+                }
             }
             word => {
-                scale = Scale::parse(word).unwrap_or_else(|| {
-                    eprintln!("unknown scale {word:?}; use tiny|test|medium|paper");
-                    std::process::exit(2);
-                });
+                scale =
+                    Scale::parse(word).unwrap_or_else(|| die(format!("unknown argument {word:?}")));
             }
         }
-        i += 1;
     }
+    // Create the files before crawling: an unwritable destination fails
+    // in milliseconds, not after the campaign.
+    let mut writer = DatasetWriter::create(&out).unwrap_or_else(|e| write_failed(&out, e));
     eprintln!("crawling at {scale:?} scale over {shards} shard(s)…");
-    let config = scale.config();
-    let factory = SiteFactory::new(config.clone());
+    let factory = SiteFactory::new(scale.config());
     let cfg = CampaignConfig {
         shards,
         progress_every: 5_000,
@@ -53,39 +70,27 @@ fn main() {
         ..CampaignConfig::default()
     };
     let started = std::time::Instant::now();
-    let mut chunks: Vec<VisitChunk> = Vec::new();
-    for shard_id in 0..shards {
-        let shard_started = std::time::Instant::now();
-        let before = chunks.len();
-        crawl_shard_streamed(&factory, &cfg, shard_id, &mut |c| chunks.push(c));
-        let visits: usize = chunks[before..].iter().map(VisitChunk::len).sum();
-        let secs = shard_started.elapsed().as_secs_f64().max(1e-9);
-        eprintln!(
-            "  shard {shard_id}: {visits} visits in {:.1?} ({:.0} visits/sec)",
-            shard_started.elapsed(),
-            visits as f64 / secs,
-        );
-    }
-    let ds = merge_chunks(chunks, config.n_sites, config.crawl_days);
+    let mut visits = 0usize;
+    let mut written = Ok(());
+    run_campaign_streamed(&factory, &cfg, &mut |chunk| {
+        visits += chunk.len();
+        if written.is_ok() {
+            written = writer.write_chunk(&chunk);
+        }
+    });
     let elapsed = started.elapsed();
-    let visits_per_sec = ds.visits.len() as f64 / elapsed.as_secs_f64().max(1e-9);
+    if let Err(e) = written.and_then(|()| writer.finish().map(drop)) {
+        write_failed(&out, e);
+    }
+    let visits_per_sec = visits as f64 / elapsed.as_secs_f64().max(1e-9);
     eprintln!(
-        "done: {} visits over {} sites in {:.1?} ({visits_per_sec:.0} visits/sec)",
-        ds.visits.len(),
-        config.n_sites,
-        elapsed
+        "done: {visits} visits over {} sites in {elapsed:.1?} ({visits_per_sec:.0} visits/sec)",
+        factory.config().n_sites,
     );
     if let Some(kb) = peak_rss_kb() {
         eprintln!("peak RSS: {:.1} MiB", kb as f64 / 1024.0);
     }
-    ds.save(&out).expect("write dataset");
-    eprintln!(
-        "dataset written to {} ({} HB domains, {} auctions, {} bids)",
-        out.display(),
-        ds.hb_domains().len(),
-        ds.total_auctions(),
-        ds.total_bids()
-    );
+    eprintln!("dataset written to {}", out.display());
 }
 
 /// Peak resident set size in KiB, read from /proc (Linux) — `None` when

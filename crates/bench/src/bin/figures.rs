@@ -2,61 +2,77 @@
 //!
 //! Usage: `figures [tiny|test|medium|paper] [--csv DIR]`
 //!
-//! Runs the Wayback adoption study, generates the ecosystem, runs the full
-//! crawl campaign, and prints each `FigureReport` with the paper's stated
-//! expectation next to the regenerated numbers. With `--csv DIR`, every
-//! report's table is additionally written as `DIR/<id>.csv`.
+//! Runs the Wayback adoption study, then the full crawl campaign, folding
+//! its chunk stream straight into the figure index, and prints each
+//! `FigureReport` with the paper's stated expectation next to the
+//! regenerated numbers. With `--csv DIR`, every report's table is
+//! additionally written as `DIR/<id>.csv`.
+//!
+//! Exit codes: 0 on success, 1 when a CSV cannot be written, 2 on a
+//! malformed command line.
 
-use hb_analysis::all_reports;
-use hb_bench::{build_dataset, Scale};
+use hb_analysis::{history_reports, indexed_reports};
+use hb_bench::{index_at, Scale};
 use hb_crawler::{adoption_study, overlap_study};
-use std::path::PathBuf;
+use hb_distd::cli::{flag_value, EXIT_USAGE};
+use std::path::{Path, PathBuf};
+
+const USAGE: &str = "usage: figures [tiny|test|medium|paper] [--csv DIR]";
+
+fn die(msg: String) -> ! {
+    eprintln!("figures: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(EXIT_USAGE);
+}
+
+fn write_failed(path: &Path, err: std::io::Error) -> ! {
+    eprintln!("figures: cannot write {}: {err}", path.display());
+    std::process::exit(1);
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Test;
     let mut csv_dir: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--csv" => {
-                i += 1;
-                csv_dir = Some(PathBuf::from(
-                    args.get(i).expect("--csv needs a directory"),
-                ));
+                csv_dir = Some(
+                    flag_value(&mut args, "--csv")
+                        .unwrap_or_else(|e| die(e))
+                        .into(),
+                );
             }
             word => {
-                scale = Scale::parse(word).unwrap_or_else(|| {
-                    eprintln!("unknown scale {word:?}; use tiny|test|medium|paper");
-                    std::process::exit(2);
-                });
+                scale =
+                    Scale::parse(word).unwrap_or_else(|| die(format!("unknown argument {word:?}")));
             }
         }
-        i += 1;
+    }
+    if let Some(dir) = &csv_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| write_failed(dir, e));
     }
 
     eprintln!("[1/3] historical adoption study (Wayback substitute)…");
     let seed = scale.config().seed;
-    let adoption = adoption_study(seed, 1_000);
-    let overlaps = overlap_study(seed, 5_000);
+    let mut reports = history_reports(&adoption_study(seed, 1_000), &overlap_study(seed, 5_000));
 
     eprintln!("[2/3] generating ecosystem and running campaign at {scale:?} scale…");
     let started = std::time::Instant::now();
-    let (_eco, ds) = build_dataset(scale, true);
+    let ix = index_at(scale, true);
     eprintln!(
-        "      campaign done: {} visits in {:.1?}",
-        ds.visits.len(),
+        "      campaign done: {} HB visits in {:.1?}",
+        ix.n_hb_visits(),
         started.elapsed()
     );
 
     eprintln!("[3/3] building reports…");
-    let reports = all_reports(&ds, &adoption, &overlaps);
+    reports.extend(indexed_reports(&ix));
     for r in &reports {
         print!("{}", r.render());
         if let Some(dir) = &csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
             let path = dir.join(format!("{}.csv", r.id));
-            std::fs::write(&path, r.to_csv()).expect("write csv");
+            std::fs::write(&path, r.to_csv()).unwrap_or_else(|e| write_failed(&path, e));
         }
     }
     if let Some(dir) = &csv_dir {

@@ -1,15 +1,16 @@
 //! # hb-bench
 //!
-//! Shared harness for the benchmark suite and the `figures` binary: builds
-//! ecosystems and datasets at the requested scale and caches the test-scale
-//! dataset so every Criterion bench and analysis test reuses one crawl.
+//! Shared harness for the benchmark suite and the `crawl`/`figures`
+//! binaries: maps scale words to ecosystem configurations, folds a
+//! campaign at a scale into the figure index, and caches the test-scale
+//! campaign so every Criterion bench reuses one crawl.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hb_analysis::DatasetIndex;
-use hb_crawler::{run_campaign, CampaignConfig, CampaignProgress, CrawlDataset, ProgressFn};
-use hb_ecosystem::{Ecosystem, EcosystemConfig};
+use hb_analysis::{index_campaign, DatasetIndex, DatasetIndexBuilder};
+use hb_crawler::{run_campaign_streamed, CampaignConfig, CampaignProgress, ProgressFn, VisitChunk};
+use hb_ecosystem::{EcosystemConfig, SiteFactory};
 use std::sync::OnceLock;
 
 /// Scale selector for harness runs.
@@ -59,29 +60,46 @@ pub fn stderr_progress() -> ProgressFn {
     })
 }
 
-/// Generate the ecosystem and run the full campaign at the given scale.
-pub fn build_dataset(scale: Scale, progress: bool) -> (Ecosystem, CrawlDataset) {
-    let eco = Ecosystem::generate(scale.config());
+/// Run the full campaign at `scale` and fold its chunk stream into the
+/// figure index, optionally reporting progress on stderr.
+pub fn index_at(scale: Scale, progress: bool) -> DatasetIndex {
     let cfg = CampaignConfig {
         progress_every: if progress { 5_000 } else { 0 },
         progress: progress.then(stderr_progress),
         ..CampaignConfig::default()
     };
-    let ds = run_campaign(&eco, &cfg);
-    (eco, ds)
+    index_campaign(&SiteFactory::new(scale.config()), &cfg)
 }
 
-/// Cached test-scale dataset shared by the Criterion benches.
-pub fn cached_test_dataset() -> &'static CrawlDataset {
-    static DS: OnceLock<CrawlDataset> = OnceLock::new();
-    DS.get_or_init(|| build_dataset(Scale::Test, false).1)
+/// The chunks of the test-scale campaign, crawled once and shared by the
+/// Criterion benches (in fold order).
+pub fn cached_test_chunks() -> &'static [VisitChunk] {
+    static CHUNKS: OnceLock<Vec<VisitChunk>> = OnceLock::new();
+    CHUNKS.get_or_init(|| {
+        let factory = SiteFactory::new(Scale::Test.config());
+        let mut chunks = Vec::new();
+        run_campaign_streamed(&factory, &CampaignConfig::default(), &mut |c| {
+            chunks.push(c)
+        });
+        chunks
+    })
 }
 
-/// Cached columnar index over [`cached_test_dataset`] (built once, shared
+/// Fold chunks of a test-scale campaign into its index.
+pub fn fold_test_index(chunks: &[VisitChunk]) -> DatasetIndex {
+    let config = Scale::Test.config();
+    let mut builder = DatasetIndexBuilder::new(config.n_sites, config.crawl_days);
+    for chunk in chunks {
+        builder.push_chunk(chunk);
+    }
+    builder.finish()
+}
+
+/// Cached columnar index over [`cached_test_chunks`] (built once, shared
 /// by every figure bench — the index's build-once/read-many contract).
 pub fn cached_test_index() -> &'static DatasetIndex {
     static IX: OnceLock<DatasetIndex> = OnceLock::new();
-    IX.get_or_init(|| DatasetIndex::build(cached_test_dataset()))
+    IX.get_or_init(|| fold_test_index(cached_test_chunks()))
 }
 
 #[cfg(test)]
@@ -97,8 +115,8 @@ mod tests {
 
     #[test]
     fn tiny_dataset_builds() {
-        let (eco, ds) = build_dataset(Scale::Tiny, false);
-        assert_eq!(eco.sites().len(), 200);
-        assert!(ds.total_auctions() > 0);
+        let ix = index_at(Scale::Tiny, false);
+        assert_eq!(ix.n_sites, 200);
+        assert!(ix.v_slots_auctioned.iter().sum::<u32>() > 0);
     }
 }

@@ -8,8 +8,8 @@
 //! into shared arrays indexed by per-visit offset ranges. The crawl
 //! pipeline streams finished visits into per-shard columnar chunks built
 //! on this type, and the analysis layer's incremental index builder reads
-//! the columns directly — rows are only re-materialized when a
-//! [`CrawlDataset`-style] row view is explicitly requested.
+//! the columns directly — rows are only re-materialized when a caller
+//! explicitly asks for one ([`VisitView::to_record`]).
 
 use crate::intern::Symbol;
 use crate::record::{DetectedBid, DetectedFacet, DetectedSlot, PartnerLatency, VisitRecord};
@@ -448,30 +448,6 @@ impl Drop for VisitBuilder<'_> {
             c.slots.truncate(*c.slots_off.last().unwrap_or(&0) as usize);
             c.event_counts
                 .truncate(*c.events_off.last().unwrap_or(&0) as usize);
-        }
-    }
-}
-
-impl<'a> From<&'a VisitRecord> for VisitView<'a> {
-    fn from(v: &'a VisitRecord) -> VisitView<'a> {
-        VisitView {
-            domain: v.domain,
-            rank: v.rank,
-            day: v.day,
-            hb_detected: v.hb_detected,
-            facet: v.facet,
-            slots_auctioned: v.slots_auctioned,
-            hb_latency_ms: v.hb_latency_ms,
-            page_load_ms: v.page_load_ms,
-            bids_dropped: v.bids_dropped,
-            retries: v.retries,
-            timed_out_partners: v.timed_out_partners,
-            passback_served: v.passback_served,
-            partners: &v.partners,
-            bids: &v.bids,
-            partner_latencies: &v.partner_latencies,
-            slots: &v.slots,
-            event_counts: &v.event_counts,
         }
     }
 }

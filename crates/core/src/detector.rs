@@ -3,13 +3,14 @@
 //! Combines the paper's detection methods 2 (DOM event inspection) and 3
 //! (webRequest inspection). The detector attaches to a [`Browser`] before
 //! navigation, records everything relevant during the visit, and
-//! [`HbDetector::finish`] reconstructs a [`VisitRecord`]: HB presence,
-//! facet, partners, bids, latencies, late bids, prices, sizes.
+//! [`HbDetector::finish_into`] reconstructs the visit as one row of
+//! [`VisitColumns`]: HB presence, facet, partners, bids, latencies, late
+//! bids, prices, sizes.
 //!
 //! The webRequest tap is allocation-conscious: each observed request
 //! stores its traffic class and a partner *index* into the list (not
 //! cloned strings), and response bodies are only parsed when they carry
-//! bid/winner payloads. All strings entering the [`VisitRecord`] are
+//! bid/winner payloads. All strings entering the visit's row are
 //! interned at reconstruction time.
 
 use crate::classify::{classify_request, response_has_hb_params, RequestKind};
@@ -17,9 +18,7 @@ use crate::columns::{VisitColumns, VisitScalars};
 use crate::events::{CapturedEvent, HbEventKind};
 use crate::intern::{Interner, Symbol};
 use crate::list::PartnerList;
-use crate::record::{
-    BidSource, DetectedBid, DetectedFacet, DetectedSlot, PartnerLatency, VisitRecord,
-};
+use crate::record::{BidSource, DetectedBid, DetectedFacet, DetectedSlot, PartnerLatency};
 use hb_dom::{Browser, WebRequestEvent};
 use hb_http::{HStr, Json, RequestId};
 use hb_simnet::SimTime;
@@ -101,7 +100,7 @@ struct FinishScratch {
 }
 
 /// The HBDetector. Create with a partner list, [`attach`](Self::attach) to
-/// a browser, run the visit, then [`finish`](Self::finish).
+/// a browser, run the visit, then [`finish_into`](Self::finish_into).
 pub struct HbDetector {
     list: Arc<PartnerList>,
     state: Rc<RefCell<DetectorState>>,
@@ -212,32 +211,13 @@ impl HbDetector {
         st.raw_winners.clear();
     }
 
-    /// Reconstruct the visit record. `domain`, `rank` and `day` are crawl
-    /// metadata; `page_load_ms` comes from the page timing. All strings
-    /// are interned into `strings` — resolve the record against it.
-    ///
-    /// Thin row wrapper over [`HbDetector::finish_into`] for one-shot
-    /// callers (tests, examples, validation); the campaign workers append
-    /// straight into their chunk's columns.
-    pub fn finish(
-        &self,
-        domain: &str,
-        rank: u32,
-        day: u32,
-        page_load_ms: Option<f64>,
-        strings: &mut Interner,
-    ) -> VisitRecord {
-        let mut cols = VisitColumns::new();
-        self.finish_into(domain, rank, day, page_load_ms, strings, &mut cols);
-        cols.get(0).to_record()
-    }
-
     /// Reconstruct the visit and append it as one row directly into
     /// `cols` — detected bids, slots and latencies stream into the
     /// worker's columnar storage without materializing an owned
-    /// [`VisitRecord`] (the crawl hot path: nothing escapes the visit but
-    /// the column tails). Interning order, row content and child-row
-    /// order are identical to [`HbDetector::finish`] by construction.
+    /// [`VisitRecord`](crate::VisitRecord) (the crawl hot path: nothing
+    /// escapes the visit but the column tails). `domain`, `rank` and `day`
+    /// are crawl metadata; `page_load_ms` comes from the page timing. All
+    /// strings are interned into `strings` — resolve the row against it.
     pub fn finish_into(
         &self,
         domain: &str,
@@ -535,11 +515,26 @@ fn parse_response_content(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::VisitRecord;
     use hb_http::{Request, Response, Url};
     use hb_simnet::SimTime;
 
     fn browser() -> Browser {
         Browser::open(Url::parse("https://pub.example/").unwrap(), SimTime::ZERO)
+    }
+
+    /// Reconstruct the visit and read it back as a row.
+    fn finish(
+        det: &HbDetector,
+        domain: &str,
+        rank: u32,
+        day: u32,
+        page_load_ms: Option<f64>,
+        strings: &mut Interner,
+    ) -> VisitRecord {
+        let mut cols = VisitColumns::new();
+        det.finish_into(domain, rank, day, page_load_ms, strings, &mut cols);
+        cols.get(0).to_record()
     }
 
     /// Resolve a symbol list to strings for assertions.
@@ -609,7 +604,7 @@ mod tests {
         det.attach(&mut b);
         synthetic_client_visit(&mut b);
         let mut strings = Interner::new();
-        let rec = det.finish("pub.example", 10, 0, Some(900.0), &mut strings);
+        let rec = finish(&det, "pub.example", 10, 0, Some(900.0), &mut strings);
         assert!(rec.hb_detected);
         assert_eq!(strings.resolve(rec.domain), "pub.example");
         assert_eq!(rec.facet, Some(DetectedFacet::Client));
@@ -658,7 +653,7 @@ mod tests {
             &Json::obj([("hb_slot", Json::str("s1"))]),
         );
         let mut strings = Interner::new();
-        let rec = det.finish("pub2.example", 20, 3, None, &mut strings);
+        let rec = finish(&det, "pub2.example", 20, 3, None, &mut strings);
         assert!(rec.hb_detected);
         assert_eq!(rec.facet, Some(DetectedFacet::Server));
         assert_eq!(resolved(&strings, &rec.partners), vec!["DFP"]);
@@ -699,7 +694,7 @@ mod tests {
         b.note_request_out(&req2, SimTime::from_millis(200));
         b.note_response_in(&req2, &Response::no_content(id2), SimTime::from_millis(350));
         let mut strings = Interner::new();
-        let rec = det.finish("pub3.example", 30, 1, None, &mut strings);
+        let rec = finish(&det, "pub3.example", 30, 1, None, &mut strings);
         assert!(rec.hb_detected);
         assert_eq!(rec.facet, Some(DetectedFacet::Hybrid));
         let mut partners = resolved(&strings, &rec.partners);
@@ -739,7 +734,7 @@ mod tests {
         .unwrap();
         b.note_response_in(&req, &Response::json(id, body), SimTime::from_millis(500));
         let mut strings = Interner::new();
-        let rec = det.finish("pub4.example", 40, 0, None, &mut strings);
+        let rec = finish(&det, "pub4.example", 40, 0, None, &mut strings);
         assert_eq!(rec.bids.len(), 1);
         assert!(rec.bids[0].late);
         assert_eq!(rec.late_fraction(), Some(1.0));
@@ -768,7 +763,7 @@ mod tests {
         );
         b.note_request_out(&req2, SimTime::from_millis(100));
         let mut strings = Interner::new();
-        let rec = det.finish("wf.example", 50, 0, None, &mut strings);
+        let rec = finish(&det, "wf.example", 50, 0, None, &mut strings);
         assert!(!rec.hb_detected, "waterfall must not be flagged");
         assert!(rec.facet.is_none());
         assert!(rec.bids.is_empty());
@@ -802,7 +797,7 @@ mod tests {
         // Every bidder failed: the wrapper serves a passback house ad.
         b.fire_event(SimTime::from_millis(3300), "passbackServed", &Json::obj([]));
         let mut strings = Interner::new();
-        let rec = det.finish("pub7.example", 70, 0, None, &mut strings);
+        let rec = finish(&det, "pub7.example", 70, 0, None, &mut strings);
         assert!(rec.hb_detected, "bid requests alone prove HB");
         assert_eq!(rec.bids_dropped, 2);
         assert_eq!(rec.retries, 1);
@@ -824,7 +819,7 @@ mod tests {
         det.attach(&mut b);
         synthetic_client_visit(&mut b);
         let mut strings = Interner::new();
-        let rec = det.finish("pub.example", 10, 0, None, &mut strings);
+        let rec = finish(&det, "pub.example", 10, 0, None, &mut strings);
         assert_eq!(rec.bids_dropped, 0);
         assert_eq!(rec.retries, 0);
         assert_eq!(rec.timed_out_partners, 0);
@@ -837,7 +832,7 @@ mod tests {
         let mut b = browser();
         det.attach(&mut b);
         let mut strings = Interner::new();
-        let rec = det.finish("static.example", 60, 0, Some(120.0), &mut strings);
+        let rec = finish(&det, "static.example", 60, 0, Some(120.0), &mut strings);
         assert!(!rec.hb_detected);
         assert_eq!(rec.partner_count(), 0);
         assert_eq!(det.events_captured(), 0);

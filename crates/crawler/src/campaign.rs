@@ -4,33 +4,43 @@
 //! toplist (detecting which sites run HB at all), followed by daily
 //! revisits of the detected HB sites for `crawl_days` days.
 //!
-//! ## Architecture
+//! ## One schedule
 //!
-//! The toplist is split into `shards` contiguous rank slices. Each shard
-//! crawls its slice with a pool of workers that claim fixed-size *blocks*
-//! of ranks: a worker derives each site lazily from the
-//! [`SiteFactory`], crawls it, flattens the ground truth immediately, and
-//! interns strings into a block-local interner — sealing the block as a
-//! self-contained columnar [`VisitChunk`] keyed `(day, shard, seq)`.
-//! Chunks stream to the caller in deterministic key order the moment they
-//! are sealed (a small reorder window smooths over scheduling).
+//! [`CampaignPlan`] is the only implementation of that schedule. The
+//! toplist is split into `shards` contiguous rank slices; each
+//! `(day, shard)` group of ranks is one batch, cut into
+//! `chunk_visits`-sized [`PlanBlock`]s keyed `(day, shard, seq)`. The
+//! plan yields the day-0 blocks first, collects detected ranks from the
+//! day-0 chunks as they fold ([`CampaignPlan::observe`]), then yields
+//! the revisit blocks. [`run_campaign_streamed`] drives it in process,
+//! one batch at a time; the distributed coordinator drives the same plan
+//! over leases, one block at a time.
+//!
+//! ## One data path
+//!
+//! Workers claim blocks of a batch, derive each site lazily from the
+//! [`SiteFactory`], crawl it straight into columns and flatten the
+//! ground truth immediately, interning strings into a block-local
+//! interner — sealing the block as a self-contained columnar
+//! [`VisitChunk`]. Chunks stream to the caller in `(day, shard, seq)`
+//! order the moment they are sealed; the analysis index builder and the
+//! dataset CSV writer fold them one at a time, so no row dataset is ever
+//! resident.
 //!
 //! Determinism: every `(site, day)` visit derives its own RNG stream from
-//! the master seed, block boundaries are a pure function of the job list,
-//! and the merge re-interns records in `(day, shard, seq, rank)` order —
-//! which, because shard slices are contiguous, is exactly the global
-//! `(day, rank)` order. Symbol numbering and figure bytes are therefore
-//! identical for every `parallelism` *and* every `shards` setting.
+//! the master seed and block boundaries are a pure function of the plan.
+//! Because shard slices are contiguous, `(day, shard, seq, rank)` order
+//! is exactly the global `(day, rank)` order, so folded figures and
+//! dataset bytes are identical for every `parallelism` *and* every
+//! `shards` setting.
 
 use crate::chunk::VisitChunk;
-use crate::dataset::CrawlDataset;
 use crate::ring::SlotRing;
 use crate::session::{crawl_site_into, SessionConfig, VisitScratch};
 use hb_core::{Interner, VisitColumns};
-use hb_ecosystem::{Ecosystem, SiteFactory};
+use hb_ecosystem::SiteFactory;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// A progress observation delivered to [`CampaignConfig::progress`].
 #[derive(Clone, Copy, Debug)]
@@ -58,10 +68,6 @@ pub struct CampaignConfig {
     pub session: SessionConfig,
     /// Number of contiguous toplist shards (1 = unsharded).
     pub shards: u32,
-    /// Crawl only this shard (multi-machine operation); `None` runs every
-    /// shard locally, interleaved day-major so chunks stream in merge
-    /// order.
-    pub shard_id: Option<u32>,
     /// Visits per sealed chunk (block size of the worker scheduler).
     pub chunk_visits: usize,
     /// Progress callback interval in visits; 0 disables progress entirely.
@@ -77,7 +83,6 @@ impl Default for CampaignConfig {
             parallelism: 0,
             session: SessionConfig::default(),
             shards: 1,
-            shard_id: None,
             chunk_visits: 256,
             progress_every: 0,
             progress: None,
@@ -91,7 +96,6 @@ impl fmt::Debug for CampaignConfig {
             .field("parallelism", &self.parallelism)
             .field("session", &self.session)
             .field("shards", &self.shards)
-            .field("shard_id", &self.shard_id)
             .field("chunk_visits", &self.chunk_visits)
             .field("progress_every", &self.progress_every)
             .field("progress", &self.progress.as_ref().map(|_| "<callback>"))
@@ -99,32 +103,164 @@ impl fmt::Debug for CampaignConfig {
     }
 }
 
-/// One shard of a campaign: which contiguous slice of the toplist it owns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// Total shard count.
-    pub shards: u32,
-    /// This shard's index (`0..shards`).
-    pub shard_id: u32,
+/// One `(day, shard)` group of the schedule: the ranks one batch crawls,
+/// in rank order. A batch seals into [`PlanBatch::n_blocks`] chunks.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct PlanBatch {
+    /// Crawl day (0 = adoption sweep).
+    pub(crate) day: u32,
+    /// Shard owning the ranks.
+    pub(crate) shard: u32,
+    /// Ranks to visit, ascending.
+    pub(crate) ranks: Vec<u32>,
+    chunk_visits: usize,
 }
 
-impl ShardSpec {
-    /// Build a spec; panics when `shard_id >= shards` or `shards == 0`.
-    pub fn new(shards: u32, shard_id: u32) -> ShardSpec {
-        assert!(shards > 0, "shards must be positive");
-        assert!(shard_id < shards, "shard_id {shard_id} out of range 0..{shards}");
-        ShardSpec { shards, shard_id }
+impl PlanBatch {
+    /// Number of blocks (and sealed chunks) the batch splits into.
+    pub(crate) fn n_blocks(&self) -> usize {
+        self.ranks.len().div_ceil(self.chunk_visits)
     }
 
-    /// The contiguous half-open range of 1-based ranks this shard crawls.
-    /// Slices are contiguous so that `(day, shard, rank)` order equals the
-    /// global `(day, rank)` order — the merge invariant.
-    pub fn rank_range(&self, n_sites: u32) -> std::ops::Range<u32> {
-        let base = n_sites / self.shards;
-        let rem = n_sites % self.shards;
-        let lo = 1 + self.shard_id * base + self.shard_id.min(rem);
-        let len = base + u32::from(self.shard_id < rem);
-        lo..lo + len
+    /// The ranks of block `seq`: `chunk_visits` consecutive ranks, the
+    /// last block taking the remainder.
+    pub(crate) fn block(&self, seq: usize) -> &[u32] {
+        let lo = seq * self.chunk_visits;
+        &self.ranks[lo..(lo + self.chunk_visits).min(self.ranks.len())]
+    }
+
+    /// Every block of the batch, in `seq` order.
+    fn blocks(&self) -> impl Iterator<Item = PlanBlock> + '_ {
+        (0..self.n_blocks()).map(|seq| PlanBlock {
+            day: self.day,
+            shard: self.shard,
+            seq: seq as u32,
+            ranks: self.block(seq).to_vec(),
+        })
+    }
+}
+
+/// One schedulable block: the ranks one sealed chunk covers, under the
+/// chunk's `(day, shard, seq)` key.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PlanBlock {
+    /// Crawl day.
+    pub day: u32,
+    /// Shard.
+    pub shard: u32,
+    /// Position within the `(day, shard)` batch.
+    pub seq: u32,
+    /// Ranks to visit, ascending.
+    pub ranks: Vec<u32>,
+}
+
+impl PlanBlock {
+    /// The key of the chunk this block seals into.
+    pub fn key(&self) -> (u32, u32, u32) {
+        (self.day, self.shard, self.seq)
+    }
+}
+
+/// The paper's §3.2 schedule over one universe: a day-0 sweep of the
+/// toplist, then daily revisits of the ranks detected as HB on day 0.
+///
+/// The day-0 part is known up front; the revisit part depends on what
+/// the sweep detects, so feed every day-0 chunk to
+/// [`observe`](CampaignPlan::observe) in fold order (`(shard, seq)`)
+/// before asking for [`revisit_blocks`](CampaignPlan::revisit_blocks).
+#[derive(Clone, Debug)]
+pub struct CampaignPlan {
+    n_sites: u32,
+    crawl_days: u32,
+    shards: u32,
+    chunk_visits: usize,
+    /// Detected HB ranks per shard, in fold order.
+    detected: Vec<Vec<u32>>,
+}
+
+impl CampaignPlan {
+    /// Plan a campaign over ranks `1..=n_sites` for `crawl_days` revisit
+    /// days, split into `shards` contiguous slices and `chunk_visits`-rank
+    /// blocks (both clamped to at least 1).
+    pub fn new(n_sites: u32, crawl_days: u32, shards: u32, chunk_visits: usize) -> CampaignPlan {
+        let shards = shards.max(1);
+        CampaignPlan {
+            n_sites,
+            crawl_days,
+            shards,
+            chunk_visits: chunk_visits.max(1),
+            detected: vec![Vec::new(); shards as usize],
+        }
+    }
+
+    /// Day 0: each shard's slice of the toplist, in shard order. Slices
+    /// are contiguous and differ in length by at most one, so
+    /// `(day, shard, rank)` order is the global `(day, rank)` order — the
+    /// fold-order invariant.
+    pub(crate) fn day0_batches(&self) -> Vec<PlanBatch> {
+        let (base, rem) = (self.n_sites / self.shards, self.n_sites % self.shards);
+        (0..self.shards)
+            .map(|shard| {
+                let lo = 1 + shard * base + shard.min(rem);
+                let len = base + u32::from(shard < rem);
+                self.batch(0, shard, (lo..lo + len).collect())
+            })
+            .collect()
+    }
+
+    /// Record the HB ranks a folded chunk detected. Only day-0 chunks
+    /// shape the schedule; any other chunk is ignored.
+    pub fn observe(&mut self, chunk: &VisitChunk) {
+        if chunk.day != 0 {
+            return;
+        }
+        if let Some(ranks) = self.detected.get_mut(chunk.shard as usize) {
+            ranks.extend(
+                chunk
+                    .visits
+                    .iter()
+                    .filter(|v| v.hb_detected)
+                    .map(|v| v.rank),
+            );
+        }
+    }
+
+    /// Days `1..=crawl_days`: each shard's detected ranks, in
+    /// `(day, shard)` order.
+    pub(crate) fn revisit_batches(&self) -> Vec<PlanBatch> {
+        (1..=self.crawl_days)
+            .flat_map(|day| {
+                self.detected
+                    .iter()
+                    .enumerate()
+                    .map(move |(shard, ranks)| self.batch(day, shard as u32, ranks.clone()))
+            })
+            .collect()
+    }
+
+    /// Every day-0 block, in `(shard, seq)` order.
+    pub fn day0_blocks(&self) -> Vec<PlanBlock> {
+        self.day0_batches()
+            .iter()
+            .flat_map(PlanBatch::blocks)
+            .collect()
+    }
+
+    /// Every revisit block, in `(day, shard, seq)` order.
+    pub fn revisit_blocks(&self) -> Vec<PlanBlock> {
+        self.revisit_batches()
+            .iter()
+            .flat_map(PlanBatch::blocks)
+            .collect()
+    }
+
+    fn batch(&self, day: u32, shard: u32, ranks: Vec<u32>) -> PlanBatch {
+        PlanBatch {
+            day,
+            shard,
+            ranks,
+            chunk_visits: self.chunk_visits,
+        }
     }
 }
 
@@ -193,7 +329,7 @@ pub fn crawl_block_until(
     for (i, &rank) in ranks.iter().enumerate() {
         // Direct-to-column: the detector appends the finished row
         // straight into the chunk's columns and the ground truth is
-        // flattened in place — no owned SiteVisit per visit.
+        // flattened in place — no owned row per visit.
         let _ = crawl_site_into(
             net.clone(),
             factory.runtime_shared(rank),
@@ -229,41 +365,37 @@ fn worker_count(cfg: &CampaignConfig) -> usize {
     }
 }
 
-/// Crawl one `(day, rank-set)` batch, streaming sealed chunks to `sink`
-/// in `seq` order.
+/// Crawl one `(day, shard)` batch of the plan, streaming sealed chunks
+/// to `sink` in `seq` order.
 ///
-/// Workers claim fixed-size blocks of the rank list via an atomic cursor;
-/// each block is crawled in rank order into its own columnar chunk with a
-/// block-local interner, so no symbol state is shared between threads.
-/// Ground truth is flattened to [`TruthRecord`]s as visits finish — the
-/// heavyweight simulation state never outlives the visit.
+/// Workers claim the batch's blocks via an atomic cursor; each block is
+/// crawled in rank order into its own columnar chunk with a block-local
+/// interner, so no symbol state is shared between threads. Ground truth
+/// is flattened to [`TruthRecord`](crate::TruthRecord)s as visits finish —
+/// the heavyweight simulation state never outlives the visit.
 fn run_batch(
     factory: &SiteFactory,
-    ranks: &[u32],
-    day: u32,
-    shard_id: u32,
+    batch: &PlanBatch,
     cfg: &CampaignConfig,
     sink: &mut dyn FnMut(VisitChunk),
 ) {
-    if ranks.is_empty() {
+    let n_blocks = batch.n_blocks();
+    if n_blocks == 0 {
         return;
     }
+    let (day, shard) = (batch.day, batch.shard);
     let workers = worker_count(cfg);
-    let chunk_size = cfg.chunk_visits.max(1);
-    let n_blocks = ranks.len().div_ceil(chunk_size);
-    let total = ranks.len();
+    let total = batch.ranks.len();
     let done = AtomicUsize::new(0);
 
     // One worker's block body: crawl block `b` into a sealed chunk via
     // the shared lease-block iteration.
     let crawl_block = |b: usize, scratch: &mut VisitScratch, net: &hb_adtech::Net| {
-        let lo = b * chunk_size;
-        let hi = (lo + chunk_size).min(total);
         crawl_block_into(
             factory,
-            &ranks[lo..hi],
+            batch.block(b),
             day,
-            shard_id,
+            shard,
             b as u32,
             &cfg.session,
             scratch,
@@ -273,7 +405,7 @@ fn run_batch(
                 if cfg.progress_every > 0 && n % cfg.progress_every == 0 {
                     if let Some(cb) = &cfg.progress {
                         cb(CampaignProgress {
-                            shard: shard_id,
+                            shard,
                             day,
                             done: n,
                             total,
@@ -348,196 +480,92 @@ fn run_batch(
     });
 }
 
-/// Crawl one shard end to end (day-0 sweep over its slice, then daily
-/// revisits of its detected HB sites), streaming chunks in `(day, seq)`
-/// order. The shard layout comes from `cfg.shards`, so the chunk keys
-/// always agree with the configuration. This is the unit of multi-machine
-/// distribution: ship the returned chunks anywhere and [`merge_chunks`]
-/// reassembles the global dataset.
-///
-/// # Panics
-/// Panics when `shard_id >= cfg.shards.max(1)`.
-pub fn crawl_shard_streamed(
-    factory: &SiteFactory,
-    cfg: &CampaignConfig,
-    shard_id: u32,
-    sink: &mut dyn FnMut(VisitChunk),
-) {
-    let shard = ShardSpec::new(cfg.shards.max(1), shard_id);
-    let config = factory.config();
-    let ranks: Vec<u32> = shard.rank_range(config.n_sites).collect();
-    let mut detected: Vec<u32> = Vec::new();
-    run_batch(factory, &ranks, 0, shard.shard_id, cfg, &mut |chunk| {
-        detected.extend(
-            chunk
-                .visits
-                .iter()
-                .filter(|v| v.hb_detected)
-                .map(|v| v.rank),
-        );
-        sink(chunk);
-    });
-    for day in 1..=config.crawl_days {
-        run_batch(factory, &detected, day, shard.shard_id, cfg, sink);
-    }
-}
-
-/// [`crawl_shard_streamed`], collected.
-pub fn crawl_shard(
-    factory: &SiteFactory,
-    cfg: &CampaignConfig,
-    shard_id: u32,
-) -> Vec<VisitChunk> {
-    let mut chunks = Vec::new();
-    crawl_shard_streamed(factory, cfg, shard_id, &mut |c| chunks.push(c));
-    chunks
-}
-
-/// Run every shard locally, streaming chunks to `sink` in global merge
-/// order (`(day, shard, seq)` — day-major across shards). Consumers like
-/// the analysis layer's incremental index builder can fold chunks as they
-/// arrive and drop them, so the full row dataset is never resident.
+/// Run the whole campaign in process, streaming chunks to `sink` in
+/// `(day, shard, seq)` order — one `run_batch` call per `(day, shard)`
+/// batch of the [`CampaignPlan`]. Consumers like the analysis layer's
+/// incremental index builder or the dataset CSV writer fold chunks as
+/// they arrive and drop them, so no row dataset is ever resident.
 pub fn run_campaign_streamed(
     factory: &SiteFactory,
     cfg: &CampaignConfig,
     sink: &mut dyn FnMut(VisitChunk),
 ) {
-    let shards = cfg.shards.max(1);
     let config = factory.config();
-    let specs: Vec<ShardSpec> = (0..shards).map(|i| ShardSpec::new(shards, i)).collect();
-    let mut detected: Vec<Vec<u32>> = vec![Vec::new(); shards as usize];
-    // Day 0: the adoption sweep, shard by shard.
-    for spec in &specs {
-        let ranks: Vec<u32> = spec.rank_range(config.n_sites).collect();
-        let det = &mut detected[spec.shard_id as usize];
-        run_batch(factory, &ranks, 0, spec.shard_id, cfg, &mut |chunk| {
-            det.extend(
-                chunk
-                    .visits
-                    .iter()
-                    .filter(|v| v.hb_detected)
-                    .map(|v| v.rank),
-            );
+    let mut plan = CampaignPlan::new(
+        config.n_sites,
+        config.crawl_days,
+        cfg.shards,
+        cfg.chunk_visits,
+    );
+    for batch in plan.day0_batches() {
+        run_batch(factory, &batch, cfg, &mut |chunk| {
+            plan.observe(&chunk);
             sink(chunk);
         });
     }
-    // Days 1..=crawl_days: daily revisits of each shard's detected sites.
-    for day in 1..=config.crawl_days {
-        for spec in &specs {
-            run_batch(
-                factory,
-                &detected[spec.shard_id as usize],
-                day,
-                spec.shard_id,
-                cfg,
-                sink,
-            );
-        }
+    for batch in plan.revisit_batches() {
+        run_batch(factory, &batch, cfg, sink);
     }
-}
-
-/// Merge any collection of chunks into the row-oriented dataset.
-///
-/// Chunks are ordered by their `(day, shard, seq)` key and every record is
-/// re-interned into the campaign-wide interner in that order — with
-/// contiguous shard slices this is the global `(day, rank)` visit order,
-/// so symbol numbering (not just resolved text) is identical for every
-/// parallelism and shard-count setting.
-pub fn merge_chunks(mut chunks: Vec<VisitChunk>, n_sites: u32, n_days: u32) -> CrawlDataset {
-    chunks.sort_by_key(VisitChunk::key);
-    let total: usize = chunks.iter().map(VisitChunk::len).sum();
-    let mut strings = Interner::new();
-    let mut visits = Vec::with_capacity(total);
-    let mut truths = Vec::with_capacity(total);
-    for chunk in chunks {
-        let VisitChunk {
-            visits: cols,
-            truths: t,
-            strings: local,
-            ..
-        } = chunk;
-        for i in 0..cols.len() {
-            let mut rec = cols.get(i).to_record();
-            rec.remap_symbols(&mut |sym| strings.intern(local.resolve(sym)));
-            visits.push(rec);
-        }
-        truths.extend(t);
-    }
-    CrawlDataset {
-        visits,
-        truths,
-        n_sites,
-        n_days,
-        strings: Arc::new(strings),
-    }
-}
-
-/// Run the full campaign over a lazy factory: day-0 sweep + daily HB-site
-/// revisits, merged into a row dataset.
-///
-/// With `cfg.shard_id = Some(i)` only that shard's slice is crawled; the
-/// result is a **partial** dataset still stamped with the *global*
-/// `n_sites`/`n_days` (it describes the universe, not the visit count).
-/// Partial datasets are meant to be shipped as chunks and combined with
-/// the other shards via [`merge_chunks`] before figure generation —
-/// universe-denominated figures (adoption rates, Table 1 site counts)
-/// over a single shard's dataset will otherwise understate by roughly the
-/// shard count.
-pub fn run_factory_campaign(factory: &SiteFactory, cfg: &CampaignConfig) -> CrawlDataset {
-    let config = factory.config();
-    let mut chunks = Vec::new();
-    match cfg.shard_id {
-        Some(id) => crawl_shard_streamed(factory, cfg, id, &mut |c| chunks.push(c)),
-        None => run_campaign_streamed(factory, cfg, &mut |c| chunks.push(c)),
-    }
-    merge_chunks(chunks, config.n_sites, config.crawl_days)
-}
-
-/// Run the full campaign: day-0 sweep + daily HB-site revisits.
-pub fn run_campaign(eco: &Ecosystem, cfg: &CampaignConfig) -> CrawlDataset {
-    run_factory_campaign(eco.factory(), cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_ecosystem::EcosystemConfig;
+    use crate::dataset::DatasetWriter;
+    use hb_ecosystem::{Ecosystem, EcosystemConfig};
     use std::collections::BTreeSet;
+    use std::sync::Arc;
 
-    fn tiny_campaign() -> CrawlDataset {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        run_campaign(&eco, &CampaignConfig::default())
+    fn campaign(eco: &Ecosystem, cfg: &CampaignConfig) -> Vec<VisitChunk> {
+        let mut chunks = Vec::new();
+        run_campaign_streamed(eco.factory(), cfg, &mut |c| chunks.push(c));
+        chunks
+    }
+
+    /// The three dataset CSVs of a chunk stream, concatenated: the
+    /// resolved-text view of every visit, bid and truth.
+    fn csv_bytes(chunks: &[VisitChunk]) -> Vec<u8> {
+        let mut w = DatasetWriter::new(Vec::new(), Vec::new(), Vec::new()).unwrap();
+        for c in chunks {
+            w.write_chunk(c).unwrap();
+        }
+        w.finish().unwrap().concat()
     }
 
     #[test]
     fn campaign_covers_sweep_plus_daily() {
         let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let ds = run_campaign(&eco, &CampaignConfig::default());
-        let hb_day0 = ds
-            .visits
+        let chunks = campaign(&eco, &CampaignConfig::default());
+        let visits: usize = chunks.iter().map(VisitChunk::len).sum();
+        let hb_day0 = chunks
             .iter()
-            .filter(|v| v.day == 0 && v.hb_detected)
+            .filter(|c| c.day == 0)
+            .flat_map(|c| c.visits.iter())
+            .filter(|v| v.hb_detected)
             .count();
         assert_eq!(
-            ds.visits.len(),
+            visits,
             eco.sites().len() + hb_day0 * eco.config.crawl_days as usize
         );
-        assert_eq!(ds.truths.len(), ds.visits.len());
+        for c in &chunks {
+            assert_eq!(c.truths.len(), c.len());
+        }
     }
 
     #[test]
     fn detector_matches_ground_truth_adoption() {
         let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let ds = run_campaign(&eco, &CampaignConfig::default());
-        let truth_hb: BTreeSet<&str> = eco
-            .hb_sites()
-            .map(|s| s.domain.as_str())
-            .collect();
-        let detected: BTreeSet<&str> = ds
-            .visits
+        let chunks = campaign(&eco, &CampaignConfig::default());
+        let truth_hb: BTreeSet<&str> = eco.hb_sites().map(|s| s.domain.as_str()).collect();
+        let detected: BTreeSet<&str> = chunks
             .iter()
-            .filter(|v| v.day == 0 && v.hb_detected)
-            .map(|v| ds.str(v.domain))
+            .filter(|c| c.day == 0)
+            .flat_map(|c| {
+                c.visits
+                    .iter()
+                    .filter(|v| v.hb_detected)
+                    .map(|v| c.strings.resolve(v.domain))
+            })
             .collect();
         // 100% precision (paper §4.1): nothing detected that is not HB.
         for d in &detected {
@@ -552,85 +580,76 @@ mod tests {
     #[test]
     fn campaign_is_deterministic_across_parallelism() {
         let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let a = run_campaign(
-            &eco,
-            &CampaignConfig {
-                parallelism: 1,
-                ..CampaignConfig::default()
-            },
-        );
-        let b = run_campaign(
-            &eco,
-            &CampaignConfig {
-                parallelism: 4,
-                ..CampaignConfig::default()
-            },
-        );
-        assert_eq!(a.visits.len(), b.visits.len());
-        for (x, y) in a.visits.iter().zip(b.visits.iter()) {
-            // Symbol *ids* match across parallelism settings (the merge
-            // renumbers in deterministic order), not just resolved text.
-            assert_eq!(x.domain, y.domain);
-            assert_eq!(a.str(x.domain), b.str(y.domain));
-            assert_eq!(x.day, y.day);
-            assert_eq!(x.hb_latency_ms, y.hb_latency_ms);
-            assert_eq!(x.bids.len(), y.bids.len());
+        let at = |parallelism| {
+            campaign(
+                &eco,
+                &CampaignConfig {
+                    parallelism,
+                    ..CampaignConfig::default()
+                },
+            )
+        };
+        let (a, b) = (at(1), at(4));
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            // Sealed frames match byte for byte: same key, same
+            // block-local interner numbering, same rows and truths.
+            assert_eq!(x.encode(), y.encode(), "chunk {:?} differs", x.key());
         }
     }
 
     #[test]
     fn sharding_does_not_change_results() {
         let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let one = run_campaign(&eco, &CampaignConfig::default());
-        let four = run_campaign(
+        let one = campaign(&eco, &CampaignConfig::default());
+        let four = campaign(
             &eco,
             &CampaignConfig {
                 shards: 4,
-                chunk_visits: 17, // odd block size to stress the reorder
+                chunk_visits: 17, // odd block size to stress the fold order
                 ..CampaignConfig::default()
             },
         );
-        assert_eq!(one.visits.len(), four.visits.len());
-        for (x, y) in one.visits.iter().zip(four.visits.iter()) {
-            assert_eq!(x.domain, y.domain, "visit order differs under sharding");
-            assert_eq!(x.day, y.day);
-            assert_eq!(x.hb_latency_ms, y.hb_latency_ms);
-            assert_eq!(x.bids.len(), y.bids.len());
-        }
-        assert_eq!(one.strings.len(), four.strings.len());
-        for ((sa, ta), (sb, tb)) in one.strings.iter().zip(four.strings.iter()) {
-            assert_eq!(sa, sb);
-            assert_eq!(ta, tb);
-        }
-        for (x, y) in one.truths.iter().zip(four.truths.iter()) {
-            assert_eq!(x.rank, y.rank);
-            assert_eq!(x.day, y.day);
-            assert_eq!(x.revenue_cpm, y.revenue_cpm);
-        }
+        let ranks = |chunks: &[VisitChunk]| -> Vec<(u32, u32)> {
+            chunks
+                .iter()
+                .flat_map(|c| c.visits.iter().map(|v| (v.day, v.rank)))
+                .collect()
+        };
+        assert_eq!(
+            ranks(&one),
+            ranks(&four),
+            "visit order differs under sharding"
+        );
+        assert_eq!(csv_bytes(&one), csv_bytes(&four));
     }
 
     #[test]
     fn single_shard_crawl_matches_its_slice_of_the_campaign() {
         let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        // Crawl shard 1 of 4 in isolation (the multi-machine path)…
-        let ds_shard = run_factory_campaign(
-            eco.factory(),
+        // Shard 1 of a 4-shard campaign…
+        let sharded = campaign(
+            &eco,
             &CampaignConfig {
                 shards: 4,
-                shard_id: Some(1),
                 ..CampaignConfig::default()
             },
         );
-        // …and compare with the same slice of the full campaign.
-        let full = run_campaign(&eco, &CampaignConfig::default());
-        let range = ShardSpec::new(4, 1).rank_range(eco.config.n_sites);
-        let expect: Vec<_> = full
-            .visits
+        let got: Vec<_> = sharded
             .iter()
-            .filter(|v| range.contains(&v.rank))
+            .filter(|c| c.shard == 1)
+            .flat_map(|c| c.visits.iter().map(|v| v.to_record()))
             .collect();
-        assert_eq!(ds_shard.visits.len(), expect.len());
-        for (got, want) in ds_shard.visits.iter().zip(expect) {
+        // …visits exactly that slice of the unsharded campaign.
+        let full = campaign(&eco, &CampaignConfig::default());
+        let slice = &CampaignPlan::new(eco.config.n_sites, 0, 4, 1).day0_batches()[1].ranks;
+        let want: Vec<_> = full
+            .iter()
+            .flat_map(|c| c.visits.iter().map(|v| v.to_record()))
+            .filter(|v| slice.contains(&v.rank))
+            .collect();
+        assert_eq!(got.len(), want.len());
+        for (got, want) in got.iter().zip(&want) {
             assert_eq!(got.rank, want.rank);
             assert_eq!(got.day, want.day);
             assert_eq!(got.hb_latency_ms, want.hb_latency_ms);
@@ -641,10 +660,9 @@ mod tests {
     #[test]
     fn shard_slices_partition_the_toplist() {
         for (n, shards) in [(200u32, 4u32), (7u32, 3), (5, 8), (1, 1)] {
-            let mut seen = Vec::new();
-            for id in 0..shards {
-                seen.extend(ShardSpec::new(shards, id).rank_range(n));
-            }
+            let batches = CampaignPlan::new(n, 0, shards, 1).day0_batches();
+            assert_eq!(batches.len(), shards as usize);
+            let seen: Vec<u32> = batches.into_iter().flat_map(|b| b.ranks).collect();
             let want: Vec<u32> = (1..=n).collect();
             assert_eq!(seen, want, "n={n} shards={shards}");
         }
@@ -652,7 +670,6 @@ mod tests {
 
     #[test]
     fn progress_callback_fires_off_stderr() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
@@ -664,7 +681,7 @@ mod tests {
             })),
             ..CampaignConfig::default()
         };
-        let _ = run_campaign(&eco, &cfg);
+        run_campaign_streamed(eco.factory(), &cfg, &mut |_| {});
         assert!(hits.load(Ordering::Relaxed) > 0, "callback never fired");
     }
 
@@ -688,7 +705,7 @@ mod tests {
                 ..CampaignConfig::default()
             };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_campaign(&eco, &cfg)
+                run_campaign_streamed(eco.factory(), &cfg, &mut |_| {})
             }));
             let _ = tx.send(result.is_err());
         });
@@ -710,23 +727,31 @@ mod tests {
             ..CampaignConfig::default()
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_campaign(&eco, &cfg)
+            run_campaign_streamed(eco.factory(), &cfg, &mut |_| {})
         }));
         assert!(result.is_err());
         // The ecosystem is untouched by the failed campaign: a clean run
         // afterwards still works.
-        let ds = run_campaign(&eco, &CampaignConfig::default());
-        assert!(!ds.visits.is_empty());
+        assert!(!campaign(&eco, &CampaignConfig::default()).is_empty());
     }
 
     #[test]
     fn dataset_statistics_plausible() {
-        let ds = tiny_campaign();
-        assert!(ds.total_auctions() > 0);
-        assert!(ds.total_bids() > 0);
-        assert!(!ds.distinct_partners().is_empty());
+        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let chunks = campaign(&eco, &CampaignConfig::default());
+        let hb = || {
+            chunks
+                .iter()
+                .flat_map(|c| c.visits.iter())
+                .filter(|v| v.hb_detected)
+        };
+        let auctions: u64 = hb().map(|v| v.slots_auctioned as u64).sum();
+        let bids: u64 = hb().map(|v| v.bids.len() as u64).sum();
+        assert!(auctions > 0);
+        assert!(bids > 0);
+        assert!(hb().any(|v| !v.partners.is_empty()));
         // Bids per auction should be well below 1 for clean profiles.
-        let ratio = ds.total_bids() as f64 / ds.total_auctions() as f64;
+        let ratio = bids as f64 / auctions as f64;
         assert!(ratio < 1.5, "bids/auction {ratio}");
     }
 }

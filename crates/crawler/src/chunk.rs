@@ -7,7 +7,7 @@
 //! [`Interner`]. Chunks are self-contained — they can cross thread (or,
 //! serialized, machine) boundaries without referencing any campaign-wide
 //! state — and carry a deterministic `(day, shard, seq)` key so any
-//! collection of chunks merges into the same dataset regardless of the
+//! collection of chunks folds into the same dataset regardless of the
 //! order it was produced in.
 
 use crate::dataset::TruthRecord;
@@ -34,7 +34,7 @@ pub struct VisitChunk {
 }
 
 impl VisitChunk {
-    /// The deterministic merge key.
+    /// The deterministic fold-order key.
     pub fn key(&self) -> (u32, u32, u32) {
         (self.day, self.shard, self.seq)
     }
@@ -154,7 +154,7 @@ fn truth_facet_from_tag(tag: u8) -> Result<&'static str, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{crawl_shard, CampaignConfig};
+    use crate::campaign::{run_campaign_streamed, CampaignConfig};
     use hb_ecosystem::{Ecosystem, EcosystemConfig};
 
     /// Chunks from a real tiny crawl survive the wire byte-for-byte:
@@ -166,7 +166,8 @@ mod tests {
             chunk_visits: 37,
             ..CampaignConfig::default()
         };
-        let chunks = crawl_shard(eco.factory(), &cfg, 0);
+        let mut chunks = Vec::new();
+        run_campaign_streamed(eco.factory(), &cfg, &mut |c| chunks.push(c));
         assert!(chunks.len() > 1, "want multiple chunks");
         for chunk in &chunks {
             let frame = chunk.encode();

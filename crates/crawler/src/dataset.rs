@@ -1,23 +1,13 @@
-//! The crawl dataset: flattened records plus CSV persistence.
+//! The crawl dataset on disk: flattened ground truth plus a CSV writer
+//! that streams a campaign's chunks into `visits.csv`, `bids.csv` and
+//! `truth.csv`.
 
+use crate::chunk::VisitChunk;
 use hb_adtech::{FillChannel, VisitGroundTruth};
-use hb_core::{Interner, Symbol, VisitRecord};
-use hb_stats::{csv_escape, parse_csv};
-use std::fmt::Write as _;
+use hb_stats::csv_escape;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::Arc;
-
-/// `partners` column helper: resolved names joined with `|`.
-fn joined_partners(ds: &CrawlDataset, v: &VisitRecord) -> String {
-    let mut out = String::new();
-    for (i, p) in v.partners.iter().enumerate() {
-        if i > 0 {
-            out.push('|');
-        }
-        out.push_str(ds.str(*p));
-    }
-    out
-}
 
 /// Flattened ground truth for one visit (thread-transferable, CSV-friendly).
 #[derive(Clone, Debug, Default)]
@@ -80,132 +70,111 @@ impl TruthRecord {
     }
 }
 
-/// The assembled dataset of a campaign.
-#[derive(Clone, Debug, Default)]
-pub struct CrawlDataset {
-    /// Detector records, one per visit.
-    pub visits: Vec<VisitRecord>,
-    /// Ground truth, one per visit (same order not guaranteed; keyed by
-    /// rank/day).
-    pub truths: Vec<TruthRecord>,
-    /// Number of sites in the crawled universe.
-    pub n_sites: u32,
-    /// Number of crawl days (excluding the day-0 adoption sweep).
-    pub n_days: u32,
-    /// The campaign-wide interner every record's symbols resolve against.
-    /// Shared (`Arc`) so analysis indexes can outlive a borrowed dataset
-    /// view without cloning the string table.
-    pub strings: Arc<Interner>,
+/// Header of `visits.csv`.
+const VISITS_HEADER: &str =
+    "domain,rank,day,hb_detected,facet,partners,slots,hb_latency_ms,n_bids,n_late,page_load_ms\n";
+/// Header of `bids.csv`.
+const BIDS_HEADER: &str =
+    "domain,rank,day,facet,bidder,partner,slot,cpm,size,late,latency_ms,source\n";
+/// Header of `truth.csv`.
+const TRUTH_HEADER: &str = "rank,day,facet,slots,client_bids,late_bids,hb_latency_ms,waterfall_latency_ms,hb_wins,revenue_cpm,bids_dropped,retries,timed_out_partners,passback_served\n";
+
+/// Streams a campaign's chunks into the three dataset CSV tables.
+///
+/// Each chunk's symbols are resolved against that chunk's own interner
+/// and only text reaches the output, so the bytes depend on the visits
+/// and their `(day, shard, seq)` fold order — not on chunk boundaries,
+/// shard count or parallelism. Feed chunks in the order
+/// [`run_campaign_streamed`](crate::run_campaign_streamed) emits them.
+pub struct DatasetWriter<W: Write> {
+    visits: W,
+    bids: W,
+    truths: W,
+    /// Reused buffer for the `|`-joined partner column.
+    partners: String,
 }
 
-impl CrawlDataset {
-    /// Resolve a record symbol against the campaign interner.
-    pub fn str(&self, sym: Symbol) -> &str {
-        self.strings.resolve(sym)
+impl DatasetWriter<BufWriter<File>> {
+    /// Create `dir` (and parents) and the three CSV files in it, headers
+    /// written.
+    pub fn create(dir: &Path) -> io::Result<Self> {
+        std::fs::create_dir_all(dir)?;
+        let open = |name: &str| File::create(dir.join(name)).map(BufWriter::new);
+        DatasetWriter::new(open("visits.csv")?, open("bids.csv")?, open("truth.csv")?)
+    }
+}
+
+impl<W: Write> DatasetWriter<W> {
+    /// Wrap three sinks (visits, bids, truths) and write their headers.
+    pub fn new(mut visits: W, mut bids: W, mut truths: W) -> io::Result<Self> {
+        visits.write_all(VISITS_HEADER.as_bytes())?;
+        bids.write_all(BIDS_HEADER.as_bytes())?;
+        truths.write_all(TRUTH_HEADER.as_bytes())?;
+        Ok(DatasetWriter {
+            visits,
+            bids,
+            truths,
+            partners: String::new(),
+        })
     }
 
-    /// Visits with detected HB.
-    pub fn hb_visits(&self) -> impl Iterator<Item = &VisitRecord> {
-        self.visits.iter().filter(|v| v.hb_detected)
-    }
-
-    /// Distinct domains with detected HB.
-    pub fn hb_domains(&self) -> Vec<&str> {
-        // Dedup on cheap symbols first; resolve only the distinct set.
-        let distinct: std::collections::BTreeSet<Symbol> =
-            self.hb_visits().map(|r| r.domain).collect();
-        let mut v: Vec<&str> = distinct.into_iter().map(|s| self.str(s)).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Total auctions detected (slot-level, per the paper's Table 1).
-    pub fn total_auctions(&self) -> u64 {
-        self.hb_visits().map(|v| v.slots_auctioned as u64).sum()
-    }
-
-    /// Total bids detected.
-    pub fn total_bids(&self) -> u64 {
-        self.hb_visits().map(|v| v.bids.len() as u64).sum()
-    }
-
-    /// Distinct partner display names seen, sorted. Symbols make this a
-    /// cheap integer dedup — only the distinct set is resolved.
-    pub fn distinct_partners(&self) -> Vec<&str> {
-        let mut set = std::collections::BTreeSet::new();
-        for v in self.hb_visits() {
-            set.extend(v.partners.iter().copied());
-            set.extend(v.bids.iter().map(|b| b.partner_name));
-        }
-        let mut out: Vec<&str> = set.into_iter().map(|s| self.str(s)).collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Serialize the visit table to CSV.
-    pub fn visits_csv(&self) -> String {
-        let mut out = String::from(
-            "domain,rank,day,hb_detected,facet,partners,slots,hb_latency_ms,n_bids,n_late,page_load_ms\n",
-        );
-        for v in &self.visits {
-            let _ = writeln!(
-                out,
+    /// Append one chunk's visits, bids and truths.
+    pub fn write_chunk(&mut self, chunk: &VisitChunk) -> io::Result<()> {
+        let s = |sym| chunk.strings.resolve(sym);
+        let opt =
+            |x: Option<f64>, digits: usize| x.map(|x| format!("{x:.digits$}")).unwrap_or_default();
+        for v in chunk.visits.iter() {
+            let facet = v.facet.map(|f| f.label()).unwrap_or("none");
+            self.partners.clear();
+            for (i, p) in v.partners.iter().enumerate() {
+                if i > 0 {
+                    self.partners.push('|');
+                }
+                self.partners.push_str(s(*p));
+            }
+            writeln!(
+                self.visits,
                 "{},{},{},{},{},{},{},{},{},{},{}",
-                csv_escape(self.str(v.domain)),
+                csv_escape(s(v.domain)),
                 v.rank,
                 v.day,
                 v.hb_detected,
-                v.facet.map(|f| f.label()).unwrap_or("none"),
-                csv_escape(&joined_partners(self, v)),
+                facet,
+                csv_escape(&self.partners),
                 v.slots_auctioned,
-                v.hb_latency_ms.map(|x| format!("{x:.3}")).unwrap_or_default(),
+                opt(v.hb_latency_ms, 3),
                 v.bids.len(),
                 v.late_bids(),
-                v.page_load_ms.map(|x| format!("{x:.1}")).unwrap_or_default(),
-            );
-        }
-        out
-    }
-
-    /// Serialize the per-bid table to CSV.
-    pub fn bids_csv(&self) -> String {
-        let mut out = String::from(
-            "domain,rank,day,facet,bidder,partner,slot,cpm,size,late,latency_ms,source\n",
-        );
-        for v in self.hb_visits() {
-            for b in &v.bids {
-                let _ = writeln!(
-                    out,
+                opt(v.page_load_ms, 1),
+            )?;
+            if !v.hb_detected {
+                continue;
+            }
+            for b in v.bids {
+                writeln!(
+                    self.bids,
                     "{},{},{},{},{},{},{},{:.6},{},{},{},{}",
-                    csv_escape(self.str(v.domain)),
+                    csv_escape(s(v.domain)),
                     v.rank,
                     v.day,
-                    v.facet.map(|f| f.label()).unwrap_or("none"),
-                    csv_escape(self.str(b.bidder_code)),
-                    csv_escape(self.str(b.partner_name)),
-                    csv_escape(self.str(b.slot)),
+                    facet,
+                    csv_escape(s(b.bidder_code)),
+                    csv_escape(s(b.partner_name)),
+                    csv_escape(s(b.slot)),
                     b.cpm,
-                    self.str(b.size),
+                    s(b.size),
                     b.late,
-                    b.latency_ms.map(|x| format!("{x:.3}")).unwrap_or_default(),
+                    opt(b.latency_ms, 3),
                     match b.source {
                         hb_core::BidSource::ClientVisible => "client",
                         hb_core::BidSource::ServerReported => "server",
                     },
-                );
+                )?;
             }
         }
-        out
-    }
-
-    /// Serialize the ground-truth table to CSV.
-    pub fn truths_csv(&self) -> String {
-        let mut out = String::from(
-            "rank,day,facet,slots,client_bids,late_bids,hb_latency_ms,waterfall_latency_ms,hb_wins,revenue_cpm,bids_dropped,retries,timed_out_partners,passback_served\n",
-        );
-        for t in &self.truths {
-            let _ = writeln!(
-                out,
+        for t in &chunk.truths {
+            writeln!(
+                self.truths,
                 "{},{},{},{},{},{},{},{},{},{:.6},{},{},{},{}",
                 t.rank,
                 t.day,
@@ -213,68 +182,48 @@ impl CrawlDataset {
                 t.slots,
                 t.client_bids,
                 t.late_bids,
-                t.hb_latency_ms.map(|x| format!("{x:.3}")).unwrap_or_default(),
-                t.waterfall_latency_ms
-                    .map(|x| format!("{x:.3}"))
-                    .unwrap_or_default(),
+                opt(t.hb_latency_ms, 3),
+                opt(t.waterfall_latency_ms, 3),
                 t.hb_wins,
                 t.revenue_cpm,
                 t.bids_dropped,
                 t.retries,
                 t.timed_out_partners,
                 t.passback_served,
-            );
+            )?;
         }
-        out
-    }
-
-    /// Write the dataset as three CSV files under `dir`.
-    pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join("visits.csv"), self.visits_csv())?;
-        std::fs::write(dir.join("bids.csv"), self.bids_csv())?;
-        std::fs::write(dir.join("truth.csv"), self.truths_csv())?;
         Ok(())
     }
 
-    /// Reload the ground-truth table from CSV (round-trip support for the
-    /// truth records, which drive the waterfall baseline figures).
-    pub fn load_truths(csv: &str) -> Vec<TruthRecord> {
-        let rows = parse_csv(csv);
-        rows.into_iter()
-            .skip(1)
-            .filter(|r| r.len() >= 10)
-            .map(|r| TruthRecord {
-                rank: r[0].parse().unwrap_or(0),
-                day: r[1].parse().unwrap_or(0),
-                facet: match r[2].as_str() {
-                    "client-side" => "client-side",
-                    "server-side" => "server-side",
-                    "hybrid" => "hybrid",
-                    _ => "none",
-                },
-                slots: r[3].parse().unwrap_or(0),
-                client_bids: r[4].parse().unwrap_or(0),
-                late_bids: r[5].parse().unwrap_or(0),
-                hb_latency_ms: r[6].parse().ok(),
-                waterfall_latency_ms: r[7].parse().ok(),
-                hb_wins: r[8].parse().unwrap_or(0),
-                revenue_cpm: r[9].parse().unwrap_or(0.0),
-                // Fault columns appeared with scenario support; rows from
-                // older dumps simply read as fault-free.
-                bids_dropped: r.get(10).and_then(|s| s.parse().ok()).unwrap_or(0),
-                retries: r.get(11).and_then(|s| s.parse().ok()).unwrap_or(0),
-                timed_out_partners: r.get(12).and_then(|s| s.parse().ok()).unwrap_or(0),
-                passback_served: r.get(13).map(|s| s == "true").unwrap_or(false),
-            })
-            .collect()
+    /// Flush and hand back the sinks as `[visits, bids, truths]`.
+    pub fn finish(mut self) -> io::Result<[W; 3]> {
+        self.visits.flush()?;
+        self.bids.flush()?;
+        self.truths.flush()?;
+        Ok([self.visits, self.bids, self.truths])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_core::{BidSource, DetectedBid, DetectedFacet};
+    use hb_core::{BidSource, DetectedBid, DetectedFacet, Interner, VisitColumns, VisitRecord};
+    use hb_stats::parse_csv;
+
+    fn chunk(visits: Vec<VisitRecord>, truths: Vec<TruthRecord>, strings: Interner) -> VisitChunk {
+        let mut cols = VisitColumns::new();
+        for v in visits {
+            cols.push(v);
+        }
+        VisitChunk {
+            day: 0,
+            shard: 0,
+            seq: 0,
+            visits: cols,
+            truths,
+            strings,
+        }
+    }
 
     fn mk_visit(strings: &mut Interner, domain: &str, rank: u32, detected: bool) -> VisitRecord {
         VisitRecord {
@@ -283,7 +232,7 @@ mod tests {
             day: 0,
             hb_detected: detected,
             facet: detected.then_some(DetectedFacet::Client),
-            partners: vec![strings.intern("AppNexus")],
+            partners: vec![strings.intern("AppNexus"), strings.intern("Criteo, Inc")],
             slots_auctioned: 3,
             hb_latency_ms: Some(512.0),
             bids: vec![DetectedBid {
@@ -296,123 +245,88 @@ mod tests {
                 latency_ms: Some(230.0),
                 source: BidSource::ClientVisible,
             }],
-            partner_latencies: vec![],
-            slots: vec![],
-            event_counts: vec![],
             page_load_ms: Some(1400.0),
-            bids_dropped: 0,
-            retries: 0,
-            timed_out_partners: 0,
-            passback_served: false,
+            ..VisitRecord::default()
         }
     }
 
-    #[test]
-    fn aggregates() {
-        let mut strings = Interner::new();
-        let ds = CrawlDataset {
-            visits: vec![
-                mk_visit(&mut strings, "a.example", 1, true),
-                mk_visit(&mut strings, "b.example", 2, false),
-                mk_visit(&mut strings, "a.example", 1, true),
-            ],
-            truths: vec![],
-            n_sites: 10,
-            n_days: 1,
-            strings: Arc::new(strings),
-        };
-        assert_eq!(ds.hb_visits().count(), 2);
-        assert_eq!(ds.hb_domains(), vec!["a.example"]);
-        assert_eq!(ds.total_auctions(), 6);
-        assert_eq!(ds.total_bids(), 2);
-        assert_eq!(ds.distinct_partners(), vec!["AppNexus"]);
+    fn write(chunk: &VisitChunk) -> [String; 3] {
+        let mut w = DatasetWriter::new(Vec::new(), Vec::new(), Vec::new()).unwrap();
+        w.write_chunk(chunk).unwrap();
+        w.finish()
+            .unwrap()
+            .map(|bytes| String::from_utf8(bytes).unwrap())
     }
 
     #[test]
     fn csv_roundtrip_truths() {
-        let ds = CrawlDataset {
-            visits: vec![],
-            truths: vec![
-                TruthRecord {
-                    rank: 5,
-                    day: 2,
-                    facet: "hybrid".into(),
-                    slots: 4,
-                    client_bids: 3,
-                    late_bids: 1,
-                    hb_latency_ms: Some(612.5),
-                    waterfall_latency_ms: None,
-                    hb_wins: 2,
-                    revenue_cpm: 0.61,
-                    bids_dropped: 2,
-                    retries: 1,
-                    timed_out_partners: 1,
-                    passback_served: true,
-                },
-                TruthRecord {
-                    rank: 9,
-                    day: 0,
-                    facet: "none".into(),
-                    slots: 1,
-                    client_bids: 0,
-                    late_bids: 0,
-                    hb_latency_ms: None,
-                    waterfall_latency_ms: Some(210.0),
-                    hb_wins: 0,
-                    revenue_cpm: 0.02,
-                    ..TruthRecord::default()
-                },
-            ],
-            n_sites: 10,
-            n_days: 3,
-            strings: Arc::new(Interner::new()),
-        };
-        let csv = ds.truths_csv();
-        let back = CrawlDataset::load_truths(&csv);
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].rank, 5);
-        assert_eq!(back[0].facet, "hybrid");
-        assert_eq!(back[0].hb_latency_ms, Some(612.5));
-        assert_eq!(back[1].waterfall_latency_ms, Some(210.0));
-        assert_eq!(back[1].hb_latency_ms, None);
-        assert_eq!(back[0].bids_dropped, 2);
-        assert_eq!(back[0].retries, 1);
-        assert_eq!(back[0].timed_out_partners, 1);
-        assert!(back[0].passback_served);
-        assert!(!back[1].passback_served);
-    }
-
-    #[test]
-    fn load_truths_accepts_pre_fault_dumps() {
-        // A truth.csv written before the fault columns existed (10 columns)
-        // still loads, with the fault counters defaulting to zero.
-        let old = "rank,day,facet,slots,client_bids,late_bids,hb_latency_ms,waterfall_latency_ms,hb_wins,revenue_cpm\n\
-                   5,2,hybrid,4,3,1,612.500,,2,0.610000\n";
-        let back = CrawlDataset::load_truths(old);
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].rank, 5);
-        assert_eq!(back[0].bids_dropped, 0);
-        assert_eq!(back[0].retries, 0);
-        assert_eq!(back[0].timed_out_partners, 0);
-        assert!(!back[0].passback_served);
+        let truths = vec![
+            TruthRecord {
+                rank: 5,
+                day: 2,
+                facet: "hybrid",
+                slots: 4,
+                client_bids: 3,
+                late_bids: 1,
+                hb_latency_ms: Some(612.5),
+                waterfall_latency_ms: None,
+                hb_wins: 2,
+                revenue_cpm: 0.61,
+                bids_dropped: 2,
+                retries: 1,
+                timed_out_partners: 1,
+                passback_served: true,
+            },
+            TruthRecord {
+                rank: 9,
+                facet: "none",
+                slots: 1,
+                waterfall_latency_ms: Some(210.0),
+                revenue_cpm: 0.02,
+                ..TruthRecord::default()
+            },
+        ];
+        let [_, _, csv] = write(&chunk(vec![], truths, Interner::new()));
+        let rows = parse_csv(&csv);
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0].len(), 14, "14 header columns");
+        assert_eq!(
+            rows[1],
+            [
+                "5", "2", "hybrid", "4", "3", "1", "612.500", "", "2", "0.610000", "2", "1", "1",
+                "true"
+            ]
+        );
+        assert_eq!(
+            rows[2],
+            [
+                "9", "0", "none", "1", "0", "0", "", "210.000", "0", "0.020000", "0", "0", "0",
+                "false"
+            ]
+        );
     }
 
     #[test]
     fn visit_csv_has_header_and_rows() {
         let mut strings = Interner::new();
-        let ds = CrawlDataset {
-            visits: vec![mk_visit(&mut strings, "a.example", 1, true)],
-            truths: vec![],
-            n_sites: 1,
-            n_days: 1,
-            strings: Arc::new(strings),
-        };
-        let csv = ds.visits_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("domain,rank,day"));
-        assert!(lines[1].contains("client-side"));
-        let bids = ds.bids_csv();
-        assert!(bids.contains("appnexus"));
+        let visits = vec![
+            mk_visit(&mut strings, "a.example", 1, true),
+            mk_visit(&mut strings, "b.example", 2, false),
+        ];
+        let [visits, bids, _] = write(&chunk(visits, vec![], strings));
+        let lines: Vec<&str> = visits.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert_eq!(lines[0], VISITS_HEADER.trim_end());
+        assert_eq!(
+            lines[1],
+            "a.example,1,0,true,client-side,\"AppNexus|Criteo, Inc\",3,512.000,1,0,1400.0"
+        );
+        // Only HB visits contribute bid rows.
+        let bid_lines: Vec<&str> = bids.lines().collect();
+        assert_eq!(bid_lines.len(), 2);
+        assert_eq!(
+            bid_lines[1],
+            "a.example,1,0,client-side,appnexus,AppNexus,s1,0.210000,300x250,false,230.000,client"
+        );
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::dataset::TruthRecord;
 use hb_adtech::{begin_visit, Net, PageWorld, SiteRuntime, VisitGroundTruth};
-use hb_core::{HbDetector, Interner, PartnerList, VisitColumns, VisitRecord};
+use hb_core::{HbDetector, Interner, PartnerList, VisitColumns};
 use hb_dom::Browser;
 use hb_http::MsgScratch;
 use hb_simnet::{Rng, SimDuration, Simulation, SimTime};
@@ -34,18 +34,6 @@ impl Default for SessionConfig {
     }
 }
 
-/// The outcome of one visit: what the detector saw and what actually
-/// happened (ground truth, used for validation and the waterfall baseline).
-#[derive(Clone, Debug)]
-pub struct SiteVisit {
-    /// The detector's record.
-    pub record: VisitRecord,
-    /// Simulation ground truth.
-    pub truth: VisitGroundTruth,
-    /// Whether the page finished loading within the timeout.
-    pub page_completed: bool,
-}
-
 /// Per-worker visit execution state, reused across visits: one pooled
 /// [`Simulation`] whose world holds the browser (with the detector's taps
 /// attached once) and the HTTP-layer buffer pool, plus the detector's
@@ -67,26 +55,15 @@ impl VisitScratch {
             detector: HbDetector::with_list(list),
         }
     }
-}
 
-/// Crawl one site once. Strings in the resulting record are interned into
-/// `strings` — per campaign, each worker passes its own interner and the
-/// collector re-interns into the campaign-wide one.
-///
-/// Convenience wrapper over [`crawl_site_pooled`] that builds (and drops)
-/// a fresh [`VisitScratch`]; tests and examples use this, the campaign
-/// keeps one scratch per worker.
-pub fn crawl_site(
-    net: Net,
-    runtime: SiteRuntime,
-    list: Arc<PartnerList>,
-    rng: Rng,
-    day: u32,
-    cfg: &SessionConfig,
-    strings: &mut Interner,
-) -> SiteVisit {
-    let mut scratch = VisitScratch::new(list);
-    crawl_site_pooled(net, Arc::new(runtime), rng, day, cfg, strings, &mut scratch)
+    /// The simulation's full ground truth of the last visit crawled on
+    /// this scratch (`None` before the first visit). Campaigns keep only
+    /// the flattened [`TruthRecord`]; validation that needs the raw
+    /// winners or ad-server timing borrows it here before the next visit
+    /// re-arms the world.
+    pub fn truth(&self) -> Option<&VisitGroundTruth> {
+        self.sim.as_ref().map(|sim| &sim.world().flow.truth)
+    }
 }
 
 /// Outcome flags of one visit appended through [`crawl_site_into`].
@@ -145,46 +122,18 @@ fn simulate_visit(
     }
 }
 
-/// [`crawl_site`] over a worker-owned [`VisitScratch`]: the browser,
-/// detector state and message buffers are reused from the previous visit
-/// on this worker, so a steady-state visit performs near-zero transient
-/// allocation outside the payloads that escape into the returned
-/// [`SiteVisit`].
-pub fn crawl_site_pooled(
-    net: Net,
-    runtime: Arc<SiteRuntime>,
-    rng: Rng,
-    day: u32,
-    cfg: &SessionConfig,
-    strings: &mut Interner,
-    scratch: &mut VisitScratch,
-) -> SiteVisit {
-    let rank = runtime.rank;
-    let domain = runtime.page_url.host.clone();
-    let outcome = simulate_visit(net, &runtime, rng, cfg, scratch);
-    let world = scratch.sim.as_mut().expect("simulated").world_mut();
-    let page_load_ms = world
-        .browser
-        .page
-        .page_load_time()
-        .map(|d| d.as_millis_f64());
-    let record = scratch.detector.finish(&domain, rank, day, page_load_ms, strings);
-    // Only the ground truth leaves the world; the simulation (browser,
-    // pools, event storage) stays in the scratch for the next visit.
-    SiteVisit {
-        record,
-        truth: std::mem::take(&mut world.flow.truth),
-        page_completed: outcome.page_completed,
-    }
-}
-
-/// The campaign hot path: crawl one site on the pooled scratch and append
-/// the outcome **directly into columnar storage** — the detector streams
+/// Crawl one site on a worker's pooled scratch and append the outcome
+/// **directly into columnar storage** — the detector streams
 /// bids/slots/latencies into `cols` through a
 /// [`VisitBuilder`](hb_core::VisitBuilder) row, and the ground truth is
-/// flattened into `truths` straight from the world (no owned
-/// [`SiteVisit`]/[`VisitRecord`] is ever materialized, so nothing escapes
-/// the visit but the column tails themselves).
+/// flattened into `truths` straight from the world (no owned row is ever
+/// materialized, so nothing escapes the visit but the column tails
+/// themselves). Strings are interned into `strings`, the block-local
+/// interner of the chunk being built.
+///
+/// The scratch's browser, detector state and message buffers are reused
+/// from the previous visit on this worker; [`VisitScratch::truth`]
+/// borrows the raw ground truth until the next visit.
 #[allow(clippy::too_many_arguments)]
 pub fn crawl_site_into(
     net: Net,
@@ -218,27 +167,55 @@ pub fn crawl_site_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_ecosystem::{Ecosystem, EcosystemConfig};
+    use hb_core::VisitRecord;
+    use hb_ecosystem::{Ecosystem, EcosystemConfig, SiteProfile};
 
     fn eco() -> Ecosystem {
         Ecosystem::generate(EcosystemConfig::tiny_scale())
     }
 
+    /// What one visit left behind, read back as a row.
+    struct Visit {
+        record: VisitRecord,
+        strings: Interner,
+        truth: VisitGroundTruth,
+        page_completed: bool,
+    }
+
+    /// Crawl `site` on `day` through `scratch` into fresh columns.
+    fn visit_on(eco: &Ecosystem, scratch: &mut VisitScratch, site: &SiteProfile, day: u32) -> Visit {
+        let mut strings = Interner::new();
+        let mut cols = VisitColumns::new();
+        let outcome = crawl_site_into(
+            eco.net(),
+            Arc::new(eco.runtime_for(site)),
+            eco.visit_rng(site.rank, day),
+            day,
+            &SessionConfig::default(),
+            &mut strings,
+            scratch,
+            &mut cols,
+            &mut Vec::new(),
+        );
+        Visit {
+            record: cols.get(0).to_record(),
+            strings,
+            truth: scratch.truth().expect("visited").clone(),
+            page_completed: outcome.page_completed,
+        }
+    }
+
+    /// One visit on a fresh scratch.
+    fn visit(eco: &Ecosystem, site: &SiteProfile, day: u32) -> Visit {
+        visit_on(eco, &mut VisitScratch::new(eco.partner_list()), site, day)
+    }
+
     #[test]
     fn hb_site_detected_with_correct_facet() {
         let eco = eco();
-        let mut strings = Interner::new();
         let mut checked = 0;
         for site in eco.hb_sites().take(12) {
-            let visit = crawl_site(
-                eco.net(),
-                eco.runtime_for(site),
-                eco.partner_list(),
-                eco.visit_rng(site.rank, 0),
-                0,
-                &SessionConfig::default(),
-                &mut strings,
-            );
+            let visit = visit(&eco, site, 0);
             assert!(visit.record.hb_detected, "{} not detected", site.domain);
             let truth_label = site.facet.unwrap().label();
             let detected_label = visit.record.facet.map(|f| f.label()).unwrap_or("none");
@@ -255,17 +232,8 @@ mod tests {
     #[test]
     fn waterfall_site_not_detected() {
         let eco = eco();
-        let mut strings = Interner::new();
         let site = eco.sites().iter().find(|s| s.facet.is_none()).unwrap();
-        let visit = crawl_site(
-            eco.net(),
-            eco.runtime_for(site),
-            eco.partner_list(),
-            eco.visit_rng(site.rank, 0),
-            0,
-            &SessionConfig::default(),
-            &mut strings,
-        );
+        let visit = visit(&eco, site, 0);
         assert!(!visit.record.hb_detected);
         assert!(visit.truth.waterfall_latency.is_some());
         assert!(visit.page_completed);
@@ -274,8 +242,8 @@ mod tests {
     #[test]
     fn pooled_visits_match_one_shot_visits() {
         // The invariant behind the campaign's pooled path: a worker's
-        // Nth reused-scratch visit must simulate identically to a fresh
-        // one-shot crawl of the same (site, day). Catches any state a
+        // Nth reused-scratch visit must simulate identically to a visit on
+        // a fresh scratch of the same (site, day). Catches any state a
         // future Browser/HbDetector field leaks across reset_for_visit /
         // reset.
         let eco = eco();
@@ -287,26 +255,8 @@ mod tests {
             .collect();
         for (day, site) in sites.into_iter().enumerate() {
             let day = day as u32;
-            let mut pooled_strings = Interner::new();
-            let pooled = crawl_site_pooled(
-                eco.net(),
-                eco.runtime_shared(site.rank),
-                eco.visit_rng(site.rank, day),
-                day,
-                &SessionConfig::default(),
-                &mut pooled_strings,
-                &mut scratch,
-            );
-            let mut fresh_strings = Interner::new();
-            let fresh = crawl_site(
-                eco.net(),
-                eco.runtime_for(site),
-                eco.partner_list(),
-                eco.visit_rng(site.rank, day),
-                day,
-                &SessionConfig::default(),
-                &mut fresh_strings,
-            );
+            let pooled = visit_on(&eco, &mut scratch, site, day);
+            let fresh = visit(&eco, site, day);
             assert_eq!(pooled.record.hb_detected, fresh.record.hb_detected);
             assert_eq!(pooled.record.facet, fresh.record.facet);
             assert_eq!(pooled.record.hb_latency_ms, fresh.record.hb_latency_ms);
@@ -329,7 +279,7 @@ mod tests {
             // same strings into fresh interners in the same order.
             assert_eq!(pooled.record.partners.len(), fresh.record.partners.len());
             for (a, b) in pooled.record.partners.iter().zip(&fresh.record.partners) {
-                assert_eq!(pooled_strings.resolve(*a), fresh_strings.resolve(*b));
+                assert_eq!(pooled.strings.resolve(*a), fresh.strings.resolve(*b));
             }
         }
     }
@@ -338,19 +288,8 @@ mod tests {
     fn visits_are_deterministic() {
         let eco = eco();
         let site = eco.hb_sites().next().unwrap();
-        let run = || {
-            crawl_site(
-                eco.net(),
-                eco.runtime_for(site),
-                eco.partner_list(),
-                eco.visit_rng(site.rank, 1),
-                1,
-                &SessionConfig::default(),
-                &mut Interner::new(),
-            )
-        };
-        let a = run();
-        let b = run();
+        let a = visit(&eco, site, 1);
+        let b = visit(&eco, site, 1);
         assert_eq!(a.record.hb_latency_ms, b.record.hb_latency_ms);
         assert_eq!(a.record.bids.len(), b.record.bids.len());
         assert_eq!(
@@ -362,49 +301,18 @@ mod tests {
     #[test]
     fn different_days_differ() {
         let eco = eco();
-        let mut strings = Interner::new();
         // Latency samples differ day to day for at least one site.
-        let mut any_diff = false;
-        for site in eco.hb_sites().take(5) {
-            let a = crawl_site(
-                eco.net(),
-                eco.runtime_for(site),
-                eco.partner_list(),
-                eco.visit_rng(site.rank, 0),
-                0,
-                &SessionConfig::default(),
-                &mut strings,
-            );
-            let b = crawl_site(
-                eco.net(),
-                eco.runtime_for(site),
-                eco.partner_list(),
-                eco.visit_rng(site.rank, 1),
-                1,
-                &SessionConfig::default(),
-                &mut strings,
-            );
-            if a.record.hb_latency_ms != b.record.hb_latency_ms {
-                any_diff = true;
-            }
-        }
+        let any_diff = eco.hb_sites().take(5).any(|site| {
+            visit(&eco, site, 0).record.hb_latency_ms != visit(&eco, site, 1).record.hb_latency_ms
+        });
         assert!(any_diff);
     }
 
     #[test]
     fn detector_latency_close_to_ground_truth() {
         let eco = eco();
-        let mut strings = Interner::new();
         for site in eco.hb_sites().take(8) {
-            let visit = crawl_site(
-                eco.net(),
-                eco.runtime_for(site),
-                eco.partner_list(),
-                eco.visit_rng(site.rank, 2),
-                2,
-                &SessionConfig::default(),
-                &mut strings,
-            );
+            let visit = visit(&eco, site, 2);
             let (Some(det), Some(truth)) = (
                 visit.record.hb_latency_ms,
                 visit.truth.hb_latency().map(|d| d.as_millis_f64()),

@@ -42,16 +42,18 @@
 //!
 //! ## Schedule construction
 //!
-//! Day-0 blocks are known upfront (the full toplist, sharded
-//! contiguously). Blocks for days ≥ 1 revisit the HB sites *detected* on
-//! day 0, so they are appended only once every day-0 chunk has folded —
-//! the detected rank lists are accumulated during the ordered fold, which
-//! reproduces the in-process campaign's lists exactly.
+//! The schedule is a [`CampaignPlan`] — the same one
+//! `hb_crawler::run_campaign_streamed` drives in process. Day-0 blocks
+//! are known upfront (the full toplist, sharded contiguously). Blocks for
+//! days ≥ 1 revisit the HB sites *detected* on day 0, so they are
+//! appended only once every day-0 chunk has folded: each folded chunk is
+//! shown to [`CampaignPlan::observe`] in fold order, which reproduces the
+//! in-process campaign's rank lists exactly.
 
 use crate::proto::{recv_msg, send_msg, DistdError, LeaseBlock, Msg};
 use crate::spool::{compact_spool, spool_load, spool_write};
 use crate::transport::{is_timeout, TcpTransport, Transport};
-use hb_crawler::{SessionConfig, ShardSpec, VisitChunk};
+use hb_crawler::{CampaignPlan, PlanBlock, SessionConfig, VisitChunk};
 use hb_ecosystem::EcosystemConfig;
 use std::collections::{BTreeMap, HashMap};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -132,14 +134,6 @@ pub struct CoordStats {
     pub chunks_compacted: u64,
 }
 
-/// One schedulable block.
-struct Block {
-    day: u32,
-    shard: u32,
-    seq: u32,
-    ranks: Vec<u32>,
-}
-
 struct Lease {
     /// Remaining block indices this lease covers; submitting a block
     /// retires it from the lease.
@@ -148,7 +142,9 @@ struct Lease {
 }
 
 struct State {
-    schedule: Vec<Block>,
+    /// The campaign's schedule; sees every folded chunk.
+    plan: CampaignPlan,
+    schedule: Vec<PlanBlock>,
     /// Block index by chunk key; grows with the schedule.
     key_index: HashMap<(u32, u32, u32), usize>,
     /// A chunk for this block has been accepted (buffered or folded).
@@ -163,8 +159,6 @@ struct State {
     day0_blocks: usize,
     /// Days ≥ 1 have been appended.
     schedule_final: bool,
-    /// Detected HB ranks per shard, accumulated during the ordered fold.
-    detected: Vec<Vec<u32>>,
     leases: HashMap<u64, Lease>,
     /// Reverse index: which lease currently owns a block.
     leased_block: HashMap<usize, u64>,
@@ -192,40 +186,33 @@ struct Shared {
     done: AtomicBool,
 }
 
-fn push_block(st: &mut State, block: Block) {
-    st.key_index
-        .insert((block.day, block.shard, block.seq), st.schedule.len());
-    st.schedule.push(block);
-    st.complete.push(false);
-}
-
-/// Chunk a rank list the way the in-process worker scheduler does.
-fn blocks_of(ranks: &[u32], day: u32, shard: u32, chunk_visits: usize) -> Vec<Block> {
-    let chunk = chunk_visits.max(1);
-    ranks
-        .chunks(chunk)
-        .enumerate()
-        .map(|(seq, slice)| Block {
-            day,
-            shard,
-            seq: seq as u32,
-            ranks: slice.to_vec(),
-        })
-        .collect()
+fn push_blocks(st: &mut State, blocks: Vec<PlanBlock>) {
+    for block in blocks {
+        st.key_index.insert(block.key(), st.schedule.len());
+        st.schedule.push(block);
+        st.complete.push(false);
+    }
+    st.stats.blocks_total = st.schedule.len();
 }
 
 fn initial_state(cfg: &CoordConfig) -> State {
-    let shards = cfg.shards.max(1);
+    let plan = CampaignPlan::new(
+        cfg.eco.n_sites,
+        cfg.eco.crawl_days,
+        cfg.shards,
+        cfg.chunk_visits,
+    );
+    let day0 = plan.day0_blocks();
     let mut st = State {
+        plan,
         schedule: Vec::new(),
         key_index: HashMap::new(),
         complete: Vec::new(),
         complete_count: 0,
         buffered: BTreeMap::new(),
         folded: 0,
-        day0_blocks: 0,
+        day0_blocks: day0.len(),
         schedule_final: false,
-        detected: vec![Vec::new(); shards as usize],
         leases: HashMap::new(),
         leased_block: HashMap::new(),
         next_lease_id: 1,
@@ -235,16 +222,7 @@ fn initial_state(cfg: &CoordConfig) -> State {
         done: false,
         stats: CoordStats::default(),
     };
-    for shard in 0..shards {
-        let ranks: Vec<u32> = ShardSpec::new(shards, shard)
-            .rank_range(cfg.eco.n_sites)
-            .collect();
-        for b in blocks_of(&ranks, 0, shard, cfg.chunk_visits) {
-            push_block(&mut st, b);
-        }
-    }
-    st.day0_blocks = st.schedule.len();
-    st.stats.blocks_total = st.schedule.len();
+    push_blocks(&mut st, day0);
     if st.day0_blocks == 0 {
         // Degenerate universe: nothing to crawl on day 0, so nothing can
         // be detected either — the schedule is final and empty.
@@ -255,40 +233,29 @@ fn initial_state(cfg: &CoordConfig) -> State {
 }
 
 /// Append the revisit blocks for days 1..=crawl_days. Call exactly once,
-/// after every day-0 chunk has folded (the detected lists are complete).
-fn finalize_schedule(st: &mut State, cfg: &CoordConfig) {
+/// after every day-0 chunk has folded (the plan has seen every detection).
+fn finalize_schedule(st: &mut State) {
     debug_assert!(!st.schedule_final);
-    let shards = cfg.shards.max(1);
-    for day in 1..=cfg.eco.crawl_days {
-        for shard in 0..shards {
-            let ranks = st.detected[shard as usize].clone();
-            for b in blocks_of(&ranks, day, shard, cfg.chunk_visits) {
-                push_block(st, b);
-            }
-        }
-    }
+    let revisits = st.plan.revisit_blocks();
+    push_blocks(st, revisits);
     st.schedule_final = true;
-    st.stats.blocks_total = st.schedule.len();
 }
 
 /// Fold every ready chunk, in schedule order, to the sink. Extends the
 /// schedule once day 0 completes and flips `done` when everything folded.
-fn fold_ready(st: &mut State, cfg: &CoordConfig, sink: &mut dyn FnMut(VisitChunk)) {
+fn fold_ready(st: &mut State, sink: &mut dyn FnMut(VisitChunk)) {
     loop {
         let Some(chunk) = st.buffered.remove(&st.folded) else {
             break;
         };
-        if chunk.day == 0 {
-            // Same accumulation the in-process campaign performs while
-            // streaming day-0 chunks: detected ranks in fold order.
-            st.detected[chunk.shard as usize]
-                .extend(chunk.visits.iter().filter(|v| v.hb_detected).map(|v| v.rank));
-        }
+        // The same plan the in-process campaign drives: day-0 detections
+        // in fold order shape the revisit days.
+        st.plan.observe(&chunk);
         sink(chunk);
         st.folded += 1;
         st.stats.chunks_folded += 1;
         if st.folded == st.day0_blocks && !st.schedule_final {
-            finalize_schedule(st, cfg);
+            finalize_schedule(st);
         }
     }
     if st.schedule_final && st.folded == st.schedule.len() {
@@ -652,7 +619,7 @@ impl Coordinator {
                         rest.push(chunk);
                     }
                 }
-                fold_ready(&mut st, cfg, &mut *sink);
+                fold_ready(&mut st, &mut *sink);
                 if rest.is_empty() || rest.len() == before {
                     // Leftovers belong to no block of this schedule:
                     // refuse them like any unknown submission.
@@ -681,7 +648,7 @@ impl Coordinator {
             scope.spawn(move || {
                 let mut st = shared.state.lock().expect("coordinator state");
                 loop {
-                    fold_ready(&mut st, cfg, &mut *sink);
+                    fold_ready(&mut st, &mut *sink);
                     if st.done {
                         break;
                     }
@@ -747,7 +714,7 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_crawler::{crawl_shard, CampaignConfig};
+    use hb_crawler::{run_campaign_streamed, CampaignConfig};
     use hb_ecosystem::Ecosystem;
 
     fn tiny_cfg() -> CoordConfig {
@@ -757,17 +724,61 @@ mod tests {
         }
     }
 
+    /// The chunks an in-process campaign over `cfg`'s universe and layout
+    /// emits, in emission order.
+    fn campaign_chunks(cfg: &CoordConfig) -> Vec<VisitChunk> {
+        let eco = Ecosystem::generate(cfg.eco.clone());
+        let campaign = CampaignConfig {
+            shards: cfg.shards,
+            chunk_visits: cfg.chunk_visits,
+            ..CampaignConfig::default()
+        };
+        let mut chunks = Vec::new();
+        run_campaign_streamed(eco.factory(), &campaign, &mut |c| chunks.push(c));
+        chunks
+    }
+
+    /// Drive the state machine with `chunks` in fold order (admit, then
+    /// fold) and return the keys of its final schedule.
+    fn schedule_keys_after(cfg: &CoordConfig, chunks: &[VisitChunk]) -> Vec<(u32, u32, u32)> {
+        let mut st = initial_state(cfg);
+        for chunk in chunks {
+            admit(&mut st, chunk.clone());
+            fold_ready(&mut st, &mut |_| {});
+        }
+        assert!(st.done && st.schedule_final);
+        st.schedule.iter().map(PlanBlock::key).collect()
+    }
+
+    /// One plan, two drivers: the coordinator's schedule names exactly
+    /// the chunks `run_campaign_streamed` emits, in the same order — with
+    /// several shards and a block size that leaves ragged tails.
+    #[test]
+    fn schedule_keys_match_the_streamed_campaign() {
+        let cfg = CoordConfig {
+            shards: 3,
+            chunk_visits: 23,
+            ..tiny_cfg()
+        };
+        let chunks = campaign_chunks(&cfg);
+        let emitted: Vec<_> = chunks.iter().map(VisitChunk::key).collect();
+        assert!(emitted.iter().any(|k| k.0 > 0), "revisit days present");
+        assert_eq!(schedule_keys_after(&cfg, &chunks), emitted);
+    }
+
+    #[test]
+    fn empty_universe_is_final_and_done_at_once() {
+        let st = initial_state(&CoordConfig::new(EcosystemConfig::tiny_scale().with_sites(0)));
+        assert!(st.done && st.schedule_final);
+        assert!(st.schedule.is_empty());
+    }
+
     /// Drive the schedule/fold state machine directly, no sockets: feed
     /// it the chunks a real crawl produces and check the fold order.
     #[test]
     fn state_machine_folds_in_campaign_order() {
         let cfg = tiny_cfg();
-        let eco = Ecosystem::generate(cfg.eco.clone());
-        let campaign = CampaignConfig {
-            chunk_visits: cfg.chunk_visits,
-            ..CampaignConfig::default()
-        };
-        let chunks = crawl_shard(eco.factory(), &campaign, 0);
+        let chunks = campaign_chunks(&cfg);
         let mut st = initial_state(&cfg);
         // Submit out of order within the window: reverse each day's run.
         let mut folded_keys = Vec::new();
@@ -791,7 +802,7 @@ mod tests {
                     rest.push(chunk);
                 }
             }
-            fold_ready(&mut st, &cfg, &mut sink);
+            fold_ready(&mut st, &mut sink);
             queue = rest;
         }
         assert!(st.done);
@@ -803,12 +814,7 @@ mod tests {
     #[test]
     fn duplicate_chunks_are_dropped_idempotently() {
         let cfg = tiny_cfg();
-        let eco = Ecosystem::generate(cfg.eco.clone());
-        let campaign = CampaignConfig {
-            chunk_visits: cfg.chunk_visits,
-            ..CampaignConfig::default()
-        };
-        let chunks = crawl_shard(eco.factory(), &campaign, 0);
+        let chunks = campaign_chunks(&cfg);
         let mut st = initial_state(&cfg);
         let mut n = 0usize;
         let mut sink = |_c: VisitChunk| n += 1;
@@ -830,7 +836,7 @@ mod tests {
                 ..
             }
         ));
-        fold_ready(&mut st, &cfg, &mut sink);
+        fold_ready(&mut st, &mut sink);
         assert_eq!(n, 1);
         assert_eq!(st.stats.chunks_duplicate_dropped, 1);
     }
@@ -872,12 +878,7 @@ mod tests {
             lease_timeout: Duration::from_millis(1),
             ..tiny_cfg()
         };
-        let eco = Ecosystem::generate(cfg.eco.clone());
-        let campaign = CampaignConfig {
-            chunk_visits: cfg.chunk_visits,
-            ..CampaignConfig::default()
-        };
-        let chunks = crawl_shard(eco.factory(), &campaign, 0);
+        let chunks = campaign_chunks(&cfg);
         assert!(chunks.len() >= 3, "need ≥ 3 day-0 blocks for a batch");
         let mut st = initial_state(&cfg);
         let Msg::Lease { lease_id, blocks } = grant(&mut st, &cfg) else {
@@ -941,12 +942,7 @@ mod tests {
     #[test]
     fn unknown_blocks_are_refused() {
         let cfg = tiny_cfg();
-        let eco = Ecosystem::generate(cfg.eco.clone());
-        let campaign = CampaignConfig {
-            chunk_visits: cfg.chunk_visits,
-            ..CampaignConfig::default()
-        };
-        let mut chunk = crawl_shard(eco.factory(), &campaign, 0)[0].clone();
+        let mut chunk = campaign_chunks(&cfg)[0].clone();
         chunk.shard = 9; // no such shard in a 1-shard schedule
         let mut st = initial_state(&cfg);
         assert!(matches!(

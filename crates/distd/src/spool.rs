@@ -349,7 +349,7 @@ pub fn segment_path(dir: &Path, n: u64) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_crawler::{crawl_shard, CampaignConfig};
+    use hb_crawler::{run_campaign_streamed, CampaignConfig};
     use hb_ecosystem::{Ecosystem, EcosystemConfig};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -358,13 +358,20 @@ mod tests {
         dir
     }
 
-    fn tiny_chunks() -> Vec<VisitChunk> {
+    /// Every chunk of a tiny campaign cut into `chunk_visits`-visit blocks.
+    fn tiny_campaign(chunk_visits: usize) -> Vec<VisitChunk> {
         let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
         let cfg = CampaignConfig {
-            chunk_visits: 64,
+            chunk_visits,
             ..CampaignConfig::default()
         };
-        crawl_shard(eco.factory(), &cfg, 0)
+        let mut chunks = Vec::new();
+        run_campaign_streamed(eco.factory(), &cfg, &mut |c| chunks.push(c));
+        chunks
+    }
+
+    fn tiny_chunks() -> Vec<VisitChunk> {
+        tiny_campaign(64)
     }
 
     #[test]
@@ -458,12 +465,7 @@ mod tests {
     #[test]
     fn hundred_chunk_spool_compacts_and_restarts_byte_identical() {
         let dir = tmp_dir("hundred");
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let cfg = CampaignConfig {
-            chunk_visits: 2,
-            ..CampaignConfig::default()
-        };
-        let chunks = crawl_shard(eco.factory(), &cfg, 0);
+        let chunks = tiny_campaign(2);
         assert!(
             chunks.len() >= 100,
             "need an acceptance-scale spool, got {} chunks",

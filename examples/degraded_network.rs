@@ -9,9 +9,11 @@ use hb_repro::prelude::*;
 use hb_repro::simnet::{Dist, HostFaultProfile, LatencyModel};
 
 fn crawl(label: &str, cfg: EcosystemConfig) -> (String, DatasetIndex) {
-    let eco = Ecosystem::generate(cfg);
-    let ds = run_campaign(&eco, &CampaignConfig::default());
-    (label.to_string(), DatasetIndex::build(&ds))
+    let factory = SiteFactory::new(cfg);
+    (
+        label.to_string(),
+        index_campaign(&factory, &CampaignConfig::default()),
+    )
 }
 
 fn main() {

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example ecosystem_audit`
 
-use hb_repro::analysis::{partners, summary, DatasetIndex};
+use hb_repro::analysis::{partners, summary};
 use hb_repro::prelude::*;
 
 fn main() {
@@ -15,15 +15,14 @@ fn main() {
         eco.partner_list().len(),
         eco.config.crawl_days
     );
-    let ds = run_campaign(&eco, &CampaignConfig::default());
+    // Fold the campaign's chunk stream into the columnar index once;
+    // every figure reads it.
+    let ix = index_campaign(eco.factory(), &CampaignConfig::default());
     println!(
-        "campaign finished: {} visits, {} HB domains\n",
-        ds.visits.len(),
-        ds.hb_domains().len()
+        "campaign finished: {} HB visits, {} HB domains\n",
+        ix.n_hb_visits(),
+        ix.n_hb_sites()
     );
-
-    // Build the columnar index once; every figure reads it.
-    let ix = DatasetIndex::build(&ds);
     for report in [
         summary::t1_summary(&ix),
         summary::adoption_bands(&ix),

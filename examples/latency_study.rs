@@ -4,16 +4,15 @@
 //!
 //! Run with: `cargo run --release --example latency_study`
 
-use hb_repro::analysis::{late, latency, slots, waterfall_cmp, DatasetIndex};
+use hb_repro::analysis::{late, latency, slots, waterfall_cmp};
 use hb_repro::prelude::*;
 
 fn main() {
     let eco = Ecosystem::generate(EcosystemConfig::test_scale());
     println!("crawling {} sites for latency analysis…", eco.sites().len());
-    let ds = run_campaign(&eco, &CampaignConfig::default());
-
-    // Build the columnar index once; every figure reads it.
-    let ix = DatasetIndex::build(&ds);
+    // Fold the campaign's chunk stream into the columnar index once;
+    // every figure reads it.
+    let ix = index_campaign(eco.factory(), &CampaignConfig::default());
     for report in [
         latency::f12_latency_ecdf(&ix),
         latency::f13_latency_vs_rank(&ix),

@@ -24,18 +24,26 @@ fn main() {
         site.rank,
         site.facet.unwrap()
     );
+    // One visit through the campaign's own path: a worker scratch (pooled
+    // browser + detector), a block-local interner, and columnar storage
+    // the detector appends its finished row into.
+    let mut scratch = VisitScratch::new(eco.partner_list());
     let mut strings = Interner::new();
-    let visit = crawl_site(
+    let mut cols = VisitColumns::new();
+    let mut truths = Vec::new();
+    crawl_site_into(
         eco.net(),
-        eco.runtime_for(site),
-        eco.partner_list(),
+        eco.runtime_shared(site.rank),
         eco.visit_rng(site.rank, 0),
         0,
         &SessionConfig::default(),
         &mut strings,
+        &mut scratch,
+        &mut cols,
+        &mut truths,
     );
 
-    let r = &visit.record;
+    let r = &cols.get(0).to_record();
     let s = |sym| strings.resolve(sym);
     println!("\n=== HBDetector findings ===");
     println!("hb detected:      {}", r.hb_detected);
@@ -84,9 +92,7 @@ fn main() {
     }
 
     // The detector's verdict matches the simulation's ground truth.
-    assert_eq!(
-        r.facet.map(|f| f.label()),
-        visit.truth.facet.map(|f| f.label())
-    );
+    let truth = scratch.truth().expect("visited");
+    assert_eq!(r.facet.map(|f| f.label()), truth.facet.map(|f| f.label()));
     println!("\ndetector facet matches ground truth: OK");
 }

@@ -30,57 +30,62 @@ fn main() {
         hb_runtime.ad_units.len()
     );
 
+    // Both visits go through the campaign's own visit path on one worker
+    // scratch, appending into the same columns: row 0 is HB, row 1 is the
+    // waterfall. The scratch holds the raw ground truth of its last
+    // visit, so read the HB visit's before crawling the waterfall one.
+    let mut scratch = VisitScratch::new(eco.partner_list());
     let mut strings = Interner::new();
-    let hb = crawl_site(
-        eco.net(),
-        hb_runtime,
-        eco.partner_list(),
-        eco.visit_rng(site.rank, 0),
-        0,
-        &SessionConfig::default(),
-        &mut strings,
-    );
-    let wf = crawl_site(
-        eco.net(),
-        wf_runtime,
-        eco.partner_list(),
-        eco.visit_rng(site.rank, 0),
-        0,
-        &SessionConfig::default(),
-        &mut strings,
-    );
+    let mut cols = VisitColumns::new();
+    let mut truths = Vec::new();
+    let mut visit = |runtime| {
+        crawl_site_into(
+            eco.net(),
+            std::sync::Arc::new(runtime),
+            eco.visit_rng(site.rank, 0),
+            0,
+            &SessionConfig::default(),
+            &mut strings,
+            &mut scratch,
+            &mut cols,
+            &mut truths,
+        )
+    };
+    visit(hb_runtime);
+    visit(wf_runtime);
+    let (hb, wf) = (cols.get(0).to_record(), cols.get(1).to_record());
+    let wf_truth = scratch.truth().expect("visited");
 
     println!("header bidding visit:");
     println!(
         "  detected: {} / facet {:?}",
-        hb.record.hb_detected,
-        hb.record.facet.map(|f| f.label())
+        hb.hb_detected,
+        hb.facet.map(|f| f.label())
     );
     println!(
         "  HB latency {:.0} ms, {} bids ({} late), {} partners",
-        hb.record.hb_latency_ms.unwrap_or(f64::NAN),
-        hb.record.bids.len(),
-        hb.record.late_bids(),
-        hb.record.partner_count(),
+        hb.hb_latency_ms.unwrap_or(f64::NAN),
+        hb.bids.len(),
+        hb.late_bids(),
+        hb.partner_count(),
     );
     println!("\nwaterfall visit (same page, same slots):");
     println!(
         "  detected as HB: {} (the detector must NOT flag waterfall)",
-        wf.record.hb_detected
+        wf.hb_detected
     );
     println!(
         "  fill latency {:.0} ms via tier {:?}",
-        wf.truth
+        wf_truth
             .waterfall_latency
             .map(|d| d.as_millis_f64())
             .unwrap_or(f64::NAN),
-        wf.truth.waterfall_fill_tier
+        wf_truth.waterfall_fill_tier
     );
-    assert!(!wf.record.hb_detected);
+    assert!(!wf.hb_detected);
 
     // Population-level comparison over a full campaign.
     println!("\nrunning the full campaign for the population comparison…");
-    let ds = run_campaign(&eco, &CampaignConfig::default());
-    let ix = hb_repro::analysis::DatasetIndex::build(&ds);
+    let ix = index_campaign(eco.factory(), &CampaignConfig::default());
     print!("{}", waterfall_cmp::x01_waterfall_compare(&ix).render());
 }

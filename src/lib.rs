@@ -13,20 +13,28 @@
 //! | ad-tech | [`adtech`] | partners, RTB, ad server, HB wrapper, waterfall |
 //! | **detector** | [`core`] | **HBDetector — the paper's contribution** |
 //! | universe | [`ecosystem`] | 84-partner catalog, publishers, toplists, Wayback |
-//! | harness | [`crawler`] | sessions, campaigns, datasets |
+//! | harness | [`crawler`] | sessions, the campaign plan, chunks, dataset CSVs |
 //! | statistics | [`stats`] | ECDF, quantiles, whiskers, tables |
 //! | figures | [`analysis`] | every table/figure regenerated as a report |
 //! | serving | [`serve`] | auction orchestrator: budgets, breakers, hedging, shedding |
 //!
 //! ## Quickstart
 //!
+//! There is one data path from a visit to a figure: the campaign streams
+//! sealed columnar chunks, and the index builder folds each one and drops
+//! it.
+//!
 //! ```
 //! use hb_repro::prelude::*;
 //!
-//! // A 200-site universe, crawled once, indexed once for the figures.
-//! let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-//! let dataset = run_campaign(&eco, &CampaignConfig::default());
-//! let index = hb_repro::analysis::DatasetIndex::build(&dataset);
+//! // A 200-site universe, crawled once, folded chunk by chunk.
+//! let config = EcosystemConfig::tiny_scale();
+//! let factory = SiteFactory::new(config.clone());
+//! let mut builder = DatasetIndexBuilder::new(config.n_sites, config.crawl_days);
+//! run_campaign_streamed(&factory, &CampaignConfig::default(), &mut |chunk| {
+//!     builder.push_chunk(&chunk)
+//! });
+//! let index = builder.finish();
 //! let summary = hb_repro::analysis::summary::t1_summary(&index);
 //! assert!(summary.metric("websites_with_hb").unwrap() > 0.0);
 //! ```
@@ -47,13 +55,13 @@ pub use hb_stats as stats;
 pub mod prelude {
     pub use hb_adtech::{AdSize, AdUnit, Cpm, HbFacet, RobustnessPolicy};
     pub use hb_analysis::{
-        all_reports, dataset_reports, fault_reports, DatasetIndex, DatasetIndexBuilder,
-        FaultSlice, FigureReport,
+        fault_reports, history_reports, index_campaign, indexed_reports, DatasetIndex,
+        DatasetIndexBuilder, FaultSlice, FigureReport,
     };
-    pub use hb_core::{HbDetector, Interner, PartnerList, Symbol, VisitRecord};
+    pub use hb_core::{HbDetector, Interner, PartnerList, Symbol, VisitColumns, VisitRecord};
     pub use hb_crawler::{
-        adoption_study, crawl_site, overlap_study, run_campaign, run_campaign_streamed,
-        CampaignConfig, CrawlDataset, SessionConfig, ShardSpec, VisitChunk,
+        adoption_study, crawl_site_into, overlap_study, run_campaign_streamed, CampaignConfig,
+        CampaignPlan, DatasetWriter, SessionConfig, VisitChunk, VisitScratch,
     };
     pub use hb_ecosystem::{
         Ecosystem, EcosystemConfig, OutageWindow, ScenarioConfig, SiteFactory,

@@ -5,9 +5,9 @@
 //! * the detector's per-request classify path performs **zero** heap
 //!   allocations for form/empty bodies (PR 1 invariant);
 //! * a full steady-state visit through the pooled per-worker
-//!   [`VisitScratch`] stays under a fixed per-flow allocation budget
-//!   (PR 3 invariant, budgets halved in PR 4; the direct-to-column
-//!   `crawl_site_into` path of PR 5 gets its own, tighter budgets);
+//!   [`VisitScratch`] on the direct-to-column `crawl_site_into` path
+//!   stays under a fixed per-flow allocation budget, and below the cost
+//!   of that worker's first (cold) visit;
 //! * a **cold** (memo-miss) visit — the adoption-sweep hot path, where
 //!   every rank is seen for the first time — stays under a per-flow
 //!   budget too (PR 5 invariant: scratch-based site derivation makes a
@@ -15,9 +15,7 @@
 
 use hb_repro::adtech::{HbFacet, RobustnessPolicy};
 use hb_repro::core::{classify_request, Interner, PartnerList, RequestKind, VisitColumns};
-use hb_repro::crawler::{
-    crawl_site_into, crawl_site_pooled, SessionConfig, TruthRecord, VisitScratch,
-};
+use hb_repro::crawler::{crawl_site_into, SessionConfig, TruthRecord, VisitScratch};
 use hb_repro::ecosystem::{Ecosystem, EcosystemConfig, ScenarioConfig};
 use hb_repro::simnet::{Dist, HostFaultProfile};
 use hb_repro::http::{Request, RequestId, Url};
@@ -87,66 +85,6 @@ fn classify_bid_request_is_allocation_free() {
     assert_eq!(c.kind, RequestKind::BidRequest);
     assert_eq!(c.partner_name(), Some("AppNexus"));
     assert_eq!(allocs, 0, "bid-request classify must not allocate");
-}
-
-/// Per-flow steady-state allocation budgets for one pooled visit at tiny
-/// scale. Measured steady states on the reference container after the
-/// slab scheduler + pooled-simulation + JSON-spine-pool work (PR 4) are
-/// ~28 (client), ~21 (server), ~35 (hybrid) and ~17 (waterfall) — what
-/// remains is almost entirely data escaping into the returned
-/// `SiteVisit`. The budgets leave generous headroom for
-/// allocator/platform drift while still failing loudly if per-visit
-/// churn regresses (the cold first visit alone costs ~5-7x the steady
-/// state).
-const VISIT_BUDGETS: [(&str, Option<HbFacet>, u64); 4] = [
-    ("client_side", Some(HbFacet::ClientSide), 120),
-    ("server_side", Some(HbFacet::ServerSide), 55),
-    ("hybrid", Some(HbFacet::Hybrid), 105),
-    ("waterfall", None, 40),
-];
-
-#[test]
-fn steady_state_visit_stays_within_allocation_budget() {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-    let cfg = SessionConfig::default();
-    for (label, facet, budget) in VISIT_BUDGETS {
-        let site = eco
-            .sites()
-            .iter()
-            .find(|s| s.facet == facet)
-            .unwrap_or_else(|| panic!("{label} site in tiny universe"));
-        let mut scratch = VisitScratch::new(eco.partner_list());
-        let mut strings = Interner::new();
-        let visit = |strings: &mut Interner, scratch: &mut VisitScratch| {
-            crawl_site_pooled(
-                eco.net(),
-                eco.runtime_shared(site.rank),
-                eco.visit_rng(site.rank, 0),
-                0,
-                &cfg,
-                strings,
-                scratch,
-            )
-        };
-        // Warm-up: first visits pay one-time costs (browser, detector maps,
-        // buffer pools, interner entries, factory memos).
-        let (cold, _) = allocations_during(|| visit(&mut strings, &mut scratch));
-        for _ in 0..2 {
-            let _ = visit(&mut strings, &mut scratch);
-        }
-        // Steady state: the Nth visit of the same flow must fit the budget.
-        let (steady, v) = allocations_during(|| visit(&mut strings, &mut scratch));
-        eprintln!("alloc[{label}]: cold {cold}, steady {steady} (budget {budget})");
-        assert!(v.page_completed, "{label}: visit must complete");
-        assert!(
-            steady <= budget,
-            "{label}: steady-state visit allocated {steady} (> budget {budget})"
-        );
-        assert!(
-            steady < cold,
-            "{label}: pooling must beat the cold visit ({steady} vs {cold})"
-        );
-    }
 }
 
 /// Per-flow steady-state budgets for the campaign's actual hot path —
@@ -227,7 +165,14 @@ fn steady_state_columnar_visit_stays_within_allocation_budget() {
         let mut strings = Interner::new();
         let mut cols = VisitColumns::new();
         let mut truths = Vec::new();
-        for _ in 0..3 {
+        // Warm-up: first visits pay one-time costs (browser, detector maps,
+        // buffer pools, interner entries, factory memos).
+        let (cold, _) = allocations_during(|| {
+            columnar_visit(
+                &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+            )
+        });
+        for _ in 0..2 {
             let _ = columnar_visit(
                 &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
             );
@@ -237,11 +182,15 @@ fn steady_state_columnar_visit_stays_within_allocation_budget() {
                 &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
             )
         });
-        eprintln!("alloc_into[{label}]: steady {steady} (budget {budget})");
+        eprintln!("alloc_into[{label}]: cold {cold}, steady {steady} (budget {budget})");
         assert!(completed, "{label}: visit must complete");
         assert!(
             steady <= budget,
             "{label}: steady-state columnar visit allocated {steady} (> budget {budget})"
+        );
+        assert!(
+            steady < cold,
+            "{label}: pooling must beat the cold visit ({steady} vs {cold})"
         );
     }
 }

@@ -1,7 +1,10 @@
-//! Shared integration-test fixtures: one test-scale campaign per process.
+//! Shared integration-test fixtures: one test-scale campaign per process,
+//! and single visits read back as rows.
+#![allow(dead_code)]
 
+use hb_repro::adtech::{Net, SiteRuntime, VisitGroundTruth};
 use hb_repro::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The test-scale ecosystem (1,400 sites × 3 days), generated once.
 pub fn ecosystem() -> &'static Ecosystem {
@@ -9,16 +12,72 @@ pub fn ecosystem() -> &'static Ecosystem {
     ECO.get_or_init(|| Ecosystem::generate(EcosystemConfig::test_scale()))
 }
 
-/// The test-scale dataset, crawled once.
-pub fn dataset() -> &'static CrawlDataset {
-    static DS: OnceLock<CrawlDataset> = OnceLock::new();
-    DS.get_or_init(|| run_campaign(ecosystem(), &CampaignConfig::default()))
+/// The test-scale campaign's chunks, crawled once, in fold order.
+pub fn chunks() -> &'static [VisitChunk] {
+    static CHUNKS: OnceLock<Vec<VisitChunk>> = OnceLock::new();
+    CHUNKS.get_or_init(|| campaign(ecosystem(), &CampaignConfig::default()))
 }
 
-/// The columnar index over [`dataset`], built once (the figure builders
-/// consume the index, not the raw dataset).
-#[allow(dead_code)]
-pub fn index() -> &'static hb_repro::analysis::DatasetIndex {
-    static IX: OnceLock<hb_repro::analysis::DatasetIndex> = OnceLock::new();
-    IX.get_or_init(|| hb_repro::analysis::DatasetIndex::build(dataset()))
+/// The columnar index folded from [`chunks`] (the figure builders
+/// consume the index).
+pub fn index() -> &'static DatasetIndex {
+    static IX: OnceLock<DatasetIndex> = OnceLock::new();
+    IX.get_or_init(|| {
+        let config = &ecosystem().config;
+        let mut builder = DatasetIndexBuilder::new(config.n_sites, config.crawl_days);
+        for chunk in chunks() {
+            builder.push_chunk(chunk);
+        }
+        builder.finish()
+    })
+}
+
+/// Every chunk of a campaign over `eco`, in emission order.
+pub fn campaign(eco: &Ecosystem, cfg: &CampaignConfig) -> Vec<VisitChunk> {
+    let mut chunks = Vec::new();
+    run_campaign_streamed(eco.factory(), cfg, &mut |c| chunks.push(c));
+    chunks
+}
+
+/// Every visit of `chunks` as a row, with its domain resolved.
+pub fn rows(chunks: &[VisitChunk]) -> impl Iterator<Item = (&str, VisitRecord)> {
+    chunks.iter().flat_map(|c| {
+        c.visits
+            .iter()
+            .map(move |v| (c.strings.resolve(v.domain), v.to_record()))
+    })
+}
+
+/// One visit read back: the detector's row, the interner its symbols
+/// resolve against, and the simulation's raw ground truth.
+pub struct Visit {
+    pub record: VisitRecord,
+    pub strings: Interner,
+    pub truth: VisitGroundTruth,
+    pub page_completed: bool,
+}
+
+/// Crawl one site once, on a fresh worker scratch, through the campaign's
+/// own visit path.
+pub fn visit(net: Net, runtime: SiteRuntime, list: Arc<PartnerList>, rng: Rng, day: u32) -> Visit {
+    let mut scratch = VisitScratch::new(list);
+    let mut strings = Interner::new();
+    let mut cols = VisitColumns::new();
+    let outcome = crawl_site_into(
+        net,
+        Arc::new(runtime),
+        rng,
+        day,
+        &SessionConfig::default(),
+        &mut strings,
+        &mut scratch,
+        &mut cols,
+        &mut Vec::new(),
+    );
+    Visit {
+        record: cols.get(0).to_record(),
+        strings,
+        truth: scratch.truth().expect("visited").clone(),
+        page_completed: outcome.page_completed,
+    }
 }

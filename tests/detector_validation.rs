@@ -3,22 +3,19 @@
 
 mod common;
 
-use common::{dataset, ecosystem};
-use hb_repro::core::Interner;
-use hb_repro::prelude::*;
+use common::{chunks, ecosystem, rows, visit};
 
 #[test]
 fn facet_classification_is_accurate() {
     let eco = ecosystem();
-    let ds = dataset();
     let truth: std::collections::BTreeMap<&str, &str> = eco
         .hb_sites()
         .map(|s| (s.domain.as_str(), s.facet.unwrap().label()))
         .collect();
     let mut checked = 0;
     let mut correct = 0;
-    for v in ds.visits.iter().filter(|v| v.day == 0 && v.hb_detected) {
-        if let (Some(expected), Some(got)) = (truth.get(ds.str(v.domain)), v.facet) {
+    for (domain, v) in rows(chunks()).filter(|(_, v)| v.day == 0 && v.hb_detected) {
+        if let (Some(expected), Some(got)) = (truth.get(domain), v.facet) {
             checked += 1;
             if got.label() == *expected {
                 correct += 1;
@@ -33,17 +30,14 @@ fn facet_classification_is_accurate() {
 #[test]
 fn latency_measurements_agree_with_truth() {
     let eco = ecosystem();
-    let mut strings = Interner::new();
     let mut diffs = Vec::new();
     for site in eco.hb_sites().take(40) {
-        let visit = crawl_site(
+        let visit = visit(
             eco.net(),
             eco.runtime_for(site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 7),
             7,
-            &SessionConfig::default(),
-            &mut strings,
         );
         if let (Some(det), Some(truth)) = (
             visit.record.hb_latency_ms,
@@ -62,21 +56,18 @@ fn latency_measurements_agree_with_truth() {
 #[test]
 fn bid_counts_match_truth_for_client_side() {
     let eco = ecosystem();
-    let mut strings = Interner::new();
     let mut compared = 0;
     for site in eco
         .hb_sites()
         .filter(|s| s.facet == Some(hb_repro::adtech::HbFacet::ClientSide))
         .take(25)
     {
-        let visit = crawl_site(
+        let visit = visit(
             eco.net(),
             eco.runtime_for(site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 3),
             3,
-            &SessionConfig::default(),
-            &mut strings,
         );
         // Client-side: every client bid is visible to the detector.
         let client_bids = visit
@@ -98,18 +89,15 @@ fn bid_counts_match_truth_for_client_side() {
 #[test]
 fn late_bid_accounting_matches_truth() {
     let eco = ecosystem();
-    let mut strings = Interner::new();
     let mut total_det = 0usize;
     let mut total_truth = 0usize;
     for site in eco.hb_sites().take(60) {
-        let visit = crawl_site(
+        let visit = visit(
             eco.net(),
             eco.runtime_for(site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 5),
             5,
-            &SessionConfig::default(),
-            &mut strings,
         );
         total_det += visit.record.late_bids();
         total_truth += visit.truth.late_bids;
@@ -125,20 +113,17 @@ fn late_bid_accounting_matches_truth() {
 #[test]
 fn server_side_reveals_only_winners() {
     let eco = ecosystem();
-    let mut strings = Interner::new();
     for site in eco
         .hb_sites()
         .filter(|s| s.facet == Some(hb_repro::adtech::HbFacet::ServerSide))
         .take(20)
     {
-        let visit = crawl_site(
+        let visit = visit(
             eco.net(),
             eco.runtime_for(site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 2),
             2,
-            &SessionConfig::default(),
-            &mut strings,
         );
         // No client-visible bids on pure server-side sites.
         assert!(visit
@@ -154,23 +139,20 @@ fn server_side_reveals_only_winners() {
 #[test]
 fn event_counts_are_facet_consistent() {
     let eco = ecosystem();
-    let mut strings = Interner::new();
     for site in eco.hb_sites().take(30) {
-        let visit = crawl_site(
+        let visit = visit(
             eco.net(),
             eco.runtime_for(site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 1),
             1,
-            &SessionConfig::default(),
-            &mut strings,
         );
         let count = |name: &str| {
             visit
                 .record
                 .event_counts
                 .iter()
-                .find(|(n, _)| strings.resolve(*n) == name)
+                .find(|(n, _)| visit.strings.resolve(*n) == name)
                 .map(|(_, c)| *c)
                 .unwrap_or(0)
         };

@@ -1,84 +1,66 @@
 //! Reproducibility guarantees: identical seeds yield identical universes,
 //! crawls and reports, regardless of parallelism.
 
+mod common;
+
+use common::campaign;
 use hb_repro::prelude::*;
+
+/// Every paper figure of a campaign, rendered.
+fn render(eco: &Ecosystem, cfg: &CampaignConfig) -> Vec<String> {
+    indexed_reports(&index_campaign(eco.factory(), cfg))
+        .into_iter()
+        .map(|r| r.render())
+        .collect()
+}
+
+/// Two chunk streams are identical: their sealed frames match byte for
+/// byte — keys, block-local interners entry for entry, rows down to raw
+/// symbol ids, and truths.
+fn assert_same_chunks(a: &[VisitChunk], b: &[VisitChunk]) {
+    let frames = |c: &[VisitChunk]| c.iter().map(VisitChunk::encode).collect::<Vec<_>>();
+    assert!(frames(a) == frames(b), "chunk streams differ");
+}
 
 #[test]
 fn same_seed_same_dataset() {
     let run = || {
         let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        run_campaign(&eco, &CampaignConfig::default())
+        campaign(&eco, &CampaignConfig::default())
     };
-    let a = run();
-    let b = run();
-    assert_eq!(a.visits.len(), b.visits.len());
-    for (x, y) in a.visits.iter().zip(b.visits.iter()) {
-        assert_eq!(x.domain, y.domain);
-        assert_eq!(x.day, y.day);
-        assert_eq!(x.hb_detected, y.hb_detected);
-        assert_eq!(x.hb_latency_ms, y.hb_latency_ms);
-        assert_eq!(x.bids.len(), y.bids.len());
-        for (bx, by) in x.bids.iter().zip(y.bids.iter()) {
-            assert_eq!(bx.bidder_code, by.bidder_code);
-            assert_eq!(bx.cpm, by.cpm);
-            assert_eq!(bx.late, by.late);
-        }
-    }
+    assert_same_chunks(&run(), &run());
 }
 
 #[test]
 fn parallelism_does_not_change_results() {
     let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-    let serial = run_campaign(
-        &eco,
-        &CampaignConfig {
-            parallelism: 1,
-            ..CampaignConfig::default()
-        },
-    );
-    let parallel = run_campaign(
-        &eco,
-        &CampaignConfig {
-            parallelism: 8,
-            ..CampaignConfig::default()
-        },
-    );
-    assert_eq!(serial.visits.len(), parallel.visits.len());
-    for (a, b) in serial.visits.iter().zip(parallel.visits.iter()) {
-        // Interner merge renumbers symbols in (day, site) order, so the
-        // raw symbol ids — not just the resolved strings — must agree.
-        assert_eq!(a.domain, b.domain);
-        assert_eq!(serial.str(a.domain), parallel.str(b.domain));
-        assert_eq!(a.hb_latency_ms, b.hb_latency_ms);
-        assert_eq!(a.slots_auctioned, b.slots_auctioned);
-    }
-    // The campaign-wide interners are identical, entry for entry.
-    assert_eq!(serial.strings.len(), parallel.strings.len());
-    for ((sa, ta), (sb, tb)) in serial.strings.iter().zip(parallel.strings.iter()) {
-        assert_eq!(sa, sb);
-        assert_eq!(ta, tb);
-    }
-}
-
-#[test]
-fn figure_outputs_identical_across_parallelism() {
-    // End-to-end determinism of the interner merge: every rendered figure
-    // must be byte-identical between a serial and an 8-way campaign.
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-    let render = |parallelism: usize| {
-        let ds = run_campaign(
+    let at = |parallelism| {
+        campaign(
             &eco,
             &CampaignConfig {
                 parallelism,
                 ..CampaignConfig::default()
             },
-        );
-        hb_repro::analysis::dataset_reports(&ds)
-            .into_iter()
-            .map(|r| r.render())
-            .collect::<Vec<String>>()
+        )
     };
-    assert_eq!(render(1), render(8));
+    assert_same_chunks(&at(1), &at(8));
+}
+
+#[test]
+fn figure_outputs_identical_across_parallelism() {
+    // End-to-end determinism of the fold: every rendered figure must be
+    // byte-identical between a serial and an 8-way campaign.
+    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let at = |parallelism| {
+        render(
+            &eco,
+            &CampaignConfig {
+                parallelism,
+                ..CampaignConfig::default()
+            },
+        )
+    };
+    assert_eq!(at(1), at(8));
 }
 
 #[test]
@@ -89,14 +71,7 @@ fn memo_clear_mid_campaign_does_not_change_figures() {
     // visit observes. Every rendered figure must stay byte-identical to
     // the undisturbed campaign's.
     let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-    let render = |cfg: &CampaignConfig| {
-        let ds = run_campaign(&eco, cfg);
-        hb_repro::analysis::dataset_reports(&ds)
-            .into_iter()
-            .map(|r| r.render())
-            .collect::<Vec<String>>()
-    };
-    let baseline = render(&CampaignConfig::default());
+    let baseline = render(&eco, &CampaignConfig::default());
     let gen = eco.factory().gen().clone();
     let clearing = CampaignConfig {
         parallelism: 4,
@@ -104,18 +79,14 @@ fn memo_clear_mid_campaign_does_not_change_figures() {
         progress: Some(Box::new(move |_| gen.clear_memos())),
         ..CampaignConfig::default()
     };
-    assert_eq!(baseline, render(&clearing));
+    assert_eq!(baseline, render(&eco, &clearing));
 }
 
 #[test]
 fn reports_are_deterministic() {
     let build = || {
         let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let ds = run_campaign(&eco, &CampaignConfig::default());
-        hb_repro::analysis::dataset_reports(&ds)
-            .into_iter()
-            .map(|r| r.render())
-            .collect::<Vec<String>>()
+        render(&eco, &CampaignConfig::default())
     };
     assert_eq!(build(), build());
 }
@@ -126,59 +97,57 @@ fn figure_outputs_identical_across_shard_counts() {
     // none of it may leak into results: every rendered figure must be
     // byte-identical between an unsharded and a 4-shard campaign.
     let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-    let render = |shards: u32, chunk_visits: usize| {
-        let ds = run_campaign(
+    let at = |shards, chunk_visits| {
+        render(
             &eco,
             &CampaignConfig {
                 shards,
                 chunk_visits,
                 ..CampaignConfig::default()
             },
-        );
-        hb_repro::analysis::dataset_reports(&ds)
-            .into_iter()
-            .map(|r| r.render())
-            .collect::<Vec<String>>()
+        )
     };
-    assert_eq!(render(1, 256), render(4, 23));
+    assert_eq!(at(1, 256), at(4, 23));
 }
 
 #[test]
 fn streamed_index_matches_dataset_index() {
-    // The incremental builder consuming chunks as the campaign streams
-    // them must yield byte-identical figures to indexing the merged
-    // dataset — without ever holding the row dataset.
+    // Folding chunks live, dropping each as it arrives, must yield the
+    // same figures as folding the materialized dataset: every chunk kept,
+    // shipped through the wire format, arriving in any order and put
+    // back in key order before the fold.
     let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
     let cfg = CampaignConfig {
         shards: 3,
         ..CampaignConfig::default()
     };
-    let mut builder = hb_repro::analysis::DatasetIndexBuilder::new(
-        eco.config.n_sites,
-        eco.config.crawl_days,
-    );
-    hb_repro::crawler::run_campaign_streamed(eco.factory(), &cfg, &mut |chunk| {
-        builder.push_chunk(&chunk);
+    let (n_sites, n_days) = (eco.config.n_sites, eco.config.crawl_days);
+    let mut live = DatasetIndexBuilder::new(n_sites, n_days);
+    run_campaign_streamed(eco.factory(), &cfg, &mut |chunk| {
+        live.push_chunk(&chunk);
         drop(chunk); // rows are gone; only columns remain
     });
-    let streamed = builder.finish();
-    let ds = run_campaign(
-        &eco,
-        &CampaignConfig {
-            shards: 3,
-            ..CampaignConfig::default()
-        },
-    );
-    let built = hb_repro::analysis::DatasetIndex::build(&ds);
-    let a: Vec<String> = hb_repro::analysis::indexed_reports(&streamed)
-        .into_iter()
-        .map(|r| r.render())
+    let mut frames: Vec<Vec<u8>> = campaign(&eco, &cfg)
+        .iter()
+        .map(VisitChunk::encode)
         .collect();
-    let b: Vec<String> = hb_repro::analysis::indexed_reports(&built)
-        .into_iter()
-        .map(|r| r.render())
+    frames.reverse();
+    let mut dataset: Vec<VisitChunk> = frames
+        .iter()
+        .map(|f| VisitChunk::decode(f).expect("clean frame"))
         .collect();
-    assert_eq!(a, b);
+    dataset.sort_by_key(VisitChunk::key);
+    let mut stored = DatasetIndexBuilder::new(n_sites, n_days);
+    for chunk in &dataset {
+        stored.push_chunk(chunk);
+    }
+    let figures = |ix: &DatasetIndex| -> Vec<String> {
+        indexed_reports(ix)
+            .into_iter()
+            .map(|r| r.render())
+            .collect()
+    };
+    assert_eq!(figures(&live.finish()), figures(&stored.finish()));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::{dataset, ecosystem, index};
+use common::{chunks, ecosystem, index, rows};
 use hb_repro::analysis::{late, latency, partners, prices, slots, summary, waterfall_cmp};
 
 #[test]
@@ -204,11 +204,9 @@ fn waterfall_headline_claim() {
 fn detector_precision_is_total() {
     // 100% precision (paper §4.1): every detected site truly runs HB.
     let eco = ecosystem();
-    let ds = dataset();
     let truth: std::collections::BTreeSet<&str> =
         eco.hb_sites().map(|s| s.domain.as_str()).collect();
-    for v in ds.visits.iter().filter(|v| v.hb_detected) {
-        let domain = ds.str(v.domain);
+    for (domain, _) in rows(chunks()).filter(|(_, v)| v.hb_detected) {
         assert!(truth.contains(domain), "false positive: {domain}");
     }
 }

@@ -3,8 +3,10 @@
 //! campaign-level degraded-network scenarios must stay deterministic
 //! across parallelism and sharding.
 
+mod common;
+
+use common::{campaign, rows, visit};
 use hb_repro::adtech::{HbFacet, Net};
-use hb_repro::core::Interner;
 use hb_repro::prelude::*;
 use hb_repro::simnet::{Dist, FaultInjector, HostFaultProfile};
 use std::fmt::Write as _;
@@ -26,16 +28,13 @@ fn partner_outage_loses_bids_but_keeps_detection() {
     let down_host = eco.specs[site.client_partner_ids[0]].host();
     let mut faults = FaultInjector::none();
     faults.add_outage(down_host.clone());
-    let mut strings = Interner::new();
 
-    let visit = crawl_site(
+    let visit = visit(
         net_with_faults(&eco, faults),
         eco.runtime_for(site),
         eco.partner_list(),
         eco.visit_rng(site.rank, 0),
         0,
-        &SessionConfig::default(),
-        &mut strings,
     );
     assert!(visit.record.hb_detected, "outage must not break detection");
     assert_eq!(
@@ -50,7 +49,7 @@ fn partner_outage_loses_bids_but_keeps_detection() {
             .record
             .partner_latencies
             .iter()
-            .any(|pl| strings.resolve(pl.partner_name) == *down_name),
+            .any(|pl| visit.strings.resolve(pl.partner_name) == *down_name),
         "no latency sample from a dead partner"
     );
 }
@@ -61,15 +60,12 @@ fn dead_page_yields_clean_empty_record() {
     let site = eco.hb_sites().next().unwrap();
     let mut faults = FaultInjector::none();
     faults.add_outage(site.domain.clone());
-    let mut strings = Interner::new();
-    let visit = crawl_site(
+    let visit = visit(
         net_with_faults(&eco, faults),
         eco.runtime_for(site),
         eco.partner_list(),
         eco.visit_rng(site.rank, 0),
         0,
-        &SessionConfig::default(),
-        &mut strings,
     );
     assert!(!visit.record.hb_detected, "nothing loads, nothing detected");
     assert!(!visit.page_completed);
@@ -81,18 +77,15 @@ fn dead_page_yields_clean_empty_record() {
 fn heavy_packet_loss_degrades_gracefully() {
     let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
     let faults = FaultInjector::none().with_drop_chance(0.30);
-    let mut strings = Interner::new();
     let mut detected = 0;
     let mut visited = 0;
     for site in eco.hb_sites().take(15) {
-        let visit = crawl_site(
+        let visit = visit(
             net_with_faults(&eco, faults.clone()),
             eco.runtime_for(site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 0),
             0,
-            &SessionConfig::default(),
-            &mut strings,
         );
         visited += 1;
         if visit.record.hb_detected {
@@ -118,15 +111,12 @@ fn adserver_outage_suppresses_latency_but_not_detection() {
         .unwrap();
     let mut faults = FaultInjector::none();
     faults.add_outage(site.own_ad_server_host());
-    let mut strings = Interner::new();
-    let visit = crawl_site(
+    let visit = visit(
         net_with_faults(&eco, faults),
         eco.runtime_for(site),
         eco.partner_list(),
         eco.visit_rng(site.rank, 0),
         0,
-        &SessionConfig::default(),
-        &mut strings,
     );
     // Bid traffic still proves HB…
     assert!(visit.record.hb_detected);
@@ -145,19 +135,21 @@ fn ambient_fault_profile_keeps_campaign_sound() {
     cfg.drop_chance = 0.05;
     cfg.slow_chance = 0.15;
     let eco = Ecosystem::generate(cfg);
-    let ds = run_campaign(&eco, &CampaignConfig::default());
-    for v in ds.hb_visits() {
-        assert!(v.slots_auctioned <= 60);
-        for b in &v.bids {
-            assert!(b.cpm >= 0.0);
-            assert!(!ds.str(b.bidder_code).is_empty());
+    let chunks = campaign(&eco, &CampaignConfig::default());
+    let truth: std::collections::BTreeSet<&str> =
+        eco.hb_sites().map(|s| s.domain.as_str()).collect();
+    for c in &chunks {
+        for v in c.visits.iter().filter(|v| v.hb_detected) {
+            assert!(v.slots_auctioned <= 60);
+            for b in v.bids {
+                assert!(b.cpm >= 0.0);
+                assert!(!c.strings.resolve(b.bidder_code).is_empty());
+            }
         }
     }
     // Precision is preserved even under faults.
-    let truth: std::collections::BTreeSet<&str> =
-        eco.hb_sites().map(|s| s.domain.as_str()).collect();
-    for v in ds.visits.iter().filter(|v| v.hb_detected) {
-        assert!(truth.contains(ds.str(v.domain)));
+    for (domain, _) in rows(&chunks).filter(|(_, v)| v.hb_detected) {
+        assert!(truth.contains(domain));
     }
 }
 
@@ -189,10 +181,10 @@ fn stressed_scenario(eco_cfg: &EcosystemConfig) -> ScenarioConfig {
 
 /// Figure bytes of a campaign: every paper report plus the fault-slice
 /// family, rendered and CSV-dumped.
-fn figure_bytes(ds: &CrawlDataset) -> String {
-    let ix = DatasetIndex::build(ds);
+fn figure_bytes(eco: &Ecosystem, cfg: &CampaignConfig) -> String {
+    let ix = index_campaign(eco.factory(), cfg);
     let mut out = String::new();
-    for r in dataset_reports(ds).iter().chain(fault_reports(&ix).iter()) {
+    for r in indexed_reports(&ix).iter().chain(fault_reports(&ix).iter()) {
         let _ = write!(out, "==== {} ====\n{}\n{}\n", r.id, r.render(), r.to_csv());
     }
     out
@@ -224,21 +216,18 @@ fn degraded_link_shows_up_in_latency_columns() {
     ));
 
     let samples_of = |eco: &Ecosystem| -> Vec<f64> {
-        let mut strings = Interner::new();
-        let visit = crawl_site(
+        let visit = visit(
             eco.net(),
             eco.runtime_for(&site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 0),
             0,
-            &SessionConfig::default(),
-            &mut strings,
         );
         visit
             .record
             .partner_latencies
             .iter()
-            .filter(|pl| strings.resolve(pl.partner_name) == slow_name)
+            .filter(|pl| visit.strings.resolve(pl.partner_name) == slow_name)
             .map(|pl| pl.latency_ms)
             .collect()
     };
@@ -263,30 +252,30 @@ fn scenario_campaign_bytes_identical_across_parallelism_and_shards() {
     let cfg = base.clone().with_scenario(stressed_scenario(&base));
     let eco = Ecosystem::generate(cfg);
 
-    let p1 = figure_bytes(&run_campaign(
+    let p1 = figure_bytes(
         &eco,
         &CampaignConfig {
             parallelism: 1,
             ..CampaignConfig::default()
         },
-    ));
-    let p8 = figure_bytes(&run_campaign(
+    );
+    let p8 = figure_bytes(
         &eco,
         &CampaignConfig {
             parallelism: 8,
             ..CampaignConfig::default()
         },
-    ));
+    );
     assert_eq!(p1, p8, "figure bytes differ between parallelism 1 and 8");
 
-    let s4 = figure_bytes(&run_campaign(
+    let s4 = figure_bytes(
         &eco,
         &CampaignConfig {
             shards: 4,
-            chunk_visits: 17, // odd block size to stress the merge
+            chunk_visits: 17, // odd block size to stress the fold order
             ..CampaignConfig::default()
         },
-    ));
+    );
     assert_eq!(p1, s4, "figure bytes differ between 1 and 4 shards");
 }
 
@@ -311,8 +300,7 @@ fn outage_window_confines_timeouts_to_scheduled_days() {
             .with_robustness(RobustnessPolicy::degraded_defaults()),
     );
     let eco = Ecosystem::generate(cfg);
-    let ds = run_campaign(&eco, &CampaignConfig::default());
-    let ix = DatasetIndex::build(&ds);
+    let ix = index_campaign(eco.factory(), &CampaignConfig::default());
 
     let timeouts_on = |day: u32| -> u32 {
         (0..ix.n_hb_visits())
@@ -357,15 +345,12 @@ fn total_demand_outage_completes_via_passback() {
     scenario = scenario.with_outage(site.own_ad_server_host(), 0, base.crawl_days);
 
     let eco = Ecosystem::generate(base.with_scenario(scenario));
-    let mut strings = Interner::new();
-    let visit = crawl_site(
+    let visit = visit(
         eco.factory().net_for_day(0),
         eco.runtime_for(&site),
         eco.partner_list(),
         eco.visit_rng(site.rank, 0),
         0,
-        &SessionConfig::default(),
-        &mut strings,
     );
     assert!(visit.page_completed, "visit must complete under total outage");
     assert!(visit.truth.passback_served, "house ads fill the dead slots");
