@@ -36,7 +36,7 @@ pub struct PartnerRef {
 }
 
 /// Publisher-tunable wrapper configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WrapperConfig {
     /// Bidder timeout; `None` = wait for every partner (no cut-off).
     pub timeout: Option<SimDuration>,
@@ -844,12 +844,12 @@ mod tests {
 
     /// Build a tiny world: one publisher page, a CDN, two partners, and an
     /// ad server with one account.
-    fn build_world(facet: Option<HbFacet>, wrapper: WrapperConfig) -> Simulation<PageWorld> {
-        build_world_with(facet, wrapper, FaultInjector::none(), RobustnessPolicy::off())
+    fn page_sim(facet: Option<HbFacet>, wrapper: WrapperConfig) -> Simulation<PageWorld> {
+        page_sim_with(facet, wrapper, FaultInjector::none(), RobustnessPolicy::off())
     }
 
-    /// [`build_world`] plus a fault injector and a robustness policy.
-    fn build_world_with(
+    /// [`page_sim`] plus a fault injector and a robustness policy.
+    fn page_sim_with(
         facet: Option<HbFacet>,
         wrapper: WrapperConfig,
         faults: FaultInjector,
@@ -944,7 +944,7 @@ mod tests {
 
     #[test]
     fn client_side_full_flow() {
-        let mut sim = build_world(Some(HbFacet::ClientSide), WrapperConfig::default());
+        let mut sim = page_sim(Some(HbFacet::ClientSide), WrapperConfig::default());
         sim.run_to_idle(10_000);
         let w = sim.world();
         assert!(w.flow.done, "visit completed");
@@ -973,7 +973,7 @@ mod tests {
 
     #[test]
     fn server_side_flow_single_request_no_prebid_events() {
-        let mut sim = build_world(Some(HbFacet::ServerSide), WrapperConfig::default());
+        let mut sim = page_sim(Some(HbFacet::ServerSide), WrapperConfig::default());
         sim.run_to_idle(10_000);
         let w = sim.world();
         assert!(w.flow.done);
@@ -997,7 +997,7 @@ mod tests {
 
     #[test]
     fn hybrid_flow_merges_client_and_s2s_bids() {
-        let mut sim = build_world(Some(HbFacet::Hybrid), WrapperConfig::default());
+        let mut sim = page_sim(Some(HbFacet::Hybrid), WrapperConfig::default());
         sim.run_to_idle(10_000);
         let w = sim.world();
         assert!(w.flow.done);
@@ -1019,7 +1019,7 @@ mod tests {
             send_immediately: true,
             ..WrapperConfig::default()
         };
-        let mut sim = build_world(Some(HbFacet::ClientSide), cfg);
+        let mut sim = page_sim(Some(HbFacet::ClientSide), cfg);
         sim.run_to_idle(10_000);
         let w = sim.world();
         let truth = &w.flow.truth;
@@ -1041,7 +1041,7 @@ mod tests {
             timeout: Some(SimDuration::from_millis(200)),
             ..WrapperConfig::default()
         };
-        let mut sim = build_world(Some(HbFacet::ClientSide), cfg);
+        let mut sim = page_sim(Some(HbFacet::ClientSide), cfg);
         sim.run_to_idle(10_000);
         let w = sim.world();
         let truth = &w.flow.truth;
@@ -1062,7 +1062,7 @@ mod tests {
             timeout: None,
             ..WrapperConfig::default()
         };
-        let mut sim = build_world(Some(HbFacet::ClientSide), cfg);
+        let mut sim = page_sim(Some(HbFacet::ClientSide), cfg);
         sim.run_to_idle(10_000);
         let truth = &sim.world().flow.truth;
         assert_eq!(truth.late_bids, 0);
@@ -1085,7 +1085,7 @@ mod tests {
             ..RobustnessPolicy::off()
         };
         let faults = FaultInjector::none().with_outage("alpha.adnet.example");
-        let mut sim = build_world_with(Some(HbFacet::ClientSide), cfg, faults, policy);
+        let mut sim = page_sim_with(Some(HbFacet::ClientSide), cfg, faults, policy);
         sim.run_to_idle(60_000);
         let w = sim.world();
         assert!(w.flow.done, "visit completed despite the dead partner");
@@ -1123,7 +1123,7 @@ mod tests {
             .with_outage("alpha.adnet.example")
             .with_outage("beta.adnet.example")
             .with_outage("ads.pub1.example");
-        let mut sim = build_world_with(
+        let mut sim = page_sim_with(
             Some(HbFacet::ClientSide),
             WrapperConfig::default(),
             faults,
@@ -1156,7 +1156,7 @@ mod tests {
 
     #[test]
     fn ground_truth_latency_accounts() {
-        let mut sim = build_world(Some(HbFacet::ClientSide), WrapperConfig::default());
+        let mut sim = page_sim(Some(HbFacet::ClientSide), WrapperConfig::default());
         sim.run_to_idle(10_000);
         let truth = &sim.world().flow.truth;
         assert!(truth.first_bid_request_at.unwrap() < truth.adserver_sent_at.unwrap());

@@ -7,7 +7,7 @@ use hb_core::{Interner, VisitColumns};
 use hb_crawler::{
     crawl_site_into, run_campaign_streamed, CampaignConfig, SessionConfig, VisitScratch,
 };
-use hb_ecosystem::{Ecosystem, EcosystemConfig, ScenarioConfig, SiteFactory};
+use hb_ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory};
 use hb_http::{Json, Request, RequestId, Url};
 use hb_simnet::{Dist, HostFaultProfile, LatencyModel};
 use std::hint::black_box;
@@ -17,10 +17,9 @@ use std::hint::black_box;
 /// detector buffers, message pools) and the shared runtime survive across
 /// iterations, exactly as they survive across a worker's visits.
 fn visit_columnar_bench(c: &mut Criterion) {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let pick = |facet: Option<HbFacet>| {
         eco.sites()
-            .iter()
             .find(|s| s.facet == facet)
             .expect("facet present in tiny universe")
     };
@@ -106,20 +105,20 @@ fn crawl(factory: &SiteFactory, cfg: &CampaignConfig) -> u64 {
 fn campaign_bench(c: &mut Criterion) {
     c.bench_function("campaign/tiny_200_sites", |b| {
         b.iter(|| {
-            let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-            black_box(crawl(eco.factory(), &CampaignConfig::default()))
+            let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
+            black_box(crawl(&eco, &CampaignConfig::default()))
         })
     });
     // Visits/sec throughput over a prebuilt tiny universe: the campaign
     // re-crawls the same 200 sites each iteration, so Criterion reports
     // elements/sec directly comparable to the crawl binary's output.
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     // One warm-up run to learn the visit count (sweep + dailies).
-    let visits = crawl(eco.factory(), &CampaignConfig::default());
+    let visits = crawl(&eco, &CampaignConfig::default());
     let mut group = c.benchmark_group("campaign");
     group.throughput(Throughput::Elements(visits));
     group.bench_function("throughput", |b| {
-        b.iter(|| black_box(crawl(eco.factory(), &CampaignConfig::default())))
+        b.iter(|| black_box(crawl(&eco, &CampaignConfig::default())))
     });
     group.finish();
 }
@@ -147,13 +146,13 @@ fn campaign_faulty_bench(c: &mut Criterion) {
         .with_outage(specs[1].host(), 1, base.crawl_days)
         .with_degraded_link(specs[2].host(), LatencyModel::constant(1_200.0))
         .with_robustness(RobustnessPolicy::degraded_defaults());
-    let eco = Ecosystem::generate(base.with_scenario(scenario));
+    let eco = SiteFactory::new(base.with_scenario(scenario));
     // One warm-up run to learn the visit count (sweep + dailies).
-    let visits = crawl(eco.factory(), &CampaignConfig::default());
+    let visits = crawl(&eco, &CampaignConfig::default());
     let mut group = c.benchmark_group("campaign");
     group.throughput(Throughput::Elements(visits));
     group.bench_function("faulty_sweep", |b| {
-        b.iter(|| black_box(crawl(eco.factory(), &CampaignConfig::default())))
+        b.iter(|| black_box(crawl(&eco, &CampaignConfig::default())))
     });
     group.finish();
 }

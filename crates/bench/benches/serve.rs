@@ -13,7 +13,7 @@
 //! bounds the orchestration overhead measurable above it.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hb_ecosystem::{Ecosystem, EcosystemConfig, ScenarioConfig};
+use hb_ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory};
 use hb_serve::{serve_load_with, LoadGenConfig, ServeConfig};
 use hb_simnet::{Dist, HostFaultProfile, SimDuration};
 use std::hint::black_box;
@@ -22,15 +22,15 @@ use std::time::Duration;
 
 /// The bench workload shared with `bench_snapshot`'s serving section:
 /// tiny-scale universe, four degraded providers, 8 shards.
-pub fn bench_setup() -> (Ecosystem, ServeConfig, LoadGenConfig) {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale().with_seed(0x5EE_D10));
+pub fn bench_setup() -> (SiteFactory, ServeConfig, LoadGenConfig) {
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale().with_seed(0x5EE_D10));
     let cfg = ServeConfig {
         shards: 8,
         ..ServeConfig::default()
     };
     let load = LoadGenConfig {
         n_requests: 4_000,
-        n_sites: eco.factory().config().n_sites as u64,
+        n_sites: eco.config().n_sites as u64,
         mean_gap: SimDuration::from_micros(400),
         ..LoadGenConfig::default()
     };
@@ -38,8 +38,7 @@ pub fn bench_setup() -> (Ecosystem, ServeConfig, LoadGenConfig) {
 }
 
 fn serve_bench(c: &mut Criterion) {
-    let (eco, cfg, load) = bench_setup();
-    let f = eco.factory();
+    let (f, cfg, load) = bench_setup();
     let lossy = HostFaultProfile {
         drop_chance: 0.45,
         slow_chance: 0.35,

@@ -30,7 +30,7 @@
 use hb_adtech::HbFacet;
 use hb_core::{Interner, VisitColumns};
 use hb_crawler::{crawl_site_into, SessionConfig, TruthRecord, VisitScratch};
-use hb_ecosystem::{Ecosystem, EcosystemConfig, ScenarioConfig};
+use hb_ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory};
 use hb_serve::{serve_load_with, LoadGenConfig, ServeConfig};
 use hb_simnet::{Dist, HostFaultProfile, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -80,10 +80,10 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> u64 {
 /// * `cold_fresh_mean` — mean over 5 never-visited ranks of the flow
 ///   with a warm scratch (the adoption-sweep / memo-miss shape);
 /// * `cold_memo_cleared` — the warm rank again after
-///   [`Ecosystem::clear_memos`] (pure re-derivation, no new interner
+///   [`SiteFactory::clear_memos`] (pure re-derivation, no new interner
 ///   entries).
 fn measure_columnar_allocs() -> Vec<(&'static str, u64, u64, u64)> {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let cfg = SessionConfig::default();
     let flows: [(&'static str, Option<HbFacet>); 4] = [
         ("client_side", Some(HbFacet::ClientSide)),
@@ -95,7 +95,6 @@ fn measure_columnar_allocs() -> Vec<(&'static str, u64, u64, u64)> {
     for (label, facet) in flows {
         let ranks: Vec<u32> = eco
             .sites()
-            .iter()
             .filter(|s| s.facet == facet)
             .map(|s| s.rank)
             .collect();
@@ -152,8 +151,7 @@ fn measure_columnar_allocs() -> Vec<(&'static str, u64, u64, u64)> {
 /// orchestrator's behavior moves; wall-clock auctions/sec rides in from
 /// the `serve/auction_mixed` bench median.
 fn measure_serving() -> (u64, f64, f64, f64, u64, u64, u64, u64) {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale().with_seed(0x5EE_D10));
-    let f = eco.factory();
+    let f = SiteFactory::new(EcosystemConfig::tiny_scale().with_seed(0x5EE_D10));
     let lossy = HostFaultProfile {
         drop_chance: 0.45,
         slow_chance: 0.35,

@@ -296,37 +296,6 @@ impl VisitColumns {
     pub fn iter(&self) -> impl Iterator<Item = VisitView<'_>> {
         (0..self.len()).map(|i| self.get(i))
     }
-
-    /// Rewrite every symbol in every column through `f` (the chunk-merge
-    /// step migrating from a chunk-local interner into the campaign-wide
-    /// one).
-    pub fn remap_symbols(&mut self, f: &mut impl FnMut(Symbol) -> Symbol) {
-        for d in &mut self.domain {
-            *d = f(*d);
-        }
-        for p in &mut self.partners {
-            *p = f(*p);
-        }
-        for b in &mut self.bids {
-            b.bidder_code = f(b.bidder_code);
-            b.partner_name = f(b.partner_name);
-            b.slot = f(b.slot);
-            b.size = f(b.size);
-        }
-        for pl in &mut self.partner_latencies {
-            pl.partner_name = f(pl.partner_name);
-            pl.bidder_code = f(pl.bidder_code);
-        }
-        for s in &mut self.slots {
-            s.slot = f(s.slot);
-            s.size = f(s.size);
-            s.winner = f(s.winner);
-            s.channel = f(s.channel);
-        }
-        for (label, _) in &mut self.event_counts {
-            *label = f(*label);
-        }
-    }
 }
 
 /// The scalar fields of one visit row, committed together by
@@ -542,39 +511,6 @@ mod tests {
         assert_eq!(cols.get(0).late_bids(), 1);
         let total: usize = cols.iter().map(|v| v.bids.len()).sum();
         assert_eq!(total, 5);
-    }
-
-    #[test]
-    fn remap_rewrites_every_column() {
-        // Column-order remap visits symbols in a different sequence than
-        // the per-record remap, so ids may differ — the *resolved text*
-        // of every field must agree.
-        let mut local = Interner::new();
-        let rows: Vec<VisitRecord> = (1..=3).map(|r| sample(&mut local, r, 2)).collect();
-        let mut cols: VisitColumns = rows.iter().cloned().collect();
-
-        let mut global_a = Interner::new();
-        let mut global_b = Interner::new();
-        cols.remap_symbols(&mut |sym| global_a.intern(local.resolve(sym)));
-        for (i, mut row) in rows.into_iter().enumerate() {
-            row.remap_symbols(&mut |sym| global_b.intern(local.resolve(sym)));
-            let view = cols.get(i);
-            assert_eq!(global_a.resolve(view.domain), global_b.resolve(row.domain));
-            assert_eq!(
-                global_a.resolve(view.bids[0].slot),
-                global_b.resolve(row.bids[0].slot)
-            );
-            assert_eq!(
-                global_a.resolve(view.partner_latencies[0].bidder_code),
-                global_b.resolve(row.partner_latencies[0].bidder_code)
-            );
-            assert_eq!(
-                global_a.resolve(view.event_counts[0].0),
-                global_b.resolve(row.event_counts[0].0)
-            );
-        }
-        // Same distinct strings end up interned either way.
-        assert_eq!(global_a.len(), global_b.len());
     }
 
     #[test]

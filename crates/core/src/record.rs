@@ -164,35 +164,6 @@ impl VisitRecord {
     pub fn partner_count(&self) -> usize {
         self.partners.len()
     }
-
-    /// Rewrite every symbol in the record through `f`. Used by the
-    /// campaign collector to migrate records from a worker-local interner
-    /// into the campaign-wide one.
-    pub fn remap_symbols(&mut self, f: &mut impl FnMut(Symbol) -> Symbol) {
-        self.domain = f(self.domain);
-        for p in &mut self.partners {
-            *p = f(*p);
-        }
-        for b in &mut self.bids {
-            b.bidder_code = f(b.bidder_code);
-            b.partner_name = f(b.partner_name);
-            b.slot = f(b.slot);
-            b.size = f(b.size);
-        }
-        for pl in &mut self.partner_latencies {
-            pl.partner_name = f(pl.partner_name);
-            pl.bidder_code = f(pl.bidder_code);
-        }
-        for s in &mut self.slots {
-            s.slot = f(s.slot);
-            s.size = f(s.size);
-            s.winner = f(s.winner);
-            s.channel = f(s.channel);
-        }
-        for (label, _) in &mut self.event_counts {
-            *label = f(*label);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -245,40 +216,5 @@ mod tests {
             ..VisitRecord::default()
         };
         assert_eq!(r.partner_count(), 2);
-    }
-
-    #[test]
-    fn remap_rewrites_every_symbol() {
-        let mut local = Interner::new();
-        let mut global = Interner::new();
-        global.intern("already-there");
-        let mut r = VisitRecord {
-            domain: local.intern("pub1.example"),
-            partners: vec![local.intern("DFP")],
-            bids: vec![bid(&mut local, false)],
-            partner_latencies: vec![PartnerLatency {
-                partner_name: local.intern("DFP"),
-                bidder_code: local.intern("dfp"),
-                latency_ms: 10.0,
-                late: false,
-            }],
-            slots: vec![DetectedSlot {
-                slot: local.intern("s1"),
-                size: local.intern("728x90"),
-                winner: Symbol::EMPTY,
-                price: 0.0,
-                channel: local.intern("hb"),
-            }],
-            event_counts: vec![(local.intern("auctionInit"), 2)],
-            ..VisitRecord::default()
-        };
-        r.remap_symbols(&mut |sym| global.intern(local.resolve(sym)));
-        assert_eq!(global.resolve(r.domain), "pub1.example");
-        assert_eq!(global.resolve(r.partners[0]), "DFP");
-        assert_eq!(global.resolve(r.bids[0].size), "300x250");
-        assert_eq!(global.resolve(r.partner_latencies[0].bidder_code), "dfp");
-        assert_eq!(global.resolve(r.slots[0].channel), "hb");
-        assert_eq!(global.resolve(r.event_counts[0].0), "auctionInit");
-        assert_eq!(r.slots[0].winner, Symbol::EMPTY, "EMPTY maps to EMPTY");
     }
 }

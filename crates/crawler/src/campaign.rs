@@ -512,13 +512,13 @@ pub fn run_campaign_streamed(
 mod tests {
     use super::*;
     use crate::dataset::DatasetWriter;
-    use hb_ecosystem::{Ecosystem, EcosystemConfig};
+    use hb_ecosystem::{EcosystemConfig, SiteFactory};
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
-    fn campaign(eco: &Ecosystem, cfg: &CampaignConfig) -> Vec<VisitChunk> {
+    fn campaign(eco: &SiteFactory, cfg: &CampaignConfig) -> Vec<VisitChunk> {
         let mut chunks = Vec::new();
-        run_campaign_streamed(eco.factory(), cfg, &mut |c| chunks.push(c));
+        run_campaign_streamed(eco, cfg, &mut |c| chunks.push(c));
         chunks
     }
 
@@ -534,7 +534,7 @@ mod tests {
 
     #[test]
     fn campaign_covers_sweep_plus_daily() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
         let chunks = campaign(&eco, &CampaignConfig::default());
         let visits: usize = chunks.iter().map(VisitChunk::len).sum();
         let hb_day0 = chunks
@@ -545,7 +545,7 @@ mod tests {
             .count();
         assert_eq!(
             visits,
-            eco.sites().len() + hb_day0 * eco.config.crawl_days as usize
+            eco.config().n_sites as usize + hb_day0 * eco.config().crawl_days as usize
         );
         for c in &chunks {
             assert_eq!(c.truths.len(), c.len());
@@ -554,9 +554,9 @@ mod tests {
 
     #[test]
     fn detector_matches_ground_truth_adoption() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
         let chunks = campaign(&eco, &CampaignConfig::default());
-        let truth_hb: BTreeSet<&str> = eco.hb_sites().map(|s| s.domain.as_str()).collect();
+        let truth_hb: BTreeSet<_> = eco.hb_sites().map(|s| s.domain).collect();
         let detected: BTreeSet<&str> = chunks
             .iter()
             .filter(|c| c.day == 0)
@@ -569,7 +569,7 @@ mod tests {
             .collect();
         // 100% precision (paper §4.1): nothing detected that is not HB.
         for d in &detected {
-            assert!(truth_hb.contains(d), "{d} is a false positive");
+            assert!(truth_hb.contains(*d), "{d} is a false positive");
         }
         // Near-100% recall in the simulated world (page loads can fail
         // under fault injection, so allow a small gap).
@@ -579,7 +579,7 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_across_parallelism() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
         let at = |parallelism| {
             campaign(
                 &eco,
@@ -600,7 +600,7 @@ mod tests {
 
     #[test]
     fn sharding_does_not_change_results() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
         let one = campaign(&eco, &CampaignConfig::default());
         let four = campaign(
             &eco,
@@ -626,7 +626,7 @@ mod tests {
 
     #[test]
     fn single_shard_crawl_matches_its_slice_of_the_campaign() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
         // Shard 1 of a 4-shard campaign…
         let sharded = campaign(
             &eco,
@@ -642,7 +642,7 @@ mod tests {
             .collect();
         // …visits exactly that slice of the unsharded campaign.
         let full = campaign(&eco, &CampaignConfig::default());
-        let slice = &CampaignPlan::new(eco.config.n_sites, 0, 4, 1).day0_batches()[1].ranks;
+        let slice = &CampaignPlan::new(eco.config().n_sites, 0, 4, 1).day0_batches()[1].ranks;
         let want: Vec<_> = full
             .iter()
             .flat_map(|c| c.visits.iter().map(|v| v.to_record()))
@@ -670,7 +670,7 @@ mod tests {
 
     #[test]
     fn progress_callback_fires_off_stderr() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
         let cfg = CampaignConfig {
@@ -681,7 +681,7 @@ mod tests {
             })),
             ..CampaignConfig::default()
         };
-        run_campaign_streamed(eco.factory(), &cfg, &mut |_| {});
+        run_campaign_streamed(&eco, &cfg, &mut |_| {});
         assert!(hits.load(Ordering::Relaxed) > 0, "callback never fired");
     }
 
@@ -696,7 +696,7 @@ mod tests {
         use std::time::Duration;
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
-            let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+            let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
             let cfg = CampaignConfig {
                 parallelism: 4,
                 chunk_visits: 8, // many blocks so producers race ahead
@@ -705,7 +705,7 @@ mod tests {
                 ..CampaignConfig::default()
             };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_campaign_streamed(eco.factory(), &cfg, &mut |_| {})
+                run_campaign_streamed(&eco, &cfg, &mut |_| {})
             }));
             let _ = tx.send(result.is_err());
         });
@@ -719,7 +719,7 @@ mod tests {
     fn panicking_progress_callback_single_worker_surfaces() {
         // The single-worker batch path runs inline with no ring; the panic
         // must still propagate (and not poison later campaigns).
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
         let cfg = CampaignConfig {
             parallelism: 1,
             progress_every: 1,
@@ -727,7 +727,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_campaign_streamed(eco.factory(), &cfg, &mut |_| {})
+            run_campaign_streamed(&eco, &cfg, &mut |_| {})
         }));
         assert!(result.is_err());
         // The ecosystem is untouched by the failed campaign: a clean run
@@ -737,7 +737,7 @@ mod tests {
 
     #[test]
     fn dataset_statistics_plausible() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
         let chunks = campaign(&eco, &CampaignConfig::default());
         let hb = || {
             chunks

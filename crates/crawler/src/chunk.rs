@@ -155,19 +155,19 @@ fn truth_facet_from_tag(tag: u8) -> Result<&'static str, WireError> {
 mod tests {
     use super::*;
     use crate::campaign::{run_campaign_streamed, CampaignConfig};
-    use hb_ecosystem::{Ecosystem, EcosystemConfig};
+    use hb_ecosystem::{EcosystemConfig, SiteFactory};
 
     /// Chunks from a real tiny crawl survive the wire byte-for-byte:
     /// identical key, interner numbering, visit rows and truths.
     #[test]
     fn real_chunks_round_trip_the_wire() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
         let cfg = CampaignConfig {
             chunk_visits: 37,
             ..CampaignConfig::default()
         };
         let mut chunks = Vec::new();
-        run_campaign_streamed(eco.factory(), &cfg, &mut |c| chunks.push(c));
+        run_campaign_streamed(&eco, &cfg, &mut |c| chunks.push(c));
         assert!(chunks.len() > 1, "want multiple chunks");
         for chunk in &chunks {
             let frame = chunk.encode();

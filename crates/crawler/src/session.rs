@@ -168,10 +168,10 @@ pub fn crawl_site_into(
 mod tests {
     use super::*;
     use hb_core::VisitRecord;
-    use hb_ecosystem::{Ecosystem, EcosystemConfig, SiteProfile};
+    use hb_ecosystem::{EcosystemConfig, SiteFactory, SiteProfile};
 
-    fn eco() -> Ecosystem {
-        Ecosystem::generate(EcosystemConfig::tiny_scale())
+    fn eco() -> SiteFactory {
+        SiteFactory::new(EcosystemConfig::tiny_scale())
     }
 
     /// What one visit left behind, read back as a row.
@@ -183,7 +183,7 @@ mod tests {
     }
 
     /// Crawl `site` on `day` through `scratch` into fresh columns.
-    fn visit_on(eco: &Ecosystem, scratch: &mut VisitScratch, site: &SiteProfile, day: u32) -> Visit {
+    fn visit_on(eco: &SiteFactory, scratch: &mut VisitScratch, site: &SiteProfile, day: u32) -> Visit {
         let mut strings = Interner::new();
         let mut cols = VisitColumns::new();
         let outcome = crawl_site_into(
@@ -206,7 +206,7 @@ mod tests {
     }
 
     /// One visit on a fresh scratch.
-    fn visit(eco: &Ecosystem, site: &SiteProfile, day: u32) -> Visit {
+    fn visit(eco: &SiteFactory, site: &SiteProfile, day: u32) -> Visit {
         visit_on(eco, &mut VisitScratch::new(eco.partner_list()), site, day)
     }
 
@@ -215,7 +215,7 @@ mod tests {
         let eco = eco();
         let mut checked = 0;
         for site in eco.hb_sites().take(12) {
-            let visit = visit(&eco, site, 0);
+            let visit = visit(&eco, &site, 0);
             assert!(visit.record.hb_detected, "{} not detected", site.domain);
             let truth_label = site.facet.unwrap().label();
             let detected_label = visit.record.facet.map(|f| f.label()).unwrap_or("none");
@@ -232,8 +232,8 @@ mod tests {
     #[test]
     fn waterfall_site_not_detected() {
         let eco = eco();
-        let site = eco.sites().iter().find(|s| s.facet.is_none()).unwrap();
-        let visit = visit(&eco, site, 0);
+        let site = eco.sites().find(|s| s.facet.is_none()).unwrap();
+        let visit = visit(&eco, &site, 0);
         assert!(!visit.record.hb_detected);
         assert!(visit.truth.waterfall_latency.is_some());
         assert!(visit.page_completed);
@@ -251,12 +251,12 @@ mod tests {
         let sites: Vec<_> = eco
             .hb_sites()
             .take(3)
-            .chain(eco.sites().iter().filter(|s| s.facet.is_none()).take(2))
+            .chain(eco.sites().filter(|s| s.facet.is_none()).take(2))
             .collect();
         for (day, site) in sites.into_iter().enumerate() {
             let day = day as u32;
-            let pooled = visit_on(&eco, &mut scratch, site, day);
-            let fresh = visit(&eco, site, day);
+            let pooled = visit_on(&eco, &mut scratch, &site, day);
+            let fresh = visit(&eco, &site, day);
             assert_eq!(pooled.record.hb_detected, fresh.record.hb_detected);
             assert_eq!(pooled.record.facet, fresh.record.facet);
             assert_eq!(pooled.record.hb_latency_ms, fresh.record.hb_latency_ms);
@@ -288,8 +288,8 @@ mod tests {
     fn visits_are_deterministic() {
         let eco = eco();
         let site = eco.hb_sites().next().unwrap();
-        let a = visit(&eco, site, 1);
-        let b = visit(&eco, site, 1);
+        let a = visit(&eco, &site, 1);
+        let b = visit(&eco, &site, 1);
         assert_eq!(a.record.hb_latency_ms, b.record.hb_latency_ms);
         assert_eq!(a.record.bids.len(), b.record.bids.len());
         assert_eq!(
@@ -303,7 +303,7 @@ mod tests {
         let eco = eco();
         // Latency samples differ day to day for at least one site.
         let any_diff = eco.hb_sites().take(5).any(|site| {
-            visit(&eco, site, 0).record.hb_latency_ms != visit(&eco, site, 1).record.hb_latency_ms
+            visit(&eco, &site, 0).record.hb_latency_ms != visit(&eco, &site, 1).record.hb_latency_ms
         });
         assert!(any_diff);
     }
@@ -312,7 +312,7 @@ mod tests {
     fn detector_latency_close_to_ground_truth() {
         let eco = eco();
         for site in eco.hb_sites().take(8) {
-            let visit = visit(&eco, site, 2);
+            let visit = visit(&eco, &site, 2);
             let (Some(det), Some(truth)) = (
                 visit.record.hb_latency_ms,
                 visit.truth.hb_latency().map(|d| d.as_millis_f64()),

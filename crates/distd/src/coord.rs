@@ -715,7 +715,7 @@ impl Coordinator {
 mod tests {
     use super::*;
     use hb_crawler::{run_campaign_streamed, CampaignConfig};
-    use hb_ecosystem::Ecosystem;
+    use hb_ecosystem::SiteFactory;
 
     fn tiny_cfg() -> CoordConfig {
         CoordConfig {
@@ -727,14 +727,14 @@ mod tests {
     /// The chunks an in-process campaign over `cfg`'s universe and layout
     /// emits, in emission order.
     fn campaign_chunks(cfg: &CoordConfig) -> Vec<VisitChunk> {
-        let eco = Ecosystem::generate(cfg.eco.clone());
+        let eco = SiteFactory::new(cfg.eco.clone());
         let campaign = CampaignConfig {
             shards: cfg.shards,
             chunk_visits: cfg.chunk_visits,
             ..CampaignConfig::default()
         };
         let mut chunks = Vec::new();
-        run_campaign_streamed(eco.factory(), &campaign, &mut |c| chunks.push(c));
+        run_campaign_streamed(&eco, &campaign, &mut |c| chunks.push(c));
         chunks
     }
 

@@ -350,7 +350,7 @@ pub fn segment_path(dir: &Path, n: u64) -> PathBuf {
 mod tests {
     use super::*;
     use hb_crawler::{run_campaign_streamed, CampaignConfig};
-    use hb_ecosystem::{Ecosystem, EcosystemConfig};
+    use hb_ecosystem::{EcosystemConfig, SiteFactory};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hb-distd-spool-{tag}-{}", std::process::id()));
@@ -360,13 +360,13 @@ mod tests {
 
     /// Every chunk of a tiny campaign cut into `chunk_visits`-visit blocks.
     fn tiny_campaign(chunk_visits: usize) -> Vec<VisitChunk> {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
         let cfg = CampaignConfig {
             chunk_visits,
             ..CampaignConfig::default()
         };
         let mut chunks = Vec::new();
-        run_campaign_streamed(eco.factory(), &cfg, &mut |c| chunks.push(c));
+        run_campaign_streamed(&eco, &cfg, &mut |c| chunks.push(c));
         chunks
     }
 

@@ -23,7 +23,7 @@ use hb_distd::{
     run_worker_session, ChaosConfig, ChaosConnector, CoordConfig, CoordStats, Coordinator,
     WorkerConfig, WorkerStats,
 };
-use hb_ecosystem::{Ecosystem, EcosystemConfig};
+use hb_ecosystem::{EcosystemConfig, SiteFactory};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,14 +42,14 @@ fn reference_figures() -> &'static BTreeMap<String, String> {
     static REF: OnceLock<BTreeMap<String, String>> = OnceLock::new();
     REF.get_or_init(|| {
         let eco_cfg = EcosystemConfig::tiny_scale();
-        let eco = Ecosystem::generate(eco_cfg.clone());
+        let eco = SiteFactory::new(eco_cfg.clone());
         let cfg = CampaignConfig {
             shards: SHARDS,
             chunk_visits: CHUNK_VISITS,
             ..CampaignConfig::default()
         };
         let mut builder = DatasetIndexBuilder::new(eco_cfg.n_sites, eco_cfg.crawl_days);
-        run_campaign_streamed(eco.factory(), &cfg, &mut |chunk| builder.push_chunk(&chunk));
+        run_campaign_streamed(&eco, &cfg, &mut |chunk| builder.push_chunk(&chunk));
         let index = builder.finish();
         indexed_reports(&index)
             .into_iter()

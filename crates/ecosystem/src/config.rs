@@ -35,8 +35,6 @@ pub struct EcosystemConfig {
     pub drop_chance: f64,
     /// Ambient slowdown chance.
     pub slow_chance: f64,
-    /// Render failure rate after a win.
-    pub render_fail_rate: f64,
     /// Degraded-network campaign scenario (outage windows, per-host
     /// profiles, degraded links, ad-path robustness). The default
     /// ([`ScenarioConfig::healthy`]) changes nothing.
@@ -61,7 +59,6 @@ impl EcosystemConfig {
             device_duplication_share: 0.04,
             drop_chance: 0.004,
             slow_chance: 0.03,
-            render_fail_rate: 0.015,
             scenario: ScenarioConfig::healthy(),
         }
     }

@@ -1,21 +1,19 @@
-//! Lazy universe generation: any site profile derived purely from
-//! `(seed, rank)`.
+//! The universe: any site profile derived purely from `(seed, rank)`.
 //!
-//! [`Ecosystem::generate`](crate::Ecosystem::generate) used to materialize
-//! every [`SiteProfile`], every publisher page, and every per-site endpoint
-//! up front — O(toplist) work and memory before the first visit. The
-//! factory inverts that: [`SiteGen`] is the pure derivation core (a site's
-//! RNG stream hangs off `root.derive(rank)`, so any rank is reachable in
-//! O(1)), and [`SiteFactory`] wires it into a *lazy world* whose router
-//! and latency directory synthesize publisher endpoints on demand from the
-//! hostname alone. Total cost becomes O(sites actually visited), which is
-//! what lets a shard of a million-rank toplist crawl its slice without
-//! paying for the other 999 shards.
+//! [`SiteFactory`] is the one universe type. Nothing per-site is built up
+//! front: [`SiteGen`] is the pure derivation core (a site's RNG stream
+//! hangs off `root.derive(rank)`, so any rank is reachable in O(1)), and
+//! the factory wires it into a *lazy world* whose router and latency
+//! directory synthesize publisher endpoints on demand from the hostname
+//! alone. Construction is O(catalog) and total cost O(sites actually
+//! visited), which is what lets a shard of a million-rank toplist crawl
+//! its slice without paying for the other 999 shards.
 //!
 //! Determinism: every endpoint is a pure function of `(request, rng)`, and
-//! the lazily derived profiles/accounts/latency models are byte-identical
-//! to what the eager [`build_world`](crate::world::build_world) would have
-//! registered, so visits simulate identically on either world.
+//! the lazily derived profiles, accounts and latency models are
+//! byte-identical to registering every site up front (the `world` tests
+//! hold the lazy world to such an eager reference), so a visit simulates
+//! the same whichever worker derives it first.
 
 use crate::catalog::{self, PartnerSpec};
 use crate::config::EcosystemConfig;
@@ -232,8 +230,8 @@ impl SiteGen {
     /// The shared per-visit runtime for `rank`, through the shared memo.
     /// Flows hold this by `Arc`, so starting a visit never rebuilds ad
     /// units, partner refs or waterfall tiers for a memoized rank; a memo
-    /// miss builds it from the precomputed [`RuntimeCtx`] tables, once,
-    /// for every worker.
+    /// miss builds it from the precomputed per-universe runtime tables,
+    /// once, for every worker.
     pub fn runtime_shared(&self, rank: u32) -> Arc<hb_adtech::SiteRuntime> {
         self.memo.runtime.get_or_insert_with(rank, || {
             Arc::new(world::site_runtime_with(
@@ -269,8 +267,8 @@ impl SiteGen {
     }
 
     /// Derive the profile of the site at 1-based `rank`. O(1) in the
-    /// toplist size; identical to what the eager generator produces for
-    /// the same `(seed, rank)`. Transient buffers come from the thread's
+    /// toplist size; identical to [`publisher::generate_site`] on the
+    /// same `(seed, rank)` stream. Transient buffers come from the thread's
     /// [`DeriveScratch`], so a cold derivation allocates only what escapes
     /// into the profile.
     pub fn site(&self, rank: u32) -> SiteProfile {
@@ -313,9 +311,9 @@ impl SiteGen {
     }
 }
 
-/// On-demand universe: the derivation core plus the lazy simulated
-/// Internet. Everything a crawl shard needs, at O(1) construction cost in
-/// the toplist size.
+/// The universe, on demand: the derivation core plus the lazy simulated
+/// Internet. Everything a crawl shard, a serving plane or a test needs,
+/// at O(1) construction cost in the toplist size.
 pub struct SiteFactory {
     gen: Arc<SiteGen>,
     router: Arc<Router>,
@@ -382,11 +380,6 @@ impl SiteFactory {
         &self.gen.specs
     }
 
-    /// Partner runtime profiles.
-    pub fn profiles(&self) -> &[PartnerProfile] {
-        &self.gen.profiles
-    }
-
     /// The shared derivation core.
     pub fn gen(&self) -> &Arc<SiteGen> {
         &self.gen
@@ -401,6 +394,19 @@ impl SiteFactory {
     /// Derive the profile of the site at 1-based `rank` (O(1)).
     pub fn site(&self, rank: u32) -> SiteProfile {
         self.gen.site(rank)
+    }
+
+    /// Every site in the toplist, rank order, each derived afresh through
+    /// [`SiteFactory::site`]. Neither reads nor warms the shared memo, so
+    /// walking the toplist leaves the cold path cold.
+    pub fn sites(&self) -> impl Iterator<Item = SiteProfile> + '_ {
+        (1..=self.gen.config.n_sites).map(|rank| self.site(rank))
+    }
+
+    /// The sites that actually run HB (ground truth), rank order; see
+    /// [`SiteFactory::sites`].
+    pub fn hb_sites(&self) -> impl Iterator<Item = SiteProfile> + '_ {
+        self.sites().filter(|s| s.facet.is_some())
     }
 
     /// Derive (or reuse, via the universe's shared memo) the shared

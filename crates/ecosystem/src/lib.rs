@@ -8,9 +8,11 @@
 //! assembly wiring everything into one routable simulated Internet
 //! ([`world`]).
 //!
-//! The [`Ecosystem`] facade generates the full universe from a single seed
-//! and hands the crawler everything it needs: a `Send + Sync` router, the
-//! latency directory, the detector's partner list, and per-site runtimes.
+//! [`SiteFactory`] is the universe: built from a single seed in
+//! O(catalog), it derives any site on demand and hands the crawler
+//! everything it needs: a `Send + Sync` router, the latency directory,
+//! the detector's partner list, per-site runtimes and per-visit RNG
+//! streams.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,124 +34,7 @@ pub use scenario::{OutageWindow, ScenarioConfig};
 pub use publisher::{DeriveCtx, DeriveScratch, SiteProfile};
 pub use toplist::{site_domain, site_domain_hstr, TopList, YEARLY_OVERLAPS};
 pub use wayback::{snapshot, yearly_archive, Snapshot, YEARLY_ADOPTION};
-pub use world::{
-    ad_server_host_for, build_lazy_world, build_world, page_html, render_page_html,
-    site_runtime, site_runtime_with, RuntimeCtx, CDN_HOST,
-};
-
-use hb_adtech::{HostDirectory, Net, PartnerProfile};
-use hb_core::PartnerList;
-use hb_http::Router;
-use hb_simnet::{FaultInjector, Rng};
-use std::sync::{Arc, OnceLock};
-
-/// The universe facade: a thin memoizing wrapper over [`SiteFactory`].
-///
-/// Generation no longer materializes anything per-site: the router and
-/// latency directory synthesize publisher endpoints on demand, and the
-/// full profile table is derived lazily on first call to
-/// [`Ecosystem::sites`] (then cached). Code that only crawls never pays
-/// for ranks it does not visit.
-pub struct Ecosystem {
-    /// The configuration it was generated from.
-    pub config: EcosystemConfig,
-    /// Partner calibration specs (index = partner id).
-    pub specs: Vec<PartnerSpec>,
-    /// Partner runtime profiles (index = partner id).
-    pub profiles: Vec<PartnerProfile>,
-    /// The simulated Internet (lazy publisher resolution).
-    pub router: Arc<Router>,
-    /// Per-host latency models (lazy per-site derivation).
-    pub latency: Arc<HostDirectory>,
-    /// Ambient fault injection.
-    pub faults: Arc<FaultInjector>,
-    /// The detector's partner list, built once and shared by every visit.
-    pub detector_list: Arc<PartnerList>,
-    factory: SiteFactory,
-    sites: OnceLock<Vec<SiteProfile>>,
-}
-
-impl Ecosystem {
-    /// Generate the universe. Deterministic in `config.seed`; O(catalog)
-    /// work — per-site state is derived on demand.
-    pub fn generate(config: EcosystemConfig) -> Ecosystem {
-        let factory = SiteFactory::new(config.clone());
-        let specs = factory.specs().to_vec();
-        let profiles = factory.profiles().to_vec();
-        Ecosystem {
-            config,
-            specs,
-            profiles,
-            router: factory.router(),
-            latency: factory.latency(),
-            faults: factory.faults(),
-            detector_list: factory.partner_list(),
-            factory,
-            sites: OnceLock::new(),
-        }
-    }
-
-    /// The lazy factory backing this universe (what crawl shards consume).
-    pub fn factory(&self) -> &SiteFactory {
-        &self.factory
-    }
-
-    /// Every site in the toplist, rank order. Derived on first call and
-    /// memoized — crawling through [`Ecosystem::factory`] never needs it.
-    pub fn sites(&self) -> &[SiteProfile] {
-        self.sites.get_or_init(|| {
-            (1..=self.config.n_sites)
-                .map(|rank| self.factory.site(rank))
-                .collect()
-        })
-    }
-
-    /// The network handle visits connect through.
-    pub fn net(&self) -> Net {
-        Net::new(
-            self.router.clone(),
-            self.latency.clone(),
-            self.faults.clone(),
-        )
-    }
-
-    /// The detector's partner list for this universe (shared, built once
-    /// at generation time — cloning the handle is two atomic ops, not an
-    /// 84-entry rebuild).
-    pub fn partner_list(&self) -> Arc<PartnerList> {
-        self.detector_list.clone()
-    }
-
-    /// Sites that actually run HB (ground truth).
-    pub fn hb_sites(&self) -> impl Iterator<Item = &SiteProfile> {
-        self.sites().iter().filter(|s| s.facet.is_some())
-    }
-
-    /// The per-visit runtime for a site.
-    pub fn runtime_for(&self, site: &SiteProfile) -> hb_adtech::SiteRuntime {
-        self.factory.runtime_for(site)
-    }
-
-    /// The shared per-visit runtime for `rank` through the factory's
-    /// shared concurrent memo (crawl/bench hot path).
-    pub fn runtime_shared(&self, rank: u32) -> std::sync::Arc<hb_adtech::SiteRuntime> {
-        self.factory.runtime_shared(rank)
-    }
-
-    /// Clear the universe's shared derivation memo (measurement hook for
-    /// benches and allocation tests; see [`SiteGen::clear_memos`]).
-    pub fn clear_memos(&self) {
-        self.factory.clear_memos();
-    }
-
-    /// Derive the deterministic RNG stream for a `(site, day)` visit.
-    pub fn visit_rng(&self, rank: u32, day: u32) -> Rng {
-        Rng::new(self.config.seed)
-            .derive_str("visits")
-            .derive(rank as u64)
-            .derive(day as u64)
-    }
-}
+pub use world::{render_page_html, CDN_HOST};
 
 #[cfg(test)]
 mod tests {
@@ -157,64 +42,34 @@ mod tests {
 
     #[test]
     fn generate_tiny_universe() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        assert_eq!(eco.sites().len(), 200);
-        assert_eq!(eco.specs.len(), 84);
-        assert_eq!(eco.partner_list().len(), 84);
-        let hb = eco.hb_sites().count();
+        let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
+        assert_eq!(factory.config().n_sites, 200);
+        assert_eq!(factory.sites().count(), 200);
+        assert_eq!(factory.specs().len(), 84);
+        assert_eq!(factory.partner_list().len(), 84);
+        let hb = factory.hb_sites().count();
         assert!(hb > 10 && hb < 60, "hb sites {hb}");
     }
 
     #[test]
     fn generation_is_deterministic() {
-        let a = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let b = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        for (sa, sb) in a.sites().iter().zip(b.sites().iter()) {
-            assert_eq!(sa.domain, sb.domain);
-            assert_eq!(sa.facet, sb.facet);
-            assert_eq!(sa.client_partner_ids, sb.client_partner_ids);
+        let a = SiteFactory::new(EcosystemConfig::tiny_scale());
+        let b = SiteFactory::new(EcosystemConfig::tiny_scale());
+        for (sa, sb) in a.sites().zip(b.sites()) {
+            assert_eq!(sa, sb);
         }
-    }
-
-    #[test]
-    fn factory_sites_match_memoized_table() {
-        // The memoizing wrapper and the lazy factory are the same universe.
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        for site in eco.sites() {
-            let lazy = eco.factory().site(site.rank);
-            assert_eq!(lazy.domain, site.domain);
-            assert_eq!(lazy.facet, site.facet);
-            assert_eq!(lazy.client_partner_ids, site.client_partner_ids);
-            assert_eq!(lazy.waterfall_tier_ids, site.waterfall_tier_ids);
-            assert_eq!(lazy.page_latency_ms, site.page_latency_ms);
-        }
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let a = Ecosystem::generate(EcosystemConfig::tiny_scale().with_seed(1));
-        let b = Ecosystem::generate(EcosystemConfig::tiny_scale().with_seed(2));
-        let facets_a: Vec<_> = a.sites().iter().map(|s| s.facet).collect();
-        let facets_b: Vec<_> = b.sites().iter().map(|s| s.facet).collect();
-        assert_ne!(facets_a, facets_b);
     }
 
     #[test]
     fn visit_rng_streams_are_stable_and_distinct() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let mut a = eco.visit_rng(5, 2);
-        let mut b = eco.visit_rng(5, 2);
-        let mut c = eco.visit_rng(5, 3);
-        assert_eq!(a.next_u64(), b.next_u64());
-        assert_ne!(a.next_u64(), c.next_u64());
-    }
-
-    #[test]
-    fn net_handle_resolves_universe_hosts() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let net = eco.net();
-        assert!(net.router.resolve("pub1.example").is_some());
-        assert!(net.router.resolve(CDN_HOST).is_some());
-        assert!(net.router.resolve("appnexus-adnet.example").is_some());
+        let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
+        let mut a = factory.visit_rng(5, 2);
+        let mut b = factory.visit_rng(5, 2);
+        let mut c = factory.visit_rng(5, 3);
+        let mut d = factory.visit_rng(6, 2);
+        let first = a.next_u64();
+        assert_eq!(first, b.next_u64());
+        assert_ne!(first, c.next_u64(), "days must not share a stream");
+        assert_ne!(first, d.next_u64(), "sites must not share a stream");
     }
 }

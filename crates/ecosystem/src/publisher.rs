@@ -16,7 +16,7 @@ use hb_simnet::{Rng, SimDuration};
 use std::sync::Arc;
 
 /// Ground-truth profile of one site.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SiteProfile {
     /// 1-based rank.
     pub rank: u32,

@@ -1,11 +1,13 @@
-//! World assembly: wiring the generated sites and partner catalog into a
-//! routable simulated Internet.
+//! World assembly: wiring the partner catalog and the lazily derived
+//! sites into a routable simulated Internet.
 //!
 //! One [`Router`] serves the whole universe: every publisher page, every
 //! publisher-owned ad server (client-side sites), the shared DFP-like
-//! providers, all 84 partner endpoints and the CDN. The router is
-//! `Send + Sync`, so the crawler can share a single world across worker
-//! threads.
+//! providers, all 84 partner endpoints and the CDN. The backbone is
+//! registered up front; publisher pages, accounts and latency models are
+//! synthesized on demand from the hostname. The router is `Send + Sync`,
+//! so the crawler shares one world across worker threads. The only way
+//! to get one is [`SiteFactory::new`](crate::SiteFactory::new).
 
 use crate::catalog::PartnerSpec;
 use crate::factory::SiteGen;
@@ -21,15 +23,6 @@ use std::sync::Arc;
 
 /// The shared CDN host serving wrapper/ad-manager libraries.
 pub const CDN_HOST: &str = "cdn.hbrepro.example";
-
-/// Build the HTML of a live publisher page (also served by its endpoint).
-/// Convenience wrapper over [`render_page_html`]; the memoizing factory
-/// path renders into a reusable per-worker buffer instead.
-pub fn page_html(site: &SiteProfile, specs: &[PartnerSpec]) -> String {
-    let mut out = String::new();
-    render_page_html(site, specs, &mut out);
-    out
-}
 
 /// Render a publisher page into `out` (cleared first). Byte-identical to
 /// what the former [`hb_dom::HtmlBuilder`] assembly produced, but written
@@ -86,7 +79,7 @@ pub fn render_page_html(site: &SiteProfile, specs: &[PartnerSpec], out: &mut Str
 /// client-side sites, or registered at the provider for server/hybrid).
 /// `profiles` is the `Arc`-shared partner-profile table — the account
 /// references the s2s pool's profiles instead of deep-cloning them.
-pub fn account_for(
+pub(crate) fn account_for(
     site: &SiteProfile,
     profiles: &[Arc<PartnerProfile>],
 ) -> AdServerAccount {
@@ -119,11 +112,11 @@ pub fn account_for(
 }
 
 /// Assembled world: router + latency directory.
-pub struct World {
+pub(crate) struct World {
     /// Hostname routing for every endpoint in the universe.
-    pub router: Router,
+    pub(crate) router: Router,
     /// Per-host latency models.
-    pub latency: HostDirectory,
+    pub(crate) latency: HostDirectory,
 }
 
 /// Latency model of a publisher page origin.
@@ -139,8 +132,8 @@ fn own_ads_latency_model(site: &SiteProfile) -> LatencyModel {
 }
 
 /// Register the toplist-independent backbone: the CDN and every partner's
-/// HB + waterfall endpoints. O(catalog), shared by the eager and lazy
-/// world builders.
+/// HB + waterfall endpoints. O(catalog), shared by the lazy world and the
+/// eager reference world of the tests.
 fn register_backbone(
     router: &mut Router,
     latency: &mut HostDirectory,
@@ -192,64 +185,10 @@ fn register_backbone(
     }
 }
 
-/// Build the world for a set of sites.
-pub fn build_world(
-    sites: &[SiteProfile],
-    specs: &[PartnerSpec],
-    profiles: &[PartnerProfile],
-) -> World {
-    let mut router = Router::new();
-    let mut latency = HostDirectory::new();
-    register_backbone(&mut router, &mut latency, specs, profiles);
-    let shared: Vec<Arc<PartnerProfile>> =
-        profiles.iter().cloned().map(Arc::new).collect();
-
-    // Provider ad servers (one endpoint per provider host, holding the
-    // accounts of every site that chose it).
-    let mut provider_accounts: std::collections::HashMap<usize, Vec<AdServerAccount>> =
-        std::collections::HashMap::new();
-    for site in sites {
-        if let Some(pid) = site.provider_id {
-            provider_accounts
-                .entry(pid)
-                .or_default()
-                .push(account_for(site, &shared));
-        }
-    }
-    for (pid, accounts) in provider_accounts {
-        let host = specs[pid].host();
-        // The provider host already serves partner traffic; give the ad
-        // server its own subdomain, mirroring ad.doubleclick.net.
-        let ads_host = HStr::from_display(format_args!("ads.{host}"));
-        router.register(ads_host.clone(), AdServerEndpoint::new(accounts));
-        latency.insert(ads_host, specs[pid].to_profile(0).latency.clone());
-    }
-
-    // Publisher pages + own ad servers (interned `HStr` hosts end to end:
-    // registration clones the compact handle instead of fresh `String`s).
-    for site in sites {
-        let html = hb_http::HStr::from(page_html(site, specs));
-        router.register(site.domain.clone(), move |r: &Request, _: &mut Rng| {
-            ServerReply::instant(Response::text(r.id, html.clone()))
-        });
-        latency.insert(site.domain.clone(), page_latency_model(site));
-        if site.facet == Some(hb_adtech::HbFacet::ClientSide) {
-            let host = site.own_ad_server_host();
-            router.register(
-                host.clone(),
-                AdServerEndpoint::new([account_for(site, &shared)]),
-            );
-            latency.insert(host, own_ads_latency_model(site));
-        }
-    }
-
-    World { router, latency }
-}
-
 /// Endpoint synthesizing publisher pages and publisher-owned ad servers on
 /// demand from the hostname (`pub{rank}.example` / `ads.pub{rank}.example`).
 /// Derivation is pure in `(seed, rank)`, so replies are byte-identical to
-/// the eager per-site registrations.
+/// per-site registrations of the same profiles.
 struct PublisherEndpoint {
     gen: Arc<SiteGen>,
     /// Shared resolver-backed ad server for every client-side site's own
@@ -263,8 +202,7 @@ impl PublisherEndpoint {
         let own_ads = AdServerEndpoint::with_resolver(move |account_id| {
             let rank = g.rank_of_account(account_id)?;
             let site = g.site_shared(rank);
-            // Mirror the eager world: only client-side sites operate an
-            // ad server of their own.
+            // Only client-side sites operate an ad server of their own.
             (site.facet == Some(hb_adtech::HbFacet::ClientSide))
                 .then(|| g.account_shared(rank))
         });
@@ -299,7 +237,7 @@ impl Endpoint for PublisherEndpoint {
 /// pages, publisher-owned ad servers, provider *accounts* and per-site
 /// latency models are synthesized on demand. Construction cost is
 /// independent of `config.n_sites`.
-pub fn build_lazy_world(gen: &Arc<SiteGen>) -> World {
+pub(crate) fn build_lazy_world(gen: &Arc<SiteGen>) -> World {
     let mut router = Router::new();
     let mut latency = HostDirectory::new();
     register_backbone(&mut router, &mut latency, &gen.specs, &gen.profiles);
@@ -316,7 +254,7 @@ pub fn build_lazy_world(gen: &Arc<SiteGen>) -> World {
                 let rank = g.rank_of_account(account_id)?;
                 let site = g.site_shared(rank);
                 // An account exists at this provider only if the site
-                // actually chose it (mirrors the eager registration).
+                // actually chose it.
                 (site.provider_id == Some(pid)).then(|| g.account_shared(rank))
             }),
         );
@@ -328,9 +266,9 @@ pub fn build_lazy_world(gen: &Arc<SiteGen>) -> World {
     // Exact registrations (partners, CDN, providers) take precedence.
     router.register_domain("example", PublisherEndpoint::new(gen));
 
-    // Per-site latency models, derived from the profile on demand. The
-    // eager world resolves `ads.pub{rank}.example` for non-client sites
-    // through the suffix walk to the page host's model; mirror that.
+    // Per-site latency models, derived from the profile on demand. A
+    // non-client site has no ad server of its own, so its `ads.` host
+    // takes the page host's model (what a suffix walk would find).
     let g = gen.clone();
     latency.set_dynamic(move |host| {
         if let Some(rank) = g.rank_of_page_host(host) {
@@ -352,32 +290,23 @@ pub fn build_lazy_world(gen: &Arc<SiteGen>) -> World {
     World { router, latency }
 }
 
-/// Host of the ad server a site's wrapper talks to.
-pub fn ad_server_host_for(site: &SiteProfile, specs: &[PartnerSpec]) -> HStr {
-    match (site.facet, site.provider_id) {
-        (Some(hb_adtech::HbFacet::ClientSide), _) | (None, _) => site.own_ad_server_host(),
-        (_, Some(pid)) => HStr::from_display(format_args!("ads.{}", specs[pid].host())),
-        _ => site.own_ad_server_host(),
-    }
-}
-
 /// Precomputed per-universe runtime-construction tables: one
 /// [`PartnerRef`] and one provider ads-host per partner id, built once
 /// (the factory owns them) so deriving a [`SiteRuntime`](hb_adtech::SiteRuntime)
 /// clones compact handles instead of re-rendering hostnames.
-pub struct RuntimeCtx {
+pub(crate) struct RuntimeCtx {
     /// Partner references (index = partner id).
-    pub refs: Vec<PartnerRef>,
+    refs: Vec<PartnerRef>,
     /// Provider ad-server hosts, `ads.{partner host}` (index = partner id).
-    pub ads_hosts: Vec<HStr>,
+    ads_hosts: Vec<HStr>,
     /// Ad-path robustness policy stamped into every derived runtime
     /// (scenario axis; [`RobustnessPolicy::off`] outside degraded runs).
-    pub robustness: RobustnessPolicy,
+    robustness: RobustnessPolicy,
 }
 
 impl RuntimeCtx {
     /// Build the tables from the catalog (O(catalog), once per universe).
-    pub fn new(specs: &[PartnerSpec]) -> RuntimeCtx {
+    pub(crate) fn new(specs: &[PartnerSpec]) -> RuntimeCtx {
         let ids: Vec<usize> = (0..specs.len()).collect();
         RuntimeCtx {
             refs: partner_refs(specs, &ids),
@@ -390,28 +319,23 @@ impl RuntimeCtx {
     }
 
     /// Builder: stamp a robustness policy into derived runtimes.
-    pub fn with_robustness(mut self, policy: RobustnessPolicy) -> RuntimeCtx {
+    pub(crate) fn with_robustness(mut self, policy: RobustnessPolicy) -> RuntimeCtx {
         self.robustness = policy;
         self
     }
 }
 
-/// Build the per-visit [`SiteRuntime`](hb_adtech::SiteRuntime).
-/// Convenience wrapper over [`site_runtime_with`] that builds a throwaway
-/// [`RuntimeCtx`]; the factory path reuses one per universe.
-pub fn site_runtime(
-    site: &SiteProfile,
-    specs: &[PartnerSpec],
-) -> hb_adtech::SiteRuntime {
-    site_runtime_with(site, &RuntimeCtx::new(specs))
-}
+/// Probability that a winning creative fails to render
+/// ([`SiteRuntime::render_fail_rate`](hb_adtech::SiteRuntime::render_fail_rate)),
+/// the same for every site.
+const RENDER_FAIL_RATE: f64 = 0.015;
 
 /// Build the per-visit [`SiteRuntime`](hb_adtech::SiteRuntime) from the
 /// precomputed tables: partner refs and hostnames are cheap handle
 /// clones, ids are stack-rendered, ad units are `Arc`-shared with the
 /// profile — a memo-missed runtime derivation performs no transient
 /// allocation beyond the vectors that escape into the runtime itself.
-pub fn site_runtime_with(site: &SiteProfile, ctx: &RuntimeCtx) -> hb_adtech::SiteRuntime {
+pub(crate) fn site_runtime_with(site: &SiteProfile, ctx: &RuntimeCtx) -> hb_adtech::SiteRuntime {
     let ad_server_host = match (site.facet, site.provider_id) {
         (Some(hb_adtech::HbFacet::ClientSide), _) | (None, _) => site.own_ad_server_host(),
         (_, Some(pid)) => ctx.ads_hosts[pid].clone(),
@@ -441,7 +365,7 @@ pub fn site_runtime_with(site: &SiteProfile, ctx: &RuntimeCtx) -> hb_adtech::Sit
             })
             .collect(),
         cdn_host: hb_http::HStr::from_static(CDN_HOST),
-        render_fail_rate: 0.015,
+        render_fail_rate: RENDER_FAIL_RATE,
         net_quality: site.net_quality,
         robustness: ctx.robustness.clone(),
     }
@@ -450,88 +374,167 @@ pub fn site_runtime_with(site: &SiteProfile, ctx: &RuntimeCtx) -> hb_adtech::Sit
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog;
     use crate::config::EcosystemConfig;
-    use crate::publisher::generate_site;
+    use crate::factory::SiteFactory;
+    use hb_http::{RequestId, Status, Url};
 
-    fn small_world() -> (Vec<SiteProfile>, Vec<PartnerSpec>, World) {
-        let cfg = EcosystemConfig::tiny_scale();
-        let specs = catalog::catalog();
-        let providers = catalog::providers(&specs);
-        let pool = catalog::s2s_pool(&specs);
-        let profiles = catalog::profiles(&specs);
-        let root = Rng::new(5);
-        let sites: Vec<SiteProfile> = (1..=cfg.n_sites)
-            .map(|rank| {
-                let mut rng = root.derive(rank as u64);
-                generate_site(&cfg, &specs, &providers, &pool, rank, &mut rng)
-            })
-            .collect();
-        let world = build_world(&sites, &specs, &profiles);
-        (sites, specs, world)
+    /// The eager reference world: every site of `sites` registered up
+    /// front. `lazy_world_matches_eager_world` holds the lazy world to it.
+    fn build_world(
+        sites: &[SiteProfile],
+        specs: &[PartnerSpec],
+        profiles: &[PartnerProfile],
+    ) -> World {
+        let mut router = Router::new();
+        let mut latency = HostDirectory::new();
+        register_backbone(&mut router, &mut latency, specs, profiles);
+        let shared: Vec<Arc<PartnerProfile>> =
+            profiles.iter().cloned().map(Arc::new).collect();
+
+        // Provider ad servers (one endpoint per provider host, holding the
+        // accounts of every site that chose it).
+        let mut provider_accounts: std::collections::HashMap<usize, Vec<AdServerAccount>> =
+            std::collections::HashMap::new();
+        for site in sites {
+            if let Some(pid) = site.provider_id {
+                provider_accounts
+                    .entry(pid)
+                    .or_default()
+                    .push(account_for(site, &shared));
+            }
+        }
+        for (pid, accounts) in provider_accounts {
+            let host = specs[pid].host();
+            // The provider host already serves partner traffic; give the ad
+            // server its own subdomain, mirroring ad.doubleclick.net.
+            let ads_host = HStr::from_display(format_args!("ads.{host}"));
+            router.register(ads_host.clone(), AdServerEndpoint::new(accounts));
+            latency.insert(ads_host, specs[pid].to_profile(0).latency.clone());
+        }
+
+        // Publisher pages + own ad servers (interned `HStr` hosts end to end:
+        // registration clones the compact handle instead of fresh `String`s).
+        for site in sites {
+            let mut page = String::new();
+            render_page_html(site, specs, &mut page);
+            let html = HStr::from(page.as_str());
+            router.register(site.domain.clone(), move |r: &Request, _: &mut Rng| {
+                ServerReply::instant(Response::text(r.id, html.clone()))
+            });
+            latency.insert(site.domain.clone(), page_latency_model(site));
+            if site.facet == Some(hb_adtech::HbFacet::ClientSide) {
+                let host = site.own_ad_server_host();
+                router.register(
+                    host.clone(),
+                    AdServerEndpoint::new([account_for(site, &shared)]),
+                );
+                latency.insert(host, own_ads_latency_model(site));
+            }
+        }
+
+        World { router, latency }
+    }
+
+    /// The tiny universe's factory and every one of its sites.
+    fn small_world() -> (SiteFactory, Vec<SiteProfile>) {
+        let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
+        let sites = factory.sites().collect();
+        (factory, sites)
+    }
+
+    /// Status and text body of `router`'s reply to `req`.
+    fn reply(router: &Router, req: &Request, seed: u64) -> Option<(u16, Option<String>)> {
+        let mut rng = Rng::new(seed);
+        router
+            .dispatch(req, &mut rng)
+            .map(|r| (r.response.status.0, r.response.body.as_text()))
+    }
+
+    fn page_request(site: &SiteProfile) -> Request {
+        Request::get(RequestId(1), Url::https(&site.domain, "/"))
+    }
+
+    /// An ad-server call for `site`'s account at `host`.
+    fn ad_request(host: &str, site: &SiteProfile) -> Request {
+        Request::get(
+            RequestId(2),
+            Url::https(host, hb_adtech::protocol::paths::AD_SERVER)
+                .with_param("account", site.account_id()),
+        )
     }
 
     #[test]
     fn every_page_host_routes() {
-        let (sites, _, world) = small_world();
+        // The publisher namespace is one catch-all endpoint, so routing
+        // alone proves nothing: every page must actually be served, and
+        // a rank past the toplist must not be.
+        let (factory, sites) = small_world();
+        let router = factory.router();
         for site in &sites {
-            assert!(
-                world.router.resolve(&site.domain).is_some(),
-                "{} unroutable",
-                site.domain
-            );
+            let (status, body) = reply(&router, &page_request(site), 1).expect("routes");
+            assert_eq!(status, Status::OK.0, "{} not served", site.domain);
+            assert!(body.unwrap().contains(site.domain.as_str()));
         }
+        let beyond = Request::get(RequestId(1), Url::https("pub201.example", "/"));
+        assert_eq!(reply(&router, &beyond, 1).unwrap().0, Status::NOT_FOUND.0);
     }
 
     #[test]
     fn partner_hosts_route_and_have_latency() {
-        let (_, specs, world) = small_world();
+        let (factory, _) = small_world();
+        let (router, latency) = (factory.router(), factory.latency());
         let mut rng = Rng::new(1);
-        for spec in &specs {
+        for spec in factory.specs() {
             let host = spec.host();
-            assert!(world.router.resolve(&host).is_some(), "{host}");
-            let sample = world.latency.lookup(&host).sample(&mut rng);
+            assert!(router.resolve(&host).is_some(), "{host}");
+            let sample = latency.lookup(&host).sample(&mut rng);
             assert!(sample.as_micros() > 0);
         }
     }
 
     #[test]
     fn client_sites_get_own_ad_server() {
-        let (sites, specs, world) = small_world();
+        let (factory, sites) = small_world();
+        let router = factory.router();
         let mut seen = false;
         for site in sites
             .iter()
             .filter(|s| s.facet == Some(hb_adtech::HbFacet::ClientSide))
         {
             seen = true;
-            let host = ad_server_host_for(site, &specs);
+            let host = factory.runtime_for(site).ad_server_host;
             assert_eq!(host, site.own_ad_server_host());
-            assert!(world.router.resolve(&host).is_some(), "{host}");
+            let status = reply(&router, &ad_request(&host, site), 1).map(|r| r.0);
+            assert_eq!(status, Some(Status::OK.0), "{host} has no account");
         }
         assert!(seen, "tiny world should include client-side sites");
     }
 
     #[test]
     fn provider_sites_point_at_provider_ads_host() {
-        let (sites, specs, world) = small_world();
+        let (factory, sites) = small_world();
+        let router = factory.router();
         for site in sites.iter().filter(|s| s.provider_id.is_some()) {
-            let host = ad_server_host_for(site, &specs);
+            let host = factory.runtime_for(site).ad_server_host;
             assert!(host.starts_with("ads."));
             assert!(host.ends_with("-adnet.example"));
-            assert!(world.router.resolve(&host).is_some(), "{host}");
+            let status = reply(&router, &ad_request(&host, site), 1).map(|r| r.0);
+            assert_eq!(status, Some(Status::OK.0), "{host} has no account");
         }
     }
 
     #[test]
     fn page_html_reflects_hb_configuration() {
-        let (sites, specs, _) = small_world();
+        let (factory, sites) = small_world();
+        let router = factory.router();
+        let page_of =
+            |site: &SiteProfile| reply(&router, &page_request(site), 1).unwrap().1.unwrap();
         let hb_site = sites.iter().find(|s| s.facet.is_some()).unwrap();
-        let html = page_html(hb_site, &specs);
+        let html = page_of(hb_site);
         assert!(html.contains("prebid.js"));
         assert!(html.contains("ad-slot-1"));
         let plain = sites.iter().find(|s| s.facet.is_none()).unwrap();
-        let html2 = page_html(plain, &specs);
-        assert!(!html2.contains("prebid.js"));
+        assert!(!page_of(plain).contains("prebid.js"));
     }
 
     #[test]
@@ -540,30 +543,18 @@ mod tests {
         // identical page bodies, identical latency models, identical
         // ad-server decisions for the same (request, rng). Exercise every
         // site of the tiny universe against both worlds.
-        use hb_http::{Request, RequestId};
-
         let cfg = EcosystemConfig::tiny_scale();
-        let gen = std::sync::Arc::new(crate::factory::SiteGen::new(cfg.clone()));
+        let gen = Arc::new(SiteGen::new(cfg.clone()));
         let sites: Vec<SiteProfile> = (1..=cfg.n_sites).map(|r| gen.site(r)).collect();
         let eager = build_world(&sites, &gen.specs, &gen.profiles);
-        let lazy = crate::world::build_lazy_world(&gen);
+        let lazy = build_lazy_world(&gen);
 
-        let body_of = |world: &World, req: &Request, seed: u64| {
-            let mut rng = Rng::new(seed);
-            world
-                .router
-                .dispatch(req, &mut rng)
-                .map(|r| (r.response.status.0, r.response.body.as_text()))
-        };
         for site in &sites {
             // Page endpoint parity.
-            let page = Request::get(
-                RequestId(1),
-                hb_http::Url::parse(&site.url_string()).unwrap(),
-            );
+            let page = page_request(site);
             assert_eq!(
-                body_of(&eager, &page, site.rank as u64),
-                body_of(&lazy, &page, site.rank as u64),
+                reply(&eager.router, &page, site.rank as u64),
+                reply(&lazy.router, &page, site.rank as u64),
                 "page body differs for {}",
                 site.domain
             );
@@ -582,14 +573,10 @@ mod tests {
             // wrapper would actually contact (resolver-derived accounts
             // must equal the eager registrations).
             if site.facet.is_some() {
-                let ads_host = ad_server_host_for(site, &gen.specs);
-                let req = Request::get(
-                    RequestId(2),
-                    hb_http::Url::https(&ads_host, hb_adtech::protocol::paths::AD_SERVER)
-                        .with_param("account", site.account_id()),
-                );
-                let a = body_of(&eager, &req, 1000 + site.rank as u64);
-                let b = body_of(&lazy, &req, 1000 + site.rank as u64);
+                let ads_host = gen.runtime_for(site).ad_server_host;
+                let req = ad_request(&ads_host, site);
+                let a = reply(&eager.router, &req, 1000 + site.rank as u64);
+                let b = reply(&lazy.router, &req, 1000 + site.rank as u64);
                 assert!(a.is_some(), "eager world drops {ads_host}");
                 assert_eq!(a, b, "ad-server reply differs for {}", site.domain);
             }
@@ -598,13 +585,14 @@ mod tests {
 
     #[test]
     fn site_runtime_is_complete() {
-        let (sites, specs, _) = small_world();
+        let (factory, sites) = small_world();
         let site = sites.iter().find(|s| s.facet.is_some()).unwrap();
-        let rt = site_runtime(site, &specs);
+        let rt = factory.runtime_shared(site.rank);
         assert_eq!(rt.rank, site.rank);
         assert_eq!(rt.ad_units.len(), site.ad_units.len());
         assert_eq!(rt.client_partners.len(), site.client_partner_ids.len());
         assert!(!rt.waterfall_tiers.is_empty());
         assert_eq!(rt.cdn_host, CDN_HOST);
+        assert_eq!(rt.render_fail_rate, RENDER_FAIL_RATE);
     }
 }

@@ -81,13 +81,11 @@ fn check_observations(factory: &SiteFactory, observed: &[Vec<Observation>]) {
         // Never torn: what the memo served is exactly the pure
         // single-threaded derivation of (seed, rank).
         let reference = factory.site(rank);
-        assert_eq!(first_site.domain, reference.domain);
-        assert_eq!(first_site.facet, reference.facet);
-        assert_eq!(first_site.client_partner_ids, reference.client_partner_ids);
-        assert_eq!(first_site.waterfall_tier_ids, reference.waterfall_tier_ids);
+        assert_eq!(**first_site, reference);
         assert_eq!(first_rt.ad_units.len(), reference.ad_units.len());
-        let expected_html = hb_ecosystem::page_html(&reference, factory.specs());
-        assert_eq!(first_html.as_str(), expected_html.as_str());
+        let mut expected_html = String::new();
+        hb_ecosystem::render_page_html(&reference, factory.specs(), &mut expected_html);
+        assert_eq!(first_html.as_str(), expected_html);
     }
 }
 

@@ -4,14 +4,14 @@
 
 use std::sync::Arc;
 
-use hb_ecosystem::{Ecosystem, EcosystemConfig, ScenarioConfig, SiteFactory};
+use hb_ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory};
 use hb_serve::{
     serve_load_with, serve_requests, AdRequest, Decision, LoadGenConfig, ServeConfig,
 };
 use hb_simnet::{Dist, FaultInjector, HostFaultProfile, SimDuration, SimTime};
 
-fn universe() -> Ecosystem {
-    Ecosystem::generate(EcosystemConfig::tiny_scale().with_seed(0x5EE_D10))
+fn universe() -> SiteFactory {
+    SiteFactory::new(EcosystemConfig::tiny_scale().with_seed(0x5EE_D10))
 }
 
 /// A Net whose fault injector is replaced by the scenario's day-0 view.
@@ -39,8 +39,7 @@ fn partner_slice(factory: &SiteFactory, n: usize) -> Vec<String> {
 /// future outlives its request.
 #[test]
 fn deadline_invariant_under_total_outage() {
-    let eco = universe();
-    let f = eco.factory();
+    let f = universe();
     let dead = FaultInjector::none().with_drop_chance(1.0);
     let net = hb_adtech::Net::new(f.router(), f.latency(), Arc::new(dead));
     let cfg = ServeConfig::default();
@@ -90,8 +89,7 @@ fn deadline_invariant_under_total_outage() {
 /// worker pool, defines the computation.
 #[test]
 fn determinism_across_worker_counts() {
-    let eco = universe();
-    let f = eco.factory();
+    let f = universe();
     // Degrade a provider slice so the robustness envelope is exercised:
     // drops trip breakers, slowdowns outrun the hedge trigger.
     let lossy = HostFaultProfile {
@@ -148,8 +146,7 @@ fn determinism_across_worker_counts() {
 /// healthy budget.
 #[test]
 fn overload_sheds_instead_of_hanging() {
-    let eco = universe();
-    let f = eco.factory();
+    let f = universe();
     let net = f.net();
     let cfg = ServeConfig {
         shards: 1,
@@ -202,8 +199,7 @@ fn overload_sheds_instead_of_hanging() {
 /// sheds, nothing trips, and the three demand paths all serve.
 #[test]
 fn healthy_serving_fills_across_channels() {
-    let eco = universe();
-    let f = eco.factory();
+    let f = universe();
     let cfg = ServeConfig {
         shards: 4,
         ..ServeConfig::default()

@@ -8,16 +8,16 @@ use hb_repro::analysis::{partners, summary};
 use hb_repro::prelude::*;
 
 fn main() {
-    let eco = Ecosystem::generate(EcosystemConfig::test_scale());
+    let factory = SiteFactory::new(EcosystemConfig::test_scale());
     println!(
         "generated universe: {} sites / {} partners; crawling {} days…",
-        eco.sites().len(),
-        eco.partner_list().len(),
-        eco.config.crawl_days
+        factory.config().n_sites,
+        factory.partner_list().len(),
+        factory.config().crawl_days
     );
     // Fold the campaign's chunk stream into the columnar index once;
     // every figure reads it.
-    let ix = index_campaign(eco.factory(), &CampaignConfig::default());
+    let ix = index_campaign(&factory, &CampaignConfig::default());
     println!(
         "campaign finished: {} HB visits, {} HB domains\n",
         ix.n_hb_visits(),

@@ -8,11 +8,11 @@ use hb_repro::analysis::{late, latency, slots, waterfall_cmp};
 use hb_repro::prelude::*;
 
 fn main() {
-    let eco = Ecosystem::generate(EcosystemConfig::test_scale());
-    println!("crawling {} sites for latency analysis…", eco.sites().len());
+    let factory = SiteFactory::new(EcosystemConfig::test_scale());
+    println!("crawling {} sites for latency analysis…", factory.config().n_sites);
     // Fold the campaign's chunk stream into the columnar index once;
     // every figure reads it.
-    let ix = index_campaign(eco.factory(), &CampaignConfig::default());
+    let ix = index_campaign(&factory, &CampaignConfig::default());
     for report in [
         latency::f12_latency_ecdf(&ix),
         latency::f13_latency_vs_rank(&ix),

@@ -8,16 +8,16 @@ use hb_repro::prelude::*;
 
 fn main() {
     // A tiny deterministic universe: 200 sites, 84 demand partners.
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
     println!(
         "universe: {} sites, {} run header bidding, {} demand partners",
-        eco.sites().len(),
-        eco.hb_sites().count(),
-        eco.partner_list().len()
+        factory.config().n_sites,
+        factory.hb_sites().count(),
+        factory.partner_list().len()
     );
 
     // Visit the highest-ranked HB site with the detector attached.
-    let site = eco.hb_sites().next().expect("tiny universe has HB sites");
+    let site = factory.hb_sites().next().expect("tiny universe has HB sites");
     println!(
         "\nvisiting {} (rank {}, ground-truth facet: {})",
         site.domain,
@@ -27,14 +27,14 @@ fn main() {
     // One visit through the campaign's own path: a worker scratch (pooled
     // browser + detector), a block-local interner, and columnar storage
     // the detector appends its finished row into.
-    let mut scratch = VisitScratch::new(eco.partner_list());
+    let mut scratch = VisitScratch::new(factory.partner_list());
     let mut strings = Interner::new();
     let mut cols = VisitColumns::new();
     let mut truths = Vec::new();
     crawl_site_into(
-        eco.net(),
-        eco.runtime_shared(site.rank),
-        eco.visit_rng(site.rank, 0),
+        factory.net(),
+        factory.runtime_shared(site.rank),
+        factory.visit_rng(site.rank, 0),
         0,
         &SessionConfig::default(),
         &mut strings,

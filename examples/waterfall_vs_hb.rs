@@ -10,15 +10,15 @@ use hb_repro::core::Interner;
 use hb_repro::prelude::*;
 
 fn main() {
-    let eco = Ecosystem::generate(EcosystemConfig::test_scale());
+    let factory = SiteFactory::new(EcosystemConfig::test_scale());
 
     // Pick a client-side HB site and clone its runtime into a
     // waterfall-only variant: same page, same slots, same tiers.
-    let site = eco
+    let site = factory
         .hb_sites()
         .find(|s| s.facet == Some(HbFacet::ClientSide) && s.client_partner_ids.len() >= 2)
         .expect("client-side site with fan-out");
-    let hb_runtime = eco.runtime_for(site);
+    let hb_runtime = factory.runtime_for(&site);
     let mut wf_runtime = hb_runtime.clone();
     wf_runtime.facet = None; // force the waterfall path
 
@@ -34,15 +34,15 @@ fn main() {
     // scratch, appending into the same columns: row 0 is HB, row 1 is the
     // waterfall. The scratch holds the raw ground truth of its last
     // visit, so read the HB visit's before crawling the waterfall one.
-    let mut scratch = VisitScratch::new(eco.partner_list());
+    let mut scratch = VisitScratch::new(factory.partner_list());
     let mut strings = Interner::new();
     let mut cols = VisitColumns::new();
     let mut truths = Vec::new();
     let mut visit = |runtime| {
         crawl_site_into(
-            eco.net(),
+            factory.net(),
             std::sync::Arc::new(runtime),
-            eco.visit_rng(site.rank, 0),
+            factory.visit_rng(site.rank, 0),
             0,
             &SessionConfig::default(),
             &mut strings,
@@ -86,6 +86,6 @@ fn main() {
 
     // Population-level comparison over a full campaign.
     println!("\nrunning the full campaign for the population comparison…");
-    let ix = index_campaign(eco.factory(), &CampaignConfig::default());
+    let ix = index_campaign(&factory, &CampaignConfig::default());
     print!("{}", waterfall_cmp::x01_waterfall_compare(&ix).render());
 }

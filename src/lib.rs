@@ -63,9 +63,7 @@ pub mod prelude {
         adoption_study, crawl_site_into, overlap_study, run_campaign_streamed, CampaignConfig,
         CampaignPlan, DatasetWriter, SessionConfig, VisitChunk, VisitScratch,
     };
-    pub use hb_ecosystem::{
-        Ecosystem, EcosystemConfig, OutageWindow, ScenarioConfig, SiteFactory,
-    };
+    pub use hb_ecosystem::{EcosystemConfig, OutageWindow, ScenarioConfig, SiteFactory};
     pub use hb_serve::{
         serve_load, AdRequest, AuctionOutcome, Decision, LoadGenConfig, ServeConfig,
         ServeReport,

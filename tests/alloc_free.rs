@@ -16,7 +16,7 @@
 use hb_repro::adtech::{HbFacet, RobustnessPolicy};
 use hb_repro::core::{classify_request, Interner, PartnerList, RequestKind, VisitColumns};
 use hb_repro::crawler::{crawl_site_into, SessionConfig, TruthRecord, VisitScratch};
-use hb_repro::ecosystem::{Ecosystem, EcosystemConfig, ScenarioConfig};
+use hb_repro::ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory};
 use hb_repro::simnet::{Dist, HostFaultProfile};
 use hb_repro::http::{Request, RequestId, Url};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -111,7 +111,7 @@ const COLUMNAR_BUDGETS: [(&str, Option<HbFacet>, u64); 4] = [
 ///   the *mean* over several sites of the flow, since per-site partner
 ///   fan-out varies;
 /// * `cleared`: the same already-interned rank after
-///   [`Ecosystem::clear_memos`] (pure re-derivation cost).
+///   [`SiteFactory::clear_memos`] (pure re-derivation cost).
 ///
 /// Measured after PR 7 (shared sharded memo): fresh means ~63 / 54 / 72
 /// / 26 and cleared ~41 / 42 / 47 / 33 — the cleared numbers carry a few
@@ -129,7 +129,7 @@ const COLD_BUDGETS: [(&str, Option<HbFacet>, u64, u64); 4] = [
 /// One columnar visit through the per-worker scratch.
 #[allow(clippy::too_many_arguments)]
 fn columnar_visit(
-    eco: &Ecosystem,
+    eco: &SiteFactory,
     rank: u32,
     cfg: &SessionConfig,
     strings: &mut Interner,
@@ -153,12 +153,11 @@ fn columnar_visit(
 
 #[test]
 fn steady_state_columnar_visit_stays_within_allocation_budget() {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let cfg = SessionConfig::default();
     for (label, facet, budget) in COLUMNAR_BUDGETS {
         let site = eco
             .sites()
-            .iter()
             .find(|s| s.facet == facet)
             .unwrap_or_else(|| panic!("{label} site in tiny universe"));
         let mut scratch = VisitScratch::new(eco.partner_list());
@@ -197,12 +196,11 @@ fn steady_state_columnar_visit_stays_within_allocation_budget() {
 
 #[test]
 fn cold_visit_stays_within_allocation_budget() {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let cfg = SessionConfig::default();
     for (label, facet, fresh_budget, cleared_budget) in COLD_BUDGETS {
         let ranks: Vec<u32> = eco
             .sites()
-            .iter()
             .filter(|s| s.facet == facet)
             .map(|s| s.rank)
             .collect();
@@ -281,7 +279,7 @@ fn fault_path_columnar_visit_stays_within_allocation_budget() {
             },
         );
     }
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale().with_scenario(scenario));
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale().with_scenario(scenario));
     let cfg = SessionConfig::default();
     // Find a client-side site whose (deterministic) visit actually records
     // fault activity — with 35% drops on every partner the first candidate
@@ -301,8 +299,7 @@ fn fault_path_columnar_visit_stays_within_allocation_budget() {
             let t = truths.last().expect("visit recorded a truth");
             t.bids_dropped + t.retries + t.timed_out_partners > 0
         })
-        .expect("a client-side visit touched by ambient faults")
-        .clone();
+        .expect("a client-side visit touched by ambient faults");
 
     let mut scratch = VisitScratch::new(eco.partner_list());
     let mut strings = Interner::new();

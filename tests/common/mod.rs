@@ -7,9 +7,9 @@ use hb_repro::prelude::*;
 use std::sync::{Arc, OnceLock};
 
 /// The test-scale ecosystem (1,400 sites × 3 days), generated once.
-pub fn ecosystem() -> &'static Ecosystem {
-    static ECO: OnceLock<Ecosystem> = OnceLock::new();
-    ECO.get_or_init(|| Ecosystem::generate(EcosystemConfig::test_scale()))
+pub fn ecosystem() -> &'static SiteFactory {
+    static ECO: OnceLock<SiteFactory> = OnceLock::new();
+    ECO.get_or_init(|| SiteFactory::new(EcosystemConfig::test_scale()))
 }
 
 /// The test-scale campaign's chunks, crawled once, in fold order.
@@ -23,7 +23,7 @@ pub fn chunks() -> &'static [VisitChunk] {
 pub fn index() -> &'static DatasetIndex {
     static IX: OnceLock<DatasetIndex> = OnceLock::new();
     IX.get_or_init(|| {
-        let config = &ecosystem().config;
+        let config = ecosystem().config();
         let mut builder = DatasetIndexBuilder::new(config.n_sites, config.crawl_days);
         for chunk in chunks() {
             builder.push_chunk(chunk);
@@ -33,9 +33,9 @@ pub fn index() -> &'static DatasetIndex {
 }
 
 /// Every chunk of a campaign over `eco`, in emission order.
-pub fn campaign(eco: &Ecosystem, cfg: &CampaignConfig) -> Vec<VisitChunk> {
+pub fn campaign(eco: &SiteFactory, cfg: &CampaignConfig) -> Vec<VisitChunk> {
     let mut chunks = Vec::new();
-    run_campaign_streamed(eco.factory(), cfg, &mut |c| chunks.push(c));
+    run_campaign_streamed(eco, cfg, &mut |c| chunks.push(c));
     chunks
 }
 

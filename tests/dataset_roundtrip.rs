@@ -21,7 +21,7 @@ fn tables(chunks: &[VisitChunk]) -> [String; 3] {
 }
 
 fn tiny_campaign(cfg: &CampaignConfig) -> Vec<VisitChunk> {
-    campaign(&Ecosystem::generate(EcosystemConfig::tiny_scale()), cfg)
+    campaign(&SiteFactory::new(EcosystemConfig::tiny_scale()), cfg)
 }
 
 #[test]

@@ -8,9 +8,9 @@ use common::{chunks, ecosystem, rows, visit};
 #[test]
 fn facet_classification_is_accurate() {
     let eco = ecosystem();
-    let truth: std::collections::BTreeMap<&str, &str> = eco
+    let truth: std::collections::BTreeMap<_, _> = eco
         .hb_sites()
-        .map(|s| (s.domain.as_str(), s.facet.unwrap().label()))
+        .map(|s| (s.domain, s.facet.unwrap().label()))
         .collect();
     let mut checked = 0;
     let mut correct = 0;
@@ -34,7 +34,7 @@ fn latency_measurements_agree_with_truth() {
     for site in eco.hb_sites().take(40) {
         let visit = visit(
             eco.net(),
-            eco.runtime_for(site),
+            eco.runtime_for(&site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 7),
             7,
@@ -64,7 +64,7 @@ fn bid_counts_match_truth_for_client_side() {
     {
         let visit = visit(
             eco.net(),
-            eco.runtime_for(site),
+            eco.runtime_for(&site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 3),
             3,
@@ -94,7 +94,7 @@ fn late_bid_accounting_matches_truth() {
     for site in eco.hb_sites().take(60) {
         let visit = visit(
             eco.net(),
-            eco.runtime_for(site),
+            eco.runtime_for(&site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 5),
             5,
@@ -120,7 +120,7 @@ fn server_side_reveals_only_winners() {
     {
         let visit = visit(
             eco.net(),
-            eco.runtime_for(site),
+            eco.runtime_for(&site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 2),
             2,
@@ -142,7 +142,7 @@ fn event_counts_are_facet_consistent() {
     for site in eco.hb_sites().take(30) {
         let visit = visit(
             eco.net(),
-            eco.runtime_for(site),
+            eco.runtime_for(&site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 1),
             1,

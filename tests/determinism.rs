@@ -7,8 +7,8 @@ use common::campaign;
 use hb_repro::prelude::*;
 
 /// Every paper figure of a campaign, rendered.
-fn render(eco: &Ecosystem, cfg: &CampaignConfig) -> Vec<String> {
-    indexed_reports(&index_campaign(eco.factory(), cfg))
+fn render(eco: &SiteFactory, cfg: &CampaignConfig) -> Vec<String> {
+    indexed_reports(&index_campaign(eco, cfg))
         .into_iter()
         .map(|r| r.render())
         .collect()
@@ -25,7 +25,7 @@ fn assert_same_chunks(a: &[VisitChunk], b: &[VisitChunk]) {
 #[test]
 fn same_seed_same_dataset() {
     let run = || {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
         campaign(&eco, &CampaignConfig::default())
     };
     assert_same_chunks(&run(), &run());
@@ -33,7 +33,7 @@ fn same_seed_same_dataset() {
 
 #[test]
 fn parallelism_does_not_change_results() {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let at = |parallelism| {
         campaign(
             &eco,
@@ -50,7 +50,7 @@ fn parallelism_does_not_change_results() {
 fn figure_outputs_identical_across_parallelism() {
     // End-to-end determinism of the fold: every rendered figure must be
     // byte-identical between a serial and an 8-way campaign.
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let at = |parallelism| {
         render(
             &eco,
@@ -70,9 +70,9 @@ fn memo_clear_mid_campaign_does_not_change_figures() {
     // workers crawl — costs re-derivations but can never change what a
     // visit observes. Every rendered figure must stay byte-identical to
     // the undisturbed campaign's.
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let baseline = render(&eco, &CampaignConfig::default());
-    let gen = eco.factory().gen().clone();
+    let gen = eco.gen().clone();
     let clearing = CampaignConfig {
         parallelism: 4,
         progress_every: 50,
@@ -85,7 +85,7 @@ fn memo_clear_mid_campaign_does_not_change_figures() {
 #[test]
 fn reports_are_deterministic() {
     let build = || {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
         render(&eco, &CampaignConfig::default())
     };
     assert_eq!(build(), build());
@@ -96,7 +96,7 @@ fn figure_outputs_identical_across_shard_counts() {
     // Sharding restructures scheduling, interning and chunk boundaries —
     // none of it may leak into results: every rendered figure must be
     // byte-identical between an unsharded and a 4-shard campaign.
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let at = |shards, chunk_visits| {
         render(
             &eco,
@@ -116,14 +116,14 @@ fn streamed_index_matches_dataset_index() {
     // same figures as folding the materialized dataset: every chunk kept,
     // shipped through the wire format, arriving in any order and put
     // back in key order before the fold.
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let cfg = CampaignConfig {
         shards: 3,
         ..CampaignConfig::default()
     };
-    let (n_sites, n_days) = (eco.config.n_sites, eco.config.crawl_days);
+    let (n_sites, n_days) = (eco.config().n_sites, eco.config().crawl_days);
     let mut live = DatasetIndexBuilder::new(n_sites, n_days);
-    run_campaign_streamed(eco.factory(), &cfg, &mut |chunk| {
+    run_campaign_streamed(&eco, &cfg, &mut |chunk| {
         live.push_chunk(&chunk);
         drop(chunk); // rows are gone; only columns remain
     });
@@ -152,8 +152,8 @@ fn streamed_index_matches_dataset_index() {
 
 #[test]
 fn different_seeds_give_different_worlds() {
-    let a = Ecosystem::generate(EcosystemConfig::tiny_scale().with_seed(100));
-    let b = Ecosystem::generate(EcosystemConfig::tiny_scale().with_seed(200));
+    let a = SiteFactory::new(EcosystemConfig::tiny_scale().with_seed(100));
+    let b = SiteFactory::new(EcosystemConfig::tiny_scale().with_seed(200));
     let hb_a: Vec<u32> = a.hb_sites().map(|s| s.rank).collect();
     let hb_b: Vec<u32> = b.hb_sites().map(|s| s.rank).collect();
     assert_ne!(hb_a, hb_b, "different seeds must differ");

@@ -204,8 +204,7 @@ fn waterfall_headline_claim() {
 fn detector_precision_is_total() {
     // 100% precision (paper §4.1): every detected site truly runs HB.
     let eco = ecosystem();
-    let truth: std::collections::BTreeSet<&str> =
-        eco.hb_sites().map(|s| s.domain.as_str()).collect();
+    let truth: std::collections::BTreeSet<_> = eco.hb_sites().map(|s| s.domain).collect();
     for (domain, _) in rows(chunks()).filter(|(_, v)| v.hb_detected) {
         assert!(truth.contains(domain), "false positive: {domain}");
     }

@@ -13,25 +13,25 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Rebuild a net handle with a custom fault injector over the same world.
-fn net_with_faults(eco: &Ecosystem, faults: FaultInjector) -> Net {
-    Net::new(eco.router.clone(), eco.latency.clone(), Arc::new(faults))
+fn net_with_faults(eco: &SiteFactory, faults: FaultInjector) -> Net {
+    Net::new(eco.router(), eco.latency(), Arc::new(faults))
 }
 
 #[test]
 fn partner_outage_loses_bids_but_keeps_detection() {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let site = eco
         .hb_sites()
         .find(|s| s.facet == Some(HbFacet::ClientSide) && s.client_partner_ids.len() >= 2)
         .expect("client-side site with several partners");
     // Take the first partner's host down.
-    let down_host = eco.specs[site.client_partner_ids[0]].host();
+    let down_host = eco.specs()[site.client_partner_ids[0]].host();
     let mut faults = FaultInjector::none();
     faults.add_outage(down_host.clone());
 
     let visit = visit(
         net_with_faults(&eco, faults),
-        eco.runtime_for(site),
+        eco.runtime_for(&site),
         eco.partner_list(),
         eco.visit_rng(site.rank, 0),
         0,
@@ -43,7 +43,7 @@ fn partner_outage_loses_bids_but_keeps_detection() {
         "facet still classified"
     );
     // The downed partner produced no latency observation.
-    let down_name = &eco.specs[site.client_partner_ids[0]].name;
+    let down_name = &eco.specs()[site.client_partner_ids[0]].name;
     assert!(
         !visit
             .record
@@ -56,13 +56,13 @@ fn partner_outage_loses_bids_but_keeps_detection() {
 
 #[test]
 fn dead_page_yields_clean_empty_record() {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let site = eco.hb_sites().next().unwrap();
     let mut faults = FaultInjector::none();
     faults.add_outage(site.domain.clone());
     let visit = visit(
         net_with_faults(&eco, faults),
-        eco.runtime_for(site),
+        eco.runtime_for(&site),
         eco.partner_list(),
         eco.visit_rng(site.rank, 0),
         0,
@@ -75,14 +75,14 @@ fn dead_page_yields_clean_empty_record() {
 
 #[test]
 fn heavy_packet_loss_degrades_gracefully() {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let faults = FaultInjector::none().with_drop_chance(0.30);
     let mut detected = 0;
     let mut visited = 0;
     for site in eco.hb_sites().take(15) {
         let visit = visit(
             net_with_faults(&eco, faults.clone()),
-            eco.runtime_for(site),
+            eco.runtime_for(&site),
             eco.partner_list(),
             eco.visit_rng(site.rank, 0),
             0,
@@ -104,7 +104,7 @@ fn heavy_packet_loss_degrades_gracefully() {
 
 #[test]
 fn adserver_outage_suppresses_latency_but_not_detection() {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let site = eco
         .hb_sites()
         .find(|s| s.facet == Some(HbFacet::ClientSide))
@@ -113,7 +113,7 @@ fn adserver_outage_suppresses_latency_but_not_detection() {
     faults.add_outage(site.own_ad_server_host());
     let visit = visit(
         net_with_faults(&eco, faults),
-        eco.runtime_for(site),
+        eco.runtime_for(&site),
         eco.partner_list(),
         eco.visit_rng(site.rank, 0),
         0,
@@ -134,10 +134,9 @@ fn ambient_fault_profile_keeps_campaign_sound() {
     let mut cfg = EcosystemConfig::tiny_scale();
     cfg.drop_chance = 0.05;
     cfg.slow_chance = 0.15;
-    let eco = Ecosystem::generate(cfg);
+    let eco = SiteFactory::new(cfg);
     let chunks = campaign(&eco, &CampaignConfig::default());
-    let truth: std::collections::BTreeSet<&str> =
-        eco.hb_sites().map(|s| s.domain.as_str()).collect();
+    let truth: std::collections::BTreeSet<_> = eco.hb_sites().map(|s| s.domain).collect();
     for c in &chunks {
         for v in c.visits.iter().filter(|v| v.hb_detected) {
             assert!(v.slots_auctioned <= 60);
@@ -181,8 +180,8 @@ fn stressed_scenario(eco_cfg: &EcosystemConfig) -> ScenarioConfig {
 
 /// Figure bytes of a campaign: every paper report plus the fault-slice
 /// family, rendered and CSV-dumped.
-fn figure_bytes(eco: &Ecosystem, cfg: &CampaignConfig) -> String {
-    let ix = index_campaign(eco.factory(), cfg);
+fn figure_bytes(eco: &SiteFactory, cfg: &CampaignConfig) -> String {
+    let ix = index_campaign(eco, cfg);
     let mut out = String::new();
     for r in indexed_reports(&ix).iter().chain(fault_reports(&ix).iter()) {
         let _ = write!(out, "==== {} ====\n{}\n{}\n", r.id, r.render(), r.to_csv());
@@ -197,25 +196,24 @@ fn degraded_link_shows_up_in_latency_columns() {
     // that partner sits above the override, while the healthy build of
     // the same visit stays below it.
     let base = EcosystemConfig::tiny_scale();
-    let eco_healthy = Ecosystem::generate(base.clone());
+    let eco_healthy = SiteFactory::new(base.clone());
     let site = eco_healthy
         .hb_sites()
         .find(|s| s.facet == Some(HbFacet::ClientSide) && s.client_partner_ids.len() >= 2)
-        .expect("client-side site with several partners")
-        .clone();
+        .expect("client-side site with several partners");
     let slow_pid = site.client_partner_ids[0];
-    let slow_host = eco_healthy.specs[slow_pid].host();
-    let slow_name = eco_healthy.specs[slow_pid].name;
+    let slow_host = eco_healthy.specs()[slow_pid].host();
+    let slow_name = eco_healthy.specs()[slow_pid].name;
 
     let degraded_ms = 2_000.0;
-    let eco_slow = Ecosystem::generate(base.with_scenario(
+    let eco_slow = SiteFactory::new(base.with_scenario(
         ScenarioConfig::healthy().with_degraded_link(
             slow_host,
             hb_repro::simnet::LatencyModel::constant(degraded_ms),
         ),
     ));
 
-    let samples_of = |eco: &Ecosystem| -> Vec<f64> {
+    let samples_of = |eco: &SiteFactory| -> Vec<f64> {
         let visit = visit(
             eco.net(),
             eco.runtime_for(&site),
@@ -250,7 +248,7 @@ fn scenario_campaign_bytes_identical_across_parallelism_and_shards() {
     // and shards 1 vs 4 must agree byte for byte.
     let base = EcosystemConfig::tiny_scale().with_days(2);
     let cfg = base.clone().with_scenario(stressed_scenario(&base));
-    let eco = Ecosystem::generate(cfg);
+    let eco = SiteFactory::new(cfg);
 
     let p1 = figure_bytes(
         &eco,
@@ -286,7 +284,7 @@ fn outage_window_confines_timeouts_to_scheduled_days() {
     let base = EcosystemConfig::tiny_scale().with_days(2);
     // Down the client partner most popular among this universe's HB sites,
     // so the outage actually intersects the daily revisit set.
-    let probe = Ecosystem::generate(base.clone());
+    let probe = SiteFactory::new(base.clone());
     let mut uses = std::collections::HashMap::new();
     for s in probe.hb_sites() {
         for &pid in &s.client_partner_ids {
@@ -296,11 +294,11 @@ fn outage_window_confines_timeouts_to_scheduled_days() {
     let (&popular, _) = uses.iter().max_by_key(|(_, n)| **n).expect("hb partners");
     let cfg = base.clone().with_scenario(
         ScenarioConfig::healthy()
-            .with_outage(probe.specs[popular].host(), 1, 1)
+            .with_outage(probe.specs()[popular].host(), 1, 1)
             .with_robustness(RobustnessPolicy::degraded_defaults()),
     );
-    let eco = Ecosystem::generate(cfg);
-    let ix = index_campaign(eco.factory(), &CampaignConfig::default());
+    let eco = SiteFactory::new(cfg);
+    let ix = index_campaign(&eco, &CampaignConfig::default());
 
     let timeouts_on = |day: u32| -> u32 {
         (0..ix.n_hb_visits())
@@ -326,12 +324,11 @@ fn total_demand_outage_completes_via_passback() {
     // its ad server. With the degraded robustness posture the visit must
     // still complete (no hang, no panic) by serving house ads.
     let base = EcosystemConfig::tiny_scale();
-    let probe = Ecosystem::generate(base.clone());
+    let probe = SiteFactory::new(base.clone());
     let site = probe
         .hb_sites()
         .find(|s| s.facet == Some(HbFacet::ClientSide))
-        .expect("client-side site")
-        .clone();
+        .expect("client-side site");
 
     let mut scenario =
         ScenarioConfig::healthy().with_robustness(RobustnessPolicy::degraded_defaults());
@@ -340,13 +337,13 @@ fn total_demand_outage_completes_via_passback() {
         .iter()
         .chain(site.waterfall_tier_ids.iter())
     {
-        scenario = scenario.with_outage(probe.specs[pid].host(), 0, base.crawl_days);
+        scenario = scenario.with_outage(probe.specs()[pid].host(), 0, base.crawl_days);
     }
     scenario = scenario.with_outage(site.own_ad_server_host(), 0, base.crawl_days);
 
-    let eco = Ecosystem::generate(base.with_scenario(scenario));
+    let eco = SiteFactory::new(base.with_scenario(scenario));
     let visit = visit(
-        eco.factory().net_for_day(0),
+        eco.net_for_day(0),
         eco.runtime_for(&site),
         eco.partner_list(),
         eco.visit_rng(site.rank, 0),
