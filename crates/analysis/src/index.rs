@@ -15,7 +15,9 @@
 //! [`DatasetIndexBuilder`] consumes [`VisitChunk`]s as the campaign
 //! streams them, re-interning chunk-local symbols into its own table.
 //! Chunks are folded and dropped one at a time, so no row dataset is ever
-//! resident. Feed chunks in `(day, shard, seq)` order — what
+//! resident. Each chunk-local symbol is interned once per chunk, in
+//! first-seen order, so the numbering is the same as re-interning every
+//! reference. Feed chunks in `(day, shard, seq)` order — what
 //! [`run_campaign_streamed`] emits and what the distributed coordinator
 //! folds — and the figures are byte-identical for every parallelism and
 //! shard layout. [`index_campaign`] runs that fold over an in-process
@@ -32,7 +34,9 @@
 //!
 //! Every column below is consumed by at least one figure builder — when a
 //! figure stops needing a column, delete it here too; the fold (tracked
-//! by the `figure/INDEX_build` bench) is paid per column.
+//! by the `figure/INDEX_build` bench) is paid per column. A column that
+//! would only feed a count is counted at fold time instead of stored:
+//! the index keeps the count table, not the rows.
 //!
 //! Column groups, all parallel within their group:
 //!
@@ -41,9 +45,14 @@
 //! | HB visits | `v_*` | visit with `hb_detected` |
 //! | day-0 visits | `d0_*` | visit with `day == 0` (HB or not) |
 //! | bids | `b_*` | detected bid in an HB visit |
-//! | latency observations | `l_*` | partner latency sample |
-//! | slot decisions | `s_*` | slot decision in an HB visit |
 //! | ground truth | `t_*` | truth record with a measured latency |
+//!
+//! Count tables, folded from rows that are not kept:
+//!
+//! | table | key → count | counted over |
+//! |---|---|---|
+//! | `slot_sizes` | `(facet, size)` → slots | slot decisions of HB visits with a facet (Fig. 21) |
+//! | `partner_late` | partner → `(late, total)` | partner latency observations (Fig. 18) |
 
 use hb_core::{DetectedFacet, Interner, Symbol, VisitView};
 use hb_crawler::{run_campaign_streamed, CampaignConfig, TruthRecord, VisitChunk};
@@ -116,17 +125,13 @@ pub struct DatasetIndex {
     /// CPM price.
     pub b_cpm: Vec<f64>,
 
-    // --- partner latency observation columns ------------------------------
-    /// Partner display name.
-    pub l_partner: Vec<Symbol>,
-    /// Late flag.
-    pub l_late: Vec<bool>,
-
-    // --- slot decision columns --------------------------------------------
-    /// Row index into the HB-visit columns.
-    pub s_visit: Vec<u32>,
-    /// Size string.
-    pub s_size: Vec<Symbol>,
+    // --- fold-time count tables -------------------------------------------
+    /// Slot decisions per `(facet, size)` over HB visits with a facet
+    /// verdict, sorted by facet label then size name.
+    pub slot_sizes: Vec<(DetectedFacet, Symbol, u64)>,
+    /// `(partner, late, total)` partner latency observations per partner,
+    /// sorted by partner name (the row order of `partner_latency`).
+    pub partner_late: Vec<(Symbol, u32, u32)>,
 
     // --- ground-truth latency columns (waterfall baseline, X1) ------------
     /// Measured HB latency of every truth record with an HB facet, in
@@ -171,14 +176,12 @@ struct IndexAccum {
     b_partner: Vec<Symbol>,
     b_size: Vec<Symbol>,
     b_cpm: Vec<f64>,
-    l_partner: Vec<Symbol>,
-    l_late: Vec<bool>,
-    s_visit: Vec<u32>,
-    s_size: Vec<Symbol>,
     t_hb_latency: Vec<f64>,
     t_wf_latency: Vec<f64>,
+    slot_sizes: HashMap<(DetectedFacet, Symbol), u64>,
     site_rows: HashMap<Symbol, SiteRow>,
-    partner_samples: HashMap<Symbol, Vec<f64>>,
+    /// Per partner: latency samples in visit order, and how many were late.
+    partner_samples: HashMap<Symbol, (Vec<f64>, u32)>,
 }
 
 impl IndexAccum {
@@ -230,17 +233,20 @@ impl IndexAccum {
             self.b_cpm.push(b.cpm);
         }
         for pl in v.partner_latencies {
-            let partner = map(pl.partner_name);
-            self.l_partner.push(partner);
-            self.l_late.push(pl.late);
-            self.partner_samples
-                .entry(partner)
-                .or_default()
-                .push(pl.latency_ms);
+            let (samples, late) = self
+                .partner_samples
+                .entry(map(pl.partner_name))
+                .or_default();
+            samples.push(pl.latency_ms);
+            *late += u32::from(pl.late);
         }
         for s in v.slots {
-            self.s_visit.push(vrow);
-            self.s_size.push(map(s.size));
+            // Interned even when uncounted: symbol numbering stays
+            // first-seen over every column the visit carries.
+            let size = map(s.size);
+            if let Some(facet) = v.facet {
+                *self.slot_sizes.entry((facet, size)).or_insert(0) += 1;
+            }
         }
     }
 
@@ -281,16 +287,33 @@ impl IndexAccum {
                 .then_with(|| strings.resolve(a.0).cmp(strings.resolve(b.0)))
         });
 
-        // Per-partner latency samples sorted by name, with a reverse map.
-        let mut partner_latency: Vec<(Symbol, Vec<f64>)> =
+        // Per-partner latency samples and late counts sorted by name, with
+        // a reverse map.
+        let mut partner_rows: Vec<(Symbol, (Vec<f64>, u32))> =
             self.partner_samples.into_iter().collect();
-        partner_latency
-            .sort_unstable_by(|a, b| strings.resolve(a.0).cmp(strings.resolve(b.0)));
+        partner_rows.sort_unstable_by(|a, b| strings.resolve(a.0).cmp(strings.resolve(b.0)));
+        let partner_late = partner_rows
+            .iter()
+            .map(|(sym, (samples, late))| (*sym, *late, samples.len() as u32))
+            .collect();
+        let partner_latency: Vec<(Symbol, Vec<f64>)> = partner_rows
+            .into_iter()
+            .map(|(sym, (samples, _))| (sym, samples))
+            .collect();
         let partner_latency_by_sym = partner_latency
             .iter()
             .enumerate()
             .map(|(i, (sym, _))| (*sym, i as u32))
             .collect();
+
+        let mut slot_sizes: Vec<(DetectedFacet, Symbol, u64)> = self
+            .slot_sizes
+            .into_iter()
+            .map(|((facet, size), n)| (facet, size, n))
+            .collect();
+        slot_sizes.sort_unstable_by(|a, b| {
+            (a.0.label(), strings.resolve(a.1)).cmp(&(b.0.label(), strings.resolve(b.1)))
+        });
 
         DatasetIndex {
             strings,
@@ -315,12 +338,10 @@ impl IndexAccum {
             b_partner: self.b_partner,
             b_size: self.b_size,
             b_cpm: self.b_cpm,
-            l_partner: self.l_partner,
-            l_late: self.l_late,
-            s_visit: self.s_visit,
-            s_size: self.s_size,
             t_hb_latency: self.t_hb_latency,
             t_wf_latency: self.t_wf_latency,
+            slot_sizes,
+            partner_late,
             sites,
             partner_popularity,
             partner_latency,
@@ -374,6 +395,8 @@ pub struct DatasetIndexBuilder {
     n_sites: u32,
     n_days: u32,
     accum: IndexAccum,
+    /// Chunk-local symbol → index symbol, filled on first sight per chunk.
+    remap: Vec<Option<Symbol>>,
 }
 
 impl DatasetIndexBuilder {
@@ -384,15 +407,22 @@ impl DatasetIndexBuilder {
             n_sites,
             n_days,
             accum: IndexAccum::default(),
+            remap: Vec::new(),
         }
     }
 
     /// Fold one chunk: visits are appended in chunk order with their
-    /// symbols re-interned from the chunk-local table into the builder's.
+    /// symbols re-interned from the chunk-local table into the builder's,
+    /// each distinct symbol once, in first-seen order.
     pub fn push_chunk(&mut self, chunk: &VisitChunk) {
         let strings = &mut self.strings;
         let local = &chunk.strings;
-        let mut map = |sym: Symbol| strings.intern(local.resolve(sym));
+        let remap = &mut self.remap;
+        remap.clear();
+        remap.resize(local.len(), None);
+        let mut map = |sym: Symbol| {
+            *remap[sym.index()].get_or_insert_with(|| strings.intern(local.resolve(sym)))
+        };
         for v in chunk.visits.iter() {
             self.accum.push_visit(v, &mut map);
         }
@@ -417,6 +447,8 @@ impl DatasetIndexBuilder {
 #[cfg(test)]
 mod tests {
     use crate::test_fixtures::{small_chunks, small_index};
+    use hb_core::Symbol;
+    use std::collections::BTreeMap;
 
     #[test]
     fn columns_are_consistent() {
@@ -426,8 +458,6 @@ mod tests {
         assert_eq!(ix.v_latency.len(), n);
         assert_eq!(ix.v_n_bids.len(), n);
         assert_eq!(ix.b_visit.len(), ix.b_cpm.len());
-        assert_eq!(ix.l_partner.len(), ix.l_late.len());
-        assert_eq!(ix.s_visit.len(), ix.s_size.len());
         // Bid rows point at valid visit rows.
         assert!(ix.b_visit.iter().all(|&v| (v as usize) < n));
         // Totals line up with the chunks the index was folded from.
@@ -480,8 +510,52 @@ mod tests {
         for (sym, samples) in &ix.partner_latency {
             assert_eq!(ix.latency_samples_of(*sym).unwrap(), &samples[..]);
         }
-        let total: usize = ix.partner_latency.iter().map(|(_, v)| v.len()).sum();
-        assert_eq!(total, ix.l_partner.len());
+        let late_rows: Vec<Symbol> = ix.partner_late.iter().map(|(p, _, _)| *p).collect();
+        let latency_rows: Vec<Symbol> = ix.partner_latency.iter().map(|(p, _)| *p).collect();
+        assert_eq!(late_rows, latency_rows);
+        for ((_, samples), (_, _, total)) in ix.partner_latency.iter().zip(&ix.partner_late) {
+            assert_eq!(samples.len(), *total as usize);
+        }
+    }
+
+    /// The fold-time count tables against a naive recount over the rows
+    /// of the chunks the index was folded from, compared as strings.
+    #[test]
+    fn count_tables_match_naive_recount() {
+        let ix = small_index();
+        let mut late: BTreeMap<&str, (u32, u32)> = BTreeMap::new();
+        let mut sizes: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+        for chunk in small_chunks() {
+            for v in chunk.visits.iter().filter(|v| v.hb_detected) {
+                for pl in v.partner_latencies {
+                    let e = late
+                        .entry(chunk.strings.resolve(pl.partner_name))
+                        .or_default();
+                    e.0 += u32::from(pl.late);
+                    e.1 += 1;
+                }
+                let Some(facet) = v.facet else { continue };
+                for slot in v.slots {
+                    let key = (facet.label(), chunk.strings.resolve(slot.size));
+                    *sizes.entry(key).or_default() += 1;
+                }
+            }
+        }
+        assert!(late.values().any(|&(l, _)| l > 0));
+        assert!(sizes.len() > 3);
+
+        let got_late: Vec<(&str, (u32, u32))> = ix
+            .partner_late
+            .iter()
+            .map(|&(p, l, total)| (ix.str(p), (l, total)))
+            .collect();
+        assert_eq!(got_late, late.into_iter().collect::<Vec<_>>());
+        let got_sizes: Vec<((&str, &str), u64)> = ix
+            .slot_sizes
+            .iter()
+            .map(|&(f, size, n)| ((f.label(), ix.str(size)), n))
+            .collect();
+        assert_eq!(got_sizes, sizes.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,39 +1,43 @@
 //! Late-bid analyses: the late-fraction ECDF (Fig. 17) and per-partner
 //! late rates (Fig. 18).
 //!
-//! Both builders read the columnar [`DatasetIndex`] visit/latency columns.
+//! Fig. 17 reads the columnar [`DatasetIndex`] visit columns; Fig. 18 reads
+//! its fold-time per-partner late counts.
 
 use crate::index::DatasetIndex;
 use crate::report::FigureReport;
-use hb_core::Symbol;
-use hb_stats::{fmt_pct, Align, Ecdf, Table};
-use std::collections::HashMap;
+use hb_stats::{fmt_pct, Align, Samples, Table};
 
 /// Fig. 17: ECDF of the fraction of bids that arrived late, over auctions
 /// that had at least one late bid.
 pub fn f17_late_ecdf(ix: &DatasetIndex) -> FigureReport {
-    let mut fractions = Vec::new();
-    let mut late_counts = Vec::new();
+    let n_late = ix.v_n_late.iter().filter(|&&late| late > 0).count();
+    let mut fractions = Vec::with_capacity(n_late);
+    let mut late_counts = Vec::with_capacity(n_late);
     for (row, &late) in ix.v_n_late.iter().enumerate() {
         if late > 0 {
             fractions.push(late as f64 / ix.v_n_bids[row] as f64);
             late_counts.push(late as f64);
         }
     }
-    let ecdf = Ecdf::from_iter(fractions.iter().copied());
+    // ECDF values are `frac_at_or_below`; the inverse is the quantile.
+    let fractions = Samples::from_vec(fractions);
+    let late_counts = Samples::from_vec(late_counts);
     let mut table = Table::new(
         "Fig. 17 — late bids / total bids per auction (ECDF, auctions with late bids)",
         &["late fraction", "P[X<=x]"],
     );
     for x in [0.1, 0.25, 0.5, 0.75, 0.8, 0.9, 1.0] {
-        table.row(vec![fmt_pct(x), format!("{:.4}", ecdf.eval(x))]);
+        table.row(vec![
+            fmt_pct(x),
+            format!("{:.4}", fractions.frac_at_or_below(x)),
+        ]);
     }
-    let median_fraction = ecdf.inverse(0.5).unwrap_or(0.0);
-    let frac_ge80 = 1.0 - ecdf.eval(0.7999);
-    let count_ecdf = Ecdf::from_iter(late_counts.iter().copied());
-    let share_one = count_ecdf.eval(1.0);
+    let median_fraction = fractions.median().unwrap_or(0.0);
+    let frac_ge80 = 1.0 - fractions.frac_at_or_below(0.7999);
+    let share_one = late_counts.frac_at_or_below(1.0);
     let share_ge2 = 1.0 - share_one;
-    let share_ge4 = 1.0 - count_ecdf.eval(3.999);
+    let share_ge4 = 1.0 - late_counts.frac_at_or_below(3.999);
     FigureReport {
         id: "F17".into(),
         title: "Portion of late bids per auction".into(),
@@ -47,7 +51,7 @@ pub fn f17_late_ecdf(ix: &DatasetIndex) -> FigureReport {
             ("share_one_late".into(), share_one),
             ("share_ge2_late".into(), share_ge2),
             ("share_ge4_late".into(), share_ge4),
-            ("auctions_with_late".into(), fractions.len() as f64),
+            ("auctions_with_late".into(), n_late as f64),
         ],
         notes: vec![],
     }
@@ -56,20 +60,14 @@ pub fn f17_late_ecdf(ix: &DatasetIndex) -> FigureReport {
 /// Fig. 18: percentage of late bids per Demand Partner.
 pub fn f18_late_by_partner(ix: &DatasetIndex) -> FigureReport {
     // Use request-level latency observations (they exist for no-bid
-    // responses too, matching the paper's "bids sent" framing).
-    let mut per_partner: HashMap<Symbol, (u32, u32)> = HashMap::new(); // (late, total)
-    for (row, partner) in ix.l_partner.iter().enumerate() {
-        let e = per_partner.entry(*partner).or_default();
-        e.1 += 1;
-        if ix.l_late[row] {
-            e.0 += 1;
-        }
-    }
+    // responses too, matching the paper's "bids sent" framing), counted
+    // per partner at fold time.
     let min_obs = 5;
-    let mut rates: Vec<(&str, f64, u32)> = per_partner
-        .into_iter()
-        .filter(|(_, (_, total))| *total >= min_obs)
-        .map(|(p, (late, total))| (ix.str(p), late as f64 / total as f64, total))
+    let mut rates: Vec<(&str, f64, u32)> = ix
+        .partner_late
+        .iter()
+        .filter(|(_, _, total)| *total >= min_obs)
+        .map(|&(p, late, total)| (ix.str(p), late as f64 / total as f64, total))
         .collect();
     rates.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)

@@ -7,25 +7,20 @@
 
 use crate::index::DatasetIndex;
 use crate::report::FigureReport;
-use hb_stats::{fmt_ms, fmt_pct, Align, Ecdf, GroupedSamples, Samples, Table, Whisker};
+use hb_stats::{fmt_ms, fmt_pct, Align, GroupedSamples, Samples, SortedGroups, Table, Whisker};
 use std::collections::BTreeMap;
-
-/// All per-visit HB latencies (ms), in visit order.
-fn visit_latencies(ix: &DatasetIndex) -> Vec<f64> {
-    ix.v_latency.iter().copied().filter(|l| !l.is_nan()).collect()
-}
 
 /// Fig. 12: ECDF of total HB latency per website.
 pub fn f12_latency_ecdf(ix: &DatasetIndex) -> FigureReport {
-    let lats = visit_latencies(ix);
-    let ecdf = Ecdf::from_iter(lats.iter().copied());
-    let s = Samples::from_iter(lats.iter().copied());
+    // One sorted copy of the measured latencies (unmeasured `NaN`s are
+    // dropped); its ECDF value at `x` is `frac_at_or_below(x)`.
+    let s = Samples::from_vec(ix.v_latency.clone());
     let mut table = Table::new(
         "Fig. 12 — total HB latency per website (ECDF)",
         &["latency", "P[X<=x]"],
     );
     for ms in [100.0, 250.0, 400.0, 600.0, 1_000.0, 2_000.0, 3_000.0, 5_000.0, 10_000.0] {
-        table.row(vec![fmt_ms(ms), format!("{:.4}", ecdf.eval(ms))]);
+        table.row(vec![fmt_ms(ms), format!("{:.4}", s.frac_at_or_below(ms))]);
     }
     let median = s.median().unwrap_or(0.0);
     let over_1s = s.frac_above(1_000.0);
@@ -51,13 +46,12 @@ pub fn f12_latency_ecdf(ix: &DatasetIndex) -> FigureReport {
 /// bins of 500 (universe/70).
 pub fn f13_latency_vs_rank(ix: &DatasetIndex) -> FigureReport {
     let bin_width = (ix.n_sites as u64 / 70).max(1);
-    let mut grouped = GroupedSamples::new();
-    for (i, &lat) in ix.v_latency.iter().enumerate() {
-        if !lat.is_nan() {
-            grouped.add(ix.v_rank[i] as u64 - 1, lat);
-        }
-    }
-    let binned = grouped.rebinned(bin_width);
+    let binned = SortedGroups::new(
+        ix.v_rank
+            .iter()
+            .zip(&ix.v_latency)
+            .map(|(&rank, &lat)| ((rank as u64 - 1) / bin_width, lat)),
+    );
     let mut table = Table::new(
         "Fig. 13 — HB latency vs site rank",
         &["rank bin", "n", "p25", "median", "p75"],
@@ -72,15 +66,9 @@ pub fn f13_latency_vs_rank(ix: &DatasetIndex) -> FigureReport {
             fmt_ms(w.p75),
         ]);
     }
-    let head_median = binned.get(0).and_then(|s| s.median()).unwrap_or(0.0);
-    let rest: Vec<f64> = ix
-        .v_latency
-        .iter()
-        .enumerate()
-        .filter(|(i, l)| ix.v_rank[*i] as u64 > bin_width && !l.is_nan())
-        .map(|(_, l)| *l)
-        .collect();
-    let rest_median = Samples::from_iter(rest).median().unwrap_or(0.0);
+    let head_median = binned.get(0).and_then(Samples::median).unwrap_or(0.0);
+    // Ranks above the first bin are exactly bins 1 and up.
+    let rest_median = binned.pooled(1..).median().unwrap_or(0.0);
     FigureReport {
         id: "F13".into(),
         title: "HB latency vs domain popularity".into(),
@@ -179,17 +167,14 @@ pub fn f14_partner_latency(ix: &DatasetIndex) -> FigureReport {
 /// Fig. 15: latency and share of sites vs number of partners.
 pub fn f15_latency_vs_partners(ix: &DatasetIndex) -> FigureReport {
     // Partner count per site (union over visits), latency per visit.
-    let mut grouped = GroupedSamples::new();
-    let mut site_counts = GroupedSamples::new();
-    for site in &ix.sites {
+    let with_partners = || ix.sites.iter().filter(|site| !site.partners.is_empty());
+    let grouped = SortedGroups::new(with_partners().flat_map(|site| {
         let k = site.partners.len() as u64;
-        if k == 0 {
-            continue;
-        }
-        site_counts.add(k, 0.0);
-        for &lat in &site.latencies {
-            grouped.add(k, lat);
-        }
+        site.latencies.iter().map(move |&lat| (k, lat))
+    }));
+    let mut site_counts = GroupedSamples::new();
+    for site in with_partners() {
+        site_counts.add(site.partners.len() as u64, 0.0);
     }
     let shares: BTreeMap<u64, f64> = site_counts.shares().into_iter().collect();
     let mut table = Table::new(
@@ -214,7 +199,7 @@ pub fn f15_latency_vs_partners(ix: &DatasetIndex) -> FigureReport {
             fmt_ms(w.p75),
         ]);
     }
-    let med = |k: u64| grouped.get(k).and_then(|s| s.median()).unwrap_or(0.0);
+    let med = |k: u64| grouped.get(k).and_then(Samples::median).unwrap_or(0.0);
     FigureReport {
         id: "F15".into(),
         title: "Latency vs number of Demand Partners".into(),
@@ -233,14 +218,6 @@ pub fn f15_latency_vs_partners(ix: &DatasetIndex) -> FigureReport {
 
 /// Fig. 16: latency distribution vs partner popularity rank (bins of 10).
 pub fn f16_latency_vs_popularity(ix: &DatasetIndex) -> FigureReport {
-    let mut grouped = GroupedSamples::new();
-    for (rank0, (name, _)) in ix.partner_popularity.iter().enumerate() {
-        if let Some(lats) = ix.latency_samples_of(*name) {
-            for &l in lats {
-                grouped.add(rank0 as u64 / 10, l);
-            }
-        }
-    }
     let mut table = Table::new(
         "Fig. 16 — latency vs partner popularity rank (bins of 10)",
         &["popularity bin", "n", "p25", "median", "p75", "spread(p75-p25)"],
@@ -254,7 +231,17 @@ pub fn f16_latency_vs_popularity(ix: &DatasetIndex) -> FigureReport {
         Align::Right,
     ]);
     let mut spreads = Vec::new();
-    for (bin, w) in grouped.whiskers() {
+    // One popularity bin at a time, concatenated at exact capacity and
+    // sorted in place.
+    for (bin, partners) in ix.partner_popularity.chunks(10).enumerate() {
+        let runs: Vec<&[f64]> = partners
+            .iter()
+            .filter_map(|(name, _)| ix.latency_samples_of(*name))
+            .collect();
+        let Some(w) = Whisker::from_samples(&Samples::from_vec(runs.concat())) else {
+            continue;
+        };
+        let bin = bin as u64;
         table.row(vec![
             format!("{}-{}", bin * 10 + 1, (bin + 1) * 10),
             w.n.to_string(),

@@ -8,21 +8,18 @@ use crate::index::DatasetIndex;
 use crate::report::FigureReport;
 use hb_adtech::AdSize;
 use hb_core::Symbol;
-use hb_stats::{fmt_f, Align, Ecdf, GroupedSamples, Samples, Table, Whisker};
-use std::collections::{BTreeMap, HashMap};
+use hb_stats::{fmt_f, Align, Samples, SortedGroups, Table, Whisker};
+use std::collections::HashMap;
 
-/// All bid prices (CPM) grouped by facet label.
-fn prices_by_facet(ix: &DatasetIndex) -> BTreeMap<&'static str, Vec<f64>> {
-    let mut map: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
-    for (row, &cpm) in ix.b_cpm.iter().enumerate() {
-        let Some(f) = ix.v_facet[ix.b_visit[row] as usize] else {
-            continue;
-        };
-        if cpm > 0.0 {
-            map.entry(f.label()).or_default().push(cpm);
-        }
-    }
-    map
+/// All positive bid prices (CPM) per facet label.
+fn prices_by_facet(ix: &DatasetIndex) -> SortedGroups<&'static str> {
+    SortedGroups::new(
+        ix.b_cpm
+            .iter()
+            .zip(&ix.b_visit)
+            .filter(|(&cpm, _)| cpm > 0.0)
+            .filter_map(|(&cpm, &visit)| Some((ix.v_facet[visit as usize]?.label(), cpm))),
+    )
 }
 
 /// Fig. 22: ECDF of bid prices per facet.
@@ -41,24 +38,33 @@ pub fn f22_price_ecdf(ix: &DatasetIndex) -> FigureReport {
         Align::Right,
     ]);
     let mut metrics = Vec::new();
-    for (facet, prices) in &by_facet {
-        let s = Samples::from_iter(prices.iter().copied());
-        let ecdf = Ecdf::from_iter(prices.iter().copied());
+    for (facet, s) in by_facet.iter() {
         table.row(vec![
             facet.to_string(),
             s.len().to_string(),
             fmt_f(s.quantile(0.25).unwrap_or(0.0)),
             fmt_f(s.median().unwrap_or(0.0)),
             fmt_f(s.quantile(0.75).unwrap_or(0.0)),
-            hb_stats::fmt_pct(1.0 - ecdf.eval(0.5)),
+            hb_stats::fmt_pct(1.0 - s.frac_at_or_below(0.5)),
         ]);
         metrics.push((format!("median_{facet}"), s.median().unwrap_or(0.0)));
-        metrics.push((format!("share_over_half_{facet}"), 1.0 - ecdf.eval(0.5)));
+        metrics.push((
+            format!("share_over_half_{facet}"),
+            1.0 - s.frac_at_or_below(0.5),
+        ));
     }
-    // Pooled share over 0.5 CPM (paper: >20%).
-    let all: Vec<f64> = by_facet.values().flatten().copied().collect();
-    let pooled = Ecdf::from_iter(all.iter().copied());
-    metrics.push(("share_over_half_all".into(), 1.0 - pooled.eval(0.5)));
+    // Pooled share over 0.5 CPM (paper: >20%), counted across the facets
+    // with `frac_at_or_below`'s arithmetic so it equals the pooled
+    // sample's value bit for bit.
+    let n: usize = by_facet.iter().map(|(_, s)| s.len()).sum();
+    let n_above: usize = by_facet.iter().map(|(_, s)| s.count_above(0.5)).sum();
+    let pooled_frac_above = if n == 0 {
+        0.0
+    } else {
+        n_above as f64 / n as f64
+    };
+    let pooled_at_or_below = 1.0 - pooled_frac_above;
+    metrics.push(("share_over_half_all".into(), 1.0 - pooled_at_or_below));
     FigureReport {
         id: "F22".into(),
         title: "Bid prices per HB facet".into(),
@@ -75,15 +81,15 @@ pub fn f22_price_ecdf(ix: &DatasetIndex) -> FigureReport {
 pub fn f23_price_by_size(ix: &DatasetIndex) -> FigureReport {
     // Group on cheap symbols, then order by resolved size name to match
     // the original BTreeMap<String, _> iteration.
-    let mut by_size: HashMap<Symbol, Vec<f64>> = HashMap::new();
-    for (row, &cpm) in ix.b_cpm.iter().enumerate() {
-        let size = ix.b_size[row];
-        if cpm > 0.0 && !size.is_empty() {
-            by_size.entry(size).or_default().push(cpm);
-        }
-    }
-    let mut sized: Vec<(&str, Vec<f64>)> = by_size
-        .into_iter()
+    let by_size = SortedGroups::new(
+        ix.b_cpm
+            .iter()
+            .zip(&ix.b_size)
+            .filter(|(&cpm, size)| cpm > 0.0 && !size.is_empty())
+            .map(|(&cpm, &size)| (size, cpm)),
+    );
+    let mut sized: Vec<(&str, &Samples)> = by_size
+        .iter()
         .map(|(sym, prices)| (ix.str(sym), prices))
         .collect();
     sized.sort_unstable_by(|a, b| a.0.cmp(b.0));
@@ -94,7 +100,7 @@ pub fn f23_price_by_size(ix: &DatasetIndex) -> FigureReport {
         .filter(|(_, v)| v.len() >= min_obs)
         .filter_map(|(size, prices)| {
             let area = AdSize::parse(size).map(|s| s.area()).unwrap_or(0);
-            Whisker::from_iter(prices.iter().copied()).map(|w| (*size, area, w))
+            Whisker::from_samples(prices).map(|w| (*size, area, w))
         })
         .collect();
     rows.sort_by_key(|(_, area, _)| *area);
@@ -150,14 +156,13 @@ pub fn f24_price_by_popularity(ix: &DatasetIndex) -> FigureReport {
         .enumerate()
         .map(|(i, (n, _))| (*n, i))
         .collect();
-    let mut grouped = GroupedSamples::new();
-    for (row, &cpm) in ix.b_cpm.iter().enumerate() {
-        if cpm > 0.0 {
-            if let Some(&rank0) = rank_of.get(&ix.b_partner[row]) {
-                grouped.add(rank0 as u64 / 10, cpm);
-            }
-        }
-    }
+    let grouped = SortedGroups::new(
+        ix.b_cpm
+            .iter()
+            .zip(&ix.b_partner)
+            .filter(|(&cpm, _)| cpm > 0.0)
+            .filter_map(|(&cpm, partner)| Some((*rank_of.get(partner)? as u64 / 10, cpm))),
+    );
     let mut table = Table::new(
         "Fig. 24 — bid prices vs partner popularity (bins of 10)",
         &["popularity bin", "n", "p25", "median", "p75", "spread"],

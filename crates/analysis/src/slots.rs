@@ -1,11 +1,12 @@
 //! Ad-slot analyses: slots per site per facet (Fig. 19), latency vs slot
 //! count (Fig. 20), size popularity per facet (Fig. 21).
 //!
-//! All builders read the columnar [`DatasetIndex`] slot/visit columns.
+//! All builders read the columnar [`DatasetIndex`] visit columns; Fig. 21
+//! also reads its fold-time slot-size counts and the bid columns.
 
 use crate::index::DatasetIndex;
 use crate::report::FigureReport;
-use hb_stats::{fmt_ms, fmt_pct, Align, Counter, GroupedSamples, Samples, Table};
+use hb_stats::{fmt_ms, fmt_pct, Align, Counter, Samples, SortedGroups, Table};
 use std::collections::BTreeMap;
 
 /// Fig. 19: ECDF of auctioned ad-slots per website, per facet.
@@ -67,12 +68,13 @@ pub fn f19_slots_ecdf(ix: &DatasetIndex) -> FigureReport {
 
 /// Fig. 20: latency vs number of auctioned slots.
 pub fn f20_latency_vs_slots(ix: &DatasetIndex) -> FigureReport {
-    let mut grouped = GroupedSamples::new();
-    for (row, &lat) in ix.v_latency.iter().enumerate() {
-        if !lat.is_nan() && ix.v_slots_auctioned[row] >= 1 {
-            grouped.add(ix.v_slots_auctioned[row].min(15) as u64, lat);
-        }
-    }
+    let grouped = SortedGroups::new(
+        ix.v_slots_auctioned
+            .iter()
+            .zip(&ix.v_latency)
+            .filter(|(&slots, _)| slots >= 1)
+            .map(|(&slots, &lat)| (slots.min(15) as u64, lat)),
+    );
     let mut table = Table::new(
         "Fig. 20 — HB latency vs auctioned ad-slots",
         &["slots", "n", "p25", "median", "p75"],
@@ -93,27 +95,9 @@ pub fn f20_latency_vs_slots(ix: &DatasetIndex) -> FigureReport {
             fmt_ms(w.p75),
         ]);
     }
-    let med = |k: u64| grouped.get(k).and_then(|s| s.median()).unwrap_or(0.0);
-    let med13 = Samples::from_iter(
-        (1..=3).flat_map(|k| {
-            grouped
-                .get(k)
-                .map(|s| s.sorted().to_vec())
-                .unwrap_or_default()
-        }),
-    )
-    .median()
-    .unwrap_or(0.0);
-    let med35 = Samples::from_iter(
-        (3..=5).flat_map(|k| {
-            grouped
-                .get(k)
-                .map(|s| s.sorted().to_vec())
-                .unwrap_or_default()
-        }),
-    )
-    .median()
-    .unwrap_or(0.0);
+    let med = |k: u64| grouped.get(k).and_then(Samples::median).unwrap_or(0.0);
+    let med13 = grouped.pooled(1..=3).median().unwrap_or(0.0);
+    let med35 = grouped.pooled(3..=5).median().unwrap_or(0.0);
     FigureReport {
         id: "F20".into(),
         title: "Latency vs number of auctioned ad-slots".into(),
@@ -132,13 +116,14 @@ pub fn f20_latency_vs_slots(ix: &DatasetIndex) -> FigureReport {
 /// Fig. 21: most popular ad sizes per facet.
 pub fn f21_sizes(ix: &DatasetIndex) -> FigureReport {
     let mut per_facet: BTreeMap<&str, Counter> = BTreeMap::new();
-    // Slot decisions carry the authoritative sizes; bids add more.
-    for (row, size) in ix.s_size.iter().enumerate() {
-        let Some(f) = ix.v_facet[ix.s_visit[row] as usize] else {
-            continue;
-        };
+    // Slot decisions carry the authoritative sizes (counted at fold
+    // time); bids add more.
+    for &(f, size, n) in &ix.slot_sizes {
         if !size.is_empty() {
-            per_facet.entry(f.label()).or_default().add(ix.str(*size));
+            per_facet
+                .entry(f.label())
+                .or_default()
+                .add_n(ix.str(size), n);
         }
     }
     for (row, size) in ix.b_size.iter().enumerate() {

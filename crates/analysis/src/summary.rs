@@ -13,10 +13,15 @@ pub fn t1_summary(ix: &DatasetIndex) -> FigureReport {
     let auctions: u64 = ix.v_slots_auctioned.iter().map(|&s| s as u64).sum();
     let bids: u64 = ix.v_n_bids.iter().map(|&b| b as u64).sum();
     let partners = {
-        let mut set: std::collections::HashSet<hb_core::Symbol> =
-            ix.b_partner.iter().copied().collect();
-        for site in &ix.sites {
-            set.extend(site.partners.iter().copied());
+        // Insert one by one: collecting would size the set for every bid
+        // row, not for the few distinct partners.
+        let mut set = std::collections::HashSet::new();
+        for p in ix
+            .b_partner
+            .iter()
+            .chain(ix.sites.iter().flat_map(|s| &s.partners))
+        {
+            set.insert(*p);
         }
         set.len()
     };

@@ -21,13 +21,19 @@ impl Counter {
     }
 
     /// Add one observation of `key`.
-    pub fn add(&mut self, key: impl Into<String>) {
+    pub fn add(&mut self, key: impl AsRef<str> + Into<String>) {
         self.add_n(key, 1);
     }
 
-    /// Add `n` observations of `key`.
-    pub fn add_n(&mut self, key: impl Into<String>, n: u64) {
-        *self.counts.entry(key.into()).or_insert(0) += n;
+    /// Add `n` observations of `key`. The key is copied into an owned
+    /// `String` only the first time it is seen.
+    pub fn add_n(&mut self, key: impl AsRef<str> + Into<String>, n: u64) {
+        match self.counts.get_mut(key.as_ref()) {
+            Some(count) => *count += n,
+            None => {
+                self.counts.insert(key.into(), n);
+            }
+        }
         self.total += n;
     }
 

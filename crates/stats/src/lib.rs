@@ -6,7 +6,8 @@
 //! categorical counters and binned histograms ([`Counter`],
 //! [`BinnedHistogram`]), log-bucketed mergeable latency histograms for
 //! the serving plane ([`LogHistogram`]), grouped samples
-//! ([`GroupedSamples`]), and ASCII/CSV table rendering ([`Table`]).
+//! ([`GroupedSamples`], [`SortedGroups`]), and ASCII/CSV table rendering
+//! ([`Table`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,7 +20,7 @@ pub mod quantile;
 pub mod table;
 pub mod whisker;
 
-pub use binning::GroupedSamples;
+pub use binning::{GroupedSamples, SortedGroups};
 pub use ecdf::{Ecdf, EcdfPoint};
 pub use histogram::{BinnedHistogram, Counter};
 pub use loghist::LogHistogram;

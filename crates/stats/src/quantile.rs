@@ -9,9 +9,16 @@ pub struct Samples {
 impl Samples {
     /// Build from any iterator of values; non-finite values are discarded.
     pub fn from_iter(values: impl IntoIterator<Item = f64>) -> Samples {
-        let mut v: Vec<f64> = values.into_iter().filter(|x| x.is_finite()).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Samples { sorted: v }
+        Samples::from_vec(values.into_iter().filter(|x| x.is_finite()).collect())
+    }
+
+    /// Build from an owned buffer, dropping non-finite values and sorting
+    /// in place: the same samples as [`Samples::from_iter`], without a
+    /// second copy.
+    pub fn from_vec(mut values: Vec<f64>) -> Samples {
+        values.retain(|x| x.is_finite());
+        sort_finite(&mut values);
+        Samples { sorted: values }
     }
 
     /// Number of retained samples.
@@ -79,18 +86,21 @@ impl Samples {
         self.sorted.last().copied()
     }
 
+    /// Number of samples strictly greater than `threshold`.
+    pub fn count_above(&self, threshold: f64) -> usize {
+        self.sorted
+            .iter()
+            .rev()
+            .take_while(|&&x| x > threshold)
+            .count()
+    }
+
     /// Fraction of samples strictly greater than `threshold`.
     pub fn frac_above(&self, threshold: f64) -> f64 {
         if self.sorted.is_empty() {
             return 0.0;
         }
-        let n_above = self
-            .sorted
-            .iter()
-            .rev()
-            .take_while(|&&x| x > threshold)
-            .count();
-        n_above as f64 / self.sorted.len() as f64
+        self.count_above(threshold) as f64 / self.sorted.len() as f64
     }
 
     /// Fraction of samples less than or equal to `threshold` (ECDF value).
@@ -101,6 +111,27 @@ impl Samples {
     /// Interquartile range (p75 - p25).
     pub fn iqr(&self) -> Option<f64> {
         Some(self.quantile(0.75)? - self.quantile(0.25)?)
+    }
+}
+
+/// Sort finite values ascending, in place, into exactly the order a
+/// stable `partial_cmp` sort gives.
+///
+/// A stable sort allocates a scratch buffer as large as the input; an
+/// unstable one allocates nothing. The two can only differ among values
+/// that compare equal but differ in bits, and for finite values that is
+/// `-0.0` against `0.0`: their signs are recorded in input order before
+/// the sort and laid back over the zero run after it.
+fn sort_finite(values: &mut [f64]) {
+    let zero_signs: Vec<bool> = values
+        .iter()
+        .filter(|x| **x == 0.0)
+        .map(|x| x.is_sign_negative())
+        .collect();
+    values.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+    let first_zero = values.partition_point(|x| *x < 0.0);
+    for (x, negative) in values[first_zero..].iter_mut().zip(zero_signs) {
+        *x = if negative { -0.0 } else { 0.0 };
     }
 }
 
@@ -142,6 +173,8 @@ mod tests {
         let x = Samples::from_iter(vec![1.0, f64::NAN, 2.0, f64::INFINITY]);
         assert_eq!(x.len(), 2);
         assert_eq!(x.max(), Some(2.0));
+        let y = Samples::from_vec(vec![f64::NEG_INFINITY, 2.0, f64::NAN, 1.0]);
+        assert_eq!(y.sorted(), &[1.0, 2.0]);
     }
 
     #[test]
@@ -160,6 +193,8 @@ mod tests {
         assert_eq!(x.frac_above(0.0), 1.0);
         assert_eq!(x.frac_above(10.0), 0.0);
         assert_eq!(s(&[]).frac_above(1.0), 0.0);
+        assert_eq!(x.count_above(2.0), 2);
+        assert_eq!(s(&[]).count_above(1.0), 0);
     }
 
     #[test]
