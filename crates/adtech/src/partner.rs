@@ -210,7 +210,7 @@ pub fn bid_request_body(slots: &[(HStr, AdSize)]) -> Json {
         Json::arr(slots.iter().map(|(code, size)| {
             Json::obj([
                 ("code", Json::str(code.clone())),
-                ("size", Json::str(HStr::from_display(*size))),
+                ("size", Json::str(size.label())),
             ])
         })),
     )])

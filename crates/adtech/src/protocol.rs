@@ -111,7 +111,7 @@ impl BidPayload {
             (params::BIDDER, Json::str(self.bidder.clone())),
             (params::HB_SLOT, Json::str(self.slot.clone())),
             (params::CPM, Json::num(self.cpm.0)),
-            (params::HB_SIZE, Json::str(HStr::from_display(self.size))),
+            (params::HB_SIZE, Json::str(self.size.label())),
             (params::HB_ADID, Json::str(self.ad_id.clone())),
             (params::HB_CURRENCY, Json::str(self.currency.clone())),
         ])
@@ -216,7 +216,7 @@ impl WinnerPayload {
         let mut j = Json::obj([
             (params::HB_SLOT, Json::str(self.slot.clone())),
             ("channel", Json::str(self.channel.label())),
-            (params::HB_SIZE, Json::str(HStr::from_display(self.size))),
+            (params::HB_SIZE, Json::str(self.size.label())),
         ]);
         if self.channel == FillChannel::HeaderBid {
             j.insert(params::HB_BIDDER, Json::str(self.bidder.clone()));
@@ -273,14 +273,21 @@ pub fn parse_ad_server_response(body: &Json) -> Option<(HStr, Vec<WinnerPayload>
     Some((auction, winners))
 }
 
-/// Build the query parameters of a client-side bid request.
-pub fn bid_request_params(auction_id: &str, bidder: &str, n_slots: usize) -> QueryParams {
-    let mut q = QueryParams::new();
+/// Append the query parameters of a client-side bid request to `q` (a
+/// pooled buffer from the caller): auction id, bidder code, source and
+/// slot count. The crawl's wrapper (first attempt and retry) and the
+/// serving plane's provider builder share this one shape; a retry appends
+/// [`params::HB_RETRY`] after it.
+pub fn bid_request_params(
+    q: &mut QueryParams,
+    auction_id: impl Into<HStr>,
+    bidder: impl Into<HStr>,
+    n_slots: usize,
+) {
     q.append(params::HB_AUCTION, auction_id);
     q.append(params::HB_BIDDER, bidder);
     q.append(params::HB_SOURCE, "client");
-    q.append("slots", HStr::from_display(n_slots));
-    q
+    q.append("slots", crate::types::decimal(n_slots as u64));
 }
 
 #[cfg(test)]
@@ -392,7 +399,8 @@ mod tests {
 
     #[test]
     fn bid_request_params_carry_hb_keys() {
-        let q = bid_request_params("a-1", "criteo", 3);
+        let mut q = QueryParams::new();
+        bid_request_params(&mut q, "a-1", "criteo", 3);
         assert_eq!(q.get(params::HB_AUCTION), Some("a-1"));
         assert_eq!(q.get(params::HB_BIDDER), Some("criteo"));
         assert_eq!(q.get(params::HB_SOURCE), Some("client"));

@@ -107,7 +107,8 @@ pub fn hb_bid_request(
         .iter()
         .map(|u| (u.code.clone(), u.primary_size()))
         .collect();
-    let mut q = protocol::bid_request_params(auction_id, bidder.as_str(), units.len());
+    let mut q = QueryParams::new();
+    protocol::bid_request_params(&mut q, auction_id, bidder.as_str(), units.len());
     if hedge {
         q.append(params::HB_RETRY, "1");
     }
@@ -148,8 +149,8 @@ pub fn mediation_request(
 pub fn tier_request(id: RequestId, rtb_host: &HStr, floor: Cpm, size: AdSize, cb: u64) -> Request {
     let mut q = QueryParams::new();
     q.append("floor", floor.to_param());
-    q.append("size", HStr::from_display(size));
-    q.append("cb", HStr::from_display(cb));
+    q.append("size", size.label());
+    q.append("cb", crate::types::decimal(cb));
     let url = Url::https_pooled(rtb_host.clone(), HStr::from_static(paths::RTB_AD), q);
     Request::get(id, url).from_initiator("hb-serve")
 }

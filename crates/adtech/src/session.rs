@@ -237,10 +237,9 @@ pub fn send_request<F>(
     w.browser.note_request_out(&req, now);
 
     // DNS: unknown host? One router walk serves both the reachability
-    // check and the dispatch below (a cheap Arc clone keeps the borrow
-    // checker out of `w`'s fields).
-    let router = w.net.router.clone();
-    let Some(endpoint) = router.resolve(&req.url.host) else {
+    // check and the dispatch below. The endpoint borrows `w.net.router`
+    // only, so the RNG and fault injector stay free to use alongside it.
+    let Some(endpoint) = w.net.router.resolve(&req.url.host) else {
         s.after(SimDuration::from_millis(1), move |w: &mut PageWorld, s| {
             w.in_flight -= 1;
             w.browser

@@ -23,8 +23,13 @@ impl AdSize {
         self.w as u64 * self.h as u64
     }
 
-    /// Parse from `"300x250"` notation.
+    /// Parse from `"300x250"` notation. The six standard sizes' exact
+    /// labels are matched first; anything else (other sizes, whitespace
+    /// around either number) takes the general split-and-parse path.
     pub fn parse(s: &str) -> Option<AdSize> {
+        if let Some((size, _)) = STANDARD_SIZES.iter().find(|(_, label)| *label == s) {
+            return Some(*size);
+        }
         let (w, h) = s.split_once('x')?;
         Some(AdSize {
             w: w.trim().parse().ok()?,
@@ -44,6 +49,47 @@ impl AdSize {
     pub const BILLBOARD: AdSize = AdSize::new(970, 250);
     /// Wide skyscraper.
     pub const SKYSCRAPER: AdSize = AdSize::new(160, 600);
+
+    /// The `"WxH"` label, as `Display` renders it. The six standard sizes
+    /// (the constants above — every size the generator assigns) return a
+    /// static string without formatting; any other size is rendered
+    /// through `Display`.
+    pub fn label(&self) -> HStr {
+        match STANDARD_SIZES.iter().find(|(size, _)| size == self) {
+            Some((_, label)) => HStr::from_static(label),
+            None => HStr::from_display(self),
+        }
+    }
+}
+
+/// The standard sizes and their `"WxH"` labels.
+const STANDARD_SIZES: [(AdSize, &str); 6] = [
+    (AdSize::MEDIUM_RECT, "300x250"),
+    (AdSize::LEADERBOARD, "728x90"),
+    (AdSize::HALF_PAGE, "300x600"),
+    (AdSize::MOBILE_BANNER, "320x50"),
+    (AdSize::BILLBOARD, "970x250"),
+    (AdSize::SKYSCRAPER, "160x600"),
+];
+
+/// Write `n` in decimal so that it ends at `buf[end]`; returns where it
+/// starts. `buf` must hold the digits (20 bytes fit any `u64`).
+fn decimal_into(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
+    loop {
+        end -= 1;
+        buf[end] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return end;
+        }
+    }
+}
+
+/// `n` in decimal, as `Display` renders it, without going through `fmt`.
+pub(crate) fn decimal(n: u64) -> HStr {
+    let mut buf = [0u8; 20];
+    let at = decimal_into(&mut buf, 20, n);
+    HStr::new(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
 }
 
 impl fmt::Display for AdSize {
@@ -77,10 +123,32 @@ impl Cpm {
         Cpm((self.0 / granularity + 1e-9).floor() * granularity)
     }
 
-    /// Render as the ad-server string form (2 decimals). Stays on the
-    /// stack: the rendered form is at most a few bytes.
+    /// Render as the ad-server string form, `format!("{:.2}")` of the
+    /// price. Stays on the stack: the rendered form is at most a few bytes.
+    ///
+    /// Fast path, without `fmt`: when the price is finite, non-negative
+    /// (not `-0.0`) and below 1e9, and `100·x` lies more than 1e-6 from a
+    /// `.5` tie, the rounded integer cents are written directly. Off a
+    /// tie, rounding the computed `100·x` lands on the same cent as
+    /// rounding the exact decimal value of `x`: below 1e11 a half-integer
+    /// is representable, so a computed value off the tie is at least one
+    /// ulp away from it, farther than the product's rounding error. Every
+    /// other value — ties, negatives, `-0.0`, NaN, ±inf, ≥ 1e9 — keeps the
+    /// `{:.2}` rendering.
     pub fn to_param(&self) -> HStr {
-        HStr::from_display(format_args!("{:.2}", self.0))
+        let x = self.0;
+        let hundredths = x * 100.0;
+        if x.is_sign_positive() && x < 1e9 && (hundredths.fract() - 0.5).abs() > 1e-6 {
+            let cents = hundredths.round() as u64;
+            let mut buf = [0u8; 20];
+            let frac = decimal_into(&mut buf, 20, 100 + cents % 100);
+            // `100 + c` renders as "1cc": overwrite its leading 1 with the
+            // point, then prepend the whole part.
+            buf[frac] = b'.';
+            let at = decimal_into(&mut buf, frac, cents / 100);
+            return HStr::new(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+        }
+        HStr::from_display(format_args!("{:.2}", x))
     }
 
     /// Parse from a parameter string.

@@ -71,7 +71,7 @@ pub fn waterfall_endpoint(
                     Some(clearing) if clearing.0 >= floor.0 => {
                         let body = Json::obj([
                             ("price", Json::num(clearing.0)),
-                            ("size", Json::str(HStr::from_display(size))),
+                            ("size", Json::str(size.label())),
                             ("adm", Json::str(HStr::from_static("<creative/>"))),
                         ]);
                         ServerReply::after(Response::json(req.id, body), processing)
@@ -138,8 +138,8 @@ fn send_tier_request(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize
         .unwrap_or(AdSize::MEDIUM_RECT);
     let mut q = w.scratch.take_params();
     q.append("floor", tier.floor.to_param());
-    q.append("size", HStr::from_display(size));
-    q.append("cb", HStr::from_display(w.rng.below(1_000_000_000)));
+    q.append("size", size.label());
+    q.append("cb", crate::types::decimal(w.rng.below(1_000_000_000)));
     if attempt > 0 {
         q.append("rt", "1");
     }
@@ -186,7 +186,7 @@ fn send_tier_request(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize
                     HStr::from_static(pparam),
                     HStr::from_display(format_args!("{:.4}", price.0)),
                 );
-                q.append("cb", HStr::from_display(w.rng.below(1_000_000_000)));
+                q.append("cb", crate::types::decimal(w.rng.below(1_000_000_000)));
                 let url = Url::https_pooled(
                     HStr::from_display(format_args!("rtb.{}", tier.partner.host)),
                     HStr::from_static(protocol::paths::RTB_NOTIFY),

@@ -403,10 +403,7 @@ fn start_client_auction(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
     for (idx, partner) in site.client_partners.iter().enumerate() {
         let code = partner.code.clone();
         let mut q = w.scratch.take_params();
-        q.append(params::HB_AUCTION, auction_id.clone());
-        q.append(params::HB_BIDDER, code.clone());
-        q.append(params::HB_SOURCE, "client");
-        q.append("slots", HStr::from_display(slots.len()));
+        protocol::bid_request_params(&mut q, auction_id.clone(), code.clone(), slots.len());
         let url = Url::https_pooled(
             partner.host.clone(),
             HStr::from_static(protocol::paths::BID),
@@ -486,7 +483,7 @@ fn handle_bid_outcome(
                             (params::HB_AUCTION, Json::str(w.flow.auction_id.clone())),
                             (params::HB_SLOT, Json::str(bid.slot.clone())),
                             (params::CPM, Json::num(bid.cpm.0)),
-                            (params::HB_SIZE, Json::str(HStr::from_display(bid.size))),
+                            (params::HB_SIZE, Json::str(bid.size.label())),
                             (params::HB_CURRENCY, Json::str(bid.currency.clone())),
                         ]);
                         w.browser.fire_event(s.now(), events::BID_RESPONSE, &payload);
@@ -584,10 +581,7 @@ fn launch_partner_retry(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, partner
             return;
         }
         let mut q = w.scratch.take_params();
-        q.append(params::HB_AUCTION, auction_id.clone());
-        q.append(params::HB_BIDDER, code.clone());
-        q.append(params::HB_SOURCE, "client");
-        q.append("slots", HStr::from_display(slots.len()));
+        protocol::bid_request_params(&mut q, auction_id.clone(), code.clone(), slots.len());
         q.append(params::HB_RETRY, "1");
         let url = Url::https_pooled(host, HStr::from_static(protocol::paths::BID), q);
         let id = w.browser.next_request_id();
@@ -657,7 +651,7 @@ fn send_to_adserver(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
         {
             q.append(params::HB_BIDDER, best.bidder.clone());
             q.append(params::HB_PB, best.cpm.to_param());
-            q.append(params::HB_SIZE, HStr::from_display(best.size));
+            q.append(params::HB_SIZE, best.size.label());
             q.append(params::HB_ADID, best.ad_id.clone());
         }
     }
@@ -762,7 +756,7 @@ fn handle_adserver_response(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, out
                 (params::HB_AUCTION, Json::str(w.flow.auction_id.clone())),
                 (params::HB_SLOT, Json::str(winner.slot.clone())),
                 (params::HB_PB, Json::str(winner.pb.to_param())),
-                (params::HB_SIZE, Json::str(HStr::from_display(winner.size))),
+                (params::HB_SIZE, Json::str(winner.size.label())),
             ]);
             w.browser.fire_event(now, events::BID_WON, &payload);
             w.scratch.recycle_json(payload);
@@ -808,7 +802,7 @@ fn handle_adserver_response(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, out
             } else {
                 let payload = Json::obj([
                     (params::HB_SLOT, Json::str(winner.slot.clone())),
-                    (params::HB_SIZE, Json::str(HStr::from_display(winner.size))),
+                    (params::HB_SIZE, Json::str(winner.size.label())),
                     (
                         "isEmpty",
                         Json::Bool(winner.channel == FillChannel::Unfilled),

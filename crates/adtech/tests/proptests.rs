@@ -1,9 +1,9 @@
 //! Property tests for the ad-tech protocol layer.
 
+use hb_adtech::protocol::{bid_response_body, parse_bid_response};
 use hb_adtech::{
     first_price_winner, AdSize, BidPayload, Cpm, FillChannel, InternalAuction, WinnerPayload,
 };
-use hb_adtech::protocol::{bid_response_body, parse_bid_response};
 use hb_simnet::{Dist, Rng};
 use proptest::prelude::*;
 
@@ -32,11 +32,97 @@ fn arb_bid() -> impl Strategy<Value = BidPayload> {
     })
 }
 
+/// The six standard sizes.
+const STANDARD: [AdSize; 6] = [
+    AdSize::MEDIUM_RECT,
+    AdSize::LEADERBOARD,
+    AdSize::HALF_PAGE,
+    AdSize::MOBILE_BANNER,
+    AdSize::BILLBOARD,
+    AdSize::SKYSCRAPER,
+];
+
+/// Any size: a standard one, a small one, or any `u32` pair.
+fn any_size() -> impl Strategy<Value = AdSize> {
+    prop_oneof![
+        (0usize..6).prop_map(|i| STANDARD[i]),
+        (0u32..2000, 0u32..2000).prop_map(|(w, h)| AdSize::new(w, h)),
+        (any::<u32>(), any::<u32>()).prop_map(|(w, h)| AdSize::new(w, h)),
+    ]
+}
+
+/// Text near the size notation: standard labels, the same with
+/// whitespace or stray characters around either number, and free-form
+/// digit/`x`/space soup.
+fn size_text() -> impl Strategy<Value = String> {
+    let label = (0usize..6).prop_map(|i| STANDARD[i].to_string());
+    let padded = (0usize..6, " {0,2}", " {0,2}", " {0,2}", "[ 0a]{0,1}").prop_map(
+        |(i, lead, mid, trail, stray)| {
+            let s = STANDARD[i];
+            format!("{lead}{}{mid}x{mid}{}{trail}{stray}", s.w, s.h)
+        },
+    );
+    prop_oneof![label, padded, "[0-9x ]{0,10}", "[0-9]{1,4}x[0-9]{1,4}"]
+}
+
+/// `AdSize::parse` without its fast path: split at the first `x`, trim,
+/// parse both numbers.
+fn general_parse(s: &str) -> Option<AdSize> {
+    let (w, h) = s.split_once('x')?;
+    Some(AdSize::new(w.trim().parse().ok()?, h.trim().parse().ok()?))
+}
+
+/// Prices on the edges of the fast path's domain.
+const EDGE_PRICES: [f64; 9] = [
+    -0.0,
+    0.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::MIN_POSITIVE,
+    999_999_999.995,
+    1e9,
+    0.005,
+];
+
+/// Prices across every branch of `Cpm::to_param`: arbitrary magnitudes
+/// of both signs, exact cents, exact binary `.5`-cent ties (`m/8`),
+/// decimal `.xx5` literals that sit a hair off a tie, `-0.0`, NaN, ±inf,
+/// and values at and beyond the 1e9 bound.
+fn any_price() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<f64>(),
+        (0u64..10_000_000).prop_map(|c| c as f64 / 100.0),
+        (0u64..10_000_000).prop_map(|m| (2 * m + 1) as f64 / 8.0),
+        (0u64..1_000_000).prop_map(|k| format!("{}.{:02}5", k / 100, k % 100).parse().unwrap()),
+        (0usize..EDGE_PRICES.len()).prop_map(|i| EDGE_PRICES[i]),
+        1e8f64..1e12,
+        -1e6f64..0.0,
+    ]
+}
+
 proptest! {
-    /// AdSize string form always parses back.
+    /// `AdSize::parse`'s standard-label fast path agrees with the general
+    /// path on every input, whitespace forms included.
     #[test]
-    fn adsize_roundtrip(size in arb_size()) {
-        prop_assert_eq!(AdSize::parse(&size.to_string()), Some(size));
+    fn adsize_parse_fast_path_agrees(s in size_text()) {
+        prop_assert_eq!(AdSize::parse(&s), general_parse(&s), "input {:?}", s);
+    }
+
+    /// `Cpm::to_param` renders exactly `format!("{:.2}")` for any `f64`.
+    #[test]
+    fn cpm_to_param_matches_format(x in any_price()) {
+        let (param, formatted) = (Cpm(x).to_param(), format!("{x:.2}"));
+        prop_assert_eq!(param.as_str(), formatted.as_str(), "price {:?}: {} vs {}", x, param, formatted);
+    }
+
+    /// `AdSize::label` renders exactly what `Display` does, for any size,
+    /// and parses back.
+    #[test]
+    fn adsize_roundtrip(size in any_size()) {
+        let (label, shown) = (size.label(), size.to_string());
+        prop_assert_eq!(label.as_str(), shown.as_str());
+        prop_assert_eq!(AdSize::parse(&label), Some(size));
     }
 
     /// Price buckets never exceed the raw price and are idempotent.

@@ -1,13 +1,14 @@
-//! Command-line contract for `crawl` and `figures`: a malformed
-//! invocation exits 2 with a usage line, an unwritable destination exits
-//! 1 with a message — never a panic. Runs the real binaries via
-//! `CARGO_BIN_EXE_*`.
+//! Command-line contract for `crawl`, `figures` and `perf_ab`: a
+//! malformed invocation exits 2 with a usage line, an unwritable
+//! destination exits 1 with a message — never a panic. Runs the real
+//! binaries via `CARGO_BIN_EXE_*`.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 const CRAWL: &str = env!("CARGO_BIN_EXE_crawl");
 const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
+const PERF_AB: &str = env!("CARGO_BIN_EXE_perf_ab");
 
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(bin).args(args).output().expect("spawn binary");
@@ -56,6 +57,31 @@ fn figures_rejects_malformed_invocations_with_usage() {
     assert_exit(FIGURES, &["--csv"], 2, "usage:");
     assert_exit(FIGURES, &["tiny", "--bogus"], 2, "usage:");
     assert_exit(FIGURES, &["gigantic"], 2, "usage:");
+}
+
+#[test]
+fn perf_ab_rejects_malformed_invocations_with_usage() {
+    fn full<'a>(pairs: &'a str, workload: &'a str) -> [&'a str; 8] {
+        [
+            "--base",
+            "HEAD",
+            "--workload",
+            workload,
+            "--pairs",
+            pairs,
+            "--seconds",
+            "1",
+        ]
+    }
+    assert_exit(PERF_AB, &[], 2, "usage:");
+    assert_exit(PERF_AB, &["--base"], 2, "usage:");
+    assert_exit(PERF_AB, &["--bogus"], 2, "usage:");
+    assert_exit(PERF_AB, &["--base", "HEAD", "--pairs", "3"], 2, "usage:");
+    assert_exit(PERF_AB, &full("x", "paper_campaign"), 2, "usage:");
+    assert_exit(PERF_AB, &full("0", "paper_campaign"), 2, "usage:");
+    // The workload must be one BENCHMARK.json declares; checked before
+    // any checkout or build.
+    assert_exit(PERF_AB, &full("1", "nope"), 2, "unknown workload");
 }
 
 #[test]

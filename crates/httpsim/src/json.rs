@@ -8,11 +8,27 @@
 //!
 //! ## Representation and pooling
 //!
-//! Objects are a **sorted `Vec<(HStr, Json)>`** ([`JsonObj`]): lookups
-//! binary-search, insertion keeps sort order, so iteration and
-//! serialization are byte-identical to the previous `BTreeMap`
-//! representation by construction — while the whole object lives in one
-//! contiguous spine instead of one node allocation per key.
+//! Objects are a **sorted `Vec<(HStr, Json)>`** ([`JsonObj`]) with unique
+//! keys, so iteration and serialization are byte-identical to the
+//! previous `BTreeMap` representation by construction — while the whole
+//! object lives in one contiguous spine instead of one node allocation
+//! per key.
+//!
+//! Wire objects are small (a bid, a winner or an event payload holds at
+//! most eight keys), and both operations the visit path runs on them are
+//! shaped for that:
+//!
+//! * **Build in one sort.** [`Json::obj`] (any `collect` into a
+//!   [`JsonObj`]) insertion-sorts the pairs into one pooled spine as they
+//!   arrive, walking back from the end: already-sorted input costs one
+//!   key comparison per pair, and a repeated key overwrites the value it
+//!   already placed (last write wins, as `BTreeMap::insert`). No binary
+//!   search and no second pass.
+//! * **Look up linearly.** [`JsonObj::get`] and [`JsonObj::get_mut`] scan
+//!   objects of up to [`LINEAR_LOOKUP_MAX`] keys with plain byte equality
+//!   (a length check rejects most keys without touching their bytes) and
+//!   binary-search larger ones. [`JsonObj::insert`] always
+//!   binary-searches for its slot.
 //!
 //! Those spines (and array spines) are recycled through [`JsonScratch`],
 //! a per-worker-thread pool mirroring `MsgScratch`: builders
@@ -25,6 +41,7 @@
 
 use crate::hstr::HStr;
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A JSON value.
@@ -47,8 +64,9 @@ pub enum Json {
 /// A JSON object: key-sorted `Vec` of entries with unique keys.
 ///
 /// Semantically a drop-in for the `BTreeMap<HStr, Json>` it replaced:
-/// `insert` keeps entries sorted (last write to a key wins), `get` is a
-/// binary search, iteration yields keys in ascending order. Equality,
+/// `insert` and `collect` keep entries sorted (last write to a key wins),
+/// `get` finds the same entry a map lookup would (see the module docs for
+/// how), iteration yields keys in ascending order. Equality,
 /// ordering of serialization bytes, and parameter-flattening order are
 /// therefore unchanged by construction.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -80,15 +98,26 @@ impl JsonObj {
         self.entries.binary_search_by(|(k, _)| k.as_str().cmp(key))
     }
 
-    /// Value for `key`, if present (binary search).
+    /// Position of `key`, if present: a linear byte-equality scan up to
+    /// [`LINEAR_LOOKUP_MAX`] keys, a binary search above.
+    #[inline]
+    fn position(&self, key: &str) -> Option<usize> {
+        if self.entries.len() <= LINEAR_LOOKUP_MAX {
+            self.entries.iter().position(|(k, _)| k.as_str() == key)
+        } else {
+            self.search(key).ok()
+        }
+    }
+
+    /// Value for `key`, if present.
     pub fn get(&self, key: &str) -> Option<&Json> {
-        let i = self.search(key).ok()?;
+        let i = self.position(key)?;
         Some(&self.entries[i].1)
     }
 
     /// Mutable value for `key`, if present.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
-        let i = self.search(key).ok()?;
+        let i = self.position(key)?;
         Some(&mut self.entries[i].1)
     }
 
@@ -124,13 +153,37 @@ impl<'a> IntoIterator for &'a JsonObj {
     }
 }
 
+/// Objects with at most this many keys are searched linearly by
+/// [`JsonObj::get`]: below it a length-then-bytes equality scan beats the
+/// ordered comparisons of a binary search. Every wire object the visit
+/// path builds fits.
+pub const LINEAR_LOOKUP_MAX: usize = 8;
+
 impl FromIterator<(HStr, Json)> for JsonObj {
+    /// Insertion sort into the pooled spine: each pair walks back from the
+    /// end past greater keys, so already-sorted input costs one key
+    /// comparison per pair. A key equal to one already placed replaces
+    /// that entry's value in place (last write wins) — the same entries
+    /// `insert` one pair at a time would leave.
     fn from_iter<T: IntoIterator<Item = (HStr, Json)>>(iter: T) -> JsonObj {
-        let mut obj = JsonObj::new();
-        for (k, v) in iter {
-            obj.insert(k, v);
+        let mut entries = JsonScratch::take_obj_spine();
+        for (key, value) in iter {
+            let mut at = entries.len();
+            let mut order = Ordering::Less;
+            while at > 0 {
+                order = entries[at - 1].0.as_str().cmp(key.as_str());
+                if order != Ordering::Greater {
+                    break;
+                }
+                at -= 1;
+            }
+            if order == Ordering::Equal {
+                entries[at - 1].1 = value;
+            } else {
+                entries.insert(at, (key, value));
+            }
         }
-        obj
+        JsonObj { entries }
     }
 }
 
@@ -172,18 +225,20 @@ impl JsonScratch {
     fn recycle_into(pool: &mut JsonScratch, j: Json) {
         match j {
             Json::Arr(mut items) => {
-                for item in items.drain(..) {
-                    Self::recycle_into(pool, item);
+                for item in items.iter_mut().filter(|j| j.is_container()) {
+                    Self::recycle_into(pool, std::mem::replace(item, Json::Null));
                 }
+                items.clear();
                 if items.capacity() > 0 && pool.arrs.len() < SPINE_POOL_CAP {
                     pool.arrs.push(items);
                 }
             }
             Json::Obj(obj) => {
                 let mut entries = obj.entries;
-                for (_, v) in entries.drain(..) {
-                    Self::recycle_into(pool, v);
+                for (_, v) in entries.iter_mut().filter(|(_, v)| v.is_container()) {
+                    Self::recycle_into(pool, std::mem::replace(v, Json::Null));
                 }
+                entries.clear();
                 if entries.capacity() > 0 && pool.objs.len() < SPINE_POOL_CAP {
                     pool.objs.push(entries);
                 }
@@ -338,6 +393,11 @@ impl Json {
     /// Is this `null`?
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)
+    }
+
+    /// Is this an array or an object (a value holding a pooled spine)?
+    fn is_container(&self) -> bool {
+        matches!(self, Json::Arr(_) | Json::Obj(_))
     }
 
     /// Walk a dotted path (`"a.b.c"`) through nested objects.

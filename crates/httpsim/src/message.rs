@@ -139,16 +139,6 @@ impl Body {
         }
     }
 
-    /// Approximate size in bytes (for network accounting).
-    pub fn byte_len(&self) -> usize {
-        match self {
-            Body::Empty => 0,
-            Body::Text(t) => t.len(),
-            Body::Json(j) => j.to_string_compact().len(),
-            Body::Form(q) => q.encode().len(),
-        }
-    }
-
     /// True when no payload is present.
     pub fn is_empty(&self) -> bool {
         matches!(self, Body::Empty)
@@ -524,13 +514,6 @@ mod tests {
         assert!(Status::NO_CONTENT.is_success());
         assert!(!Status::NOT_FOUND.is_success());
         assert!(!Status::TIMEOUT.is_success());
-    }
-
-    #[test]
-    fn body_sizes() {
-        assert_eq!(Body::Empty.byte_len(), 0);
-        assert_eq!(Body::Text("abcd".into()).byte_len(), 4);
-        assert!(Body::Json(Json::obj([("a", Json::num(1.0))])).byte_len() > 0);
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! Property tests for the HTTP substrate: URL and JSON round-trips.
+//! Property tests for the HTTP substrate: URL and JSON round-trips, and
+//! the JSON object against a `BTreeMap` model.
 
-use hb_http::{percent_decode, percent_encode, HStr, Json, QueryParams, Url};
+use hb_http::json::LINEAR_LOOKUP_MAX;
+use hb_http::{percent_decode, percent_encode, HStr, Json, JsonObj, QueryParams, Url};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Strategy for URL-safe-ish arbitrary strings (anything printable).
 fn any_text() -> impl Strategy<Value = String> {
@@ -36,7 +39,97 @@ fn json_value() -> impl Strategy<Value = Json> {
     })
 }
 
+/// Keys probed against every object: the whole alphabet the pair
+/// strategy draws from, plus one key outside it.
+fn probe_keys() -> Vec<String> {
+    let letters = ["a", "b", "c", "d", "e", "f"];
+    let mut keys = vec![String::new(), "zz".to_owned()];
+    for a in letters {
+        keys.push(a.to_owned());
+        for b in letters {
+            keys.push(format!("{a}{b}"));
+        }
+    }
+    keys
+}
+
+/// A `JsonObj` collected from `pairs` must equal the last-write-wins
+/// `BTreeMap` model of the same pairs: the same entries in the same
+/// order, the same compact bytes, and the same `get` / `get_mut` for
+/// present and absent keys.
+fn check_obj_against_model(pairs: &[(String, Json)]) -> Result<(), TestCaseError> {
+    let mut model: BTreeMap<&str, &Json> = BTreeMap::new();
+    for (k, v) in pairs {
+        model.insert(k, v);
+    }
+    let mut obj: JsonObj = pairs
+        .iter()
+        .map(|(k, v)| (HStr::from(k.as_str()), v.clone()))
+        .collect();
+
+    let got: Vec<(&str, &Json)> = obj.iter().map(|(k, v)| (k.as_str(), v)).collect();
+    let want: Vec<(&str, &Json)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+    prop_assert_eq!(got, want);
+
+    let mut bytes = String::from("{");
+    for (i, (k, v)) in model.iter().enumerate() {
+        if i > 0 {
+            bytes.push(',');
+        }
+        bytes.push_str(&Json::str(*k).to_string_compact());
+        bytes.push(':');
+        bytes.push_str(&v.to_string_compact());
+    }
+    bytes.push('}');
+    prop_assert_eq!(Json::Obj(obj.clone()).to_string_compact(), bytes);
+
+    let probes = probe_keys();
+    for key in probes
+        .iter()
+        .map(String::as_str)
+        .chain(model.keys().copied())
+    {
+        let want = model.get(key).copied();
+        prop_assert_eq!(obj.get(key), want, "get({:?}) on {} keys", key, obj.len());
+        let got_mut = obj.get_mut(key).map(|v| v.clone());
+        prop_assert_eq!(got_mut.as_ref(), want);
+    }
+    Ok(())
+}
+
+#[test]
+fn json_obj_matches_model_at_the_linear_scan_threshold() {
+    // Objects just below, at and above the linear-scan threshold, keys
+    // fed in descending order, three of them written twice.
+    for n in [
+        LINEAR_LOOKUP_MAX - 1,
+        LINEAR_LOOKUP_MAX,
+        LINEAR_LOOKUP_MAX + 1,
+        3 * LINEAR_LOOKUP_MAX,
+    ] {
+        let key = |i: usize| format!("k{i:02}");
+        let mut pairs: Vec<(String, Json)> = (0..n)
+            .rev()
+            .map(|i| (key(i), Json::num(i as f64)))
+            .collect();
+        for (i, dup) in [0, n / 2, n - 1].into_iter().enumerate() {
+            pairs.insert(2 * i + 1, (key(dup), Json::str(format!("rewrite {i}"))));
+        }
+        check_obj_against_model(&pairs).unwrap();
+    }
+}
+
 proptest! {
+    /// A `JsonObj` built from arbitrary pairs — duplicates common, sizes
+    /// on both sides of the linear-scan threshold — equals the
+    /// last-write-wins `BTreeMap` model.
+    #[test]
+    fn json_obj_matches_btreemap_model(
+        pairs in proptest::collection::vec(("[a-f]{0,2}", json_leaf()), 0..40),
+    ) {
+        check_obj_against_model(&pairs)?;
+    }
+
     /// Percent-encoding always decodes back to the original string.
     #[test]
     fn percent_roundtrip(s in "\\PC*") {

@@ -4,6 +4,7 @@
 
 use hb_repro::adtech::{Net, SiteRuntime, VisitGroundTruth};
 use hb_repro::prelude::*;
+use hb_repro::simnet::{Dist, HostFaultProfile, LatencyModel};
 use std::sync::{Arc, OnceLock};
 
 /// The test-scale ecosystem (1,400 sites × 3 days), generated once.
@@ -80,4 +81,23 @@ pub fn visit(net: Net, runtime: SiteRuntime, list: Arc<PartnerList>, rng: Rng, d
         truth: scratch.truth().expect("visited").clone(),
         page_completed: outcome.page_completed,
     }
+}
+
+/// A stressed scenario touching every axis: one partner tier with a lossy
+/// ambient profile, one partner hard-down from day 1, a congested link to
+/// a third, and the ad path running its degraded robustness posture.
+pub fn stressed_scenario(eco_cfg: &EcosystemConfig) -> ScenarioConfig {
+    let specs = hb_repro::ecosystem::catalog::catalog();
+    ScenarioConfig::healthy()
+        .with_host_profile(
+            specs[0].host(),
+            HostFaultProfile {
+                drop_chance: 0.20,
+                slow_chance: 0.30,
+                slow_penalty_ms: Dist::Const(900.0),
+            },
+        )
+        .with_outage(specs[1].host(), 1, eco_cfg.crawl_days)
+        .with_degraded_link(specs[2].host(), LatencyModel::constant(1_200.0))
+        .with_robustness(RobustnessPolicy::degraded_defaults())
 }

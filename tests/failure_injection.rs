@@ -5,10 +5,10 @@
 
 mod common;
 
-use common::{campaign, rows, visit};
+use common::{campaign, rows, stressed_scenario, visit};
 use hb_repro::adtech::{HbFacet, Net};
 use hb_repro::prelude::*;
-use hb_repro::simnet::{Dist, FaultInjector, HostFaultProfile};
+use hb_repro::simnet::FaultInjector;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -155,28 +155,6 @@ fn ambient_fault_profile_keeps_campaign_sound() {
 // ---------------------------------------------------------------------------
 // Degraded-network campaign scenarios
 // ---------------------------------------------------------------------------
-
-/// A stressed scenario touching every axis: one partner tier with a lossy
-/// ambient profile, one partner hard-down on day 1, a congested link to a
-/// third, and the ad path running its degraded robustness posture.
-fn stressed_scenario(eco_cfg: &EcosystemConfig) -> ScenarioConfig {
-    let specs = hb_repro::ecosystem::catalog::catalog();
-    ScenarioConfig::healthy()
-        .with_host_profile(
-            specs[0].host(),
-            HostFaultProfile {
-                drop_chance: 0.20,
-                slow_chance: 0.30,
-                slow_penalty_ms: Dist::Const(900.0),
-            },
-        )
-        .with_outage(specs[1].host(), 1, eco_cfg.crawl_days)
-        .with_degraded_link(
-            specs[2].host(),
-            hb_repro::simnet::LatencyModel::constant(1_200.0),
-        )
-        .with_robustness(RobustnessPolicy::degraded_defaults())
-}
 
 /// Figure bytes of a campaign: every paper report plus the fault-slice
 /// family, rendered and CSV-dumped.
