@@ -33,10 +33,10 @@
 //!   figures never depend on symbol numbering.
 //!
 //! Every column below is consumed by at least one figure builder — when a
-//! figure stops needing a column, delete it here too; the fold (tracked
-//! by the `figure/INDEX_build` bench) is paid per column. A column that
-//! would only feed a count is counted at fold time instead of stored:
-//! the index keeps the count table, not the rows.
+//! figure stops needing a column, delete it here too; the fold (timed as
+//! `analysis.fold_us` by the `perf/` benchmark) is paid per column. A
+//! column that would only feed a count is counted at fold time instead
+//! of stored: the index keeps the count table, not the rows.
 //!
 //! Column groups, all parallel within their group:
 //!

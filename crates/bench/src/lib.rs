@@ -1,17 +1,15 @@
 //! # hb-bench
 //!
-//! Shared harness for the benchmark suite and the `crawl`/`figures`
-//! binaries: maps scale words to ecosystem configurations, folds a
-//! campaign at a scale into the figure index, and caches the test-scale
-//! campaign so every Criterion bench reuses one crawl.
+//! Shared harness for the `crawl`/`figures` binaries: maps scale words
+//! to ecosystem configurations and folds a campaign at a scale into the
+//! figure index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hb_analysis::{index_campaign, DatasetIndex, DatasetIndexBuilder};
-use hb_crawler::{run_campaign_streamed, CampaignConfig, CampaignProgress, ProgressFn, VisitChunk};
+use hb_analysis::{index_campaign, DatasetIndex};
+use hb_crawler::{CampaignConfig, CampaignProgress, ProgressFn};
 use hb_ecosystem::{EcosystemConfig, SiteFactory};
-use std::sync::OnceLock;
 
 /// Scale selector for harness runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -69,37 +67,6 @@ pub fn index_at(scale: Scale, progress: bool) -> DatasetIndex {
         ..CampaignConfig::default()
     };
     index_campaign(&SiteFactory::new(scale.config()), &cfg)
-}
-
-/// The chunks of the test-scale campaign, crawled once and shared by the
-/// Criterion benches (in fold order).
-pub fn cached_test_chunks() -> &'static [VisitChunk] {
-    static CHUNKS: OnceLock<Vec<VisitChunk>> = OnceLock::new();
-    CHUNKS.get_or_init(|| {
-        let factory = SiteFactory::new(Scale::Test.config());
-        let mut chunks = Vec::new();
-        run_campaign_streamed(&factory, &CampaignConfig::default(), &mut |c| {
-            chunks.push(c)
-        });
-        chunks
-    })
-}
-
-/// Fold chunks of a test-scale campaign into its index.
-pub fn fold_test_index(chunks: &[VisitChunk]) -> DatasetIndex {
-    let config = Scale::Test.config();
-    let mut builder = DatasetIndexBuilder::new(config.n_sites, config.crawl_days);
-    for chunk in chunks {
-        builder.push_chunk(chunk);
-    }
-    builder.finish()
-}
-
-/// Cached columnar index over [`cached_test_chunks`] (built once, shared
-/// by every figure bench — the index's build-once/read-many contract).
-pub fn cached_test_index() -> &'static DatasetIndex {
-    static IX: OnceLock<DatasetIndex> = OnceLock::new();
-    IX.get_or_init(|| fold_test_index(cached_test_chunks()))
 }
 
 #[cfg(test)]

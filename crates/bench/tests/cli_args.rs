@@ -99,15 +99,28 @@ fn unwritable_destinations_exit_1_with_a_message() {
 
 #[test]
 fn crawl_writes_the_three_tables() {
-    let out = scratch("out");
-    let (code, stderr) = run(
-        CRAWL,
-        &["tiny", "--shards", "4", "--out", out.to_str().unwrap()],
-    );
-    assert_eq!(code, Some(0), "{stderr}");
-    for f in ["visits.csv", "bids.csv", "truth.csv"] {
-        let text = std::fs::read_to_string(out.join(f)).unwrap();
-        assert!(text.lines().count() > 1, "{f} has data rows");
+    let tables = |shards: &str| {
+        let out = scratch(&format!("out-{shards}"));
+        let (code, stderr) = run(
+            CRAWL,
+            &["tiny", "--shards", shards, "--out", out.to_str().unwrap()],
+        );
+        assert_eq!(code, Some(0), "--shards {shards}: {stderr}");
+        let tables = ["visits.csv", "bids.csv", "truth.csv"].map(|f| {
+            let text = std::fs::read_to_string(out.join(f)).unwrap();
+            assert!(text.lines().count() > 1, "{f} has data rows");
+            text
+        });
+        std::fs::remove_dir_all(&out).unwrap();
+        tables
+    };
+    let one = tables("1");
+    // Far more shards than sites: the extra shards are empty and seal
+    // nothing, so the bytes cannot move.
+    for shards in ["4", &u32::MAX.to_string()] {
+        assert!(
+            tables(shards) == one,
+            "--shards {shards} differs from --shards 1"
+        );
     }
-    std::fs::remove_dir_all(&out).unwrap();
 }

@@ -154,7 +154,7 @@ impl VisitColumns {
     }
 
     /// Drop every row while keeping the allocated capacity of all columns
-    /// (benches and long-lived per-worker buffers reuse the storage).
+    /// (long-lived per-worker buffers reuse the storage).
     pub fn clear(&mut self) {
         let VisitColumns {
             domain,

@@ -181,9 +181,12 @@ pub struct CampaignPlan {
 impl CampaignPlan {
     /// Plan a campaign over ranks `1..=n_sites` for `crawl_days` revisit
     /// days, split into `shards` contiguous slices and `chunk_visits`-rank
-    /// blocks (both clamped to at least 1).
+    /// blocks (both clamped to at least 1). Shards past the site count
+    /// would be empty slices that seal no blocks, so `shards` is also
+    /// clamped to `n_sites`: the schedule is the same, and a huge shard
+    /// count costs nothing.
     pub fn new(n_sites: u32, crawl_days: u32, shards: u32, chunk_visits: usize) -> CampaignPlan {
-        let shards = shards.max(1);
+        let shards = shards.clamp(1, n_sites.max(1));
         CampaignPlan {
             n_sites,
             crawl_days,
@@ -659,9 +662,9 @@ mod tests {
 
     #[test]
     fn shard_slices_partition_the_toplist() {
-        for (n, shards) in [(200u32, 4u32), (7u32, 3), (5, 8), (1, 1)] {
+        for (n, shards) in [(200u32, 4u32), (7u32, 3), (5, 8), (1, 1), (5, u32::MAX)] {
             let batches = CampaignPlan::new(n, 0, shards, 1).day0_batches();
-            assert_eq!(batches.len(), shards as usize);
+            assert_eq!(batches.len(), shards.min(n) as usize);
             let seen: Vec<u32> = batches.into_iter().flat_map(|b| b.ranks).collect();
             let want: Vec<u32> = (1..=n).collect();
             assert_eq!(seen, want, "n={n} shards={shards}");

@@ -1,6 +1,6 @@
 //! Oracle for the §3.2 schedule: [`CampaignPlan`] against naive nested
-//! loops over arbitrary universes, shard counts, block sizes, crawl
-//! lengths and detected subsets.
+//! loops over arbitrary universes, shard counts (up to far more shards
+//! than sites), block sizes, crawl lengths and detected subsets.
 
 use hb_core::{Interner, VisitColumns, VisitRecord};
 use hb_crawler::{CampaignPlan, PlanBlock, VisitChunk};
@@ -73,7 +73,8 @@ proptest! {
     #[test]
     fn plan_matches_naive_nested_loops(
         n_sites in 0u32..300,
-        shards in 1u32..8,
+        // Mostly a few shards, but often far more shards than sites.
+        shards in prop_oneof![1u32..8, 1u32..2_000],
         chunk in 1usize..70,
         days in 0u32..4,
         hb in proptest::collection::vec(any::<bool>(), 300),

@@ -298,8 +298,8 @@ fn all_complete(st: &State) -> bool {
 /// The batch is additionally capped at `ceil(remaining / live_workers)`
 /// — a fair share of the incomplete blocks — so on a short campaign a
 /// 4-block lease can't hand one worker half the schedule while its
-/// peers idle on `Wait` (the BENCH_9 `distd_batched_3w` regression: 8
-/// blocks, 3 workers, 4-block grants left two workers starved).
+/// peers idle on `Wait` (a measured regression: 8 blocks, 3 workers,
+/// 4-block grants left two workers starved).
 fn grant(st: &mut State, cfg: &CoordConfig) -> Msg {
     expire_lapsed(st, Instant::now());
     if st.done || all_complete(st) {
@@ -907,7 +907,7 @@ mod tests {
         );
     }
 
-    /// The BENCH_9 starvation shape: 8 day-0 blocks, 3 live workers,
+    /// The starvation shape: 8 day-0 blocks, 3 live workers,
     /// 4-block leases. Uncapped grants hand out 4+4 and starve the third
     /// worker; the fair-share cap (`ceil(remaining / live_workers)`)
     /// spreads the schedule 3+3+2 so every live worker crawls.

@@ -1,8 +1,9 @@
 //! The chaos soak: a tiny campaign driven to completion under eight
 //! escalating seeded fault storms — connection resets mid-frame, frame
 //! truncation and bit corruption, stalled reads, duplicated and replayed
-//! submissions, heartbeat blackouts, refused dials — with three
-//! non-negotiable outcomes per storm:
+//! submissions, heartbeat blackouts, refused dials — plus the first
+//! seed once more at level 4, with three non-negotiable outcomes per
+//! storm:
 //!
 //! 1. **Liveness**: the campaign completes inside a hard wall-clock
 //!    bound (the schedule leaves every fourth connection fault-free, so
@@ -185,9 +186,14 @@ fn escalating_chaos_storms_never_cost_bytes_and_every_fault_is_accounted() {
     let want = reference_figures();
     let mut grand_injected = 0u64;
     let mut grand_segments = 0u64;
-    for i in 0..SEEDS {
-        let level = i + 1;
-        let seed = 0xC5A0_5EED_u64.wrapping_add(u64::from(i).wrapping_mul(0x9E37_79B9));
+    // Eight escalating storms, then the base seed again at level 4.
+    let storms = (0..SEEDS)
+        .map(|i| {
+            let seed = 0xC5A0_5EED_u64.wrapping_add(u64::from(i).wrapping_mul(0x9E37_79B9));
+            (seed, i + 1)
+        })
+        .chain([(0xC5A0_5EED, 4)]);
+    for (i, (seed, level)) in storms.enumerate() {
         let spool = tmp_dir(&format!("soak-{i}"));
         let o = soak_one(seed, level, &spool);
         let label = format!("seed {seed:#x} level {level}");
@@ -255,7 +261,7 @@ fn escalating_chaos_storms_never_cost_bytes_and_every_fault_is_accounted() {
     }
     assert!(
         grand_injected >= 20,
-        "eight storms should inject a real volume of faults, got {grand_injected}"
+        "the storms should inject a real volume of faults, got {grand_injected}"
     );
     assert!(
         grand_segments >= 1,

@@ -190,16 +190,22 @@ fn one_worker_matches_in_process_figures() {
 
 #[test]
 fn three_workers_match_in_process_figures() {
-    let out = tmp_dir("three-workers-out");
-    let (coord, addr, reader) = spawn_coord(&coord_args(&out, &[]));
-    let _workers: Vec<KillOnDrop> = (0..3)
-        .map(|_| KillOnDrop(worker_cmd(&addr, &[]).spawn().expect("spawn worker")))
-        .collect();
-    let stats = finish_coord(coord, reader);
-    assert_eq!(stats["frames_rejected"], 0);
-    assert_eq!(stats["chunks_folded"], stats["blocks_total"]);
-    assert_figures_match(&read_figures(&out), &reference_figures(), "3 workers");
-    let _ = std::fs::remove_dir_all(&out);
+    let want = reference_figures();
+    // Batched leases (the default, 4 blocks) and one block per lease.
+    for lease_blocks in ["4", "1"] {
+        let out = tmp_dir(&format!("three-workers-{lease_blocks}-out"));
+        let (coord, addr, reader) =
+            spawn_coord(&coord_args(&out, &["--lease-blocks", lease_blocks]));
+        let _workers: Vec<KillOnDrop> = (0..3)
+            .map(|_| KillOnDrop(worker_cmd(&addr, &[]).spawn().expect("spawn worker")))
+            .collect();
+        let stats = finish_coord(coord, reader);
+        assert_eq!(stats["frames_rejected"], 0);
+        assert_eq!(stats["chunks_folded"], stats["blocks_total"]);
+        let label = format!("3 workers, {lease_blocks}-block leases");
+        assert_figures_match(&read_figures(&out), &want, &label);
+        let _ = std::fs::remove_dir_all(&out);
+    }
 }
 
 /// The full gauntlet: spool some chunks, SIGKILL the coordinator, restart

@@ -38,8 +38,8 @@ const MEMO_SHARDS: usize = 16;
 /// otherwise grow it without limit. When a shard fills up it is simply
 /// cleared — derivation is pure in `(seed, rank)`, so eviction can never
 /// change bytes, only cost a re-derivation. 16 shards × 512 entries keeps
-/// every bench scale and the daily-revisit working set of a medium crawl
-/// fully resident.
+/// the tiny and test universes and the daily-revisit working set of a
+/// medium crawl fully resident.
 const MEMO_SHARD_CAP: usize = 512;
 
 /// A sharded concurrent memo keyed by rank, shared by every worker of a
@@ -256,9 +256,9 @@ impl SiteGen {
     }
 
     /// Drop every entry of this universe's shared derivation memo (site,
-    /// account, runtime, page HTML). Benches and allocation tests use
-    /// this to measure the true memo-miss (cold) path, and the
-    /// determinism suite uses it to prove eviction is behaviour-free;
+    /// account, runtime, page HTML). Allocation tests use this to measure
+    /// the true memo-miss (cold) path, and the determinism suite uses it
+    /// to prove eviction is behaviour-free;
     /// production code never needs it — a full shard simply recycles
     /// itself. Clearing mid-campaign only costs re-derivations (pure in
     /// `(seed, rank)`), never changes bytes.

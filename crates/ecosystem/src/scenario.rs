@@ -109,7 +109,7 @@ impl ScenarioConfig {
     /// Builder: give every host in a provider slice — and each host's
     /// `rtb.` waterfall edge — the same ambient fault profile. This is
     /// the serving-plane shorthand for "these N providers are degraded":
-    /// the serving tests and `serve/*` benches use it to push a
+    /// the serving tests and the `serve_zipf` benchmark use it to push a
     /// deterministic slice of the bidder population into the regime
     /// where circuit breakers trip and hedges fire.
     pub fn with_provider_slice<I, H>(

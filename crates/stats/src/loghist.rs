@@ -1,7 +1,7 @@
 //! Log-bucketed latency histogram for the serving plane.
 //!
 //! The crawl figures aggregate latencies by collecting raw samples and
-//! sorting ([`Samples`](crate::Samples)); the serving benches cannot — a
+//! sorting ([`Samples`](crate::Samples)); the serving plane cannot — a
 //! load run records millions of auction latencies across worker threads
 //! and needs p50/p99/p999 without keeping any of them. [`LogHistogram`]
 //! buckets `u64` values (the serving plane uses microseconds) into
