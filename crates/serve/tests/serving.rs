@@ -232,3 +232,46 @@ fn healthy_serving_fills_across_channels() {
     assert!(stats.wins_hb + stats.wins_s2s > 0, "header bidding serves");
     assert!(stats.wins_waterfall > 0, "waterfall sites serve");
 }
+
+/// Byte identity of the serving plane at test scale: the run digests of
+/// a healthy load and of the same load with a degraded 4-provider slice
+/// (45% drops, 35% slowed by 220 ms — the `serve_zipf` shape). Any
+/// change to a serving wire shape, a leg's RNG draw order or the
+/// auction state machine moves them; a refactor must leave them alone.
+#[test]
+fn serve_digests_are_pinned() {
+    let f = SiteFactory::new(EcosystemConfig::test_scale());
+    let lossy = HostFaultProfile {
+        drop_chance: 0.45,
+        slow_chance: 0.35,
+        slow_penalty_ms: Dist::Const(220.0),
+    };
+    let scenario = ScenarioConfig::healthy().with_provider_slice(partner_slice(&f, 4), lossy);
+    let cfg = ServeConfig {
+        shards: 4,
+        ..ServeConfig::default()
+    };
+    let load = LoadGenConfig {
+        n_requests: 3_000,
+        n_sites: f.config().n_sites as u64,
+        mean_gap: SimDuration::from_micros(1_500),
+        ..LoadGenConfig::default()
+    };
+    let runs = [
+        ("healthy", f.net(), 0x8d9b_c5f6_3809_cc38),
+        (
+            "degraded",
+            degraded_net(&f, &scenario),
+            0xb8c3_9b07_f131_d3b4,
+        ),
+    ];
+    for (label, net, pinned) in runs {
+        let report = serve_load_with(f.gen(), &net, &cfg, &load, 2, false);
+        eprintln!(
+            "{label}: digest {:#018x} {:?}",
+            report.digest(),
+            report.stats
+        );
+        assert_eq!(report.digest(), pinned, "{label} serve digest moved");
+    }
+}
