@@ -28,11 +28,11 @@ pub use adserver::{AdServerAccount, AdServerEndpoint, DirectOrder, PresentedBid,
 pub use partner::{partner_endpoint, PartnerId, PartnerKind, PartnerProfile};
 pub use protocol::{BidPayload, FillChannel, WinnerPayload};
 pub use provider::{
-    hb_bid_request, hb_bids_from, mediation_request, mediation_winner, providers_for,
-    tier_fill, tier_request, ProviderKind, ProviderSpec,
+    hb_bid_request, hb_bids_from, mediation_request, mediation_winner, rtb_edge_host, tier_fill,
+    tier_request,
 };
 pub use rtb::{first_price_winner, AuctionOutcome, InternalAuction, SeatBid};
-pub use session::{send_request, HostDirectory, Net, NetOutcome, PageWorld};
+pub use session::{send_request, Delivery, HostDirectory, Net, NetOutcome, PageWorld};
 pub use types::{AdSize, AdUnit, Cpm, HbFacet, SizeList};
 pub use waterfall::{rtb_price_param, start_waterfall, waterfall_endpoint, WaterfallTier};
 pub use wrapper::{

@@ -7,7 +7,7 @@
 //! [`partner_endpoint`] function turns a profile into a simulated server.
 
 use crate::rtb::InternalAuction;
-use crate::types::{AdSize, Cpm};
+use crate::types::{AdSize, AdUnit, Cpm};
 use crate::protocol::{self, params, BidPayload};
 use hb_http::{Endpoint, HStr, Json, Request, Response, ServerReply};
 use hb_simnet::{Dist, LatencyModel, Rng, SimDuration};
@@ -202,15 +202,16 @@ fn handle_bid(profile: &PartnerProfile, req: &Request, rng: &mut Rng) -> ServerR
     }
 }
 
-/// Build the JSON body of a bid request for the given slots (pooled
-/// spines throughout; the tree is recycled when the request dies).
-pub fn bid_request_body(slots: &[(HStr, AdSize)]) -> Json {
+/// Build the JSON body of a bid request for the given ad units: each
+/// slot's code and primary size (pooled spines throughout; the tree is
+/// recycled when the request dies).
+pub fn bid_request_body(units: &[AdUnit]) -> Json {
     Json::obj([(
         "slots",
-        Json::arr(slots.iter().map(|(code, size)| {
+        Json::arr(units.iter().map(|u| {
             Json::obj([
-                ("code", Json::str(code.clone())),
-                ("size", Json::str(size.label())),
+                ("code", Json::str(u.code.clone())),
+                ("size", Json::str(u.primary_size().label())),
             ])
         })),
     )])
@@ -222,14 +223,14 @@ mod tests {
     use hb_http::{Body, RequestId, Url};
 
     fn bid_request(profile: &PartnerProfile, n_slots: usize) -> Request {
-        let slots: Vec<(HStr, AdSize)> = (0..n_slots)
-            .map(|i| (HStr::from(format!("ad-slot-{i}")), AdSize::MEDIUM_RECT))
+        let units: Vec<AdUnit> = (0..n_slots)
+            .map(|i| AdUnit::new(format!("ad-slot-{i}"), AdSize::MEDIUM_RECT, Cpm::ZERO))
             .collect();
         let url = Url::https(&profile.host, protocol::paths::BID)
             .with_param(params::HB_AUCTION, "auc-1")
             .with_param(params::HB_BIDDER, profile.bidder_code.clone())
             .with_param(params::HB_SOURCE, "client");
-        Request::post(RequestId(1), url, Body::Json(bid_request_body(&slots)))
+        Request::post(RequestId(1), url, Body::Json(bid_request_body(&units)))
     }
 
     #[test]

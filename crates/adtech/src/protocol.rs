@@ -275,8 +275,8 @@ pub fn parse_ad_server_response(body: &Json) -> Option<(HStr, Vec<WinnerPayload>
 
 /// Append the query parameters of a client-side bid request to `q` (a
 /// pooled buffer from the caller): auction id, bidder code, source and
-/// slot count. The crawl's wrapper (first attempt and retry) and the
-/// serving plane's provider builder share this one shape; a retry appends
+/// slot count. [`crate::provider::hb_bid_request`] builds every bid
+/// request of the crawl and the serving plane on it; a retry appends
 /// [`params::HB_RETRY`] after it.
 pub fn bid_request_params(
     q: &mut QueryParams,

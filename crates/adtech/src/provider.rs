@@ -1,135 +1,89 @@
-//! Provider adapters: the demand-side legs of an auction, extracted
-//! from the crawl-side wrapper/waterfall flows so a serving-side
-//! orchestrator can drive the same endpoints without a browser.
+//! Provider adapters: the one place each demand-side wire shape of an
+//! auction is built, and the parsers that fold its responses.
 //!
-//! The crawl builds its bid/RTB/ad-server requests inline in
-//! [`wrapper`](crate::wrapper) and [`waterfall`](crate::waterfall),
-//! entangled with `PageWorld` state. This module lifts the provider
-//! surface into plain data + pure request builders/response parsers:
+//! The crawl's [`wrapper`](crate::wrapper) and
+//! [`waterfall`](crate::waterfall) flows and `hb-serve`'s orchestrator
+//! drive the same endpoints through the same builders:
 //!
-//! * [`ProviderSpec`] — one demand leg (code, host, kind) derived
-//!   deterministically from a [`SiteRuntime`] by [`providers_for`];
-//! * request builders ([`hb_bid_request`], [`mediation_request`],
-//!   [`tier_request`]) producing the same wire shapes the crawl-side
-//!   endpoints already parse;
+//! * [`hb_bid_request`] — the client-side bid request (the wrapper's
+//!   first attempt and `hb_retry=1` retry, the orchestrator's HB leg and
+//!   its hedge);
+//! * [`tier_request`] — the waterfall tier request (the crawl's tier and
+//!   its `rt=1` retry, the orchestrator's tier leg), sent to the
+//!   partner's [`rtb_edge_host`];
+//! * [`mediation_request`] — the serving plane's ad-server call; it
+//!   shares `ad_server_params` with the crawl's two ad-server requests;
 //! * response parsers ([`hb_bids_from`], [`mediation_winner`],
 //!   [`tier_fill`]) folding raw [`Response`]s into bid data.
 //!
-//! `hb-serve` composes these with its own deadline/breaker/hedge layer;
-//! the adapters themselves know nothing about budgets or retries.
+//! Builders take the caller's pooled [`QueryParams`] and leave the
+//! initiator tag to the caller. They know nothing about deadlines,
+//! retries or hedges: each caller keeps its own leg policy.
 
 use crate::partner::bid_request_body;
 use crate::protocol::{self, params, paths, BidPayload, WinnerPayload};
 use crate::types::{AdSize, AdUnit, Cpm};
-use crate::wrapper::SiteRuntime;
+use crate::wrapper::PartnerRef;
 use hb_http::{Body, QueryParams, Request, RequestId, Response, Status, Url};
 use hb_simnet::HStr;
 
-/// How a provider leg is driven by the orchestrator.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ProviderKind {
-    /// Prebid-style client partner: queried in parallel with the other
-    /// `ParallelHb` legs, eligible for hedging.
-    ParallelHb,
-    /// The ad server's server-side mediation: one call that decisions
-    /// client bids and fans out to s2s seats internally.
-    S2sMediation,
-    /// One sequential waterfall tier with its negotiated floor.
-    Waterfall {
-        /// Floor the tier must beat to fill.
-        floor: Cpm,
-    },
+/// The waterfall edge of a partner host. Tier traffic goes to
+/// `rtb.<host>`, a failure domain apart from the partner's HB endpoint.
+pub fn rtb_edge_host(partner_host: &str) -> HStr {
+    HStr::from_display(format_args!("rtb.{partner_host}"))
 }
 
-/// One demand leg of an auction.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProviderSpec {
-    /// Stable provider code (bidder code, account id, or tier code);
-    /// used for labels and reporting.
-    pub code: HStr,
-    /// Host the leg's requests target — also the failure domain a
-    /// circuit breaker should key on (waterfall tiers live on the
-    /// `rtb.`-prefixed edge of their partner host, so a dead RTB edge
-    /// trips separately from the same partner's HB endpoint).
-    pub host: HStr,
-    /// How the orchestrator drives this leg.
-    pub kind: ProviderKind,
-}
-
-/// Derive the provider legs of a site, in deterministic drive order:
-/// parallel HB partners first (site order), then the ad-server
-/// mediation leg for HB sites, then waterfall tiers (tier order) for
-/// waterfall sites. Purely a function of the runtime, so identical
-/// `(seed, rank)` derivations yield identical legs.
-pub fn providers_for(rt: &SiteRuntime) -> Vec<ProviderSpec> {
-    let mut out = Vec::with_capacity(rt.client_partners.len() + 1 + rt.waterfall_tiers.len());
-    for p in &rt.client_partners {
-        out.push(ProviderSpec {
-            code: p.code.clone(),
-            host: p.host.clone(),
-            kind: ProviderKind::ParallelHb,
-        });
-    }
-    if rt.facet.is_some() {
-        // Every HB flavor resolves through the ad server; for
-        // server-side/hybrid facets the same call also runs the s2s
-        // fan-out inside the account.
-        out.push(ProviderSpec {
-            code: rt.account_id.clone(),
-            host: rt.ad_server_host.clone(),
-            kind: ProviderKind::S2sMediation,
-        });
-    }
-    for t in &rt.waterfall_tiers {
-        out.push(ProviderSpec {
-            code: t.partner.code.clone(),
-            host: HStr::from_display(format_args!("rtb.{}", t.partner.host)),
-            kind: ProviderKind::Waterfall { floor: t.floor },
-        });
-    }
-    out
-}
-
-/// Build the parallel-HB bid request for one provider: POST
-/// `/hb/bid` with the slot list body and the client-side query
-/// parameters the partner endpoint parses. `hedge` marks the backup
-/// copy of a hedged pair (carried as `hb_retry`, which the endpoint
-/// ignores but the wire log keeps honest).
+/// Build a client-side bid request: POST `/hb/bid` to the partner with
+/// the slot list body and the query the partner endpoint parses.
+/// `retry` marks a second copy (the crawl's retry, the serving plane's
+/// hedge) with `hb_retry=1`, which the endpoint ignores but the wire log
+/// keeps.
 pub fn hb_bid_request(
     id: RequestId,
-    host: &HStr,
-    bidder: &HStr,
-    auction_id: &str,
+    mut q: QueryParams,
+    partner: &PartnerRef,
+    auction_id: &HStr,
     units: &[AdUnit],
-    hedge: bool,
+    retry: bool,
 ) -> Request {
-    let slots: Vec<(HStr, AdSize)> = units
-        .iter()
-        .map(|u| (u.code.clone(), u.primary_size()))
-        .collect();
-    let mut q = QueryParams::new();
-    protocol::bid_request_params(&mut q, auction_id, bidder.as_str(), units.len());
-    if hedge {
+    protocol::bid_request_params(
+        &mut q,
+        auction_id.clone(),
+        partner.code.clone(),
+        units.len(),
+    );
+    if retry {
         q.append(params::HB_RETRY, "1");
     }
-    let url = Url::https_pooled(host.clone(), HStr::from_static(paths::BID), q);
-    Request::post(id, url, Body::Json(bid_request_body(&slots))).from_initiator("hb-serve")
+    let url = Url::https_pooled(partner.host.clone(), HStr::from_static(paths::BID), q);
+    Request::post(id, url, Body::Json(bid_request_body(units)))
 }
 
-/// Build the mediation request: POST the collected client bids to the
-/// site's ad server, which decisions them against direct orders and
-/// (for server-side/hybrid accounts) its s2s seats.
+/// Append the prefix every ad-server request starts with: the publisher
+/// account, the auction id and the bid source (`client` or `s2s`).
+pub(crate) fn ad_server_params(
+    q: &mut QueryParams,
+    account_id: &HStr,
+    auction_id: &HStr,
+    source: &'static str,
+) {
+    q.append("account", account_id.clone());
+    q.append(params::HB_AUCTION, auction_id.clone());
+    q.append(params::HB_SOURCE, source);
+}
+
+/// Build the serving plane's mediation request: POST the collected
+/// client bids to the site's ad server, which decisions them against
+/// direct orders and (for server-side/hybrid accounts) its s2s seats.
 pub fn mediation_request(
     id: RequestId,
+    mut q: QueryParams,
     ad_server_host: &HStr,
     account_id: &HStr,
-    auction_id: &str,
+    auction_id: &HStr,
     client_bids: &[BidPayload],
 ) -> Request {
-    let mut q = QueryParams::new();
-    q.append("account", account_id.clone());
-    q.append(params::HB_AUCTION, auction_id);
-    q.append(params::HB_SOURCE, "client");
+    ad_server_params(&mut q, account_id, auction_id, "client");
     let url = Url::https_pooled(
         ad_server_host.clone(),
         HStr::from_static(paths::AD_SERVER),
@@ -140,19 +94,35 @@ pub fn mediation_request(
         url,
         Body::Json(protocol::bid_response_body(auction_id, client_bids)),
     )
-    .from_initiator("hb-serve")
 }
 
-/// Build a waterfall tier request: GET the partner's RTB edge with the
-/// tier floor and creative size (`cb` is the cache-buster the crawl
-/// sends too; any deterministic nonce works).
-pub fn tier_request(id: RequestId, rtb_host: &HStr, floor: Cpm, size: AdSize, cb: u64) -> Request {
-    let mut q = QueryParams::new();
+/// Build a waterfall tier request: GET `/rtb/ad` on the partner's RTB
+/// `edge` with the tier floor, the first unit's size and the
+/// cache-buster `cb`. `retry` marks the second attempt with the
+/// DSP-style `rt=1`: waterfall traffic never carries `hb_*` keys.
+pub fn tier_request(
+    id: RequestId,
+    mut q: QueryParams,
+    edge: &HStr,
+    floor: Cpm,
+    units: &[AdUnit],
+    cb: u64,
+    retry: bool,
+) -> Request {
+    let size = units
+        .first()
+        .map(AdUnit::primary_size)
+        .unwrap_or(AdSize::MEDIUM_RECT);
     q.append("floor", floor.to_param());
     q.append("size", size.label());
     q.append("cb", crate::types::decimal(cb));
-    let url = Url::https_pooled(rtb_host.clone(), HStr::from_static(paths::RTB_AD), q);
-    Request::get(id, url).from_initiator("hb-serve")
+    if retry {
+        q.append("rt", "1");
+    }
+    Request::get(
+        id,
+        Url::https_pooled(edge.clone(), HStr::from_static(paths::RTB_AD), q),
+    )
 }
 
 /// Parse an HB bid response into payloads. `None` for no-bid (204),
@@ -204,101 +174,151 @@ pub fn tier_fill(rsp: &Response) -> Option<Cpm> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_http::Json;
     use crate::protocol::FillChannel;
-    use crate::waterfall::WaterfallTier;
-    use crate::wrapper::{PartnerRef, RobustnessPolicy, WrapperConfig};
-    use crate::HbFacet;
-    use std::sync::Arc;
+    use hb_http::Json;
 
-    fn runtime(facet: Option<HbFacet>, partners: usize, tiers: usize) -> SiteRuntime {
-        let units: Arc<[AdUnit]> = vec![AdUnit::new(
-            "ad-slot-1",
-            AdSize::MEDIUM_RECT,
-            Cpm(0.1),
-        )]
-        .into();
-        let partner = |i: usize| PartnerRef {
-            code: HStr::from_display(format_args!("bidder{i}")),
-            name: HStr::from_display(format_args!("Bidder {i}")),
-            host: HStr::from_display(format_args!("bidder{i}.example")),
-        };
-        SiteRuntime {
-            page_url: Url::https("pub1.example", "/"),
-            rank: 1,
-            facet,
-            ad_units: units,
-            client_partners: (0..partners).map(partner).collect(),
-            ad_server_host: "ads.gam.example".into(),
-            account_id: "acct-1".into(),
-            wrapper: WrapperConfig::default(),
-            waterfall_tiers: (0..tiers)
-                .map(|i| WaterfallTier {
-                    partner: partner(10 + i),
-                    floor: Cpm(1.0 + i as f64),
-                })
-                .collect(),
-            cdn_host: "cdn.example".into(),
-            render_fail_rate: 0.0,
-            net_quality: 1.0,
-            robustness: RobustnessPolicy::off(),
+    fn partner() -> PartnerRef {
+        PartnerRef {
+            code: "bidder0".into(),
+            name: "Bidder 0".into(),
+            host: "bidder0.example".into(),
         }
     }
 
-    #[test]
-    fn providers_follow_site_shape() {
-        // Hybrid HB site: partners then mediation, no tiers.
-        let specs = providers_for(&runtime(Some(HbFacet::Hybrid), 3, 0));
-        assert_eq!(specs.len(), 4);
-        assert!(specs[..3]
-            .iter()
-            .all(|s| s.kind == ProviderKind::ParallelHb));
-        assert_eq!(specs[3].kind, ProviderKind::S2sMediation);
-        assert_eq!(specs[3].host.as_str(), "ads.gam.example");
-
-        // Waterfall-only site: tiers only, on the rtb edge.
-        let specs = providers_for(&runtime(None, 0, 2));
-        assert_eq!(specs.len(), 2);
-        assert_eq!(
-            specs[0].kind,
-            ProviderKind::Waterfall { floor: Cpm(1.0) }
-        );
-        assert_eq!(specs[0].host.as_str(), "rtb.bidder10.example");
-
-        // Server-side site: no client partners, mediation only.
-        let specs = providers_for(&runtime(Some(HbFacet::ServerSide), 0, 0));
-        assert_eq!(specs.len(), 1);
-        assert_eq!(specs[0].kind, ProviderKind::S2sMediation);
+    fn units() -> Vec<AdUnit> {
+        vec![
+            AdUnit::new("ad-slot-1", AdSize::LEADERBOARD, Cpm(0.1)),
+            AdUnit::new("ad-slot-2", AdSize::MEDIUM_RECT, Cpm(0.1)),
+        ]
     }
 
     #[test]
     fn bid_request_matches_partner_wire_shape() {
-        let rt = runtime(Some(HbFacet::ClientSide), 1, 0);
-        let spec = &providers_for(&rt)[0];
-        let req = hb_bid_request(
+        let auction: HStr = "srv-42".into();
+        let first = hb_bid_request(
             RequestId(1),
-            &spec.host,
-            &spec.code,
-            "srv-42",
-            &rt.ad_units,
+            QueryParams::new(),
+            &partner(),
+            &auction,
+            &units(),
             false,
         );
-        assert_eq!(req.url.path.as_str(), paths::BID);
-        assert_eq!(req.url.query.get(params::HB_AUCTION), Some("srv-42"));
-        assert_eq!(req.url.query.get(params::HB_SOURCE), Some("client"));
-        assert!(!req.url.query.contains(params::HB_RETRY));
-        let slots = req.body.json().unwrap().get("slots").unwrap();
-        assert_eq!(slots.as_arr().unwrap().len(), 1);
+        assert_eq!(first.url.host.as_str(), "bidder0.example");
+        assert_eq!(first.url.path.as_str(), paths::BID);
+        assert_eq!(first.url.query.get(params::HB_AUCTION), Some("srv-42"));
+        assert_eq!(first.url.query.get(params::HB_BIDDER), Some("bidder0"));
+        assert_eq!(first.url.query.get(params::HB_SOURCE), Some("client"));
+        assert_eq!(first.url.query.get("slots"), Some("2"));
+        assert!(!first.url.query.contains(params::HB_RETRY));
+        let slots = first
+            .body
+            .json()
+            .unwrap()
+            .get("slots")
+            .unwrap()
+            .as_arr()
+            .unwrap();
+        assert_eq!(slots.len(), 2);
+        assert_eq!(
+            slots[0].get("code").and_then(|c| c.as_str()),
+            Some("ad-slot-1")
+        );
+        assert_eq!(
+            slots[0].get("size").and_then(|c| c.as_str()),
+            Some("728x90")
+        );
 
-        let hedged = hb_bid_request(
+        let retry = hb_bid_request(
             RequestId(2),
-            &spec.host,
-            &spec.code,
-            "srv-42",
-            &rt.ad_units,
+            QueryParams::new(),
+            &partner(),
+            &auction,
+            &units(),
             true,
         );
-        assert_eq!(hedged.url.query.get(params::HB_RETRY), Some("1"));
+        assert_eq!(retry.url.query.get(params::HB_RETRY), Some("1"));
+        let prefix: Vec<_> = retry.url.query.iter().take(first.url.query.len()).collect();
+        assert_eq!(
+            prefix,
+            first.url.query.iter().collect::<Vec<_>>(),
+            "the retry only appends its marker"
+        );
+    }
+
+    #[test]
+    fn tier_requests_mark_retries_with_rt_and_carry_no_hb_keys() {
+        let edge = rtb_edge_host("bidder10.example");
+        assert_eq!(edge.as_str(), "rtb.bidder10.example");
+        let first = tier_request(
+            RequestId(1),
+            QueryParams::new(),
+            &edge,
+            Cpm(1.5),
+            &units(),
+            7,
+            false,
+        );
+        let retry = tier_request(
+            RequestId(2),
+            QueryParams::new(),
+            &edge,
+            Cpm(1.5),
+            &units(),
+            8,
+            true,
+        );
+        assert_eq!(first.url.host, edge);
+        assert_eq!(first.url.path.as_str(), paths::RTB_AD);
+        assert_eq!(first.url.query.get("floor"), Some("1.50"));
+        assert_eq!(
+            first.url.query.get("size"),
+            Some("728x90"),
+            "the first unit's size"
+        );
+        assert_eq!(first.url.query.get("cb"), Some("7"));
+        assert!(!first.url.query.contains("rt"));
+        assert_eq!(retry.url.query.get("rt"), Some("1"));
+        for req in [&first, &retry] {
+            assert!(
+                req.visible_params()
+                    .iter()
+                    .all(|(k, _)| !k.starts_with("hb_")),
+                "waterfall traffic must not carry hb_*: {:?}",
+                req.url.query
+            );
+        }
+        let unsized_ = tier_request(
+            RequestId(3),
+            QueryParams::new(),
+            &edge,
+            Cpm(1.5),
+            &[],
+            9,
+            false,
+        );
+        assert_eq!(unsized_.url.query.get("size"), Some("300x250"));
+    }
+
+    #[test]
+    fn mediation_request_starts_with_the_ad_server_prefix() {
+        let req = mediation_request(
+            RequestId(1),
+            QueryParams::new(),
+            &"ads.gam.example".into(),
+            &"acct-1".into(),
+            &"srv-42".into(),
+            &[],
+        );
+        assert_eq!(req.url.path.as_str(), paths::AD_SERVER);
+        let query: Vec<_> = req.url.query.iter().collect();
+        assert_eq!(
+            query,
+            [
+                ("account", "acct-1"),
+                (params::HB_AUCTION, "srv-42"),
+                (params::HB_SOURCE, "client")
+            ]
+        );
     }
 
     #[test]

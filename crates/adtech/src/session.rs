@@ -5,13 +5,15 @@
 //! (router + latency directory + fault injector), and whatever per-visit
 //! protocol state the active flow (HB wrapper / waterfall) needs.
 //!
-//! [`send_request`] is the single door to the network: it samples latency,
-//! consults fault injection, notifies webRequest observers, serializes the
-//! response handler through the page's single JS thread, and finally calls
-//! the caller's continuation.
+//! [`Net::exchange`] is the network step, shared by the crawl and the
+//! serving plane: route, fault decision, latency sample, then endpoint.
+//! [`send_request`] is its browser wrapper: it notifies webRequest
+//! observers, applies the site's RTT scale, surfaces failures the way a
+//! browser does, serializes the response handler through the page's
+//! single JS thread, and finally calls the caller's continuation.
 
 use hb_dom::{Browser, FailureReason};
-use hb_http::{Request, Response, Router, Url, MsgScratch};
+use hb_http::{MsgScratch, Request, Response, Router, Url};
 use hb_simnet::{
     Dist, FaultDecision, FaultInjector, LatencyModel, Rng, Scheduler, SimDuration, SimTime,
 };
@@ -110,6 +112,42 @@ impl Net {
             faults,
         }
     }
+
+    /// Carry `req` across the network, eagerly: route it, let the fault
+    /// injector decide its fate, sample the link latency, then run the
+    /// endpoint — drawing from `rng` in exactly that order. An unknown
+    /// host draws nothing; a dropped request draws only the fault
+    /// decision. The endpoint is a pure function of `(request, rng)`, so
+    /// the whole exchange is deterministic at dispatch.
+    pub fn exchange(&self, req: &Request, rng: &mut Rng) -> Result<Delivery, FailureReason> {
+        let host = &req.url.host;
+        let endpoint = self.router.resolve(host).ok_or(FailureReason::NoSuchHost)?;
+        let slowdown = match self.faults.decide(host, rng) {
+            FaultDecision::Drop => return Err(FailureReason::NetworkDropped),
+            FaultDecision::Slow(penalty) => penalty,
+            FaultDecision::Deliver => SimDuration::ZERO,
+        };
+        let rtt = self.latency.lookup(host).sample(rng);
+        let reply = endpoint.handle(req, rng);
+        Ok(Delivery {
+            rtt,
+            service: reply.processing + slowdown,
+            response: reply.response,
+        })
+    }
+}
+
+/// A request [`Net::exchange`] delivered. It arrives `rtt + service`
+/// after it left.
+#[derive(Debug)]
+pub struct Delivery {
+    /// The link's sampled round-trip time (the browser scales it by the
+    /// site's network quality).
+    pub rtt: SimDuration,
+    /// Server processing time plus any fault slowdown.
+    pub service: SimDuration,
+    /// The endpoint's response.
+    pub response: Response,
 }
 
 /// How long the browser waits before declaring a dropped request failed.
@@ -218,12 +256,13 @@ pub type NetContinuation = Box<dyn FnOnce(&mut PageWorld, &mut Scheduler<PageWor
 ///
 /// Semantics, in order:
 /// 1. webRequest observers see the request leave *now*;
-/// 2. unknown hosts fail fast (DNS error) after a 1 ms bounce;
-/// 3. the fault injector may drop the exchange — the failure surfaces only
+/// 2. [`Net::exchange`] carries it; an unknown host fails fast (DNS
+///    error) after a 1 ms bounce, and a dropped exchange surfaces only
 ///    when the browser's network timeout fires;
-/// 4. otherwise the response arrives after `RTT + server processing`
-///    (+ fault slowdown), observers see it at arrival time, and the
-///    continuation runs once the single JS thread has a free slot.
+/// 3. otherwise the response arrives after the site-scaled RTT plus
+///    server processing (+ fault slowdown), observers see it at arrival
+///    time, and the continuation runs once the single JS thread has a
+///    free slot.
 pub fn send_request<F>(
     w: &mut PageWorld,
     s: &mut Scheduler<PageWorld>,
@@ -232,50 +271,27 @@ pub fn send_request<F>(
 ) where
     F: FnOnce(&mut PageWorld, &mut Scheduler<PageWorld>, NetOutcome) + 'static,
 {
-    let now = s.now();
     w.in_flight += 1;
-    w.browser.note_request_out(&req, now);
-
-    // DNS: unknown host? One router walk serves both the reachability
-    // check and the dispatch below. The endpoint borrows `w.net.router`
-    // only, so the RNG and fault injector stay free to use alongside it.
-    let Some(endpoint) = w.net.router.resolve(&req.url.host) else {
-        s.after(SimDuration::from_millis(1), move |w: &mut PageWorld, s| {
-            w.in_flight -= 1;
-            w.browser
-                .note_request_failed(&req, FailureReason::NoSuchHost, s.now());
-            w.scratch.recycle_request(req);
-            on_done(w, s, NetOutcome::Failed(FailureReason::NoSuchHost));
-        });
-        return;
-    };
-
-    // Fault decision.
-    let mut extra = SimDuration::ZERO;
-    match w.net.faults.decide(&req.url.host, &mut w.rng) {
-        FaultDecision::Drop => {
-            s.after(BROWSER_NET_TIMEOUT, move |w: &mut PageWorld, s| {
+    w.browser.note_request_out(&req, s.now());
+    let delivery = match w.net.exchange(&req, &mut w.rng) {
+        Ok(delivery) => delivery,
+        Err(reason) => {
+            let wait = match reason {
+                FailureReason::NoSuchHost => SimDuration::from_millis(1),
+                _ => BROWSER_NET_TIMEOUT,
+            };
+            s.after(wait, move |w: &mut PageWorld, s| {
                 w.in_flight -= 1;
-                w.browser
-                    .note_request_failed(&req, FailureReason::NetworkDropped, s.now());
+                w.browser.note_request_failed(&req, reason.clone(), s.now());
                 w.scratch.recycle_request(req);
-                on_done(w, s, NetOutcome::Failed(FailureReason::NetworkDropped));
+                on_done(w, s, NetOutcome::Failed(reason));
             });
             return;
         }
-        FaultDecision::Slow(penalty) => extra = penalty,
-        FaultDecision::Deliver => {}
-    }
-
-    // Latency + server processing, computed eagerly (deterministic): the
-    // endpoint is a pure function of (request, rng).
-    let raw_rtt = w.net.latency.lookup(&req.url.host).sample(&mut w.rng);
-    let rtt = hb_simnet::SimDuration::from_millis_f64(raw_rtt.as_millis_f64() * w.rtt_scale.max(0.05));
-    let reply = endpoint.handle(&req, &mut w.rng);
-    let arrival_delay = rtt + reply.processing + extra;
-    let response = reply.response;
-
-    s.after(arrival_delay, move |w: &mut PageWorld, s| {
+    };
+    let rtt = SimDuration::from_millis_f64(delivery.rtt.as_millis_f64() * w.rtt_scale.max(0.05));
+    let response = delivery.response;
+    s.after(rtt + delivery.service, move |w: &mut PageWorld, s| {
         let arrived = s.now();
         w.in_flight -= 1;
         w.browser.note_response_in(&req, &response, arrived);
@@ -469,6 +485,82 @@ mod tests {
         });
         sim.run_to_idle(100);
         assert_eq!(*seen.borrow(), 2, "Before + Completed");
+    }
+
+    /// A network whose fault decision, latency and endpoint all draw
+    /// from the RNG, so the exchange's draw order shows in its result.
+    fn drawing_net(faults: FaultInjector) -> Net {
+        let mut router = Router::new();
+        router.register("draw.example", |r: &Request, rng: &mut Rng| {
+            let body = crate::types::decimal(rng.below(1_000_000));
+            ServerReply::after(
+                Response::text(r.id, body),
+                SimDuration::from_millis(rng.below(50)),
+            )
+        });
+        let mut latency = HostDirectory::new();
+        latency.insert("draw.example", LatencyModel::log_normal(80.0, 0.4));
+        Net::new(Arc::new(router), Arc::new(latency), Arc::new(faults))
+    }
+
+    fn get(host: &str) -> Request {
+        Request::get(RequestId(1), Url::https(host, "/x"))
+    }
+
+    #[test]
+    fn exchange_with_unknown_host_draws_nothing() {
+        let net = drawing_net(FaultInjector::none().with_drop_chance(0.5));
+        let mut rng = Rng::new(9);
+        let mut untouched = rng.clone();
+        let out = net.exchange(&get("ghost.example"), &mut rng);
+        assert_eq!(out.unwrap_err(), FailureReason::NoSuchHost);
+        assert_eq!(rng.next_u64(), untouched.next_u64());
+    }
+
+    #[test]
+    fn dropped_exchange_draws_only_the_fault_decision() {
+        let net = drawing_net(FaultInjector::none().with_drop_chance(1.0));
+        let mut rng = Rng::new(9);
+        let mut hand = rng.clone();
+        let out = net.exchange(&get("draw.example"), &mut rng);
+        assert_eq!(out.unwrap_err(), FailureReason::NetworkDropped);
+        assert_eq!(
+            net.faults.decide("draw.example", &mut hand),
+            FaultDecision::Drop
+        );
+        assert_eq!(rng.next_u64(), hand.next_u64());
+    }
+
+    #[test]
+    fn delivered_exchange_draws_fault_then_latency_then_endpoint() {
+        let net = drawing_net(
+            FaultInjector::none().with_slowdown(0.5, Dist::Uniform { lo: 10.0, hi: 90.0 }),
+        );
+        let req = get("draw.example");
+        for seed in 0..16 {
+            let mut rng = Rng::new(seed);
+            let mut hand = rng.clone();
+            let got = net.exchange(&req, &mut rng).expect("delivered");
+            let slowdown = match net.faults.decide("draw.example", &mut hand) {
+                FaultDecision::Slow(penalty) => penalty,
+                FaultDecision::Deliver => SimDuration::ZERO,
+                FaultDecision::Drop => panic!("no drops configured"),
+            };
+            let rtt = net.latency.lookup("draw.example").sample(&mut hand);
+            let reply = net
+                .router
+                .resolve("draw.example")
+                .unwrap()
+                .handle(&req, &mut hand);
+            assert_eq!(got.rtt, rtt, "seed {seed}");
+            assert_eq!(got.service, reply.processing + slowdown, "seed {seed}");
+            assert_eq!(got.response, reply.response, "seed {seed}");
+            assert_eq!(
+                rng.next_u64(),
+                hand.next_u64(),
+                "seed {seed}: nothing drawn after the endpoint"
+            );
+        }
     }
 
     #[test]

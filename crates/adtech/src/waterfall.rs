@@ -13,6 +13,7 @@
 //! names (paper §2.2). The detector must not flag it — tests assert that.
 
 use crate::protocol::{self, FillChannel, WinnerPayload};
+use crate::provider::{rtb_edge_host, tier_fill, tier_request};
 use crate::rtb::InternalAuction;
 use crate::session::{send_request, NetOutcome, PageWorld};
 use crate::types::{AdSize, Cpm};
@@ -131,25 +132,12 @@ fn try_tier(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize) {
 fn send_tier_request(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize, attempt: u8) {
     let site = w.flow.site.as_ref().unwrap().clone();
     let tier = site.waterfall_tiers[idx].clone();
-    let size = site
-        .ad_units
-        .first()
-        .map(|u| u.primary_size())
-        .unwrap_or(AdSize::MEDIUM_RECT);
-    let mut q = w.scratch.take_params();
-    q.append("floor", tier.floor.to_param());
-    q.append("size", size.label());
-    q.append("cb", crate::types::decimal(w.rng.below(1_000_000_000)));
-    if attempt > 0 {
-        q.append("rt", "1");
-    }
-    let url = Url::https_pooled(
-        HStr::from_display(format_args!("rtb.{}", tier.partner.host)),
-        HStr::from_static(protocol::paths::RTB_AD),
-        q,
-    );
+    let edge = rtb_edge_host(&tier.partner.host);
+    let q = w.scratch.take_params();
+    let cb = w.rng.below(1_000_000_000);
     let id = w.browser.next_request_id();
-    let req = Request::get(id, url).from_initiator("adserver-tag");
+    let req = tier_request(id, q, &edge, tier.floor, &site.ad_units, cb, attempt > 0)
+        .from_initiator("adserver-tag");
     w.flow.wf_attempt = w.flow.wf_attempt.wrapping_add(1);
     let gen = w.flow.wf_attempt;
     send_request(w, s, req, move |w, s, out| {
@@ -160,18 +148,14 @@ fn send_tier_request(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize
             return; // the deadline already moved the chain on
         }
         let filled_price = match out {
-            NetOutcome::Response(rsp) if rsp.status == hb_http::Status::OK => {
-                match rsp.body.into_json() {
-                    Some(body) => {
-                        let price =
-                            body.get("price").and_then(|p| p.as_f64()).map(Cpm);
-                        w.scratch.recycle_json(body);
-                        price
-                    }
-                    None => None,
+            NetOutcome::Response(rsp) => {
+                let price = tier_fill(&rsp);
+                if let Some(body) = rsp.body.into_json() {
+                    w.scratch.recycle_json(body);
                 }
+                price
             }
-            _ => None,
+            NetOutcome::Failed(_) => None,
         };
         match filled_price {
             Some(price) => {
@@ -187,11 +171,8 @@ fn send_tier_request(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize
                     HStr::from_display(format_args!("{:.4}", price.0)),
                 );
                 q.append("cb", crate::types::decimal(w.rng.below(1_000_000_000)));
-                let url = Url::https_pooled(
-                    HStr::from_display(format_args!("rtb.{}", tier.partner.host)),
-                    HStr::from_static(protocol::paths::RTB_NOTIFY),
-                    q,
-                );
+                let url =
+                    Url::https_pooled(edge, HStr::from_static(protocol::paths::RTB_NOTIFY), q);
                 let id = w.browser.next_request_id();
                 let req = Request::get(id, url).from_initiator("adserver-tag");
                 send_request(w, s, req, |_, _, _| {});
@@ -235,13 +216,6 @@ fn finish_waterfall(
     // bidder attribution (the client cannot see who won inside the network).
     let site = w.flow.site.as_ref().unwrap().clone();
     let now = s.now();
-    let channel = if channel == FillChannel::HeaderBid {
-        // Within the waterfall, a network fill is "programmatic RTB"; we
-        // reuse DirectOrder/Fallback only for the non-auction channels.
-        FillChannel::HeaderBid
-    } else {
-        channel
-    };
     for unit in site.ad_units.iter() {
         w.flow.truth.winners.push(WinnerPayload {
             slot: unit.code.clone(),
@@ -255,7 +229,6 @@ fn finish_waterfall(
     }
     w.browser.page.mark_loaded(now);
     w.flow.done = true;
-    let _ = s;
 }
 
 #[cfg(test)]

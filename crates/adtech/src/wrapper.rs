@@ -16,8 +16,8 @@
 //! (`auctionInit`, `bidRequested`, `bidResponse`, `auctionEnd`, `bidWon`,
 //! `slotRenderEnded`, `adRenderFailed`).
 
-use crate::partner::bid_request_body;
 use crate::protocol::{self, events, params, BidPayload, FillChannel, WinnerPayload};
+use crate::provider::{ad_server_params, hb_bid_request};
 use crate::session::{send_request, NetOutcome, PageWorld};
 use crate::types::{AdUnit, HbFacet};
 use hb_http::{Body, HStr, Json, Request, Url};
@@ -385,11 +385,6 @@ fn start_client_auction(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
     w.browser.fire_event(now, events::REQUEST_BIDS, &payload);
     w.scratch.recycle_json(payload);
 
-    let slots: Vec<(HStr, crate::types::AdSize)> = site
-        .ad_units
-        .iter()
-        .map(|u| (u.code.clone(), u.primary_size()))
-        .collect();
     w.flow.partners_pending = site.client_partners.len();
     w.flow.partner_resolved.clear();
     w.flow
@@ -401,19 +396,12 @@ fn start_client_auction(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
         .resize(site.client_partners.len(), false);
 
     for (idx, partner) in site.client_partners.iter().enumerate() {
-        let code = partner.code.clone();
-        let mut q = w.scratch.take_params();
-        protocol::bid_request_params(&mut q, auction_id.clone(), code.clone(), slots.len());
-        let url = Url::https_pooled(
-            partner.host.clone(),
-            HStr::from_static(protocol::paths::BID),
-            q,
-        );
+        let q = w.scratch.take_params();
         let id = w.browser.next_request_id();
-        let req = Request::post(id, url, Body::Json(bid_request_body(&slots)))
+        let req = hb_bid_request(id, q, partner, &auction_id, &site.ad_units, false)
             .from_initiator("prebid.js");
         let payload = Json::obj([
-            (params::HB_BIDDER, Json::str(code.clone())),
+            (params::HB_BIDDER, Json::str(partner.code.clone())),
             (params::HB_AUCTION, Json::str(auction_id.clone())),
         ]);
         w.browser.fire_event(s.now(), events::BID_REQUESTED, &payload);
@@ -563,15 +551,6 @@ fn launch_partner_retry(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, partner
     let site = w.flow.site_handle();
     w.flow.partner_retried[partner_idx] = true;
     w.flow.truth.retries += 1;
-    let partner = &site.client_partners[partner_idx];
-    let code = partner.code.clone();
-    let host = partner.host.clone();
-    let auction_id = w.flow.auction_id.clone();
-    let slots: Vec<(HStr, crate::types::AdSize)> = site
-        .ad_units
-        .iter()
-        .map(|u| (u.code.clone(), u.primary_size()))
-        .collect();
     let backoff = site.robustness.retry_backoff;
     let deadline = site.robustness.partner_deadline;
     s.after(backoff, move |w: &mut PageWorld, s| {
@@ -580,16 +559,15 @@ fn launch_partner_retry(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, partner
         {
             return;
         }
-        let mut q = w.scratch.take_params();
-        protocol::bid_request_params(&mut q, auction_id.clone(), code.clone(), slots.len());
-        q.append(params::HB_RETRY, "1");
-        let url = Url::https_pooled(host, HStr::from_static(protocol::paths::BID), q);
+        let site = w.flow.site_handle();
+        let partner = &site.client_partners[partner_idx];
+        let q = w.scratch.take_params();
         let id = w.browser.next_request_id();
-        let req = Request::post(id, url, Body::Json(bid_request_body(&slots)))
+        let req = hb_bid_request(id, q, partner, &w.flow.auction_id, &site.ad_units, true)
             .from_initiator("prebid.js");
         let payload = Json::obj([
-            (params::HB_BIDDER, Json::str(code)),
-            (params::HB_AUCTION, Json::str(auction_id)),
+            (params::HB_BIDDER, Json::str(partner.code.clone())),
+            (params::HB_AUCTION, Json::str(w.flow.auction_id.clone())),
         ]);
         w.browser.fire_event(s.now(), events::BID_REQUESTED, &payload);
         w.scratch.recycle_json(payload);
@@ -635,9 +613,7 @@ fn send_to_adserver(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
         .collect();
 
     let mut q = w.scratch.take_params();
-    q.append("account", site.account_id.clone());
-    q.append(params::HB_AUCTION, auction_id);
-    q.append(params::HB_SOURCE, "client");
+    ad_server_params(&mut q, &site.account_id, &auction_id, "client");
     for unit in site.ad_units.iter() {
         q.append(params::HB_SLOT, unit.code.clone());
     }
@@ -682,9 +658,7 @@ fn start_server_side(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
     w.flow.sent_to_adserver = true;
 
     let mut q = w.scratch.take_params();
-    q.append("account", site.account_id.clone());
-    q.append(params::HB_AUCTION, w.flow.auction_id.clone());
-    q.append(params::HB_SOURCE, "s2s");
+    ad_server_params(&mut q, &site.account_id, &w.flow.auction_id, "s2s");
     for unit in site.ad_units.iter() {
         q.append(params::HB_SLOT, unit.code.clone());
     }

@@ -19,7 +19,7 @@
 //! shard splits. [`ScenarioConfig::healthy()`] (the default) adds nothing
 //! and keeps campaigns byte-identical to a build without scenarios.
 
-use hb_adtech::RobustnessPolicy;
+use hb_adtech::{rtb_edge_host, RobustnessPolicy};
 use hb_simnet::{FaultInjector, HStr, HostFaultProfile, LatencyModel};
 
 /// A scheduled hard outage: `host` is down for sim-days
@@ -123,10 +123,8 @@ impl ScenarioConfig {
     {
         for host in hosts {
             let host: HStr = host.into();
-            self.host_profiles.push((
-                HStr::from_display(format_args!("rtb.{host}")),
-                profile.clone(),
-            ));
+            self.host_profiles
+                .push((rtb_edge_host(&host), profile.clone()));
             self.host_profiles.push((host, profile.clone()));
         }
         self
@@ -164,7 +162,7 @@ impl ScenarioConfig {
         for outage in &self.outages {
             if outage.active_on(day) {
                 inj.add_outage(outage.host.clone());
-                inj.add_outage(HStr::from_display(format_args!("rtb.{}", outage.host)));
+                inj.add_outage(rtb_edge_host(&outage.host));
             }
         }
         inj

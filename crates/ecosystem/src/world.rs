@@ -13,8 +13,8 @@ use crate::catalog::PartnerSpec;
 use crate::factory::SiteGen;
 use crate::publisher::{partner_refs, SiteProfile};
 use hb_adtech::{
-    partner_endpoint, waterfall_endpoint, AdServerAccount, AdServerEndpoint, DirectOrder,
-    HostDirectory, PartnerProfile, PartnerRef, RobustnessPolicy,
+    partner_endpoint, rtb_edge_host, waterfall_endpoint, AdServerAccount, AdServerEndpoint,
+    DirectOrder, HostDirectory, PartnerProfile, PartnerRef, RobustnessPolicy,
 };
 use hb_http::{Endpoint, HStr, Request, Response, Router, ServerReply};
 use hb_simnet::{LatencyModel, Rng, SimDuration};
@@ -177,7 +177,7 @@ fn register_backbone(
             profile.price.clone(),
             4.0,
         );
-        let rtb_host = HStr::from_display(format_args!("rtb.{host}"));
+        let rtb_host = rtb_edge_host(&host);
         router.register(rtb_host.clone(), move |req: &Request, rng: &mut Rng| {
             wf_edge.handle(req, rng)
         });

@@ -2,9 +2,10 @@
 //! envelope.
 //!
 //! One [`ServeWorld`] per serving shard runs admitted [`AdRequest`]s
-//! through the site's provider legs ([`hb_adtech::providers_for`]):
-//! parallel header bidding, ad-server/S2S mediation, then the
-//! sequential waterfall — all under one per-request **deadline budget**
+//! through the site's demand legs, read straight off its
+//! [`SiteRuntime`]: parallel header bidding to its client partners,
+//! ad-server/S2S mediation, then the sequential waterfall over its
+//! tiers — all under one per-request **deadline budget**
 //! that every leg inherits (a leg's timeout is clamped to the remaining
 //! budget) and that a backstop event enforces: by `arrival + budget`
 //! the auction has resolved to a winner, a passback, or a shed, and
@@ -33,15 +34,12 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use hb_adtech::{
-    hb_bid_request, hb_bids_from, mediation_request, mediation_winner, providers_for,
-    tier_fill, tier_request, BidPayload, FillChannel, Net, ProviderKind, ProviderSpec,
-    SiteRuntime, WinnerPayload,
+    hb_bid_request, hb_bids_from, mediation_request, mediation_winner, rtb_edge_host, tier_fill,
+    tier_request, BidPayload, FillChannel, Net, SiteRuntime, WinnerPayload,
 };
 use hb_ecosystem::{SiteFactory, SiteGen};
-use hb_http::{RequestId, Response};
-use hb_simnet::{
-    EventId, FaultDecision, HStr, Rng, Scheduler, SimDuration, SimTime, Simulation, StopReason,
-};
+use hb_http::{QueryParams, Request, RequestId, Response};
+use hb_simnet::{EventId, HStr, Rng, Scheduler, SimDuration, SimTime, Simulation, StopReason};
 use hb_stats::LogHistogram;
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -184,17 +182,10 @@ struct ProviderHealth {
     latency: LogHistogram,
 }
 
-/// Auction phase; legs advance strictly forward.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    Hb,
-    Mediation,
-    Waterfall,
-}
-
 /// One in-flight parallel-HB leg.
 struct Leg {
-    provider: usize,
+    /// Index into the site's `client_partners`.
+    partner: usize,
     done: bool,
     sent_at: SimTime,
     hedge_sent_at: SimTime,
@@ -212,22 +203,46 @@ struct Auction {
     deadline: SimTime,
     rng: Rng,
     site: Arc<SiteRuntime>,
-    providers: Vec<ProviderSpec>,
     label: HStr,
     budget_ev: EventId,
-    phase: Phase,
     hb_open: u32,
     legs: Vec<Leg>,
     bids: Vec<BidPayload>,
     best_hb: Option<(u64, HStr)>,
     med_arrival: Option<EventId>,
     med_timeout: Option<EventId>,
+    /// Index into the site's `waterfall_tiers` of the next tier to try.
     wf_idx: usize,
     wf_arrival: Option<EventId>,
     wf_timeout: Option<EventId>,
     hedges_fired: u32,
     hedge_wins: u32,
     breaker_skips: u32,
+}
+
+impl Auction {
+    /// A leg timeout started at `now`, clamped to the auction's deadline.
+    fn leg_deadline(&self, now: SimTime, timeout: SimDuration) -> SimTime {
+        now.saturating_add(timeout).min(self.deadline)
+    }
+
+    /// Send a leg request on this auction's rng stream. The answer
+    /// counts only if it lands by `timeout_at`: a dropped, unroutable or
+    /// late request returns `None`, and the leg's timeout is the only
+    /// event that covers it. The serving plane never schedules the
+    /// browser's 30 s network timeout, which is what keeps "every
+    /// provider down" runs idle by the budget.
+    fn send(
+        &mut self,
+        net: &Net,
+        req: &Request,
+        now: SimTime,
+        timeout_at: SimTime,
+    ) -> Option<(SimTime, Response)> {
+        let delivery = net.exchange(req, &mut self.rng).ok()?;
+        let at = now.saturating_add(delivery.rtt.saturating_add(delivery.service));
+        (at <= timeout_at).then_some((at, delivery.response))
+    }
 }
 
 /// Slot with a generation stamp: every event closure captures
@@ -321,35 +336,6 @@ impl ServeWorld {
     }
 }
 
-/// Eagerly run one network exchange the way the crawl's `send_request`
-/// does (fault decision, latency sample, endpoint handling — all at
-/// dispatch), returning the arrival delay and response, or `None` when
-/// the request is dropped/unroutable. The caller's leg timeout is the
-/// only thing that fires for a `None` — the serving plane never
-/// schedules a 30s browser-style timeout, which is what keeps "every
-/// provider down" runs idle by the budget.
-fn exchange(
-    net: &Net,
-    rng: &mut Rng,
-    req: &hb_http::Request,
-) -> Option<(SimDuration, Response)> {
-    let host = req.url.host.clone();
-    let Some(ep) = net.router.resolve(&host) else {
-        return None;
-    };
-    let extra = match net.faults.decide(&host, rng) {
-        FaultDecision::Drop => return None,
-        FaultDecision::Slow(penalty) => penalty,
-        FaultDecision::Deliver => SimDuration::ZERO,
-    };
-    let rtt = net.latency.lookup(&host).sample(rng);
-    let reply = ep.handle(req, rng);
-    Some((
-        rtt.saturating_add(reply.processing).saturating_add(extra),
-        reply.response,
-    ))
-}
-
 /// Look up the live auction in `slot` iff its generation still matches.
 macro_rules! live_auction {
     ($w:expr, $slot:expr, $gen:expr) => {{
@@ -362,6 +348,17 @@ macro_rules! live_auction {
             None => return,
         }
     }};
+}
+
+/// The auction in `slot`, re-borrowed after a call that needed all of
+/// the world. Holds because the calling event's `live_auction!` has
+/// already checked the slot, and nothing since then resolves an auction:
+/// breaker, stats and request-id updates never free a slot.
+fn checked(auctions: &mut [Slot], slot: usize) -> &mut Auction {
+    auctions[slot]
+        .auction
+        .as_mut()
+        .expect("live_auction! checked this slot and nothing has resolved it since")
 }
 
 /// Admit (or shed) one request and start its auction.
@@ -388,7 +385,6 @@ pub fn start_auction(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, req: AdR
     w.stats.admitted += 1;
 
     let site = w.gen.runtime_shared(req.rank);
-    let providers = providers_for(&site);
     let rng = w.root_rng.derive(req.id);
     let label = HStr::from_display(format_args!("srv-{}", req.id));
     let now = s.now();
@@ -412,10 +408,8 @@ pub fn start_auction(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, req: AdR
         deadline: now.saturating_add(w.cfg.budget),
         rng,
         site,
-        providers,
         label,
         budget_ev,
-        phase: Phase::Hb,
         hb_open: 0,
         legs: Vec::new(),
         bids: Vec::new(),
@@ -433,33 +427,20 @@ pub fn start_auction(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, req: AdR
     begin_hb(w, s, slot, gen);
 }
 
-/// Fan out the parallel-HB legs (breaker permitting); advance straight
-/// on when the site has none to send.
+/// Fan out to the site's client-side partners (breaker permitting);
+/// advance straight on when the site has none to send.
 fn begin_hb(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32) {
     let now = s.now();
-    let a = live_auction!(w, slot, gen);
-    let hb_providers: Vec<usize> = a
-        .providers
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.kind == ProviderKind::ParallelHb)
-        .map(|(i, _)| i)
-        .collect();
-    for pi in hb_providers {
-        let host = w.auctions[slot].auction.as_ref().unwrap().providers[pi]
-            .host
-            .clone();
-        let allowed = w.health_mut(&host).breaker.allow(now);
-        if !allowed {
-            let a = w.auctions[slot].auction.as_mut().unwrap();
-            a.breaker_skips += 1;
+    let site = live_auction!(w, slot, gen).site.clone();
+    for (partner, p) in site.client_partners.iter().enumerate() {
+        if !w.health_mut(&p.host).breaker.allow(now) {
+            checked(&mut w.auctions, slot).breaker_skips += 1;
             w.stats.breaker_skips += 1;
             continue;
         }
-        dispatch_hb_leg(w, s, slot, gen, pi);
+        dispatch_hb_leg(w, s, slot, gen, partner);
     }
-    let a = w.auctions[slot].auction.as_mut().unwrap();
-    if a.hb_open == 0 {
+    if checked(&mut w.auctions, slot).hb_open == 0 {
         after_hb(w, s, slot, gen);
     }
 }
@@ -470,31 +451,30 @@ fn dispatch_hb_leg(
     s: &mut Scheduler<ServeWorld>,
     slot: usize,
     gen: u32,
-    provider: usize,
+    partner: usize,
 ) {
     let now = s.now();
     let id = w.next_request_id();
-    let a = w.auctions[slot].auction.as_mut().unwrap();
-    let spec = a.providers[provider].clone();
-    let timeout_at = now
-        .saturating_add(w.cfg.hb_timeout)
-        .min(a.deadline);
+    let a = checked(&mut w.auctions, slot);
+    let host = a.site.client_partners[partner].host.clone();
+    let timeout_at = a.leg_deadline(now, w.cfg.hb_timeout);
     let request = hb_bid_request(
         id,
-        &spec.host,
-        &spec.code,
-        a.label.as_str(),
+        QueryParams::new(),
+        &a.site.client_partners[partner],
+        &a.label,
         &a.site.ad_units,
         false,
-    );
-    let outcome = exchange(&w.net, &mut a.rng, &request);
+    )
+    .from_initiator("hb-serve");
+    let answer = a.send(&w.net, &request, now, timeout_at);
     let leg_idx = a.legs.len();
     a.hb_open += 1;
     let timeout = s.at(timeout_at, move |w, s| {
         on_leg_timeout(w, s, slot, gen, leg_idx)
     });
     let mut leg = Leg {
-        provider,
+        partner,
         done: false,
         sent_at: now,
         hedge_sent_at: SimTime::ZERO,
@@ -504,25 +484,21 @@ fn dispatch_hb_leg(
         hedge_fire: None,
         hedge_arrival: None,
     };
-    if let Some((delay, rsp)) = outcome {
-        let at = now.saturating_add(delay);
-        if at <= timeout_at {
-            let bids = hb_bids_from(&rsp);
-            leg.arrival = Some(s.at(at, move |w, s| {
-                on_leg_arrival(w, s, slot, gen, leg_idx, false, bids)
-            }));
-        }
+    if let Some((at, rsp)) = answer {
+        let bids = hb_bids_from(&rsp);
+        leg.arrival = Some(s.at(at, move |w, s| {
+            on_leg_arrival(w, s, slot, gen, leg_idx, false, bids)
+        }));
     }
     // Arm the hedge only if it would fire before the leg's timeout —
     // a hedge with no time to answer is pure cost.
-    let hedge_at = now.saturating_add(w.hedge_delay(&spec.host));
+    let hedge_at = now.saturating_add(w.hedge_delay(&host));
     if hedge_at < timeout_at {
         leg.hedge_fire = Some(s.at(hedge_at, move |w, s| {
             on_hedge_fire(w, s, slot, gen, leg_idx)
         }));
     }
-    let a = w.auctions[slot].auction.as_mut().unwrap();
-    a.legs.push(leg);
+    checked(&mut w.auctions, slot).legs.push(leg);
 }
 
 /// The primary outran the provider's latency quantile: fire the backup.
@@ -535,29 +511,24 @@ fn on_hedge_fire(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize,
     }
     a.legs[leg].hedge_fire = None;
     a.legs[leg].hedge_sent_at = now;
-    let provider = a.legs[leg].provider;
-    let spec = a.providers[provider].clone();
+    let timeout_at = a.legs[leg].timeout_at;
     let request = hb_bid_request(
         id,
-        &spec.host,
-        &spec.code,
-        a.label.as_str(),
+        QueryParams::new(),
+        &a.site.client_partners[a.legs[leg].partner],
+        &a.label,
         &a.site.ad_units,
         true,
-    );
-    let outcome = exchange(&w.net, &mut a.rng, &request);
+    )
+    .from_initiator("hb-serve");
+    let answer = a.send(&w.net, &request, now, timeout_at);
     a.hedges_fired += 1;
     w.stats.hedges_fired += 1;
-    let timeout_at = a.legs[leg].timeout_at;
-    if let Some((delay, rsp)) = outcome {
-        let at = now.saturating_add(delay);
-        if at <= timeout_at {
-            let bids = hb_bids_from(&rsp);
-            let a = w.auctions[slot].auction.as_mut().unwrap();
-            a.legs[leg].hedge_arrival = Some(s.at(at, move |w, s| {
-                on_leg_arrival(w, s, slot, gen, leg, true, bids)
-            }));
-        }
+    if let Some((at, rsp)) = answer {
+        let bids = hb_bids_from(&rsp);
+        a.legs[leg].hedge_arrival = Some(s.at(at, move |w, s| {
+            on_leg_arrival(w, s, slot, gen, leg, true, bids)
+        }));
     }
 }
 
@@ -587,13 +558,11 @@ fn on_leg_arrival(
         s.cancel(e);
     }
     let sent = if hedge { l.hedge_sent_at } else { l.sent_at };
-    let provider = l.provider;
+    let host = a.site.client_partners[l.partner].host.clone();
     if hedge {
         a.hedge_wins += 1;
         w.stats.hedge_wins += 1;
     }
-    let host = a.providers[provider].host.clone();
-    let a = w.auctions[slot].auction.as_mut().unwrap();
     if let Some(bids) = bids {
         for b in bids {
             let milli = (b.cpm.0 * 1000.0).round() as u64;
@@ -632,7 +601,7 @@ fn on_leg_timeout(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize
     {
         s.cancel(e);
     }
-    let host = a.providers[l.provider].host.clone();
+    let host = a.site.client_partners[l.partner].host.clone();
     a.hb_open -= 1;
     let advance = a.hb_open == 0;
     w.stats.provider_timeouts += 1;
@@ -645,56 +614,46 @@ fn on_leg_timeout(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize
 /// HB fan-out complete (or empty): mediate for HB sites, descend the
 /// waterfall for waterfall sites.
 fn after_hb(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32) {
-    let a = live_auction!(w, slot, gen);
-    if a.site.facet.is_some() {
+    if live_auction!(w, slot, gen).site.facet.is_some() {
         begin_mediation(w, s, slot, gen);
     } else {
-        a.phase = Phase::Waterfall;
         wf_next(w, s, slot, gen);
     }
 }
 
 /// Send the ad-server mediation leg carrying the collected client bids.
+/// Every HB flavor resolves through the ad server; for server-side and
+/// hybrid accounts the same call runs the s2s fan-out inside it.
 fn begin_mediation(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32) {
     let now = s.now();
     let id = w.next_request_id();
-    let a = live_auction!(w, slot, gen);
-    a.phase = Phase::Mediation;
-    let Some(spec) = a
-        .providers
-        .iter()
-        .find(|p| p.kind == ProviderKind::S2sMediation)
-        .cloned()
-    else {
-        resolve_degraded(w, s, slot, gen);
-        return;
-    };
-    let allowed = w.health_mut(&spec.host).breaker.allow(now);
-    if !allowed {
-        let a = w.auctions[slot].auction.as_mut().unwrap();
-        a.breaker_skips += 1;
+    let host = live_auction!(w, slot, gen).site.ad_server_host.clone();
+    if !w.health_mut(&host).breaker.allow(now) {
+        checked(&mut w.auctions, slot).breaker_skips += 1;
         w.stats.breaker_skips += 1;
         resolve_degraded(w, s, slot, gen);
         return;
     }
-    let a = w.auctions[slot].auction.as_mut().unwrap();
-    let timeout_at = now
-        .saturating_add(w.cfg.mediation_timeout)
-        .min(a.deadline);
-    let request = mediation_request(id, &spec.host, &spec.code, a.label.as_str(), &a.bids);
-    let outcome = exchange(&w.net, &mut a.rng, &request);
+    let a = checked(&mut w.auctions, slot);
+    let timeout_at = a.leg_deadline(now, w.cfg.mediation_timeout);
+    let request = mediation_request(
+        id,
+        QueryParams::new(),
+        &host,
+        &a.site.account_id,
+        &a.label,
+        &a.bids,
+    )
+    .from_initiator("hb-serve");
+    let answer = a.send(&w.net, &request, now, timeout_at);
     a.med_timeout = Some(s.at(timeout_at, move |w, s| {
         on_mediation_timeout(w, s, slot, gen)
     }));
-    if let Some((delay, rsp)) = outcome {
-        let at = now.saturating_add(delay);
-        if at <= timeout_at {
-            let winner = mediation_winner(&rsp);
-            let a = w.auctions[slot].auction.as_mut().unwrap();
-            a.med_arrival = Some(s.at(at, move |w, s| {
-                on_mediation_arrival(w, s, slot, gen, winner)
-            }));
-        }
+    if let Some((at, rsp)) = answer {
+        let winner = mediation_winner(&rsp);
+        a.med_arrival = Some(s.at(at, move |w, s| {
+            on_mediation_arrival(w, s, slot, gen, winner)
+        }));
     }
 }
 
@@ -712,18 +671,6 @@ fn on_mediation_arrival(
         s.cancel(e);
     }
     a.med_arrival = None;
-    let sent_host = a
-        .providers
-        .iter()
-        .find(|p| p.kind == ProviderKind::S2sMediation)
-        .map(|p| p.host.clone());
-    let med_sent = a.started; // mediation starts after HB; latency below uses leg time
-    let _ = med_sent;
-    if let Some(host) = sent_host {
-        let h = w.health_mut(&host);
-        h.breaker.record_success(now);
-    }
-    let a = w.auctions[slot].auction.as_mut().unwrap();
     let decision = match winner {
         Some(win) => {
             let channel = match win.channel {
@@ -754,6 +701,8 @@ fn on_mediation_arrival(
         }
         None => Decision::Passback,
     };
+    let host = a.site.ad_server_host.clone();
+    w.health_mut(&host).breaker.record_success(now);
     resolve(w, s, slot, decision);
 }
 
@@ -765,22 +714,16 @@ fn on_mediation_timeout(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot:
         s.cancel(e);
     }
     a.med_timeout = None;
-    let host = a
-        .providers
-        .iter()
-        .find(|p| p.kind == ProviderKind::S2sMediation)
-        .map(|p| p.host.clone());
+    let host = a.site.ad_server_host.clone();
     w.stats.provider_timeouts += 1;
-    if let Some(host) = host {
-        w.health_mut(&host).breaker.record_failure(now);
-    }
+    w.health_mut(&host).breaker.record_failure(now);
     resolve_degraded(w, s, slot, gen);
 }
 
-/// The mediation leg is unavailable (timed out, breaker-open, or
-/// absent): answer with the best client bid if any bid is held,
-/// otherwise pass back. This is the robustness envelope's degraded
-/// fill — a worse answer beats no answer.
+/// The mediation leg is unavailable (timed out or breaker-open): answer
+/// with the best client bid if any bid is held, otherwise pass back.
+/// This is the robustness envelope's degraded fill — a worse answer
+/// beats no answer.
 fn resolve_degraded(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32) {
     let a = live_auction!(w, slot, gen);
     match a.best_hb.clone() {
@@ -801,70 +744,58 @@ fn resolve_degraded(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usi
     }
 }
 
-/// Descend to the next eligible waterfall tier, abort when the
-/// remaining budget can't cover another attempt, pass back when the
-/// chain is exhausted.
+/// Descend to the next waterfall tier, abort when the remaining budget
+/// can't cover another attempt, pass back when the chain is exhausted.
+/// Tier legs run on the partner's `rtb.` edge, which is also the
+/// breaker's failure domain.
 fn wf_next(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32) {
     let now = s.now();
     loop {
         let a = live_auction!(w, slot, gen);
-        let n = a.providers.len();
-        // Find the next waterfall tier at/after wf_idx.
-        let mut idx = a.wf_idx;
-        let tier = loop {
-            if idx >= n {
-                break None;
-            }
-            if let ProviderKind::Waterfall { floor } = a.providers[idx].kind {
-                break Some((idx, floor));
-            }
-            idx += 1;
-        };
-        let Some((idx, floor)) = tier else {
+        let idx = a.wf_idx;
+        let Some(tier) = a.site.waterfall_tiers.get(idx) else {
             resolve(w, s, slot, Decision::Passback);
             return;
         };
-        let remaining = a.deadline.saturating_since(now);
-        if remaining < w.cfg.abort_margin {
+        if a.deadline.saturating_since(now) < w.cfg.abort_margin {
             // Ting & Grislain abort: a tier with no time to answer is
             // not worth starting; take the passback now.
             w.stats.wf_aborts += 1;
             resolve(w, s, slot, Decision::Passback);
             return;
         }
+        let floor = tier.floor;
+        let edge = rtb_edge_host(&tier.partner.host);
         a.wf_idx = idx + 1;
-        let host = a.providers[idx].host.clone();
-        let allowed = w.health_mut(&host).breaker.allow(now);
-        if !allowed {
-            let a = w.auctions[slot].auction.as_mut().unwrap();
-            a.breaker_skips += 1;
+        if !w.health_mut(&edge).breaker.allow(now) {
+            checked(&mut w.auctions, slot).breaker_skips += 1;
             w.stats.breaker_skips += 1;
             continue; // skip the dead tier without paying its timeout
         }
         let id = w.next_request_id();
-        let a = w.auctions[slot].auction.as_mut().unwrap();
-        let size = a
-            .site
-            .ad_units
-            .first()
-            .map(|u| u.primary_size())
-            .unwrap_or(hb_adtech::AdSize::MEDIUM_RECT);
+        let a = checked(&mut w.auctions, slot);
         let cb = a.rng.below(1_000_000_000);
-        let request = tier_request(id, &host, floor, size, cb);
-        let timeout_at = now.saturating_add(w.cfg.tier_timeout).min(a.deadline);
-        let outcome = exchange(&w.net, &mut a.rng, &request);
+        let request = tier_request(
+            id,
+            QueryParams::new(),
+            &edge,
+            floor,
+            &a.site.ad_units,
+            cb,
+            false,
+        )
+        .from_initiator("hb-serve");
+        let timeout_at = a.leg_deadline(now, w.cfg.tier_timeout);
+        let answer = a.send(&w.net, &request, now, timeout_at);
+        let timeout_edge = edge.clone();
         a.wf_timeout = Some(s.at(timeout_at, move |w, s| {
-            on_tier_timeout(w, s, slot, gen, idx)
+            on_tier_timeout(w, s, slot, gen, timeout_edge)
         }));
-        if let Some((delay, rsp)) = outcome {
-            let at = now.saturating_add(delay);
-            if at <= timeout_at {
-                let fill = tier_fill(&rsp);
-                let a = w.auctions[slot].auction.as_mut().unwrap();
-                a.wf_arrival = Some(s.at(at, move |w, s| {
-                    on_tier_arrival(w, s, slot, gen, idx, fill)
-                }));
-            }
+        if let Some((at, rsp)) = answer {
+            let fill = tier_fill(&rsp);
+            a.wf_arrival = Some(s.at(at, move |w, s| {
+                on_tier_arrival(w, s, slot, gen, idx, edge, fill)
+            }));
         }
         return;
     }
@@ -877,6 +808,7 @@ fn on_tier_arrival(
     slot: usize,
     gen: u32,
     idx: usize,
+    edge: HStr,
     fill: Option<hb_adtech::Cpm>,
 ) {
     let now = s.now();
@@ -885,9 +817,8 @@ fn on_tier_arrival(
         s.cancel(e);
     }
     a.wf_arrival = None;
-    let host = a.providers[idx].host.clone();
-    let code = a.providers[idx].code.clone();
-    w.health_mut(&host).breaker.record_success(now);
+    let code = a.site.waterfall_tiers[idx].partner.code.clone();
+    w.health_mut(&edge).breaker.record_success(now);
     match fill {
         Some(price) => resolve(
             w,
@@ -909,7 +840,7 @@ fn on_tier_timeout(
     s: &mut Scheduler<ServeWorld>,
     slot: usize,
     gen: u32,
-    idx: usize,
+    edge: HStr,
 ) {
     let now = s.now();
     let a = live_auction!(w, slot, gen);
@@ -917,18 +848,14 @@ fn on_tier_timeout(
         s.cancel(e);
     }
     a.wf_timeout = None;
-    let host = a.providers[idx].host.clone();
     w.stats.provider_timeouts += 1;
-    w.health_mut(&host).breaker.record_failure(now);
+    w.health_mut(&edge).breaker.record_failure(now);
     wf_next(w, s, slot, gen);
 }
 
 /// The budget backstop fired: answer with whatever is held, now.
 fn on_budget(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32) {
-    {
-        let a = live_auction!(w, slot, gen);
-        let _ = a;
-    }
+    live_auction!(w, slot, gen);
     w.stats.budget_exhausted += 1;
     resolve_degraded(w, s, slot, gen);
 }

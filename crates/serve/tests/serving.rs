@@ -275,3 +275,43 @@ fn serve_digests_are_pinned() {
         assert_eq!(report.digest(), pinned, "{label} serve digest moved");
     }
 }
+
+/// A budget shorter than the leg timeouts reaches the two exits the
+/// default config never takes: waterfall descents cut short by the abort
+/// margin, and auctions answered by the budget backstop. Both still keep
+/// the latency promise, and worker count still cannot change the result.
+#[test]
+fn tight_budget_aborts_waterfalls_and_fires_the_backstop() {
+    let f = universe();
+    let cfg = ServeConfig {
+        budget: SimDuration::from_millis(300),
+        shards: 4,
+        ..ServeConfig::default()
+    };
+    let load = LoadGenConfig {
+        n_requests: 1_000,
+        n_sites: f.config().n_sites as u64,
+        mean_gap: SimDuration::from_micros(2_500),
+        ..LoadGenConfig::default()
+    };
+    let solo = serve_load_with(f.gen(), &f.net(), &cfg, &load, 1, true);
+    let pooled = serve_load_with(f.gen(), &f.net(), &cfg, &load, 3, true);
+
+    assert!(solo.stats.wf_aborts > 0, "abort margin cut a descent short");
+    assert!(solo.stats.budget_exhausted > 0, "the backstop answered");
+    for sh in &solo.shards {
+        for o in &sh.outcomes {
+            assert!(
+                o.latency <= cfg.budget,
+                "request {} overran its budget: {}",
+                o.request,
+                o.latency
+            );
+        }
+    }
+    assert_eq!(solo.digest(), pooled.digest(), "run digest");
+    assert_eq!(solo.stats, pooled.stats, "merged counters");
+    for (a, b) in solo.shards.iter().zip(&pooled.shards) {
+        assert_eq!(a.outcomes, b.outcomes, "shard {} outcomes", a.shard);
+    }
+}

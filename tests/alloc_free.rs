@@ -1,6 +1,6 @@
-//! Allocation accounting for the visit hot paths.
+//! Allocation accounting for the visit and auction hot paths.
 //!
-//! Three layers of budget are enforced with a counting allocator:
+//! Four layers of budget are enforced with a counting allocator:
 //!
 //! * the detector's per-request classify path performs **zero** heap
 //!   allocations for form/empty bodies (PR 1 invariant);
@@ -11,14 +11,17 @@
 //! * a **cold** (memo-miss) visit — the adoption-sweep hot path, where
 //!   every rank is seen for the first time — stays under a per-flow
 //!   budget too (PR 5 invariant: scratch-based site derivation makes a
-//!   cold visit approach pooled-visit cost).
+//!   cold visit approach pooled-visit cost);
+//! * an admitted serving auction on a warm shard stays under a fixed
+//!   per-auction budget.
 
 use hb_repro::adtech::{HbFacet, RobustnessPolicy};
 use hb_repro::core::{classify_request, Interner, PartnerList, RequestKind, VisitColumns};
 use hb_repro::crawler::{crawl_site_into, SessionConfig, TruthRecord, VisitScratch};
 use hb_repro::ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory};
-use hb_repro::simnet::{Dist, HostFaultProfile};
 use hb_repro::http::{Request, RequestId, Url};
+use hb_repro::serve::{serve_requests, AdRequest, LoadGenConfig, ServeConfig};
+use hb_repro::simnet::{Dist, HostFaultProfile, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -329,6 +332,71 @@ fn fault_path_columnar_visit_stays_within_allocation_budget() {
     assert!(
         steady <= FAULTY_COLUMNAR_BUDGET,
         "steady-state faulty visit allocated {steady} (> budget {FAULTY_COLUMNAR_BUDGET})"
+    );
+}
+
+/// Allocation budget per admitted auction of the serving plane: one warm
+/// shard (every site runtime the stream touches is already derived)
+/// serving a zipf stream over the degraded 4-provider slice of the
+/// `serve_zipf` benchmark, so hedges, breaker skips and waterfall descents
+/// all run inside the measured window. Measured 12.05 when each auction
+/// still collected its provider legs into a `Vec` and formatted an
+/// `rtb.` host for every waterfall tier up front, 9.99 after the
+/// orchestrator read them off the site runtime; the budget carries ~2x
+/// headroom.
+const SERVE_AUCTION_BUDGET: u64 = 20;
+
+#[test]
+fn serving_auction_stays_within_allocation_budget() {
+    let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
+    let slice: Vec<String> = eco
+        .specs()
+        .iter()
+        .filter(|s| !s.is_ad_server)
+        .take(4)
+        .map(|s| s.host())
+        .collect();
+    let lossy = HostFaultProfile {
+        drop_chance: 0.45,
+        slow_chance: 0.35,
+        slow_penalty_ms: Dist::Const(220.0),
+    };
+    let injector = ScenarioConfig::healthy()
+        .with_provider_slice(slice, lossy)
+        .injector_for_day(&eco.faults(), 0);
+    let net = hb_repro::adtech::Net::new(eco.router(), eco.latency(), injector.into());
+    let load = LoadGenConfig {
+        n_requests: 2_000,
+        n_sites: u64::from(eco.config().n_sites),
+        mean_gap: SimDuration::from_millis(10),
+        ..LoadGenConfig::default()
+    };
+    let requests: Vec<AdRequest> = (0..load.n_requests).map(|n| load.request(n)).collect();
+    let cfg = ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    };
+    // Warm-up run: derives every site runtime the stream touches.
+    let _ = serve_requests(eco.gen(), &net, &cfg, requests.clone());
+    let (allocs, report) = allocations_during(|| serve_requests(eco.gen(), &net, &cfg, requests));
+    let s = &report.stats;
+    let per_auction = allocs as f64 / s.admitted as f64;
+    eprintln!(
+        "alloc_serve: {allocs} allocations over {} admitted auctions = {per_auction:.2} \
+         per auction (budget {SERVE_AUCTION_BUDGET}); hedges {} skips {} timeouts {}",
+        s.admitted, s.hedges_fired, s.breaker_skips, s.provider_timeouts
+    );
+    assert!(
+        s.admitted * 10 >= s.auctions * 9,
+        "the stream fits capacity"
+    );
+    assert!(
+        s.hedges_fired > 0 && s.breaker_skips > 0 && s.wins_waterfall > 0,
+        "the measured window runs hedges, breaker skips and waterfall fills"
+    );
+    assert!(
+        per_auction <= SERVE_AUCTION_BUDGET as f64,
+        "serving allocated {per_auction:.2} per admitted auction (> budget {SERVE_AUCTION_BUDGET})"
     );
 }
 
