@@ -167,10 +167,17 @@ fn finish_coord(
 }
 
 fn spool_file_count(dir: &Path) -> usize {
+    // Only the loose chunk files replay reads: the `.tmp-…` file of a
+    // write that a SIGKILL interrupted also ends in `.hbwf`, but replay
+    // ignores it, so it is not a spooled chunk.
     match std::fs::read_dir(dir) {
         Ok(entries) => entries
             .filter_map(Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".hbwf"))
+            .filter(|e| {
+                let name = e.file_name();
+                let name = name.to_string_lossy();
+                name.starts_with("chunk-") && name.ends_with(".hbwf")
+            })
             .count(),
         Err(_) => 0,
     }
