@@ -195,7 +195,7 @@ impl PageWorld {
     /// Create a world for one visit.
     pub fn new(url: Url, net: Net, rng: Rng) -> PageWorld {
         PageWorld::from_parts(
-            Browser::open_untraced(url, SimTime::ZERO),
+            Browser::open(url, SimTime::ZERO),
             net,
             rng,
             MsgScratch::new(),
@@ -231,15 +231,6 @@ impl PageWorld {
         self.in_flight = 0;
         self.rtt_scale = DEFAULT_RTT_SCALE;
         self.flow.reset_for_visit();
-    }
-
-    /// Enable the diagnostic trace (examples / debugging). Toggles the
-    /// browser's existing trace in place, so a pooled browser keeps one
-    /// ring allocation no matter how often tracing flips on and off.
-    pub fn with_trace(mut self) -> PageWorld {
-        self.browser.trace.set_capacity(8192);
-        self.browser.trace.set_enabled(true);
-        self
     }
 }
 
@@ -305,6 +296,34 @@ pub fn send_request<F>(
             on_done(w, s, NetOutcome::Response(response));
         });
     });
+}
+
+/// Per-name DOM event counts of a test visit, read through a tap on the
+/// browser's event bus: the detector's own path.
+#[cfg(test)]
+pub(crate) struct EventCounts(std::rc::Rc<std::cell::RefCell<Vec<(String, u64)>>>);
+
+#[cfg(test)]
+impl EventCounts {
+    /// Tap `browser`'s events; install before the run.
+    pub(crate) fn tap(browser: &mut Browser) -> EventCounts {
+        let counts = EventCounts(Default::default());
+        let tally = counts.0.clone();
+        browser.events.tap(move |ev| {
+            let mut tally = tally.borrow_mut();
+            match tally.iter_mut().find(|(n, _)| n == ev.name) {
+                Some((_, c)) => *c += 1,
+                None => tally.push((ev.name.to_string(), 1)),
+            }
+        });
+        counts
+    }
+
+    /// Events fired with `name` so far.
+    pub(crate) fn get(&self, name: &str) -> u64 {
+        let tally = self.0.borrow();
+        tally.iter().find(|(n, _)| n == name).map_or(0, |(_, c)| *c)
+    }
 }
 
 #[cfg(test)]

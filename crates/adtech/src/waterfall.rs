@@ -234,7 +234,7 @@ fn finish_waterfall(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{HostDirectory, Net};
+    use crate::session::{EventCounts, HostDirectory, Net};
     use crate::types::AdUnit;
     use crate::wrapper::{begin_visit, RobustnessPolicy, SiteRuntime, WrapperConfig};
     use hb_http::Router;
@@ -361,12 +361,12 @@ mod tests {
                 }
             }
         });
+        let counts = EventCounts::tap(&mut sim.world_mut().browser);
         sim.run_to_idle(10_000);
-        let w = sim.world();
         assert!(!*hb_seen.borrow(), "waterfall traffic must not carry hb_*");
-        assert_eq!(w.browser.events.emitted_count("auctionInit"), 0);
-        assert_eq!(w.browser.events.emitted_count("bidResponse"), 0);
-        assert_eq!(w.browser.events.emitted_count("bidWon"), 0);
+        assert_eq!(counts.get("auctionInit"), 0);
+        assert_eq!(counts.get("bidResponse"), 0);
+        assert_eq!(counts.get("bidWon"), 0);
     }
 
     #[test]

@@ -804,7 +804,7 @@ mod tests {
     use super::*;
     use crate::adserver::{AdServerAccount, AdServerEndpoint};
     use crate::partner::{partner_endpoint, PartnerProfile};
-    use crate::session::{HostDirectory, Net};
+    use crate::session::{EventCounts, HostDirectory, Net};
     use crate::types::{AdSize, Cpm};
     use hb_http::{Response, Router, ServerReply};
     use hb_simnet::{FaultInjector, LatencyModel, Rng, Simulation};
@@ -913,6 +913,7 @@ mod tests {
     #[test]
     fn client_side_full_flow() {
         let mut sim = page_sim(Some(HbFacet::ClientSide), WrapperConfig::default());
+        let counts = EventCounts::tap(&mut sim.world_mut().browser);
         sim.run_to_idle(10_000);
         let w = sim.world();
         assert!(w.flow.done, "visit completed");
@@ -927,12 +928,12 @@ mod tests {
             .iter()
             .all(|win| win.channel == FillChannel::HeaderBid));
         // Events fired.
-        assert_eq!(w.browser.events.emitted_count(events::AUCTION_INIT), 1);
-        assert_eq!(w.browser.events.emitted_count(events::BID_REQUESTED), 2);
-        assert_eq!(w.browser.events.emitted_count(events::BID_RESPONSE), 4);
-        assert_eq!(w.browser.events.emitted_count(events::AUCTION_END), 1);
-        assert_eq!(w.browser.events.emitted_count(events::BID_WON), 2);
-        assert_eq!(w.browser.events.emitted_count(events::SLOT_RENDER_ENDED), 2);
+        assert_eq!(counts.get(events::AUCTION_INIT), 1);
+        assert_eq!(counts.get(events::BID_REQUESTED), 2);
+        assert_eq!(counts.get(events::BID_RESPONSE), 4);
+        assert_eq!(counts.get(events::AUCTION_END), 1);
+        assert_eq!(counts.get(events::BID_WON), 2);
+        assert_eq!(counts.get(events::SLOT_RENDER_ENDED), 2);
         // Latency: slowest partner 400ms dominates; + adserver 50ms + sundry.
         let lat = truth.hb_latency().unwrap();
         assert!(lat >= SimDuration::from_millis(450), "lat {lat}");
@@ -942,6 +943,7 @@ mod tests {
     #[test]
     fn server_side_flow_single_request_no_prebid_events() {
         let mut sim = page_sim(Some(HbFacet::ServerSide), WrapperConfig::default());
+        let counts = EventCounts::tap(&mut sim.world_mut().browser);
         sim.run_to_idle(10_000);
         let w = sim.world();
         assert!(w.flow.done);
@@ -953,11 +955,11 @@ mod tests {
             .winners
             .iter()
             .all(|win| win.channel == FillChannel::HeaderBid && win.bidder == "gamma"));
-        assert_eq!(w.browser.events.emitted_count(events::AUCTION_INIT), 0);
-        assert_eq!(w.browser.events.emitted_count(events::BID_RESPONSE), 0);
-        assert_eq!(w.browser.events.emitted_count(events::BID_WON), 0);
+        assert_eq!(counts.get(events::AUCTION_INIT), 0);
+        assert_eq!(counts.get(events::BID_RESPONSE), 0);
+        assert_eq!(counts.get(events::BID_WON), 0);
         // gpt-style render events still fire.
-        assert_eq!(w.browser.events.emitted_count(events::SLOT_RENDER_ENDED), 2);
+        assert_eq!(counts.get(events::SLOT_RENDER_ENDED), 2);
         // Latency: single 50ms call + s2s fan-out processing.
         let lat = truth.hb_latency().unwrap();
         assert!(lat < SimDuration::from_millis(400), "lat {lat}");
@@ -966,13 +968,14 @@ mod tests {
     #[test]
     fn hybrid_flow_merges_client_and_s2s_bids() {
         let mut sim = page_sim(Some(HbFacet::Hybrid), WrapperConfig::default());
+        let counts = EventCounts::tap(&mut sim.world_mut().browser);
         sim.run_to_idle(10_000);
         let w = sim.world();
         assert!(w.flow.done);
         let truth = &w.flow.truth;
         assert_eq!(truth.client_bids, 4, "client partners answered");
         assert_eq!(truth.winners.len(), 2);
-        assert!(w.browser.events.emitted_count(events::BID_RESPONSE) > 0);
+        assert!(counts.get(events::BID_RESPONSE) > 0);
         // Winner can be a client partner or the s2s partner "gamma" —
         // either way it is an HB fill.
         assert!(truth
@@ -1054,6 +1057,7 @@ mod tests {
         };
         let faults = FaultInjector::none().with_outage("alpha.adnet.example");
         let mut sim = page_sim_with(Some(HbFacet::ClientSide), cfg, faults, policy);
+        let counts = EventCounts::tap(&mut sim.world_mut().browser);
         sim.run_to_idle(60_000);
         let w = sim.world();
         assert!(w.flow.done, "visit completed despite the dead partner");
@@ -1071,7 +1075,7 @@ mod tests {
             .iter()
             .all(|win| win.channel == FillChannel::HeaderBid && win.bidder == "beta"));
         // The retry request is a marked bid request: 2 initial + 1 retry.
-        assert_eq!(w.browser.events.emitted_count(events::BID_REQUESTED), 3);
+        assert_eq!(counts.get(events::BID_REQUESTED), 3);
     }
 
     #[test]
@@ -1097,6 +1101,7 @@ mod tests {
             faults,
             policy,
         );
+        let counts = EventCounts::tap(&mut sim.world_mut().browser);
         sim.run_to_idle(60_000);
         let w = sim.world();
         assert!(w.flow.done, "visit completed via passback");
@@ -1111,8 +1116,8 @@ mod tests {
         assert_eq!(truth.retries, 0);
         // Two partner requests + the ad-server call never answered.
         assert_eq!(truth.bids_dropped, 3);
-        assert_eq!(w.browser.events.emitted_count(events::PASSBACK), 1);
-        assert_eq!(w.browser.events.emitted_count(events::SLOT_RENDER_ENDED), 2);
+        assert_eq!(counts.get(events::PASSBACK), 1);
+        assert_eq!(counts.get(events::SLOT_RENDER_ENDED), 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::index::DatasetIndex;
 use crate::report::FigureReport;
-use hb_stats::{fmt_pct, Align, Counter, Ecdf, Table};
+use hb_stats::{fmt_pct, Align, Counter, Samples, Table};
 use std::collections::BTreeMap;
 
 /// Fig. 8: top Demand Partners by share of HB sites they appear on.
@@ -71,13 +71,13 @@ pub fn f08_top_partners(ix: &DatasetIndex) -> FigureReport {
 /// Fig. 9: ECDF of Demand Partners per website.
 pub fn f09_partners_per_site(ix: &DatasetIndex) -> FigureReport {
     let counts: Vec<f64> = ix.sites.iter().map(|s| s.partners.len() as f64).collect();
-    let ecdf = Ecdf::from_iter(counts.iter().copied());
+    let ecdf = Samples::from_iter(counts.iter().copied());
     let mut table = Table::new(
         "Fig. 9 — Demand Partners per HB site (ECDF)",
         &["partners", "P[X<=x]"],
     );
     for k in [1u32, 2, 3, 5, 10, 15, 20] {
-        table.row(vec![k.to_string(), format!("{:.4}", ecdf.eval(k as f64))]);
+        table.row(vec![k.to_string(), format!("{:.4}", ecdf.frac_at_or_below(k as f64))]);
     }
     let share_one = counts.iter().filter(|&&c| c == 1.0).count() as f64 / counts.len().max(1) as f64;
     let share_ge5 = counts.iter().filter(|&&c| c >= 5.0).count() as f64 / counts.len().max(1) as f64;

@@ -193,11 +193,6 @@ impl HbDetector {
         });
     }
 
-    /// Number of HB events captured so far (diagnostics).
-    pub fn events_captured(&self) -> usize {
-        self.state.borrow().events.len()
-    }
-
     /// Clear all accumulated observation state for a fresh visit while
     /// keeping the allocated capacity (vectors, request map). The pooled
     /// crawl path attaches the detector to a reused browser once per
@@ -835,6 +830,5 @@ mod tests {
         let rec = finish(&det, "static.example", 60, 0, Some(120.0), &mut strings);
         assert!(!rec.hb_detected);
         assert_eq!(rec.partner_count(), 0);
-        assert_eq!(det.events_captured(), 0);
     }
 }

@@ -271,7 +271,7 @@ impl CampaignPlan {
 /// unit of lease-based distribution.
 ///
 /// This is the exact iteration the in-process scheduler runs per claimed
-/// block ([`run_batch`] delegates here), exposed so a remote worker
+/// block (its batch runner delegates here), exposed so a remote worker
 /// holding a `(day, shard, seq)` lease produces byte-identical chunks: a
 /// block-local interner, direct-to-column visits via [`crawl_site_into`],
 /// ground truth flattened in place. `on_visit` fires after every finished

@@ -97,7 +97,7 @@ fn simulate_visit(
             sim
         }
         None => {
-            let mut b = Browser::open_untraced(runtime.page_url.clone(), SimTime::ZERO);
+            let mut b = Browser::open(runtime.page_url.clone(), SimTime::ZERO);
             detector.attach(&mut b);
             let world = PageWorld::from_parts(b, net, rng, MsgScratch::new());
             scratch.sim.insert(Simulation::new(world))

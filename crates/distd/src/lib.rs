@@ -58,8 +58,7 @@ pub use chaos::{
 };
 pub use coord::{CoordConfig, CoordStats, Coordinator};
 pub use proto::{
-    config_fingerprint, read_msg, recv_msg, send_msg, write_msg, DistdError, LeaseBlock, Msg,
-    MAX_PAYLOAD,
+    config_fingerprint, recv_msg, send_msg, DistdError, LeaseBlock, Msg, MAX_PAYLOAD,
 };
 pub use spool::{
     compact_spool, segment_file_name, spool_load, spool_path, spool_write, CompactReport,

@@ -26,9 +26,8 @@
 //! idempotent (any two workers crawling the same block produce
 //! byte-identical chunks).
 
-use crate::transport::{read_frame, Transport};
+use crate::transport::Transport;
 use hb_core::{open_frame, seal_frame, WireError, WireReader, WireWriter};
-use std::net::TcpStream;
 
 /// Upper bound on one frame's payload; a corrupt or hostile length header
 /// is refused before any allocation. Chunks at paper scale are a few MiB;
@@ -349,24 +348,6 @@ pub fn send_msg(t: &mut dyn Transport, msg: &Msg) -> Result<(), DistdError> {
 /// and structure are both verified before the message is trusted.
 pub fn recv_msg(t: &mut dyn Transport) -> Result<Msg, DistdError> {
     let frame = t.recv_frame()?;
-    Ok(Msg::decode(&frame)?)
-}
-
-/// Write one message to a raw socket (compat shim over the transport
-/// path for tools that drive the protocol directly on a `TcpStream`).
-pub fn write_msg(stream: &mut TcpStream, msg: &Msg) -> Result<(), DistdError> {
-    use std::io::Write;
-    stream.write_all(&msg.encode())?;
-    Ok(())
-}
-
-/// Read one full frame off a raw socket and decode it (compat shim; see
-/// [`write_msg`]). The header is validated (magic, version, length
-/// bound) before the payload is buffered, so a garbage peer cannot force
-/// a huge allocation; the checksum is then verified by [`Msg::decode`]
-/// before any parsing.
-pub fn read_msg(stream: &mut TcpStream) -> Result<Msg, DistdError> {
-    let frame = read_frame(stream)?;
     Ok(Msg::decode(&frame)?)
 }
 

@@ -1,18 +1,19 @@
 //! The browser: glue object owning the page, DOM event bus, webRequest bus,
-//! JS thread, cookie jar and trace.
+//! JS thread and cookie jar.
 //!
 //! The browser is *passive* with respect to the simulation driver: the
 //! orchestration layer (hb-adtech) owns request dispatch and scheduling,
 //! and calls into the browser to record what happened. Extensions (the
 //! detector) attach through [`Browser::events`] and [`Browser::webrequest`],
-//! exactly like a content script plus a webRequest listener.
+//! exactly like a content script plus a webRequest listener. The two buses
+//! are the only way to observe a visit.
 
 use crate::event::EventBus;
 use crate::event_loop::JsThread;
 use crate::page::Page;
 use crate::webrequest::WebRequestBus;
 use hb_http::{CookieJar, Request, RequestId, Url};
-use hb_simnet::{SimTime, Trace, TraceKind};
+use hb_simnet::SimTime;
 
 /// A simulated browser instance (one per page visit — the crawler uses a
 /// clean slate for every site).
@@ -27,8 +28,6 @@ pub struct Browser {
     pub js: JsThread,
     /// Session cookies (empty in clean-slate crawling).
     pub cookies: CookieJar,
-    /// Diagnostic trace.
-    pub trace: Trace,
     next_request_id: u64,
 }
 
@@ -41,30 +40,19 @@ impl Browser {
             webrequest: WebRequestBus::new(),
             js: JsThread::new(),
             cookies: CookieJar::new(),
-            trace: Trace::new(4096),
             next_request_id: 1,
         }
     }
 
-    /// Open with tracing disabled (large campaigns).
-    pub fn open_untraced(url: Url, now: SimTime) -> Browser {
-        let mut b = Browser::open(url, now);
-        b.trace = Trace::disabled();
-        b
-    }
-
     /// Re-arm this browser for a fresh clean-slate visit, keeping the
-    /// registered taps (detector observers) and all bus storage. The
-    /// pooled crawl path calls this instead of building a new browser per
-    /// visit; semantics are identical to a fresh [`Browser::open_untraced`]
-    /// apart from the retained registrations.
+    /// registered taps (the detector's) and all bus storage. The pooled
+    /// crawl path calls this instead of building a new browser per visit;
+    /// semantics are identical to a fresh [`Browser::open`] apart from the
+    /// retained taps.
     pub fn reset_for_visit(&mut self, url: Url, now: SimTime) {
         self.page = Page::navigate(url, now);
-        self.events.reset_counters();
-        self.webrequest.reset_counter();
         self.js = JsThread::new();
         self.cookies = CookieJar::new();
-        self.trace.clear();
         self.next_request_id = 1;
     }
 
@@ -75,35 +63,19 @@ impl Browser {
         id
     }
 
-    /// Record an outgoing request (notifies webRequest observers). The
-    /// trace detail is only rendered when tracing is enabled — campaigns
-    /// run untraced and skip the formatting entirely.
+    /// Record an outgoing request (notifies webRequest taps).
     pub fn note_request_out(&mut self, req: &Request, now: SimTime) {
-        if self.trace.is_enabled() {
-            self.trace.push(
-                now,
-                TraceKind::RequestOut,
-                format!("{} {}", req.method, req.url),
-            );
-        }
         self.webrequest
             .notify(&crate::webrequest::WebRequestEvent::Before { request: req, at: now });
     }
 
-    /// Record a completed response (notifies webRequest observers).
+    /// Record a completed response (notifies webRequest taps).
     pub fn note_response_in(
         &mut self,
         req: &Request,
         rsp: &hb_http::Response,
         now: SimTime,
     ) {
-        if self.trace.is_enabled() {
-            self.trace.push(
-                now,
-                TraceKind::ResponseIn,
-                format!("{} {} <- {}", rsp.status.0, req.url.host, req.url.path),
-            );
-        }
         self.webrequest
             .notify(&crate::webrequest::WebRequestEvent::Completed {
                 request: req,
@@ -112,20 +84,13 @@ impl Browser {
             });
     }
 
-    /// Record a failed request (notifies webRequest observers).
+    /// Record a failed request (notifies webRequest taps).
     pub fn note_request_failed(
         &mut self,
         req: &Request,
         reason: crate::webrequest::FailureReason,
         now: SimTime,
     ) {
-        if self.trace.is_enabled() {
-            self.trace.push(
-                now,
-                TraceKind::Dropped,
-                format!("{} {} ({reason:?})", req.method, req.url.host),
-            );
-        }
         self.webrequest
             .notify(&crate::webrequest::WebRequestEvent::Failed {
                 request: req,
@@ -134,11 +99,8 @@ impl Browser {
             });
     }
 
-    /// Fire a DOM event (notifies DOM listeners).
+    /// Fire a DOM event (notifies DOM event taps).
     pub fn fire_event(&mut self, now: SimTime, name: &str, payload: &hb_http::Json) {
-        if self.trace.is_enabled() {
-            self.trace.push(now, TraceKind::DomEvent, name);
-        }
         self.events.emit(now, name, payload);
     }
 }
@@ -165,7 +127,7 @@ mod tests {
     }
 
     #[test]
-    fn request_notifications_reach_observers_and_trace() {
+    fn request_notifications_reach_taps() {
         let mut b = browser();
         let count = Rc::new(RefCell::new(0u32));
         let c2 = count.clone();
@@ -175,28 +137,16 @@ mod tests {
         b.note_request_out(&req, SimTime::from_millis(1));
         b.note_response_in(&req, &Response::no_content(id), SimTime::from_millis(9));
         assert_eq!(*count.borrow(), 2);
-        assert_eq!(b.trace.len(), 2);
     }
 
     #[test]
-    fn dom_events_traced() {
+    fn dom_events_reach_taps() {
         let mut b = browser();
         let seen = Rc::new(RefCell::new(Vec::new()));
         let s2 = seen.clone();
         b.events.tap(move |e| s2.borrow_mut().push(e.name.to_string()));
         b.fire_event(SimTime::from_millis(2), "auctionInit", &Json::Null);
         assert_eq!(&*seen.borrow(), &["auctionInit".to_string()]);
-        assert!(b.trace.dump().contains("auctionInit"));
-    }
-
-    #[test]
-    fn untraced_browser_records_nothing() {
-        let mut b = Browser::open_untraced(
-            Url::parse("https://pub.example/").unwrap(),
-            SimTime::ZERO,
-        );
-        b.fire_event(SimTime::ZERO, "x", &Json::Null);
-        assert!(b.trace.is_empty());
     }
 
     #[test]

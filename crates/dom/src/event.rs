@@ -3,14 +3,12 @@
 //! HB wrapper libraries signal auction progress by firing DOM-level events
 //! (`auctionInit`, `bidResponse`, `bidWon`, …). The paper's detector taps
 //! these events via `addEventListener`; here, [`EventBus`] plays the role of
-//! the DOM event target and observers play the role of content-script
-//! listeners. Observers are passive (they cannot reschedule simulation
+//! the DOM event target and its taps play the role of content-script
+//! listeners. Taps are passive (they cannot reschedule simulation
 //! work), which mirrors the extension's read-only vantage point.
 
-use hb_http::{HStr, Json};
+use hb_http::Json;
 use hb_simnet::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// A DOM event as seen by a listener.
 ///
@@ -27,21 +25,12 @@ pub struct DomEvent<'a> {
     pub at: SimTime,
 }
 
-/// A listener callback. Wrapped in `Rc<RefCell<…>>` so external tools (the
-/// detector) can keep a handle to their own accumulated state.
-pub type Listener = Rc<RefCell<dyn FnMut(&DomEvent<'_>)>>;
-
-/// The DOM event target for a page.
+/// The DOM event target for a page: a list of taps, each receiving every
+/// event (the detector's content-script listener is one). Taps stay
+/// registered across pooled visits.
 #[derive(Default)]
 pub struct EventBus {
-    /// Listeners for specific event names: `(name, listener)`.
-    named: Vec<(String, Listener)>,
-    /// Listeners receiving every event (the detector's tap).
-    wildcard: Vec<Listener>,
-    /// Count of events emitted, by name, for diagnostics. Names are
-    /// `HStr` (event names fit inline), so counting a fresh name on the
-    /// pooled-visit hot path does not allocate.
-    emitted: Vec<(HStr, u64)>,
+    taps: Vec<Box<dyn FnMut(&DomEvent<'_>)>>,
 }
 
 impl EventBus {
@@ -50,83 +39,25 @@ impl EventBus {
         EventBus::default()
     }
 
-    /// Register a listener for a specific event name.
-    pub fn add_listener(&mut self, name: impl Into<String>, l: Listener) {
-        self.named.push((name.into(), l));
-    }
-
-    /// Register a listener receiving **all** events.
-    pub fn add_wildcard_listener(&mut self, l: Listener) {
-        self.wildcard.push(l);
-    }
-
-    /// Convenience: register a closure as a wildcard listener.
+    /// Register a tap receiving every event.
     pub fn tap<F: FnMut(&DomEvent<'_>) + 'static>(&mut self, f: F) {
-        self.add_wildcard_listener(Rc::new(RefCell::new(f)));
+        self.taps.push(Box::new(f));
     }
 
-    /// Clear the per-visit emission counters (listeners stay registered —
-    /// the pooled-visit path reuses the bus).
-    pub fn reset_counters(&mut self) {
-        self.emitted.clear();
-    }
-
-    /// Fire an event to all matching listeners.
+    /// Fire an event to every tap.
     pub fn emit(&mut self, at: SimTime, name: &str, payload: &Json) {
         let ev = DomEvent { name, payload, at };
-        match self.emitted.iter_mut().find(|(n, _)| n == name) {
-            Some((_, c)) => *c += 1,
-            None => self.emitted.push((HStr::new(name), 1)),
+        for t in &mut self.taps {
+            t(&ev);
         }
-        for (n, l) in &self.named {
-            if n == name {
-                (l.borrow_mut())(&ev);
-            }
-        }
-        for l in &self.wildcard {
-            (l.borrow_mut())(&ev);
-        }
-    }
-
-    /// Total events emitted with `name`.
-    pub fn emitted_count(&self, name: &str) -> u64 {
-        self.emitted
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| *c)
-            .unwrap_or(0)
-    }
-
-    /// Total events emitted overall.
-    pub fn total_emitted(&self) -> u64 {
-        self.emitted.iter().map(|(_, c)| *c).sum()
-    }
-
-    /// Number of registered listeners (named + wildcard).
-    pub fn listener_count(&self) -> usize {
-        self.named.len() + self.wildcard.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn named_listener_receives_only_its_event() {
-        let mut bus = EventBus::new();
-        let seen: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-        let seen2 = seen.clone();
-        bus.add_listener(
-            "auctionEnd",
-            Rc::new(RefCell::new(move |e: &DomEvent| {
-                seen2.borrow_mut().push(e.name.to_string());
-            })),
-        );
-        bus.emit(SimTime::ZERO, "auctionInit", &Json::Null);
-        bus.emit(SimTime::ZERO, "auctionEnd", &Json::Null);
-        assert_eq!(&*seen.borrow(), &["auctionEnd".to_string()]);
-    }
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn wildcard_sees_everything() {
@@ -138,7 +69,6 @@ mod tests {
         bus.emit(SimTime::ZERO, "b", &Json::Null);
         bus.emit(SimTime::ZERO, "c", &Json::Null);
         assert_eq!(*count.borrow(), 3);
-        assert_eq!(bus.total_emitted(), 3);
     }
 
     #[test]
@@ -155,25 +85,5 @@ mod tests {
         assert_eq!(at, SimTime::from_millis(33));
         assert_eq!(got_payload, payload);
         assert_eq!(name, "bidResponse");
-    }
-
-    #[test]
-    fn emitted_counters() {
-        let mut bus = EventBus::new();
-        bus.emit(SimTime::ZERO, "x", &Json::Null);
-        bus.emit(SimTime::ZERO, "x", &Json::Null);
-        bus.emit(SimTime::ZERO, "y", &Json::Null);
-        assert_eq!(bus.emitted_count("x"), 2);
-        assert_eq!(bus.emitted_count("y"), 1);
-        assert_eq!(bus.emitted_count("z"), 0);
-    }
-
-    #[test]
-    fn listener_count_tracks_registration() {
-        let mut bus = EventBus::new();
-        assert_eq!(bus.listener_count(), 0);
-        bus.tap(|_| {});
-        bus.add_listener("e", Rc::new(RefCell::new(|_: &DomEvent<'_>| {})));
-        assert_eq!(bus.listener_count(), 2);
     }
 }

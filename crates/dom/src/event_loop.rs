@@ -12,9 +12,6 @@ use hb_simnet::{SimDuration, SimTime};
 #[derive(Debug, Clone)]
 pub struct JsThread {
     busy_until: SimTime,
-    total_busy: SimDuration,
-    tasks_run: u64,
-    max_queue_delay: SimDuration,
 }
 
 /// Scheduling result for one task.
@@ -39,9 +36,6 @@ impl JsThread {
     pub fn new() -> Self {
         JsThread {
             busy_until: SimTime::ZERO,
-            total_busy: SimDuration::ZERO,
-            tasks_run: 0,
-            max_queue_delay: SimDuration::ZERO,
         }
     }
 
@@ -52,9 +46,6 @@ impl JsThread {
         let end = start + service;
         let queued_for = start.saturating_since(arrival);
         self.busy_until = end;
-        self.total_busy += service;
-        self.tasks_run += 1;
-        self.max_queue_delay = self.max_queue_delay.max(queued_for);
         TaskSlot {
             start,
             end,
@@ -65,21 +56,6 @@ impl JsThread {
     /// When the thread next becomes idle.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// Total CPU time consumed so far.
-    pub fn total_busy(&self) -> SimDuration {
-        self.total_busy
-    }
-
-    /// Number of tasks executed.
-    pub fn tasks_run(&self) -> u64 {
-        self.tasks_run
-    }
-
-    /// The worst queueing delay any task experienced.
-    pub fn max_queue_delay(&self) -> SimDuration {
-        self.max_queue_delay
     }
 }
 
@@ -104,7 +80,6 @@ mod tests {
         assert_eq!(slot.start, SimTime::from_millis(10));
         assert_eq!(slot.end, SimTime::from_millis(14));
         assert_eq!(slot.queued_for, SimDuration::from_millis(7));
-        assert_eq!(t.max_queue_delay(), SimDuration::from_millis(7));
     }
 
     #[test]
@@ -113,8 +88,8 @@ mod tests {
         t.run_task(SimTime::from_millis(0), SimDuration::from_millis(1));
         let slot = t.run_task(SimTime::from_millis(100), SimDuration::from_millis(1));
         assert_eq!(slot.start, SimTime::from_millis(100));
-        assert_eq!(t.tasks_run(), 2);
-        assert_eq!(t.total_busy(), SimDuration::from_millis(2));
+        assert_eq!(slot.queued_for, SimDuration::ZERO);
+        assert_eq!(t.busy_until(), SimTime::from_millis(101));
     }
 
     #[test]

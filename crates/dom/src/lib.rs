@@ -5,11 +5,12 @@
 //! page lifecycle timing, the `webRequest` observation bus, and the
 //! [`Browser`] glue object.
 //!
-//! The crate is deliberately *passive*: it records and notifies, while the
-//! ad-tech orchestration layer (hb-adtech) drives the simulation. Extension
-//! tooling (the detector in hb-core) attaches via [`EventBus`] and
-//! [`WebRequestBus`], reproducing the Chrome extension vantage point of the
-//! paper's HBDetector.
+//! The crate is deliberately *passive*: it notifies, while the ad-tech
+//! orchestration layer (hb-adtech) drives the simulation. Each bus is a
+//! plain list of taps, and tapping [`EventBus`] and [`WebRequestBus`] is
+//! the only way to observe a visit: the detector in hb-core attaches there,
+//! reproducing the Chrome extension vantage point of the paper's
+//! HBDetector, and any other observer uses the same two taps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,8 +23,8 @@ pub mod page;
 pub mod webrequest;
 
 pub use browser::Browser;
-pub use event::{DomEvent, EventBus, Listener};
+pub use event::{DomEvent, EventBus};
 pub use event_loop::{JsThread, TaskSlot};
 pub use html::{find_ci, AdSlotDiv, HtmlBuilder, HtmlDoc, ScriptTag};
 pub use page::{Page, PageState};
-pub use webrequest::{FailureReason, WebRequestBus, WebRequestEvent, WebRequestObserver};
+pub use webrequest::{FailureReason, WebRequestBus, WebRequestEvent};

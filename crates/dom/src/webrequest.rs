@@ -9,8 +9,6 @@
 
 use hb_http::{Request, RequestId, Response};
 use hb_simnet::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Why a request failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,14 +76,11 @@ impl WebRequestEvent<'_> {
     }
 }
 
-/// An observer callback.
-pub type WebRequestObserver = Rc<RefCell<dyn FnMut(&WebRequestEvent<'_>)>>;
-
-/// Read-only network observation bus.
+/// Read-only network observation bus: a list of taps. Taps stay
+/// registered across pooled visits.
 #[derive(Default)]
 pub struct WebRequestBus {
-    observers: Vec<WebRequestObserver>,
-    notified: u64,
+    taps: Vec<Box<dyn FnMut(&WebRequestEvent<'_>)>>,
 }
 
 impl WebRequestBus {
@@ -94,38 +89,16 @@ impl WebRequestBus {
         WebRequestBus::default()
     }
 
-    /// Register an observer.
-    pub fn observe(&mut self, o: WebRequestObserver) {
-        self.observers.push(o);
-    }
-
-    /// Convenience: register a closure observer.
+    /// Register a tap receiving every notification.
     pub fn tap<F: FnMut(&WebRequestEvent<'_>) + 'static>(&mut self, f: F) {
-        self.observe(Rc::new(RefCell::new(f)));
+        self.taps.push(Box::new(f));
     }
 
-    /// Reset the notification counter for a new visit (observers stay
-    /// registered — the pooled-visit path reuses the bus).
-    pub fn reset_counter(&mut self) {
-        self.notified = 0;
-    }
-
-    /// Notify all observers.
+    /// Notify every tap.
     pub fn notify(&mut self, ev: &WebRequestEvent<'_>) {
-        self.notified += 1;
-        for o in &self.observers {
-            (o.borrow_mut())(ev);
+        for t in &mut self.taps {
+            t(ev);
         }
-    }
-
-    /// Number of notifications delivered.
-    pub fn notified_count(&self) -> u64 {
-        self.notified
-    }
-
-    /// Number of registered observers.
-    pub fn observer_count(&self) -> usize {
-        self.observers.len()
     }
 }
 
@@ -133,6 +106,8 @@ impl WebRequestBus {
 mod tests {
     use super::*;
     use hb_http::{Method, Url};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn mk_request(id: u64) -> Request {
         Request::get(RequestId(id), Url::parse("https://x.example/a").unwrap())
@@ -171,7 +146,6 @@ mod tests {
             &*log.borrow(),
             &["before:7".to_string(), "done:7".to_string(), "fail:7".to_string()]
         );
-        assert_eq!(bus.notified_count(), 3);
     }
 
     #[test]
@@ -194,7 +168,6 @@ mod tests {
         let (a2, b2) = (a.clone(), b.clone());
         bus.tap(move |_| *a2.borrow_mut() += 1);
         bus.tap(move |_| *b2.borrow_mut() += 1);
-        assert_eq!(bus.observer_count(), 2);
         let req = mk_request(1);
         bus.notify(&WebRequestEvent::Before {
             request: &req,

@@ -216,8 +216,8 @@ impl JsonScratch {
     }
 
     /// Recycle a dead JSON tree: every object and array spine with real
-    /// capacity returns to this thread's pool (bounded by
-    /// [`SPINE_POOL_CAP`]); strings and scalars are dropped as usual.
+    /// capacity returns to this thread's pool (up to a fixed cap per spine
+    /// kind); strings and scalars are dropped as usual.
     pub fn recycle(j: Json) {
         JSON_SCRATCH.with(|s| Self::recycle_into(&mut s.borrow_mut(), j));
     }
@@ -388,11 +388,6 @@ impl Json {
             Json::Obj(m) => Some(m),
             _ => None,
         }
-    }
-
-    /// Is this `null`?
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 
     /// Is this an array or an object (a value holding a pooled spine)?

@@ -16,8 +16,11 @@
 //! * [`LatencyModel`] — per-endpoint round-trip models with heavy tails;
 //! * [`FaultInjector`] — drops, slowdowns and outages (keyed on [`HStr`]);
 //! * [`HStr`] — the 24-byte compact string shared by the whole stack
-//!   (re-exported by `hb-http`, which historically owned it);
-//! * [`Trace`] — a pcap-style bounded record of what happened.
+//!   (re-exported by `hb-http`, which historically owned it).
+//!
+//! The engine records nothing on its own: what a visit did is observed
+//! through the browser's two buses in `hb-dom`, the same taps the
+//! detector uses.
 //!
 //! The engine is intentionally single-threaded and allocation-light; the
 //! crawler achieves parallelism by running many independent simulations.
@@ -38,7 +41,6 @@ pub mod link;
 pub mod rng;
 pub mod sim;
 pub mod time;
-pub mod trace;
 
 pub use dist::Dist;
 pub use event::{EventId, EventQueue};
@@ -49,4 +51,3 @@ pub use link::LatencyModel;
 pub use rng::{fnv1a, Rng};
 pub use sim::{Callback, QueuedCb, Scheduler, Simulation, StopReason};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceKind, TraceRecord};

@@ -81,12 +81,6 @@ impl Rng {
         result
     }
 
-    /// Next 32-bit value.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
     pub fn f64(&mut self) -> f64 {
@@ -278,15 +272,6 @@ impl Rng {
         }
         idx.truncate(k);
         idx
-    }
-
-    /// Pick a uniformly random element reference.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.index(items.len())])
-        }
     }
 }
 

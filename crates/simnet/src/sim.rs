@@ -11,11 +11,10 @@
 //!
 //! Scheduling boxes the callback, and on a visit-simulation hot path that
 //! box used to be an allocation per `schedule` call. The scheduler now
-//! recycles callback boxes through a **type-keyed box pool**
-//! ([`CbPool`]): each pool class holds spent boxes of one concrete
-//! closure type, so a recycled box always matches the layout of the
-//! closure it is asked to hold next — exact-fit size classes without any
-//! `unsafe`. A steady-state simulation (same call sites firing visit
+//! recycles callback boxes through a **type-keyed box pool**: each pool
+//! class holds spent boxes of one concrete closure type, so a recycled
+//! box always matches the layout of the closure it is asked to hold next
+//! — exact-fit size classes without any `unsafe`. A steady-state simulation (same call sites firing visit
 //! after visit) reaches a fixed point where `at`/`after` never touch the
 //! allocator. Captured state is dropped the moment a callback fires or is
 //! cancelled; only the empty box is pooled.
@@ -42,8 +41,8 @@ struct CbCell<F> {
     f: Option<F>,
 }
 
-/// Object-safe face of a boxed, poolable callback. Implemented for every
-/// [`CbCell`] closure type; not meant to be implemented outside this
+/// Object-safe face of a boxed, poolable callback. Implemented for the
+/// scheduler's own closure cells; not meant to be implemented outside this
 /// module (construct callbacks through [`Scheduler::at`] /
 /// [`Scheduler::after`]).
 pub trait QueuedCb<W> {

@@ -93,63 +93,6 @@ impl Counter {
     }
 }
 
-/// A numeric histogram over fixed-width bins (used for "bins of 500 ranks"
-/// or "bins of 10 popularity ranks" style figures).
-#[derive(Clone, Debug)]
-pub struct BinnedHistogram {
-    lo: f64,
-    width: f64,
-    bins: Vec<u64>,
-    /// Samples below `lo`.
-    pub underflow: u64,
-    /// Samples at or above the last bin edge.
-    pub overflow: u64,
-}
-
-impl BinnedHistogram {
-    /// Create with `n_bins` bins of `width` starting at `lo`.
-    pub fn new(lo: f64, width: f64, n_bins: usize) -> Self {
-        assert!(width > 0.0 && n_bins > 0);
-        BinnedHistogram {
-            lo,
-            width,
-            bins: vec![0; n_bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record a sample.
-    pub fn add(&mut self, x: f64) {
-        if !x.is_finite() || x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x - self.lo) / self.width) as usize;
-        if idx >= self.bins.len() {
-            self.overflow += 1;
-        } else {
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// The `[lo, hi)` range of bin `i`.
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
-        let lo = self.lo + i as f64 * self.width;
-        (lo, lo + self.width)
-    }
-
-    /// Total in-range samples.
-    pub fn total_in_range(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,25 +146,5 @@ mod tests {
         assert_eq!(c.total(), 0);
         assert_eq!(c.share("k"), 0.0);
         assert!(c.ranked().is_empty());
-    }
-
-    #[test]
-    fn binned_histogram_partitions() {
-        let mut h = BinnedHistogram::new(0.0, 10.0, 3);
-        for x in [-1.0, 0.0, 5.0, 10.0, 29.9, 30.0, 100.0] {
-            h.add(x);
-        }
-        assert_eq!(h.underflow, 1);
-        assert_eq!(h.overflow, 2);
-        assert_eq!(h.bins(), &[2, 1, 1]);
-        assert_eq!(h.bin_range(1), (10.0, 20.0));
-        assert_eq!(h.total_in_range(), 4);
-    }
-
-    #[test]
-    fn nan_goes_to_underflow() {
-        let mut h = BinnedHistogram::new(0.0, 1.0, 2);
-        h.add(f64::NAN);
-        assert_eq!(h.underflow, 1);
     }
 }

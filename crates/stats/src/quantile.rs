@@ -198,6 +198,18 @@ mod tests {
     }
 
     #[test]
+    fn frac_at_or_below_steps_over_ties() {
+        let x = s(&[1.0, 2.0, 2.0, 3.0]);
+        assert_eq!(x.frac_at_or_below(0.5), 0.0);
+        assert_eq!(x.frac_at_or_below(1.0), 0.25);
+        assert_eq!(x.frac_at_or_below(2.0), 0.75);
+        assert_eq!(x.frac_at_or_below(3.0), 1.0);
+        assert_eq!(x.frac_at_or_below(99.0), 1.0);
+        // Vacuous on no samples: 1 - frac_above (= 0).
+        assert_eq!(s(&[]).frac_at_or_below(1.0), 1.0);
+    }
+
+    #[test]
     fn iqr_works() {
         let x = s(&[1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(x.iqr(), Some(2.0));

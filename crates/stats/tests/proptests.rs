@@ -1,6 +1,6 @@
 //! Property tests for statistics invariants.
 
-use hb_stats::{Ecdf, GroupedSamples, Samples, SortedGroups, Whisker};
+use hb_stats::{GroupedSamples, Samples, SortedGroups, Whisker};
 use proptest::prelude::*;
 
 /// Values that stress sorting: non-finite values the samples must drop,
@@ -23,11 +23,16 @@ fn bits(values: &[f64]) -> Vec<u64> {
 }
 
 proptest! {
-    /// ECDFs are monotone non-decreasing and end at 1.
+    /// The ECDF (`frac_at_or_below`) is non-decreasing over the sorted
+    /// values and is 1 at the max.
     #[test]
     fn ecdf_monotone(values in proptest::collection::vec(-1e9f64..1e9, 0..300)) {
-        let e = Ecdf::from_iter(values);
-        prop_assert!(e.is_monotone());
+        let s = Samples::from_iter(values);
+        let cdf: Vec<f64> = s.sorted().iter().map(|&x| s.frac_at_or_below(x)).collect();
+        prop_assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
+        if let Some(max) = s.max() {
+            prop_assert_eq!(s.frac_at_or_below(max), 1.0);
+        }
     }
 
     /// Quantiles are monotone in q and bounded by min/max.

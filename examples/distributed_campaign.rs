@@ -11,8 +11,8 @@
 
 use hb_repro::analysis::DatasetIndexBuilder;
 use hb_repro::distd::{
-    config_fingerprint, read_msg, run_worker, write_msg, CoordConfig, Coordinator, Msg,
-    WorkerConfig,
+    config_fingerprint, recv_msg, run_worker, send_msg, CoordConfig, Coordinator, Msg,
+    TcpTransport, WorkerConfig,
 };
 use hb_repro::ecosystem::EcosystemConfig;
 use std::time::{Duration, Instant};
@@ -49,24 +49,25 @@ fn main() {
             let crash_landed = crash_landed.clone();
             scope.spawn(move || {
                 let fp = config_fingerprint(&cfg.eco, cfg.shards, cfg.chunk_visits, &cfg.session);
-                let mut stream = loop {
+                let stream = loop {
                     match std::net::TcpStream::connect(&addr) {
                         Ok(s) => break s,
                         Err(_) => std::thread::sleep(Duration::from_millis(20)),
                     }
                 };
-                write_msg(&mut stream, &Msg::Hello { fingerprint: fp }).expect("hello");
-                let Msg::Welcome { worker_id } = read_msg(&mut stream).expect("welcome") else {
+                let mut conn = TcpTransport::new(stream).expect("transport");
+                send_msg(&mut conn, &Msg::Hello { fingerprint: fp }).expect("hello");
+                let Msg::Welcome { worker_id } = recv_msg(&mut conn).expect("welcome") else {
                     panic!("handshake rejected");
                 };
-                write_msg(&mut stream, &Msg::RequestLease { worker_id }).expect("request");
-                match read_msg(&mut stream).expect("lease") {
+                send_msg(&mut conn, &Msg::RequestLease { worker_id }).expect("request");
+                match recv_msg(&mut conn).expect("lease") {
                     Msg::Lease { lease_id, .. } => {
                         println!("worker X  crashed holding lease {lease_id} (simulated)");
                     }
                     other => println!("worker X  got {other:?} instead of a lease"),
                 }
-                // Dropping the stream here is the crash.
+                // Dropping the connection here is the crash.
                 crash_landed.store(true, std::sync::atomic::Ordering::Release);
             });
         }
