@@ -12,8 +12,9 @@
 //!   in one process or across a fabric of crashing workers.
 //! * **Leases bound the buffer.** A block is only leased while its index
 //!   is within `reorder_window` of the next fold point, so the reorder
-//!   buffer can never grow past the window no matter how workers race.
-//!   One lease may carry up to `lease_blocks` blocks (all within the
+//!   buffer can never grow past the window no matter how workers race
+//!   (beside it, the fold thread holds at most the one run it took and
+//!   is sinking). One lease may carry up to `lease_blocks` blocks (all within the
 //!   window), so a fast worker is not bound by one request round-trip
 //!   per block.
 //! * **Completion is idempotent.** Campaign visits are pure functions of
@@ -35,10 +36,16 @@
 //!
 //! There is no polling tick anywhere on the steady path. Connection
 //! handlers block on their sockets (with a lease-deadline-derived idle
-//! timeout as the only backstop); the fold thread sleeps on a condvar
-//! that submissions signal, waking early only when the earliest lease
-//! deadline falls due. Campaign completion wakes the accept loop with a
-//! self-connection so the listener can close without being polled.
+//! timeout as the only backstop). One condvar carries every state
+//! change: admission and fold progress signal it. The fold thread sleeps
+//! on it until a chunk is admitted; a lease request that finds nothing
+//! leasable long-polls on it, waking early only when the earliest lease
+//! deadline falls due, and answers `Wait { millis: 0 }` only at its hold
+//! cap. The fold thread runs the sink with the state lock released, and
+//! spool compaction runs on its own thread, one pass at a time, so
+//! neither stalls admission or leasing. Campaign completion wakes the
+//! accept loop with a self-connection so the listener can close without
+//! being polled.
 //!
 //! ## Schedule construction
 //!
@@ -57,9 +64,9 @@ use hb_crawler::{CampaignPlan, PlanBlock, SessionConfig, VisitChunk};
 use hb_ecosystem::EcosystemConfig;
 use std::collections::{BTreeMap, HashMap};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Coordinator tuning.
@@ -87,8 +94,6 @@ pub struct CoordConfig {
     /// Compact the spool into a segment once this many loose chunks have
     /// accumulated (0 disables compaction).
     pub compact_every: usize,
-    /// Back-off suggested to workers when nothing is leasable.
-    pub wait_millis: u32,
 }
 
 impl CoordConfig {
@@ -104,7 +109,6 @@ impl CoordConfig {
             lease_blocks: 4,
             spool_dir: None,
             compact_every: 0,
-            wait_millis: 25,
         }
     }
 }
@@ -171,6 +175,8 @@ struct State {
     live_workers: u32,
     /// Loose chunks spooled since the last compaction pass.
     spooled_since_compact: usize,
+    /// A compaction pass is running on its own thread.
+    compacting: bool,
     done: bool,
     stats: CoordStats,
 }
@@ -178,12 +184,19 @@ struct State {
 /// Everything a connection handler shares with the fold thread.
 struct Shared {
     state: Mutex<State>,
-    /// Signaled whenever a fresh chunk is admitted (fold progress may be
-    /// possible).
-    submitted: Condvar,
+    /// Signaled by admission (the fold may advance) and by fold progress
+    /// (the window may open, the schedule may grow, the campaign may be
+    /// done). The fold thread and long-polling lease requests wait on it.
+    changed: Condvar,
     /// Campaign complete — lets blocked handlers and the accept loop
     /// wind down without polling the state.
     done: AtomicBool,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("coordinator state")
+    }
 }
 
 fn push_blocks(st: &mut State, blocks: Vec<PlanBlock>) {
@@ -219,6 +232,7 @@ fn initial_state(cfg: &CoordConfig) -> State {
         next_worker_id: 1,
         live_workers: 0,
         spooled_since_compact: 0,
+        compacting: false,
         done: false,
         stats: CoordStats::default(),
     };
@@ -241,17 +255,16 @@ fn finalize_schedule(st: &mut State) {
     st.schedule_final = true;
 }
 
-/// Fold every ready chunk, in schedule order, to the sink. Extends the
-/// schedule once day 0 completes and flips `done` when everything folded.
-fn fold_ready(st: &mut State, sink: &mut dyn FnMut(VisitChunk)) {
-    loop {
-        let Some(chunk) = st.buffered.remove(&st.folded) else {
-            break;
-        };
+/// Take every ready chunk off the reorder buffer, in schedule order, for
+/// the sink. Extends the schedule once day 0 completes and flips `done`
+/// when everything folded.
+fn take_ready(st: &mut State) -> Vec<VisitChunk> {
+    let mut ready = Vec::new();
+    while let Some(chunk) = st.buffered.remove(&st.folded) {
         // The same plan the in-process campaign drives: day-0 detections
         // in fold order shape the revisit days.
         st.plan.observe(&chunk);
-        sink(chunk);
+        ready.push(chunk);
         st.folded += 1;
         st.stats.chunks_folded += 1;
         if st.folded == st.day0_blocks && !st.schedule_final {
@@ -260,6 +273,15 @@ fn fold_ready(st: &mut State, sink: &mut dyn FnMut(VisitChunk)) {
     }
     if st.schedule_final && st.folded == st.schedule.len() {
         st.done = true;
+    }
+    ready
+}
+
+/// [`take_ready`], then run the sink with the state still in hand (spool
+/// replay, before any handler exists).
+fn fold_ready(st: &mut State, sink: &mut dyn FnMut(VisitChunk)) {
+    for chunk in take_ready(st) {
+        sink(chunk);
     }
 }
 
@@ -292,8 +314,8 @@ fn all_complete(st: &State) -> bool {
 }
 
 /// Answer a lease request: up to `lease_blocks` of the lowest
-/// incomplete, unleased blocks within the reorder window, or
-/// `Wait`/`Done`.
+/// incomplete, unleased blocks within the reorder window, or `Done`, or
+/// `Wait { millis: 0 }` when nothing is leasable right now.
 ///
 /// The batch is additionally capped at `ceil(remaining / live_workers)`
 /// — a fair share of the incomplete blocks — so on a short campaign a
@@ -325,9 +347,7 @@ fn grant(st: &mut State, cfg: &CoordConfig) -> Msg {
         }
     }
     if picked.is_empty() {
-        return Msg::Wait {
-            millis: cfg.wait_millis,
-        };
+        return Msg::Wait { millis: 0 };
     }
     let lease_id = st.next_lease_id;
     st.next_lease_id += 1;
@@ -355,6 +375,40 @@ fn grant(st: &mut State, cfg: &CoordConfig) -> Msg {
     );
     st.stats.leases_issued += 1;
     Msg::Lease { lease_id, blocks }
+}
+
+/// How long a connection may sit idle before its handler suspects the
+/// peer: longer than any live lease could go without a heartbeat.
+fn idle_backstop(cfg: &CoordConfig) -> Duration {
+    cfg.lease_timeout.max(Duration::from_millis(250))
+}
+
+/// Answer a lease request, long-polling: while nothing is leasable the
+/// handler sleeps on `changed`, waking at the earliest lease deadline so
+/// a lapsed lease is re-issued promptly. Past half the idle backstop
+/// (below a worker's `io_timeout` at the defaults) it gives up with
+/// `Wait { millis: 0 }` and the worker asks again at once.
+fn lease_or_wait(shared: &Shared, cfg: &CoordConfig) -> Msg {
+    let hold_until = Instant::now() + idle_backstop(cfg) / 2;
+    let mut st = shared.lock();
+    loop {
+        let reply = grant(&mut st, cfg);
+        let now = Instant::now();
+        if !matches!(reply, Msg::Wait { .. }) || now >= hold_until {
+            return reply;
+        }
+        let wake = st
+            .leases
+            .values()
+            .map(|l| l.deadline)
+            .min()
+            .map_or(hold_until, |d| d.min(hold_until));
+        st = shared
+            .changed
+            .wait_timeout(st, wake.saturating_duration_since(now))
+            .expect("coordinator state")
+            .0;
+    }
 }
 
 /// Admit one decoded chunk (already durable if a spool is configured —
@@ -405,7 +459,7 @@ fn handle_submit(frame: &[u8], shared: &Shared, cfg: &CoordConfig) -> Msg {
     let chunk = match VisitChunk::decode(frame) {
         Ok(c) => c,
         Err(_) => {
-            let mut st = shared.state.lock().expect("coordinator state");
+            let mut st = shared.lock();
             st.stats.frames_rejected += 1;
             return Msg::SubmitAck {
                 accepted: false,
@@ -418,7 +472,7 @@ fn handle_submit(frame: &[u8], shared: &Shared, cfg: &CoordConfig) -> Msg {
     {
         // Unknown and duplicate keys are answered without touching disk;
         // `admit` books the right counter for both.
-        let mut st = shared.state.lock().expect("coordinator state");
+        let mut st = shared.lock();
         let fresh = st.key_index.get(&key).is_some_and(|&i| !st.complete[i]);
         if !fresh {
             return admit(&mut st, chunk);
@@ -435,7 +489,7 @@ fn handle_submit(frame: &[u8], shared: &Shared, cfg: &CoordConfig) -> Msg {
             };
         }
     }
-    let mut st = shared.state.lock().expect("coordinator state");
+    let mut st = shared.lock();
     if cfg.spool_dir.is_some() {
         st.spooled_since_compact += 1;
     }
@@ -443,7 +497,7 @@ fn handle_submit(frame: &[u8], shared: &Shared, cfg: &CoordConfig) -> Msg {
     // are byte-identical and durable, and `admit` drops the loser by key.
     let ack = admit(&mut st, chunk);
     drop(st);
-    shared.submitted.notify_all();
+    shared.changed.notify_all();
     ack
 }
 
@@ -478,8 +532,7 @@ impl Drop for LiveGuard<'_> {
 /// The only timeout is the lease-deadline-derived idle backstop — the
 /// handler otherwise sleeps in the kernel until bytes arrive.
 fn serve_conn(t: &mut dyn Transport, shared: &Shared, cfg: &CoordConfig, fingerprint: u64) {
-    let idle = cfg.lease_timeout.max(Duration::from_millis(250));
-    if t.set_recv_deadline(Some(idle)).is_err() {
+    if t.set_recv_deadline(Some(idle_backstop(cfg))).is_err() {
         return;
     }
     let mut live = LiveGuard {
@@ -509,7 +562,7 @@ fn serve_conn(t: &mut dyn Transport, shared: &Shared, cfg: &CoordConfig, fingerp
             Err(DistdError::Wire(_)) => {
                 // A corrupt or truncated frame on the doorstep: count it
                 // and drop the conn (the stream can no longer be framed).
-                let mut st = shared.state.lock().expect("coordinator state");
+                let mut st = shared.lock();
                 st.stats.frames_rejected += 1;
                 return;
             }
@@ -520,7 +573,7 @@ fn serve_conn(t: &mut dyn Transport, shared: &Shared, cfg: &CoordConfig, fingerp
         let reply = match msg {
             Msg::Hello { fingerprint: fp } => {
                 if fp == fingerprint {
-                    let mut st = shared.state.lock().expect("coordinator state");
+                    let mut st = shared.lock();
                     let id = st.next_worker_id;
                     st.next_worker_id += 1;
                     st.stats.workers_seen += 1;
@@ -532,12 +585,9 @@ fn serve_conn(t: &mut dyn Transport, shared: &Shared, cfg: &CoordConfig, fingerp
                     }
                 }
             }
-            Msg::RequestLease { .. } => {
-                let mut st = shared.state.lock().expect("coordinator state");
-                grant(&mut st, cfg)
-            }
+            Msg::RequestLease { .. } => lease_or_wait(shared, cfg),
             Msg::Heartbeat { lease_id, .. } => {
-                let mut st = shared.state.lock().expect("coordinator state");
+                let mut st = shared.lock();
                 expire_lapsed(&mut st, Instant::now());
                 match st.leases.get_mut(&lease_id) {
                     Some(lease) => {
@@ -556,6 +606,18 @@ fn serve_conn(t: &mut dyn Transport, shared: &Shared, cfg: &CoordConfig, fingerp
             return;
         }
     }
+}
+
+/// One compaction pass off the fold thread; books its report and lets the
+/// fold thread start the next pass if one came due meanwhile.
+fn compaction_pass(shared: &Shared, dir: &Path, per_segment: usize) {
+    let report = compact_spool(dir, per_segment).unwrap_or_default();
+    let mut st = shared.lock();
+    st.stats.segments_written += report.segments_written;
+    st.stats.chunks_compacted += report.chunks_compacted;
+    st.compacting = false;
+    drop(st);
+    shared.changed.notify_all();
 }
 
 /// A bound, not-yet-running coordinator.
@@ -637,49 +699,46 @@ impl Coordinator {
         let wake_addr = self.listener.local_addr()?;
         let shared = Shared {
             state: Mutex::new(st),
-            submitted: Condvar::new(),
+            changed: Condvar::new(),
             done: AtomicBool::new(false),
         };
         std::thread::scope(|scope| {
             let shared = &shared;
-            // The fold thread owns the sink: it sleeps on the submission
-            // condvar, waking early only for the earliest lease deadline
-            // (to expire lapsed leases promptly) or a due compaction.
+            // The fold thread owns the sink: it sleeps on `changed` until
+            // a chunk is admitted, takes the ready run under the lock and
+            // folds it with the lock released.
             scope.spawn(move || {
-                let mut st = shared.state.lock().expect("coordinator state");
+                let mut st = shared.lock();
                 loop {
-                    fold_ready(&mut st, &mut *sink);
+                    let ready = take_ready(&mut st);
+                    if !ready.is_empty() {
+                        drop(st);
+                        // The window moved (or the campaign ended): wake
+                        // any lease request held on it.
+                        shared.changed.notify_all();
+                        for chunk in ready {
+                            sink(chunk);
+                        }
+                        st = shared.lock();
+                        continue;
+                    }
                     if st.done {
                         break;
                     }
                     if let Some(dir) = &cfg.spool_dir {
-                        if cfg.compact_every > 0 && st.spooled_since_compact >= cfg.compact_every {
-                            // Claim the pass, then compact off-lock: the
-                            // fabric keeps admitting while disk churns.
+                        if cfg.compact_every > 0
+                            && !st.compacting
+                            && st.spooled_since_compact >= cfg.compact_every
+                        {
+                            // Claim the pass; it runs on its own thread
+                            // so folding, admission and leasing go on
+                            // while disk churns.
+                            st.compacting = true;
                             st.spooled_since_compact = 0;
-                            drop(st);
-                            let report =
-                                compact_spool(dir, cfg.compact_every).unwrap_or_default();
-                            st = shared.state.lock().expect("coordinator state");
-                            st.stats.segments_written += report.segments_written;
-                            st.stats.chunks_compacted += report.chunks_compacted;
-                            continue;
+                            scope.spawn(move || compaction_pass(shared, dir, cfg.compact_every));
                         }
                     }
-                    expire_lapsed(&mut st, Instant::now());
-                    let wait = st
-                        .leases
-                        .values()
-                        .map(|l| l.deadline)
-                        .min()
-                        .map(|d| d.saturating_duration_since(Instant::now()))
-                        .unwrap_or(Duration::from_secs(60))
-                        .max(Duration::from_millis(1));
-                    let (guard, _) = shared
-                        .submitted
-                        .wait_timeout(st, wait)
-                        .expect("coordinator state");
-                    st = guard;
+                    st = shared.changed.wait(st).expect("coordinator state");
                 }
                 drop(st);
                 shared.done.store(true, Ordering::Release);
@@ -868,6 +927,90 @@ mod tests {
                 "the re-issued lease names the same block"
             );
         }
+    }
+
+    fn shared_over(cfg: &CoordConfig) -> Shared {
+        Shared {
+            state: Mutex::new(initial_state(cfg)),
+            changed: Condvar::new(),
+            done: AtomicBool::new(false),
+        }
+    }
+
+    /// Long-poll: a request that finds the window full is held, not
+    /// answered `Wait`, and gets a `Lease` as soon as the blocking chunk
+    /// folds.
+    #[test]
+    fn full_window_request_is_held_until_the_fold_opens_it() {
+        let cfg = CoordConfig {
+            reorder_window: 2,
+            lease_blocks: 1,
+            ..tiny_cfg()
+        };
+        let chunks = campaign_chunks(&cfg);
+        assert!(chunks.len() >= 3, "need a third day-0 block");
+        let shared = shared_over(&cfg);
+        for _ in 0..2 {
+            assert!(matches!(lease_or_wait(&shared, &cfg), Msg::Lease { .. }));
+        }
+        assert_eq!(grant(&mut shared.lock(), &cfg), Msg::Wait { millis: 0 });
+        let started = AtomicBool::new(false);
+        let (reply, held_for) = std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                started.store(true, Ordering::Release);
+                lease_or_wait(&shared, &cfg)
+            });
+            while !started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            // Block 0 lands and folds: the window moves on to block 2.
+            let folded_at = Instant::now();
+            let mut st = shared.lock();
+            admit(&mut st, chunks[0].clone());
+            assert_eq!(take_ready(&mut st).len(), 1);
+            drop(st);
+            shared.changed.notify_all();
+            let reply = waiter.join().expect("waiter");
+            (reply, folded_at.elapsed())
+        });
+        let Msg::Lease { blocks, .. } = reply else {
+            panic!("a held request gets a lease, got {reply:?}");
+        };
+        assert_eq!(blocks[0].seq, chunks[2].key().2);
+        assert!(
+            held_for < idle_backstop(&cfg) / 2,
+            "answered by the fold ({held_for:?}), not by the hold cap"
+        );
+    }
+
+    /// With nothing leasable and no lease lapsing, the reply is
+    /// `Wait { millis: 0 }`, and only once the hold cap has passed; a
+    /// lease lapsing inside the hold is re-issued at its deadline.
+    #[test]
+    fn nothing_leasable_waits_out_the_hold_cap_or_a_lease_deadline() {
+        let cfg = CoordConfig {
+            reorder_window: 2,
+            lease_blocks: 1,
+            lease_timeout: Duration::from_millis(1000),
+            ..tiny_cfg()
+        };
+        let cap = idle_backstop(&cfg) / 2;
+        assert_eq!(cap, Duration::from_millis(500));
+        let shared = shared_over(&cfg);
+        for _ in 0..2 {
+            assert!(matches!(lease_or_wait(&shared, &cfg), Msg::Lease { .. }));
+        }
+        let t = Instant::now();
+        assert_eq!(lease_or_wait(&shared, &cfg), Msg::Wait { millis: 0 });
+        assert!(t.elapsed() >= cap, "Wait came after {:?}", t.elapsed());
+        // Both leases lapse ~300 ms into the next hold: the request is
+        // answered by the re-issue, before its own cap.
+        std::thread::sleep(Duration::from_millis(200));
+        let t = Instant::now();
+        assert!(matches!(lease_or_wait(&shared, &cfg), Msg::Lease { .. }));
+        assert!(t.elapsed() < cap, "re-issue came after {:?}", t.elapsed());
+        assert_eq!(shared.lock().stats.leases_reissued, 2);
     }
 
     #[test]

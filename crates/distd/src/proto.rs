@@ -157,8 +157,9 @@ pub enum Msg {
         /// The leased blocks, in schedule (fold) order; never empty.
         blocks: Vec<LeaseBlock>,
     },
-    /// Nothing leasable right now (reorder window full, or the schedule
-    /// tail is not yet known); ask again after `millis`.
+    /// Nothing became leasable (reorder window full, or the schedule
+    /// tail not yet known) while the coordinator held the request; ask
+    /// again after `millis` (the coordinator sends 0).
     Wait {
         /// Suggested back-off before the next request.
         millis: u32,

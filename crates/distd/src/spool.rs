@@ -179,12 +179,13 @@ pub fn compact_spool(dir: &Path, max_per_segment: usize) -> std::io::Result<Comp
         let mut members: Vec<(PathBuf, Vec<u8>)> = Vec::new();
         for path in batch {
             let bytes = fs::read(path)?;
-            // Only verified chunks enter a segment; a corrupt loose file
-            // stays loose and keeps getting counted by replay.
-            let Ok(chunk) = VisitChunk::decode(&bytes) else {
+            // Only checksum-verified frames enter a segment; a corrupt
+            // loose file stays loose and keeps getting counted by replay.
+            // Admission decoded the chunk before spooling it and replay
+            // decodes every member, so the key is all that is read here.
+            let Some((day, shard, seq)) = frame_key(&bytes) else {
                 continue;
             };
-            let (day, shard, seq) = chunk.key();
             records.push(SegmentRecord {
                 day,
                 shard,
@@ -212,6 +213,13 @@ pub fn compact_spool(dir: &Path, max_per_segment: usize) -> std::io::Result<Comp
         }
     }
     Ok(report)
+}
+
+/// The `(day, shard, seq)` key of a sealed chunk frame — the first 12
+/// payload bytes — if the frame passes its integrity check.
+fn frame_key(frame: &[u8]) -> Option<(u32, u32, u32)> {
+    let mut r = WireReader::new(open_frame(frame).ok()?);
+    Some((r.u32().ok()?, r.u32().ok()?, r.u32().ok()?))
 }
 
 /// Replay outcome of one spool directory.
@@ -541,6 +549,50 @@ mod tests {
         let replay = spool_load(&dir).expect("replay");
         assert_eq!(replay.rejected, 1, "whole segment counts once");
         assert!(replay.chunks.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Compaction reads only each frame's key: every manifest record must
+    /// still name its member's decoded key, and a loose file whose
+    /// checksum fails — here one flipped bit in the key bytes themselves —
+    /// must stay loose and be counted by replay.
+    #[test]
+    fn manifests_name_their_members_and_corrupt_loose_files_stay_loose() {
+        let dir = tmp_dir("keys");
+        let chunks = tiny_chunks();
+        assert!(chunks.len() >= 3);
+        for c in &chunks {
+            spool_write(&dir, c.key(), &c.encode()).expect("spool write");
+        }
+        let victim = spool_path(&dir, chunks[1].key());
+        let mut bytes = fs::read(&victim).expect("read victim");
+        bytes[FRAME_HEADER + 4] ^= 0x01; // the shard word of the key
+        fs::write(&victim, &bytes).expect("re-write victim");
+
+        let report = compact_spool(&dir, 2).expect("compact");
+        assert_eq!(report.chunks_compacted as usize, chunks.len() - 1);
+        assert!(victim.exists(), "the corrupt file stays loose");
+        let mut members = 0;
+        for n in 0..report.segments_written {
+            let seg = fs::read(segment_path(&dir, n)).expect("segment bytes");
+            let manifest_len = frame_len_at(&seg, 0).expect("manifest frame");
+            let manifest = SegmentManifest::decode(&seg[..manifest_len]).expect("manifest");
+            let mut offset = manifest_len;
+            for rec in &manifest.records {
+                let end = offset + rec.frame_len as usize;
+                let chunk = VisitChunk::decode(&seg[offset..end]).expect("member decodes");
+                assert_eq!(chunk.key(), (rec.day, rec.shard, rec.seq));
+                assert_ne!(chunk.key(), chunks[1].key(), "corrupt key in a segment");
+                offset = end;
+                members += 1;
+            }
+            assert_eq!(offset, seg.len(), "members fill the segment exactly");
+        }
+        assert_eq!(members, chunks.len() - 1);
+
+        let replay = spool_load(&dir).expect("replay");
+        assert_eq!(replay.rejected, 1, "replay counts the corrupt loose file");
+        assert_eq!(replay.chunks.len(), chunks.len() - 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

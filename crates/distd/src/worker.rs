@@ -204,6 +204,105 @@ fn heartbeat(
     }
 }
 
+/// One live connection to the coordinator, plus what it takes to dial a
+/// replacement.
+struct Link<'a> {
+    cfg: &'a WorkerConfig,
+    connector: &'a dyn Connector,
+    fingerprint: u64,
+    /// The jitter session (see [`reconnect_backoff`]).
+    session_id: u64,
+    t: Box<dyn Transport>,
+    worker_id: u32,
+}
+
+impl Link<'_> {
+    /// Count a broken conversation and re-establish the connection (one
+    /// bounded reconnect cycle; campaign-level retries are the
+    /// `connect()` budget, applied afresh per incident).
+    fn reconnect(&mut self, e: &DistdError, stats: &mut WorkerStats) -> Result<(), DistdError> {
+        if matches!(e, DistdError::Wire(_)) {
+            stats.wire_rejected += 1;
+        }
+        stats.conn_breaks += 1;
+        let (t, id) = connect(
+            self.cfg,
+            self.connector,
+            self.fingerprint,
+            self.session_id,
+            stats,
+        )?;
+        self.t = t;
+        self.worker_id = id;
+        stats.worker_id = id;
+        stats.reconnects += 1;
+        Ok(())
+    }
+}
+
+/// A sent `SubmitChunk` whose ack has not been read yet. `msg` is the
+/// encoded message, kept for the one idempotent re-send; `sent` is how
+/// the first send went.
+struct InFlight {
+    msg: Vec<u8>,
+    sent: Result<(), DistdError>,
+}
+
+/// What reading an in-flight submit's ack decided.
+enum Settled {
+    /// Acked (fresh or duplicate); carry on with the lease.
+    Next,
+    /// The ack said the campaign is complete.
+    Done,
+    /// Two failed attempts; the rest of the lease is abandoned.
+    Abandon,
+}
+
+/// Read the ack of the in-flight submit. A rejected ack or a lost
+/// connection gets one re-send of the same bytes (idempotent: duplicate-
+/// dropped if the first submit landed); a second failure abandons the
+/// rest of the lease to the lease-expiry path.
+fn settle(link: &mut Link, stats: &mut WorkerStats, sub: InFlight) -> Result<Settled, DistdError> {
+    let mut reply = sub.sent.and_then(|()| recv_msg(&mut *link.t));
+    let mut resent = false;
+    loop {
+        let retry = match reply {
+            Ok(Msg::SubmitAck {
+                accepted: true,
+                duplicate,
+                done,
+            }) => {
+                if duplicate {
+                    stats.duplicates += 1;
+                } else {
+                    stats.blocks_completed += 1;
+                }
+                // Completion piggybacks on the ack: no final request
+                // round-trip.
+                return Ok(if done { Settled::Done } else { Settled::Next });
+            }
+            Ok(Msg::SubmitAck {
+                accepted: false, ..
+            }) => true,
+            Ok(_) => false,
+            Err(e) => {
+                // The ack was lost with the connection.
+                link.reconnect(&e, stats)?;
+                true
+            }
+        };
+        if !retry || resent {
+            stats.leases_abandoned += 1;
+            return Ok(Settled::Abandon);
+        }
+        resent = true;
+        reply = link
+            .t
+            .send_frame(&sub.msg)
+            .and_then(|()| recv_msg(&mut *link.t));
+    }
+}
+
 /// Run one worker over plain TCP until the coordinator reports the
 /// campaign done.
 ///
@@ -222,6 +321,12 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerStats, DistdError> {
 /// through a fault schedule) and caller-owned stats — the counters
 /// survive an error exit, so a harness respawning crashed workers can
 /// still account for everything this session saw.
+///
+/// Submits are pipelined: block N's `SubmitChunk` goes out, block N+1 is
+/// crawled while the coordinator spools N, and N's ack is read before
+/// N+1 is sent. A pending ack is also read before any heartbeat and at
+/// the end of every lease, so a connection never carries more than one
+/// unanswered frame.
 pub fn run_worker_session(
     cfg: &WorkerConfig,
     connector: &dyn Connector,
@@ -238,166 +343,131 @@ pub fn run_worker_session(
     // respawns never share a backoff schedule.
     let session_id = fingerprint ^ cfg.instance.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut scratch = VisitScratch::new(factory.partner_list());
-    let (mut t, mut worker_id) = connect(cfg, connector, fingerprint, session_id, stats)?;
+    let (t, worker_id) = connect(cfg, connector, fingerprint, session_id, stats)?;
     stats.worker_id = worker_id;
-
-    // One bounded reconnect cycle; campaign-level retries are the
-    // connect() budget, applied afresh per incident.
-    macro_rules! reconnect {
-        () => {{
-            let (nt, id) = connect(cfg, connector, fingerprint, session_id, stats)?;
-            t = nt;
-            worker_id = id;
-            stats.worker_id = id;
-            stats.reconnects += 1;
-        }};
-    }
+    let mut link = Link {
+        cfg,
+        connector,
+        fingerprint,
+        session_id,
+        t,
+        worker_id,
+    };
 
     loop {
-        if send_msg(&mut *t, &Msg::RequestLease { worker_id }).is_err() {
-            stats.conn_breaks += 1;
-            reconnect!();
-            continue;
-        }
-        let reply = match recv_msg(&mut *t) {
-            Ok(m) => m,
+        let reply = send_msg(
+            &mut *link.t,
+            &Msg::RequestLease {
+                worker_id: link.worker_id,
+            },
+        )
+        .and_then(|()| recv_msg(&mut *link.t));
+        let (lease_id, blocks) = match reply {
+            Ok(Msg::Lease { lease_id, blocks }) => (lease_id, blocks),
+            Ok(Msg::Done) => return Ok(()),
+            Ok(Msg::Wait { millis }) => {
+                std::thread::sleep(Duration::from_millis(u64::from(millis)));
+                continue;
+            }
+            Ok(_) => return Err(DistdError::Protocol("unexpected lease reply")),
             Err(e) => {
-                if matches!(e, DistdError::Wire(_)) {
-                    stats.wire_rejected += 1;
-                }
-                stats.conn_breaks += 1;
-                reconnect!();
+                link.reconnect(&e, stats)?;
                 continue;
             }
         };
-        match reply {
-            Msg::Done => return Ok(()),
-            Msg::Wait { millis } => {
-                std::thread::sleep(Duration::from_millis(u64::from(millis).max(1)));
-            }
-            Msg::Lease { lease_id, blocks } => {
-                // The whole batch rides one lease: a heartbeat renews
-                // every remaining block, each submit retires one, and
-                // expiry/wedging abandons whatever is left.
-                let mut lease_dead = false;
-                for block in blocks {
-                    if lease_dead {
-                        break;
+        // The whole batch rides one lease: a heartbeat renews every
+        // remaining block, each submit retires one, and expiry/wedging
+        // abandons whatever is left.
+        let mut in_flight: Option<InFlight> = None;
+        for block in blocks {
+            let net = factory.net_for_day(block.day);
+            let mut expired = false;
+            let mut wedged = None;
+            // An in-flight ack read at a heartbeat that ended the lease.
+            let mut settled_early = None;
+            let mut crawled = 0u64;
+            let mut last_hb = Instant::now();
+            let chunk = crawl_block_until(
+                &factory,
+                &block.ranks,
+                block.day,
+                block.shard,
+                block.seq,
+                &cfg.session,
+                &mut scratch,
+                &net,
+                &mut |i| {
+                    crawled = i as u64;
+                    if !cfg.visit_delay.is_zero() {
+                        std::thread::sleep(cfg.visit_delay);
                     }
-                    let net = factory.net_for_day(block.day);
-                    let mut expired = false;
-                    let mut wedged = false;
-                    let mut crawled = 0u64;
-                    let mut last_hb = Instant::now();
-                    let chunk = crawl_block_until(
-                        &factory,
-                        &block.ranks,
-                        block.day,
-                        block.shard,
-                        block.seq,
-                        &cfg.session,
-                        &mut scratch,
-                        &net,
-                        &mut |i| {
-                            crawled = i as u64;
-                            if !cfg.visit_delay.is_zero() {
-                                std::thread::sleep(cfg.visit_delay);
-                            }
-                            if last_hb.elapsed() >= cfg.heartbeat_every {
-                                match heartbeat(&mut *t, cfg, worker_id, lease_id) {
-                                    Ok(true) => {}
-                                    Ok(false) => expired = true,
-                                    Err(_) => wedged = true,
+                    if last_hb.elapsed() >= cfg.heartbeat_every {
+                        if let Some(sub) = in_flight.take() {
+                            match settle(&mut link, stats, sub) {
+                                Ok(Settled::Next) => {}
+                                other => {
+                                    settled_early = Some(other);
+                                    return false;
                                 }
-                                last_hb = Instant::now();
-                            }
-                            // Abandon mid-block the moment the lease is
-                            // gone or the connection wedges — the block
-                            // will be re-crawled elsewhere, identically.
-                            !expired && !wedged
-                        },
-                    );
-                    stats.visits += crawled;
-                    if expired {
-                        // The batch was re-issued to someone else; drop
-                        // everything (submitting would only be dropped
-                        // as duplicates anyway) and move on.
-                        stats.leases_expired += 1;
-                        lease_dead = true;
-                        continue;
-                    }
-                    if wedged {
-                        // Half-open connection: no renewals are landing,
-                        // so the lease is as good as lapsed. Walk away
-                        // and start clean instead of heartbeating a
-                        // black hole.
-                        stats.leases_abandoned += 1;
-                        stats.conn_breaks += 1;
-                        lease_dead = true;
-                        reconnect!();
-                        continue;
-                    }
-                    let chunk = chunk.expect("not abandoned");
-                    let frame = chunk.encode();
-                    // One deterministic re-send on a rejected ack or a
-                    // lost connection; a second failure abandons the
-                    // batch to the lease-expiry path.
-                    let mut settled = false;
-                    'submit: for attempt in 0..2 {
-                        let sent = send_msg(
-                            &mut *t,
-                            &Msg::SubmitChunk {
-                                lease_id,
-                                frame: frame.clone(),
-                            },
-                        )
-                        .and_then(|()| recv_msg(&mut *t));
-                        match sent {
-                            Ok(Msg::SubmitAck {
-                                accepted: true,
-                                duplicate,
-                                done,
-                            }) => {
-                                if duplicate {
-                                    stats.duplicates += 1;
-                                } else {
-                                    stats.blocks_completed += 1;
-                                }
-                                settled = true;
-                                if done {
-                                    // Completion piggybacked on the ack:
-                                    // no final request round-trip.
-                                    return Ok(());
-                                }
-                                break 'submit;
-                            }
-                            Ok(Msg::SubmitAck {
-                                accepted: false, ..
-                            }) if attempt == 0 => continue,
-                            Ok(_) => break 'submit,
-                            Err(e) => {
-                                if matches!(e, DistdError::Wire(_)) {
-                                    stats.wire_rejected += 1;
-                                }
-                                stats.conn_breaks += 1;
-                                reconnect!();
-                                // The ack was lost with the connection;
-                                // the re-send is idempotent (duplicate-
-                                // dropped if the first submit landed).
-                                if attempt == 0 {
-                                    continue;
-                                }
-                                break 'submit;
                             }
                         }
+                        match heartbeat(&mut *link.t, cfg, link.worker_id, lease_id) {
+                            Ok(true) => {}
+                            Ok(false) => expired = true,
+                            Err(e) => wedged = Some(e),
+                        }
+                        last_hb = Instant::now();
                     }
-                    if !settled {
-                        stats.leases_abandoned += 1;
-                        lease_dead = true;
-                    }
+                    // Abandon mid-block the moment the lease is gone or
+                    // the connection wedges — the block will be
+                    // re-crawled elsewhere, identically.
+                    !expired && wedged.is_none()
+                },
+            );
+            stats.visits += crawled;
+            match settled_early.transpose()? {
+                Some(Settled::Done) => return Ok(()),
+                Some(_) => break,
+                None => {}
+            }
+            if expired {
+                // The batch was re-issued to someone else; drop
+                // everything (submitting would only be dropped as
+                // duplicates anyway) and move on.
+                stats.leases_expired += 1;
+                break;
+            }
+            if let Some(e) = wedged {
+                // Half-open connection: no renewals are landing, so the
+                // lease is as good as lapsed. Walk away and start clean
+                // instead of heartbeating a black hole.
+                stats.leases_abandoned += 1;
+                link.reconnect(&e, stats)?;
+                break;
+            }
+            let chunk = chunk.expect("not abandoned");
+            // Encoded once; a re-send reuses these bytes.
+            let msg = Msg::SubmitChunk {
+                lease_id,
+                frame: chunk.encode(),
+            }
+            .encode();
+            if let Some(sub) = in_flight.take() {
+                match settle(&mut link, stats, sub)? {
+                    Settled::Next => {}
+                    Settled::Done => return Ok(()),
+                    Settled::Abandon => break,
                 }
             }
-            _ => return Err(DistdError::Protocol("unexpected lease reply")),
+            let sent = link.t.send_frame(&msg);
+            in_flight = Some(InFlight { msg, sent });
+        }
+        // Nothing stays unanswered past the lease: the next frame on this
+        // connection is a `RequestLease`.
+        if let Some(sub) = in_flight.take() {
+            if let Settled::Done = settle(&mut link, stats, sub)? {
+                return Ok(());
+            }
         }
     }
 }

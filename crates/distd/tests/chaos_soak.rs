@@ -101,7 +101,6 @@ fn soak_one(seed: u64, level: u32, spool: &std::path::Path) -> SoakOutcome {
         lease_blocks: 2,
         spool_dir: Some(spool.to_path_buf()),
         compact_every: 4,
-        wait_millis: 5,
         ..CoordConfig::new(eco_cfg.clone())
     };
     let coordinator = Coordinator::bind("127.0.0.1:0", coord_cfg).expect("bind coordinator");
