@@ -54,7 +54,7 @@ pub const FRAME_HEADER: usize = 4 + 1 + 8;
 
 /// Validate a frame header prefix and return the declared payload
 /// length. Magic and version are checked before the length field is
-/// trusted, so a stray peer (or a corrupt spool segment) cannot steer a
+/// trusted, so a stray peer (or a corrupt spool log) cannot steer a
 /// streaming reader with a garbage length; the checksum is still
 /// verified later by [`open_frame`] once the full frame is buffered.
 pub fn frame_payload_len(header: &[u8]) -> Result<usize, WireError> {

@@ -25,7 +25,8 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: distd-coord [--listen ADDR] [--scale tiny|test|paper] [--seed N] \
 [--shards N] [--chunk-visits N] [--lease-timeout-ms N] [--lease-blocks N] \
-[--reorder-window N] [--spool DIR] [--compact-every N] [--out DIR]";
+[--reorder-window N] [--spool DIR] [--compact-every N] [--out DIR]
+  --compact-every N  roll the spool log every N chunks (0: one file per run)";
 
 fn die(msg: String) -> ! {
     eprintln!("distd-coord: {msg}");

@@ -23,12 +23,14 @@
 //!   the second arrival is detected by its `(day, shard, seq)` key and
 //!   dropped, counted in `chunks_duplicate_dropped`.
 //! * **Ack implies durable.** With a spool configured, the sealed frame
-//!   is fsynced to disk *before* the worker is acked; a coordinator
-//!   restarted on the same spool replays every acked chunk and re-leases
-//!   only the unfinished blocks. The spool write happens *outside* the
-//!   state lock — disk latency never blocks the fabric.
+//!   is appended to the spool log and synced *before* the worker is
+//!   acked; a coordinator restarted on the same spool replays every acked
+//!   chunk and re-leases only the unfinished blocks. A handler waits for
+//!   the log's one writer *outside* the state lock, and the writer syncs
+//!   every frame queued meanwhile at once (group commit) — disk latency
+//!   never blocks the fabric.
 //! * **Nothing on the wire is trusted.** Frames (worker submissions and
-//!   spool files alike) are checksum-verified before parsing and
+//!   spool log frames alike) are checksum-verified before parsing and
 //!   structurally validated during it; failures are counted in
 //!   `frames_rejected` and the block stays leasable.
 //!
@@ -41,9 +43,8 @@
 //! on it until a chunk is admitted; a lease request that finds nothing
 //! leasable long-polls on it, waking early only when the earliest lease
 //! deadline falls due, and answers `Wait { millis: 0 }` only at its hold
-//! cap. The fold thread runs the sink with the state lock released, and
-//! spool compaction runs on its own thread, one pass at a time, so
-//! neither stalls admission or leasing. Campaign completion wakes the
+//! cap. The fold thread runs the sink with the state lock released, so it
+//! never stalls admission or leasing. Campaign completion wakes the
 //! accept loop with a self-connection so the listener can close without
 //! being polled.
 //!
@@ -58,13 +59,13 @@
 //! in-process campaign's rank lists exactly.
 
 use crate::proto::{recv_msg, send_msg, DistdError, LeaseBlock, Msg};
-use crate::spool::{compact_spool, spool_load, spool_write};
+use crate::spool::{spool_load, LogAppender, SpoolLog};
 use crate::transport::{is_timeout, TcpTransport, Transport};
 use hb_crawler::{CampaignPlan, PlanBlock, SessionConfig, VisitChunk};
 use hb_ecosystem::EcosystemConfig;
 use std::collections::{BTreeMap, HashMap};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -91,8 +92,9 @@ pub struct CoordConfig {
     pub lease_blocks: usize,
     /// Chunk spool for crash-safe restarts; `None` disables durability.
     pub spool_dir: Option<PathBuf>,
-    /// Compact the spool into a segment once this many loose chunks have
-    /// accumulated (0 disables compaction).
+    /// Roll the spool log to a new file after this many chunks (0: one
+    /// file per run). The field keeps its pre-log name only because the
+    /// benchmark sets it; renaming it waits for a benchmark change.
     pub compact_every: usize,
 }
 
@@ -132,9 +134,11 @@ pub struct CoordStats {
     pub frames_rejected: u64,
     /// Distinct handshakes accepted.
     pub workers_seen: u32,
-    /// Spool segment files written by compaction.
+    /// Spool log files created. (Named for the segment files the log
+    /// replaced; the benchmark reads it under this name.)
     pub segments_written: u64,
-    /// Loose spool chunks folded into segments.
+    /// Chunk frames appended to the spool log. (Named for the compaction
+    /// the log replaced; the benchmark reads it under this name.)
     pub chunks_compacted: u64,
 }
 
@@ -173,10 +177,6 @@ struct State {
     /// a big `lease_blocks` can't starve the rest of a small fleet on a
     /// short campaign.
     live_workers: u32,
-    /// Loose chunks spooled since the last compaction pass.
-    spooled_since_compact: usize,
-    /// A compaction pass is running on its own thread.
-    compacting: bool,
     done: bool,
     stats: CoordStats,
 }
@@ -231,8 +231,6 @@ fn initial_state(cfg: &CoordConfig) -> State {
         next_lease_id: 1,
         next_worker_id: 1,
         live_workers: 0,
-        spooled_since_compact: 0,
-        compacting: false,
         done: false,
         stats: CoordStats::default(),
     };
@@ -412,8 +410,8 @@ fn lease_or_wait(shared: &Shared, cfg: &CoordConfig) -> Msg {
 }
 
 /// Admit one decoded chunk (already durable if a spool is configured —
-/// the caller writes the spool *before* taking the state lock). Returns
-/// the ack to send.
+/// the caller appends it to the spool *before* taking the state lock).
+/// Returns the ack to send.
 fn admit(st: &mut State, chunk: VisitChunk) -> Msg {
     let key = chunk.key();
     let Some(&idx) = st.key_index.get(&key) else {
@@ -455,8 +453,8 @@ fn admit(st: &mut State, chunk: VisitChunk) -> Msg {
 
 /// One submission, end to end: decode and pre-check, spool *outside* the
 /// lock, admit, wake the fold thread.
-fn handle_submit(frame: &[u8], shared: &Shared, cfg: &CoordConfig) -> Msg {
-    let chunk = match VisitChunk::decode(frame) {
+fn handle_submit(frame: Vec<u8>, shared: &Shared, spool: Option<&LogAppender>) -> Msg {
+    let chunk = match VisitChunk::decode(&frame) {
         Ok(c) => c,
         Err(_) => {
             let mut st = shared.lock();
@@ -478,8 +476,8 @@ fn handle_submit(frame: &[u8], shared: &Shared, cfg: &CoordConfig) -> Msg {
             return admit(&mut st, chunk);
         }
     }
-    if let Some(dir) = &cfg.spool_dir {
-        if spool_write(dir, key, frame).is_err() {
+    if let Some(spool) = spool {
+        if spool.append(frame).is_err() {
             // Durability could not be guaranteed; do not ack, leave the
             // block leasable so a later submit can retry.
             return Msg::SubmitAck {
@@ -490,9 +488,6 @@ fn handle_submit(frame: &[u8], shared: &Shared, cfg: &CoordConfig) -> Msg {
         }
     }
     let mut st = shared.lock();
-    if cfg.spool_dir.is_some() {
-        st.spooled_since_compact += 1;
-    }
     // Two handlers can race the same key past the pre-check; both frames
     // are byte-identical and durable, and `admit` drops the loser by key.
     let ack = admit(&mut st, chunk);
@@ -531,7 +526,13 @@ impl Drop for LiveGuard<'_> {
 /// One worker connection, served until close / error / campaign end.
 /// The only timeout is the lease-deadline-derived idle backstop — the
 /// handler otherwise sleeps in the kernel until bytes arrive.
-fn serve_conn(t: &mut dyn Transport, shared: &Shared, cfg: &CoordConfig, fingerprint: u64) {
+fn serve_conn(
+    t: &mut dyn Transport,
+    shared: &Shared,
+    cfg: &CoordConfig,
+    fingerprint: u64,
+    spool: Option<&LogAppender>,
+) {
     if t.set_recv_deadline(Some(idle_backstop(cfg))).is_err() {
         return;
     }
@@ -597,7 +598,7 @@ fn serve_conn(t: &mut dyn Transport, shared: &Shared, cfg: &CoordConfig, fingerp
                     None => Msg::Expired,
                 }
             }
-            Msg::SubmitChunk { frame, .. } => handle_submit(&frame, shared, cfg),
+            Msg::SubmitChunk { frame, .. } => handle_submit(frame, shared, spool),
             // Anything else is a peer speaking the wrong side of the
             // protocol; drop it.
             _ => return,
@@ -606,18 +607,6 @@ fn serve_conn(t: &mut dyn Transport, shared: &Shared, cfg: &CoordConfig, fingerp
             return;
         }
     }
-}
-
-/// One compaction pass off the fold thread; books its report and lets the
-/// fold thread start the next pass if one came due meanwhile.
-fn compaction_pass(shared: &Shared, dir: &Path, per_segment: usize) {
-    let report = compact_spool(dir, per_segment).unwrap_or_default();
-    let mut st = shared.lock();
-    st.stats.segments_written += report.segments_written;
-    st.stats.chunks_compacted += report.chunks_compacted;
-    st.compacting = false;
-    drop(st);
-    shared.changed.notify_all();
 }
 
 /// A bound, not-yet-running coordinator.
@@ -694,6 +683,13 @@ impl Coordinator {
         if st.done {
             return Ok(st.stats);
         }
+        // A new log file, after replay: a restart never appends to an old
+        // one, and `bind` alone creates nothing.
+        let log = cfg
+            .spool_dir
+            .as_deref()
+            .map(|dir| SpoolLog::create(dir, cfg.compact_every))
+            .transpose()?;
 
         // --- Serve --------------------------------------------------------
         let wake_addr = self.listener.local_addr()?;
@@ -702,8 +698,11 @@ impl Coordinator {
             changed: Condvar::new(),
             done: AtomicBool::new(false),
         };
-        std::thread::scope(|scope| {
+        let log = std::thread::scope(|scope| {
             let shared = &shared;
+            // The log's one writer: handlers hand it frames and wait for
+            // the sync of the batch that holds theirs.
+            let (spool, writer) = log.map(|log| log.spawn(scope)).unzip();
             // The fold thread owns the sink: it sleeps on `changed` until
             // a chunk is admitted, takes the ready run under the lock and
             // folds it with the lock released.
@@ -725,19 +724,6 @@ impl Coordinator {
                     if st.done {
                         break;
                     }
-                    if let Some(dir) = &cfg.spool_dir {
-                        if cfg.compact_every > 0
-                            && !st.compacting
-                            && st.spooled_since_compact >= cfg.compact_every
-                        {
-                            // Claim the pass; it runs on its own thread
-                            // so folding, admission and leasing go on
-                            // while disk churns.
-                            st.compacting = true;
-                            st.spooled_since_compact = 0;
-                            scope.spawn(move || compaction_pass(shared, dir, cfg.compact_every));
-                        }
-                    }
                     st = shared.changed.wait(st).expect("coordinator state");
                 }
                 drop(st);
@@ -752,7 +738,10 @@ impl Coordinator {
                             break;
                         }
                         if let Ok(mut t) = TcpTransport::new(stream) {
-                            scope.spawn(move || serve_conn(&mut t, shared, cfg, fingerprint));
+                            let spool = spool.clone();
+                            scope.spawn(move || {
+                                serve_conn(&mut t, shared, cfg, fingerprint, spool.as_ref())
+                            });
                         }
                     }
                     Err(_) => {
@@ -762,10 +751,17 @@ impl Coordinator {
                     }
                 }
             }
-            // Scope exit joins the handlers; they see `done` on their
-            // next idle timeout (workers normally hang up first).
+            // The handlers see `done` on their next idle timeout (workers
+            // normally hang up first); the writer returns once the last
+            // of them drops its appender.
+            drop(spool);
+            writer.map(|w| w.join().expect("spool writer"))
         });
-        let st = shared.state.into_inner().expect("coordinator state");
+        let mut st = shared.state.into_inner().expect("coordinator state");
+        if let Some(log) = log {
+            st.stats.segments_written = log.files_created;
+            st.stats.chunks_compacted = log.frames_appended;
+        }
         Ok(st.stats)
     }
 }

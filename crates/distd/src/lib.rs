@@ -5,9 +5,10 @@
 //! hands out `(day, shard, seq)` rank blocks over a checksummed TCP
 //! protocol ([`proto`]); crash-safe workers ([`worker`]) crawl each block
 //! with the exact in-process machinery and ship back sealed columnar
-//! chunk frames; an optional spool ([`spool`]) makes every acked chunk
-//! durable so a coordinator restart resumes the campaign instead of
-//! restarting it.
+//! chunk frames; an optional spool ([`spool`]), one append-only log of
+//! those frames synced in group commits, makes every acked chunk durable
+//! so a coordinator restart resumes the campaign instead of restarting
+//! it.
 //!
 //! The load-bearing property is inherited from the campaign layer:
 //! **visits are pure functions of `(seed, rank, day)`**. That is what
@@ -60,10 +61,7 @@ pub use coord::{CoordConfig, CoordStats, Coordinator};
 pub use proto::{
     config_fingerprint, recv_msg, send_msg, DistdError, LeaseBlock, Msg, MAX_PAYLOAD,
 };
-pub use spool::{
-    compact_spool, segment_file_name, spool_load, spool_path, spool_write, CompactReport,
-    SegmentManifest, SegmentRecord, SpoolReplay,
-};
+pub use spool::{spool_load, SpoolReplay};
 pub use transport::{is_timeout, Connector, TcpConnector, TcpTransport, Transport};
 pub use worker::{
     reconnect_backoff, run_worker, run_worker_session, WorkerConfig, WorkerStats,

@@ -1,357 +1,256 @@
 //! Crash-safe chunk spool: the coordinator's durability layer.
 //!
-//! Every accepted chunk frame is written to the spool directory *before*
-//! the submitting worker is acked, one file per `(day, shard, seq)` key,
-//! via the classic tmp-write + rename dance so a crash mid-write never
-//! leaves a half-frame under a final name. On restart the coordinator
-//! replays the spool: everything is checksum-verified end to end (each
-//! sealed frame carries its own XXH64), corrupt or truncated entries are
-//! counted and skipped — never trusted — and only the blocks without a
-//! replayed chunk are leased out again.
+//! The spool is one append-only log of sealed chunk frames — the bytes
+//! `VisitChunk::encode` produces, stored back to back with nothing in
+//! between — cut into files `log-{n:06}.hbwf`. Every accepted chunk is
+//! appended and synced *before* the submitting worker is acked.
 //!
-//! ## Segments
+//! ## Group commit
 //!
-//! A long campaign accumulates one loose `chunk-*.hbwf` file per block,
-//! so a million-rank restart would pay one open/read/verify per chunk.
-//! [`compact_spool`] folds loose files into *segment* files
-//! (`seg-*.hbseg`): a sealed manifest frame listing every member key and
-//! frame length, followed by the member chunk frames back-to-back. A
-//! restart then replays O(segments) files; the manifest's lengths let
-//! the reader walk members without scanning, and a corrupt member
-//! rejects only itself (a corrupt manifest rejects its whole segment —
-//! lengths from an unverified manifest are never trusted).
+//! One writer thread owns the open file. A connection handler sends its
+//! frame with a reply channel and waits. The writer blocks for one
+//! request, drains every other queued one, writes them all, calls
+//! `sync_data` once and answers each; whatever queued during that sync
+//! is the next batch. A write or sync error fails the whole batch (no
+//! ack, the blocks stay leasable) and closes the file, so the next batch
+//! starts a new one and a torn or unsynced tail can only ever be the end
+//! of its own file.
 //!
-//! Compaction is crash-safe the same way writes are: the segment is
-//! fsynced under a temp name, renamed, and only then are its members
-//! deleted. A crash between rename and deletes leaves chunks present
-//! both loose and in the segment; replay dedupes by key.
+//! A file holds at most the roll size's worth of frames (0: no limit).
+//! A restarted writer never appends to an old file: it starts a new one
+//! numbered after the highest in the directory. After creating a file it
+//! fsyncs the directory, so the new name survives an OS crash as well as
+//! a killed process.
+//!
+//! ## Replay
+//!
+//! [`spool_load`] walks the files in number order and the frames of each
+//! file in order, reading one frame at a time. The first frame that fails
+//! its length check or `VisitChunk::decode` counts as one rejection and
+//! ends its file; later files still replay. Blocks past the cut are
+//! simply leased again, which is always safe because visits are pure.
 
 use crate::proto::MAX_PAYLOAD;
-use hb_core::{
-    frame_payload_len, open_frame, seal_frame, WireError, WireReader, WireWriter, FRAME_HEADER,
-    FRAME_OVERHEAD,
-};
+use hb_core::{frame_payload_len, FRAME_HEADER, FRAME_OVERHEAD};
 use hb_crawler::VisitChunk;
-use std::collections::HashSet;
-use std::fs;
-use std::io::Write;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Sender, SyncSender};
+use std::thread::{Scope, ScopedJoinHandle};
 
-/// File name for a chunk key — fixed-width so directory order is key
-/// order within a day/shard.
-pub fn spool_file_name(day: u32, shard: u32, seq: u32) -> String {
-    format!("chunk-d{day:05}-s{shard:05}-q{seq:06}.hbwf")
+/// File name of log file `n`.
+fn log_file_name(n: u64) -> String {
+    format!("log-{n:06}.hbwf")
 }
 
-/// File name for segment `n`.
-pub fn segment_file_name(n: u64) -> String {
-    format!("seg-{n:06}.hbseg")
-}
-
-/// Distinguishes concurrent tmp writers (two handlers may race the same
-/// key after a lease re-issue; their frames are byte-identical but their
-/// tmp files must not collide mid-write).
-static TMP_SALT: AtomicU64 = AtomicU64::new(0);
-
-fn write_durably(dir: &Path, final_name: &str, bytes: &[u8]) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let salt = TMP_SALT.fetch_add(1, Ordering::Relaxed);
-    let tmp_path = dir.join(format!(".tmp-{}-{salt}-{final_name}", std::process::id()));
-    let mut f = fs::File::create(&tmp_path)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    fs::rename(&tmp_path, dir.join(final_name))?;
-    Ok(())
-}
-
-/// Durably write one sealed chunk frame under its key. The temp file is
-/// flushed and synced before the rename, so after this returns the frame
-/// survives a coordinator crash.
-pub fn spool_write(dir: &Path, key: (u32, u32, u32), frame: &[u8]) -> std::io::Result<()> {
-    write_durably(dir, &spool_file_name(key.0, key.1, key.2), frame)
-}
-
-/// One member entry of a segment manifest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentRecord {
-    /// Crawl day of the member chunk.
-    pub day: u32,
-    /// Shard of the member chunk.
-    pub shard: u32,
-    /// Sequence of the member chunk.
-    pub seq: u32,
-    /// Byte length of the member's sealed frame.
-    pub frame_len: u64,
-}
-
-/// The manifest frame at the head of a segment file: every member key
-/// and frame length, in storage order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SegmentManifest {
-    /// Member entries, in the order their frames follow the manifest.
-    pub records: Vec<SegmentRecord>,
-}
-
-/// Smallest on-wire footprint of one manifest record.
-const RECORD_MIN: usize = 4 + 4 + 4 + 8;
-
-impl SegmentManifest {
-    /// Encode as a sealed frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.len(self.records.len());
-        for r in &self.records {
-            w.u32(r.day);
-            w.u32(r.shard);
-            w.u32(r.seq);
-            w.u64(r.frame_len);
-        }
-        seal_frame(&w.into_bytes())
-    }
-
-    /// Decode one sealed manifest frame (integrity first, structure
-    /// second; member frame lengths are bounded so a corrupt-but-sealed
-    /// manifest cannot steer the segment walker into huge reads).
-    pub fn decode(frame: &[u8]) -> Result<SegmentManifest, WireError> {
-        let payload = open_frame(frame)?;
-        let mut r = WireReader::new(payload);
-        let n = r.bounded_len(RECORD_MIN)?;
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            let rec = SegmentRecord {
-                day: r.u32()?,
-                shard: r.u32()?,
-                seq: r.u32()?,
-                frame_len: r.u64()?,
-            };
-            if rec.frame_len as usize > MAX_PAYLOAD + FRAME_OVERHEAD {
-                return Err(WireError::Corrupt("oversized segment member"));
-            }
-            records.push(rec);
-        }
-        r.finish()?;
-        Ok(SegmentManifest { records })
-    }
-}
-
-/// What one compaction pass accomplished.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CompactReport {
-    /// Segment files written.
-    pub segments_written: u64,
-    /// Loose chunk files folded into segments (and deleted).
-    pub chunks_compacted: u64,
-}
-
-/// Fold the directory's loose chunk files into segment files of at most
-/// `max_per_segment` members each. Loose files that fail verification
-/// are left in place (replay keeps counting them as rejected); a crash
-/// at any point loses nothing (see the module docs).
-pub fn compact_spool(dir: &Path, max_per_segment: usize) -> std::io::Result<CompactReport> {
-    let mut report = CompactReport::default();
-    let mut loose: Vec<PathBuf> = Vec::new();
-    let mut next_seg = 0u64;
+/// The log files in `dir`, in number order. A missing directory has none.
+fn log_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(report),
+        Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(err) => return Err(err),
     };
+    let mut files = Vec::new();
     for entry in entries {
         let entry = entry?;
         let name = entry.file_name();
-        let name = name.to_string_lossy().into_owned();
-        if name.starts_with("chunk-") && name.ends_with(".hbwf") {
-            loose.push(entry.path());
-        } else if let Some(n) = name
-            .strip_prefix("seg-")
-            .and_then(|s| s.strip_suffix(".hbseg"))
+        // Anything else in the directory is foreign; ignore it.
+        if let Some(n) = name
+            .to_str()
+            .and_then(|s| s.strip_prefix("log-"))
+            .and_then(|s| s.strip_suffix(".hbwf"))
             .and_then(|s| s.parse::<u64>().ok())
         {
-            next_seg = next_seg.max(n + 1);
+            files.push((n, entry.path()));
         }
     }
-    // Name order is key order (fixed-width key encoding), so segments
-    // store chunks in replay order.
-    loose.sort();
-    for batch in loose.chunks(max_per_segment.max(1)) {
-        let mut records = Vec::new();
-        let mut members: Vec<(PathBuf, Vec<u8>)> = Vec::new();
-        for path in batch {
-            let bytes = fs::read(path)?;
-            // Only checksum-verified frames enter a segment; a corrupt
-            // loose file stays loose and keeps getting counted by replay.
-            // Admission decoded the chunk before spooling it and replay
-            // decodes every member, so the key is all that is read here.
-            let Some((day, shard, seq)) = frame_key(&bytes) else {
-                continue;
-            };
-            records.push(SegmentRecord {
-                day,
-                shard,
-                seq,
-                frame_len: bytes.len() as u64,
-            });
-            members.push((path.clone(), bytes));
-        }
-        if members.is_empty() {
-            continue;
-        }
-        let manifest = SegmentManifest { records };
-        let mut seg = manifest.encode();
-        for (_, bytes) in &members {
-            seg.extend_from_slice(bytes);
-        }
-        write_durably(dir, &segment_file_name(next_seg), &seg)?;
-        next_seg += 1;
-        report.segments_written += 1;
-        for (path, _) in &members {
-            // Failure here only leaves a harmless duplicate: the chunk
-            // is already durable inside the renamed segment.
-            let _ = fs::remove_file(path);
-            report.chunks_compacted += 1;
-        }
-    }
-    Ok(report)
+    files.sort_unstable();
+    Ok(files)
 }
 
-/// The `(day, shard, seq)` key of a sealed chunk frame — the first 12
-/// payload bytes — if the frame passes its integrity check.
-fn frame_key(frame: &[u8]) -> Option<(u32, u32, u32)> {
-    let mut r = WireReader::new(open_frame(frame).ok()?);
-    Some((r.u32().ok()?, r.u32().ok()?, r.u32().ok()?))
+/// One append request: a sealed frame and where to answer once the batch
+/// holding it is synced (or failed).
+type Append = (Vec<u8>, SyncSender<Result<(), io::ErrorKind>>);
+
+/// A connection handler's handle on the log writer.
+#[derive(Clone)]
+pub(crate) struct LogAppender(Sender<Append>);
+
+impl LogAppender {
+    /// Append one sealed frame; returns once the batch holding it is
+    /// durable.
+    pub(crate) fn append(&self, frame: Vec<u8>) -> io::Result<()> {
+        let gone = || io::Error::other("spool writer gone");
+        let (done, outcome) = mpsc::sync_channel(1);
+        self.0.send((frame, done)).map_err(|_| gone())?;
+        outcome.recv().map_err(|_| gone())?.map_err(io::Error::from)
+    }
+}
+
+/// The log's one writer: owns the open file.
+pub(crate) struct SpoolLog {
+    dir: PathBuf,
+    /// Frames per file before rolling to the next (0: never roll).
+    roll_every: usize,
+    /// Number of the next file to create.
+    next: u64,
+    /// The open file and how many frames it holds; `None` after a failed
+    /// batch, so the next batch starts a new file.
+    file: Option<(File, usize)>,
+    /// Log files created.
+    pub(crate) files_created: u64,
+    /// Frames appended and synced.
+    pub(crate) frames_appended: u64,
+}
+
+impl SpoolLog {
+    /// Open the log on `dir`: create its first file, numbered after the
+    /// highest one already there.
+    pub(crate) fn create(dir: &Path, roll_every: usize) -> io::Result<SpoolLog> {
+        fs::create_dir_all(dir)?;
+        let next = log_files(dir)?.last().map_or(0, |&(n, _)| n + 1);
+        let mut log = SpoolLog {
+            dir: dir.to_path_buf(),
+            roll_every,
+            next,
+            file: None,
+            files_created: 0,
+            frames_appended: 0,
+        };
+        log.file = Some((log.start_file()?, 0));
+        Ok(log)
+    }
+
+    /// Create the next file, then fsync the directory so its name is as
+    /// durable as the frames about to be synced into it.
+    fn start_file(&mut self) -> io::Result<File> {
+        let path = self.dir.join(log_file_name(self.next));
+        self.next += 1;
+        let file = OpenOptions::new()
+            .append(true)
+            .create_new(true)
+            .open(path)?;
+        File::open(&self.dir)?.sync_all()?;
+        self.files_created += 1;
+        Ok(file)
+    }
+
+    /// Write a batch and sync it: once per file it touched.
+    fn write_batch(&mut self, batch: &[Append]) -> io::Result<()> {
+        // Taken for the batch: an error leaves no file open.
+        let mut open = self.file.take();
+        for (frame, _) in batch {
+            let full = open
+                .as_ref()
+                .is_none_or(|&(_, n)| self.roll_every > 0 && n >= self.roll_every);
+            if full {
+                if let Some((file, _)) = &open {
+                    file.sync_data()?;
+                }
+                open = Some((self.start_file()?, 0));
+            }
+            let (file, n) = open.as_mut().expect("opened above");
+            file.write_all(frame)?;
+            *n += 1;
+        }
+        if let Some((file, _)) = &open {
+            file.sync_data()?;
+        }
+        self.file = open;
+        self.frames_appended += batch.len() as u64;
+        Ok(())
+    }
+
+    /// Run the writer on its own thread in `scope` until every appender
+    /// is dropped; the thread hands the log back for its counters.
+    pub(crate) fn spawn<'scope>(
+        mut self,
+        scope: &'scope Scope<'scope, '_>,
+    ) -> (LogAppender, ScopedJoinHandle<'scope, SpoolLog>) {
+        let (tx, rx) = mpsc::channel::<Append>();
+        let writer = scope.spawn(move || {
+            let mut batch = Vec::new();
+            while let Ok(first) = rx.recv() {
+                batch.push(first);
+                batch.extend(rx.try_iter());
+                let outcome = self.write_batch(&batch).map_err(|e| e.kind());
+                for (_, done) in batch.drain(..) {
+                    let _ = done.send(outcome);
+                }
+            }
+            self
+        });
+        (LogAppender(tx), writer)
+    }
 }
 
 /// Replay outcome of one spool directory.
 pub struct SpoolReplay {
-    /// Decoded chunks, deduped by key, sorted by `(day, shard, seq)`.
+    /// Decoded chunks, sorted by `(day, shard, seq)`.
     pub chunks: Vec<VisitChunk>,
-    /// Entries (loose files, segment manifests, segment members) that
-    /// failed integrity or structural validation and were skipped (feeds
-    /// the coordinator's `frames_rejected` counter).
+    /// Log files that ended in a frame failing its length check or
+    /// decode (feeds the coordinator's `frames_rejected` counter).
     pub rejected: usize,
-    /// Segment files walked.
-    pub segments: usize,
+    /// Log files walked.
+    pub files: usize,
 }
 
-/// Load every chunk in `dir` — segments first, then loose files —
-/// verifying everything and deduping by key (a chunk present both loose
-/// and in a segment replays once). A missing directory replays as empty.
-pub fn spool_load(dir: &Path) -> std::io::Result<SpoolReplay> {
-    let mut chunks: Vec<VisitChunk> = Vec::new();
-    let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
-    let mut rejected = 0usize;
-    let mut segments = 0usize;
-    let mut seg_paths: Vec<PathBuf> = Vec::new();
-    let mut loose_paths: Vec<PathBuf> = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(SpoolReplay {
-                chunks,
-                rejected,
-                segments,
-            })
-        }
-        Err(err) => return Err(err),
+/// Load every chunk in `dir`'s log, verifying every frame (see the module
+/// docs for the prefix rule). A missing directory replays as empty.
+pub fn spool_load(dir: &Path) -> io::Result<SpoolReplay> {
+    let mut replay = SpoolReplay {
+        chunks: Vec::new(),
+        rejected: 0,
+        files: 0,
     };
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("seg-") && name.ends_with(".hbseg") {
-            seg_paths.push(entry.path());
-        } else if name.starts_with("chunk-") && name.ends_with(".hbwf") {
-            if entry.metadata()?.len() as usize > MAX_PAYLOAD + FRAME_OVERHEAD {
-                rejected += 1;
-                continue;
-            }
-            loose_paths.push(entry.path());
-        }
-        // Anything else: leftover temp files from a crash mid-write, or
-        // foreign files; ignore.
-    }
-    seg_paths.sort();
-    for path in seg_paths {
-        segments += 1;
-        let bytes = fs::read(&path)?;
-        rejected += replay_segment(&bytes, &mut seen, &mut chunks);
-    }
-    for path in loose_paths {
-        let bytes = fs::read(&path)?;
-        match VisitChunk::decode(&bytes) {
-            Ok(chunk) if seen.insert(chunk.key()) => chunks.push(chunk),
-            Ok(_) => {} // already replayed from a segment
-            Err(_) => rejected += 1,
+    for (_, path) in log_files(dir)? {
+        replay.files += 1;
+        if !replay_file(&path, &mut replay.chunks)? {
+            replay.rejected += 1;
         }
     }
-    chunks.sort_by_key(VisitChunk::key);
-    Ok(SpoolReplay {
-        chunks,
-        rejected,
-        segments,
-    })
+    replay.chunks.sort_by_key(VisitChunk::key);
+    Ok(replay)
 }
 
-/// Walk one segment's bytes; returns how many entries were rejected.
-fn replay_segment(
-    bytes: &[u8],
-    seen: &mut HashSet<(u32, u32, u32)>,
-    chunks: &mut Vec<VisitChunk>,
-) -> usize {
-    // The manifest frame's own header bounds it; a corrupt manifest
-    // rejects the whole segment (its lengths cannot be trusted).
-    let Some(manifest_len) = frame_len_at(bytes, 0) else {
-        return 1;
-    };
-    let Ok(manifest) = SegmentManifest::decode(&bytes[..manifest_len]) else {
-        return 1;
-    };
-    let mut rejected = 0usize;
-    let mut offset = manifest_len;
-    for rec in &manifest.records {
-        let end = offset + rec.frame_len as usize;
-        if end > bytes.len() {
-            // Truncated segment: this and every later member is gone.
-            rejected += 1;
-            break;
+/// Replay one log file frame by frame; false if a bad frame ended it.
+fn replay_file(path: &Path, chunks: &mut Vec<VisitChunk>) -> io::Result<bool> {
+    let file = File::open(path)?;
+    // Only what the file held when opened: a frame still being appended
+    // is a torn tail, not a reason to wait.
+    let mut left = file.metadata()?.len();
+    let mut reader = BufReader::new(file);
+    let mut frame = Vec::new();
+    while left > 0 {
+        if left < FRAME_HEADER as u64 {
+            return Ok(false);
         }
-        match VisitChunk::decode(&bytes[offset..end]) {
-            Ok(chunk) if chunk.key() == (rec.day, rec.shard, rec.seq) => {
-                if seen.insert(chunk.key()) {
-                    chunks.push(chunk);
-                }
-            }
-            // Key mismatch (a manifest lying about its member) or a
-            // corrupt member frame: reject just this member — the
-            // manifest's length still walks us past it.
-            _ => rejected += 1,
+        frame.resize(FRAME_HEADER, 0);
+        reader.read_exact(&mut frame)?;
+        let Some(len) = frame_len(&frame, left) else {
+            return Ok(false);
+        };
+        frame.resize(len, 0);
+        reader.read_exact(&mut frame[FRAME_HEADER..])?;
+        left -= len as u64;
+        match VisitChunk::decode(&frame) {
+            Ok(chunk) => chunks.push(chunk),
+            Err(_) => return Ok(false),
         }
-        offset = end;
     }
-    rejected
+    Ok(true)
 }
 
-/// Length of the sealed frame starting at `offset`, if its header is
-/// intact and the length sane.
-fn frame_len_at(bytes: &[u8], offset: usize) -> Option<usize> {
-    let head = bytes.get(offset..offset + FRAME_HEADER)?;
+/// Length of the sealed frame whose header is `head`, if the header is
+/// intact, the length sane and the frame within the `left` bytes.
+fn frame_len(head: &[u8], left: u64) -> Option<usize> {
     let payload = frame_payload_len(head).ok()?;
     if payload > MAX_PAYLOAD {
         return None;
     }
-    let total = FRAME_HEADER + payload + 8;
-    (offset + total <= bytes.len()).then_some(total)
-}
-
-/// The spool path a key lands at (tests and tooling).
-pub fn spool_path(dir: &Path, key: (u32, u32, u32)) -> PathBuf {
-    dir.join(spool_file_name(key.0, key.1, key.2))
-}
-
-/// The path of segment `n` (tests and tooling).
-pub fn segment_path(dir: &Path, n: u64) -> PathBuf {
-    dir.join(segment_file_name(n))
+    let total = payload + FRAME_OVERHEAD;
+    (total as u64 <= left).then_some(total)
 }
 
 #[cfg(test)]
@@ -378,41 +277,56 @@ mod tests {
         chunks
     }
 
-    fn tiny_chunks() -> Vec<VisitChunk> {
-        tiny_campaign(64)
+    /// Append `chunks` through a writer on `dir`, one at a time; returns
+    /// the writer's log for its counters.
+    fn write_log(dir: &Path, roll_every: usize, chunks: &[VisitChunk]) -> SpoolLog {
+        std::thread::scope(|s| {
+            let (appender, writer) = SpoolLog::create(dir, roll_every)
+                .expect("create log")
+                .spawn(s);
+            for c in chunks {
+                appender.append(c.encode()).expect("append");
+            }
+            drop(appender);
+            writer.join().expect("writer")
+        })
+    }
+
+    fn keys(chunks: &[VisitChunk]) -> Vec<(u32, u32, u32)> {
+        let mut keys: Vec<_> = chunks.iter().map(VisitChunk::key).collect();
+        keys.sort_unstable();
+        keys
     }
 
     #[test]
     fn spool_round_trips_and_rejects_corruption() {
         let dir = tmp_dir("rt");
-        let chunks = tiny_chunks();
-        assert!(chunks.len() >= 2);
-        for c in &chunks {
-            spool_write(&dir, c.key(), &c.encode()).expect("spool write");
-        }
-        // Corrupt one file in place: flip a byte in the middle.
-        let victim = spool_path(&dir, chunks[1].key());
+        let chunks = tiny_campaign(64);
+        assert!(chunks.len() >= 3);
+        // One frame per file: a corrupt file costs exactly its frame.
+        let log = write_log(&dir, 1, &chunks);
+        assert_eq!(log.files_created as usize, chunks.len());
+        let victim = dir.join(log_file_name(1));
         let mut bytes = fs::read(&victim).expect("read victim");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;
         fs::write(&victim, &bytes).expect("re-write victim");
-        // And drop a stray temp file, which must be ignored.
-        fs::write(dir.join(".tmp-chunk-d00000-s00000-q000009.hbwf"), b"junk").unwrap();
+        // A foreign file is ignored.
+        fs::write(dir.join("chunk-d00000-s00000-q000009.hbwf"), b"junk").unwrap();
 
         let replay = spool_load(&dir).expect("replay");
         assert_eq!(replay.rejected, 1, "the corrupt file is rejected");
-        assert_eq!(replay.chunks.len(), chunks.len() - 1);
-        let keys: Vec<_> = replay.chunks.iter().map(VisitChunk::key).collect();
-        let mut want: Vec<_> = chunks
-            .iter()
-            .map(VisitChunk::key)
-            .filter(|&k| k != chunks[1].key())
-            .collect();
-        want.sort_unstable();
+        assert_eq!(replay.files, chunks.len());
+        let mut want = chunks.clone();
+        want.remove(1);
         assert_eq!(
-            keys, want,
-            "replay is sorted and complete minus the corrupt file"
+            keys(&replay.chunks),
+            keys(&want),
+            "replay is complete minus the corrupt frame"
         );
+        for (a, b) in replay.chunks.iter().zip(&want) {
+            assert_eq!(a.encode(), b.encode(), "byte-identical replay");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -422,211 +336,141 @@ mod tests {
         let replay = spool_load(&dir).expect("missing dir is fine");
         assert!(replay.chunks.is_empty());
         assert_eq!(replay.rejected, 0);
-        assert_eq!(replay.segments, 0);
+        assert_eq!(replay.files, 0);
     }
 
+    /// The naive model of the log: it is the frames, back to back, and
+    /// replay after any cut or single bit flip inside the last two frames
+    /// returns exactly the frames before the damage. A later file after
+    /// a torn one still replays in full.
     #[test]
-    fn compaction_replays_identically_from_segments_alone() {
-        let dir = tmp_dir("compact");
-        let chunks = tiny_chunks();
-        assert!(
-            chunks.len() >= 3,
-            "need several chunks to span multiple segments"
-        );
-        for c in &chunks {
-            spool_write(&dir, c.key(), &c.encode()).expect("spool write");
+    fn log_replay_is_exactly_the_fully_written_prefix() {
+        let dir = tmp_dir("model");
+        let campaign = tiny_campaign(2);
+        let (chunks, later) = (&campaign[..5], &campaign[5..8]);
+        let frames: Vec<Vec<u8>> = chunks.iter().map(VisitChunk::encode).collect();
+        write_log(&dir, 0, chunks);
+        let path = dir.join(log_file_name(0));
+        let log = fs::read(&path).expect("log bytes");
+        assert_eq!(log, frames.concat(), "the log is the frames, back to back");
+
+        // ends[i]: offset just past frame i.
+        let ends: Vec<usize> = frames
+            .iter()
+            .scan(0, |end, f| {
+                *end += f.len();
+                Some(*end)
+            })
+            .collect();
+        let n = frames.len();
+        for offset in ends[n - 3]..log.len() {
+            // The frames wholly before `offset`.
+            let before = ends.iter().filter(|&&e| e <= offset).count();
+
+            // Cut at `offset`: a cut inside a frame counts once.
+            fs::write(&path, &log[..offset]).expect("truncate");
+            let replay = spool_load(&dir).expect("replay");
+            assert_eq!(
+                keys(&replay.chunks),
+                keys(&chunks[..before]),
+                "cut at {offset}"
+            );
+            let torn = usize::from(!ends.contains(&offset));
+            assert_eq!(replay.rejected, torn, "cut at {offset}");
+
+            // Flip one bit at `offset`: the damaged frame and everything
+            // after it are gone, and the damage counts once.
+            let mut flipped = log.clone();
+            flipped[offset] ^= 1 << (offset % 8);
+            fs::write(&path, &flipped).expect("flip");
+            let replay = spool_load(&dir).expect("replay");
+            assert_eq!(
+                keys(&replay.chunks),
+                keys(&chunks[..before]),
+                "bit flip at {offset}"
+            );
+            assert_eq!(replay.rejected, 1, "bit flip at {offset}");
         }
-        let before = spool_load(&dir).expect("pre-compaction replay");
-        let report = compact_spool(&dir, 2).expect("compact");
-        assert_eq!(report.chunks_compacted as usize, chunks.len());
+
+        // A torn file followed by a later, whole one.
+        fs::write(&path, &log[..log.len() - 1]).expect("tear the last frame");
+        write_log(&dir, 0, later);
+        let replay = spool_load(&dir).expect("replay");
+        assert_eq!(replay.files, 2);
+        assert_eq!(replay.rejected, 1);
+        let want = [&chunks[..n - 1], later].concat();
         assert_eq!(
-            report.segments_written as usize,
-            chunks.len().div_ceil(2),
-            "two members per segment"
+            keys(&replay.chunks),
+            keys(&want),
+            "the later file replays in full"
         );
-        // Every loose file is gone; replay comes from segments alone.
-        for c in &chunks {
-            assert!(!spool_path(&dir, c.key()).exists());
-        }
-        let after = spool_load(&dir).expect("post-compaction replay");
-        assert_eq!(after.segments as u64, report.segments_written);
-        assert_eq!(after.rejected, 0);
-        assert_eq!(
-            before.chunks.len(),
-            after.chunks.len(),
-            "compaction must not lose chunks"
-        );
-        for (a, b) in before.chunks.iter().zip(&after.chunks) {
-            assert_eq!(a.encode(), b.encode(), "byte-identical replay");
-        }
-        // A second pass over an already-compacted dir is a no-op.
-        let again = compact_spool(&dir, 2).expect("idempotent compact");
-        assert_eq!(again.segments_written, 0);
-        assert_eq!(again.chunks_compacted, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The acceptance-scale case: a spool of at least a hundred chunks
-    /// compacts into `O(n / max_per_segment)` segment files, and a
-    /// restart replaying from the segments alone reproduces every chunk
-    /// byte-for-byte in key order.
+    /// Group commit under concurrent appends, a restart over a junk tail,
+    /// and the roll rule.
     #[test]
-    fn hundred_chunk_spool_compacts_and_restarts_byte_identical() {
-        let dir = tmp_dir("hundred");
+    fn log_group_commit_survives_restart_and_rolls() {
+        let dir = tmp_dir("group");
         let chunks = tiny_campaign(2);
-        assert!(
-            chunks.len() >= 100,
-            "need an acceptance-scale spool, got {} chunks",
-            chunks.len()
-        );
-        for c in &chunks {
-            spool_write(&dir, c.key(), &c.encode()).expect("spool write");
-        }
-        let report = compact_spool(&dir, 16).expect("compact");
-        assert_eq!(report.chunks_compacted as usize, chunks.len());
-        assert_eq!(
-            report.segments_written as usize,
-            chunks.len().div_ceil(16),
-            "sixteen members per segment"
-        );
-        for c in &chunks {
-            assert!(!spool_path(&dir, c.key()).exists(), "loose files all gone");
-        }
-        let after = spool_load(&dir).expect("restart replay");
-        assert_eq!(after.rejected, 0);
-        assert_eq!(after.segments as u64, report.segments_written);
-        let mut want: Vec<&VisitChunk> = chunks.iter().collect();
-        want.sort_by_key(|c| c.key());
-        assert_eq!(after.chunks.len(), want.len());
-        for (a, b) in after.chunks.iter().zip(&want) {
+        assert!(chunks.len() >= 100, "got {} chunks", chunks.len());
+        let (first, second) = chunks.split_at(chunks.len() / 2);
+
+        // Four threads append concurrently through one writer; every
+        // append that returned Ok replays exactly once.
+        let acked: Vec<VisitChunk> = std::thread::scope(|s| {
+            let (appender, writer) = SpoolLog::create(&dir, 0).expect("create log").spawn(s);
+            let threads: Vec<_> = first
+                .chunks(first.len().div_ceil(4))
+                .map(|share| {
+                    let appender = appender.clone();
+                    s.spawn(move || {
+                        share
+                            .iter()
+                            .filter(|c| appender.append(c.encode()).is_ok())
+                            .cloned()
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            drop(appender);
+            let acked = threads
+                .into_iter()
+                .flat_map(|t| t.join().expect("appender thread"))
+                .collect();
+            let log = writer.join().expect("writer");
+            assert_eq!(log.files_created, 1);
+            assert_eq!(log.frames_appended as usize, first.len());
+            acked
+        });
+        assert_eq!(acked.len(), first.len(), "every append was acked");
+        let replay = spool_load(&dir).expect("replay");
+        assert_eq!(keys(&replay.chunks), keys(&acked), "each acked frame once");
+        assert_eq!(replay.rejected, 0);
+
+        // Junk on the newest file, then a restarted writer: it opens a new
+        // file, and every acked frame from both runs replays.
+        let newest = dir.join(log_file_name(0));
+        let mut f = OpenOptions::new().append(true).open(&newest).expect("open");
+        f.write_all(b"HBWF\x01junk").expect("junk");
+        let log = write_log(&dir, 0, second);
+        assert_eq!(log.files_created, 1);
+        assert!(dir.join(log_file_name(1)).exists(), "restart starts log 1");
+        let replay = spool_load(&dir).expect("replay");
+        assert_eq!(replay.files, 2);
+        assert_eq!(replay.rejected, 1, "the junk tail counts once");
+        assert_eq!(keys(&replay.chunks), keys(&chunks));
+        for (a, b) in replay.chunks.iter().zip(&chunks) {
             assert_eq!(a.encode(), b.encode(), "byte-identical after restart");
         }
         let _ = fs::remove_dir_all(&dir);
-    }
 
-    #[test]
-    fn interrupted_compaction_leaves_a_dedupable_spool() {
-        let dir = tmp_dir("interrupt");
-        let chunks = tiny_chunks();
-        for c in &chunks {
-            spool_write(&dir, c.key(), &c.encode()).expect("spool write");
-        }
-        compact_spool(&dir, usize::MAX).expect("compact");
-        // Simulate the crash window between rename and member deletion:
-        // re-write two chunks loose, so they exist in both forms.
-        for c in chunks.iter().take(2) {
-            spool_write(&dir, c.key(), &c.encode()).expect("re-spool");
-        }
+        // Roll size 4: ceil(chunks / 4) files.
+        let log = write_log(&dir, 4, &chunks);
+        assert_eq!(log.files_created as usize, chunks.len().div_ceil(4));
         let replay = spool_load(&dir).expect("replay");
-        assert_eq!(replay.chunks.len(), chunks.len(), "deduped by key");
-        assert_eq!(replay.rejected, 0);
+        assert_eq!(replay.files, chunks.len().div_ceil(4));
+        assert_eq!(keys(&replay.chunks), keys(&chunks));
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_segment_member_rejects_only_itself() {
-        let dir = tmp_dir("segcorrupt");
-        let chunks = tiny_chunks();
-        assert!(chunks.len() >= 3);
-        for c in &chunks {
-            spool_write(&dir, c.key(), &c.encode()).expect("spool write");
-        }
-        compact_spool(&dir, usize::MAX).expect("compact");
-        let seg = segment_path(&dir, 0);
-        let mut bytes = fs::read(&seg).expect("segment bytes");
-        // Flip a bit inside the *last* member's frame, far from the
-        // manifest: only that member must be rejected.
-        let len = bytes.len();
-        bytes[len - 9] ^= 0x10;
-        fs::write(&seg, &bytes).expect("re-write segment");
-        let replay = spool_load(&dir).expect("replay");
-        assert_eq!(replay.rejected, 1);
-        assert_eq!(replay.chunks.len(), chunks.len() - 1);
-        // A corrupt manifest, in contrast, rejects the whole segment.
-        let mut bytes = fs::read(&seg).expect("segment bytes");
-        bytes[FRAME_HEADER + 2] ^= 0x01;
-        fs::write(&seg, &bytes).expect("re-write segment");
-        let replay = spool_load(&dir).expect("replay");
-        assert_eq!(replay.rejected, 1, "whole segment counts once");
-        assert!(replay.chunks.is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// Compaction reads only each frame's key: every manifest record must
-    /// still name its member's decoded key, and a loose file whose
-    /// checksum fails — here one flipped bit in the key bytes themselves —
-    /// must stay loose and be counted by replay.
-    #[test]
-    fn manifests_name_their_members_and_corrupt_loose_files_stay_loose() {
-        let dir = tmp_dir("keys");
-        let chunks = tiny_chunks();
-        assert!(chunks.len() >= 3);
-        for c in &chunks {
-            spool_write(&dir, c.key(), &c.encode()).expect("spool write");
-        }
-        let victim = spool_path(&dir, chunks[1].key());
-        let mut bytes = fs::read(&victim).expect("read victim");
-        bytes[FRAME_HEADER + 4] ^= 0x01; // the shard word of the key
-        fs::write(&victim, &bytes).expect("re-write victim");
-
-        let report = compact_spool(&dir, 2).expect("compact");
-        assert_eq!(report.chunks_compacted as usize, chunks.len() - 1);
-        assert!(victim.exists(), "the corrupt file stays loose");
-        let mut members = 0;
-        for n in 0..report.segments_written {
-            let seg = fs::read(segment_path(&dir, n)).expect("segment bytes");
-            let manifest_len = frame_len_at(&seg, 0).expect("manifest frame");
-            let manifest = SegmentManifest::decode(&seg[..manifest_len]).expect("manifest");
-            let mut offset = manifest_len;
-            for rec in &manifest.records {
-                let end = offset + rec.frame_len as usize;
-                let chunk = VisitChunk::decode(&seg[offset..end]).expect("member decodes");
-                assert_eq!(chunk.key(), (rec.day, rec.shard, rec.seq));
-                assert_ne!(chunk.key(), chunks[1].key(), "corrupt key in a segment");
-                offset = end;
-                members += 1;
-            }
-            assert_eq!(offset, seg.len(), "members fill the segment exactly");
-        }
-        assert_eq!(members, chunks.len() - 1);
-
-        let replay = spool_load(&dir).expect("replay");
-        assert_eq!(replay.rejected, 1, "replay counts the corrupt loose file");
-        assert_eq!(replay.chunks.len(), chunks.len() - 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_round_trips_with_corruption_detection() {
-        let manifest = SegmentManifest {
-            records: vec![
-                SegmentRecord {
-                    day: 0,
-                    shard: 1,
-                    seq: 2,
-                    frame_len: 1234,
-                },
-                SegmentRecord {
-                    day: 3,
-                    shard: 0,
-                    seq: 9,
-                    frame_len: 77,
-                },
-            ],
-        };
-        let frame = manifest.encode();
-        assert_eq!(SegmentManifest::decode(&frame).expect("round trip"), manifest);
-        for i in 0..frame.len() {
-            let mut bad = frame.clone();
-            bad[i] ^= 0x20;
-            assert!(
-                SegmentManifest::decode(&bad).is_err(),
-                "one corrupt byte at {i} must be detected"
-            );
-        }
-        assert!(
-            SegmentManifest::decode(&frame[..frame.len() - 3]).is_err(),
-            "truncation must be detected"
-        );
     }
 }

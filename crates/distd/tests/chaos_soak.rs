@@ -264,6 +264,6 @@ fn escalating_chaos_storms_never_cost_bytes_and_every_fault_is_accounted() {
     );
     assert!(
         grand_segments >= 1,
-        "compaction must run under chaos at least once across the soak"
+        "the spool log must roll under chaos at least once across the soak"
     );
 }

@@ -6,6 +6,7 @@
 
 use hb_analysis::{indexed_reports, DatasetIndexBuilder};
 use hb_crawler::{run_campaign_streamed, CampaignConfig};
+use hb_distd::spool_load;
 use hb_ecosystem::{EcosystemConfig, SiteFactory};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
@@ -167,20 +168,8 @@ fn finish_coord(
 }
 
 fn spool_file_count(dir: &Path) -> usize {
-    // Only the loose chunk files replay reads: the `.tmp-…` file of a
-    // write that a SIGKILL interrupted also ends in `.hbwf`, but replay
-    // ignores it, so it is not a spooled chunk.
-    match std::fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(Result::ok)
-            .filter(|e| {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                name.starts_with("chunk-") && name.ends_with(".hbwf")
-            })
-            .count(),
-        Err(_) => 0,
-    }
+    // The chunks replay reads: a frame a SIGKILL cut short is not one.
+    spool_load(dir).map_or(0, |replay| replay.chunks.len())
 }
 
 #[test]

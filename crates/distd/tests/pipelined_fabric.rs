@@ -2,8 +2,8 @@
 //! chunk, crawls block N+1, and only then reads N's ack; the wire contract
 //! is unchanged, so every connection must still carry at most one
 //! unanswered frame at every send. A frame-counting `Transport` wrapper
-//! checks that on every connection of a spooled, compacting campaign, and
-//! the folded chunk stream must be byte-identical to
+//! checks that on every connection of a spooled campaign whose log rolls,
+//! and the folded chunk stream must be byte-identical to
 //! `run_campaign_streamed`'s, figures included.
 
 use hb_analysis::{indexed_reports, DatasetIndexBuilder};
@@ -181,7 +181,7 @@ fn pipelined_workers_keep_one_unanswered_frame_and_fold_identical_bytes() {
     );
     assert_eq!(coord.chunks_folded, want.len());
     assert_eq!(coord.frames_rejected + coord.leases_reissued, 0);
-    assert!(coord.segments_written > 0, "compaction ran beside the fold");
+    assert!(coord.segments_written > 0, "the spool log rolled beside the fold");
 
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(&want) {

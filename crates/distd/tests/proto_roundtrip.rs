@@ -4,15 +4,12 @@
 //! - every protocol message — batched leases with arbitrary block lists
 //!   included — round-trips its sealed frame exactly, and any single-bit
 //!   corruption or truncation is detected;
-//! - segment manifest frames get the same treatment;
 //! - the chaos schedule is a pure function of `(seed, connection,
 //!   frame index)`: two schedules built from the same config agree on
 //!   every decision, so a failing storm replays exactly from its seed,
 //!   and the designated liveness connections never fault at any level.
 
-use hb_distd::{
-    ChaosConfig, ChaosSchedule, LeaseBlock, Msg, RxFault, SegmentManifest, SegmentRecord, TxFault,
-};
+use hb_distd::{ChaosConfig, ChaosSchedule, LeaseBlock, Msg, RxFault, TxFault};
 use proptest::prelude::*;
 
 fn arb_block() -> impl Strategy<Value = LeaseBlock> {
@@ -58,21 +55,6 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
     ]
 }
 
-fn arb_manifest() -> impl Strategy<Value = SegmentManifest> {
-    proptest::collection::vec(
-        (0u32..64, 0u32..8, 0u32..256, 1u64..100_000).prop_map(|(day, shard, seq, frame_len)| {
-            SegmentRecord {
-                day,
-                shard,
-                seq,
-                frame_len,
-            }
-        }),
-        0..32,
-    )
-    .prop_map(|records| SegmentManifest { records })
-}
-
 proptest! {
     #[test]
     fn any_message_round_trips(msg in arb_msg()) {
@@ -108,31 +90,6 @@ proptest! {
         prop_assert!(
             Msg::decode(&frame[..keep]).is_err(),
             "truncation to {} of {} went undetected",
-            keep, frame.len()
-        );
-    }
-
-    #[test]
-    fn manifest_round_trips_and_corruption_is_detected(
-        manifest in arb_manifest(),
-        pos_seed in 0usize..1_000_000,
-        bit in 0u8..8,
-    ) {
-        let frame = manifest.encode();
-        let back = SegmentManifest::decode(&frame).expect("clean manifest decodes");
-        prop_assert_eq!(&back, &manifest);
-        let pos = pos_seed % frame.len();
-        let mut bad = frame.clone();
-        bad[pos] ^= 1 << bit;
-        prop_assert!(
-            SegmentManifest::decode(&bad).is_err(),
-            "manifest bit {} of byte {} went undetected",
-            bit, pos
-        );
-        let keep = pos; // any strict prefix
-        prop_assert!(
-            SegmentManifest::decode(&frame[..keep]).is_err(),
-            "manifest truncation to {} of {} went undetected",
             keep, frame.len()
         );
     }
