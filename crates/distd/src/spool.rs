@@ -407,10 +407,11 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Group commit under concurrent appends, a restart over a junk tail,
-    /// and the roll rule.
+    /// Group commit under concurrent appends over a campaign of at least
+    /// a hundred chunks, then a restart over a junk tail: every acked
+    /// frame from both runs replays byte-for-byte.
     #[test]
-    fn log_group_commit_survives_restart_and_rolls() {
+    fn log_group_commit_survives_restart_byte_identical() {
         let dir = tmp_dir("group");
         let chunks = tiny_campaign(2);
         assert!(chunks.len() >= 100, "got {} chunks", chunks.len());
@@ -464,13 +465,29 @@ mod tests {
             assert_eq!(a.encode(), b.encode(), "byte-identical after restart");
         }
         let _ = fs::remove_dir_all(&dir);
+    }
 
-        // Roll size 4: ceil(chunks / 4) files.
+    /// The roll rule: roll size 4 gives ceil(chunks / 4) files, and
+    /// replay from those files alone is byte-identical to what was written.
+    #[test]
+    fn log_rolls_and_replays_identically_from_its_files() {
+        let dir = tmp_dir("roll");
+        let chunks = tiny_campaign(2);
+        assert!(
+            chunks.len() > 8,
+            "need several files, got {} chunks",
+            chunks.len()
+        );
         let log = write_log(&dir, 4, &chunks);
         assert_eq!(log.files_created as usize, chunks.len().div_ceil(4));
+        assert_eq!(log.frames_appended as usize, chunks.len());
         let replay = spool_load(&dir).expect("replay");
         assert_eq!(replay.files, chunks.len().div_ceil(4));
+        assert_eq!(replay.rejected, 0);
         assert_eq!(keys(&replay.chunks), keys(&chunks));
+        for (a, b) in replay.chunks.iter().zip(&chunks) {
+            assert_eq!(a.encode(), b.encode(), "byte-identical replay");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }
