@@ -19,7 +19,7 @@ use crate::session::{send_request, NetOutcome, PageWorld};
 use crate::types::{AdSize, Cpm};
 use crate::wrapper::PartnerRef;
 use hb_http::{Endpoint, HStr, Json, Request, Response, ServerReply, Url};
-use hb_simnet::{Dist, Rng, Scheduler, SimDuration};
+use hb_simnet::{Dist, Rng, Scheduler, SimDuration, SimTime};
 
 /// One tier of the waterfall chain.
 #[derive(Clone, Debug)]
@@ -90,24 +90,18 @@ pub fn waterfall_endpoint(
 
 /// Begin the waterfall flow for the current site.
 pub fn start_waterfall(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
-    let site = w
-        .flow
-        .site
-        .as_ref()
-        .expect("waterfall started without a site")
-        .clone();
+    let site = w.flow.site_handle();
     w.flow.truth.facet = None;
     w.flow.truth.slots_auctioned = site.ad_units.len();
     let start = s.now();
     w.flow.truth.first_bid_request_at = Some(start);
-    try_tier(w, s, 0);
+    try_tier(w, s, start, 0);
 }
 
 /// Attempt tier `idx`; on passback move to the next tier; when exhausted,
-/// fall back to house ads.
-fn try_tier(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize) {
-    let site = w.flow.site.as_ref().unwrap().clone();
-    let start = w.flow.truth.first_bid_request_at.unwrap();
+/// fall back to house ads. `start` is the chain's first request time.
+fn try_tier(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, start: SimTime, idx: usize) {
+    let site = w.flow.site_handle();
     if idx >= site.waterfall_tiers.len() {
         // Chain exhausted: fallback/house ad, no further network cost.
         let now = s.now();
@@ -116,7 +110,7 @@ fn try_tier(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize) {
         finish_waterfall(w, s, FillChannel::Fallback, Cpm(0.05));
         return;
     }
-    send_tier_request(w, s, idx, 0);
+    send_tier_request(w, s, start, idx, 0);
 }
 
 /// Send the tier's RTB call (attempt 0 or the one `rt=1`-marked retry).
@@ -129,8 +123,14 @@ fn try_tier(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize) {
 ///
 /// Waterfall traffic must never carry `hb_*` keys (the detector asserts
 /// it), so the retry marker is the DSP-style `rt` parameter.
-fn send_tier_request(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize, attempt: u8) {
-    let site = w.flow.site.as_ref().unwrap().clone();
+fn send_tier_request(
+    w: &mut PageWorld,
+    s: &mut Scheduler<PageWorld>,
+    start: SimTime,
+    idx: usize,
+    attempt: u8,
+) {
+    let site = w.flow.site_handle();
     let tier = site.waterfall_tiers[idx].clone();
     let edge = rtb_edge_host(&tier.partner.host);
     let q = w.scratch.take_params();
@@ -160,7 +160,6 @@ fn send_tier_request(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize
         match filled_price {
             Some(price) => {
                 let now = s.now();
-                let start = w.flow.truth.first_bid_request_at.unwrap();
                 w.flow.truth.waterfall_latency = Some(now.saturating_since(start));
                 w.flow.truth.waterfall_fill_tier = Some(idx);
                 // DSP-specific win notification (no hb_* keys).
@@ -178,7 +177,7 @@ fn send_tier_request(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize
                 send_request(w, s, req, |_, _, _| {});
                 finish_waterfall(w, s, FillChannel::HeaderBid, price);
             }
-            None => try_tier(w, s, idx + 1),
+            None => try_tier(w, s, start, idx + 1),
         }
     });
     if let Some(deadline) = site.robustness.tier_deadline {
@@ -194,12 +193,12 @@ fn send_tier_request(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize
                         return; // the late answer landed during backoff
                     }
                     w.flow.truth.retries += 1;
-                    send_tier_request(w, s, idx, 1);
+                    send_tier_request(w, s, start, idx, 1);
                 });
             } else {
                 // Retry spent (or disabled): the tier is dead — advance.
                 w.flow.truth.timed_out_partners += 1;
-                try_tier(w, s, idx + 1);
+                try_tier(w, s, start, idx + 1);
             }
         });
     }
@@ -214,7 +213,7 @@ fn finish_waterfall(
     // Record a synthetic winner per slot for revenue accounting. Waterfall
     // fills are recorded as DirectOrder/Fallback-style winners without
     // bidder attribution (the client cannot see who won inside the network).
-    let site = w.flow.site.as_ref().unwrap().clone();
+    let site = w.flow.site_handle();
     let now = s.now();
     for unit in site.ad_units.iter() {
         w.flow.truth.winners.push(WinnerPayload {

@@ -271,8 +271,10 @@ pub struct FlowState {
 
 impl FlowState {
     /// Shared handle to the site runtime (two atomic ops, not a deep
-    /// clone of ad units / partner refs / waterfall tiers).
-    fn site_handle(&self) -> Arc<SiteRuntime> {
+    /// clone of ad units / partner refs / waterfall tiers). Every flow
+    /// step runs inside a visit that `begin_visit` started, and that sets
+    /// `site` before scheduling the first step, so the `expect` holds.
+    pub(crate) fn site_handle(&self) -> Arc<SiteRuntime> {
         self.site.clone().expect("flow started without a site")
     }
 

@@ -12,13 +12,15 @@
 //! Exit codes: 0 on success, 1 when the dataset cannot be written, 2 on a
 //! malformed command line.
 
-use hb_bench::{stderr_progress, Scale};
 use hb_crawler::{run_campaign_streamed, CampaignConfig, DatasetWriter};
-use hb_distd::cli::{flag_parse, flag_value, EXIT_USAGE};
+use hb_distd::cli::{flag_parse, flag_value, Scale, EXIT_USAGE};
 use hb_ecosystem::SiteFactory;
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage: crawl [tiny|test|medium|paper] [--out DIR] [--shards N]";
+
+/// Visits between two progress lines on stderr.
+const PROGRESS_EVERY: usize = 5_000;
 
 fn die(msg: String) -> ! {
     eprintln!("crawl: {msg}");
@@ -53,8 +55,9 @@ fn main() {
                 }
             }
             word => {
-                scale =
-                    Scale::parse(word).unwrap_or_else(|| die(format!("unknown argument {word:?}")));
+                scale = word
+                    .parse()
+                    .unwrap_or_else(|_| die(format!("unknown argument {word:?}")));
             }
         }
     }
@@ -65,15 +68,17 @@ fn main() {
     let factory = SiteFactory::new(scale.config());
     let cfg = CampaignConfig {
         shards,
-        progress_every: 5_000,
-        progress: Some(stderr_progress()),
         ..CampaignConfig::default()
     };
     let started = std::time::Instant::now();
     let mut visits = 0usize;
     let mut written = Ok(());
     run_campaign_streamed(&factory, &cfg, &mut |chunk| {
+        let before = visits;
         visits += chunk.len();
+        if visits / PROGRESS_EVERY > before / PROGRESS_EVERY {
+            eprintln!("  day {}: crawled {visits} visits", chunk.day);
+        }
         if written.is_ok() {
             written = writer.write_chunk(&chunk);
         }

@@ -11,10 +11,10 @@
 //! Exit codes: 0 on success, 1 when a CSV cannot be written, 2 on a
 //! malformed command line.
 
-use hb_analysis::{history_reports, indexed_reports};
-use hb_bench::{index_at, Scale};
-use hb_crawler::{adoption_study, overlap_study};
-use hb_distd::cli::{flag_value, EXIT_USAGE};
+use hb_analysis::{history_reports, index_campaign, indexed_reports};
+use hb_crawler::{adoption_study, overlap_study, CampaignConfig};
+use hb_distd::cli::{flag_value, Scale, EXIT_USAGE};
+use hb_ecosystem::SiteFactory;
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage: figures [tiny|test|medium|paper] [--csv DIR]";
@@ -44,8 +44,9 @@ fn main() {
                 );
             }
             word => {
-                scale =
-                    Scale::parse(word).unwrap_or_else(|| die(format!("unknown argument {word:?}")));
+                scale = word
+                    .parse()
+                    .unwrap_or_else(|_| die(format!("unknown argument {word:?}")));
             }
         }
     }
@@ -59,7 +60,10 @@ fn main() {
 
     eprintln!("[2/3] generating ecosystem and running campaign at {scale:?} scale…");
     let started = std::time::Instant::now();
-    let ix = index_at(scale, true);
+    let ix = index_campaign(
+        &SiteFactory::new(scale.config()),
+        &CampaignConfig::default(),
+    );
     eprintln!(
         "      campaign done: {} HB visits in {:.1?}",
         ix.n_hb_visits(),

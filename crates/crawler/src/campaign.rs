@@ -27,6 +27,14 @@
 //! dataset CSV writer fold them one at a time, so no row dataset is ever
 //! resident.
 //!
+//! Every batch runs the same way at any worker count: the workers hand
+//! sealed chunks to the calling thread through one blocking, bounded
+//! hand-off (a `Mutex` and a `Condvar`; at most `2 × workers` chunks
+//! wait), and the caller's sink runs there, in `seq` order. A panic in a
+//! worker or in the sink aborts the batch and reaches the caller; it
+//! never hangs the campaign. The library prints nothing: a caller that
+//! wants progress counts the chunks its sink receives.
+//!
 //! Determinism: every `(site, day)` visit derives its own RNG stream from
 //! the master seed and block boundaries are a pure function of the plan.
 //! Because shard slices are contiguous, `(day, shard, seq, rank)` order
@@ -35,32 +43,14 @@
 //! `shards` setting.
 
 use crate::chunk::VisitChunk;
-use crate::ring::SlotRing;
+use crate::handoff::Handoff;
 use crate::session::{crawl_site_into, SessionConfig, VisitScratch};
 use hb_core::{Interner, VisitColumns};
 use hb_ecosystem::SiteFactory;
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A progress observation delivered to [`CampaignConfig::progress`].
-#[derive(Clone, Copy, Debug)]
-pub struct CampaignProgress {
-    /// Shard reporting progress.
-    pub shard: u32,
-    /// Day of the batch being crawled (0 = adoption sweep).
-    pub day: u32,
-    /// Visits finished in the current batch.
-    pub done: usize,
-    /// Total visits in the current batch.
-    pub total: usize,
-}
-
-/// Progress callback: called from crawl worker threads, so it must be
-/// `Send + Sync`. Library users decide what to do with it — nothing is
-/// ever printed by the library itself.
-pub type ProgressFn = Box<dyn Fn(CampaignProgress) + Send + Sync>;
-
 /// Campaign tuning.
+#[derive(Debug)]
 pub struct CampaignConfig {
     /// Worker threads per shard batch (0 = available parallelism).
     pub parallelism: usize,
@@ -70,11 +60,6 @@ pub struct CampaignConfig {
     pub shards: u32,
     /// Visits per sealed chunk (block size of the worker scheduler).
     pub chunk_visits: usize,
-    /// Progress callback interval in visits; 0 disables progress entirely.
-    pub progress_every: usize,
-    /// Progress callback (replaces the stderr printing of earlier
-    /// versions; `None` = silent).
-    pub progress: Option<ProgressFn>,
 }
 
 impl Default for CampaignConfig {
@@ -84,22 +69,7 @@ impl Default for CampaignConfig {
             session: SessionConfig::default(),
             shards: 1,
             chunk_visits: 256,
-            progress_every: 0,
-            progress: None,
         }
-    }
-}
-
-impl fmt::Debug for CampaignConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CampaignConfig")
-            .field("parallelism", &self.parallelism)
-            .field("session", &self.session)
-            .field("shards", &self.shards)
-            .field("chunk_visits", &self.chunk_visits)
-            .field("progress_every", &self.progress_every)
-            .field("progress", &self.progress.as_ref().map(|_| "<callback>"))
-            .finish()
     }
 }
 
@@ -275,8 +245,8 @@ impl CampaignPlan {
 /// holding a `(day, shard, seq)` lease produces byte-identical chunks: a
 /// block-local interner, direct-to-column visits via [`crawl_site_into`],
 /// ground truth flattened in place. `on_visit` fires after every finished
-/// visit with the count of visits completed in this block (progress
-/// callbacks, lease heartbeats).
+/// visit with the count of visits completed in this block (lease
+/// heartbeats, per-visit timing).
 #[allow(clippy::too_many_arguments)] // mirrors crawl_site_into's shape
 pub fn crawl_block_into(
     factory: &SiteFactory,
@@ -375,7 +345,8 @@ fn worker_count(cfg: &CampaignConfig) -> usize {
 /// crawled in rank order into its own columnar chunk with a block-local
 /// interner, so no symbol state is shared between threads. Ground truth
 /// is flattened to [`TruthRecord`](crate::TruthRecord)s as visits finish —
-/// the heavyweight simulation state never outlives the visit.
+/// the heavyweight simulation state never outlives the visit. Sealed
+/// chunks reach `sink` on the calling thread through a [`Handoff`].
 fn run_batch(
     factory: &SiteFactory,
     batch: &PlanBatch,
@@ -383,74 +354,14 @@ fn run_batch(
     sink: &mut dyn FnMut(VisitChunk),
 ) {
     let n_blocks = batch.n_blocks();
-    if n_blocks == 0 {
-        return;
-    }
+    let producers = worker_count(cfg).min(n_blocks);
     let (day, shard) = (batch.day, batch.shard);
-    let workers = worker_count(cfg);
-    let total = batch.ranks.len();
-    let done = AtomicUsize::new(0);
-
-    // One worker's block body: crawl block `b` into a sealed chunk via
-    // the shared lease-block iteration.
-    let crawl_block = |b: usize, scratch: &mut VisitScratch, net: &hb_adtech::Net| {
-        crawl_block_into(
-            factory,
-            batch.block(b),
-            day,
-            shard,
-            b as u32,
-            &cfg.session,
-            scratch,
-            net,
-            &mut |_| {
-                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if cfg.progress_every > 0 && n % cfg.progress_every == 0 {
-                    if let Some(cb) = &cfg.progress {
-                        cb(CampaignProgress {
-                            shard,
-                            day,
-                            done: n,
-                            total,
-                        });
-                    }
-                }
-            },
-        )
-    };
-
-    if workers.min(n_blocks) == 1 {
-        // Single-worker batch (one core, or one block): run inline on the
-        // calling thread. No scope, no spawn, no channel hand-off — on a
-        // single-core box the cross-thread chunk relay alone costs more
-        // than a sealed chunk is worth. Blocks run in `seq` order by
-        // construction, so the sink sees the identical chunk stream.
-        let net = factory.net_for_day(day);
-        let mut scratch = VisitScratch::new(factory.partner_list());
-        for b in 0..n_blocks {
-            sink(crawl_block(b, &mut scratch, &net));
-        }
-        return;
-    }
-
-    // Multi-worker batch: chunks hand off through a bounded slot ring —
-    // block `b` travels through slot `b % capacity`, so the consumer
-    // drains in `seq` order with no reorder window, nothing allocates per
-    // hand-off, and at most `capacity` sealed chunks are ever in flight
-    // (the mpsc relay was unbounded and allocated a node per chunk).
-    let producers = workers.min(n_blocks);
-    let ring: SlotRing<VisitChunk> = SlotRing::new(producers * 2, producers);
+    let handoff = Handoff::new(producers);
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        let next = &next;
-        let ring = &ring;
-        let crawl_block = &crawl_block;
         for _ in 0..producers {
-            scope.spawn(move || {
-                // Mark this producer finished on any exit — and abort the
-                // batch on panic — so neither the consumer nor a sibling
-                // blocked on ring capacity ever waits on a dead worker.
-                let _guard = ring.producer_guard();
+            scope.spawn(|| {
+                let _producer = handoff.producer();
                 let net = factory.net_for_day(day);
                 // Per-worker scratch: pooled simulation, browser, detector
                 // buffers and message pools live for the whole batch, not
@@ -461,22 +372,29 @@ fn run_batch(
                     if b >= n_blocks {
                         break;
                     }
-                    if !ring.publish(b, crawl_block(b, &mut scratch, &net)) {
-                        break; // batch aborted
+                    let chunk = crawl_block_into(
+                        factory,
+                        batch.block(b),
+                        day,
+                        shard,
+                        b as u32,
+                        &cfg.session,
+                        &mut scratch,
+                        &net,
+                        &mut |_| {},
+                    );
+                    if !handoff.publish(b, chunk) {
+                        break; // the batch aborted
                     }
                 }
             });
         }
-        // The guard aborts the batch when the consumer stops for any
-        // reason (sink panic included), releasing producers blocked on
-        // ring capacity; after a fully drained batch it is a no-op.
-        let _consumer = ring.consumer_guard();
-        for b in 0..n_blocks {
-            match ring.consume(b) {
+        let _consumer = handoff.consumer();
+        for _ in 0..n_blocks {
+            match handoff.consume() {
                 Some(chunk) => sink(chunk),
-                // The batch aborted (a producer died before publishing
-                // `b`); stop consuming — the scope join below propagates
-                // its panic.
+                // A producer died before publishing this block; the scope
+                // join propagates its panic.
                 None => break,
             }
         }
@@ -517,7 +435,6 @@ mod tests {
     use crate::dataset::DatasetWriter;
     use hb_ecosystem::{EcosystemConfig, SiteFactory};
     use std::collections::BTreeSet;
-    use std::sync::Arc;
 
     fn campaign(eco: &SiteFactory, cfg: &CampaignConfig) -> Vec<VisitChunk> {
         let mut chunks = Vec::new();
@@ -672,70 +589,37 @@ mod tests {
     }
 
     #[test]
-    fn progress_callback_fires_off_stderr() {
-        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h = hits.clone();
-        let cfg = CampaignConfig {
-            progress_every: 10,
-            progress: Some(Box::new(move |p: CampaignProgress| {
-                assert!(p.done <= p.total);
-                h.fetch_add(1, Ordering::Relaxed);
-            })),
-            ..CampaignConfig::default()
-        };
-        run_campaign_streamed(&eco, &cfg, &mut |_| {});
-        assert!(hits.load(Ordering::Relaxed) > 0, "callback never fired");
-    }
-
-    #[test]
-    fn panicking_progress_callback_aborts_not_hangs() {
-        // A ProgressFn that panics does so on a crawl worker thread while
-        // the batch's slot ring is live. The producer guard must abort the
-        // batch (releasing the consumer and any sibling blocked on ring
-        // capacity) and the panic must surface to the campaign caller —
-        // the failure mode this pins down is a silently hung campaign.
+    fn panicking_sink_surfaces_and_never_hangs() {
+        // A sink that panics does so on the calling thread while the
+        // batch's workers are live. The consumer guard must abort the
+        // batch, releasing workers blocked on the hand-off bound, and the
+        // panic must reach the campaign caller: the failure mode this pins
+        // down is a silently hung campaign.
         use std::sync::mpsc;
         use std::time::Duration;
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
-            let cfg = CampaignConfig {
-                parallelism: 4,
-                chunk_visits: 8, // many blocks so producers race ahead
-                progress_every: 1,
-                progress: Some(Box::new(|_| panic!("observer dies"))),
-                ..CampaignConfig::default()
-            };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_campaign_streamed(&eco, &cfg, &mut |_| {})
-            }));
-            let _ = tx.send(result.is_err());
-        });
-        let panicked = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("campaign hung on a panicking ProgressFn");
-        assert!(panicked, "the ProgressFn panic must surface to the caller");
-    }
-
-    #[test]
-    fn panicking_progress_callback_single_worker_surfaces() {
-        // The single-worker batch path runs inline with no ring; the panic
-        // must still propagate (and not poison later campaigns).
-        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
-        let cfg = CampaignConfig {
-            parallelism: 1,
-            progress_every: 1,
-            progress: Some(Box::new(|_| panic!("observer dies"))),
-            ..CampaignConfig::default()
-        };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_campaign_streamed(&eco, &cfg, &mut |_| {})
-        }));
-        assert!(result.is_err());
-        // The ecosystem is untouched by the failed campaign: a clean run
-        // afterwards still works.
-        assert!(!campaign(&eco, &CampaignConfig::default()).is_empty());
+        for parallelism in [1, 4] {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
+                let cfg = CampaignConfig {
+                    parallelism,
+                    chunk_visits: 8, // many blocks so workers race ahead
+                    ..CampaignConfig::default()
+                };
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_campaign_streamed(&eco, &cfg, &mut |_| panic!("sink dies"))
+                }));
+                // The factory is untouched by the failed campaign: a clean
+                // run afterwards still works.
+                let clean = !campaign(&eco, &CampaignConfig::default()).is_empty();
+                let _ = tx.send((result.is_err(), clean));
+            });
+            let (panicked, clean) = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("campaign hung on a panicking sink at {parallelism}"));
+            assert!(panicked, "the sink panic must surface at {parallelism}");
+            assert!(clean, "a later campaign must still run at {parallelism}");
+        }
     }
 
     #[test]

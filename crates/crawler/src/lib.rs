@@ -19,16 +19,16 @@
 pub mod campaign;
 pub mod chunk;
 pub mod dataset;
+mod handoff;
 pub mod session;
 pub mod wayback_crawl;
 
 pub use campaign::{
     crawl_block_into, crawl_block_until, run_campaign_streamed, CampaignConfig, CampaignPlan,
-    CampaignProgress, PlanBlock, ProgressFn,
+    PlanBlock,
 };
 pub use chunk::VisitChunk;
 pub use dataset::{DatasetWriter, TruthRecord};
-pub mod ring;
 
 pub use session::{crawl_site_into, SessionConfig, VisitOutcome, VisitScratch};
 pub use wayback_crawl::{adoption_study, overlap_study, AdoptionPoint, OverlapPoint};

@@ -16,14 +16,14 @@
 //! ```
 
 use hb_analysis::{indexed_reports, DatasetIndexBuilder};
-use hb_distd::cli::{flag_parse, flag_value, EXIT_USAGE};
+use hb_distd::cli::{flag_parse, flag_value, Scale, EXIT_USAGE};
 use hb_distd::{CoordConfig, Coordinator};
-use hb_ecosystem::EcosystemConfig;
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
 
-const USAGE: &str = "usage: distd-coord [--listen ADDR] [--scale tiny|test|paper] [--seed N] \
+const USAGE: &str =
+    "usage: distd-coord [--listen ADDR] [--scale tiny|test|medium|paper] [--seed N] \
 [--shards N] [--chunk-visits N] [--lease-timeout-ms N] [--lease-blocks N] \
 [--reorder-window N] [--spool DIR] [--compact-every N] [--out DIR]
   --compact-every N  roll the spool log every N chunks (0: one file per run)";
@@ -34,18 +34,9 @@ fn die(msg: String) -> ! {
     std::process::exit(EXIT_USAGE);
 }
 
-fn scale_config(scale: &str) -> EcosystemConfig {
-    match scale {
-        "tiny" => EcosystemConfig::tiny_scale(),
-        "test" => EcosystemConfig::test_scale(),
-        "paper" => EcosystemConfig::paper_scale(),
-        other => die(format!("--scale: expected tiny|test|paper, got {other:?}")),
-    }
-}
-
 fn main() {
     let mut listen = "127.0.0.1:0".to_string();
-    let mut scale = "tiny".to_string();
+    let mut scale = Scale::Tiny;
     let mut seed: Option<u64> = None;
     let mut shards: u32 = 1;
     let mut chunk_visits: usize = 64;
@@ -61,7 +52,7 @@ fn main() {
         let flag = arg.as_str();
         let r = match flag {
             "--listen" => flag_value(&mut args, flag).map(|v| listen = v),
-            "--scale" => flag_value(&mut args, flag).map(|v| scale = v),
+            "--scale" => flag_parse(&mut args, flag).map(|v| scale = v),
             "--seed" => flag_parse(&mut args, flag).map(|v| seed = Some(v)),
             "--shards" => flag_parse(&mut args, flag).map(|v| shards = v),
             "--chunk-visits" => flag_parse(&mut args, flag).map(|v| chunk_visits = v),
@@ -80,7 +71,7 @@ fn main() {
         }
     }
 
-    let mut eco = scale_config(&scale);
+    let mut eco = scale.config();
     if let Some(s) = seed {
         eco = eco.with_seed(s);
     }

@@ -11,12 +11,12 @@
 //!     --chunk-visits 64 --heartbeat-ms 500 --visit-delay-us 2000
 //! ```
 
-use hb_distd::cli::{flag_parse, flag_value, EXIT_USAGE};
+use hb_distd::cli::{flag_parse, flag_value, Scale, EXIT_USAGE};
 use hb_distd::{run_worker, DistdError, WorkerConfig};
-use hb_ecosystem::EcosystemConfig;
 use std::time::Duration;
 
-const USAGE: &str = "usage: distd-worker --connect ADDR [--scale tiny|test|paper] [--seed N] \
+const USAGE: &str =
+    "usage: distd-worker --connect ADDR [--scale tiny|test|medium|paper] [--seed N] \
 [--shards N] [--chunk-visits N] [--heartbeat-ms N] [--visit-delay-us N] \
 [--io-timeout-ms N] [--hb-deadline-ms N] [--connect-attempts N] \
 [--backoff-ms N] [--reconnect-budget-ms N] [--instance N]";
@@ -27,18 +27,9 @@ fn die(msg: String) -> ! {
     std::process::exit(EXIT_USAGE);
 }
 
-fn scale_config(scale: &str) -> EcosystemConfig {
-    match scale {
-        "tiny" => EcosystemConfig::tiny_scale(),
-        "test" => EcosystemConfig::test_scale(),
-        "paper" => EcosystemConfig::paper_scale(),
-        other => die(format!("--scale: expected tiny|test|paper, got {other:?}")),
-    }
-}
-
 fn main() {
     let mut connect: Option<String> = None;
-    let mut scale = "tiny".to_string();
+    let mut scale = Scale::Tiny;
     let mut seed: Option<u64> = None;
     let mut shards: u32 = 1;
     let mut chunk_visits: usize = 64;
@@ -56,7 +47,7 @@ fn main() {
         let flag = arg.as_str();
         let r = match flag {
             "--connect" => flag_value(&mut args, flag).map(|v| connect = Some(v)),
-            "--scale" => flag_value(&mut args, flag).map(|v| scale = v),
+            "--scale" => flag_parse(&mut args, flag).map(|v| scale = v),
             "--seed" => flag_parse(&mut args, flag).map(|v| seed = Some(v)),
             "--shards" => flag_parse(&mut args, flag).map(|v| shards = v),
             "--chunk-visits" => flag_parse(&mut args, flag).map(|v| chunk_visits = v),
@@ -89,7 +80,7 @@ fn main() {
         die("missing required --connect ADDR".to_string())
     };
 
-    let mut eco = scale_config(&scale);
+    let mut eco = scale.config();
     if let Some(s) = seed {
         eco = eco.with_seed(s);
     }

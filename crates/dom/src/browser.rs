@@ -1,5 +1,5 @@
-//! The browser: glue object owning the page, DOM event bus, webRequest bus,
-//! JS thread and cookie jar.
+//! The browser: glue object owning the page, DOM event bus, webRequest bus
+//! and JS thread.
 //!
 //! The browser is *passive* with respect to the simulation driver: the
 //! orchestration layer (hb-adtech) owns request dispatch and scheduling,
@@ -12,7 +12,7 @@ use crate::event::EventBus;
 use crate::event_loop::JsThread;
 use crate::page::Page;
 use crate::webrequest::WebRequestBus;
-use hb_http::{CookieJar, Request, RequestId, Url};
+use hb_http::{Request, RequestId, Url};
 use hb_simnet::SimTime;
 
 /// A simulated browser instance (one per page visit — the crawler uses a
@@ -26,8 +26,6 @@ pub struct Browser {
     pub webrequest: WebRequestBus,
     /// The single JS execution thread.
     pub js: JsThread,
-    /// Session cookies (empty in clean-slate crawling).
-    pub cookies: CookieJar,
     next_request_id: u64,
 }
 
@@ -39,7 +37,6 @@ impl Browser {
             events: EventBus::new(),
             webrequest: WebRequestBus::new(),
             js: JsThread::new(),
-            cookies: CookieJar::new(),
             next_request_id: 1,
         }
     }
@@ -52,7 +49,6 @@ impl Browser {
     pub fn reset_for_visit(&mut self, url: Url, now: SimTime) {
         self.page = Page::navigate(url, now);
         self.js = JsThread::new();
-        self.cookies = CookieJar::new();
         self.next_request_id = 1;
     }
 
@@ -147,11 +143,5 @@ mod tests {
         b.events.tap(move |e| s2.borrow_mut().push(e.name.to_string()));
         b.fire_event(SimTime::from_millis(2), "auctionInit", &Json::Null);
         assert_eq!(&*seen.borrow(), &["auctionInit".to_string()]);
-    }
-
-    #[test]
-    fn clean_slate_cookies() {
-        let b = browser();
-        assert!(b.cookies.is_empty(), "crawler sessions start stateless");
     }
 }

@@ -6,7 +6,6 @@
 //!   and percent-encoding (the detector's parameter-extraction surface);
 //! * [`Json`] — a minimal, auditable JSON value type for bid payloads;
 //! * [`Request`] / [`Response`] — webRequest-level message types;
-//! * [`CookieJar`] — clean-slate session state;
 //! * [`Endpoint`] / [`Router`] — the simulated server side of the web.
 //!
 //! Everything is implemented in-repo (no external parsers) so the
@@ -15,7 +14,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cookies;
 pub mod endpoint;
 pub mod json;
 pub mod message;
@@ -27,7 +25,6 @@ pub mod url;
 // so every historical `hb_http::hstr::`/`hb_http::HStr` path still works.
 pub use hb_simnet::hstr;
 
-pub use cookies::{Cookie, CookieJar};
 pub use endpoint::{Endpoint, Router, ServerReply};
 pub use hb_simnet::HStr;
 pub use json::{Json, JsonError, JsonObj, JsonScratch};

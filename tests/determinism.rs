@@ -66,20 +66,28 @@ fn figure_outputs_identical_across_parallelism() {
 #[test]
 fn memo_clear_mid_campaign_does_not_change_figures() {
     // The shared derivation memo is pure in (seed, rank): evicting it —
-    // here, aggressively clearing it from the progress callback while 4
+    // here, clearing it from the sink after every 16-visit chunk while 4
     // workers crawl — costs re-derivations but can never change what a
     // visit observes. Every rendered figure must stay byte-identical to
     // the undisturbed campaign's.
     let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
-    let baseline = render(&eco, &CampaignConfig::default());
-    let gen = eco.gen().clone();
-    let clearing = CampaignConfig {
+    let cfg = CampaignConfig {
         parallelism: 4,
-        progress_every: 50,
-        progress: Some(Box::new(move |_| gen.clear_memos())),
+        chunk_visits: 16,
         ..CampaignConfig::default()
     };
-    assert_eq!(baseline, render(&eco, &clearing));
+    let baseline = render(&eco, &cfg);
+    let config = eco.config();
+    let mut builder = DatasetIndexBuilder::new(config.n_sites, config.crawl_days);
+    run_campaign_streamed(&eco, &cfg, &mut |chunk| {
+        eco.clear_memos();
+        builder.push_chunk(&chunk);
+    });
+    let cleared: Vec<String> = indexed_reports(&builder.finish())
+        .into_iter()
+        .map(|r| r.render())
+        .collect();
+    assert_eq!(baseline, cleared);
 }
 
 #[test]
