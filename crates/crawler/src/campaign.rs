@@ -588,38 +588,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn panicking_sink_surfaces_and_never_hangs() {
-        // A sink that panics does so on the calling thread while the
-        // batch's workers are live. The consumer guard must abort the
-        // batch, releasing workers blocked on the hand-off bound, and the
-        // panic must reach the campaign caller: the failure mode this pins
-        // down is a silently hung campaign.
+    /// Runs a campaign whose progress callback (the chunk sink, which is
+    /// where `crawl` counts and reports visits) panics on its first chunk,
+    /// on a thread of its own with a time limit. The panic happens on the
+    /// calling thread while the batch's workers are live; the consumer
+    /// guard must abort the batch, releasing workers blocked on the
+    /// hand-off bound, and the panic must reach the campaign caller. The
+    /// failure mode this pins down is a silently hung campaign.
+    fn assert_panicking_progress_sink_surfaces(parallelism: usize) {
         use std::sync::mpsc;
         use std::time::Duration;
-        for parallelism in [1, 4] {
-            let (tx, rx) = mpsc::channel();
-            std::thread::spawn(move || {
-                let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
-                let cfg = CampaignConfig {
-                    parallelism,
-                    chunk_visits: 8, // many blocks so workers race ahead
-                    ..CampaignConfig::default()
-                };
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_campaign_streamed(&eco, &cfg, &mut |_| panic!("sink dies"))
-                }));
-                // The factory is untouched by the failed campaign: a clean
-                // run afterwards still works.
-                let clean = !campaign(&eco, &CampaignConfig::default()).is_empty();
-                let _ = tx.send((result.is_err(), clean));
-            });
-            let (panicked, clean) = rx
-                .recv_timeout(Duration::from_secs(60))
-                .unwrap_or_else(|_| panic!("campaign hung on a panicking sink at {parallelism}"));
-            assert!(panicked, "the sink panic must surface at {parallelism}");
-            assert!(clean, "a later campaign must still run at {parallelism}");
-        }
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
+            let cfg = CampaignConfig {
+                parallelism,
+                chunk_visits: 8, // many blocks so workers race ahead
+                ..CampaignConfig::default()
+            };
+            let mut visits = 0usize;
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_campaign_streamed(&eco, &cfg, &mut |chunk| {
+                    visits += chunk.visits.len();
+                    panic!("progress observer dies after {visits} visits")
+                })
+            }));
+            // The factory is untouched by the failed campaign: a clean
+            // run afterwards still works.
+            let clean = !campaign(&eco, &CampaignConfig::default()).is_empty();
+            let _ = tx.send((result.is_err(), clean));
+        });
+        let (panicked, clean) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("campaign hung on a panicking sink at {parallelism}"));
+        assert!(panicked, "the sink panic must surface at {parallelism}");
+        assert!(clean, "a later campaign must still run at {parallelism}");
+    }
+
+    #[test]
+    fn panicking_progress_callback_aborts_not_hangs() {
+        assert_panicking_progress_sink_surfaces(4);
+    }
+
+    #[test]
+    fn panicking_progress_callback_single_worker_surfaces() {
+        // One worker takes the same hand-off path as four.
+        assert_panicking_progress_sink_surfaces(1);
     }
 
     #[test]
