@@ -12,8 +12,8 @@ use crate::protocol::{self, params, FillChannel, WinnerPayload};
 use crate::rtb::first_price_winner;
 use crate::types::{AdSize, AdUnit, Cpm};
 use hb_http::{Endpoint, HStr, Request, Response, ServerReply};
-use hb_simnet::{Rng, SimDuration};
 use hb_simnet::FxHashMap;
+use hb_simnet::{Rng, SimDuration};
 use std::sync::Arc;
 
 /// A direct-order (sponsorship) line item.
@@ -76,7 +76,11 @@ impl AdServerAccount {
 /// A candidate in slot decisioning.
 #[derive(Clone, Debug)]
 enum Candidate {
-    Hb { bidder: HStr, ad_id: HStr, size: AdSize },
+    Hb {
+        bidder: HStr,
+        ad_id: HStr,
+        size: AdSize,
+    },
     Direct,
 }
 
@@ -143,7 +147,14 @@ pub fn decide_slot(
         }
     }
     match first_price_winner(&candidates) {
-        Some((Candidate::Hb { bidder, ad_id, size }, price)) => SlotDecision {
+        Some((
+            Candidate::Hb {
+                bidder,
+                ad_id,
+                size,
+            },
+            price,
+        )) => SlotDecision {
             slot: unit.code.clone(),
             channel: FillChannel::HeaderBid,
             bidder,
@@ -208,8 +219,7 @@ where
                 // Over-deadline: the mediator abandons the call at the
                 // deadline and retries once after the backoff. A second
                 // miss drops the partner from this auction entirely.
-                let retry_rtt =
-                    partner.s2s_latency.sample(rng) + partner.processing_time(n_units);
+                let retry_rtt = partner.s2s_latency.sample(rng) + partner.processing_time(n_units);
                 if retry_rtt > deadline {
                     slowest = slowest.max(deadline + account.s2s_retry_backoff + deadline);
                     continue;
@@ -303,10 +313,7 @@ impl AdServerEndpoint {
         let account = match self.account(account_id) {
             Some(a) => a,
             None => {
-                return ServerReply::instant(Response::error(
-                    req.id,
-                    hb_http::Status::NOT_FOUND,
-                ))
+                return ServerReply::instant(Response::error(req.id, hb_http::Status::NOT_FOUND))
             }
         };
         let auction_id = HStr::new(req.url.query.get(params::HB_AUCTION).unwrap_or(""));

@@ -6,9 +6,9 @@
 //! it offers, and the cost of its internal RTB auction per slot. The
 //! [`partner_endpoint`] function turns a profile into a simulated server.
 
+use crate::protocol::{self, params, BidPayload};
 use crate::rtb::InternalAuction;
 use crate::types::{AdSize, AdUnit, Cpm};
-use crate::protocol::{self, params, BidPayload};
 use hb_http::{Endpoint, HStr, Json, Request, Response, ServerReply};
 use hb_simnet::{Dist, LatencyModel, Rng, SimDuration};
 
@@ -105,12 +105,7 @@ impl PartnerProfile {
     /// Draw a bid decision for one slot. `source_factor` discounts
     /// server-side auctions (cookie-match loss depresses s2s CPMs, which is
     /// what makes Client-Side HB draw the highest prices in Figure 22).
-    pub fn draw_bid(
-        &self,
-        size: AdSize,
-        source_factor: f64,
-        rng: &mut Rng,
-    ) -> Option<Cpm> {
+    pub fn draw_bid(&self, size: AdSize, source_factor: f64, rng: &mut Rng) -> Option<Cpm> {
         if !rng.chance(self.bid_rate) {
             return None;
         }
@@ -156,9 +151,7 @@ pub fn partner_endpoint(profile: PartnerProfile) -> impl Endpoint {
 fn handle_bid(profile: &PartnerProfile, req: &Request, rng: &mut Rng) -> ServerReply {
     let body = match req.body.json() {
         Some(b) => b,
-        None => {
-            return ServerReply::instant(Response::error(req.id, hb_http::Status::BAD_REQUEST))
-        }
+        None => return ServerReply::instant(Response::error(req.id, hb_http::Status::BAD_REQUEST)),
     };
     let auction_id = HStr::new(req.url.query.get(params::HB_AUCTION).unwrap_or(""));
     let source_factor = match req.url.query.get(params::HB_SOURCE) {
@@ -166,10 +159,7 @@ fn handle_bid(profile: &PartnerProfile, req: &Request, rng: &mut Rng) -> ServerR
         _ => 1.0,
     };
     let empty = Vec::new();
-    let slots = body
-        .get("slots")
-        .and_then(|s| s.as_arr())
-        .unwrap_or(&empty);
+    let slots = body.get("slots").and_then(|s| s.as_arr()).unwrap_or(&empty);
     let mut bids = Vec::new();
     for slot in slots {
         let code = HStr::new(slot.get("code").and_then(|c| c.as_str()).unwrap_or(""));

@@ -257,7 +257,10 @@ impl WinnerPayload {
 pub fn ad_server_response_body(auction_id: &str, winners: &[WinnerPayload]) -> Json {
     Json::obj([
         (params::HB_AUCTION, Json::str(auction_id)),
-        ("winners", Json::arr(winners.iter().map(WinnerPayload::to_json))),
+        (
+            "winners",
+            Json::arr(winners.iter().map(WinnerPayload::to_json)),
+        ),
     ])
 }
 
@@ -336,7 +339,10 @@ mod tests {
         assert_eq!(w, back);
         // HB winners expose hb_* keys in the flattened response params.
         let flat = hb_http::Response::json(hb_http::RequestId(1), w.to_json());
-        assert_eq!(flat.visible_params().get(params::HB_BIDDER), Some("appnexus"));
+        assert_eq!(
+            flat.visible_params().get(params::HB_BIDDER),
+            Some("appnexus")
+        );
         assert_eq!(flat.visible_params().get(params::HB_PB), Some("0.50"));
     }
 

@@ -170,7 +170,10 @@ mod tests {
 
     #[test]
     fn second_price_never_exceeds_first() {
-        let d = Dist::LogNormal { mu: -1.5, sigma: 1.0 };
+        let d = Dist::LogNormal {
+            mu: -1.5,
+            sigma: 1.0,
+        };
         let a = InternalAuction {
             seats: 6,
             price: &d,

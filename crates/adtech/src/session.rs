@@ -105,7 +105,11 @@ pub struct Net {
 
 impl Net {
     /// Wire up a network.
-    pub fn new(router: Arc<Router>, latency: Arc<HostDirectory>, faults: Arc<FaultInjector>) -> Net {
+    pub fn new(
+        router: Arc<Router>,
+        latency: Arc<HostDirectory>,
+        faults: Arc<FaultInjector>,
+    ) -> Net {
         Net {
             router,
             latency,
@@ -254,12 +258,8 @@ pub type NetContinuation = Box<dyn FnOnce(&mut PageWorld, &mut Scheduler<PageWor
 ///    server processing (+ fault slowdown), observers see it at arrival
 ///    time, and the continuation runs once the single JS thread has a
 ///    free slot.
-pub fn send_request<F>(
-    w: &mut PageWorld,
-    s: &mut Scheduler<PageWorld>,
-    req: Request,
-    on_done: F,
-) where
+pub fn send_request<F>(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, req: Request, on_done: F)
+where
     F: FnOnce(&mut PageWorld, &mut Scheduler<PageWorld>, NetOutcome) + 'static,
 {
     w.in_flight += 1;
@@ -330,8 +330,8 @@ impl EventCounts {
 mod tests {
     use super::*;
     use hb_http::{RequestId, ServerReply, Status};
-    use std::rc::Rc as Rc2;
     use hb_simnet::Simulation;
+    use std::rc::Rc as Rc2;
 
     fn test_net(drop_all: bool) -> Net {
         let mut router = Router::new();
@@ -395,20 +395,13 @@ mod tests {
         };
         let failed = Rc2::new(std::cell::RefCell::new(false));
         let f2 = failed.clone();
-        sim.scheduler().after(SimDuration::ZERO, move |w: &mut PageWorld, s| {
-            send_request(
-                w,
-                s,
-                req,
-                move |_w, _s, out| {
-                    assert!(matches!(
-                        out,
-                        NetOutcome::Failed(FailureReason::NoSuchHost)
-                    ));
+        sim.scheduler()
+            .after(SimDuration::ZERO, move |w: &mut PageWorld, s| {
+                send_request(w, s, req, move |_w, _s, out| {
+                    assert!(matches!(out, NetOutcome::Failed(FailureReason::NoSuchHost)));
                     *f2.borrow_mut() = true;
-                },
-            );
-        });
+                });
+            });
         sim.run_to_idle(100);
         assert!(*failed.borrow());
         assert!(sim.now() < SimTime::from_millis(5));
@@ -424,22 +417,21 @@ mod tests {
         };
         let failed_at = Rc2::new(std::cell::RefCell::new(None));
         let f2 = failed_at.clone();
-        sim.scheduler().after(SimDuration::ZERO, move |w: &mut PageWorld, s| {
-            send_request(
-                w,
-                s,
-                req,
-                move |_w, s, out| {
+        sim.scheduler()
+            .after(SimDuration::ZERO, move |w: &mut PageWorld, s| {
+                send_request(w, s, req, move |_w, s, out| {
                     assert!(matches!(
                         out,
                         NetOutcome::Failed(FailureReason::NetworkDropped)
                     ));
                     *f2.borrow_mut() = Some(s.now());
-                },
-            );
-        });
+                });
+            });
         sim.run_to_idle(100);
-        assert_eq!(failed_at.borrow().unwrap(), SimTime::ZERO + BROWSER_NET_TIMEOUT);
+        assert_eq!(
+            failed_at.borrow().unwrap(),
+            SimTime::ZERO + BROWSER_NET_TIMEOUT
+        );
     }
 
     #[test]
@@ -462,20 +454,11 @@ mod tests {
         let order: Rc2<std::cell::RefCell<Vec<(u64, SimTime)>>> =
             Rc2::new(std::cell::RefCell::new(Vec::new()));
         let (o1, o2) = (order.clone(), order.clone());
-        sim.scheduler().after(SimDuration::ZERO, move |w: &mut PageWorld, s| {
-            send_request(
-                w,
-                s,
-                r1,
-                move |_w, s, _| o1.borrow_mut().push((1, s.now())),
-            );
-            send_request(
-                w,
-                s,
-                r2,
-                move |_w, s, _| o2.borrow_mut().push((2, s.now())),
-            );
-        });
+        sim.scheduler()
+            .after(SimDuration::ZERO, move |w: &mut PageWorld, s| {
+                send_request(w, s, r1, move |_w, s, _| o1.borrow_mut().push((1, s.now())));
+                send_request(w, s, r2, move |_w, s, _| o2.borrow_mut().push((2, s.now())));
+            });
         sim.run_to_idle(100);
         let got = order.borrow().clone();
         assert_eq!(got.len(), 2);
@@ -499,9 +482,10 @@ mod tests {
                 Url::parse("https://fast.example/y").unwrap(),
             )
         };
-        sim.scheduler().after(SimDuration::ZERO, move |w: &mut PageWorld, s| {
-            send_request(w, s, req, |_, _, _| {});
-        });
+        sim.scheduler()
+            .after(SimDuration::ZERO, move |w: &mut PageWorld, s| {
+                send_request(w, s, req, |_, _, _| {});
+            });
         sim.run_to_idle(100);
         assert_eq!(*seen.borrow(), 2, "Before + Completed");
     }

@@ -43,11 +43,7 @@ pub fn rtb_price_param(bidder_code: &str) -> &'static str {
 ///
 /// Runs the partner's internal auction; fills when the clearing price
 /// beats the `floor` query parameter, otherwise passes back with 204.
-pub fn waterfall_endpoint(
-    bid_rate: f64,
-    price: Dist,
-    processing_ms: f64,
-) -> impl Endpoint {
+pub fn waterfall_endpoint(bid_rate: f64, price: Dist, processing_ms: f64) -> impl Endpoint {
     move |req: &Request, rng: &mut Rng| -> ServerReply {
         match req.url.path.as_str() {
             p if p == protocol::paths::RTB_AD => {
@@ -237,7 +233,7 @@ mod tests {
     use crate::types::AdUnit;
     use crate::wrapper::{begin_visit, RobustnessPolicy, SiteRuntime, WrapperConfig};
     use hb_http::Router;
-    use hb_simnet::{FaultInjector, LatencyModel, Rng, Simulation, SimTime};
+    use hb_simnet::{FaultInjector, LatencyModel, Rng, SimTime, Simulation};
     use std::sync::Arc as Rc;
 
     fn tier(code: &str, host: &str, floor: f64) -> WaterfallTier {

@@ -307,8 +307,11 @@ pub fn begin_visit(
 ) {
     let site = site.into();
     w.scratch.begin_visit();
-    let auction_id =
-        HStr::from_display(format_args!("auc-{}-{}", site.rank, w.rng.below(1_000_000_000)));
+    let auction_id = HStr::from_display(format_args!(
+        "auc-{}-{}",
+        site.rank,
+        w.rng.below(1_000_000_000)
+    ));
     w.rtt_scale = site.net_quality;
     w.flow.site = Some(site.clone());
     w.flow.auction_id = auction_id;
@@ -406,7 +409,8 @@ fn start_client_auction(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
             (params::HB_BIDDER, Json::str(partner.code.clone())),
             (params::HB_AUCTION, Json::str(auction_id.clone())),
         ]);
-        w.browser.fire_event(s.now(), events::BID_REQUESTED, &payload);
+        w.browser
+            .fire_event(s.now(), events::BID_REQUESTED, &payload);
         w.scratch.recycle_json(payload);
         if w.flow.truth.first_bid_request_at.is_none() {
             w.flow.truth.first_bid_request_at = Some(s.now());
@@ -476,7 +480,8 @@ fn handle_bid_outcome(
                             (params::HB_SIZE, Json::str(bid.size.label())),
                             (params::HB_CURRENCY, Json::str(bid.currency.clone())),
                         ]);
-                        w.browser.fire_event(s.now(), events::BID_RESPONSE, &payload);
+                        w.browser
+                            .fire_event(s.now(), events::BID_RESPONSE, &payload);
                         w.scratch.recycle_json(payload);
                         if !arrived_late {
                             w.flow.bids.push(bid);
@@ -494,7 +499,12 @@ fn handle_bid_outcome(
     // resolved (late responses past a deadline, the straggling network
     // failure of an already-expired attempt) count bids/drops above but
     // must not decrement `partners_pending` again.
-    if w.flow.partner_resolved.get(partner_idx).copied().unwrap_or(true) {
+    if w.flow
+        .partner_resolved
+        .get(partner_idx)
+        .copied()
+        .unwrap_or(true)
+    {
         return;
     }
     if !succeeded {
@@ -527,7 +537,13 @@ fn partner_deadline_expired(
     partner_idx: usize,
     attempt: u8,
 ) {
-    if w.flow.done || w.flow.partner_resolved.get(partner_idx).copied().unwrap_or(true) {
+    if w.flow.done
+        || w.flow
+            .partner_resolved
+            .get(partner_idx)
+            .copied()
+            .unwrap_or(true)
+    {
         return;
     }
     if attempt == 0 && w.flow.partner_retried[partner_idx] {
@@ -557,7 +573,11 @@ fn launch_partner_retry(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, partner
     let deadline = site.robustness.partner_deadline;
     s.after(backoff, move |w: &mut PageWorld, s| {
         if w.flow.done
-            || w.flow.partner_resolved.get(partner_idx).copied().unwrap_or(true)
+            || w.flow
+                .partner_resolved
+                .get(partner_idx)
+                .copied()
+                .unwrap_or(true)
         {
             return;
         }
@@ -571,7 +591,8 @@ fn launch_partner_retry(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, partner
             (params::HB_BIDDER, Json::str(partner.code.clone())),
             (params::HB_AUCTION, Json::str(w.flow.auction_id.clone())),
         ]);
-        w.browser.fire_event(s.now(), events::BID_REQUESTED, &payload);
+        w.browser
+            .fire_event(s.now(), events::BID_REQUESTED, &payload);
         w.scratch.recycle_json(payload);
         send_request(w, s, req, move |w, s, out| {
             handle_bid_outcome(w, s, partner_idx, 1, out)
@@ -764,15 +785,14 @@ fn handle_adserver_response(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, out
     let n = winners.len();
     for (i, winner) in winners.into_iter().enumerate() {
         let delay = SimDuration::from_millis(20 + 15 * i as u64);
-        let fail = w.rng.chance(site.render_fail_rate)
-            && winner.channel != FillChannel::Unfilled;
+        let fail = w.rng.chance(site.render_fail_rate) && winner.channel != FillChannel::Unfilled;
         let last = i + 1 == n;
         s.after(delay, move |w: &mut PageWorld, s| {
             let now = s.now();
             if fail {
-                let payload =
-                    Json::obj([(params::HB_SLOT, Json::str(winner.slot.clone()))]);
-                w.browser.fire_event(now, events::AD_RENDER_FAILED, &payload);
+                let payload = Json::obj([(params::HB_SLOT, Json::str(winner.slot.clone()))]);
+                w.browser
+                    .fire_event(now, events::AD_RENDER_FAILED, &payload);
                 w.scratch.recycle_json(payload);
                 w.browser.page.mark_ad_failed();
             } else {
@@ -783,9 +803,13 @@ fn handle_adserver_response(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, out
                         "isEmpty",
                         Json::Bool(winner.channel == FillChannel::Unfilled),
                     ),
-                    ("channel", Json::str(HStr::from_static(winner.channel.label()))),
+                    (
+                        "channel",
+                        Json::str(HStr::from_static(winner.channel.label())),
+                    ),
                 ]);
-                w.browser.fire_event(now, events::SLOT_RENDER_ENDED, &payload);
+                w.browser
+                    .fire_event(now, events::SLOT_RENDER_ENDED, &payload);
                 w.scratch.recycle_json(payload);
                 w.browser.page.mark_ad_rendered(now);
             }
@@ -815,7 +839,12 @@ mod tests {
     /// Build a tiny world: one publisher page, a CDN, two partners, and an
     /// ad server with one account.
     fn page_sim(facet: Option<HbFacet>, wrapper: WrapperConfig) -> Simulation<PageWorld> {
-        page_sim_with(facet, wrapper, FaultInjector::none(), RobustnessPolicy::off())
+        page_sim_with(
+            facet,
+            wrapper,
+            FaultInjector::none(),
+            RobustnessPolicy::off(),
+        )
     }
 
     /// [`page_sim`] plus a fault injector and a robustness policy.
@@ -906,9 +935,10 @@ mod tests {
             robustness,
         };
         let mut sim = Simulation::new(world);
-        sim.scheduler().after(SimDuration::ZERO, move |w: &mut PageWorld, s| {
-            begin_visit(w, s, site);
-        });
+        sim.scheduler()
+            .after(SimDuration::ZERO, move |w: &mut PageWorld, s| {
+                begin_visit(w, s, site);
+            });
         sim
     }
 

@@ -28,11 +28,8 @@ pub fn f04_adoption(points: &[AdoptionPoint]) -> FigureReport {
         .filter(|p| p.year >= 2017)
         .map(|p| p.detected_rate)
         .collect();
-    let plateau_spread = post
-        .iter()
-        .cloned()
-        .fold(0.0f64, f64::max)
-        - post.iter().cloned().fold(1.0f64, f64::min);
+    let plateau_spread =
+        post.iter().cloned().fold(0.0f64, f64::max) - post.iter().cloned().fold(1.0f64, f64::min);
     FigureReport {
         id: "F4".into(),
         title: "HB adoption 2014-2019".into(),
@@ -58,7 +55,9 @@ pub fn f04b_overlaps(points: &[OverlapPoint]) -> FigureReport {
     for p in points {
         table.row(vec![p.label.clone(), fmt_pct(p.overlap)]);
     }
-    let decreasing = points.windows(2).all(|w| w[1].overlap <= w[0].overlap + 1e-9);
+    let decreasing = points
+        .windows(2)
+        .all(|w| w[1].overlap <= w[0].overlap + 1e-9);
     FigureReport {
         id: "F4b".into(),
         title: "Toplist overlap across years".into(),
@@ -74,7 +73,10 @@ pub fn f04b_overlaps(points: &[OverlapPoint]) -> FigureReport {
                 "overlap_last".into(),
                 points.last().map(|p| p.overlap).unwrap_or(0.0),
             ),
-            ("monotone_decreasing".into(), if decreasing { 1.0 } else { 0.0 }),
+            (
+                "monotone_decreasing".into(),
+                if decreasing { 1.0 } else { 0.0 },
+            ),
         ],
         notes: vec![],
     }

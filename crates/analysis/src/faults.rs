@@ -52,8 +52,11 @@ impl FaultSlice {
     }
 
     /// All slices, table order.
-    pub const ALL: [FaultSlice; 3] =
-        [FaultSlice::Clean, FaultSlice::Degraded, FaultSlice::OutageHit];
+    pub const ALL: [FaultSlice; 3] = [
+        FaultSlice::Clean,
+        FaultSlice::Degraded,
+        FaultSlice::OutageHit,
+    ];
 }
 
 /// Z1: per-slice auction health — visit share, p50/p95 HB latency,
@@ -65,7 +68,13 @@ pub fn z01_fault_slices(ix: &DatasetIndex) -> FigureReport {
     let mut table = Table::new(
         "Z1 — auction health by fault slice",
         &[
-            "slice", "visits", "share", "p50 lat", "p95 lat", "late rate", "mean CPM",
+            "slice",
+            "visits",
+            "share",
+            "p50 lat",
+            "p95 lat",
+            "late rate",
+            "mean CPM",
             "passback",
         ],
     )
@@ -136,9 +145,7 @@ pub fn z01_fault_slices(ix: &DatasetIndex) -> FigureReport {
                 .into(),
         table,
         metrics,
-        notes: vec![
-            "slices classify each HB visit by its ground-truth fault counters".into(),
-        ],
+        notes: vec!["slices classify each HB visit by its ground-truth fault counters".into()],
     }
 }
 

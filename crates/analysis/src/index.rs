@@ -269,9 +269,7 @@ impl IndexAccum {
             site.partners
                 .sort_unstable_by(|a, b| strings.resolve(*a).cmp(strings.resolve(*b)));
         }
-        sites.sort_unstable_by(|a, b| {
-            strings.resolve(a.domain).cmp(strings.resolve(b.domain))
-        });
+        sites.sort_unstable_by(|a, b| strings.resolve(a.domain).cmp(strings.resolve(b.domain)));
 
         // Partner popularity: distinct sites per partner, from the sorted
         // site table; ranked count desc, name asc.

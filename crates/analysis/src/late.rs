@@ -69,11 +69,7 @@ pub fn f18_late_by_partner(ix: &DatasetIndex) -> FigureReport {
         .filter(|(_, _, total)| *total >= min_obs)
         .map(|&(p, late, total)| (ix.str(p), late as f64 / total as f64, total))
         .collect();
-    rates.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap()
-            .then_with(|| a.0.cmp(b.0))
-    });
+    rates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(b.0)));
 
     let mut table = Table::new(
         "Fig. 18 — % of late bids per Demand Partner (top 25)",

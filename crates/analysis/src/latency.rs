@@ -19,7 +19,9 @@ pub fn f12_latency_ecdf(ix: &DatasetIndex) -> FigureReport {
         "Fig. 12 — total HB latency per website (ECDF)",
         &["latency", "P[X<=x]"],
     );
-    for ms in [100.0, 250.0, 400.0, 600.0, 1_000.0, 2_000.0, 3_000.0, 5_000.0, 10_000.0] {
+    for ms in [
+        100.0, 250.0, 400.0, 600.0, 1_000.0, 2_000.0, 3_000.0, 5_000.0, 10_000.0,
+    ] {
         table.row(vec![fmt_ms(ms), format!("{:.4}", s.frac_at_or_below(ms))]);
     }
     let median = s.median().unwrap_or(0.0);
@@ -56,7 +58,13 @@ pub fn f13_latency_vs_rank(ix: &DatasetIndex) -> FigureReport {
         "Fig. 13 — HB latency vs site rank",
         &["rank bin", "n", "p25", "median", "p75"],
     )
-    .with_aligns(&[Align::Left, Align::Right, Align::Right, Align::Right, Align::Right]);
+    .with_aligns(&[
+        Align::Left,
+        Align::Right,
+        Align::Right,
+        Align::Right,
+        Align::Right,
+    ]);
     for (bin, w) in binned.whiskers().iter().take(10) {
         table.row(vec![
             format!("{}-{}", bin * bin_width + 1, (bin + 1) * bin_width),
@@ -93,9 +101,7 @@ pub fn f14_partner_latency(ix: &DatasetIndex) -> FigureReport {
         .partner_latency
         .iter()
         .filter(|(_, v)| v.len() >= min_obs)
-        .filter_map(|(p, v)| {
-            Whisker::from_iter(v.iter().copied()).map(|w| (ix.str(*p), w))
-        })
+        .filter_map(|(p, v)| Whisker::from_iter(v.iter().copied()).map(|w| (ix.str(*p), w)))
         .collect();
     whiskers.sort_by(|a, b| a.1.p50.partial_cmp(&b.1.p50).unwrap());
 
@@ -133,12 +139,7 @@ pub fn f14_partner_latency(ix: &DatasetIndex) -> FigureReport {
     ];
     let top: Vec<(&str, Whisker)> = top_names
         .iter()
-        .filter_map(|n| {
-            whiskers
-                .iter()
-                .find(|(p, _)| p == n)
-                .cloned()
-        })
+        .filter_map(|n| whiskers.iter().find(|(p, _)| p == n).cloned())
         .collect();
     push_rows(&mut table, "fastest", &fastest);
     push_rows(&mut table, "top-market", &top);
@@ -210,7 +211,10 @@ pub fn f15_latency_vs_partners(ix: &DatasetIndex) -> FigureReport {
             ("median_2_partners_ms".into(), med(2)),
             ("median_3_partners_ms".into(), med(3)),
             ("median_5_partners_ms".into(), med(5)),
-            ("share_1_partner".into(), shares.get(&1).copied().unwrap_or(0.0)),
+            (
+                "share_1_partner".into(),
+                shares.get(&1).copied().unwrap_or(0.0),
+            ),
         ],
         notes: vec![],
     }
@@ -220,7 +224,14 @@ pub fn f15_latency_vs_partners(ix: &DatasetIndex) -> FigureReport {
 pub fn f16_latency_vs_popularity(ix: &DatasetIndex) -> FigureReport {
     let mut table = Table::new(
         "Fig. 16 — latency vs partner popularity rank (bins of 10)",
-        &["popularity bin", "n", "p25", "median", "p75", "spread(p75-p25)"],
+        &[
+            "popularity bin",
+            "n",
+            "p25",
+            "median",
+            "p75",
+            "spread(p75-p25)",
+        ],
     )
     .with_aligns(&[
         Align::Left,
@@ -263,10 +274,7 @@ pub fn f16_latency_vs_popularity(ix: &DatasetIndex) -> FigureReport {
         metrics: vec![
             ("top_bin_spread_ms".into(), first_spread),
             ("bottom_bin_spread_ms".into(), last_spread),
-            (
-                "spread_growth".into(),
-                last_spread / first_spread.max(1e-9),
-            ),
+            ("spread_growth".into(), last_spread / first_spread.max(1e-9)),
         ],
         notes: vec![],
     }

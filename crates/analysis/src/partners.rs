@@ -59,10 +59,7 @@ pub fn f08_top_partners(ix: &DatasetIndex) -> FigureReport {
             ("dfp_share".into(), dfp_share),
             ("top_is_dfp".into(), if top_is_dfp { 1.0 } else { 0.0 }),
             ("distinct_partners".into(), counter.distinct() as f64),
-            (
-                "other_share".into(),
-                other_sites as f64 / n_sites as f64,
-            ),
+            ("other_share".into(), other_sites as f64 / n_sites as f64),
         ],
         notes: vec![],
     }
@@ -77,10 +74,15 @@ pub fn f09_partners_per_site(ix: &DatasetIndex) -> FigureReport {
         &["partners", "P[X<=x]"],
     );
     for k in [1u32, 2, 3, 5, 10, 15, 20] {
-        table.row(vec![k.to_string(), format!("{:.4}", ecdf.frac_at_or_below(k as f64))]);
+        table.row(vec![
+            k.to_string(),
+            format!("{:.4}", ecdf.frac_at_or_below(k as f64)),
+        ]);
     }
-    let share_one = counts.iter().filter(|&&c| c == 1.0).count() as f64 / counts.len().max(1) as f64;
-    let share_ge5 = counts.iter().filter(|&&c| c >= 5.0).count() as f64 / counts.len().max(1) as f64;
+    let share_one =
+        counts.iter().filter(|&&c| c == 1.0).count() as f64 / counts.len().max(1) as f64;
+    let share_ge5 =
+        counts.iter().filter(|&&c| c >= 5.0).count() as f64 / counts.len().max(1) as f64;
     let share_ge10 =
         counts.iter().filter(|&&c| c >= 10.0).count() as f64 / counts.len().max(1) as f64;
     FigureReport {

@@ -195,12 +195,18 @@ pub fn f24_price_by_popularity(ix: &DatasetIndex) -> FigureReport {
         paper_expectation: "popular partners bid lower and more consistently".into(),
         table,
         metrics: vec![
-            ("top_bin_median".into(), medians.first().copied().unwrap_or(0.0)),
+            (
+                "top_bin_median".into(),
+                medians.first().copied().unwrap_or(0.0),
+            ),
             (
                 "bottom_bin_median".into(),
                 medians.last().copied().unwrap_or(0.0),
             ),
-            ("top_bin_spread".into(), spreads.first().copied().unwrap_or(0.0)),
+            (
+                "top_bin_spread".into(),
+                spreads.first().copied().unwrap_or(0.0),
+            ),
             (
                 "bottom_bin_spread".into(),
                 spreads.last().copied().unwrap_or(0.0),

@@ -33,10 +33,7 @@ pub fn indexed_reports(ix: &DatasetIndex) -> Vec<FigureReport> {
 }
 
 /// Build the historical reports (F4 + F4b) from the Wayback study outputs.
-pub fn history_reports(
-    adoption: &[AdoptionPoint],
-    overlaps: &[OverlapPoint],
-) -> Vec<FigureReport> {
+pub fn history_reports(adoption: &[AdoptionPoint], overlaps: &[OverlapPoint]) -> Vec<FigureReport> {
     vec![
         crate::adoption::f04_adoption(adoption),
         crate::adoption::f04b_overlaps(overlaps),

@@ -60,9 +60,7 @@ pub fn f19_slots_ecdf(ix: &DatasetIndex) -> FigureReport {
         paper_expectation: "medians 2–6; p90 5–11; ~3% of sites auction >20 slots".into(),
         table,
         metrics,
-        notes: vec![
-            ">20-slot sites duplicate units per device class (§5.3 oddity)".into(),
-        ],
+        notes: vec![">20-slot sites duplicate units per device class (§5.3 oddity)".into()],
     }
 }
 
@@ -158,10 +156,7 @@ pub fn f21_sizes(ix: &DatasetIndex) -> FigureReport {
                 0.0
             },
         ));
-        metrics.push((
-            format!("{facet}_300x250_share"),
-            counter.share("300x250"),
-        ));
+        metrics.push((format!("{facet}_300x250_share"), counter.share("300x250")));
     }
     FigureReport {
         id: "F21".into(),

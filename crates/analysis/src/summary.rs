@@ -30,7 +30,10 @@ pub fn t1_summary(ix: &DatasetIndex) -> FigureReport {
     let mut table = Table::new("Table 1 — summary of collected data", &["data", "volume"])
         .with_aligns(&[Align::Left, Align::Right]);
     table.row(vec!["# of websites crawled".into(), ix.n_sites.to_string()]);
-    table.row(vec!["# of websites with HB".into(), n_hb_domains.to_string()]);
+    table.row(vec![
+        "# of websites with HB".into(),
+        n_hb_domains.to_string(),
+    ]);
     table.row(vec!["# of auctions detected".into(), auctions.to_string()]);
     table.row(vec!["# of bids detected".into(), bids.to_string()]);
     table.row(vec![
@@ -52,7 +55,10 @@ pub fn t1_summary(ix: &DatasetIndex) -> FigureReport {
             ("auctions".into(), auctions as f64),
             ("bids".into(), bids as f64),
             ("partners".into(), partners as f64),
-            ("bids_per_auction".into(), bids as f64 / auctions.max(1) as f64),
+            (
+                "bids_per_auction".into(),
+                bids as f64 / auctions.max(1) as f64,
+            ),
         ],
         notes: vec![
             "auctions are counted per ad-slot, matching Table 1's auction/visit ratio".into(),
@@ -131,9 +137,7 @@ pub fn facet_breakdown(ix: &DatasetIndex) -> FigureReport {
         }
     }
     let total: u32 = counts.values().sum();
-    let share = |label: &str| {
-        counts.get(label).copied().unwrap_or(0) as f64 / total.max(1) as f64
-    };
+    let share = |label: &str| counts.get(label).copied().unwrap_or(0) as f64 / total.max(1) as f64;
 
     let mut table = Table::new("Facet breakdown (§4.6)", &["facet", "sites", "share"])
         .with_aligns(&[Align::Left, Align::Right, Align::Right]);

@@ -23,17 +23,17 @@ pub fn x01_waterfall_compare(ix: &DatasetIndex) -> FigureReport {
     )
     .with_aligns(&[Align::Left, Align::Right, Align::Right, Align::Right]);
     let mut ratios = Vec::new();
-    for (label, q) in [("p25", 0.25), ("median", 0.5), ("p75", 0.75), ("p90", 0.9), ("p95", 0.95)]
-    {
+    for (label, q) in [
+        ("p25", 0.25),
+        ("median", 0.5),
+        ("p75", 0.75),
+        ("p90", 0.9),
+        ("p95", 0.95),
+    ] {
         let h = hb_s.quantile(q).unwrap_or(0.0);
         let w = wf_s.quantile(q).unwrap_or(0.0);
         let ratio = h / w.max(1e-9);
-        table.row(vec![
-            label.into(),
-            fmt_ms(h),
-            fmt_ms(w),
-            fmt_f(ratio),
-        ]);
+        table.row(vec![label.into(), fmt_ms(h), fmt_ms(w), fmt_f(ratio)]);
         ratios.push((label, ratio));
     }
     let median_ratio = ratios

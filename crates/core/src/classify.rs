@@ -228,14 +228,16 @@ mod tests {
         let list = list();
         let c = classify_request(&list, &req);
         assert_eq!(c.kind, RequestKind::AdServerCall);
-        assert!(c.partner_name().is_none(), "own ad server is not in the list");
+        assert!(
+            c.partner_name().is_none(),
+            "own ad server is not in the list"
+        );
     }
 
     #[test]
     fn win_notification_classified() {
-        let req = get(
-            "https://rubicon-adnet.example/hb/win?hb_price=0.40&hb_adid=cr-1&hb_auction=a1",
-        );
+        let req =
+            get("https://rubicon-adnet.example/hb/win?hb_price=0.40&hb_adid=cr-1&hb_auction=a1");
         let list = list();
         let c = classify_request(&list, &req);
         assert_eq!(c.kind, RequestKind::WinNotification);

@@ -410,7 +410,8 @@ impl Drop for VisitBuilder<'_> {
         if !self.committed {
             // Roll back child rows of the abandoned visit.
             let c = &mut *self.cols;
-            c.partners.truncate(*c.partners_off.last().unwrap_or(&0) as usize);
+            c.partners
+                .truncate(*c.partners_off.last().unwrap_or(&0) as usize);
             c.bids.truncate(*c.bids_off.last().unwrap_or(&0) as usize);
             c.partner_latencies
                 .truncate(*c.latencies_off.last().unwrap_or(&0) as usize);
@@ -478,7 +479,9 @@ mod tests {
     #[test]
     fn roundtrip_preserves_rows() {
         let mut strings = Interner::new();
-        let rows: Vec<VisitRecord> = (1..=5).map(|r| sample(&mut strings, r, r as usize % 3)).collect();
+        let rows: Vec<VisitRecord> = (1..=5)
+            .map(|r| sample(&mut strings, r, r as usize % 3))
+            .collect();
         let cols: VisitColumns = rows.iter().cloned().collect();
         assert_eq!(cols.len(), rows.len());
         for (i, row) in rows.iter().enumerate() {

@@ -615,10 +615,7 @@ pub fn encode_columns(cols: &VisitColumns, w: &mut WireWriter) {
 
 /// Decode a column set encoded by [`encode_columns`]. `n_strings` bounds
 /// every symbol (the companion interner's length).
-pub fn decode_columns(
-    r: &mut WireReader<'_>,
-    n_strings: usize,
-) -> Result<VisitColumns, WireError> {
+pub fn decode_columns(r: &mut WireReader<'_>, n_strings: usize) -> Result<VisitColumns, WireError> {
     // Scalar columns are at least 1 byte per row each; 4 covers the
     // cheapest (u32) without being exact — bounded_len only guards
     // against allocation bombs, take() still validates every read.

@@ -21,9 +21,9 @@ use crate::list::PartnerList;
 use crate::record::{BidSource, DetectedBid, DetectedFacet, DetectedSlot, PartnerLatency};
 use hb_dom::{Browser, WebRequestEvent};
 use hb_http::{HStr, Json, RequestId};
+use hb_simnet::FxHashMap;
 use hb_simnet::SimTime;
 use std::cell::RefCell;
-use hb_simnet::FxHashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -157,7 +157,11 @@ impl HbDetector {
                         response_has_hb_params: false,
                     });
                 }
-                WebRequestEvent::Completed { request, response, at } => {
+                WebRequestEvent::Completed {
+                    request,
+                    response,
+                    at,
+                } => {
                     let DetectorState {
                         requests,
                         index,
@@ -165,9 +169,7 @@ impl HbDetector {
                         raw_winners,
                         ..
                     } = st;
-                    if let Some(obs) =
-                        index.get(&request.id).map(|&i| &mut requests[i as usize])
-                    {
+                    if let Some(obs) = index.get(&request.id).map(|&i| &mut requests[i as usize]) {
                         obs.completed_at = Some(*at);
                         obs.response_has_hb_params = response_has_hb_params(response);
                         // Parse every JSON body, not just hb_-flagged ones:
@@ -238,9 +240,16 @@ impl HbDetector {
         // `st.requests` is already the classification-ordered flat slice;
         // the reconstruction passes below re-walk it instead of collecting
         // per-kind temporaries.
-        let bid_requests = || st.requests.iter().filter(|r| r.kind == RequestKind::BidRequest);
-        let adserver_calls =
-            || st.requests.iter().filter(|r| r.kind == RequestKind::AdServerCall);
+        let bid_requests = || {
+            st.requests
+                .iter()
+                .filter(|r| r.kind == RequestKind::BidRequest)
+        };
+        let adserver_calls = || {
+            st.requests
+                .iter()
+                .filter(|r| r.kind == RequestKind::AdServerCall)
+        };
 
         // --- HB present? ---------------------------------------------------
         let has_proof_event = st.events.iter().any(|e| e.kind.proves_hb());
@@ -280,9 +289,7 @@ impl HbDetector {
                 }
             }
         }
-        partners.sort_unstable_by(|&a, &b| {
-            self.list.entry(a).name.cmp(&self.list.entry(b).name)
-        });
+        partners.sort_unstable_by(|&a, &b| self.list.entry(a).name.cmp(&self.list.entry(b).name));
         for &i in partners.iter() {
             let sym = strings.intern(&self.list.entry(i).name);
             row.push_partner(sym);
@@ -534,7 +541,9 @@ mod tests {
 
     /// Resolve a symbol list to strings for assertions.
     fn resolved(strings: &Interner, syms: &[crate::intern::Symbol]) -> Vec<String> {
-        syms.iter().map(|s| strings.resolve(*s).to_string()).collect()
+        syms.iter()
+            .map(|s| strings.resolve(*s).to_string())
+            .collect()
     }
 
     /// Drive a synthetic client-side HB visit directly against the browser
@@ -560,17 +569,18 @@ mod tests {
             r#"{"hb_auction":"a1","bids":[{"bidder":"appnexus","hb_slot":"s1","cpm":0.4,"hb_size":"300x250","hb_adid":"cr1","hb_currency":"USD"}]}"#,
         )
         .unwrap();
-        b.note_response_in(&req, &Response::json(id, rsp_body), SimTime::from_millis(300));
+        b.note_response_in(
+            &req,
+            &Response::json(id, rsp_body),
+            SimTime::from_millis(300),
+        );
         b.fire_event(
             SimTime::from_millis(300),
             "bidResponse",
             &Json::obj([("bidder", Json::str("appnexus")), ("cpm", Json::num(0.4))]),
         );
         // auctionEnd + ad server call to the publisher's own server.
-        b.fire_event(
-            SimTime::from_millis(400),
-            "auctionEnd",
-            &Json::obj([]));
+        b.fire_event(SimTime::from_millis(400), "auctionEnd", &Json::obj([]));
         let id2 = b.next_request_id();
         let req2 = Request::get(
             id2,
@@ -584,7 +594,11 @@ mod tests {
             r#"{"hb_auction":"a1","winners":[{"hb_slot":"s1","channel":"hb","hb_bidder":"appnexus","hb_pb":"0.40","hb_size":"300x250","hb_adid":"cr1"}]}"#,
         )
         .unwrap();
-        b.note_response_in(&req2, &Response::json(id2, winners), SimTime::from_millis(460));
+        b.note_response_in(
+            &req2,
+            &Response::json(id2, winners),
+            SimTime::from_millis(460),
+        );
         b.fire_event(
             SimTime::from_millis(470),
             "bidWon",
@@ -641,7 +655,11 @@ mod tests {
             ]}"#,
         )
         .unwrap();
-        b.note_response_in(&req, &Response::json(id, winners), SimTime::from_millis(320));
+        b.note_response_in(
+            &req,
+            &Response::json(id, winners),
+            SimTime::from_millis(320),
+        );
         b.fire_event(
             SimTime::from_millis(340),
             "slotRenderEnded",
@@ -800,11 +818,7 @@ mod tests {
         assert!(rec.passback_served);
         assert!(rec.bids.is_empty());
         // passbackServed is counted but proves nothing by itself.
-        assert_eq!(
-            rec.event_counts.len(),
-            1,
-            "only the passback event fired"
-        );
+        assert_eq!(rec.event_counts.len(), 1, "only the passback event fired");
     }
 
     #[test]

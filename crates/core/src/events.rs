@@ -74,9 +74,7 @@ impl HbEventKind {
     pub fn proves_hb(&self) -> bool {
         !matches!(
             self,
-            HbEventKind::SlotRenderEnded
-                | HbEventKind::AdRenderFailed
-                | HbEventKind::Passback
+            HbEventKind::SlotRenderEnded | HbEventKind::AdRenderFailed | HbEventKind::Passback
         )
     }
 }
@@ -160,12 +158,12 @@ mod tests {
     #[test]
     fn capture_extracts_payload_fields() {
         let payload = Json::obj([
-                ("bidder", Json::str("rubicon")),
-                ("hb_auction", Json::str("auc-1")),
-                ("hb_slot", Json::str("ad-slot-2")),
-                ("cpm", Json::num(0.37)),
-                ("hb_size", Json::str("300x250")),
-            ]);
+            ("bidder", Json::str("rubicon")),
+            ("hb_auction", Json::str("auc-1")),
+            ("hb_slot", Json::str("ad-slot-2")),
+            ("cpm", Json::num(0.37)),
+            ("hb_size", Json::str("300x250")),
+        ]);
         let ev = dom("bidResponse", &payload);
         let c = CapturedEvent::from_dom(&ev).unwrap();
         assert_eq!(c.kind, HbEventKind::BidResponse);

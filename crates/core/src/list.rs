@@ -219,7 +219,9 @@ mod tests {
             "AppNexus"
         );
         assert_eq!(
-            list.match_host("fast.cdn.appnexus-adnet.example").unwrap().code,
+            list.match_host("fast.cdn.appnexus-adnet.example")
+                .unwrap()
+                .code,
             "appnexus"
         );
         assert!(list.match_host("unknown.example").is_none());

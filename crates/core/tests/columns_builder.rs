@@ -31,21 +31,30 @@ fn arb_row() -> impl Strategy<Value = RowSpec> {
     (
         (1u32..5000, 0u32..10, any::<bool>(), 0u8..4),
         (0usize..5, 0usize..6, 0usize..4, 0usize..4, 0usize..3),
-        ((any::<bool>(), 0.0f64..5000.0), (any::<bool>(), 0.0f64..9000.0)),
+        (
+            (any::<bool>(), 0.0f64..5000.0),
+            (any::<bool>(), 0.0f64..9000.0),
+        ),
     )
-        .prop_map(|((rank, day, hb, facet), (n_partners, n_bids, n_lats, n_slots, n_events), ((lat_some, lat), (pm_some, pm)))| RowSpec {
-            rank,
-            day,
-            hb,
-            facet,
-            n_partners,
-            n_bids,
-            n_lats,
-            n_slots,
-            n_events,
-            latency: lat_some.then_some(lat),
-            page_ms: pm_some.then_some(pm),
-        })
+        .prop_map(
+            |(
+                (rank, day, hb, facet),
+                (n_partners, n_bids, n_lats, n_slots, n_events),
+                ((lat_some, lat), (pm_some, pm)),
+            )| RowSpec {
+                rank,
+                day,
+                hb,
+                facet,
+                n_partners,
+                n_bids,
+                n_lats,
+                n_slots,
+                n_events,
+                latency: lat_some.then_some(lat),
+                page_ms: pm_some.then_some(pm),
+            },
+        )
 }
 
 fn facet_of(spec: &RowSpec) -> Option<DetectedFacet> {

@@ -34,7 +34,10 @@ fn arb_row() -> impl Strategy<Value = RowSpec> {
     (
         (1u32..5000, 0u32..10, any::<bool>(), 0u8..4),
         (0usize..5, 0usize..6, 0usize..4, 0usize..4, 0usize..3),
-        ((any::<bool>(), 0.0f64..5000.0), (any::<bool>(), 0.0f64..9000.0)),
+        (
+            (any::<bool>(), 0.0f64..5000.0),
+            (any::<bool>(), 0.0f64..9000.0),
+        ),
     )
         .prop_map(
             |(

@@ -10,7 +10,7 @@ use hb_adtech::{begin_visit, Net, PageWorld, SiteRuntime, VisitGroundTruth};
 use hb_core::{HbDetector, Interner, PartnerList, VisitColumns};
 use hb_dom::Browser;
 use hb_http::MsgScratch;
-use hb_simnet::{Rng, SimDuration, Simulation, SimTime};
+use hb_simnet::{Rng, SimDuration, SimTime, Simulation};
 use std::sync::Arc;
 
 /// Session policy knobs (paper defaults).
@@ -91,7 +91,8 @@ fn simulate_visit(
             // event slab + callback pool; the world keeps its browser
             // (taps attached) and buffer pools.
             let w = sim.reset_in_place();
-            w.browser.reset_for_visit(runtime.page_url.clone(), SimTime::ZERO);
+            w.browser
+                .reset_for_visit(runtime.page_url.clone(), SimTime::ZERO);
             w.reset_for_visit(net, rng);
             detector.reset();
             sim
@@ -116,7 +117,10 @@ fn simulate_visit(
     // for pending responses (this is what surfaces late bids).
     let loaded_at = sim.world().browser.page.loaded.unwrap_or_else(|| sim.now());
     let settle_deadline = (loaded_at + cfg.settle).max(sim.now());
-    sim.run_until(settle_deadline.min(SimTime::ZERO + cfg.page_timeout + cfg.settle), cfg.max_events);
+    sim.run_until(
+        settle_deadline.min(SimTime::ZERO + cfg.page_timeout + cfg.settle),
+        cfg.max_events,
+    );
     VisitOutcome {
         page_completed: sim.world().browser.page.loaded.is_some(),
     }
@@ -183,7 +187,12 @@ mod tests {
     }
 
     /// Crawl `site` on `day` through `scratch` into fresh columns.
-    fn visit_on(eco: &SiteFactory, scratch: &mut VisitScratch, site: &SiteProfile, day: u32) -> Visit {
+    fn visit_on(
+        eco: &SiteFactory,
+        scratch: &mut VisitScratch,
+        site: &SiteProfile,
+        day: u32,
+    ) -> Visit {
         let mut strings = Interner::new();
         let mut cols = VisitColumns::new();
         let outcome = crawl_site_into(
@@ -292,10 +301,7 @@ mod tests {
         let b = visit(&eco, &site, 1);
         assert_eq!(a.record.hb_latency_ms, b.record.hb_latency_ms);
         assert_eq!(a.record.bids.len(), b.record.bids.len());
-        assert_eq!(
-            a.truth.adserver_response_at,
-            b.truth.adserver_response_at
-        );
+        assert_eq!(a.truth.adserver_response_at, b.truth.adserver_response_at);
     }
 
     #[test]

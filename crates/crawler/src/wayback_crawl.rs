@@ -86,10 +86,16 @@ mod tests {
         assert_eq!(pts[0].year, 2014);
         assert_eq!(pts[5].year, 2019);
         // ~10% early adopters, ~20% plateau after 2016.
-        assert!(pts[0].detected_rate > 0.06 && pts[0].detected_rate < 0.14,
-            "2014 rate {}", pts[0].detected_rate);
-        assert!(pts[5].detected_rate > 0.17 && pts[5].detected_rate < 0.26,
-            "2019 rate {}", pts[5].detected_rate);
+        assert!(
+            pts[0].detected_rate > 0.06 && pts[0].detected_rate < 0.14,
+            "2014 rate {}",
+            pts[0].detected_rate
+        );
+        assert!(
+            pts[5].detected_rate > 0.17 && pts[5].detected_rate < 0.26,
+            "2019 rate {}",
+            pts[5].detected_rate
+        );
         // Non-decreasing within tolerance.
         for w in pts.windows(2) {
             assert!(w[1].detected_rate >= w[0].detected_rate - 0.02);
@@ -111,7 +117,12 @@ mod tests {
         assert_eq!(pts.len(), 4);
         let targets = [0.7836, 0.6210, 0.5836, 0.5534];
         for (p, t) in pts.iter().zip(targets) {
-            assert!((p.overlap - t).abs() < 0.01, "{}: {} vs {t}", p.label, p.overlap);
+            assert!(
+                (p.overlap - t).abs() < 0.01,
+                "{}: {} vs {t}",
+                p.label,
+                p.overlap
+            );
         }
     }
 

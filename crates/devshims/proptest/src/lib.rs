@@ -514,7 +514,10 @@ pub(crate) mod regex {
         let mut pos = 0usize;
         let node = parse_alt(&chars, &mut pos)?;
         if pos != chars.len() {
-            return Err(format!("unexpected {:?} at {pos} in {pattern:?}", chars[pos]));
+            return Err(format!(
+                "unexpected {:?} at {pos} in {pattern:?}",
+                chars[pos]
+            ));
         }
         Ok(node)
     }
@@ -598,7 +601,12 @@ pub(crate) mod regex {
                         Ok(Node::AnyPrintable)
                     }
                     'd' => Ok(Node::Class(vec![('0', '9')])),
-                    'w' => Ok(Node::Class(vec![('a', 'z'), ('A', 'Z'), ('0', '9'), ('_', '_')])),
+                    'w' => Ok(Node::Class(vec![
+                        ('a', 'z'),
+                        ('A', 'Z'),
+                        ('0', '9'),
+                        ('_', '_'),
+                    ])),
                     'n' => Ok(Node::Literal('\n')),
                     't' => Ok(Node::Literal('\t')),
                     other => Ok(Node::Literal(other)),

@@ -510,7 +510,9 @@ mod tests {
 
     /// The decision surface of one schedule over a coordinate grid, as a
     /// comparable value.
-    fn surface(s: &ChaosSchedule) -> Vec<(Option<TxFault>, Option<TxFault>, Option<RxFault>, bool)> {
+    fn surface(
+        s: &ChaosSchedule,
+    ) -> Vec<(Option<TxFault>, Option<TxFault>, Option<RxFault>, bool)> {
         let mut out = Vec::new();
         for conn in 0..16u32 {
             for idx in 0..64u64 {

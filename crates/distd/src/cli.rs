@@ -58,10 +58,7 @@ impl Scale {
 }
 
 /// Pull the value following `flag`, or say exactly what was missing.
-pub fn flag_value(
-    args: &mut dyn Iterator<Item = String>,
-    flag: &str,
-) -> Result<String, String> {
+pub fn flag_value(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, String> {
     args.next()
         .ok_or_else(|| format!("{flag} requires a value"))
 }

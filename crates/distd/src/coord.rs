@@ -330,9 +330,7 @@ fn grant(st: &mut State, cfg: &CoordConfig) -> Msg {
         .saturating_add(cfg.reorder_window.max(1))
         .min(st.schedule.len());
     let remaining = st.schedule.len() - st.complete_count;
-    let fair_share = remaining
-        .div_ceil(st.live_workers.max(1) as usize)
-        .max(1);
+    let fair_share = remaining.div_ceil(st.live_workers.max(1) as usize).max(1);
     let batch = cfg.lease_blocks.max(1).min(fair_share);
     let mut picked = Vec::new();
     for i in st.folded..window_end {
@@ -823,7 +821,9 @@ mod tests {
 
     #[test]
     fn empty_universe_is_final_and_done_at_once() {
-        let st = initial_state(&CoordConfig::new(EcosystemConfig::tiny_scale().with_sites(0)));
+        let st = initial_state(&CoordConfig::new(
+            EcosystemConfig::tiny_scale().with_sites(0),
+        ));
         assert!(st.done && st.schedule_final);
         assert!(st.schedule.is_empty());
     }
@@ -1028,7 +1028,11 @@ mod tests {
         // Submitting the first block retires it but keeps the lease.
         assert!(matches!(
             admit(&mut st, chunks[0].clone()),
-            Msg::SubmitAck { accepted: true, duplicate: false, .. }
+            Msg::SubmitAck {
+                accepted: true,
+                duplicate: false,
+                ..
+            }
         ));
         assert!(st.leases.contains_key(&lease_id), "lease survives");
         assert_eq!(st.leases[&lease_id].blocks.len(), 2);

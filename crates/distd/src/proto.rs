@@ -337,7 +337,6 @@ impl Msg {
         r.finish()?;
         Ok(msg)
     }
-
 }
 
 /// Send one message over a transport.

@@ -333,12 +333,8 @@ pub fn run_worker_session(
     stats: &mut WorkerStats,
 ) -> Result<(), DistdError> {
     let factory = SiteFactory::new(cfg.eco.clone());
-    let fingerprint = config_fingerprint(
-        &cfg.eco,
-        cfg.shards.max(1),
-        cfg.chunk_visits,
-        &cfg.session,
-    );
+    let fingerprint =
+        config_fingerprint(&cfg.eco, cfg.shards.max(1), cfg.chunk_visits, &cfg.session);
     // The jitter session: the campaign identity plus this instance, so
     // respawns never share a backoff schedule.
     let session_id = fingerprint ^ cfg.instance.wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -10,7 +10,10 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
         .args(args)
         .output()
         .expect("spawn distd binary");
-    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 fn assert_usage_exit(bin: &str, args: &[&str]) {

@@ -60,13 +60,20 @@ fn read_figures(dir: &Path) -> BTreeMap<String, String> {
         let entry = entry.expect("dir entry");
         let name = entry.file_name().to_string_lossy().into_owned();
         if name.ends_with(".csv") {
-            out.insert(name, std::fs::read_to_string(entry.path()).expect("read csv"));
+            out.insert(
+                name,
+                std::fs::read_to_string(entry.path()).expect("read csv"),
+            );
         }
     }
     out
 }
 
-fn assert_figures_match(got: &BTreeMap<String, String>, want: &BTreeMap<String, String>, label: &str) {
+fn assert_figures_match(
+    got: &BTreeMap<String, String>,
+    want: &BTreeMap<String, String>,
+    label: &str,
+) {
     assert_eq!(
         got.keys().collect::<Vec<_>>(),
         want.keys().collect::<Vec<_>>(),
@@ -222,9 +229,12 @@ fn coordinator_restart_and_worker_kill_recover_byte_identical() {
         ));
         // Slowed worker so the campaign outlives the crash point.
         let _worker = KillOnDrop(
-            worker_cmd(&addr, &["--visit-delay-us", "5000", "--heartbeat-ms", "300"])
-                .spawn()
-                .expect("spawn phase-1 worker"),
+            worker_cmd(
+                &addr,
+                &["--visit-delay-us", "5000", "--heartbeat-ms", "300"],
+            )
+            .spawn()
+            .expect("spawn phase-1 worker"),
         );
         let deadline = Instant::now() + Duration::from_secs(60);
         while spool_file_count(&spool) < 2 {
@@ -247,9 +257,12 @@ fn coordinator_restart_and_worker_kill_recover_byte_identical() {
         &["--spool", &spool_arg, "--lease-timeout-ms", "1500"],
     ));
     let victim = KillOnDrop(
-        worker_cmd(&addr, &["--visit-delay-us", "20000", "--heartbeat-ms", "300"])
-            .spawn()
-            .expect("spawn victim worker"),
+        worker_cmd(
+            &addr,
+            &["--visit-delay-us", "20000", "--heartbeat-ms", "300"],
+        )
+        .spawn()
+        .expect("spawn victim worker"),
     );
     // Wait for the victim's first submit to land in the spool — proof it
     // is warmed up and cycling leases — then kill it 150 ms into its next

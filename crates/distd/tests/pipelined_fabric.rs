@@ -181,7 +181,10 @@ fn pipelined_workers_keep_one_unanswered_frame_and_fold_identical_bytes() {
     );
     assert_eq!(coord.chunks_folded, want.len());
     assert_eq!(coord.frames_rejected + coord.leases_reissued, 0);
-    assert!(coord.segments_written > 0, "the spool log rolled beside the fold");
+    assert!(
+        coord.segments_written > 0,
+        "the spool log rolled beside the fold"
+    );
 
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(&want) {

@@ -39,8 +39,10 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
             .prop_map(|(lease_id, blocks)| Msg::Lease { lease_id, blocks }),
         (1u32..60_000).prop_map(|millis| Msg::Wait { millis }),
         Just(Msg::Done),
-        (any::<u32>(), any::<u64>())
-            .prop_map(|(worker_id, lease_id)| Msg::Heartbeat { worker_id, lease_id }),
+        (any::<u32>(), any::<u64>()).prop_map(|(worker_id, lease_id)| Msg::Heartbeat {
+            worker_id,
+            lease_id
+        }),
         Just(Msg::HeartbeatAck),
         Just(Msg::Expired),
         (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..200))

@@ -62,16 +62,14 @@ impl Browser {
     /// Record an outgoing request (notifies webRequest taps).
     pub fn note_request_out(&mut self, req: &Request, now: SimTime) {
         self.webrequest
-            .notify(&crate::webrequest::WebRequestEvent::Before { request: req, at: now });
+            .notify(&crate::webrequest::WebRequestEvent::Before {
+                request: req,
+                at: now,
+            });
     }
 
     /// Record a completed response (notifies webRequest taps).
-    pub fn note_response_in(
-        &mut self,
-        req: &Request,
-        rsp: &hb_http::Response,
-        now: SimTime,
-    ) {
+    pub fn note_response_in(&mut self, req: &Request, rsp: &hb_http::Response, now: SimTime) {
         self.webrequest
             .notify(&crate::webrequest::WebRequestEvent::Completed {
                 request: req,
@@ -109,10 +107,7 @@ mod tests {
     use std::rc::Rc;
 
     fn browser() -> Browser {
-        Browser::open(
-            Url::parse("https://pub.example/").unwrap(),
-            SimTime::ZERO,
-        )
+        Browser::open(Url::parse("https://pub.example/").unwrap(), SimTime::ZERO)
     }
 
     #[test]
@@ -140,7 +135,8 @@ mod tests {
         let mut b = browser();
         let seen = Rc::new(RefCell::new(Vec::new()));
         let s2 = seen.clone();
-        b.events.tap(move |e| s2.borrow_mut().push(e.name.to_string()));
+        b.events
+            .tap(move |e| s2.borrow_mut().push(e.name.to_string()));
         b.fire_event(SimTime::from_millis(2), "auctionInit", &Json::Null);
         assert_eq!(&*seen.borrow(), &["auctionInit".to_string()]);
     }

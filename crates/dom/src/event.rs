@@ -76,9 +76,7 @@ mod tests {
         let mut bus = EventBus::new();
         let got: Rc<RefCell<Option<(String, Json, SimTime)>>> = Rc::new(RefCell::new(None));
         let g2 = got.clone();
-        bus.tap(move |e| {
-            *g2.borrow_mut() = Some((e.name.to_string(), e.payload.clone(), e.at))
-        });
+        bus.tap(move |e| *g2.borrow_mut() = Some((e.name.to_string(), e.payload.clone(), e.at)));
         let payload = Json::obj([("cpm", Json::num(0.4))]);
         bus.emit(SimTime::from_millis(33), "bidResponse", &payload);
         let (name, got_payload, at) = got.borrow().clone().unwrap();

@@ -274,8 +274,7 @@ mod tests {
 
     #[test]
     fn body_scripts_not_marked_head() {
-        let doc =
-            HtmlDoc::scan("<head></head><body><script src=\"x.js\"></script></body>");
+        let doc = HtmlDoc::scan("<head></head><body><script src=\"x.js\"></script></body>");
         assert_eq!(doc.scripts.len(), 1);
         assert!(!doc.scripts[0].in_head);
     }

@@ -124,7 +124,8 @@ mod tests {
                 WebRequestEvent::Completed { .. } => "done",
                 WebRequestEvent::Failed { .. } => "fail",
             };
-            l2.borrow_mut().push(format!("{}:{}", tag, ev.request_id().0));
+            l2.borrow_mut()
+                .push(format!("{}:{}", tag, ev.request_id().0));
         });
         let req = mk_request(7);
         bus.notify(&WebRequestEvent::Before {
@@ -144,7 +145,11 @@ mod tests {
         });
         assert_eq!(
             &*log.borrow(),
-            &["before:7".to_string(), "done:7".to_string(), "fail:7".to_string()]
+            &[
+                "before:7".to_string(),
+                "done:7".to_string(),
+                "fail:7".to_string()
+            ]
         );
     }
 

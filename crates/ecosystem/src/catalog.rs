@@ -82,11 +82,8 @@ impl PartnerSpec {
             latency: LatencyModel::log_normal(self.latency_median_ms, self.latency_sigma)
                 .with_tail(self.tail_chance, 2_800.0, 1.5)
                 .with_floor(8.0),
-            s2s_latency: LatencyModel::log_normal(
-                (self.latency_median_ms * 0.25).max(15.0),
-                0.3,
-            )
-            .with_floor(5.0),
+            s2s_latency: LatencyModel::log_normal((self.latency_median_ms * 0.25).max(15.0), 0.3)
+                .with_floor(5.0),
             // Clean-profile crawlers attract roughly half the bid density
             // a real audience would (Table 1: 241k bids / 799k auctions).
             bid_rate: self.bid_rate * 0.5,
@@ -230,11 +227,12 @@ pub fn catalog() -> Vec<PartnerSpec> {
     ];
     for (i, (name, code, med)) in fast.into_iter().enumerate() {
         // Yieldlab is notable as a single-partner choice (Fig. 10).
-        let weight = if code == "yieldlab" { 0.020 } else { 0.006 + 0.001 * i as f64 };
-        let late_prone = matches!(
-            code,
-            "piximedia" | "justpremium" | "atomx" | "yieldlab"
-        );
+        let weight = if code == "yieldlab" {
+            0.020
+        } else {
+            0.006 + 0.001 * i as f64
+        };
+        let late_prone = matches!(code, "piximedia" | "justpremium" | "atomx" | "yieldlab");
         v.push(spec!("", "", {
             name: name, code: code, weight: weight,
             latency_median_ms: med, latency_sigma: 0.5,
@@ -466,7 +464,11 @@ mod tests {
             .filter(|s| s.late_prone)
             .map(|s| s.code)
             .collect();
-        assert!(late.len() >= 21, "paper: 21 partners late in 50% of auctions; got {}", late.len());
+        assert!(
+            late.len() >= 21,
+            "paper: 21 partners late in 50% of auctions; got {}",
+            late.len()
+        );
         for code in ["atomx", "lifestreet", "yieldone", "c1x", "adocean"] {
             assert!(late.contains(&code), "{code} should be late-prone");
         }

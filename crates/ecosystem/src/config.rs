@@ -167,7 +167,10 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = EcosystemConfig::test_scale().with_seed(9).with_sites(50).with_days(2);
+        let c = EcosystemConfig::test_scale()
+            .with_seed(9)
+            .with_sites(50)
+            .with_days(2);
         assert_eq!(c.seed, 9);
         assert_eq!(c.n_sites, 50);
         assert_eq!(c.crawl_days, 2);

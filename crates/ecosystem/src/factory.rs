@@ -274,12 +274,7 @@ impl SiteGen {
     pub fn site(&self, rank: u32) -> SiteProfile {
         let mut rng = self.root.derive(rank as u64);
         DERIVE_SCRATCH.with(|s| {
-            publisher::generate_site_with(
-                &self.derive_ctx(),
-                rank,
-                &mut rng,
-                &mut s.borrow_mut(),
-            )
+            publisher::generate_site_with(&self.derive_ctx(), rank, &mut rng, &mut s.borrow_mut())
         })
     }
 
@@ -505,7 +500,10 @@ mod tests {
         let early_first = (g.site(1), g.site(200));
         assert_eq!(late_first.0.domain, early_first.1.domain);
         assert_eq!(late_first.0.facet, early_first.1.facet);
-        assert_eq!(late_first.1.client_partner_ids, early_first.0.client_partner_ids);
+        assert_eq!(
+            late_first.1.client_partner_ids,
+            early_first.0.client_partner_ids
+        );
     }
 
     #[test]
@@ -524,7 +522,11 @@ mod tests {
         let g = f.gen();
         assert_eq!(g.rank_of_page_host("pub7.example"), Some(7));
         assert_eq!(g.rank_of_page_host("pub0.example"), None);
-        assert_eq!(g.rank_of_page_host("pub201.example"), None, "beyond toplist");
+        assert_eq!(
+            g.rank_of_page_host("pub201.example"),
+            None,
+            "beyond toplist"
+        );
         assert_eq!(g.rank_of_page_host("pub07.example"), None, "leading zero");
         assert_eq!(g.rank_of_page_host("pub7x.example"), None);
         assert_eq!(g.rank_of_page_host("ads.pub7.example"), None);

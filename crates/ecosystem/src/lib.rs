@@ -30,8 +30,8 @@ pub mod world;
 pub use catalog::PartnerSpec;
 pub use config::EcosystemConfig;
 pub use factory::{SiteFactory, SiteGen};
-pub use scenario::{OutageWindow, ScenarioConfig};
 pub use publisher::{DeriveCtx, DeriveScratch, SiteProfile};
+pub use scenario::{OutageWindow, ScenarioConfig};
 pub use toplist::{site_domain, site_domain_hstr, TopList, YEARLY_OVERLAPS};
 pub use wayback::{snapshot, yearly_archive, Snapshot, YEARLY_ADOPTION};
 pub use world::{render_page_html, CDN_HOST};

@@ -310,8 +310,7 @@ pub fn generate_site_with(
 
     // Partners.
     let k = sample_client_partner_count(facet, rng);
-    let client_partner_ids =
-        select_client_partners(specs, k, rank_frac, rng, &mut scratch.weights);
+    let client_partner_ids = select_client_partners(specs, k, rank_frac, rng, &mut scratch.weights);
     let provider_id = match facet {
         HbFacet::ClientSide => None,
         _ => {
@@ -370,8 +369,7 @@ pub fn generate_site_with(
             0.0
         }
         + 0.02 * rank_frac;
-    let send_immediately =
-        facet != HbFacet::ServerSide && rng.chance(misconfig_p);
+    let send_immediately = facet != HbFacet::ServerSide && rng.chance(misconfig_p);
     let timeout = if rng.chance(cfg.no_timeout_share * (0.3 + rank_frac)) {
         // Untuned wrappers that wait for everyone live in the long tail.
         None
@@ -430,7 +428,12 @@ mod tests {
     use super::*;
     use crate::catalog;
 
-    fn setup() -> (EcosystemConfig, Vec<PartnerSpec>, Vec<(usize, f64)>, Vec<usize>) {
+    fn setup() -> (
+        EcosystemConfig,
+        Vec<PartnerSpec>,
+        Vec<(usize, f64)>,
+        Vec<usize>,
+    ) {
         let cfg = EcosystemConfig::paper_scale();
         let specs = catalog::catalog();
         let providers = catalog::providers(&specs);
@@ -462,9 +465,8 @@ mod tests {
     fn facet_shares_match_paper() {
         let sites = gen_many(30_000);
         let hb: Vec<&SiteProfile> = sites.iter().filter(|s| s.facet.is_some()).collect();
-        let share = |f: HbFacet| {
-            hb.iter().filter(|s| s.facet == Some(f)).count() as f64 / hb.len() as f64
-        };
+        let share =
+            |f: HbFacet| hb.iter().filter(|s| s.facet == Some(f)).count() as f64 / hb.len() as f64;
         assert!((share(HbFacet::ServerSide) - 0.48).abs() < 0.03);
         assert!((share(HbFacet::Hybrid) - 0.347).abs() < 0.03);
         assert!((share(HbFacet::ClientSide) - 0.173).abs() < 0.03);
@@ -476,10 +478,16 @@ mod tests {
         let hb: Vec<&SiteProfile> = sites.iter().filter(|s| s.facet.is_some()).collect();
         let n = hb.len() as f64;
         let count_eq = |k: usize| {
-            hb.iter().filter(|s| s.expected_partner_count() == k).count() as f64 / n
+            hb.iter()
+                .filter(|s| s.expected_partner_count() == k)
+                .count() as f64
+                / n
         };
         let count_ge = |k: usize| {
-            hb.iter().filter(|s| s.expected_partner_count() >= k).count() as f64 / n
+            hb.iter()
+                .filter(|s| s.expected_partner_count() >= k)
+                .count() as f64
+                / n
         };
         let one = count_eq(1);
         assert!(one > 0.48 && one < 0.58, "P(=1) = {one}");
@@ -487,29 +495,34 @@ mod tests {
         assert!(ge5 > 0.14 && ge5 < 0.26, "P(>=5) = {ge5}");
         let ge10 = count_ge(10);
         assert!(ge10 > 0.02 && ge10 < 0.09, "P(>=10) = {ge10}");
-        let max = hb
-            .iter()
-            .map(|s| s.expected_partner_count())
-            .max()
-            .unwrap();
+        let max = hb.iter().map(|s| s.expected_partner_count()).max().unwrap();
         assert!(max <= 20, "max partners {max}");
     }
 
     #[test]
     fn server_side_sites_have_no_client_partners() {
         let sites = gen_many(5_000);
-        for s in sites.iter().filter(|s| s.facet == Some(HbFacet::ServerSide)) {
+        for s in sites
+            .iter()
+            .filter(|s| s.facet == Some(HbFacet::ServerSide))
+        {
             assert!(s.client_partner_ids.is_empty());
             assert!(s.provider_id.is_some());
             assert!(!s.s2s_partner_ids.is_empty());
-            assert!(!s.wrapper.send_immediately, "server-side has no wrapper to misconfigure");
+            assert!(
+                !s.wrapper.send_immediately,
+                "server-side has no wrapper to misconfigure"
+            );
         }
     }
 
     #[test]
     fn client_side_sites_have_no_provider() {
         let sites = gen_many(5_000);
-        for s in sites.iter().filter(|s| s.facet == Some(HbFacet::ClientSide)) {
+        for s in sites
+            .iter()
+            .filter(|s| s.facet == Some(HbFacet::ClientSide))
+        {
             assert!(s.provider_id.is_none());
             assert!(!s.client_partner_ids.is_empty());
         }

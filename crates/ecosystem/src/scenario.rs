@@ -181,8 +181,7 @@ mod tests {
         let s = ScenarioConfig::healthy().with_outage("x.example", 0, 3);
         assert!(!s.is_healthy());
         assert!(s.has_outages());
-        let s = ScenarioConfig::healthy()
-            .with_robustness(RobustnessPolicy::degraded_defaults());
+        let s = ScenarioConfig::healthy().with_robustness(RobustnessPolicy::degraded_defaults());
         assert!(!s.is_healthy());
         assert!(!s.has_outages());
     }
@@ -250,13 +249,17 @@ mod tests {
             slow_chance: 0.0,
             slow_penalty_ms: Dist::Const(0.0),
         };
-        let s = ScenarioConfig::healthy()
-            .with_provider_slice(["p0.example", "p1.example"], lossy);
+        let s = ScenarioConfig::healthy().with_provider_slice(["p0.example", "p1.example"], lossy);
         assert_eq!(s.host_profiles.len(), 4, "host + rtb edge per provider");
         let base = FaultInjector::none();
         let mut rng = Rng::new(7);
         let inj = s.injector_for_day(&base, 0);
-        for host in ["p0.example", "rtb.p0.example", "p1.example", "rtb.p1.example"] {
+        for host in [
+            "p0.example",
+            "rtb.p0.example",
+            "p1.example",
+            "rtb.p1.example",
+        ] {
             assert_eq!(inj.decide(host, &mut rng), FaultDecision::Drop, "{host}");
         }
         assert_eq!(inj.decide("p2.example", &mut rng), FaultDecision::Deliver);

@@ -42,8 +42,7 @@ impl TopList {
         let n = self.domains.len();
         let keep = ((n as f64) * overlap.clamp(0.0, 1.0)).round() as usize;
         let kept_idx = rng.sample_indices(n, keep);
-        let mut domains: Vec<String> =
-            kept_idx.iter().map(|&i| self.domains[i].clone()).collect();
+        let mut domains: Vec<String> = kept_idx.iter().map(|&i| self.domains[i].clone()).collect();
         let mut fresh = 0u64;
         while domains.len() < n {
             domains.push(format!("new-{label}-{fresh}.example"));

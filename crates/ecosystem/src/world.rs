@@ -79,10 +79,7 @@ pub fn render_page_html(site: &SiteProfile, specs: &[PartnerSpec], out: &mut Str
 /// client-side sites, or registered at the provider for server/hybrid).
 /// `profiles` is the `Arc`-shared partner-profile table — the account
 /// references the s2s pool's profiles instead of deep-cloning them.
-pub(crate) fn account_for(
-    site: &SiteProfile,
-    profiles: &[Arc<PartnerProfile>],
-) -> AdServerAccount {
+pub(crate) fn account_for(site: &SiteProfile, profiles: &[Arc<PartnerProfile>]) -> AdServerAccount {
     let direct_orders = site
         .direct_order_cpm
         .map(|cpm| {
@@ -146,7 +143,10 @@ fn register_backbone(
     router.register(CDN_HOST, |r: &Request, _: &mut Rng| {
         ServerReply::instant(Response::text(r.id, "// library"))
     });
-    latency.insert(CDN_HOST, LatencyModel::log_normal(18.0, 0.25).with_floor(4.0));
+    latency.insert(
+        CDN_HOST,
+        LatencyModel::log_normal(18.0, 0.25).with_floor(4.0),
+    );
 
     // Partner endpoints: every partner serves both the HB bid path and the
     // waterfall RTB path on the same host.
@@ -172,16 +172,16 @@ fn register_backbone(
         // edge (`rtb.<host>`): one hop there is far cheaper than a cold
         // header-auction fan-out, which is what makes the waterfall
         // baseline faster per request (abstract's 3x claim).
-        let wf_edge = waterfall_endpoint(
-            (spec.bid_rate * 4.0).min(0.85),
-            profile.price.clone(),
-            4.0,
-        );
+        let wf_edge =
+            waterfall_endpoint((spec.bid_rate * 4.0).min(0.85), profile.price.clone(), 4.0);
         let rtb_host = rtb_edge_host(&host);
         router.register(rtb_host.clone(), move |req: &Request, rng: &mut Rng| {
             wf_edge.handle(req, rng)
         });
-        latency.insert(rtb_host, LatencyModel::log_normal(82.0, 0.35).with_floor(15.0));
+        latency.insert(
+            rtb_host,
+            LatencyModel::log_normal(82.0, 0.35).with_floor(15.0),
+        );
     }
 }
 
@@ -203,8 +203,7 @@ impl PublisherEndpoint {
             let rank = g.rank_of_account(account_id)?;
             let site = g.site_shared(rank);
             // Only client-side sites operate an ad server of their own.
-            (site.facet == Some(hb_adtech::HbFacet::ClientSide))
-                .then(|| g.account_shared(rank))
+            (site.facet == Some(hb_adtech::HbFacet::ClientSide)).then(|| g.account_shared(rank))
         });
         PublisherEndpoint {
             gen: gen.clone(),
@@ -388,8 +387,7 @@ mod tests {
         let mut router = Router::new();
         let mut latency = HostDirectory::new();
         register_backbone(&mut router, &mut latency, specs, profiles);
-        let shared: Vec<Arc<PartnerProfile>> =
-            profiles.iter().cloned().map(Arc::new).collect();
+        let shared: Vec<Arc<PartnerProfile>> = profiles.iter().cloned().map(Arc::new).collect();
 
         // Provider ad servers (one endpoint per provider host, holding the
         // accounts of every site that chose it).

@@ -75,12 +75,9 @@ impl Router {
     }
 
     /// Register an endpoint for an exact hostname.
-    pub fn register(
-        &mut self,
-        host: impl Into<HStr>,
-        ep: impl Endpoint + Send + Sync + 'static,
-    ) {
-        self.exact.insert(host.into().into_lower_ascii(), Box::new(ep));
+    pub fn register(&mut self, host: impl Into<HStr>, ep: impl Endpoint + Send + Sync + 'static) {
+        self.exact
+            .insert(host.into().into_lower_ascii(), Box::new(ep));
     }
 
     /// Register an endpoint for a base domain (matches all subdomains).
@@ -138,9 +135,7 @@ mod tests {
     }
 
     fn ok_endpoint(tag: &'static str) -> impl Endpoint {
-        move |r: &Request, _rng: &mut Rng| {
-            ServerReply::instant(Response::text(r.id, tag))
-        }
+        move |r: &Request, _rng: &mut Rng| ServerReply::instant(Response::text(r.id, tag))
     }
 
     #[test]
@@ -163,7 +158,9 @@ mod tests {
     fn unknown_host_is_none() {
         let router = Router::new();
         let mut rng = Rng::new(2);
-        assert!(router.dispatch(&req("https://ghost.example/x"), &mut rng).is_none());
+        assert!(router
+            .dispatch(&req("https://ghost.example/x"), &mut rng)
+            .is_none());
     }
 
     #[test]
@@ -186,8 +183,12 @@ mod tests {
         });
         let mut rng_a = Rng::new(7);
         let mut rng_b = Rng::new(7);
-        let a = router.dispatch(&req("https://rand.example/"), &mut rng_a).unwrap();
-        let b = router.dispatch(&req("https://rand.example/"), &mut rng_b).unwrap();
+        let a = router
+            .dispatch(&req("https://rand.example/"), &mut rng_a)
+            .unwrap();
+        let b = router
+            .dispatch(&req("https://rand.example/"), &mut rng_b)
+            .unwrap();
         assert_eq!(
             a.response.body.as_text(),
             b.response.body.as_text(),

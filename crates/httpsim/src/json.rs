@@ -830,7 +830,12 @@ mod tests {
             ("alpha", Json::num(2.0)),
             ("mid", Json::num(3.0)),
         ]);
-        let keys: Vec<&str> = v.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = v
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(keys, vec!["alpha", "mid", "zeta"]);
     }
 
@@ -853,10 +858,13 @@ mod tests {
             ),
             (
                 Json::obj([
-                    ("winners", Json::arr([Json::obj([
-                        ("hb_slot", Json::str("s1")),
-                        ("channel", Json::str("hb")),
-                    ])])),
+                    (
+                        "winners",
+                        Json::arr([Json::obj([
+                            ("hb_slot", Json::str("s1")),
+                            ("channel", Json::str("hb")),
+                        ])]),
+                    ),
                     ("hb_auction", Json::str("auc-7")),
                 ]),
                 r#"{"hb_auction":"auc-7","winners":[{"channel":"hb","hb_slot":"s1"}]}"#,

@@ -181,7 +181,11 @@ impl Body {
 /// Borrowing, short-circuiting twin of `flatten_json_params`: same
 /// traversal and value formatting, but scalar strings are passed through
 /// without cloning and the walk stops once `pred` returns true.
-fn probe_json_params<F: FnMut(&str, &str) -> bool>(j: &Json, pred: &mut F, buf: &mut String) -> bool {
+fn probe_json_params<F: FnMut(&str, &str) -> bool>(
+    j: &Json,
+    pred: &mut F,
+    buf: &mut String,
+) -> bool {
     use std::fmt::Write as _;
     match j {
         Json::Obj(m) => {
@@ -534,7 +538,10 @@ mod tests {
         );
         assert!(Body::Empty.into_json().is_none());
         let owned = Body::Json(Json::obj([("n", Json::num(4.0))]));
-        assert_eq!(owned.into_json().unwrap().get("n").unwrap().as_f64(), Some(4.0));
+        assert_eq!(
+            owned.into_json().unwrap().get("n").unwrap().as_f64(),
+            Some(4.0)
+        );
     }
 
     #[test]

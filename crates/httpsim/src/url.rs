@@ -132,7 +132,10 @@ impl QueryParams {
     }
 
     /// Keys that start with `prefix`, with their values, insertion-ordered.
-    pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+    pub fn with_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
         self.iter().filter(move |(k, _)| k.starts_with(prefix))
     }
 
@@ -375,7 +378,10 @@ pub fn base_domain_of(host: &str) -> &str {
 
 /// `host` equals `domain` or is a subdomain of it.
 pub fn host_matches(host: &str, domain: &str) -> bool {
-    host == domain || (host.len() > domain.len() && host.ends_with(domain) && host.as_bytes()[host.len() - domain.len() - 1] == b'.')
+    host == domain
+        || (host.len() > domain.len()
+            && host.ends_with(domain)
+            && host.as_bytes()[host.len() - domain.len() - 1] == b'.')
 }
 
 #[cfg(test)]
@@ -384,7 +390,8 @@ mod tests {
 
     #[test]
     fn parse_full_url() {
-        let u = Url::parse("https://Ads.Example.com:8443/bid/v1?hb_bidder=appnexus&hb_pb=0.50").unwrap();
+        let u = Url::parse("https://Ads.Example.com:8443/bid/v1?hb_bidder=appnexus&hb_pb=0.50")
+            .unwrap();
         assert_eq!(u.scheme, "https");
         assert_eq!(u.host, "ads.example.com");
         assert_eq!(u.port, Some(8443));
@@ -404,7 +411,10 @@ mod tests {
     fn parse_errors() {
         assert_eq!(Url::parse("example.com/x"), Err(UrlError::MissingScheme));
         assert_eq!(Url::parse("https:///x"), Err(UrlError::EmptyHost));
-        assert!(matches!(Url::parse("https://h:99999/"), Err(UrlError::BadPort(_))));
+        assert!(matches!(
+            Url::parse("https://h:99999/"),
+            Err(UrlError::BadPort(_))
+        ));
     }
 
     #[test]
@@ -459,7 +469,10 @@ mod tests {
 
     #[test]
     fn percent_decode_borrows_clean_input() {
-        assert!(matches!(percent_decode("clean-input_1.2~x"), Cow::Borrowed(_)));
+        assert!(matches!(
+            percent_decode("clean-input_1.2~x"),
+            Cow::Borrowed(_)
+        ));
         assert!(matches!(percent_decode("has%20escape"), Cow::Owned(_)));
         assert!(matches!(percent_decode("plus+plus"), Cow::Owned(_)));
     }

@@ -66,8 +66,7 @@ impl LoadGenConfig {
     /// a bound on how long the serving run can take.
     pub fn horizon(&self, budget: SimDuration) -> SimTime {
         let gap = self.mean_gap.as_micros().max(1);
-        SimTime::from_micros(self.n_requests.saturating_mul(gap))
-            .saturating_add(budget)
+        SimTime::from_micros(self.n_requests.saturating_mul(gap)).saturating_add(budget)
     }
 }
 

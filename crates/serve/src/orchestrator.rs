@@ -167,11 +167,7 @@ impl ServeStats {
 
     /// Total fills (any channel).
     pub fn fills(&self) -> u64 {
-        self.wins_hb
-            + self.wins_s2s
-            + self.wins_waterfall
-            + self.wins_direct
-            + self.wins_house
+        self.wins_hb + self.wins_s2s + self.wins_waterfall + self.wins_direct + self.wins_house
     }
 }
 
@@ -502,7 +498,13 @@ fn dispatch_hb_leg(
 }
 
 /// The primary outran the provider's latency quantile: fire the backup.
-fn on_hedge_fire(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32, leg: usize) {
+fn on_hedge_fire(
+    w: &mut ServeWorld,
+    s: &mut Scheduler<ServeWorld>,
+    slot: usize,
+    gen: u32,
+    leg: usize,
+) {
     let now = s.now();
     let id = w.next_request_id();
     let a = live_auction!(w, slot, gen);
@@ -553,7 +555,11 @@ fn on_leg_arrival(
     if let Some(e) = l.hedge_fire.take() {
         s.cancel(e);
     }
-    let loser = if hedge { l.arrival.take() } else { l.hedge_arrival.take() };
+    let loser = if hedge {
+        l.arrival.take()
+    } else {
+        l.hedge_arrival.take()
+    };
     if let Some(e) = loser {
         s.cancel(e);
     }
@@ -587,7 +593,13 @@ fn on_leg_arrival(
 }
 
 /// An HB leg (primary and any hedge) went unanswered in time.
-fn on_leg_timeout(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32, leg: usize) {
+fn on_leg_timeout(
+    w: &mut ServeWorld,
+    s: &mut Scheduler<ServeWorld>,
+    slot: usize,
+    gen: u32,
+    leg: usize,
+) {
     let now = s.now();
     let a = live_auction!(w, slot, gen);
     if a.legs[leg].done {
@@ -595,9 +607,13 @@ fn on_leg_timeout(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize
     }
     a.legs[leg].done = true;
     let l = &mut a.legs[leg];
-    for e in [l.arrival.take(), l.hedge_fire.take(), l.hedge_arrival.take()]
-        .into_iter()
-        .flatten()
+    for e in [
+        l.arrival.take(),
+        l.hedge_fire.take(),
+        l.hedge_arrival.take(),
+    ]
+    .into_iter()
+    .flatten()
     {
         s.cancel(e);
     }
@@ -871,7 +887,10 @@ fn resolve(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, decis
     s.cancel(a.budget_ev);
     for l in &a.legs {
         s.cancel(l.timeout);
-        for e in [l.arrival, l.hedge_fire, l.hedge_arrival].into_iter().flatten() {
+        for e in [l.arrival, l.hedge_fire, l.hedge_arrival]
+            .into_iter()
+            .flatten()
+        {
             s.cancel(e);
         }
     }

@@ -5,9 +5,7 @@
 use std::sync::Arc;
 
 use hb_ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory};
-use hb_serve::{
-    serve_load_with, serve_requests, AdRequest, Decision, LoadGenConfig, ServeConfig,
-};
+use hb_serve::{serve_load_with, serve_requests, AdRequest, Decision, LoadGenConfig, ServeConfig};
 use hb_simnet::{Dist, FaultInjector, HostFaultProfile, SimDuration, SimTime};
 
 fn universe() -> SiteFactory {
@@ -175,7 +173,10 @@ fn overload_sheds_instead_of_hanging() {
         .iter()
         .filter(|o| o.decision == Decision::Shed)
         .count() as u64;
-    assert_eq!(sheds_in_outcomes, stats.sheds, "sheds are explicit outcomes");
+    assert_eq!(
+        sheds_in_outcomes, stats.sheds,
+        "sheds are explicit outcomes"
+    );
 
     // Admitted auctions kept their latency promise despite overload.
     assert_eq!(report.hist.count(), stats.admitted);
@@ -191,7 +192,12 @@ fn overload_sheds_instead_of_hanging() {
     // No hangs: the run ends within one budget of the last arrival.
     let horizon = load.horizon(cfg.budget);
     for sh in &report.shards {
-        assert!(sh.end <= horizon, "shard {} idled late: {:?}", sh.shard, sh.end);
+        assert!(
+            sh.end <= horizon,
+            "shard {} idled late: {:?}",
+            sh.shard,
+            sh.end
+        );
     }
 }
 

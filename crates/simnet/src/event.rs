@@ -158,7 +158,14 @@ impl<E> EventQueue<E> {
         slot.next_free = self.free_head;
         self.free_head = entry.slot;
         self.live -= 1;
-        Some((entry.at, EventId { slot: entry.slot, gen }, payload))
+        Some((
+            entry.at,
+            EventId {
+                slot: entry.slot,
+                gen,
+            },
+            payload,
+        ))
     }
 
     /// Number of live (non-cancelled) pending events.

@@ -250,7 +250,10 @@ mod tests {
         );
         let mut rng = Rng::new(5);
         assert_eq!(inj.decide("lossy.example", &mut rng), FaultDecision::Drop);
-        assert_eq!(inj.decide("clean.example", &mut rng), FaultDecision::Deliver);
+        assert_eq!(
+            inj.decide("clean.example", &mut rng),
+            FaultDecision::Deliver
+        );
         assert!(inj.host_profile("lossy.example").is_some());
         assert!(inj.host_profile("clean.example").is_none());
     }

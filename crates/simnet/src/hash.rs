@@ -91,7 +91,10 @@ mod tests {
             h.write(s.as_bytes());
             h.finish()
         };
-        assert_eq!(hash("appnexus-adnet.example"), hash("appnexus-adnet.example"));
+        assert_eq!(
+            hash("appnexus-adnet.example"),
+            hash("appnexus-adnet.example")
+        );
         assert_ne!(hash("a"), hash("b"));
         // Length must matter even when padded bytes collide.
         assert_ne!(hash("ab"), hash("ab\0"));

@@ -364,10 +364,7 @@ mod tests {
 
     #[test]
     fn same_size_as_string() {
-        assert_eq!(
-            std::mem::size_of::<HStr>(),
-            std::mem::size_of::<String>()
-        );
+        assert_eq!(std::mem::size_of::<HStr>(), std::mem::size_of::<String>());
     }
 
     #[test]

@@ -108,7 +108,9 @@ mod tests {
     fn log_normal_median_roughly_calibrated() {
         let m = LatencyModel::log_normal(300.0, 0.5);
         let mut rng = Rng::new(3);
-        let mut v: Vec<u64> = (0..10_001).map(|_| m.sample(&mut rng).as_micros()).collect();
+        let mut v: Vec<u64> = (0..10_001)
+            .map(|_| m.sample(&mut rng).as_micros())
+            .collect();
         v.sort_unstable();
         let median_ms = v[v.len() / 2] as f64 / 1000.0;
         assert!(

@@ -67,10 +67,7 @@ impl Rng {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
-        let result = s[0]
-            .wrapping_add(s[3])
-            .rotate_left(23)
-            .wrapping_add(s[0]);
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -203,9 +200,7 @@ impl Rng {
             target -= w;
         }
         // Floating-point leftovers: return the last positive weight.
-        weights
-            .iter()
-            .rposition(|w| w.is_finite() && *w > 0.0)
+        weights.iter().rposition(|w| w.is_finite() && *w > 0.0)
     }
 
     /// Zipf-distributed rank in `[1, n]` with exponent `s` (> 0), via

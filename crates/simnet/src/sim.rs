@@ -104,7 +104,10 @@ impl CbPool {
     fn take<F: 'static>(&mut self) -> Option<Box<CbCell<F>>> {
         let i = self.class_pos(TypeId::of::<CbCell<F>>())?;
         let b = self.classes[i].1.pop()?;
-        Some(b.downcast::<CbCell<F>>().expect("pool class holds its own type"))
+        Some(
+            b.downcast::<CbCell<F>>()
+                .expect("pool class holds its own type"),
+        )
     }
 
     /// Return a spent box to its class (bounded; overflow goes back to
@@ -368,18 +371,17 @@ mod tests {
     #[test]
     fn events_run_in_order_and_advance_clock() {
         let mut sim = Simulation::new(World::default());
-        sim.scheduler().after(SimDuration::from_millis(20), |w: &mut World, s| {
-            w.log.push((s.now().as_micros(), "b"));
-        });
-        sim.scheduler().after(SimDuration::from_millis(10), |w: &mut World, s| {
-            w.log.push((s.now().as_micros(), "a"));
-        });
+        sim.scheduler()
+            .after(SimDuration::from_millis(20), |w: &mut World, s| {
+                w.log.push((s.now().as_micros(), "b"));
+            });
+        sim.scheduler()
+            .after(SimDuration::from_millis(10), |w: &mut World, s| {
+                w.log.push((s.now().as_micros(), "a"));
+            });
         let reason = sim.run_to_idle(100);
         assert_eq!(reason, StopReason::Idle);
-        assert_eq!(
-            sim.world().log,
-            vec![(10_000, "a"), (20_000, "b")]
-        );
+        assert_eq!(sim.world().log, vec![(10_000, "a"), (20_000, "b")]);
         assert_eq!(sim.now(), SimTime::from_millis(20));
     }
 
@@ -398,9 +400,10 @@ mod tests {
     #[test]
     fn deadline_stops_and_clamps_clock() {
         let mut sim = Simulation::new(World::default());
-        sim.scheduler().after(SimDuration::from_secs(10), |w: &mut World, _| {
-            w.log.push((0, "too late"));
-        });
+        sim.scheduler()
+            .after(SimDuration::from_secs(10), |w: &mut World, _| {
+                w.log.push((0, "too late"));
+            });
         let reason = sim.run_until(SimTime::from_secs(1), 100);
         assert_eq!(reason, StopReason::Deadline);
         assert!(sim.world().log.is_empty());
@@ -468,9 +471,10 @@ mod tests {
     #[test]
     fn reset_swaps_world_and_rewinds_clock() {
         let mut sim = Simulation::new(World::default());
-        sim.scheduler().after(SimDuration::from_millis(4), |w: &mut World, _| {
-            w.log.push((0, "old"));
-        });
+        sim.scheduler()
+            .after(SimDuration::from_millis(4), |w: &mut World, _| {
+                w.log.push((0, "old"));
+            });
         sim.run_to_idle(10);
         assert_eq!(sim.now(), SimTime::from_millis(4));
 
@@ -481,9 +485,10 @@ mod tests {
         assert_eq!(sim.scheduler().executed(), 0);
 
         // The reset simulation behaves exactly like a fresh one.
-        sim.scheduler().after(SimDuration::from_millis(2), |w: &mut World, s| {
-            w.log.push((s.now().as_micros(), "new"));
-        });
+        sim.scheduler()
+            .after(SimDuration::from_millis(2), |w: &mut World, s| {
+                w.log.push((s.now().as_micros(), "new"));
+            });
         sim.run_to_idle(10);
         assert_eq!(sim.world().log, vec![(2_000, "new")]);
     }
@@ -491,9 +496,10 @@ mod tests {
     #[test]
     fn reset_recycles_pending_callbacks() {
         let mut sim = Simulation::new(World::default());
-        sim.scheduler().after(SimDuration::from_secs(1), |w: &mut World, _| {
-            w.log.push((0, "never runs"));
-        });
+        sim.scheduler()
+            .after(SimDuration::from_secs(1), |w: &mut World, _| {
+                w.log.push((0, "never runs"));
+            });
         sim.reset_in_place().log.clear();
         assert_eq!(sim.scheduler().pending(), 0);
         assert_eq!(
@@ -511,9 +517,10 @@ mod tests {
         let marker = Rc::new(());
         let probe = marker.clone();
         let mut sim = Simulation::new(World::default());
-        sim.scheduler().after(SimDuration::from_secs(5), move |_: &mut World, _| {
-            let _keep = probe;
-        });
+        sim.scheduler()
+            .after(SimDuration::from_secs(5), move |_: &mut World, _| {
+                let _keep = probe;
+            });
         assert_eq!(Rc::strong_count(&marker), 2);
         sim.reset_in_place();
         // Captured state is dropped when the pending callback is recycled.

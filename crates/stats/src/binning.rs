@@ -58,9 +58,7 @@ impl GroupedSamples {
     pub fn whiskers(&self) -> Vec<(u64, Whisker)> {
         self.groups
             .iter()
-            .filter_map(|(k, v)| {
-                Whisker::from_iter(v.iter().copied()).map(|w| (*k, w))
-            })
+            .filter_map(|(k, v)| Whisker::from_iter(v.iter().copied()).map(|w| (*k, w)))
             .collect()
     }
 

@@ -63,11 +63,7 @@ impl Counter {
 
     /// All `(key, count)` pairs sorted by count desc, key asc.
     pub fn ranked(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .counts
-            .iter()
-            .map(|(k, c)| (k.clone(), *c))
-            .collect();
+        let mut v: Vec<(String, u64)> = self.counts.iter().map(|(k, c)| (k.clone(), *c)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v
     }

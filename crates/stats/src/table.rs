@@ -209,7 +209,8 @@ mod tests {
 
     #[test]
     fn render_basic_table() {
-        let mut t = Table::new("demo", &["name", "value"]).with_aligns(&[Align::Left, Align::Right]);
+        let mut t =
+            Table::new("demo", &["name", "value"]).with_aligns(&[Align::Left, Align::Right]);
         t.row(vec!["alpha".into(), "1".into()]);
         t.row(vec!["b".into(), "22".into()]);
         let s = t.render();
@@ -253,7 +254,13 @@ mod tests {
     #[test]
     fn parse_csv_handles_crlf_and_trailing() {
         let rows = parse_csv("a,b\r\n1,2\r\n");
-        assert_eq!(rows, vec![vec!["a".to_string(), "b".into()], vec!["1".into(), "2".into()]]);
+        assert_eq!(
+            rows,
+            vec![
+                vec!["a".to_string(), "b".into()],
+                vec!["1".into(), "2".into()]
+            ]
+        );
         let rows2 = parse_csv("x,y");
         assert_eq!(rows2, vec![vec!["x".to_string(), "y".into()]]);
     }

@@ -120,7 +120,10 @@ fn main() {
         "recovered leases       {}  (re-issued after the simulated crash)",
         stats.leases_reissued
     );
-    println!("duplicate chunks dropped {}", stats.chunks_duplicate_dropped);
+    println!(
+        "duplicate chunks dropped {}",
+        stats.chunks_duplicate_dropped
+    );
     println!("frames rejected        {}", stats.frames_rejected);
     println!(
         "chunks folded          {} / {} blocks",

@@ -9,7 +9,10 @@ use hb_repro::prelude::*;
 
 fn main() {
     let factory = SiteFactory::new(EcosystemConfig::test_scale());
-    println!("crawling {} sites for latency analysis…", factory.config().n_sites);
+    println!(
+        "crawling {} sites for latency analysis…",
+        factory.config().n_sites
+    );
     // Fold the campaign's chunk stream into the columnar index once;
     // every figure reads it.
     let ix = index_campaign(&factory, &CampaignConfig::default());

@@ -17,7 +17,10 @@ fn main() {
     );
 
     // Visit the highest-ranked HB site with the detector attached.
-    let site = factory.hb_sites().next().expect("tiny universe has HB sites");
+    let site = factory
+        .hb_sites()
+        .next()
+        .expect("tiny universe has HB sites");
     println!(
         "\nvisiting {} (rank {}, ground-truth facet: {})",
         site.domain,
@@ -53,7 +56,11 @@ fn main() {
     );
     println!(
         "partners:         {}",
-        r.partners.iter().map(|p| s(*p)).collect::<Vec<_>>().join(", ")
+        r.partners
+            .iter()
+            .map(|p| s(*p))
+            .collect::<Vec<_>>()
+            .join(", ")
     );
     println!("slots auctioned:  {}", r.slots_auctioned);
     println!(
@@ -85,7 +92,11 @@ fn main() {
             "  {} ({}) <- {} @ {:.2} via {}",
             s(slot.slot),
             s(slot.size),
-            if slot.winner.is_empty() { "-" } else { s(slot.winner) },
+            if slot.winner.is_empty() {
+                "-"
+            } else {
+                s(slot.winner)
+            },
             slot.price,
             s(slot.channel)
         );

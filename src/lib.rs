@@ -65,8 +65,7 @@ pub mod prelude {
     };
     pub use hb_ecosystem::{EcosystemConfig, OutageWindow, ScenarioConfig, SiteFactory};
     pub use hb_serve::{
-        serve_load, AdRequest, AuctionOutcome, Decision, LoadGenConfig, ServeConfig,
-        ServeReport,
+        serve_load, AdRequest, AuctionOutcome, Decision, LoadGenConfig, ServeConfig, ServeReport,
     };
     pub use hb_simnet::{Rng, SimDuration, SimTime};
 }

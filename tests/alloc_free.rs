@@ -171,17 +171,35 @@ fn steady_state_columnar_visit_stays_within_allocation_budget() {
         // buffer pools, interner entries, factory memos).
         let (cold, _) = allocations_during(|| {
             columnar_visit(
-                &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                &eco,
+                site.rank,
+                &cfg,
+                &mut strings,
+                &mut scratch,
+                &mut cols,
+                &mut truths,
             )
         });
         for _ in 0..2 {
             let _ = columnar_visit(
-                &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                &eco,
+                site.rank,
+                &cfg,
+                &mut strings,
+                &mut scratch,
+                &mut cols,
+                &mut truths,
             );
         }
         let (steady, completed) = allocations_during(|| {
             columnar_visit(
-                &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                &eco,
+                site.rank,
+                &cfg,
+                &mut strings,
+                &mut scratch,
+                &mut cols,
+                &mut truths,
             )
         });
         eprintln!("alloc_into[{label}]: cold {cold}, steady {steady} (budget {budget})");
@@ -217,7 +235,13 @@ fn cold_visit_stays_within_allocation_budget() {
         // the cold derivation itself.
         for _ in 0..3 {
             let _ = columnar_visit(
-                &eco, ranks[0], &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                &eco,
+                ranks[0],
+                &cfg,
+                &mut strings,
+                &mut scratch,
+                &mut cols,
+                &mut truths,
             );
         }
         // Fresh ranks: every memo (site, account, runtime, page HTML)
@@ -227,7 +251,13 @@ fn cold_visit_stays_within_allocation_budget() {
             .map(|&rank| {
                 allocations_during(|| {
                     columnar_visit(
-                        &eco, rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                        &eco,
+                        rank,
+                        &cfg,
+                        &mut strings,
+                        &mut scratch,
+                        &mut cols,
+                        &mut truths,
                     )
                 })
                 .0
@@ -238,7 +268,13 @@ fn cold_visit_stays_within_allocation_budget() {
         eco.clear_memos();
         let (cleared, _) = allocations_during(|| {
             columnar_visit(
-                &eco, ranks[0], &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                &eco,
+                ranks[0],
+                &cfg,
+                &mut strings,
+                &mut scratch,
+                &mut cols,
+                &mut truths,
             )
         });
         eprintln!(
@@ -297,7 +333,13 @@ fn fault_path_columnar_visit_stays_within_allocation_budget() {
             let mut cols = VisitColumns::new();
             let mut truths = Vec::new();
             let _ = columnar_visit(
-                &eco, s.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                &eco,
+                s.rank,
+                &cfg,
+                &mut strings,
+                &mut scratch,
+                &mut cols,
+                &mut truths,
             );
             let t = truths.last().expect("visit recorded a truth");
             t.bids_dropped + t.retries + t.timed_out_partners > 0
@@ -310,12 +352,24 @@ fn fault_path_columnar_visit_stays_within_allocation_budget() {
     let mut truths = Vec::new();
     for _ in 0..3 {
         let _ = columnar_visit(
-            &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+            &eco,
+            site.rank,
+            &cfg,
+            &mut strings,
+            &mut scratch,
+            &mut cols,
+            &mut truths,
         );
     }
     let (steady, completed) = allocations_during(|| {
         columnar_visit(
-            &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+            &eco,
+            site.rank,
+            &cfg,
+            &mut strings,
+            &mut scratch,
+            &mut cols,
+            &mut truths,
         )
     });
     let t = truths.last().expect("visit recorded a truth");

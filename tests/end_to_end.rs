@@ -35,7 +35,10 @@ fn adoption_rate_banded_by_rank() {
     let head = r.metric("rate_head").unwrap();
     let mid = r.metric("rate_mid").unwrap();
     let tail = r.metric("rate_tail").unwrap();
-    assert!(head > mid && mid > tail, "bands must decrease: {head} {mid} {tail}");
+    assert!(
+        head > mid && mid > tail,
+        "bands must decrease: {head} {mid} {tail}"
+    );
     assert!(head > 0.17 && head < 0.28, "head {head} vs paper 20-23%");
     assert!(tail > 0.07 && tail < 0.16, "tail {tail} vs paper 10-12%");
 }
@@ -60,19 +63,31 @@ fn dfp_dominates_market() {
     let f8 = partners::f08_top_partners(ix);
     assert_eq!(f8.metric("top_is_dfp"), Some(1.0), "DFP is the #1 partner");
     let share = f8.metric("dfp_share").unwrap();
-    assert!(share > 0.70 && share < 0.90, "DFP share {share} vs paper >80%");
+    assert!(
+        share > 0.70 && share < 0.90,
+        "DFP share {share} vs paper >80%"
+    );
     let f10 = partners::f10_combinations(ix);
     let alone = f10.metric("dfp_alone_share").unwrap();
-    assert!((alone - 0.48).abs() < 0.08, "DFP-alone {alone} vs paper 48%");
+    assert!(
+        (alone - 0.48).abs() < 0.08,
+        "DFP-alone {alone} vs paper 48%"
+    );
     let groups = f10.metric("dfp_in_groups_share").unwrap();
-    assert!(groups > 0.35, "DFP in {groups} of multi-partner groups vs paper 51%");
+    assert!(
+        groups > 0.35,
+        "DFP in {groups} of multi-partner groups vs paper 51%"
+    );
 }
 
 #[test]
 fn partner_counts_follow_fig9() {
     let r = partners::f09_partners_per_site(index());
     let one = r.metric("share_one_partner").unwrap();
-    assert!(one > 0.45 && one < 0.62, "single-partner share {one} vs >50%");
+    assert!(
+        one > 0.45 && one < 0.62,
+        "single-partner share {one} vs >50%"
+    );
     let ge5 = r.metric("share_ge5").unwrap();
     assert!(ge5 > 0.10 && ge5 < 0.30, "5+ share {ge5} vs ~20%");
     let ge10 = r.metric("share_ge10").unwrap();
@@ -90,7 +105,10 @@ fn latency_shapes_match_fig12_and_13() {
         "median {median} ms (paper's two anchors: 268 ms single-partner, 600 ms overall)"
     );
     let over3s = f12.metric("frac_over_3s").unwrap();
-    assert!(over3s > 0.04 && over3s < 0.18, "frac>3s {over3s} vs paper ~10%");
+    assert!(
+        over3s > 0.04 && over3s < 0.18,
+        "frac>3s {over3s} vs paper ~10%"
+    );
     let f13 = latency::f13_latency_vs_rank(ix);
     assert!(
         f13.metric("head_to_rest_ratio").unwrap() < 1.0,
@@ -110,7 +128,10 @@ fn partner_latency_hierarchy_fig14_16() {
     // 325 ms (EXPERIMENTS.md) against the paper's 41-217 ms band.
     assert!(fast < 400.0, "fastest partners {fast} ms (paper 41-217)");
     assert!(slow > 500.0, "slowest partners {slow} ms (paper 646-1290)");
-    assert!(top > fast * 0.8 && top < slow, "top market in between: {top}");
+    assert!(
+        top > fast * 0.8 && top < slow,
+        "top market in between: {top}"
+    );
     let f16 = latency::f16_latency_vs_popularity(ix);
     assert!(
         f16.metric("spread_growth").unwrap() > 1.2,
@@ -124,10 +145,16 @@ fn fan_out_increases_latency_fig15_20() {
     let f15 = latency::f15_latency_vs_partners(ix);
     let one = f15.metric("median_1_partner_ms").unwrap();
     let three = f15.metric("median_3_partners_ms").unwrap();
-    assert!((one - 268.0).abs() < 120.0, "1-partner median {one} vs paper 268 ms");
+    assert!(
+        (one - 268.0).abs() < 120.0,
+        "1-partner median {one} vs paper 268 ms"
+    );
     assert!(three > one * 1.3, "3 partners {three} vs 1 partner {one}");
     let share1 = f15.metric("share_1_partner").unwrap();
-    assert!(share1 > 0.45, "single-partner sites are the majority: {share1}");
+    assert!(
+        share1 > 0.45,
+        "single-partner sites are the majority: {share1}"
+    );
     let f20 = slots::f20_latency_vs_slots(ix);
     let m13 = f20.metric("median_1to3_ms").unwrap();
     let m35 = f20.metric("median_3to5_ms").unwrap();
@@ -156,10 +183,16 @@ fn slots_and_sizes_match_fig19_21() {
     let f19 = slots::f19_slots_ecdf(ix);
     for facet in ["client-side", "server-side", "hybrid"] {
         let m = f19.metric(&format!("median_{facet}")).unwrap();
-        assert!((2.0..=6.0).contains(&m), "{facet} slot median {m} (paper 2-6)");
+        assert!(
+            (2.0..=6.0).contains(&m),
+            "{facet} slot median {m} (paper 2-6)"
+        );
     }
     let over20 = f19.metric("share_over_20").unwrap();
-    assert!(over20 > 0.003 && over20 < 0.08, ">20 slots share {over20} vs ~3%");
+    assert!(
+        over20 > 0.003 && over20 < 0.08,
+        ">20 slots share {over20} vs ~3%"
+    );
     let f21 = slots::f21_sizes(ix);
     for facet in ["client-side", "server-side", "hybrid"] {
         assert_eq!(
@@ -176,16 +209,28 @@ fn prices_match_fig22_24() {
     let f22 = prices::f22_price_ecdf(ix);
     let client = f22.metric("median_client-side").unwrap();
     let server = f22.metric("median_server-side").unwrap();
-    assert!(client > server, "client prices dominate: {client} vs {server}");
+    assert!(
+        client > server,
+        "client prices dominate: {client} vs {server}"
+    );
     let over_half = f22.metric("share_over_half_all").unwrap();
-    assert!(over_half > 0.05 && over_half < 0.45, "share>0.5CPM {over_half} vs >20%");
+    assert!(
+        over_half > 0.05 && over_half < 0.45,
+        "share>0.5CPM {over_half} vs >20%"
+    );
     let f23 = prices::f23_price_by_size(ix);
     let mid = f23.metric("median_300x250").unwrap();
-    assert!(mid > 0.005 && mid < 0.15, "300x250 median {mid} vs paper 0.031");
+    assert!(
+        mid > 0.005 && mid < 0.15,
+        "300x250 median {mid} vs paper 0.031"
+    );
     let f24 = prices::f24_price_by_popularity(ix);
     let top = f24.metric("top_bin_median").unwrap();
     let bottom = f24.metric("bottom_bin_median").unwrap();
-    assert!(top < bottom, "popular partners bid lower: {top} vs {bottom}");
+    assert!(
+        top < bottom,
+        "popular partners bid lower: {top} vs {bottom}"
+    );
 }
 
 #[test]

@@ -327,7 +327,10 @@ fn total_demand_outage_completes_via_passback() {
         eco.visit_rng(site.rank, 0),
         0,
     );
-    assert!(visit.page_completed, "visit must complete under total outage");
+    assert!(
+        visit.page_completed,
+        "visit must complete under total outage"
+    );
     assert!(visit.truth.passback_served, "house ads fill the dead slots");
     assert!(
         !visit.truth.winners.is_empty(),
