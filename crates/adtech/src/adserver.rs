@@ -295,11 +295,6 @@ impl AdServerEndpoint {
         }
     }
 
-    /// Number of accounts registered (resolver-backed accounts excluded).
-    pub fn account_count(&self) -> usize {
-        self.accounts.len()
-    }
-
     /// Look up an account, falling back to the resolver.
     fn account(&self, id: &str) -> Option<Arc<AdServerAccount>> {
         if let Some(a) = self.accounts.get(id) {
@@ -511,7 +506,6 @@ mod tests {
     fn endpoint_decisions_all_units() {
         let account = AdServerAccount::test_account("pub-9", vec![unit("s1"), unit("s2")]);
         let ep = AdServerEndpoint::new([account]);
-        assert_eq!(ep.account_count(), 1);
         let bids_body = protocol::bid_response_body(
             "auc-7",
             &[crate::protocol::BidPayload {

@@ -141,11 +141,6 @@ pub struct VisitRecord {
 }
 
 impl VisitRecord {
-    /// Bids that arrived in time.
-    pub fn on_time_bids(&self) -> usize {
-        self.bids.iter().filter(|b| !b.late).count()
-    }
-
     /// Bids that arrived late.
     pub fn late_bids(&self) -> usize {
         self.bids.iter().filter(|b| b.late).count()
@@ -195,7 +190,6 @@ mod tests {
             bid(&mut strings, true),
             bid(&mut strings, false),
         ];
-        assert_eq!(r.on_time_bids(), 2);
         assert_eq!(r.late_bids(), 2);
         assert_eq!(r.late_fraction(), Some(0.5));
     }

@@ -8,17 +8,18 @@
 //!
 //! [`CampaignPlan`] is the only implementation of that schedule. The
 //! toplist is split into `shards` contiguous rank slices; each
-//! `(day, shard)` group of ranks is one batch, cut into
-//! `chunk_visits`-sized [`PlanBlock`]s keyed `(day, shard, seq)`. The
-//! plan yields the day-0 blocks first, collects detected ranks from the
-//! day-0 chunks as they fold ([`CampaignPlan::observe`]), then yields
-//! the revisit blocks. [`run_campaign_streamed`] drives it in process,
-//! one batch at a time; the distributed coordinator drives the same plan
-//! over leases, one block at a time.
+//! `(day, shard)` group of ranks is cut into `chunk_visits`-sized
+//! [`PlanBlock`]s keyed `(day, shard, seq)`. The plan yields the day-0
+//! blocks first, collects detected ranks from the day-0 chunks as they
+//! fold ([`CampaignPlan::observe`]), then yields the revisit blocks.
+//! [`run_campaign_streamed`] drives those two block lists in process,
+//! one after the other; the distributed coordinator leases the same
+//! blocks to its workers. In process, `shards` only names chunk keys: it
+//! changes no thread layout.
 //!
 //! ## One data path
 //!
-//! Workers claim blocks of a batch, derive each site lazily from the
+//! Workers claim blocks from the list, derive each site lazily from the
 //! [`SiteFactory`], crawl it straight into columns and flatten the
 //! ground truth immediately, interning strings into a block-local
 //! interner — sealing the block as a self-contained columnar
@@ -27,11 +28,11 @@
 //! dataset CSV writer fold them one at a time, so no row dataset is ever
 //! resident.
 //!
-//! Every batch runs the same way at any worker count: the workers hand
+//! Both lists run the same way at any worker count: the workers hand
 //! sealed chunks to the calling thread through one blocking, bounded
 //! hand-off (a `Mutex` and a `Condvar`; at most `2 × workers` chunks
-//! wait), and the caller's sink runs there, in `seq` order. A panic in a
-//! worker or in the sink aborts the batch and reaches the caller; it
+//! wait), and the caller's sink runs there, in block order. A panic in a
+//! worker or in the sink aborts the run and reaches the caller; it
 //! never hangs the campaign. The library prints nothing: a caller that
 //! wants progress counts the chunks its sink receives.
 //!
@@ -52,7 +53,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Campaign tuning.
 #[derive(Debug)]
 pub struct CampaignConfig {
-    /// Worker threads per shard batch (0 = available parallelism).
+    /// Crawl worker threads (0 = available parallelism).
     pub parallelism: usize,
     /// Session policy.
     pub session: SessionConfig,
@@ -73,43 +74,6 @@ impl Default for CampaignConfig {
     }
 }
 
-/// One `(day, shard)` group of the schedule: the ranks one batch crawls,
-/// in rank order. A batch seals into [`PlanBatch::n_blocks`] chunks.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct PlanBatch {
-    /// Crawl day (0 = adoption sweep).
-    pub(crate) day: u32,
-    /// Shard owning the ranks.
-    pub(crate) shard: u32,
-    /// Ranks to visit, ascending.
-    pub(crate) ranks: Vec<u32>,
-    chunk_visits: usize,
-}
-
-impl PlanBatch {
-    /// Number of blocks (and sealed chunks) the batch splits into.
-    pub(crate) fn n_blocks(&self) -> usize {
-        self.ranks.len().div_ceil(self.chunk_visits)
-    }
-
-    /// The ranks of block `seq`: `chunk_visits` consecutive ranks, the
-    /// last block taking the remainder.
-    pub(crate) fn block(&self, seq: usize) -> &[u32] {
-        let lo = seq * self.chunk_visits;
-        &self.ranks[lo..(lo + self.chunk_visits).min(self.ranks.len())]
-    }
-
-    /// Every block of the batch, in `seq` order.
-    fn blocks(&self) -> impl Iterator<Item = PlanBlock> + '_ {
-        (0..self.n_blocks()).map(|seq| PlanBlock {
-            day: self.day,
-            shard: self.shard,
-            seq: seq as u32,
-            ranks: self.block(seq).to_vec(),
-        })
-    }
-}
-
 /// One schedulable block: the ranks one sealed chunk covers, under the
 /// chunk's `(day, shard, seq)` key.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -118,7 +82,7 @@ pub struct PlanBlock {
     pub day: u32,
     /// Shard.
     pub shard: u32,
-    /// Position within the `(day, shard)` batch.
+    /// Position within the `(day, shard)` rank list.
     pub seq: u32,
     /// Ranks to visit, ascending.
     pub ranks: Vec<u32>,
@@ -166,19 +130,20 @@ impl CampaignPlan {
         }
     }
 
-    /// Day 0: each shard's slice of the toplist, in shard order. Slices
-    /// are contiguous and differ in length by at most one, so
-    /// `(day, shard, rank)` order is the global `(day, rank)` order — the
-    /// fold-order invariant.
-    pub(crate) fn day0_batches(&self) -> Vec<PlanBatch> {
+    /// Every day-0 block, in `(shard, seq)` order. Shard slices of the
+    /// toplist are contiguous and differ in length by at most one, so
+    /// `(day, shard, seq, rank)` order is the global `(day, rank)` order —
+    /// the fold-order invariant.
+    pub fn day0_blocks(&self) -> Vec<PlanBlock> {
         let (base, rem) = (self.n_sites / self.shards, self.n_sites % self.shards);
-        (0..self.shards)
-            .map(|shard| {
-                let lo = 1 + shard * base + shard.min(rem);
-                let len = base + u32::from(shard < rem);
-                self.batch(0, shard, (lo..lo + len).collect())
-            })
-            .collect()
+        let mut blocks = Vec::new();
+        for shard in 0..self.shards {
+            let lo = 1 + shard * base + shard.min(rem);
+            let len = base + u32::from(shard < rem);
+            let ranks: Vec<u32> = (lo..lo + len).collect();
+            self.cut(&mut blocks, 0, shard, &ranks);
+        }
+        blocks
     }
 
     /// Record the HB ranks a folded chunk detected. Only day-0 chunks
@@ -198,50 +163,36 @@ impl CampaignPlan {
         }
     }
 
-    /// Days `1..=crawl_days`: each shard's detected ranks, in
-    /// `(day, shard)` order.
-    pub(crate) fn revisit_batches(&self) -> Vec<PlanBatch> {
-        (1..=self.crawl_days)
-            .flat_map(|day| {
-                self.detected
-                    .iter()
-                    .enumerate()
-                    .map(move |(shard, ranks)| self.batch(day, shard as u32, ranks.clone()))
-            })
-            .collect()
-    }
-
-    /// Every day-0 block, in `(shard, seq)` order.
-    pub fn day0_blocks(&self) -> Vec<PlanBlock> {
-        self.day0_batches()
-            .iter()
-            .flat_map(PlanBatch::blocks)
-            .collect()
-    }
-
-    /// Every revisit block, in `(day, shard, seq)` order.
+    /// Every revisit block of days `1..=crawl_days` — each shard's
+    /// detected ranks — in `(day, shard, seq)` order.
     pub fn revisit_blocks(&self) -> Vec<PlanBlock> {
-        self.revisit_batches()
-            .iter()
-            .flat_map(PlanBatch::blocks)
-            .collect()
+        let mut blocks = Vec::new();
+        for day in 1..=self.crawl_days {
+            for (shard, ranks) in self.detected.iter().enumerate() {
+                self.cut(&mut blocks, day, shard as u32, ranks);
+            }
+        }
+        blocks
     }
 
-    fn batch(&self, day: u32, shard: u32, ranks: Vec<u32>) -> PlanBatch {
-        PlanBatch {
+    /// Append `ranks` cut into `chunk_visits`-rank blocks of
+    /// `(day, shard)`, the last block taking the remainder.
+    fn cut(&self, blocks: &mut Vec<PlanBlock>, day: u32, shard: u32, ranks: &[u32]) {
+        let cut = ranks.chunks(self.chunk_visits).enumerate();
+        blocks.extend(cut.map(|(seq, ranks)| PlanBlock {
             day,
             shard,
-            ranks,
-            chunk_visits: self.chunk_visits,
-        }
+            seq: seq as u32,
+            ranks: ranks.to_vec(),
+        }));
     }
 }
 
 /// Crawl one block of ranks into a sealed, self-contained chunk — the
 /// unit of lease-based distribution.
 ///
-/// This is the exact iteration the in-process scheduler runs per claimed
-/// block (its batch runner delegates here), exposed so a remote worker
+/// This is the exact iteration the in-process runner's workers run per
+/// claimed block, exposed so a remote worker
 /// holding a `(day, shard, seq)` lease produces byte-identical chunks: a
 /// block-local interner, direct-to-column visits via [`crawl_site_into`],
 /// ground truth flattened in place. `on_visit` fires after every finished
@@ -338,59 +289,56 @@ fn worker_count(cfg: &CampaignConfig) -> usize {
     }
 }
 
-/// Crawl one `(day, shard)` batch of the plan, streaming sealed chunks
-/// to `sink` in `seq` order.
+/// Crawl `blocks` in order, streaming each sealed chunk to `sink` on the
+/// calling thread, in `blocks` order.
 ///
-/// Workers claim the batch's blocks via an atomic cursor; each block is
-/// crawled in rank order into its own columnar chunk with a block-local
-/// interner, so no symbol state is shared between threads. Ground truth
-/// is flattened to [`TruthRecord`](crate::TruthRecord)s as visits finish —
+/// Workers claim blocks via an atomic cursor; each block is crawled in
+/// rank order into its own columnar chunk with a block-local interner,
+/// so no symbol state is shared between threads. Ground truth is
+/// flattened to [`TruthRecord`](crate::TruthRecord)s as visits finish —
 /// the heavyweight simulation state never outlives the visit. Sealed
-/// chunks reach `sink` on the calling thread through a [`Handoff`].
-fn run_batch(
+/// chunks reach `sink` through a [`Handoff`].
+fn run_blocks(
     factory: &SiteFactory,
-    batch: &PlanBatch,
+    blocks: &[PlanBlock],
     cfg: &CampaignConfig,
     sink: &mut dyn FnMut(VisitChunk),
 ) {
-    let n_blocks = batch.n_blocks();
-    let producers = worker_count(cfg).min(n_blocks);
-    let (day, shard) = (batch.day, batch.shard);
+    let producers = worker_count(cfg).min(blocks.len());
     let handoff = Handoff::new(producers);
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..producers {
             scope.spawn(|| {
                 let _producer = handoff.producer();
-                let net = factory.net_for_day(day);
                 // Per-worker scratch: pooled simulation, browser, detector
-                // buffers and message pools live for the whole batch, not
+                // buffers and message pools live for the whole call, not
                 // one visit.
                 let mut scratch = VisitScratch::new(factory.partner_list());
                 loop {
                     let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= n_blocks {
+                    let Some(block) = blocks.get(b) else {
                         break;
-                    }
+                    };
                     let chunk = crawl_block_into(
                         factory,
-                        batch.block(b),
-                        day,
-                        shard,
-                        b as u32,
+                        &block.ranks,
+                        block.day,
+                        block.shard,
+                        block.seq,
                         &cfg.session,
                         &mut scratch,
-                        &net,
+                        &factory.net_for_day(block.day),
                         &mut |_| {},
                     );
                     if !handoff.publish(b, chunk) {
-                        break; // the batch aborted
+                        break; // the run aborted
                     }
                 }
             });
         }
         let _consumer = handoff.consumer();
-        for _ in 0..n_blocks {
+        for _ in blocks {
             match handoff.consume() {
                 Some(chunk) => sink(chunk),
                 // A producer died before publishing this block; the scope
@@ -402,8 +350,9 @@ fn run_batch(
 }
 
 /// Run the whole campaign in process, streaming chunks to `sink` in
-/// `(day, shard, seq)` order — one `run_batch` call per `(day, shard)`
-/// batch of the [`CampaignPlan`]. Consumers like the analysis layer's
+/// `(day, shard, seq)` order: one `run_blocks` call over the
+/// [`CampaignPlan`]'s day-0 blocks, whose chunks the plan observes, then
+/// one over its revisit blocks. Consumers like the analysis layer's
 /// incremental index builder or the dataset CSV writer fold chunks as
 /// they arrive and drop them, so no row dataset is ever resident.
 pub fn run_campaign_streamed(
@@ -418,15 +367,11 @@ pub fn run_campaign_streamed(
         cfg.shards,
         cfg.chunk_visits,
     );
-    for batch in plan.day0_batches() {
-        run_batch(factory, &batch, cfg, &mut |chunk| {
-            plan.observe(&chunk);
-            sink(chunk);
-        });
-    }
-    for batch in plan.revisit_batches() {
-        run_batch(factory, &batch, cfg, sink);
-    }
+    run_blocks(factory, &plan.day0_blocks(), cfg, &mut |chunk| {
+        plan.observe(&chunk);
+        sink(chunk);
+    });
+    run_blocks(factory, &plan.revisit_blocks(), cfg, sink);
 }
 
 #[cfg(test)]
@@ -562,7 +507,12 @@ mod tests {
             .collect();
         // …visits exactly that slice of the unsharded campaign.
         let full = campaign(&eco, &CampaignConfig::default());
-        let slice = &CampaignPlan::new(eco.config().n_sites, 0, 4, 1).day0_batches()[1].ranks;
+        let slice: Vec<u32> = CampaignPlan::new(eco.config().n_sites, 0, 4, 1)
+            .day0_blocks()
+            .into_iter()
+            .filter(|b| b.shard == 1)
+            .flat_map(|b| b.ranks)
+            .collect();
         let want: Vec<_> = full
             .iter()
             .flat_map(|c| c.visits.iter().map(|v| v.to_record()))
@@ -580,19 +530,56 @@ mod tests {
     #[test]
     fn shard_slices_partition_the_toplist() {
         for (n, shards) in [(200u32, 4u32), (7u32, 3), (5, 8), (1, 1), (5, u32::MAX)] {
-            let batches = CampaignPlan::new(n, 0, shards, 1).day0_batches();
-            assert_eq!(batches.len(), shards.min(n) as usize);
-            let seen: Vec<u32> = batches.into_iter().flat_map(|b| b.ranks).collect();
+            let blocks = CampaignPlan::new(n, 0, shards, 1).day0_blocks();
+            let keyed: BTreeSet<u32> = blocks.iter().map(|b| b.shard).collect();
+            assert_eq!(keyed.len(), shards.min(n) as usize);
+            let seen: Vec<u32> = blocks.into_iter().flat_map(|b| b.ranks).collect();
             let want: Vec<u32> = (1..=n).collect();
             assert_eq!(seen, want, "n={n} shards={shards}");
+        }
+    }
+
+    #[test]
+    fn runner_emits_exactly_the_plan_blocks() {
+        // The runner against the schedule: the chunks it streams carry the
+        // keys and ranks of the plan's day-0 blocks, then of the revisit
+        // blocks of a plan that observed the same day-0 chunks.
+        let eco = SiteFactory::new(EcosystemConfig::tiny_scale().with_days(2));
+        let config = eco.config();
+        for shards in [1, 3, 8] {
+            for chunk_visits in [1, 7, 64] {
+                for parallelism in [1, 4] {
+                    let cfg = CampaignConfig {
+                        parallelism,
+                        shards,
+                        chunk_visits,
+                        ..CampaignConfig::default()
+                    };
+                    let chunks = campaign(&eco, &cfg);
+                    let got: Vec<((u32, u32, u32), Vec<u32>)> = chunks
+                        .iter()
+                        .map(|c| (c.key(), c.visits.iter().map(|v| v.rank).collect()))
+                        .collect();
+                    let mut plan =
+                        CampaignPlan::new(config.n_sites, config.crawl_days, shards, chunk_visits);
+                    let mut want = plan.day0_blocks();
+                    for c in chunks.iter().filter(|c| c.day == 0) {
+                        plan.observe(c);
+                    }
+                    want.extend(plan.revisit_blocks());
+                    let want: Vec<_> = want.into_iter().map(|b| (b.key(), b.ranks)).collect();
+                    assert!(want.iter().any(|((day, ..), _)| *day == 2));
+                    assert_eq!(got, want, "{cfg:?}");
+                }
+            }
         }
     }
 
     /// Runs a campaign whose progress callback (the chunk sink, which is
     /// where `crawl` counts and reports visits) panics on its first chunk,
     /// on a thread of its own with a time limit. The panic happens on the
-    /// calling thread while the batch's workers are live; the consumer
-    /// guard must abort the batch, releasing workers blocked on the
+    /// calling thread while the run's workers are live; the consumer
+    /// guard must abort the run, releasing workers blocked on the
     /// hand-off bound, and the panic must reach the campaign caller. The
     /// failure mode this pins down is a silently hung campaign.
     fn assert_panicking_progress_sink_surfaces(parallelism: usize) {

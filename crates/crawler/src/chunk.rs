@@ -2,7 +2,7 @@
 //! workers and everything downstream.
 //!
 //! A chunk holds a contiguous run of finished visits of one `(day, shard)`
-//! batch, stored columnar ([`VisitColumns`]) with the ground truth already
+//! rank list, stored columnar ([`VisitColumns`]) with the ground truth already
 //! flattened to [`TruthRecord`]s and strings interned into a chunk-local
 //! [`Interner`]. Chunks are self-contained — they can cross thread (or,
 //! serialized, machine) boundaries without referencing any campaign-wide
@@ -23,7 +23,7 @@ pub struct VisitChunk {
     pub day: u32,
     /// Shard that produced the chunk.
     pub shard: u32,
-    /// Position of this chunk within its `(day, shard)` batch.
+    /// Position of this chunk within its `(day, shard)` rank list.
     pub seq: u32,
     /// Columnar visit records (symbols resolve against `strings`).
     pub visits: VisitColumns,

@@ -1,16 +1,16 @@
-//! Ordered, bounded hand-off of sealed chunks from a batch's crawl
-//! workers to the one consumer that streams them on.
+//! Ordered, bounded hand-off of sealed chunks from the crawl workers of
+//! one block list to the one consumer that streams them on.
 //!
 //! Block `b` travels through slot `b % cap`, and the consumer takes the
 //! blocks in ascending order, so the `(day, shard, seq)` stream needs no
 //! reorder window. A producer may publish block `b` only once
 //! `b < next + cap`, where `next` is the block the consumer waits for:
 //! the slot is then free, and at most `cap` sealed chunks wait at once.
-//! The slots are allocated once per batch. Every wait blocks on one
+//! The slots are allocated once per block list. Every wait blocks on one
 //! `Condvar`; nothing polls.
 //!
 //! The two drop guards keep one failing side from hanging the other. A
-//! producer that unwinds aborts the batch, which releases the consumer
+//! producer that unwinds aborts the run, which releases the consumer
 //! waiting for the block it will never publish and every sibling blocked
 //! on capacity. A consumer that stops early (a panicking sink) aborts it
 //! too, which releases the producers. The surrounding `thread::scope`
@@ -25,7 +25,7 @@ struct State<T> {
     next: usize,
     /// Producers that have not exited yet.
     producers: usize,
-    /// Set when either side gives up on the batch.
+    /// Set when either side gives up on the run.
     aborted: bool,
 }
 
@@ -66,7 +66,7 @@ impl<T> Handoff<T> {
     }
 
     /// Publish block `b`, blocking while it would run `cap` blocks ahead
-    /// of the consumer. Returns `false`, dropping `value`, when the batch
+    /// of the consumer. Returns `false`, dropping `value`, when the run
     /// was aborted; the producer should stop claiming blocks.
     #[must_use]
     pub(crate) fn publish(&self, b: usize, value: T) -> bool {
@@ -85,7 +85,7 @@ impl<T> Handoff<T> {
     }
 
     /// Take the next block, waiting for its producer. Returns `None` when
-    /// the batch was aborted, or when every producer exited without
+    /// the run was aborted, or when every producer exited without
     /// publishing it.
     pub(crate) fn consume(&self) -> Option<T> {
         let mut st = self.lock();
@@ -107,14 +107,14 @@ impl<T> Handoff<T> {
     }
 
     /// Guard for one producer: marks it exited on drop, and aborts the
-    /// batch when it exits by a panic.
+    /// run when it exits by a panic.
     pub(crate) fn producer(&self) -> ProducerGuard<'_, T> {
         ProducerGuard(self)
     }
 
-    /// Guard for the consumer: aborts the batch on drop, releasing any
+    /// Guard for the consumer: aborts the run on drop, releasing any
     /// producer blocked in [`Handoff::publish`]. After a fully drained
-    /// batch every producer has already exited, so it changes nothing.
+    /// run every producer has already exited, so it changes nothing.
     pub(crate) fn consumer(&self) -> ConsumerGuard<'_, T> {
         ConsumerGuard(self)
     }

@@ -116,7 +116,7 @@ fn main() {
         }
         for report in indexed_reports(&index) {
             let path = out.join(format!("{}.csv", report.id));
-            if let Err(e) = std::fs::write(&path, report.render()) {
+            if let Err(e) = std::fs::write(&path, report.to_csv()) {
                 eprintln!("distd-coord: write {}: {e}", path.display());
                 std::process::exit(1);
             }

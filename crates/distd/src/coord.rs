@@ -58,7 +58,7 @@
 //! shown to [`CampaignPlan::observe`] in fold order, which reproduces the
 //! in-process campaign's rank lists exactly.
 
-use crate::proto::{recv_msg, send_msg, DistdError, LeaseBlock, Msg};
+use crate::proto::{recv_msg, send_msg, DistdError, Msg};
 use crate::spool::{spool_load, LogAppender, SpoolLog};
 use crate::transport::{is_timeout, TcpTransport, Transport};
 use hb_crawler::{CampaignPlan, PlanBlock, SessionConfig, VisitChunk};
@@ -350,18 +350,7 @@ fn grant(st: &mut State, cfg: &CoordConfig) -> Msg {
     for &i in &picked {
         st.leased_block.insert(i, lease_id);
     }
-    let blocks = picked
-        .iter()
-        .map(|&i| {
-            let b = &st.schedule[i];
-            LeaseBlock {
-                day: b.day,
-                shard: b.shard,
-                seq: b.seq,
-                ranks: b.ranks.clone(),
-            }
-        })
-        .collect();
+    let blocks = picked.iter().map(|&i| st.schedule[i].clone()).collect();
     st.leases.insert(
         lease_id,
         Lease {

@@ -56,7 +56,7 @@ pub mod worker;
 
 pub use chaos::{ChaosConfig, ChaosConnector, ChaosLedger, ChaosSchedule, RxFault, TxFault};
 pub use coord::{CoordConfig, CoordStats, Coordinator};
-pub use proto::{config_fingerprint, recv_msg, send_msg, DistdError, LeaseBlock, Msg, MAX_PAYLOAD};
+pub use proto::{config_fingerprint, recv_msg, send_msg, DistdError, Msg, MAX_PAYLOAD};
 pub use spool::{spool_load, SpoolReplay};
 pub use transport::{is_timeout, Connector, TcpConnector, TcpTransport, Transport};
 pub use worker::{reconnect_backoff, run_worker, run_worker_session, WorkerConfig, WorkerStats};

@@ -18,16 +18,17 @@
 //!                            <--  SubmitAck{accepted, duplicate, done}
 //! ```
 //!
-//! A lease names up to `lease_blocks` concrete blocks — each a `(day,
-//! shard, seq)` key plus the explicit rank list — so a worker needs no
-//! schedule state of its own and a fast worker is not bound by one
-//! request round-trip per block. Campaign visits are pure functions of
+//! A lease names up to `lease_blocks` of the campaign plan's blocks —
+//! each a `(day, shard, seq)` key plus the explicit rank list — so a
+//! worker needs no schedule state of its own and a fast worker is not
+//! bound by one request round-trip per block. Campaign visits are pure functions of
 //! `(seed, rank, day)`, which is what makes lease re-issue after a crash
 //! idempotent (any two workers crawling the same block produce
 //! byte-identical chunks).
 
 use crate::transport::Transport;
 use hb_core::{open_frame, seal_frame, WireError, WireReader, WireWriter};
+use hb_crawler::PlanBlock;
 
 /// Upper bound on one frame's payload; a corrupt or hostile length header
 /// is refused before any allocation. Chunks at paper scale are a few MiB;
@@ -80,47 +81,33 @@ impl From<WireError> for DistdError {
     }
 }
 
-/// One leased block: the chunk key plus the explicit 1-based ranks to
-/// crawl, in order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LeaseBlock {
-    /// Crawl day of the block.
-    pub day: u32,
-    /// Shard the block belongs to.
-    pub shard: u32,
-    /// Chunk sequence number within `(day, shard)`.
-    pub seq: u32,
-    /// Explicit 1-based ranks to crawl, in order.
-    pub ranks: Vec<u32>,
+/// Encode one leased block: its chunk key, then the explicit 1-based
+/// ranks to crawl, in order.
+fn encode_block(w: &mut WireWriter, block: &PlanBlock) {
+    w.u32(block.day);
+    w.u32(block.shard);
+    w.u32(block.seq);
+    w.len(block.ranks.len());
+    for &r in &block.ranks {
+        w.u32(r);
+    }
 }
 
-impl LeaseBlock {
-    fn encode_into(&self, w: &mut WireWriter) {
-        w.u32(self.day);
-        w.u32(self.shard);
-        w.u32(self.seq);
-        w.len(self.ranks.len());
-        for &r in &self.ranks {
-            w.u32(r);
-        }
+fn decode_block(r: &mut WireReader<'_>) -> Result<PlanBlock, WireError> {
+    let day = r.u32()?;
+    let shard = r.u32()?;
+    let seq = r.u32()?;
+    let n = r.bounded_len(4)?;
+    let mut ranks = Vec::with_capacity(n);
+    for _ in 0..n {
+        ranks.push(r.u32()?);
     }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<LeaseBlock, WireError> {
-        let day = r.u32()?;
-        let shard = r.u32()?;
-        let seq = r.u32()?;
-        let n = r.bounded_len(4)?;
-        let mut ranks = Vec::with_capacity(n);
-        for _ in 0..n {
-            ranks.push(r.u32()?);
-        }
-        Ok(LeaseBlock {
-            day,
-            shard,
-            seq,
-            ranks,
-        })
-    }
+    Ok(PlanBlock {
+        day,
+        shard,
+        seq,
+        ranks,
+    })
 }
 
 /// One protocol message (see the module docs for the conversation).
@@ -155,7 +142,7 @@ pub enum Msg {
         /// Lease identity, echoed in heartbeats and every submit.
         lease_id: u64,
         /// The leased blocks, in schedule (fold) order; never empty.
-        blocks: Vec<LeaseBlock>,
+        blocks: Vec<PlanBlock>,
     },
     /// Nothing became leasable (reorder window full, or the schedule
     /// tail not yet known) while the coordinator held the request; ask
@@ -219,8 +206,8 @@ pub(crate) fn frame_tag(frame: &[u8]) -> Option<u8> {
     frame.get(hb_core::FRAME_HEADER).copied()
 }
 
-/// Smallest on-wire footprint of one [`LeaseBlock`]: three key words
-/// plus an empty rank list.
+/// Smallest on-wire footprint of one leased [`PlanBlock`]: its three key
+/// words plus the length word of an empty rank list.
 const LEASE_BLOCK_MIN: usize = 4 + 4 + 4 + 4;
 
 impl Msg {
@@ -249,7 +236,7 @@ impl Msg {
                 w.u64(*lease_id);
                 w.len(blocks.len());
                 for b in blocks {
-                    b.encode_into(&mut w);
+                    encode_block(&mut w, b);
                 }
             }
             Msg::Wait { millis } => {
@@ -311,7 +298,7 @@ impl Msg {
                 }
                 let mut blocks = Vec::with_capacity(n);
                 for _ in 0..n {
-                    blocks.push(LeaseBlock::decode_from(&mut r)?);
+                    blocks.push(decode_block(&mut r)?);
                 }
                 Msg::Lease { lease_id, blocks }
             }
@@ -383,13 +370,13 @@ mod tests {
             Msg::Lease {
                 lease_id: 99,
                 blocks: vec![
-                    LeaseBlock {
+                    PlanBlock {
                         day: 2,
                         shard: 1,
                         seq: 3,
                         ranks: vec![10, 11, 12],
                     },
-                    LeaseBlock {
+                    PlanBlock {
                         day: 2,
                         shard: 1,
                         seq: 4,
@@ -429,7 +416,7 @@ mod tests {
     fn empty_lease_is_structural_corruption() {
         let msg = Msg::Lease {
             lease_id: 1,
-            blocks: vec![LeaseBlock {
+            blocks: vec![PlanBlock {
                 day: 0,
                 shard: 0,
                 seq: 0,

@@ -50,7 +50,7 @@ fn reference_figures() -> BTreeMap<String, String> {
     let index = builder.finish();
     indexed_reports(&index)
         .into_iter()
-        .map(|r| (format!("{}.csv", r.id), r.render()))
+        .map(|r| (format!("{}.csv", r.id), r.to_csv()))
         .collect()
 }
 

@@ -9,17 +9,18 @@
 //!   every decision, so a failing storm replays exactly from its seed,
 //!   and the designated liveness connections never fault at any level.
 
-use hb_distd::{ChaosConfig, ChaosSchedule, LeaseBlock, Msg, RxFault, TxFault};
+use hb_crawler::PlanBlock;
+use hb_distd::{ChaosConfig, ChaosSchedule, Msg, RxFault, TxFault};
 use proptest::prelude::*;
 
-fn arb_block() -> impl Strategy<Value = LeaseBlock> {
+fn arb_block() -> impl Strategy<Value = PlanBlock> {
     (
         0u32..40,
         0u32..8,
         0u32..64,
         proptest::collection::vec(1u32..10_000, 0..24),
     )
-        .prop_map(|(day, shard, seq, ranks)| LeaseBlock {
+        .prop_map(|(day, shard, seq, ranks)| PlanBlock {
             day,
             shard,
             seq,

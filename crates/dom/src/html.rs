@@ -107,11 +107,6 @@ impl HtmlDoc {
     pub fn head_scripts(&self) -> impl Iterator<Item = &ScriptTag> {
         self.scripts.iter().filter(|s| s.in_head)
     }
-
-    /// Case-insensitive source search (used by static analysis).
-    pub fn source_contains_ci(&self, needle: &str) -> bool {
-        find_ci(&self.source, needle).is_some()
-    }
 }
 
 /// Case-insensitive substring search returning the byte offset.
@@ -164,7 +159,6 @@ pub struct HtmlBuilder {
     title: String,
     head_scripts: Vec<String>,
     head_inline: Vec<String>,
-    body_scripts: Vec<String>,
     ad_slot_ids: Vec<String>,
 }
 
@@ -186,12 +180,6 @@ impl HtmlBuilder {
     /// Add an inline script to the `<head>`.
     pub fn head_inline(mut self, body: impl Into<String>) -> Self {
         self.head_inline.push(body.into());
-        self
-    }
-
-    /// Add an external script to the `<body>`.
-    pub fn body_script(mut self, src: impl Into<String>) -> Self {
-        self.body_scripts.push(src.into());
         self
     }
 
@@ -226,11 +214,6 @@ impl HtmlBuilder {
             out.push_str(id);
             out.push_str("\" class=\"ad-unit\"></div>\n");
         }
-        for s in &self.body_scripts {
-            out.push_str("<script src=\"");
-            out.push_str(s);
-            out.push_str("\"></script>\n");
-        }
         out.push_str("</body>\n</html>\n");
         out
     }
@@ -247,20 +230,13 @@ mod tests {
             .head_inline("var pbjs = pbjs || {};")
             .ad_slot("ad-slot-1")
             .ad_slot("ad-slot-2")
-            .body_script("https://static.example/app.js")
             .build();
         let doc = HtmlDoc::scan(&html);
         assert_eq!(doc.title.as_deref(), Some("news site"));
-        assert_eq!(doc.scripts.len(), 3);
+        assert_eq!(doc.scripts.len(), 2);
         assert_eq!(doc.ad_divs.len(), 2);
         let srcs: Vec<&str> = doc.script_srcs().collect();
-        assert_eq!(
-            srcs,
-            vec![
-                "https://cdn.prebid.org/prebid.js",
-                "https://static.example/app.js"
-            ]
-        );
+        assert_eq!(srcs, vec!["https://cdn.prebid.org/prebid.js"]);
         assert_eq!(doc.head_scripts().count(), 2);
     }
 
@@ -293,7 +269,7 @@ mod tests {
         let doc = HtmlDoc::scan("<SCRIPT SRC=\"https://a/B.JS\"></SCRIPT>");
         assert_eq!(doc.scripts.len(), 1);
         assert_eq!(doc.scripts[0].src, "https://a/B.JS");
-        assert!(doc.source_contains_ci("b.js"));
+        assert!(find_ci(&doc.source, "b.js").is_some());
     }
 
     #[test]

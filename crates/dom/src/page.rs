@@ -109,12 +109,6 @@ impl Page {
     pub fn page_load_time(&self) -> Option<SimDuration> {
         self.loaded.map(|t| t.saturating_since(self.nav_start))
     }
-
-    /// Time from navigation to first rendered ad.
-    pub fn time_to_first_ad(&self) -> Option<SimDuration> {
-        self.first_ad_rendered
-            .map(|t| t.saturating_since(self.nav_start))
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +150,7 @@ mod tests {
         p.mark_ad_failed();
         assert_eq!(p.ads_rendered, 2);
         assert_eq!(p.ads_failed, 1);
-        assert_eq!(p.time_to_first_ad(), Some(SimDuration::from_millis(400)));
+        assert_eq!(p.first_ad_rendered, Some(SimTime::from_millis(500)));
         assert_eq!(p.last_ad_rendered, Some(SimTime::from_millis(700)));
     }
 

@@ -13,7 +13,6 @@
 
 use crate::hstr::{lower_ascii, HStr};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Error produced when parsing a URL.
@@ -129,23 +128,6 @@ impl QueryParams {
     /// True when no pairs are present.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Keys that start with `prefix`, with their values, insertion-ordered.
-    pub fn with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
-        self.iter().filter(move |(k, _)| k.starts_with(prefix))
-    }
-
-    /// Collect into a `BTreeMap`, keeping the **first** value per key.
-    pub fn to_map(&self) -> BTreeMap<String, String> {
-        let mut m = BTreeMap::new();
-        for (k, v) in self.iter() {
-            m.entry(k.to_string()).or_insert_with(|| v.to_string());
-        }
-        m
     }
 
     /// Serialize (percent-encoded, insertion order).
@@ -333,13 +315,6 @@ impl Url {
         self
     }
 
-    /// The registrable-ish domain: final two labels of the host
-    /// (`sub.ads.example.com` → `example.com`). Approximation sufficient
-    /// for partner matching in the simulated DNS namespace.
-    pub fn base_domain(&self) -> &str {
-        base_domain_of(&self.host)
-    }
-
     /// Does this URL's host equal `domain` or end with `.domain`?
     pub fn host_matches(&self, domain: &str) -> bool {
         host_matches(&self.host, domain)
@@ -445,13 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_scan_finds_hb_params() {
-        let q = QueryParams::parse("hb_pb=0.5&hb_bidder=rubicon&cust=1");
-        let hb: Vec<(&str, &str)> = q.with_prefix("hb_").collect();
-        assert_eq!(hb, vec![("hb_pb", "0.5"), ("hb_bidder", "rubicon")]);
-    }
-
-    #[test]
     fn percent_coding_roundtrip() {
         let original = "a b&c=d/e?f";
         let enc = percent_encode(original);
@@ -502,7 +470,7 @@ mod tests {
     #[test]
     fn base_domain_and_matching() {
         let u = Url::parse("https://fast.cdn.prebid.org/lib.js").unwrap();
-        assert_eq!(u.base_domain(), "prebid.org");
+        assert_eq!(base_domain_of(&u.host), "prebid.org");
         assert!(u.host_matches("prebid.org"));
         assert!(u.host_matches("cdn.prebid.org"));
         assert!(!u.host_matches("ebid.org"));
@@ -517,14 +485,6 @@ mod tests {
             .with_param("cpm", "0.42");
         assert!(u.to_string_full().contains("hb_size=300x250"));
         assert!(u.to_string_full().contains("cpm=0.42"));
-    }
-
-    #[test]
-    fn to_map_keeps_first() {
-        let q = QueryParams::parse("k=1&k=2&a=9");
-        let m = q.to_map();
-        assert_eq!(m.get("k").map(String::as_str), Some("1"));
-        assert_eq!(m.get("a").map(String::as_str), Some("9"));
     }
 
     #[test]

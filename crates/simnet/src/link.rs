@@ -69,16 +69,6 @@ impl LatencyModel {
         };
         SimDuration::from_millis_f64(ms.max(self.floor_ms))
     }
-
-    /// The median of the body in milliseconds, where analytically known.
-    pub fn body_median_ms(&self) -> Option<f64> {
-        match &self.body_ms {
-            Dist::Const(v) => Some(*v),
-            Dist::LogNormal { mu, .. } => Some(mu.exp()),
-            Dist::Uniform { lo, hi } => Some((lo + hi) / 2.0),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -117,8 +107,10 @@ mod tests {
             (median_ms - 300.0).abs() / 300.0 < 0.07,
             "median {median_ms}"
         );
-        let analytic = m.body_median_ms().unwrap();
-        assert!((analytic - 300.0).abs() < 1e-9, "analytic {analytic}");
+        let Dist::LogNormal { mu, .. } = m.body_ms else {
+            panic!("log_normal builds a log-normal body");
+        };
+        assert!((mu.exp() - 300.0).abs() < 1e-9, "analytic {}", mu.exp());
     }
 
     #[test]

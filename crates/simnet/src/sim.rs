@@ -453,7 +453,7 @@ mod tests {
         // Pool classes are keyed by closure type, i.e. by call site: the
         // same site scheduling visit after visit reuses its own box.
         let mut sim = Simulation::new(World::default());
-        let mut schedule_one = |sim: &mut Simulation<World>, tag: &'static str| {
+        let schedule_one = |sim: &mut Simulation<World>, tag: &'static str| {
             sim.scheduler()
                 .after(SimDuration::from_millis(1), move |w: &mut World, s| {
                     w.log.push((s.now().as_micros(), tag));

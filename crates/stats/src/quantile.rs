@@ -107,11 +107,6 @@ impl Samples {
     pub fn frac_at_or_below(&self, threshold: f64) -> f64 {
         1.0 - self.frac_above(threshold)
     }
-
-    /// Interquartile range (p75 - p25).
-    pub fn iqr(&self) -> Option<f64> {
-        Some(self.quantile(0.75)? - self.quantile(0.25)?)
-    }
 }
 
 /// Sort finite values ascending, in place, into exactly the order a
@@ -207,11 +202,5 @@ mod tests {
         assert_eq!(x.frac_at_or_below(99.0), 1.0);
         // Vacuous on no samples: 1 - frac_above (= 0).
         assert_eq!(s(&[]).frac_at_or_below(1.0), 1.0);
-    }
-
-    #[test]
-    fn iqr_works() {
-        let x = s(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(x.iqr(), Some(2.0));
     }
 }
