@@ -234,7 +234,9 @@ mod tests {
     use crate::wrapper::{begin_visit, RobustnessPolicy, SiteRuntime, WrapperConfig};
     use hb_http::Router;
     use hb_simnet::{FaultInjector, LatencyModel, Rng, SimTime, Simulation};
-    use std::sync::Arc as Rc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use std::sync::Arc;
 
     fn tier(code: &str, host: &str, floor: f64) -> WaterfallTier {
         WaterfallTier {
@@ -279,7 +281,7 @@ mod tests {
         latency.insert("cdn.example", LatencyModel::constant(10.0));
         latency.insert("rtb.adx0.example", LatencyModel::constant(80.0));
         latency.insert("rtb.adx1.example", LatencyModel::constant(80.0));
-        let net = Net::new(Rc::new(router), Rc::new(latency), Rc::new(faults));
+        let net = Net::new(Arc::new(router), Arc::new(latency), Arc::new(faults));
         let url = Url::parse("https://pub1.example/").unwrap();
         let mut world = PageWorld::new(url.clone(), net, Rng::new(7));
         world.handler_service_ms = Dist::Const(2.0);
@@ -346,7 +348,7 @@ mod tests {
     fn no_hb_events_and_no_hb_params_in_waterfall() {
         let mut sim = build(1.0, 1.0);
         // Track every outgoing request's params.
-        let hb_seen = Rc::new(std::cell::RefCell::new(false));
+        let hb_seen = Rc::new(RefCell::new(false));
         let h2 = hb_seen.clone();
         sim.world_mut().browser.webrequest.tap(move |ev| {
             if let hb_dom::WebRequestEvent::Before { request, .. } = ev {
@@ -422,7 +424,7 @@ mod tests {
         };
         let faults = FaultInjector::none().with_outage("rtb.adx0.example");
         let mut sim = build_with(0.0, 1.0, faults, policy);
-        let hb_seen = Rc::new(std::cell::RefCell::new(false));
+        let hb_seen = Rc::new(RefCell::new(false));
         let h2 = hb_seen.clone();
         sim.world_mut().browser.webrequest.tap(move |ev| {
             if let hb_dom::WebRequestEvent::Before { request, .. } = ev {

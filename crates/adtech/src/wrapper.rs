@@ -108,11 +108,6 @@ impl RobustnessPolicy {
             s2s_deadline: Some(SimDuration::from_millis(600)),
         }
     }
-
-    /// True when every knob is off (the baseline fast path).
-    pub fn is_off(&self) -> bool {
-        *self == RobustnessPolicy::default()
-    }
 }
 
 /// Everything the simulation needs to visit one site.
@@ -667,7 +662,7 @@ fn send_to_adserver(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
         // HB-related request.
         w.flow.truth.first_bid_request_at = Some(now);
     }
-    send_request(w, s, req, |w, s, out| handle_adserver_response(w, s, out));
+    send_request(w, s, req, handle_adserver_response);
 }
 
 /// 3b. Server-Side HB: one request to the provider; it runs the auction.
@@ -692,7 +687,7 @@ fn start_server_side(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
     );
     let id = w.browser.next_request_id();
     let req = Request::get(id, url).from_initiator("hb-provider-tag");
-    send_request(w, s, req, |w, s, out| handle_adserver_response(w, s, out));
+    send_request(w, s, req, handle_adserver_response);
 }
 
 /// 5. Ad-server response: fire win events, render slots, notify winners.
@@ -1154,9 +1149,11 @@ mod tests {
 
     #[test]
     fn robustness_policy_defaults_are_off() {
-        assert!(RobustnessPolicy::off().is_off());
-        assert!(RobustnessPolicy::default().is_off());
-        assert!(!RobustnessPolicy::degraded_defaults().is_off());
+        assert_eq!(RobustnessPolicy::off(), RobustnessPolicy::default());
+        assert_ne!(
+            RobustnessPolicy::degraded_defaults(),
+            RobustnessPolicy::default()
+        );
     }
 
     #[test]

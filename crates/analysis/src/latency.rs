@@ -101,7 +101,7 @@ pub fn f14_partner_latency(ix: &DatasetIndex) -> FigureReport {
         .partner_latency
         .iter()
         .filter(|(_, v)| v.len() >= min_obs)
-        .filter_map(|(p, v)| Whisker::from_iter(v.iter().copied()).map(|w| (ix.str(*p), w)))
+        .filter_map(|(p, v)| Whisker::from_values(v.iter().copied()).map(|w| (ix.str(*p), w)))
         .collect();
     whiskers.sort_by(|a, b| a.1.p50.partial_cmp(&b.1.p50).unwrap());
 

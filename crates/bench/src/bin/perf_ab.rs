@@ -8,8 +8,11 @@
 //! the `perf/` benchmark of both the base and the current working tree
 //! offline (build output goes to `target/perf_ab/`, nothing is written
 //! under `perf/`), then runs `N` pairs on seeds `1..=N`, alternating which
-//! side runs first. A run whose JSON result is not `"correct": true`
-//! aborts the comparison.
+//! side runs first. Both sides run in the one directory
+//! `target/perf_ab/run`, so scratch files a workload writes relative to
+//! its working directory (`distd_spool`'s spool under `.bench_tmp/`) land
+//! on the same file system path for both. A run whose JSON result is not
+//! `"correct": true` aborts the comparison.
 //!
 //! For every end-to-end metric `BENCHMARK.json` declares, it prints the
 //! base median and interquartile range, the change median, the median of
@@ -322,6 +325,9 @@ fn compare(opts: &Opts) -> Result<(), String> {
     eprintln!("perf_ab: building base {base_rev} and the working tree…");
     let base_bin = build(&worktree.path, &ab_dir.join("target-base"))?;
     let change_bin = build(&root, &ab_dir.join("target-change"))?;
+    let run_dir = ab_dir.join("run");
+    std::fs::create_dir_all(&run_dir)
+        .map_err(|e| format!("cannot create {}: {e}", run_dir.display()))?;
 
     let (mut base, mut change) = (Vec::new(), Vec::new());
     for seed in 1..=opts.pairs {
@@ -331,8 +337,8 @@ fn compare(opts: &Opts) -> Result<(), String> {
             opts.pairs,
             if base_first { "base" } else { "change" }
         );
-        let run_base = || measure(&base_bin, &worktree.path, opts, seed, &metrics);
-        let run_change = || measure(&change_bin, &root, opts, seed, &metrics);
+        let run_base = || measure(&base_bin, &run_dir, opts, seed, &metrics);
+        let run_change = || measure(&change_bin, &run_dir, opts, seed, &metrics);
         if base_first {
             base.push(run_base()?);
             change.push(run_change()?);

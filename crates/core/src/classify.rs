@@ -94,16 +94,6 @@ impl<'a> Classification<'a> {
     pub fn partner_name(&self) -> Option<&'a str> {
         self.partner.map(|e| e.name.as_str())
     }
-
-    /// Partner bidder code when the host matched the list.
-    pub fn partner_code(&self) -> Option<&'a str> {
-        self.partner.map(|e| e.code.as_str())
-    }
-
-    /// Whether the matched partner is a known ad-server operator.
-    pub fn partner_is_ad_server(&self) -> bool {
-        self.partner.is_some_and(|e| e.is_ad_server)
-    }
 }
 
 /// Classify one outgoing request. Zero-allocation for requests with form
@@ -126,10 +116,8 @@ pub fn classify_request<'a>(list: &'a PartnerList, req: &Request) -> Classificat
             "hb_price" => has_price = true,
             "hb_slot" => has_slot = true,
             "account" => has_account = true,
-            "hb_source" => {
-                if first_source_is_s2s.is_none() {
-                    first_source_is_s2s = Some(v == "s2s");
-                }
+            "hb_source" if first_source_is_s2s.is_none() => {
+                first_source_is_s2s = Some(v == "s2s");
             }
             _ => {}
         }
@@ -205,7 +193,7 @@ mod tests {
         let c = classify_request(&list, &req);
         assert_eq!(c.kind, RequestKind::BidRequest);
         assert_eq!(c.partner_name(), Some("AppNexus"));
-        assert!(!c.partner_is_ad_server());
+        assert!(!c.partner.unwrap().is_ad_server);
     }
 
     #[test]
@@ -216,7 +204,7 @@ mod tests {
         let list = list();
         let c = classify_request(&list, &req);
         assert_eq!(c.kind, RequestKind::AdServerCall);
-        assert!(c.partner_is_ad_server());
+        assert!(c.partner.unwrap().is_ad_server);
         assert_eq!(c.partner_name(), Some("DFP"));
     }
 
@@ -241,7 +229,7 @@ mod tests {
         let list = list();
         let c = classify_request(&list, &req);
         assert_eq!(c.kind, RequestKind::WinNotification);
-        assert_eq!(c.partner_code(), Some("rubicon"));
+        assert_eq!(c.partner.unwrap().code, "rubicon");
     }
 
     #[test]
@@ -319,6 +307,6 @@ mod tests {
         let c = classify_request(&list, &req);
         let idx = c.partner_index.unwrap();
         assert_eq!(list.entry(idx).code, "appnexus");
-        assert_eq!(c.partner_code(), Some("appnexus"));
+        assert!(std::ptr::eq(c.partner.unwrap(), list.entry(idx)));
     }
 }

@@ -469,7 +469,7 @@ mod tests {
             slots: vec![],
             event_counts: vec![(strings.intern("auctionInit"), 1)],
             page_load_ms: Some(900.0),
-            bids_dropped: (rank % 2) as u32,
+            bids_dropped: rank % 2,
             retries: 0,
             timed_out_partners: 0,
             passback_served: rank == 3,

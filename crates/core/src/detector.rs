@@ -400,24 +400,21 @@ impl HbDetector {
         }
 
         // --- Slots auctioned --------------------------------------------------
-        // Prefer the auctionInit adUnitCodes count; fall back to the
-        // ad-server call's hb_slot parameters; then to rendered slots.
-        let init_units: Option<u32> = None; // adUnitCodes not stored per event; use slots
-        scalars.slots_auctioned = init_units.unwrap_or_else(|| {
-            let from_slots = row.slots_len() as u32;
-            if from_slots > 0 {
-                from_slots
-            } else {
-                // Distinct bid slots, counted in a reusable buffer (the
-                // former per-finish `BTreeSet`).
-                let distinct = &mut scratch.slots;
-                distinct.clear();
-                distinct.extend(row.bids().iter().map(|b| b.slot));
-                distinct.sort_unstable();
-                distinct.dedup();
-                distinct.len() as u32
-            }
-        });
+        // The auctionInit adUnitCodes are not stored per event, so count
+        // the row's slots, falling back to its distinct bid slots.
+        let from_slots = row.slots_len() as u32;
+        scalars.slots_auctioned = if from_slots > 0 {
+            from_slots
+        } else {
+            // Distinct bid slots, counted in a reusable buffer (the
+            // former per-finish `BTreeSet`).
+            let distinct = &mut scratch.slots;
+            distinct.clear();
+            distinct.extend(row.bids().iter().map(|b| b.slot));
+            distinct.sort_unstable();
+            distinct.dedup();
+            distinct.len() as u32
+        };
 
         // --- Fault accounting -------------------------------------------------
         // A bid request with no completion never produced a response on

@@ -105,11 +105,6 @@ impl Interner {
         &self.strings[sym.0 as usize]
     }
 
-    /// Resolve without panicking.
-    pub fn try_resolve(&self, sym: Symbol) -> Option<&str> {
-        self.strings.get(sym.0 as usize).map(|s| &**s)
-    }
-
     /// Number of distinct strings (including the pre-interned `""`).
     pub fn len(&self) -> usize {
         self.strings.len()
@@ -161,12 +156,5 @@ mod tests {
         i.intern("a");
         let texts: Vec<&str> = i.iter().map(|(_, s)| s).collect();
         assert_eq!(texts, vec!["", "b", "a"]);
-    }
-
-    #[test]
-    fn try_resolve_bounds() {
-        let i = Interner::new();
-        assert_eq!(i.try_resolve(Symbol(5)), None);
-        assert_eq!(i.try_resolve(Symbol::EMPTY), Some(""));
     }
 }

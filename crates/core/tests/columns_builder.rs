@@ -85,7 +85,7 @@ fn record_for(spec: &RowSpec, strings: &mut Interner) -> VisitRecord {
                 cpm: 0.05 * (i + 1) as f64,
                 size: sym(strings, "sz", i % 2),
                 late: i % 2 == 1,
-                latency_ms: (i % 3 != 0).then(|| 50.0 + i as f64),
+                latency_ms: (i % 3 != 0).then_some(50.0 + i as f64),
                 source: if i % 4 == 0 {
                     BidSource::ServerReported
                 } else {
@@ -114,10 +114,10 @@ fn record_for(spec: &RowSpec, strings: &mut Interner) -> VisitRecord {
             .map(|i| (sym(strings, "ev", i), (i + 1) as u32))
             .collect(),
         page_load_ms: spec.page_ms,
-        bids_dropped: (spec.rank % 3) as u32,
-        retries: (spec.day % 2) as u32,
-        timed_out_partners: (spec.rank % 2) as u32,
-        passback_served: spec.rank % 5 == 0,
+        bids_dropped: spec.rank % 3,
+        retries: spec.day % 2,
+        timed_out_partners: spec.rank % 2,
+        passback_served: spec.rank.is_multiple_of(5),
     }
 }
 

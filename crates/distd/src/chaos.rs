@@ -29,8 +29,8 @@
 //!
 //! * **Corrupt** — one bit flipped in the received frame; the worker's
 //!   checksum rejects it and the connection is abandoned.
-//! * **Stall** — the read blocks for the configured stall and then times
-//!   out: a wedged peer, exercising the worker's stall detection.
+//! * **Stall** — the read blocks for 50 ms and then times out: a wedged
+//!   peer, exercising the worker's stall detection.
 //!
 //! Dial-time, decided per connection attempt:
 //!
@@ -59,7 +59,12 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Chaos tuning: the seed, the hostility level, and the stall length.
+/// How long an injected stall or heartbeat blackout blocks before the
+/// read times out.
+const STALL: Duration = Duration::from_millis(50);
+
+/// Chaos tuning: the seed and the hostility level. Every injected stall
+/// blocks for the same 50 ms.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosConfig {
     /// Schedule seed; same seed ⇒ same fault sequence.
@@ -67,18 +72,12 @@ pub struct ChaosConfig {
     /// Hostility 0..=8: each level adds ~3% fault probability per frame
     /// (0 disables injection entirely).
     pub level: u32,
-    /// How long an injected stall blocks before timing out.
-    pub stall: Duration,
 }
 
 impl ChaosConfig {
-    /// A schedule at `level` over `seed`, with a short default stall.
+    /// A schedule at `level` over `seed`.
     pub fn new(seed: u64, level: u32) -> ChaosConfig {
-        ChaosConfig {
-            seed,
-            level,
-            stall: Duration::from_millis(50),
-        }
+        ChaosConfig { seed, level }
     }
 }
 
@@ -130,11 +129,6 @@ impl ChaosSchedule {
     /// Schedule over `cfg`.
     pub fn new(cfg: ChaosConfig) -> ChaosSchedule {
         ChaosSchedule { cfg }
-    }
-
-    /// The config this schedule was built from.
-    pub fn config(&self) -> ChaosConfig {
-        self.cfg
     }
 
     /// True when `conn` is a fault-free liveness connection.
@@ -453,7 +447,7 @@ impl Transport for ChaosTransport {
             // The swallowed heartbeat has no reply coming; surface the
             // half-open connection as a read timeout.
             self.blackout = false;
-            std::thread::sleep(self.schedule.config().stall);
+            std::thread::sleep(STALL);
             return Err(DistdError::Io(std::io::Error::new(
                 std::io::ErrorKind::TimedOut,
                 "chaos: heartbeat blackout",
@@ -465,7 +459,7 @@ impl Transport for ChaosTransport {
             match fault {
                 RxFault::Stall => {
                     self.ledger.stall_rx.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(self.schedule.config().stall);
+                    std::thread::sleep(STALL);
                     return Err(DistdError::Io(std::io::Error::new(
                         std::io::ErrorKind::TimedOut,
                         "chaos: stalled read",
@@ -508,11 +502,13 @@ impl ChaosTransport {
 mod tests {
     use super::*;
 
+    /// One grid point's decisions: submission tx, heartbeat tx, rx and
+    /// dial refusal.
+    type Decisions = (Option<TxFault>, Option<TxFault>, Option<RxFault>, bool);
+
     /// The decision surface of one schedule over a coordinate grid, as a
     /// comparable value.
-    fn surface(
-        s: &ChaosSchedule,
-    ) -> Vec<(Option<TxFault>, Option<TxFault>, Option<RxFault>, bool)> {
+    fn surface(s: &ChaosSchedule) -> Vec<Decisions> {
         let mut out = Vec::new();
         for conn in 0..16u32 {
             for idx in 0..64u64 {
@@ -548,7 +544,7 @@ mod tests {
         let s = ChaosSchedule::new(ChaosConfig::new(9, 8));
         for conn in (3..1024u32).step_by(4) {
             assert!(s.is_quiet(conn));
-            assert!(s.refuse_connect(conn) == false);
+            assert!(!s.refuse_connect(conn));
             for idx in 0..256u64 {
                 assert_eq!(s.tx_fault(conn, idx, true, false), None);
                 assert_eq!(s.rx_fault(conn, idx), None);

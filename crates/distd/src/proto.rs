@@ -451,5 +451,33 @@ mod tests {
         );
         assert_ne!(f, config_fingerprint(&base, 3, 64, &session));
         assert_ne!(f, config_fingerprint(&base, 2, 65, &session));
+        // Every other ecosystem field: a worker with a different
+        // universe, crawl length, fault rate or scenario is rejected.
+        let eco_variants = [
+            base.clone().with_sites(201),
+            base.clone().with_days(2),
+            EcosystemConfig {
+                drop_chance: 0.005,
+                ..base.clone()
+            },
+            EcosystemConfig {
+                slow_chance: 0.04,
+                ..base.clone()
+            },
+            base.clone()
+                .with_scenario(hb_ecosystem::ScenarioConfig::healthy().with_outage(
+                    "x.example",
+                    0,
+                    0,
+                )),
+        ];
+        for eco in &eco_variants {
+            assert_ne!(f, config_fingerprint(eco, 2, 64, &session), "{eco:?}");
+        }
+        let session_variant = SessionConfig {
+            max_events: 50_000,
+            ..SessionConfig::default()
+        };
+        assert_ne!(f, config_fingerprint(&base, 2, 64, &session_variant));
     }
 }

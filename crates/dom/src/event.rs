@@ -25,12 +25,15 @@ pub struct DomEvent<'a> {
     pub at: SimTime,
 }
 
+/// One registered DOM event listener.
+type DomTap = Box<dyn FnMut(&DomEvent<'_>)>;
+
 /// The DOM event target for a page: a list of taps, each receiving every
 /// event (the detector's content-script listener is one). Taps stay
 /// registered across pooled visits.
 #[derive(Default)]
 pub struct EventBus {
-    taps: Vec<Box<dyn FnMut(&DomEvent<'_>)>>,
+    taps: Vec<DomTap>,
 }
 
 impl EventBus {

@@ -76,11 +76,14 @@ impl WebRequestEvent<'_> {
     }
 }
 
+/// One registered webRequest listener.
+type WebRequestTap = Box<dyn FnMut(&WebRequestEvent<'_>)>;
+
 /// Read-only network observation bus: a list of taps. Taps stay
 /// registered across pooled visits.
 #[derive(Default)]
 pub struct WebRequestBus {
-    taps: Vec<Box<dyn FnMut(&WebRequestEvent<'_>)>>,
+    taps: Vec<WebRequestTap>,
 }
 
 impl WebRequestBus {

@@ -2,7 +2,32 @@
 
 use crate::scenario::ScenarioConfig;
 
-/// All knobs of the synthetic ecosystem generator.
+/// HB adoption rate in the top 5k rank band (paper §4.1: 20–23%).
+pub const ADOPTION_TOP: f64 = 0.22;
+/// HB adoption rate in the 5k–15k rank band (paper §4.1: 12–17%).
+pub const ADOPTION_MID: f64 = 0.15;
+/// HB adoption rate in the 15k+ rank band (paper §4.1: 10–12%).
+pub const ADOPTION_TAIL: f64 = 0.12;
+/// Facet shares `(server, hybrid, client)` (paper §4.6: 48 / 34.7 / 17.3).
+pub const FACET_SHARES: (f64, f64, f64) = (0.48, 0.347, 0.173);
+/// Base probability a wrapper is misconfigured to fire immediately
+/// (paper §5).
+pub const MISCONFIG_BASE: f64 = 0.02;
+/// Extra misconfiguration probability when the site uses late-prone
+/// partners (paper §5, drives Fig. 18).
+pub const MISCONFIG_LATE_PRONE_BOOST: f64 = 0.15;
+/// Probability a site with a timeout uses the 3 s default (paper §5).
+pub const DEFAULT_TIMEOUT_SHARE: f64 = 0.45;
+/// Probability a wrapper waits for all partners, with no timeout
+/// (paper §5).
+pub const NO_TIMEOUT_SHARE: f64 = 0.12;
+/// Share of sites that duplicate slots per device class (the >20-slot
+/// oddity, paper §5.3).
+pub const DEVICE_DUPLICATION_SHARE: f64 = 0.04;
+
+/// The settable knobs of the synthetic ecosystem generator: its seed,
+/// size and network conditions. The calibration to the paper's
+/// measurements is the constants above.
 #[derive(Clone, Debug)]
 pub struct EcosystemConfig {
     /// Master seed; every derived stream hangs off this.
@@ -11,26 +36,6 @@ pub struct EcosystemConfig {
     pub n_sites: u32,
     /// Days of daily crawling of HB sites (paper: 34).
     pub crawl_days: u32,
-    /// HB adoption rate in the top 5k rank band (paper: 20–23%).
-    pub adoption_top: f64,
-    /// HB adoption rate in the 5k–15k band (paper: 12–17%).
-    pub adoption_mid: f64,
-    /// HB adoption rate in the 15k+ band (paper: 10–12%).
-    pub adoption_tail: f64,
-    /// Facet shares `(server, hybrid, client)` (paper: 48 / 34.7 / 17.3).
-    pub facet_shares: (f64, f64, f64),
-    /// Base probability a wrapper is misconfigured to fire immediately.
-    pub misconfig_base: f64,
-    /// Extra misconfiguration probability when the site uses late-prone
-    /// partners (drives Fig. 18).
-    pub misconfig_late_prone_boost: f64,
-    /// Probability a site with a timeout uses the 3 s default.
-    pub default_timeout_share: f64,
-    /// Probability a wrapper waits for all partners (no timeout).
-    pub no_timeout_share: f64,
-    /// Share of sites that duplicate slots per device class (>20 slots
-    /// oddity, §5.3).
-    pub device_duplication_share: f64,
     /// Ambient network fault rates.
     pub drop_chance: f64,
     /// Ambient slowdown chance.
@@ -48,15 +53,6 @@ impl EcosystemConfig {
             seed: 0x4845_4144_4552, // "HEADER"
             n_sites: 35_000,
             crawl_days: 34,
-            adoption_top: 0.22,
-            adoption_mid: 0.15,
-            adoption_tail: 0.12,
-            facet_shares: (0.48, 0.347, 0.173),
-            misconfig_base: 0.02,
-            misconfig_late_prone_boost: 0.15,
-            default_timeout_share: 0.45,
-            no_timeout_share: 0.12,
-            device_duplication_share: 0.04,
             drop_chance: 0.004,
             slow_chance: 0.03,
             scenario: ScenarioConfig::healthy(),
@@ -113,17 +109,12 @@ impl EcosystemConfig {
         let top_band = self.n_sites / 7; // 5k of 35k
         let mid_band = 3 * self.n_sites / 7; // 15k of 35k
         if rank <= top_band.max(1) {
-            self.adoption_top
+            ADOPTION_TOP
         } else if rank <= mid_band.max(2) {
-            self.adoption_mid
+            ADOPTION_MID
         } else {
-            self.adoption_tail
+            ADOPTION_TAIL
         }
-    }
-
-    /// Expected overall adoption rate under the band structure (≈14.28%).
-    pub fn expected_adoption(&self) -> f64 {
-        (self.adoption_top + 2.0 * self.adoption_mid + 4.0 * self.adoption_tail) / 7.0
     }
 }
 
@@ -136,7 +127,7 @@ mod tests {
         let c = EcosystemConfig::paper_scale();
         assert_eq!(c.n_sites, 35_000);
         assert_eq!(c.crawl_days, 34);
-        let (s, h, cl) = c.facet_shares;
+        let (s, h, cl) = FACET_SHARES;
         assert!((s + h + cl - 1.0).abs() < 1e-9);
     }
 
@@ -153,16 +144,17 @@ mod tests {
 
     #[test]
     fn expected_adoption_near_paper_rate() {
-        let c = EcosystemConfig::paper_scale();
-        let e = c.expected_adoption();
+        // One seventh of the toplist is the top band, two sevenths the
+        // middle band, four sevenths the tail.
+        let e = (ADOPTION_TOP + 2.0 * ADOPTION_MID + 4.0 * ADOPTION_TAIL) / 7.0;
         assert!((e - 0.1428).abs() < 0.01, "expected {e}");
     }
 
     #[test]
     fn scaled_bands_preserve_structure() {
         let c = EcosystemConfig::tiny_scale();
-        assert_eq!(c.adoption_for_rank(1), c.adoption_top);
-        assert_eq!(c.adoption_for_rank(200), c.adoption_tail);
+        assert_eq!(c.adoption_for_rank(1), ADOPTION_TOP);
+        assert_eq!(c.adoption_for_rank(200), ADOPTION_TAIL);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! §4–§5 (see DESIGN.md §5).
 
 use crate::catalog::PartnerSpec;
-use crate::config::EcosystemConfig;
+use crate::config::{
+    EcosystemConfig, DEFAULT_TIMEOUT_SHARE, DEVICE_DUPLICATION_SHARE, FACET_SHARES, MISCONFIG_BASE,
+    MISCONFIG_LATE_PRONE_BOOST, NO_TIMEOUT_SHARE,
+};
 use crate::sizes::sample_size;
 use crate::toplist::site_domain_hstr;
 use hb_adtech::{AdUnit, Cpm, HbFacet, PartnerRef, WrapperConfig};
@@ -298,7 +301,7 @@ pub fn generate_site_with(
     }
 
     // Facet selection (paper §4.6: 48 / 34.7 / 17.3).
-    let (sv, hy, _cl) = cfg.facet_shares;
+    let (sv, hy, _cl) = FACET_SHARES;
     let u = rng.f64();
     let facet = if u < sv {
         HbFacet::ServerSide
@@ -344,7 +347,7 @@ pub fn generate_site_with(
 
     // Ad units (slot codes stack-rendered into inline `HStr`s).
     let mut n_units = sample_unit_count(facet, rng);
-    let duplication = if rng.chance(cfg.device_duplication_share) {
+    let duplication = if rng.chance(DEVICE_DUPLICATION_SHARE) {
         4 + rng.index(3) // device-class duplication (>20-slot oddity)
     } else {
         1
@@ -362,15 +365,15 @@ pub fn generate_site_with(
 
     // Wrapper tuning.
     let uses_late_prone = client_partner_ids.iter().any(|&i| specs[i].late_prone);
-    let misconfig_p = cfg.misconfig_base
+    let misconfig_p = MISCONFIG_BASE
         + if uses_late_prone {
-            cfg.misconfig_late_prone_boost
+            MISCONFIG_LATE_PRONE_BOOST
         } else {
             0.0
         }
         + 0.02 * rank_frac;
     let send_immediately = facet != HbFacet::ServerSide && rng.chance(misconfig_p);
-    let timeout = if rng.chance(cfg.no_timeout_share * (0.3 + rank_frac)) {
+    let timeout = if rng.chance(NO_TIMEOUT_SHARE * (0.3 + rank_frac)) {
         // Untuned wrappers that wait for everyone live in the long tail.
         None
     } else if uses_late_prone && rng.chance(0.55) {
@@ -381,7 +384,7 @@ pub fn generate_site_with(
     } else if rank_frac < 0.15 && rng.chance(0.6) {
         // Premium publishers clamp the auction hard (Fig. 13).
         Some(SimDuration::from_millis(800 + rng.below(1_200)))
-    } else if rng.chance(cfg.default_timeout_share) {
+    } else if rng.chance(DEFAULT_TIMEOUT_SHARE) {
         Some(SimDuration::from_millis(3_000))
     } else {
         // Publisher-tuned timeouts skew short; against the slow partners'
@@ -428,12 +431,16 @@ mod tests {
     use super::*;
     use crate::catalog;
 
-    fn setup() -> (
+    /// The paper-scale config, the partner catalog, the weighted
+    /// providers and the S2S pool.
+    type Setup = (
         EcosystemConfig,
         Vec<PartnerSpec>,
         Vec<(usize, f64)>,
         Vec<usize>,
-    ) {
+    );
+
+    fn setup() -> Setup {
         let cfg = EcosystemConfig::paper_scale();
         let specs = catalog::catalog();
         let providers = catalog::providers(&specs);

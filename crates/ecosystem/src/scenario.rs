@@ -75,15 +75,6 @@ impl ScenarioConfig {
         ScenarioConfig::default()
     }
 
-    /// True when the scenario changes nothing (the baseline fast path:
-    /// the factory then shares one fault injector across all days).
-    pub fn is_healthy(&self) -> bool {
-        self.outages.is_empty()
-            && self.host_profiles.is_empty()
-            && self.degraded_links.is_empty()
-            && self.robustness.is_off()
-    }
-
     /// Builder: schedule an outage of `host` (and its `rtb.` edge) for
     /// days `from_day..=to_day`.
     pub fn with_outage(
@@ -176,13 +167,14 @@ mod tests {
 
     #[test]
     fn healthy_is_default_and_noop() {
-        assert!(ScenarioConfig::healthy().is_healthy());
-        assert!(ScenarioConfig::default().is_healthy());
+        assert_eq!(
+            format!("{:?}", ScenarioConfig::healthy()),
+            format!("{:?}", ScenarioConfig::default())
+        );
+        assert!(!ScenarioConfig::healthy().has_outages());
         let s = ScenarioConfig::healthy().with_outage("x.example", 0, 3);
-        assert!(!s.is_healthy());
         assert!(s.has_outages());
         let s = ScenarioConfig::healthy().with_robustness(RobustnessPolicy::degraded_defaults());
-        assert!(!s.is_healthy());
         assert!(!s.has_outages());
     }
 

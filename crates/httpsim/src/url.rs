@@ -342,15 +342,6 @@ impl fmt::Display for Url {
     }
 }
 
-/// The final two labels of a hostname (`a.b.c` → `b.c`).
-pub fn base_domain_of(host: &str) -> &str {
-    let mut dots = host.rmatch_indices('.');
-    match (dots.next(), dots.next()) {
-        (Some(_), Some((idx, _))) => &host[idx + 1..],
-        _ => host,
-    }
-}
-
 /// `host` equals `domain` or is a subdomain of it.
 pub fn host_matches(host: &str, domain: &str) -> bool {
     host == domain
@@ -470,12 +461,10 @@ mod tests {
     #[test]
     fn base_domain_and_matching() {
         let u = Url::parse("https://fast.cdn.prebid.org/lib.js").unwrap();
-        assert_eq!(base_domain_of(&u.host), "prebid.org");
         assert!(u.host_matches("prebid.org"));
         assert!(u.host_matches("cdn.prebid.org"));
         assert!(!u.host_matches("ebid.org"));
         assert!(!u.host_matches("other.org"));
-        assert_eq!(base_domain_of("localhost"), "localhost");
     }
 
     #[test]

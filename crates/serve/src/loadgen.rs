@@ -12,20 +12,22 @@ use hb_simnet::{Rng, SimDuration, SimTime};
 
 use crate::request::AdRequest;
 
-/// The synthetic traffic model.
+/// Simulated user population size.
+const N_USERS: u64 = 2_000_000;
+/// Zipf skew of site preference (1.0 = classic web popularity).
+const ZIPF_S: f64 = 1.0;
+
+/// The synthetic traffic model over a fixed population of 2,000,000
+/// users whose site choice has zipf skew 1.0.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadGenConfig {
     /// Seed of the traffic stream (independent of the serving seed).
     pub seed: u64,
     /// Total requests in the stream.
     pub n_requests: u64,
-    /// Simulated user population size.
-    pub n_users: u64,
     /// Site ranks available (1..=n_sites; callers pass the ecosystem's
     /// site count).
     pub n_sites: u64,
-    /// Zipf skew of site preference (1.0 = classic web popularity).
-    pub zipf_s: f64,
     /// Mean inter-arrival gap of the whole stream. Each request lands
     /// at `n * gap + jitter` with `jitter < gap`, so arrivals are
     /// strictly monotone along any shard's slice.
@@ -37,9 +39,7 @@ impl Default for LoadGenConfig {
         LoadGenConfig {
             seed: 0x10AD,
             n_requests: 10_000,
-            n_users: 2_000_000,
             n_sites: 200,
-            zipf_s: 1.0,
             mean_gap: SimDuration::from_micros(500),
         }
     }
@@ -50,8 +50,8 @@ impl LoadGenConfig {
     /// shard, worker, or replay computes the identical request.
     pub fn request(&self, n: u64) -> AdRequest {
         let mut rng = Rng::new(self.seed).derive_str("loadgen").derive(n);
-        let rank = rng.zipf(self.n_sites.max(1), self.zipf_s) as u32;
-        let user = rng.below(self.n_users.max(1));
+        let rank = rng.zipf(self.n_sites.max(1), ZIPF_S) as u32;
+        let user = rng.below(N_USERS);
         let gap = self.mean_gap.as_micros().max(1);
         let jitter = rng.below(gap);
         AdRequest {

@@ -46,8 +46,28 @@ use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::loadgen::LoadGenConfig;
 use crate::request::{AdRequest, AuctionOutcome, Channel, Decision};
 
-/// Orchestrator tuning. Defaults give a 1s budget over 300/400/250ms
-/// leg timeouts, p90 hedging, and 64 concurrent auctions per shard.
+/// Parallel HB leg timeout (clamped to the remaining budget).
+const HB_TIMEOUT: SimDuration = SimDuration::from_millis(300);
+/// Ad-server mediation leg timeout (clamped to the remaining budget).
+const MEDIATION_TIMEOUT: SimDuration = SimDuration::from_millis(400);
+/// Per-tier waterfall timeout (clamped to the remaining budget).
+const TIER_TIMEOUT: SimDuration = SimDuration::from_millis(250);
+/// Hedge trigger before a provider has latency history.
+const HEDGE_AFTER: SimDuration = SimDuration::from_millis(150);
+/// Latency quantile that triggers a hedge once history exists.
+const HEDGE_QUANTILE: f64 = 0.9;
+/// Provider responses required before the quantile estimator is
+/// trusted over [`HEDGE_AFTER`].
+const HEDGE_MIN_SAMPLES: u64 = 32;
+/// Waterfall early-abort: when the remaining budget drops below this,
+/// stop descending tiers and pass back (the Ting & Grislain abort
+/// decision — a tier that can't finish isn't worth starting).
+const ABORT_MARGIN: SimDuration = SimDuration::from_millis(100);
+
+/// The serving workload's settable part. Defaults give a 1s budget and
+/// 64 concurrent auctions per shard over 8 shards; the leg policy
+/// (300/400/250ms leg timeouts, p90 hedging, a 100ms waterfall abort
+/// margin, [`BreakerConfig::default`] breakers) is fixed.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Root seed of the serving plane (rng streams derive from it).
@@ -58,25 +78,6 @@ pub struct ServeConfig {
     /// Concurrent auctions admitted per shard; beyond this, requests
     /// shed explicitly.
     pub max_in_flight: u32,
-    /// Parallel HB leg timeout (clamped to remaining budget).
-    pub hb_timeout: SimDuration,
-    /// Ad-server mediation leg timeout (clamped to remaining budget).
-    pub mediation_timeout: SimDuration,
-    /// Per-tier waterfall timeout (clamped to remaining budget).
-    pub tier_timeout: SimDuration,
-    /// Hedge trigger before a provider has latency history.
-    pub hedge_after: SimDuration,
-    /// Latency quantile that triggers a hedge once history exists.
-    pub hedge_quantile: f64,
-    /// Provider responses required before the quantile estimator is
-    /// trusted over [`ServeConfig::hedge_after`].
-    pub hedge_min_samples: u64,
-    /// Waterfall early-abort: when the remaining budget drops below
-    /// this, stop descending tiers and pass back (the Ting & Grislain
-    /// abort decision — a tier that can't finish isn't worth starting).
-    pub abort_margin: SimDuration,
-    /// Circuit breaker tuning (shared by all providers).
-    pub breaker: BreakerConfig,
     /// Fixed serving shard count. Part of the workload definition, NOT
     /// the worker count: results are byte-identical for any number of
     /// worker threads executing these shards.
@@ -89,14 +90,6 @@ impl Default for ServeConfig {
             seed: 0xAD_5EED,
             budget: SimDuration::from_millis(1_000),
             max_in_flight: 64,
-            hb_timeout: SimDuration::from_millis(300),
-            mediation_timeout: SimDuration::from_millis(400),
-            tier_timeout: SimDuration::from_millis(250),
-            hedge_after: SimDuration::from_millis(150),
-            hedge_quantile: 0.9,
-            hedge_min_samples: 32,
-            abort_margin: SimDuration::from_millis(100),
-            breaker: BreakerConfig::default(),
             shards: 8,
         }
     }
@@ -306,23 +299,22 @@ impl ServeWorld {
     }
 
     fn health_mut(&mut self, host: &HStr) -> &mut ProviderHealth {
-        let breaker = self.cfg.breaker;
         self.health
             .entry(host.clone())
             .or_insert_with(|| ProviderHealth {
-                breaker: CircuitBreaker::new(breaker),
+                breaker: CircuitBreaker::new(BreakerConfig::default()),
                 latency: LogHistogram::new(),
             })
     }
 
     /// Hedge trigger for a provider: its observed latency quantile once
-    /// enough history exists, the static `hedge_after` before that.
+    /// enough history exists, the static [`HEDGE_AFTER`] before that.
     fn hedge_delay(&self, host: &HStr) -> SimDuration {
         match self.health.get(host) {
-            Some(h) if h.latency.count() >= self.cfg.hedge_min_samples => {
-                SimDuration(h.latency.value_at_quantile(self.cfg.hedge_quantile))
+            Some(h) if h.latency.count() >= HEDGE_MIN_SAMPLES => {
+                SimDuration(h.latency.value_at_quantile(HEDGE_QUANTILE))
             }
-            _ => self.cfg.hedge_after,
+            _ => HEDGE_AFTER,
         }
     }
 
@@ -453,7 +445,7 @@ fn dispatch_hb_leg(
     let id = w.next_request_id();
     let a = checked(&mut w.auctions, slot);
     let host = a.site.client_partners[partner].host.clone();
-    let timeout_at = a.leg_deadline(now, w.cfg.hb_timeout);
+    let timeout_at = a.leg_deadline(now, HB_TIMEOUT);
     let request = hb_bid_request(
         id,
         QueryParams::new(),
@@ -651,7 +643,7 @@ fn begin_mediation(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usiz
         return;
     }
     let a = checked(&mut w.auctions, slot);
-    let timeout_at = a.leg_deadline(now, w.cfg.mediation_timeout);
+    let timeout_at = a.leg_deadline(now, MEDIATION_TIMEOUT);
     let request = mediation_request(
         id,
         QueryParams::new(),
@@ -773,7 +765,7 @@ fn wf_next(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: 
             resolve(w, s, slot, Decision::Passback);
             return;
         };
-        if a.deadline.saturating_since(now) < w.cfg.abort_margin {
+        if a.deadline.saturating_since(now) < ABORT_MARGIN {
             // Ting & Grislain abort: a tier with no time to answer is
             // not worth starting; take the passback now.
             w.stats.wf_aborts += 1;
@@ -801,7 +793,7 @@ fn wf_next(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: 
             false,
         )
         .from_initiator("hb-serve");
-        let timeout_at = a.leg_deadline(now, w.cfg.tier_timeout);
+        let timeout_at = a.leg_deadline(now, TIER_TIMEOUT);
         let answer = a.send(&w.net, &request, now, timeout_at);
         let timeout_edge = edge.clone();
         a.wf_timeout = Some(s.at(timeout_at, move |w, s| {
@@ -957,8 +949,6 @@ pub struct ShardReport {
     /// Simulation time when the shard went idle — with the deadline
     /// invariant holding, at most `last arrival + budget`.
     pub end: SimTime,
-    /// Requests the shard processed.
-    pub requests: u64,
 }
 
 /// A full serving run: per-shard reports in shard order plus the
@@ -979,7 +969,7 @@ impl ServeReport {
     pub fn digest(&self) -> u64 {
         let mut h = 0u64;
         for sh in &self.shards {
-            h = h ^ sh.digest.rotate_left((sh.shard % 63) + 1);
+            h ^= sh.digest.rotate_left((sh.shard % 63) + 1);
         }
         h
     }
@@ -1039,7 +1029,6 @@ fn run_shard(
         hist: world.hist,
         outcomes: world.outcomes.take().unwrap_or_default(),
         end,
-        requests: world.stats.auctions,
     }
 }
 

@@ -115,21 +115,6 @@ impl FaultInjector {
         self.outages.insert(host.into());
     }
 
-    /// Clear an outage.
-    pub fn clear_outage(&mut self, host: &str) -> bool {
-        self.outages.remove(host)
-    }
-
-    /// Is this host currently in outage?
-    pub fn is_down(&self, host: &str) -> bool {
-        self.outages.contains(host)
-    }
-
-    /// True when no outage is registered.
-    pub fn outage_free(&self) -> bool {
-        self.outages.is_empty()
-    }
-
     /// Builder: override the ambient profile for one host.
     pub fn with_host_profile(mut self, host: impl Into<HStr>, profile: HostFaultProfile) -> Self {
         self.set_host_profile(host, profile);
@@ -139,11 +124,6 @@ impl FaultInjector {
     /// Override the ambient profile for one host.
     pub fn set_host_profile(&mut self, host: impl Into<HStr>, profile: HostFaultProfile) {
         self.host_profiles.insert(host.into(), profile);
-    }
-
-    /// The ambient override for a host, if any.
-    pub fn host_profile(&self, host: &str) -> Option<&HostFaultProfile> {
-        self.host_profiles.get(host)
     }
 
     /// Decide the fate of a request to `host`. Allocation-free: the host
@@ -191,21 +171,16 @@ mod tests {
         let mut inj = FaultInjector::none();
         inj.add_outage("down.example");
         let mut rng = Rng::new(2);
-        assert!(inj.is_down("down.example"));
         assert_eq!(inj.decide("down.example", &mut rng), FaultDecision::Drop);
         assert_eq!(inj.decide("up.example", &mut rng), FaultDecision::Deliver);
-        assert!(inj.clear_outage("down.example"));
-        assert!(!inj.clear_outage("down.example"));
-        assert_eq!(inj.decide("down.example", &mut rng), FaultDecision::Deliver);
     }
 
     #[test]
     fn outage_accepts_hstr_handles() {
         let host = HStr::from_static("partner-adnet.example");
         let inj = FaultInjector::none().with_outage(host.clone());
-        assert!(inj.is_down(&host));
-        assert!(!inj.outage_free());
-        assert!(FaultInjector::none().outage_free());
+        let mut rng = Rng::new(6);
+        assert_eq!(inj.decide(&host, &mut rng), FaultDecision::Drop);
     }
 
     #[test]
@@ -254,8 +229,6 @@ mod tests {
             inj.decide("clean.example", &mut rng),
             FaultDecision::Deliver
         );
-        assert!(inj.host_profile("lossy.example").is_some());
-        assert!(inj.host_profile("clean.example").is_none());
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl GroupedSamples {
         }
     }
 
-    /// Number of groups.
-    pub fn n_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Total number of samples across groups.
     pub fn n_samples(&self) -> usize {
         self.groups.values().map(Vec::len).sum()
@@ -58,7 +53,7 @@ impl GroupedSamples {
     pub fn whiskers(&self) -> Vec<(u64, Whisker)> {
         self.groups
             .iter()
-            .filter_map(|(k, v)| Whisker::from_iter(v.iter().copied()).map(|w| (*k, w)))
+            .filter_map(|(k, v)| Whisker::from_values(v.iter().copied()).map(|w| (*k, w)))
             .collect()
     }
 
@@ -161,7 +156,7 @@ mod tests {
             g.add(1, v);
         }
         g.add(2, 10.0);
-        assert_eq!(g.n_groups(), 2);
+        assert_eq!(g.keys().count(), 2);
         assert_eq!(g.n_samples(), 4);
         assert_eq!(g.get(1).unwrap().median(), Some(2.0));
         assert!(g.get(3).is_none());
@@ -179,7 +174,7 @@ mod tests {
         g.add(500, 3.0); // bin 1
         g.add(1200, 4.0); // bin 2
         let b = g.rebinned(500);
-        assert_eq!(b.n_groups(), 3);
+        assert_eq!(b.keys().count(), 3);
         assert_eq!(b.get(0).unwrap().len(), 2);
         assert_eq!(b.get(1).unwrap().len(), 1);
         assert_eq!(b.get(2).unwrap().len(), 1);

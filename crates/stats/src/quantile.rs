@@ -6,12 +6,14 @@ pub struct Samples {
     sorted: Vec<f64>,
 }
 
-impl Samples {
+impl FromIterator<f64> for Samples {
     /// Build from any iterator of values; non-finite values are discarded.
-    pub fn from_iter(values: impl IntoIterator<Item = f64>) -> Samples {
+    fn from_iter<I: IntoIterator<Item = f64>>(values: I) -> Samples {
         Samples::from_vec(values.into_iter().filter(|x| x.is_finite()).collect())
     }
+}
 
+impl Samples {
     /// Build from an owned buffer, dropping non-finite values and sorting
     /// in place: the same samples as [`Samples::from_iter`], without a
     /// second copy.

@@ -41,7 +41,7 @@ impl Whisker {
     }
 
     /// Compute directly from values.
-    pub fn from_iter(values: impl IntoIterator<Item = f64>) -> Option<Whisker> {
+    pub fn from_values(values: impl IntoIterator<Item = f64>) -> Option<Whisker> {
         Whisker::from_samples(&Samples::from_iter(values))
     }
 
@@ -78,7 +78,7 @@ mod tests {
 
     #[test]
     fn five_numbers_of_uniform_ramp() {
-        let w = Whisker::from_iter((0..=100).map(|i| i as f64)).unwrap();
+        let w = Whisker::from_values((0..=100).map(|i| i as f64)).unwrap();
         assert_eq!(w.p50, 50.0);
         assert_eq!(w.p5, 5.0);
         assert_eq!(w.p95, 95.0);
@@ -92,12 +92,12 @@ mod tests {
 
     #[test]
     fn empty_is_none() {
-        assert_eq!(Whisker::from_iter(std::iter::empty()), None);
+        assert_eq!(Whisker::from_values(std::iter::empty()), None);
     }
 
     #[test]
     fn single_value_collapses() {
-        let w = Whisker::from_iter([3.5]).unwrap();
+        let w = Whisker::from_values([3.5]).unwrap();
         assert_eq!(w.p5, 3.5);
         assert_eq!(w.p95, 3.5);
         assert_eq!(w.box_spread(), 0.0);
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn display_renders() {
-        let w = Whisker::from_iter([1.0, 2.0, 3.0]).unwrap();
+        let w = Whisker::from_values([1.0, 2.0, 3.0]).unwrap();
         let s = format!("{w}");
         assert!(s.contains("med=2.0"));
         assert!(s.contains("n=3"));

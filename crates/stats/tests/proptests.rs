@@ -53,7 +53,7 @@ proptest! {
     /// Whisker percentiles are always ordered.
     #[test]
     fn whisker_ordered(values in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-        let w = Whisker::from_iter(values).unwrap();
+        let w = Whisker::from_values(values).unwrap();
         prop_assert!(w.is_ordered());
         prop_assert!(w.box_spread() >= 0.0);
         prop_assert!(w.whisker_spread() >= 0.0);
