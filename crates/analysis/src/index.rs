@@ -17,10 +17,10 @@
 //! Chunks are folded and dropped one at a time, so no row dataset is ever
 //! resident. Each chunk-local symbol is interned once per chunk, in
 //! first-seen order, so the numbering is the same as re-interning every
-//! reference. Feed chunks in `(day, shard, seq)` order — what
+//! reference. Feed chunks in `(day, seq)` order — what
 //! [`run_campaign_streamed`] emits and what the distributed coordinator
 //! folds — and the figures are byte-identical for every parallelism and
-//! shard layout. [`index_campaign`] runs that fold over an in-process
+//! chunk size. [`index_campaign`] runs that fold over an in-process
 //! campaign.
 //!
 //! ## Contract: build once, read many
@@ -382,7 +382,7 @@ pub fn index_campaign(factory: &SiteFactory, cfg: &CampaignConfig) -> DatasetInd
     builder.finish()
 }
 
-/// Incremental index construction from streamed shard chunks.
+/// Incremental index construction from streamed campaign chunks.
 ///
 /// Chunks are folded in arrival order and can be dropped immediately —
 /// the builder keeps only the columnar state, never the row records, so

@@ -1,23 +1,22 @@
 //! Run a crawl campaign and persist the dataset as CSV.
 //!
-//! Usage: `crawl [tiny|test|medium|paper] [--out DIR] [--shards N]`
+//! Usage: `crawl [tiny|test|medium|paper] [--out DIR]`
 //!
 //! Streams `visits.csv`, `bids.csv` and `truth.csv` under the output
 //! directory (default `results/dataset/`) chunk by chunk as the campaign
-//! runs, ready for external analysis tooling. The run is deterministic in
-//! the ecosystem seed *and* in the shard count: chunks arrive in
-//! `(day, shard, seq)` order, so `--shards 4` produces byte-identical CSVs
-//! to an unsharded run.
+//! runs, ready for external analysis tooling. Chunks arrive in
+//! `(day, seq)` order, so the CSV bytes are a function of the ecosystem
+//! seed alone.
 //!
 //! Exit codes: 0 on success, 1 when the dataset cannot be written, 2 on a
 //! malformed command line.
 
 use hb_crawler::{run_campaign_streamed, CampaignConfig, DatasetWriter};
-use hb_distd::cli::{flag_parse, flag_value, Scale, EXIT_USAGE};
+use hb_distd::cli::{flag_value, Scale, EXIT_USAGE};
 use hb_ecosystem::SiteFactory;
 use std::path::{Path, PathBuf};
 
-const USAGE: &str = "usage: crawl [tiny|test|medium|paper] [--out DIR] [--shards N]";
+const USAGE: &str = "usage: crawl [tiny|test|medium|paper] [--out DIR]";
 
 /// Visits between two progress lines on stderr.
 const PROGRESS_EVERY: usize = 5_000;
@@ -39,7 +38,6 @@ fn write_failed(out: &Path, err: std::io::Error) -> ! {
 fn main() {
     let mut scale = Scale::Test;
     let mut out = PathBuf::from("results/dataset");
-    let mut shards: u32 = 1;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -47,12 +45,6 @@ fn main() {
                 out = flag_value(&mut args, "--out")
                     .unwrap_or_else(|e| die(e))
                     .into()
-            }
-            "--shards" => {
-                shards = flag_parse(&mut args, "--shards").unwrap_or_else(|e| die(e));
-                if shards == 0 {
-                    die("--shards must be positive".into());
-                }
             }
             word => {
                 scale = word
@@ -64,12 +56,9 @@ fn main() {
     // Create the files before crawling: an unwritable destination fails
     // in milliseconds, not after the campaign.
     let mut writer = DatasetWriter::create(&out).unwrap_or_else(|e| write_failed(&out, e));
-    eprintln!("crawling at {scale:?} scale over {shards} shard(s)…");
+    eprintln!("crawling at {scale:?} scale…");
     let factory = SiteFactory::new(scale.config());
-    let cfg = CampaignConfig {
-        shards,
-        ..CampaignConfig::default()
-    };
+    let cfg = CampaignConfig::default();
     let started = std::time::Instant::now();
     let mut visits = 0usize;
     let mut written = Ok(());

@@ -6,8 +6,8 @@
 //! struct-of-arrays: scalars in parallel columns, child rows (partners,
 //! bids, latency observations, slot decisions, event counts) flattened
 //! into shared arrays indexed by per-visit offset ranges. The crawl
-//! pipeline streams finished visits into per-shard columnar chunks built
-//! on this type, and the analysis layer's incremental index builder reads
+//! pipeline streams finished visits into columnar chunks built on this
+//! type, and the analysis layer's incremental index builder reads
 //! the columns directly — rows are only re-materialized when a caller
 //! explicitly asks for one ([`VisitView::to_record`]).
 

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! [0..4)   magic  b"HBWF"
-//! [4]      version byte (currently 1)
+//! [4]      version byte (currently 2)
 //! [5..13)  payload length, u64 LE
 //! [13..n)  payload bytes
 //! [n..n+8) XXH64(payload), u64 LE
@@ -36,8 +36,10 @@ use crate::intern::{Interner, Symbol};
 use crate::record::{BidSource, DetectedBid, DetectedFacet, DetectedSlot, PartnerLatency};
 use std::fmt;
 
-/// Wire format version this build writes and accepts.
-pub const WIRE_VERSION: u8 = 1;
+/// Wire format version this build writes and accepts. Version 2 dropped
+/// fields from the chunk and fabric message payloads, so a version-1
+/// frame is refused rather than decoded with its fields shifted.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Frame magic: identifies a sealed hb wire frame.
 pub const WIRE_MAGIC: [u8; 4] = *b"HBWF";
@@ -738,10 +740,13 @@ mod tests {
         let mut bad = frame.clone();
         bad[0] ^= 1;
         assert_eq!(open_frame(&bad), Err(WireError::BadMagic));
-        // Version.
-        let mut bad = frame.clone();
-        bad[4] = 9;
-        assert_eq!(open_frame(&bad), Err(WireError::BadVersion(9)));
+        // Version: an unknown one, and version 1, whose chunk and lease
+        // layouts still carried a shard field.
+        for v in [9, 1] {
+            let mut bad = frame.clone();
+            bad[4] = v;
+            assert_eq!(open_frame(&bad), Err(WireError::BadVersion(v)));
+        }
         // Length.
         let mut bad = frame.clone();
         bad[5] ^= 1;

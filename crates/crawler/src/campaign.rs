@@ -1,4 +1,4 @@
-//! Multi-day crawl campaigns over the ecosystem — sharded and streaming.
+//! Multi-day crawl campaigns over the ecosystem, streamed chunk by chunk.
 //!
 //! The paper's methodology, mechanized: a day-0 sweep over the full
 //! toplist (detecting which sites run HB at all), followed by daily
@@ -6,16 +6,15 @@
 //!
 //! ## One schedule
 //!
-//! [`CampaignPlan`] is the only implementation of that schedule. The
-//! toplist is split into `shards` contiguous rank slices; each
-//! `(day, shard)` group of ranks is cut into `chunk_visits`-sized
-//! [`PlanBlock`]s keyed `(day, shard, seq)`. The plan yields the day-0
-//! blocks first, collects detected ranks from the day-0 chunks as they
-//! fold ([`CampaignPlan::observe`]), then yields the revisit blocks.
+//! [`CampaignPlan`] is the only implementation of that schedule. Each
+//! day's rank list (the whole toplist on day 0, the detected ranks on
+//! every later day) is cut into `chunk_visits`-sized [`PlanBlock`]s keyed
+//! `(day, seq)`. The plan yields the day-0 blocks first, collects
+//! detected ranks from the day-0 chunks as they fold
+//! ([`CampaignPlan::observe`]), then yields the revisit blocks.
 //! [`run_campaign_streamed`] drives those two block lists in process,
 //! one after the other; the distributed coordinator leases the same
-//! blocks to its workers. In process, `shards` only names chunk keys: it
-//! changes no thread layout.
+//! blocks to its workers.
 //!
 //! ## One data path
 //!
@@ -23,9 +22,9 @@
 //! [`SiteFactory`], crawl it straight into columns and flatten the
 //! ground truth immediately, interning strings into a block-local
 //! interner — sealing the block as a self-contained columnar
-//! [`VisitChunk`]. Chunks stream to the caller in `(day, shard, seq)`
-//! order the moment they are sealed; the analysis index builder and the
-//! dataset CSV writer fold them one at a time, so no row dataset is ever
+//! [`VisitChunk`]. Chunks stream to the caller in `(day, seq)` order the
+//! moment they are sealed; the analysis index builder and the dataset
+//! CSV writer fold them one at a time, so no row dataset is ever
 //! resident.
 //!
 //! Both lists run the same way at any worker count: the workers hand
@@ -38,10 +37,10 @@
 //!
 //! Determinism: every `(site, day)` visit derives its own RNG stream from
 //! the master seed and block boundaries are a pure function of the plan.
-//! Because shard slices are contiguous, `(day, shard, seq, rank)` order
-//! is exactly the global `(day, rank)` order, so folded figures and
-//! dataset bytes are identical for every `parallelism` *and* every
-//! `shards` setting.
+//! Each day's rank list is ascending, so `(day, seq, rank)` order is
+//! exactly the global `(day, rank)` order, and folded figures and
+//! dataset bytes are identical for every `parallelism` and every
+//! `chunk_visits` setting.
 
 use crate::chunk::VisitChunk;
 use crate::handoff::Handoff;
@@ -57,8 +56,6 @@ pub struct CampaignConfig {
     pub parallelism: usize,
     /// Session policy.
     pub session: SessionConfig,
-    /// Number of contiguous toplist shards (1 = unsharded).
-    pub shards: u32,
     /// Visits per sealed chunk (block size of the worker scheduler).
     pub chunk_visits: usize,
 }
@@ -68,21 +65,18 @@ impl Default for CampaignConfig {
         CampaignConfig {
             parallelism: 0,
             session: SessionConfig::default(),
-            shards: 1,
             chunk_visits: 256,
         }
     }
 }
 
 /// One schedulable block: the ranks one sealed chunk covers, under the
-/// chunk's `(day, shard, seq)` key.
+/// chunk's `(day, seq)` key.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanBlock {
     /// Crawl day.
     pub day: u32,
-    /// Shard.
-    pub shard: u32,
-    /// Position within the `(day, shard)` rank list.
+    /// Position within the day's rank list.
     pub seq: u32,
     /// Ranks to visit, ascending.
     pub ranks: Vec<u32>,
@@ -90,8 +84,8 @@ pub struct PlanBlock {
 
 impl PlanBlock {
     /// The key of the chunk this block seals into.
-    pub fn key(&self) -> (u32, u32, u32) {
-        (self.day, self.shard, self.seq)
+    pub fn key(&self) -> (u32, u32) {
+        (self.day, self.seq)
     }
 }
 
@@ -100,49 +94,34 @@ impl PlanBlock {
 ///
 /// The day-0 part is known up front; the revisit part depends on what
 /// the sweep detects, so feed every day-0 chunk to
-/// [`observe`](CampaignPlan::observe) in fold order (`(shard, seq)`)
-/// before asking for [`revisit_blocks`](CampaignPlan::revisit_blocks).
+/// [`observe`](CampaignPlan::observe) in fold order (by `seq`) before
+/// asking for [`revisit_blocks`](CampaignPlan::revisit_blocks).
 #[derive(Clone, Debug)]
 pub struct CampaignPlan {
     n_sites: u32,
     crawl_days: u32,
-    shards: u32,
     chunk_visits: usize,
-    /// Detected HB ranks per shard, in fold order.
-    detected: Vec<Vec<u32>>,
+    /// Detected HB ranks, in fold order.
+    detected: Vec<u32>,
 }
 
 impl CampaignPlan {
     /// Plan a campaign over ranks `1..=n_sites` for `crawl_days` revisit
-    /// days, split into `shards` contiguous slices and `chunk_visits`-rank
-    /// blocks (both clamped to at least 1). Shards past the site count
-    /// would be empty slices that seal no blocks, so `shards` is also
-    /// clamped to `n_sites`: the schedule is the same, and a huge shard
-    /// count costs nothing.
-    pub fn new(n_sites: u32, crawl_days: u32, shards: u32, chunk_visits: usize) -> CampaignPlan {
-        let shards = shards.clamp(1, n_sites.max(1));
+    /// days, cut into `chunk_visits`-rank blocks (clamped to at least 1).
+    pub fn new(n_sites: u32, crawl_days: u32, chunk_visits: usize) -> CampaignPlan {
         CampaignPlan {
             n_sites,
             crawl_days,
-            shards,
             chunk_visits: chunk_visits.max(1),
-            detected: vec![Vec::new(); shards as usize],
+            detected: Vec::new(),
         }
     }
 
-    /// Every day-0 block, in `(shard, seq)` order. Shard slices of the
-    /// toplist are contiguous and differ in length by at most one, so
-    /// `(day, shard, seq, rank)` order is the global `(day, rank)` order —
-    /// the fold-order invariant.
+    /// Every day-0 block, in `seq` order: the toplist `1..=n_sites`, cut.
     pub fn day0_blocks(&self) -> Vec<PlanBlock> {
-        let (base, rem) = (self.n_sites / self.shards, self.n_sites % self.shards);
+        let ranks: Vec<u32> = (1..=self.n_sites).collect();
         let mut blocks = Vec::new();
-        for shard in 0..self.shards {
-            let lo = 1 + shard * base + shard.min(rem);
-            let len = base + u32::from(shard < rem);
-            let ranks: Vec<u32> = (lo..lo + len).collect();
-            self.cut(&mut blocks, 0, shard, &ranks);
-        }
+        self.cut(&mut blocks, 0, &ranks);
         blocks
     }
 
@@ -152,36 +131,31 @@ impl CampaignPlan {
         if chunk.day != 0 {
             return;
         }
-        if let Some(ranks) = self.detected.get_mut(chunk.shard as usize) {
-            ranks.extend(
-                chunk
-                    .visits
-                    .iter()
-                    .filter(|v| v.hb_detected)
-                    .map(|v| v.rank),
-            );
-        }
+        self.detected.extend(
+            chunk
+                .visits
+                .iter()
+                .filter(|v| v.hb_detected)
+                .map(|v| v.rank),
+        );
     }
 
-    /// Every revisit block of days `1..=crawl_days` — each shard's
-    /// detected ranks — in `(day, shard, seq)` order.
+    /// Every revisit block of days `1..=crawl_days` — the detected ranks,
+    /// cut — in `(day, seq)` order.
     pub fn revisit_blocks(&self) -> Vec<PlanBlock> {
         let mut blocks = Vec::new();
         for day in 1..=self.crawl_days {
-            for (shard, ranks) in self.detected.iter().enumerate() {
-                self.cut(&mut blocks, day, shard as u32, ranks);
-            }
+            self.cut(&mut blocks, day, &self.detected);
         }
         blocks
     }
 
-    /// Append `ranks` cut into `chunk_visits`-rank blocks of
-    /// `(day, shard)`, the last block taking the remainder.
-    fn cut(&self, blocks: &mut Vec<PlanBlock>, day: u32, shard: u32, ranks: &[u32]) {
+    /// Append `ranks` cut into `chunk_visits`-rank blocks of `day`, the
+    /// last block taking the remainder.
+    fn cut(&self, blocks: &mut Vec<PlanBlock>, day: u32, ranks: &[u32]) {
         let cut = ranks.chunks(self.chunk_visits).enumerate();
         blocks.extend(cut.map(|(seq, ranks)| PlanBlock {
             day,
-            shard,
             seq: seq as u32,
             ranks: ranks.to_vec(),
         }));
@@ -191,39 +165,32 @@ impl CampaignPlan {
 /// Crawl one block of ranks into a sealed, self-contained chunk — the
 /// unit of lease-based distribution.
 ///
-/// This is the exact iteration the in-process runner's workers run per
-/// claimed block, exposed so a remote worker
-/// holding a `(day, shard, seq)` lease produces byte-identical chunks: a
-/// block-local interner, direct-to-column visits via [`crawl_site_into`],
-/// ground truth flattened in place. `on_visit` fires after every finished
-/// visit with the count of visits completed in this block (lease
-/// heartbeats, per-visit timing).
+/// This is [`crawl_block_until`] never abandoning the block: the exact
+/// iteration the in-process runner's workers and a remote worker holding
+/// a `(day, seq)` lease run per block, so every caller seals
+/// byte-identical chunks — a block-local interner, direct-to-column
+/// visits via [`crawl_site_into`], ground truth flattened in place.
+/// `on_visit` fires after every finished visit with the count of visits
+/// completed in this block (per-visit timing).
+///
+/// `_shard` is ignored: chunks are keyed `(day, seq)`. The argument
+/// stays only so existing positional callers keep compiling.
 #[allow(clippy::too_many_arguments)] // mirrors crawl_site_into's shape
 pub fn crawl_block_into(
     factory: &SiteFactory,
     ranks: &[u32],
     day: u32,
-    shard: u32,
+    _shard: u32,
     seq: u32,
     session: &SessionConfig,
     scratch: &mut VisitScratch,
     net: &hb_adtech::Net,
     on_visit: &mut dyn FnMut(usize),
 ) -> VisitChunk {
-    crawl_block_until(
-        factory,
-        ranks,
-        day,
-        shard,
-        seq,
-        session,
-        scratch,
-        net,
-        &mut |i| {
-            on_visit(i);
-            true
-        },
-    )
+    crawl_block_until(factory, ranks, day, seq, session, scratch, net, &mut |i| {
+        on_visit(i);
+        true
+    })
     .expect("an always-true keep_going never abandons the block")
 }
 
@@ -240,7 +207,6 @@ pub fn crawl_block_until(
     factory: &SiteFactory,
     ranks: &[u32],
     day: u32,
-    shard: u32,
     seq: u32,
     session: &SessionConfig,
     scratch: &mut VisitScratch,
@@ -271,7 +237,6 @@ pub fn crawl_block_until(
     }
     Some(VisitChunk {
         day,
-        shard,
         seq,
         visits,
         truths,
@@ -320,17 +285,17 @@ fn run_blocks(
                     let Some(block) = blocks.get(b) else {
                         break;
                     };
-                    let chunk = crawl_block_into(
+                    let chunk = crawl_block_until(
                         factory,
                         &block.ranks,
                         block.day,
-                        block.shard,
                         block.seq,
                         &cfg.session,
                         &mut scratch,
                         &factory.net_for_day(block.day),
-                        &mut |_| {},
-                    );
+                        &mut |_| true,
+                    )
+                    .expect("an always-true keep_going never abandons the block");
                     if !handoff.publish(b, chunk) {
                         break; // the run aborted
                     }
@@ -350,7 +315,7 @@ fn run_blocks(
 }
 
 /// Run the whole campaign in process, streaming chunks to `sink` in
-/// `(day, shard, seq)` order: one `run_blocks` call over the
+/// `(day, seq)` order: one `run_blocks` call over the
 /// [`CampaignPlan`]'s day-0 blocks, whose chunks the plan observes, then
 /// one over its revisit blocks. Consumers like the analysis layer's
 /// incremental index builder or the dataset CSV writer fold chunks as
@@ -361,12 +326,7 @@ pub fn run_campaign_streamed(
     sink: &mut dyn FnMut(VisitChunk),
 ) {
     let config = factory.config();
-    let mut plan = CampaignPlan::new(
-        config.n_sites,
-        config.crawl_days,
-        cfg.shards,
-        cfg.chunk_visits,
-    );
+    let mut plan = CampaignPlan::new(config.n_sites, config.crawl_days, cfg.chunk_visits);
     run_blocks(factory, &plan.day0_blocks(), cfg, &mut |chunk| {
         plan.observe(&chunk);
         sink(chunk);
@@ -377,7 +337,6 @@ pub fn run_campaign_streamed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::DatasetWriter;
     use hb_ecosystem::{EcosystemConfig, SiteFactory};
     use std::collections::BTreeSet;
 
@@ -385,16 +344,6 @@ mod tests {
         let mut chunks = Vec::new();
         run_campaign_streamed(eco, cfg, &mut |c| chunks.push(c));
         chunks
-    }
-
-    /// The three dataset CSVs of a chunk stream, concatenated: the
-    /// resolved-text view of every visit, bid and truth.
-    fn csv_bytes(chunks: &[VisitChunk]) -> Vec<u8> {
-        let mut w = DatasetWriter::new(Vec::new(), Vec::new(), Vec::new()).unwrap();
-        for c in chunks {
-            w.write_chunk(c).unwrap();
-        }
-        w.finish().unwrap().concat()
     }
 
     #[test]
@@ -464,113 +413,33 @@ mod tests {
     }
 
     #[test]
-    fn sharding_does_not_change_results() {
-        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
-        let one = campaign(&eco, &CampaignConfig::default());
-        let four = campaign(
-            &eco,
-            &CampaignConfig {
-                shards: 4,
-                chunk_visits: 17, // odd block size to stress the fold order
-                ..CampaignConfig::default()
-            },
-        );
-        let ranks = |chunks: &[VisitChunk]| -> Vec<(u32, u32)> {
-            chunks
-                .iter()
-                .flat_map(|c| c.visits.iter().map(|v| (v.day, v.rank)))
-                .collect()
-        };
-        assert_eq!(
-            ranks(&one),
-            ranks(&four),
-            "visit order differs under sharding"
-        );
-        assert_eq!(csv_bytes(&one), csv_bytes(&four));
-    }
-
-    #[test]
-    fn single_shard_crawl_matches_its_slice_of_the_campaign() {
-        let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
-        // Shard 1 of a 4-shard campaign…
-        let sharded = campaign(
-            &eco,
-            &CampaignConfig {
-                shards: 4,
-                ..CampaignConfig::default()
-            },
-        );
-        let got: Vec<_> = sharded
-            .iter()
-            .filter(|c| c.shard == 1)
-            .flat_map(|c| c.visits.iter().map(|v| v.to_record()))
-            .collect();
-        // …visits exactly that slice of the unsharded campaign.
-        let full = campaign(&eco, &CampaignConfig::default());
-        let slice: Vec<u32> = CampaignPlan::new(eco.config().n_sites, 0, 4, 1)
-            .day0_blocks()
-            .into_iter()
-            .filter(|b| b.shard == 1)
-            .flat_map(|b| b.ranks)
-            .collect();
-        let want: Vec<_> = full
-            .iter()
-            .flat_map(|c| c.visits.iter().map(|v| v.to_record()))
-            .filter(|v| slice.contains(&v.rank))
-            .collect();
-        assert_eq!(got.len(), want.len());
-        for (got, want) in got.iter().zip(&want) {
-            assert_eq!(got.rank, want.rank);
-            assert_eq!(got.day, want.day);
-            assert_eq!(got.hb_latency_ms, want.hb_latency_ms);
-            assert_eq!(got.bids.len(), want.bids.len());
-        }
-    }
-
-    #[test]
-    fn shard_slices_partition_the_toplist() {
-        for (n, shards) in [(200u32, 4u32), (7u32, 3), (5, 8), (1, 1), (5, u32::MAX)] {
-            let blocks = CampaignPlan::new(n, 0, shards, 1).day0_blocks();
-            let keyed: BTreeSet<u32> = blocks.iter().map(|b| b.shard).collect();
-            assert_eq!(keyed.len(), shards.min(n) as usize);
-            let seen: Vec<u32> = blocks.into_iter().flat_map(|b| b.ranks).collect();
-            let want: Vec<u32> = (1..=n).collect();
-            assert_eq!(seen, want, "n={n} shards={shards}");
-        }
-    }
-
-    #[test]
     fn runner_emits_exactly_the_plan_blocks() {
         // The runner against the schedule: the chunks it streams carry the
         // keys and ranks of the plan's day-0 blocks, then of the revisit
         // blocks of a plan that observed the same day-0 chunks.
         let eco = SiteFactory::new(EcosystemConfig::tiny_scale().with_days(2));
         let config = eco.config();
-        for shards in [1, 3, 8] {
-            for chunk_visits in [1, 7, 64] {
-                for parallelism in [1, 4] {
-                    let cfg = CampaignConfig {
-                        parallelism,
-                        shards,
-                        chunk_visits,
-                        ..CampaignConfig::default()
-                    };
-                    let chunks = campaign(&eco, &cfg);
-                    let got: Vec<((u32, u32, u32), Vec<u32>)> = chunks
-                        .iter()
-                        .map(|c| (c.key(), c.visits.iter().map(|v| v.rank).collect()))
-                        .collect();
-                    let mut plan =
-                        CampaignPlan::new(config.n_sites, config.crawl_days, shards, chunk_visits);
-                    let mut want = plan.day0_blocks();
-                    for c in chunks.iter().filter(|c| c.day == 0) {
-                        plan.observe(c);
-                    }
-                    want.extend(plan.revisit_blocks());
-                    let want: Vec<_> = want.into_iter().map(|b| (b.key(), b.ranks)).collect();
-                    assert!(want.iter().any(|((day, ..), _)| *day == 2));
-                    assert_eq!(got, want, "{cfg:?}");
+        for chunk_visits in [1, 7, 64] {
+            for parallelism in [1, 4] {
+                let cfg = CampaignConfig {
+                    parallelism,
+                    chunk_visits,
+                    ..CampaignConfig::default()
+                };
+                let chunks = campaign(&eco, &cfg);
+                let got: Vec<((u32, u32), Vec<u32>)> = chunks
+                    .iter()
+                    .map(|c| (c.key(), c.visits.iter().map(|v| v.rank).collect()))
+                    .collect();
+                let mut plan = CampaignPlan::new(config.n_sites, config.crawl_days, chunk_visits);
+                let mut want = plan.day0_blocks();
+                for c in chunks.iter().filter(|c| c.day == 0) {
+                    plan.observe(c);
                 }
+                want.extend(plan.revisit_blocks());
+                let want: Vec<_> = want.into_iter().map(|b| (b.key(), b.ranks)).collect();
+                assert!(want.iter().any(|((day, _), _)| *day == 2));
+                assert_eq!(got, want, "{cfg:?}");
             }
         }
     }

@@ -1,12 +1,12 @@
-//! Per-shard columnar chunks: the streaming unit between the crawl
-//! workers and everything downstream.
+//! Columnar chunks: the streaming unit between the crawl workers and
+//! everything downstream.
 //!
-//! A chunk holds a contiguous run of finished visits of one `(day, shard)`
-//! rank list, stored columnar ([`VisitColumns`]) with the ground truth already
+//! A chunk holds a contiguous run of finished visits of one day's rank
+//! list, stored columnar ([`VisitColumns`]) with the ground truth already
 //! flattened to [`TruthRecord`]s and strings interned into a chunk-local
 //! [`Interner`]. Chunks are self-contained — they can cross thread (or,
 //! serialized, machine) boundaries without referencing any campaign-wide
-//! state — and carry a deterministic `(day, shard, seq)` key so any
+//! state — and carry a deterministic `(day, seq)` key so any
 //! collection of chunks folds into the same dataset regardless of the
 //! order it was produced in.
 
@@ -16,14 +16,12 @@ use hb_core::{
     Interner, VisitColumns, WireError, WireReader, WireWriter,
 };
 
-/// One sealed batch of finished visits from a crawl shard.
+/// One sealed batch of finished visits from one block of a crawl day.
 #[derive(Clone, Debug)]
 pub struct VisitChunk {
     /// Crawl day the visits belong to (0 = adoption sweep).
     pub day: u32,
-    /// Shard that produced the chunk.
-    pub shard: u32,
-    /// Position of this chunk within its `(day, shard)` rank list.
+    /// Position of this chunk within its day's rank list.
     pub seq: u32,
     /// Columnar visit records (symbols resolve against `strings`).
     pub visits: VisitColumns,
@@ -35,8 +33,8 @@ pub struct VisitChunk {
 
 impl VisitChunk {
     /// The deterministic fold-order key.
-    pub fn key(&self) -> (u32, u32, u32) {
-        (self.day, self.shard, self.seq)
+    pub fn key(&self) -> (u32, u32) {
+        (self.day, self.seq)
     }
 
     /// Number of visits in the chunk.
@@ -57,7 +55,6 @@ impl VisitChunk {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.u32(self.day);
-        w.u32(self.shard);
         w.u32(self.seq);
         encode_interner(&self.strings, &mut w);
         encode_columns(&self.visits, &mut w);
@@ -93,7 +90,6 @@ impl VisitChunk {
         let payload = open_frame(frame)?;
         let mut r = WireReader::new(payload);
         let day = r.u32()?;
-        let shard = r.u32()?;
         let seq = r.u32()?;
         let strings = decode_interner(&mut r)?;
         let visits = decode_columns(&mut r, strings.len())?;
@@ -120,7 +116,6 @@ impl VisitChunk {
         r.finish()?;
         Ok(VisitChunk {
             day,
-            shard,
             seq,
             visits,
             truths,

@@ -83,8 +83,8 @@ const TRUTH_HEADER: &str = "rank,day,facet,slots,client_bids,late_bids,hb_latenc
 ///
 /// Each chunk's symbols are resolved against that chunk's own interner
 /// and only text reaches the output, so the bytes depend on the visits
-/// and their `(day, shard, seq)` fold order — not on chunk boundaries,
-/// shard count or parallelism. Feed chunks in the order
+/// and their `(day, seq)` fold order — not on chunk boundaries or
+/// parallelism. Feed chunks in the order
 /// [`run_campaign_streamed`](crate::run_campaign_streamed) emits them.
 pub struct DatasetWriter<W: Write> {
     visits: W,
@@ -217,7 +217,6 @@ mod tests {
         }
         VisitChunk {
             day: 0,
-            shard: 0,
             seq: 0,
             visits: cols,
             truths,

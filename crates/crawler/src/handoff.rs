@@ -2,7 +2,7 @@
 //! one block list to the one consumer that streams them on.
 //!
 //! Block `b` travels through slot `b % cap`, and the consumer takes the
-//! blocks in ascending order, so the `(day, shard, seq)` stream needs no
+//! blocks in ascending order, so the `(day, seq)` stream needs no
 //! reorder window. A producer may publish block `b` only once
 //! `b < next + cap`, where `next` is the block the consumer waits for:
 //! the slot is then free, and at most `cap` sealed chunks wait at once.

@@ -2,8 +2,8 @@
 //!
 //! The crawl harness: clean-slate per-site sessions with the detector
 //! attached ([`session`]), the §3.2 campaign schedule and its streaming
-//! in-process runner over the lazy ecosystem ([`campaign`]), per-shard
-//! columnar chunks ([`chunk`]), the dataset CSV writer that streams those
+//! in-process runner over the lazy ecosystem ([`campaign`]), columnar
+//! chunks ([`chunk`]), the dataset CSV writer that streams those
 //! chunks to disk ([`dataset`]), and the historical Wayback adoption
 //! crawl ([`wayback_crawl`]).
 //!

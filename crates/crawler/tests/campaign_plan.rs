@@ -1,44 +1,29 @@
 //! Oracle for the §3.2 schedule: [`CampaignPlan`] against naive nested
-//! loops over arbitrary universes, shard counts (up to far more shards
-//! than sites), block sizes, crawl lengths and detected subsets.
+//! loops over arbitrary universes, block sizes, crawl lengths and
+//! detected subsets.
 
 use hb_core::{Interner, VisitColumns, VisitRecord};
 use hb_crawler::{CampaignPlan, PlanBlock, VisitChunk};
 use proptest::prelude::*;
 
-type Block = ((u32, u32, u32), Vec<u32>);
+type Block = ((u32, u32), Vec<u32>);
 
-/// The schedule written out longhand: contiguous near-equal shard slices
-/// of `1..=n_sites`, each cut into `chunk`-rank blocks on day 0, then the
-/// detected ranks of every slice, cut the same way, once per revisit day.
-fn naive(n_sites: u32, days: u32, shards: u32, chunk: usize, hb: &[bool]) -> Vec<Block> {
-    let mut slices = Vec::new();
-    let mut next = 1;
-    for s in 0..shards {
-        let len = n_sites / shards + u32::from(s < n_sites % shards);
-        slices.push((next..next + len).collect::<Vec<u32>>());
-        next += len;
-    }
+/// The schedule written out longhand: `1..=n_sites` cut into
+/// `chunk`-rank blocks on day 0, then the detected ranks, cut the same
+/// way, once per revisit day.
+fn naive(n_sites: u32, days: u32, chunk: usize, hb: &[bool]) -> Vec<Block> {
     let mut out = Vec::new();
     for day in 0..=days {
-        for (shard, slice) in slices.iter().enumerate() {
-            let ranks: Vec<u32> = if day == 0 {
-                slice.clone()
-            } else {
-                slice
-                    .iter()
-                    .copied()
-                    .filter(|&r| hb[r as usize - 1])
-                    .collect()
-            };
-            let mut seq = 0;
-            let mut lo = 0;
-            while lo < ranks.len() {
-                let hi = (lo + chunk).min(ranks.len());
-                out.push(((day, shard as u32, seq), ranks[lo..hi].to_vec()));
-                seq += 1;
-                lo = hi;
-            }
+        let ranks: Vec<u32> = (1..=n_sites)
+            .filter(|&r| day == 0 || hb[r as usize - 1])
+            .collect();
+        let mut seq = 0;
+        let mut lo = 0;
+        while lo < ranks.len() {
+            let hi = (lo + chunk).min(ranks.len());
+            out.push(((day, seq), ranks[lo..hi].to_vec()));
+            seq += 1;
+            lo = hi;
         }
     }
     out
@@ -57,7 +42,6 @@ fn crawled(block: &PlanBlock, hb: &[bool]) -> VisitChunk {
     }
     VisitChunk {
         day: block.day,
-        shard: block.shard,
         seq: block.seq,
         visits,
         truths: Vec::new(),
@@ -73,13 +57,11 @@ proptest! {
     #[test]
     fn plan_matches_naive_nested_loops(
         n_sites in 0u32..300,
-        // Mostly a few shards, but often far more shards than sites.
-        shards in prop_oneof![1u32..8, 1u32..2_000],
         chunk in 1usize..70,
         days in 0u32..4,
         hb in proptest::collection::vec(any::<bool>(), 300),
     ) {
-        let mut plan = CampaignPlan::new(n_sites, days, shards, chunk);
+        let mut plan = CampaignPlan::new(n_sites, days, chunk);
         let day0 = plan.day0_blocks();
         for block in &day0 {
             plan.observe(&crawled(block, &hb));
@@ -93,16 +75,13 @@ proptest! {
 
         let mut got = keyed(day0);
         got.extend(keyed(revisits));
-        prop_assert_eq!(got, naive(n_sites, days, shards, chunk, &hb));
+        prop_assert_eq!(got, naive(n_sites, days, chunk, &hb));
     }
 }
 
 #[test]
-fn zero_shards_and_zero_chunk_clamp_to_one() {
-    let plan = CampaignPlan::new(5, 1, 0, 0);
+fn zero_chunk_clamps_to_one() {
+    let plan = CampaignPlan::new(5, 1, 0);
     let keys: Vec<_> = plan.day0_blocks().iter().map(PlanBlock::key).collect();
-    assert_eq!(
-        keys,
-        [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 4)]
-    );
+    assert_eq!(keys, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]);
 }

@@ -10,7 +10,7 @@
 //! command line.
 //!
 //! ```text
-//! distd-coord --listen 127.0.0.1:0 --scale tiny --shards 2 \
+//! distd-coord --listen 127.0.0.1:0 --scale tiny \
 //!     --chunk-visits 64 --lease-timeout-ms 2000 --lease-blocks 4 \
 //!     --spool /tmp/spool --compact-every 64 --out /tmp/figures
 //! ```
@@ -24,7 +24,7 @@ use std::time::Duration;
 
 const USAGE: &str =
     "usage: distd-coord [--listen ADDR] [--scale tiny|test|medium|paper] [--seed N] \
-[--shards N] [--chunk-visits N] [--lease-timeout-ms N] [--lease-blocks N] \
+[--chunk-visits N] [--lease-timeout-ms N] [--lease-blocks N] \
 [--reorder-window N] [--spool DIR] [--compact-every N] [--out DIR]
   --compact-every N  roll the spool log every N chunks (0: one file per run)";
 
@@ -38,7 +38,6 @@ fn main() {
     let mut listen = "127.0.0.1:0".to_string();
     let mut scale = Scale::Tiny;
     let mut seed: Option<u64> = None;
-    let mut shards: u32 = 1;
     let mut chunk_visits: usize = 64;
     let mut lease_timeout = Duration::from_secs(10);
     let mut lease_blocks: usize = 4;
@@ -54,7 +53,6 @@ fn main() {
             "--listen" => flag_value(&mut args, flag).map(|v| listen = v),
             "--scale" => flag_parse(&mut args, flag).map(|v| scale = v),
             "--seed" => flag_parse(&mut args, flag).map(|v| seed = Some(v)),
-            "--shards" => flag_parse(&mut args, flag).map(|v| shards = v),
             "--chunk-visits" => flag_parse(&mut args, flag).map(|v| chunk_visits = v),
             "--lease-timeout-ms" => {
                 flag_parse(&mut args, flag).map(|v: u64| lease_timeout = Duration::from_millis(v))
@@ -78,7 +76,6 @@ fn main() {
     let n_sites = eco.n_sites;
     let n_days = eco.crawl_days;
     let cfg = CoordConfig {
-        shards,
         chunk_visits,
         lease_timeout,
         lease_blocks,

@@ -7,7 +7,7 @@
 //! anything else.
 //!
 //! ```text
-//! distd-worker --connect 127.0.0.1:45123 --scale tiny --shards 2 \
+//! distd-worker --connect 127.0.0.1:45123 --scale tiny \
 //!     --chunk-visits 64 --heartbeat-ms 500 --visit-delay-us 2000
 //! ```
 
@@ -17,7 +17,7 @@ use std::time::Duration;
 
 const USAGE: &str =
     "usage: distd-worker --connect ADDR [--scale tiny|test|medium|paper] [--seed N] \
-[--shards N] [--chunk-visits N] [--heartbeat-ms N] [--visit-delay-us N] \
+[--chunk-visits N] [--heartbeat-ms N] [--visit-delay-us N] \
 [--io-timeout-ms N] [--hb-deadline-ms N] [--connect-attempts N] \
 [--backoff-ms N] [--reconnect-budget-ms N] [--instance N]";
 
@@ -31,7 +31,6 @@ fn main() {
     let mut connect: Option<String> = None;
     let mut scale = Scale::Tiny;
     let mut seed: Option<u64> = None;
-    let mut shards: u32 = 1;
     let mut chunk_visits: usize = 64;
     let mut heartbeat = Duration::from_secs(2);
     let mut visit_delay = Duration::ZERO;
@@ -49,7 +48,6 @@ fn main() {
             "--connect" => flag_value(&mut args, flag).map(|v| connect = Some(v)),
             "--scale" => flag_parse(&mut args, flag).map(|v| scale = v),
             "--seed" => flag_parse(&mut args, flag).map(|v| seed = Some(v)),
-            "--shards" => flag_parse(&mut args, flag).map(|v| shards = v),
             "--chunk-visits" => flag_parse(&mut args, flag).map(|v| chunk_visits = v),
             "--heartbeat-ms" => {
                 flag_parse(&mut args, flag).map(|v: u64| heartbeat = Duration::from_millis(v))
@@ -85,7 +83,6 @@ fn main() {
         eco = eco.with_seed(s);
     }
     let cfg = WorkerConfig {
-        shards,
         chunk_visits,
         heartbeat_every: heartbeat,
         visit_delay,

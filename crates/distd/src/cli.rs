@@ -90,16 +90,16 @@ mod tests {
     #[test]
     fn flag_value_reports_the_flag_that_starved() {
         let mut args = std::iter::empty();
-        let err = flag_value(&mut args, "--shards").unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
+        let err = flag_value(&mut args, "--seed").unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
     }
 
     #[test]
     fn flag_parse_names_flag_and_offender() {
         let mut args = vec!["banana".to_string()].into_iter();
-        let err = flag_parse::<u32>(&mut args, "--shards").unwrap_err();
-        assert!(err.contains("--shards") && err.contains("banana"), "{err}");
+        let err = flag_parse::<u32>(&mut args, "--seed").unwrap_err();
+        assert!(err.contains("--seed") && err.contains("banana"), "{err}");
         let mut args = vec!["7".to_string()].into_iter();
-        assert_eq!(flag_parse::<u32>(&mut args, "--shards").unwrap(), 7);
+        assert_eq!(flag_parse::<u32>(&mut args, "--seed").unwrap(), 7);
     }
 }

@@ -3,7 +3,7 @@
 //! ## Protocol invariants
 //!
 //! * **The schedule is the fold order.** Blocks are numbered globally in
-//!   `(day, shard, seq)` order — exactly the order
+//!   `(day, seq)` order — exactly the order
 //!   `hb_crawler::run_campaign_streamed` seals chunks in — and the
 //!   coordinator folds completed chunks to its sink strictly in that
 //!   order, buffering at most `reorder_window` out-of-order arrivals.
@@ -20,7 +20,7 @@
 //! * **Completion is idempotent.** Campaign visits are pure functions of
 //!   `(seed, rank, day)`, so a block crawled twice (lease expired, then
 //!   the original worker submitted anyway) yields byte-identical chunks;
-//!   the second arrival is detected by its `(day, shard, seq)` key and
+//!   the second arrival is detected by its `(day, seq)` key and
 //!   dropped, counted in `chunks_duplicate_dropped`.
 //! * **Ack implies durable.** With a spool configured, the sealed frame
 //!   is appended to the spool log and synced *before* the worker is
@@ -42,8 +42,7 @@
 //! change: admission and fold progress signal it. The fold thread sleeps
 //! on it until a chunk is admitted; a lease request that finds nothing
 //! leasable long-polls on it, waking early only when the earliest lease
-//! deadline falls due, and answers `Wait { millis: 0 }` only at its hold
-//! cap. The fold thread runs the sink with the state lock released, so it
+//! deadline falls due, and answers `Wait` only at its hold cap. The fold thread runs the sink with the state lock released, so it
 //! never stalls admission or leasing. Campaign completion wakes the
 //! accept loop with a self-connection so the listener can close without
 //! being polled.
@@ -52,7 +51,7 @@
 //!
 //! The schedule is a [`CampaignPlan`] — the same one
 //! `hb_crawler::run_campaign_streamed` drives in process. Day-0 blocks
-//! are known upfront (the full toplist, sharded contiguously). Blocks for
+//! are known upfront (the full toplist, in rank order). Blocks for
 //! days ≥ 1 revisit the HB sites *detected* on day 0, so they are
 //! appended only once every day-0 chunk has folded: each folded chunk is
 //! shown to [`CampaignPlan::observe`] in fold order, which reproduces the
@@ -76,8 +75,6 @@ pub struct CoordConfig {
     /// The campaign universe (shared verbatim with every worker; the
     /// handshake fingerprint commits to it).
     pub eco: EcosystemConfig,
-    /// Contiguous toplist shards (the in-process `CampaignConfig::shards`).
-    pub shards: u32,
     /// Visits per block / sealed chunk.
     pub chunk_visits: usize,
     /// Session policy (fingerprinted; workers crawl with their own copy).
@@ -103,7 +100,6 @@ impl CoordConfig {
     pub fn new(eco: EcosystemConfig) -> CoordConfig {
         CoordConfig {
             eco,
-            shards: 1,
             chunk_visits: 256,
             session: SessionConfig::default(),
             lease_timeout: Duration::from_secs(10),
@@ -154,7 +150,7 @@ struct State {
     plan: CampaignPlan,
     schedule: Vec<PlanBlock>,
     /// Block index by chunk key; grows with the schedule.
-    key_index: HashMap<(u32, u32, u32), usize>,
+    key_index: HashMap<(u32, u32), usize>,
     /// A chunk for this block has been accepted (buffered or folded).
     complete: Vec<bool>,
     /// How many entries of `complete` are true.
@@ -209,12 +205,7 @@ fn push_blocks(st: &mut State, blocks: Vec<PlanBlock>) {
 }
 
 fn initial_state(cfg: &CoordConfig) -> State {
-    let plan = CampaignPlan::new(
-        cfg.eco.n_sites,
-        cfg.eco.crawl_days,
-        cfg.shards,
-        cfg.chunk_visits,
-    );
+    let plan = CampaignPlan::new(cfg.eco.n_sites, cfg.eco.crawl_days, cfg.chunk_visits);
     let day0 = plan.day0_blocks();
     let mut st = State {
         plan,
@@ -313,7 +304,7 @@ fn all_complete(st: &State) -> bool {
 
 /// Answer a lease request: up to `lease_blocks` of the lowest
 /// incomplete, unleased blocks within the reorder window, or `Done`, or
-/// `Wait { millis: 0 }` when nothing is leasable right now.
+/// `Wait` when nothing is leasable right now.
 ///
 /// The batch is additionally capped at `ceil(remaining / live_workers)`
 /// — a fair share of the incomplete blocks — so on a short campaign a
@@ -343,7 +334,7 @@ fn grant(st: &mut State, cfg: &CoordConfig) -> Msg {
         }
     }
     if picked.is_empty() {
-        return Msg::Wait { millis: 0 };
+        return Msg::Wait;
     }
     let lease_id = st.next_lease_id;
     st.next_lease_id += 1;
@@ -372,14 +363,14 @@ fn idle_backstop(cfg: &CoordConfig) -> Duration {
 /// handler sleeps on `changed`, waking at the earliest lease deadline so
 /// a lapsed lease is re-issued promptly. Past half the idle backstop
 /// (below a worker's `io_timeout` at the defaults) it gives up with
-/// `Wait { millis: 0 }` and the worker asks again at once.
+/// `Wait` and the worker asks again at once.
 fn lease_or_wait(shared: &Shared, cfg: &CoordConfig) -> Msg {
     let hold_until = Instant::now() + idle_backstop(cfg) / 2;
     let mut st = shared.lock();
     loop {
         let reply = grant(&mut st, cfg);
         let now = Instant::now();
-        if !matches!(reply, Msg::Wait { .. }) || now >= hold_until {
+        if reply != Msg::Wait || now >= hold_until {
             return reply;
         }
         let wake = st
@@ -618,17 +609,13 @@ impl Coordinator {
     }
 
     /// Run the campaign to completion: replay the spool, serve workers,
-    /// fold every chunk to `sink` in `(day, shard, seq)` order. Returns
+    /// fold every chunk to `sink` in `(day, seq)` order. Returns
     /// the run's counters. (`sink` runs on the fold thread, hence the
     /// `Send` bound.)
     pub fn run(self, sink: &mut (dyn FnMut(VisitChunk) + Send)) -> Result<CoordStats, DistdError> {
         let cfg = &self.cfg;
-        let fingerprint = crate::proto::config_fingerprint(
-            &cfg.eco,
-            cfg.shards.max(1),
-            cfg.chunk_visits,
-            &cfg.session,
-        );
+        let fingerprint =
+            crate::proto::config_fingerprint(&cfg.eco, cfg.chunk_visits, &cfg.session);
         let mut st = initial_state(cfg);
 
         // --- Spool replay -------------------------------------------------
@@ -771,7 +758,6 @@ mod tests {
     fn campaign_chunks(cfg: &CoordConfig) -> Vec<VisitChunk> {
         let eco = SiteFactory::new(cfg.eco.clone());
         let campaign = CampaignConfig {
-            shards: cfg.shards,
             chunk_visits: cfg.chunk_visits,
             ..CampaignConfig::default()
         };
@@ -782,7 +768,7 @@ mod tests {
 
     /// Drive the state machine with `chunks` in fold order (admit, then
     /// fold) and return the keys of its final schedule.
-    fn schedule_keys_after(cfg: &CoordConfig, chunks: &[VisitChunk]) -> Vec<(u32, u32, u32)> {
+    fn schedule_keys_after(cfg: &CoordConfig, chunks: &[VisitChunk]) -> Vec<(u32, u32)> {
         let mut st = initial_state(cfg);
         for chunk in chunks {
             admit(&mut st, chunk.clone());
@@ -794,11 +780,10 @@ mod tests {
 
     /// One plan, two drivers: the coordinator's schedule names exactly
     /// the chunks `run_campaign_streamed` emits, in the same order — with
-    /// several shards and a block size that leaves ragged tails.
+    /// a block size that leaves ragged tails.
     #[test]
     fn schedule_keys_match_the_streamed_campaign() {
         let cfg = CoordConfig {
-            shards: 3,
             chunk_visits: 23,
             ..tiny_cfg()
         };
@@ -899,7 +884,7 @@ mod tests {
         let b = grant(&mut st, &cfg);
         assert!(matches!(a, Msg::Lease { .. }));
         assert!(matches!(b, Msg::Lease { .. }));
-        assert!(matches!(grant(&mut st, &cfg), Msg::Wait { .. }));
+        assert_eq!(grant(&mut st, &cfg), Msg::Wait);
         // Let both lapse; the same two blocks are granted again.
         std::thread::sleep(Duration::from_millis(5));
         let c = grant(&mut st, &cfg);
@@ -938,7 +923,7 @@ mod tests {
         for _ in 0..2 {
             assert!(matches!(lease_or_wait(&shared, &cfg), Msg::Lease { .. }));
         }
-        assert_eq!(grant(&mut shared.lock(), &cfg), Msg::Wait { millis: 0 });
+        assert_eq!(grant(&mut shared.lock(), &cfg), Msg::Wait);
         let started = AtomicBool::new(false);
         let (reply, held_for) = std::thread::scope(|s| {
             let waiter = s.spawn(|| {
@@ -962,7 +947,7 @@ mod tests {
         let Msg::Lease { blocks, .. } = reply else {
             panic!("a held request gets a lease, got {reply:?}");
         };
-        assert_eq!(blocks[0].seq, chunks[2].key().2);
+        assert_eq!(blocks[0].seq, chunks[2].key().1);
         assert!(
             held_for < idle_backstop(&cfg) / 2,
             "answered by the fold ({held_for:?}), not by the hold cap"
@@ -970,7 +955,7 @@ mod tests {
     }
 
     /// With nothing leasable and no lease lapsing, the reply is
-    /// `Wait { millis: 0 }`, and only once the hold cap has passed; a
+    /// `Wait`, and only once the hold cap has passed; a
     /// lease lapsing inside the hold is re-issued at its deadline.
     #[test]
     fn nothing_leasable_waits_out_the_hold_cap_or_a_lease_deadline() {
@@ -987,7 +972,7 @@ mod tests {
             assert!(matches!(lease_or_wait(&shared, &cfg), Msg::Lease { .. }));
         }
         let t = Instant::now();
-        assert_eq!(lease_or_wait(&shared, &cfg), Msg::Wait { millis: 0 });
+        assert_eq!(lease_or_wait(&shared, &cfg), Msg::Wait);
         assert!(t.elapsed() >= cap, "Wait came after {:?}", t.elapsed());
         // Both leases lapse ~300 ms into the next hold: the request is
         // answered by the re-issue, before its own cap.
@@ -1034,7 +1019,7 @@ mod tests {
             panic!("re-grant must lease");
         };
         assert!(
-            again.iter().all(|b| b.seq != chunks[0].key().2),
+            again.iter().all(|b| b.seq != chunks[0].key().1),
             "the completed block is not re-leased"
         );
     }
@@ -1075,7 +1060,7 @@ mod tests {
     fn unknown_blocks_are_refused() {
         let cfg = tiny_cfg();
         let mut chunk = campaign_chunks(&cfg)[0].clone();
-        chunk.shard = 9; // no such shard in a 1-shard schedule
+        chunk.seq = 9_999; // no such block on day 0 of this schedule
         let mut st = initial_state(&cfg);
         assert!(matches!(
             admit(&mut st, chunk),

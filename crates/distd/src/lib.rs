@@ -2,7 +2,7 @@
 //!
 //! Scales a crawl campaign across processes (or machines) without giving
 //! up one byte of determinism. A lease-based coordinator ([`coord`])
-//! hands out `(day, shard, seq)` rank blocks over a checksummed TCP
+//! hands out `(day, seq)` rank blocks over a checksummed TCP
 //! protocol ([`proto`]); crash-safe workers ([`worker`]) crawl each block
 //! with the exact in-process machinery and ship back sealed columnar
 //! chunk frames; an optional spool ([`spool`]), one append-only log of

@@ -11,7 +11,7 @@
 //!   Hello{fingerprint}       -->
 //!                            <--  Welcome{worker_id} | Reject{reason}
 //!   RequestLease{worker_id}  -->
-//!                            <--  Lease{lease_id, blocks} | Wait{millis} | Done
+//!                            <--  Lease{lease_id, blocks} | Wait | Done
 //!   Heartbeat{lease_id}      -->
 //!                            <--  HeartbeatAck | Expired
 //!   SubmitChunk{lease_id,..} -->
@@ -19,7 +19,7 @@
 //! ```
 //!
 //! A lease names up to `lease_blocks` of the campaign plan's blocks —
-//! each a `(day, shard, seq)` key plus the explicit rank list — so a
+//! each a `(day, seq)` key plus the explicit rank list — so a
 //! worker needs no schedule state of its own and a fast worker is not
 //! bound by one request round-trip per block. Campaign visits are pure functions of
 //! `(seed, rank, day)`, which is what makes lease re-issue after a crash
@@ -85,7 +85,6 @@ impl From<WireError> for DistdError {
 /// ranks to crawl, in order.
 fn encode_block(w: &mut WireWriter, block: &PlanBlock) {
     w.u32(block.day);
-    w.u32(block.shard);
     w.u32(block.seq);
     w.len(block.ranks.len());
     for &r in &block.ranks {
@@ -95,19 +94,13 @@ fn encode_block(w: &mut WireWriter, block: &PlanBlock) {
 
 fn decode_block(r: &mut WireReader<'_>) -> Result<PlanBlock, WireError> {
     let day = r.u32()?;
-    let shard = r.u32()?;
     let seq = r.u32()?;
     let n = r.bounded_len(4)?;
     let mut ranks = Vec::with_capacity(n);
     for _ in 0..n {
         ranks.push(r.u32()?);
     }
-    Ok(PlanBlock {
-        day,
-        shard,
-        seq,
-        ranks,
-    })
+    Ok(PlanBlock { day, seq, ranks })
 }
 
 /// One protocol message (see the module docs for the conversation).
@@ -146,11 +139,8 @@ pub enum Msg {
     },
     /// Nothing became leasable (reorder window full, or the schedule
     /// tail not yet known) while the coordinator held the request; ask
-    /// again after `millis` (the coordinator sends 0).
-    Wait {
-        /// Suggested back-off before the next request.
-        millis: u32,
-    },
+    /// again.
+    Wait,
     /// Campaign complete; the worker should exit.
     Done,
     /// Renew a held lease (all of its remaining blocks).
@@ -206,9 +196,9 @@ pub(crate) fn frame_tag(frame: &[u8]) -> Option<u8> {
     frame.get(hb_core::FRAME_HEADER).copied()
 }
 
-/// Smallest on-wire footprint of one leased [`PlanBlock`]: its three key
+/// Smallest on-wire footprint of one leased [`PlanBlock`]: its two key
 /// words plus the length word of an empty rank list.
-const LEASE_BLOCK_MIN: usize = 4 + 4 + 4 + 4;
+const LEASE_BLOCK_MIN: usize = 4 + 4 + 4;
 
 impl Msg {
     /// Encode as a sealed frame ready for the socket.
@@ -239,10 +229,7 @@ impl Msg {
                     encode_block(&mut w, b);
                 }
             }
-            Msg::Wait { millis } => {
-                w.u8(TAG_WAIT);
-                w.u32(*millis);
-            }
+            Msg::Wait => w.u8(TAG_WAIT),
             Msg::Done => w.u8(TAG_DONE),
             Msg::Heartbeat {
                 worker_id,
@@ -302,7 +289,7 @@ impl Msg {
                 }
                 Msg::Lease { lease_id, blocks }
             }
-            TAG_WAIT => Msg::Wait { millis: r.u32()? },
+            TAG_WAIT => Msg::Wait,
             TAG_DONE => Msg::Done,
             TAG_HEARTBEAT => Msg::Heartbeat {
                 worker_id: r.u32()?,
@@ -340,17 +327,16 @@ pub fn recv_msg(t: &mut dyn Transport) -> Result<Msg, DistdError> {
 
 /// Fingerprint of everything both sides must agree on for chunks to be
 /// interchangeable: the full ecosystem config (seed, universe shape,
-/// fault scenario — all of it, via its `Debug` form), the shard count,
-/// the block size and the session policy. Workers whose fingerprint
+/// fault scenario — all of it, via its `Debug` form), the block size and
+/// the session policy. Workers whose fingerprint
 /// differs are rejected at handshake; a fabric quietly mixing configs
 /// would otherwise produce a corrupt dataset with valid checksums.
 pub fn config_fingerprint(
     eco: &hb_ecosystem::EcosystemConfig,
-    shards: u32,
     chunk_visits: usize,
     session: &hb_crawler::SessionConfig,
 ) -> u64 {
-    let text = format!("v1|{eco:?}|shards={shards}|chunk_visits={chunk_visits}|{session:?}");
+    let text = format!("v2|{eco:?}|chunk_visits={chunk_visits}|{session:?}");
     hb_core::xxh64(text.as_bytes())
 }
 
@@ -372,19 +358,17 @@ mod tests {
                 blocks: vec![
                     PlanBlock {
                         day: 2,
-                        shard: 1,
                         seq: 3,
                         ranks: vec![10, 11, 12],
                     },
                     PlanBlock {
                         day: 2,
-                        shard: 1,
                         seq: 4,
                         ranks: vec![13],
                     },
                 ],
             },
-            Msg::Wait { millis: 50 },
+            Msg::Wait,
             Msg::Done,
             Msg::Heartbeat {
                 worker_id: 7,
@@ -418,7 +402,6 @@ mod tests {
             lease_id: 1,
             blocks: vec![PlanBlock {
                 day: 0,
-                shard: 0,
                 seq: 0,
                 ranks: vec![1],
             }],
@@ -443,14 +426,13 @@ mod tests {
         use hb_ecosystem::EcosystemConfig;
         let base = EcosystemConfig::tiny_scale();
         let session = SessionConfig::default();
-        let f = config_fingerprint(&base, 2, 64, &session);
-        assert_eq!(f, config_fingerprint(&base.clone(), 2, 64, &session));
+        let f = config_fingerprint(&base, 64, &session);
+        assert_eq!(f, config_fingerprint(&base.clone(), 64, &session));
         assert_ne!(
             f,
-            config_fingerprint(&base.clone().with_seed(1), 2, 64, &session)
+            config_fingerprint(&base.clone().with_seed(1), 64, &session)
         );
-        assert_ne!(f, config_fingerprint(&base, 3, 64, &session));
-        assert_ne!(f, config_fingerprint(&base, 2, 65, &session));
+        assert_ne!(f, config_fingerprint(&base, 65, &session));
         // Every other ecosystem field: a worker with a different
         // universe, crawl length, fault rate or scenario is rejected.
         let eco_variants = [
@@ -472,12 +454,12 @@ mod tests {
                 )),
         ];
         for eco in &eco_variants {
-            assert_ne!(f, config_fingerprint(eco, 2, 64, &session), "{eco:?}");
+            assert_ne!(f, config_fingerprint(eco, 64, &session), "{eco:?}");
         }
         let session_variant = SessionConfig {
             max_events: 50_000,
             ..SessionConfig::default()
         };
-        assert_ne!(f, config_fingerprint(&base, 2, 64, &session_variant));
+        assert_ne!(f, config_fingerprint(&base, 64, &session_variant));
     }
 }

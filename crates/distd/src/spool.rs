@@ -187,7 +187,7 @@ impl SpoolLog {
 
 /// Replay outcome of one spool directory.
 pub struct SpoolReplay {
-    /// Decoded chunks, sorted by `(day, shard, seq)`.
+    /// Decoded chunks, sorted by `(day, seq)`.
     pub chunks: Vec<VisitChunk>,
     /// Log files that ended in a frame failing its length check or
     /// decode (feeds the coordinator's `frames_rejected` counter).
@@ -292,7 +292,7 @@ mod tests {
         })
     }
 
-    fn keys(chunks: &[VisitChunk]) -> Vec<(u32, u32, u32)> {
+    fn keys(chunks: &[VisitChunk]) -> Vec<(u32, u32)> {
         let mut keys: Vec<_> = chunks.iter().map(VisitChunk::key).collect();
         keys.sort_unstable();
         keys

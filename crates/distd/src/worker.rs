@@ -33,8 +33,6 @@ pub struct WorkerConfig {
     /// The campaign universe — must match the coordinator's (checked by
     /// fingerprint at handshake).
     pub eco: EcosystemConfig,
-    /// Shard count (fingerprint input).
-    pub shards: u32,
     /// Block size (fingerprint input).
     pub chunk_visits: usize,
     /// Session policy used for every visit.
@@ -72,7 +70,6 @@ impl WorkerConfig {
         WorkerConfig {
             addr,
             eco,
-            shards: 1,
             chunk_visits: 256,
             session: SessionConfig::default(),
             heartbeat_every: Duration::from_secs(2),
@@ -333,8 +330,7 @@ pub fn run_worker_session(
     stats: &mut WorkerStats,
 ) -> Result<(), DistdError> {
     let factory = SiteFactory::new(cfg.eco.clone());
-    let fingerprint =
-        config_fingerprint(&cfg.eco, cfg.shards.max(1), cfg.chunk_visits, &cfg.session);
+    let fingerprint = config_fingerprint(&cfg.eco, cfg.chunk_visits, &cfg.session);
     // The jitter session: the campaign identity plus this instance, so
     // respawns never share a backoff schedule.
     let session_id = fingerprint ^ cfg.instance.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -361,10 +357,7 @@ pub fn run_worker_session(
         let (lease_id, blocks) = match reply {
             Ok(Msg::Lease { lease_id, blocks }) => (lease_id, blocks),
             Ok(Msg::Done) => return Ok(()),
-            Ok(Msg::Wait { millis }) => {
-                std::thread::sleep(Duration::from_millis(u64::from(millis)));
-                continue;
-            }
+            Ok(Msg::Wait) => continue,
             Ok(_) => return Err(DistdError::Protocol("unexpected lease reply")),
             Err(e) => {
                 link.reconnect(&e, stats)?;
@@ -387,7 +380,6 @@ pub fn run_worker_session(
                 &factory,
                 &block.ranks,
                 block.day,
-                block.shard,
                 block.seq,
                 &cfg.session,
                 &mut scratch,

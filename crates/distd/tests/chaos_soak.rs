@@ -31,7 +31,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-const SHARDS: u32 = 2;
 const CHUNK_VISITS: usize = 32;
 const WORKERS: u64 = 2;
 const SEEDS: u32 = 8;
@@ -45,7 +44,6 @@ fn reference_figures() -> &'static BTreeMap<String, String> {
         let eco_cfg = EcosystemConfig::tiny_scale();
         let eco = SiteFactory::new(eco_cfg.clone());
         let cfg = CampaignConfig {
-            shards: SHARDS,
             chunk_visits: CHUNK_VISITS,
             ..CampaignConfig::default()
         };
@@ -95,7 +93,6 @@ struct SoakOutcome {
 fn soak_one(seed: u64, level: u32, spool: &std::path::Path) -> SoakOutcome {
     let eco_cfg = EcosystemConfig::tiny_scale();
     let coord_cfg = CoordConfig {
-        shards: SHARDS,
         chunk_visits: CHUNK_VISITS,
         lease_timeout: Duration::from_millis(800),
         lease_blocks: 2,
@@ -109,7 +106,6 @@ fn soak_one(seed: u64, level: u32, spool: &std::path::Path) -> SoakOutcome {
     let ledger = connector.ledger();
 
     let worker_cfg = |instance: u64| WorkerConfig {
-        shards: SHARDS,
         chunk_visits: CHUNK_VISITS,
         heartbeat_every: Duration::from_millis(2),
         visit_delay: Duration::from_micros(100),

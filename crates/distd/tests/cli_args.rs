@@ -38,14 +38,14 @@ const WORKER: &str = env!("CARGO_BIN_EXE_distd-worker");
 
 #[test]
 fn coordinator_rejects_malformed_invocations_with_usage() {
-    // Unknown flag.
+    // Unknown flags, including the removed `--shards`.
     assert_usage_exit(COORD, &["--bogus"]);
+    assert_usage_exit(COORD, &["--shards", "2"]);
     // Flag at end of argv with its value missing.
     for flag in [
         "--listen",
         "--scale",
         "--seed",
-        "--shards",
         "--chunk-visits",
         "--lease-timeout-ms",
         "--lease-blocks",
@@ -57,7 +57,7 @@ fn coordinator_rejects_malformed_invocations_with_usage() {
         assert_usage_exit(COORD, &[flag]);
     }
     // Unparseable numbers and enums.
-    assert_usage_exit(COORD, &["--shards", "two"]);
+    assert_usage_exit(COORD, &["--chunk-visits", "two"]);
     assert_usage_exit(COORD, &["--seed", "-1"]);
     assert_usage_exit(COORD, &["--lease-timeout-ms", "1.5"]);
     assert_usage_exit(COORD, &["--scale", "gigantic"]);
@@ -66,11 +66,11 @@ fn coordinator_rejects_malformed_invocations_with_usage() {
 #[test]
 fn worker_rejects_malformed_invocations_with_usage() {
     assert_usage_exit(WORKER, &["--bogus"]);
+    assert_usage_exit(WORKER, &["--connect", "x:1", "--shards", "2"]);
     for flag in [
         "--connect",
         "--scale",
         "--seed",
-        "--shards",
         "--chunk-visits",
         "--heartbeat-ms",
         "--visit-delay-us",
@@ -91,11 +91,22 @@ fn worker_rejects_malformed_invocations_with_usage() {
 
 #[test]
 fn error_messages_name_the_offending_flag() {
-    let (_, stderr) = run(COORD, &["--shards", "two"]);
+    let (_, stderr) = run(COORD, &["--chunk-visits", "two"]);
     assert!(
-        stderr.contains("--shards") && stderr.contains("two"),
+        stderr.contains("--chunk-visits") && stderr.contains("two"),
         "diagnostic should name flag and value:\n{stderr}"
     );
+    // The schedule has no shard dimension: the old flag is unrecognized.
+    for (bin, args) in [
+        (COORD, &["--shards", "2"][..]),
+        (WORKER, &["--connect", "x:1", "--shards", "2"][..]),
+    ] {
+        let (_, stderr) = run(bin, args);
+        assert!(
+            stderr.contains("unrecognized argument \"--shards\""),
+            "{bin} {args:?}:\n{stderr}"
+        );
+    }
     let (_, stderr) = run(WORKER, &["--heartbeat-ms"]);
     assert!(
         stderr.contains("--heartbeat-ms") && stderr.contains("requires a value"),

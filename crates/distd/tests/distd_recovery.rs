@@ -14,7 +14,6 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-const SHARDS: u32 = 2;
 const CHUNK_VISITS: usize = 32;
 
 /// Kill the child on scope exit so a failing assert never leaks
@@ -41,7 +40,6 @@ fn reference_figures() -> BTreeMap<String, String> {
     let eco_cfg = EcosystemConfig::tiny_scale();
     let eco = SiteFactory::new(eco_cfg.clone());
     let cfg = CampaignConfig {
-        shards: SHARDS,
         chunk_visits: CHUNK_VISITS,
         ..CampaignConfig::default()
     };
@@ -117,8 +115,6 @@ fn worker_cmd(addr: &str, extra: &[&str]) -> Command {
         addr,
         "--scale",
         "tiny",
-        "--shards",
-        &SHARDS.to_string(),
         "--chunk-visits",
         &CHUNK_VISITS.to_string(),
     ])
@@ -134,8 +130,6 @@ fn coord_args(out: &Path, extra: &[&str]) -> Vec<String> {
         "127.0.0.1:0",
         "--scale",
         "tiny",
-        "--shards",
-        &SHARDS.to_string(),
         "--chunk-visits",
         &CHUNK_VISITS.to_string(),
         "--out",

@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const SHARDS: u32 = 2;
 const CHUNK_VISITS: usize = 32;
 
 /// What every connection of one connector saw.
@@ -69,7 +68,7 @@ impl Transport for CountingTransport {
     fn recv_frame(&mut self) -> Result<Vec<u8>, DistdError> {
         let frame = self.inner.recv_frame()?;
         self.unanswered = self.unanswered.saturating_sub(1);
-        if let Ok(Msg::Wait { .. }) = Msg::decode(&frame) {
+        if let Ok(Msg::Wait) = Msg::decode(&frame) {
             self.tally.waits.fetch_add(1, Ordering::Relaxed);
         }
         Ok(frame)
@@ -98,7 +97,6 @@ fn pipelined_workers_keep_one_unanswered_frame_and_fold_identical_bytes() {
     run_campaign_streamed(
         &SiteFactory::new(eco.clone()),
         &CampaignConfig {
-            shards: SHARDS,
             chunk_visits: CHUNK_VISITS,
             ..CampaignConfig::default()
         },
@@ -110,7 +108,6 @@ fn pipelined_workers_keep_one_unanswered_frame_and_fold_identical_bytes() {
     let coordinator = Coordinator::bind(
         "127.0.0.1:0",
         CoordConfig {
-            shards: SHARDS,
             chunk_visits: CHUNK_VISITS,
             spool_dir: Some(spool.clone()),
             compact_every: 4,
@@ -131,7 +128,6 @@ fn pipelined_workers_keep_one_unanswered_frame_and_fold_identical_bytes() {
             .enumerate()
             .map(|(i, heartbeat_every)| {
                 let cfg = WorkerConfig {
-                    shards: SHARDS,
                     chunk_visits: CHUNK_VISITS,
                     heartbeat_every,
                     instance: i as u64,

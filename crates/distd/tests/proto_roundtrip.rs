@@ -16,16 +16,10 @@ use proptest::prelude::*;
 fn arb_block() -> impl Strategy<Value = PlanBlock> {
     (
         0u32..40,
-        0u32..8,
         0u32..64,
         proptest::collection::vec(1u32..10_000, 0..24),
     )
-        .prop_map(|(day, shard, seq, ranks)| PlanBlock {
-            day,
-            shard,
-            seq,
-            ranks,
-        })
+        .prop_map(|(day, seq, ranks)| PlanBlock { day, seq, ranks })
 }
 
 fn arb_msg() -> impl Strategy<Value = Msg> {
@@ -38,7 +32,7 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
         any::<u32>().prop_map(|worker_id| Msg::RequestLease { worker_id }),
         (any::<u64>(), proptest::collection::vec(arb_block(), 1..6))
             .prop_map(|(lease_id, blocks)| Msg::Lease { lease_id, blocks }),
-        (1u32..60_000).prop_map(|millis| Msg::Wait { millis }),
+        Just(Msg::Wait),
         Just(Msg::Done),
         (any::<u32>(), any::<u64>()).prop_map(|(worker_id, lease_id)| Msg::Heartbeat {
             worker_id,

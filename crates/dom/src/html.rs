@@ -102,11 +102,6 @@ impl HtmlDoc {
             .filter(|s| !s.src.is_empty())
             .map(|s| s.src.as_str())
     }
-
-    /// Scripts located in the `<head>` (where HB wrappers live).
-    pub fn head_scripts(&self) -> impl Iterator<Item = &ScriptTag> {
-        self.scripts.iter().filter(|s| s.in_head)
-    }
 }
 
 /// Case-insensitive substring search returning the byte offset.
@@ -237,7 +232,7 @@ mod tests {
         assert_eq!(doc.ad_divs.len(), 2);
         let srcs: Vec<&str> = doc.script_srcs().collect();
         assert_eq!(srcs, vec!["https://cdn.prebid.org/prebid.js"]);
-        assert_eq!(doc.head_scripts().count(), 2);
+        assert!(doc.scripts.iter().all(|s| s.in_head));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! Everything is deterministic in `(seed, rank, day)`: outage activation is
 //! a pure day-range check and ambient decisions are drawn from the visit's
 //! own RNG stream, so figure bytes are identical across parallelism and
-//! shard splits. [`ScenarioConfig::healthy()`] (the default) adds nothing
+//! chunk sizes. [`ScenarioConfig::healthy()`] (the default) adds nothing
 //! and keeps campaigns byte-identical to a build without scenarios.
 
 use hb_adtech::{rtb_edge_host, RobustnessPolicy};

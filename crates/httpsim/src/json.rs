@@ -382,14 +382,6 @@ impl Json {
         }
     }
 
-    /// Object content, if this is an object.
-    pub fn as_obj(&self) -> Option<&JsonObj> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// Is this an array or an object (a value holding a pooled spine)?
     fn is_container(&self) -> bool {
         matches!(self, Json::Arr(_) | Json::Obj(_))
@@ -407,6 +399,7 @@ impl Json {
     /// Parse a JSON document.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -493,7 +486,13 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Recursive-descent parser over one document. `pos` only ever moves
+/// past whole characters (structural bytes are ASCII, and strings are
+/// consumed char by char), so it always sits on a char boundary of
+/// `text` and slicing `text` needs no UTF-8 re-validation.
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`, for byte-level peeking.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -615,10 +614,8 @@ impl<'a> Parser<'a> {
         while i < self.bytes.len() {
             match self.bytes[i] {
                 b'"' => {
-                    let text = std::str::from_utf8(&self.bytes[start..i])
-                        .map_err(|_| self.err("invalid utf-8"))?;
                     self.pos = i + 1;
-                    return Ok(HStr::new(text));
+                    return Ok(HStr::new(&self.text[start..i]));
                 }
                 b'\\' => break,
                 _ => i += 1,
@@ -626,13 +623,13 @@ impl<'a> Parser<'a> {
         }
         let mut out = String::new();
         loop {
-            match self.peek() {
+            match self.text[self.pos..].chars().next() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
+                Some('"') => {
                     self.pos += 1;
                     return Ok(HStr::from(out));
                 }
-                Some(b'\\') => {
+                Some('\\') => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -647,8 +644,10 @@ impl<'a> Parser<'a> {
                             if self.pos + 4 >= self.bytes.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("invalid \\u escape"))?;
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("invalid \\u escape"))?;
                             let cp = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
                             out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
@@ -658,11 +657,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
+                Some(c) => {
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -693,9 +688,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -704,6 +698,13 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn obj_of(v: &Json) -> &JsonObj {
+        match v {
+            Json::Obj(m) => m,
+            other => panic!("not an object: {other:?}"),
+        }
+    }
 
     #[test]
     fn parse_scalars() {
@@ -797,7 +798,7 @@ mod tests {
         // Builder sugar behaves the same way (BTreeMap collect semantics).
         let v = Json::obj([("k", Json::num(1.0)), ("k", Json::num(9.0))]);
         assert_eq!(v.get("k").unwrap().as_f64(), Some(9.0));
-        assert_eq!(v.as_obj().unwrap().len(), 1);
+        assert_eq!(obj_of(&v).len(), 1);
         // And so does the parser.
         let p = Json::parse(r#"{"k":1,"k":9}"#).unwrap();
         assert_eq!(p.get("k").unwrap().as_f64(), Some(9.0));
@@ -812,7 +813,7 @@ mod tests {
         assert_eq!(Json::Obj(empty).to_string_compact(), "{}");
 
         let v = Json::obj([("bb", Json::num(1.0)), ("dd", Json::num(2.0))]);
-        let obj = v.as_obj().unwrap();
+        let obj = obj_of(&v);
         // Misses before, between, and after the sorted entries.
         assert_eq!(obj.get("aa"), None);
         assert_eq!(obj.get("cc"), None);
@@ -830,12 +831,7 @@ mod tests {
             ("alpha", Json::num(2.0)),
             ("mid", Json::num(3.0)),
         ]);
-        let keys: Vec<&str> = v
-            .as_obj()
-            .unwrap()
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .collect();
+        let keys: Vec<&str> = obj_of(&v).iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["alpha", "mid", "zeta"]);
     }
 
@@ -917,9 +913,13 @@ mod tests {
 
     #[test]
     fn unicode_content_survives() {
-        let v = Json::parse("\"héllo ▲\"").unwrap();
-        assert_eq!(v.as_str(), Some("héllo ▲"));
-        let rt = Json::parse(&v.to_string_compact()).unwrap();
-        assert_eq!(v, rt);
+        // Without an escape (the borrowed fast path) and with multibyte
+        // text after one (the char-by-char slow path).
+        for (doc, want) in [("\"héllo ▲\"", "héllo ▲"), ("\"a\\nhé▲\"", "a\nhé▲")] {
+            let v = Json::parse(doc).unwrap();
+            assert_eq!(v.as_str(), Some(want));
+            let rt = Json::parse(&v.to_string_compact()).unwrap();
+            assert_eq!(v, rt);
+        }
     }
 }

@@ -61,11 +61,6 @@ impl MsgScratch {
         }
     }
 
-    /// Return a `QueryParams`'s storage to the pool.
-    pub fn recycle_params(&mut self, q: QueryParams) {
-        self.keep(q.into_storage());
-    }
-
     /// Recycle every pooled component of a finished request. The `HStr`
     /// components (host, path, initiator) are cheap to drop; only the
     /// entry vectors (and any JSON tree's spines) are worth keeping.
@@ -122,7 +117,7 @@ mod tests {
         s.begin_visit();
         let mut q = s.take_params();
         q.append("hb_bidder", "appnexus");
-        s.recycle_params(q);
+        s.recycle_body(Body::Form(q));
         assert_eq!(s.pooled_buffers(), 1);
         let q2 = s.take_params();
         assert!(q2.is_empty(), "recycled storage is cleared");
@@ -156,7 +151,7 @@ mod tests {
         for _ in 0..100 {
             let mut q = QueryParams::new();
             q.append("a", "b"); // force a real allocation to pool
-            s.recycle_params(q);
+            s.recycle_body(Body::Form(q));
         }
         assert!(s.pooled_buffers() <= super::POOL_CAP);
     }

@@ -2,7 +2,7 @@
 //!
 //! Ecosystem generation and the latency models are described declaratively
 //! with [`Dist`] values (constant, uniform, log-normal, Pareto, mixtures,
-//! shifted/clamped transforms). A `Dist` is sampled with an explicit
+//! scaled/clamped transforms). A `Dist` is sampled with an explicit
 //! [`Rng`] so every draw stays deterministic.
 
 use crate::rng::Rng;
@@ -45,13 +45,6 @@ pub enum Dist {
         /// Shape (tail exponent).
         alpha: f64,
     },
-    /// `inner` shifted by a constant `offset`.
-    Shifted {
-        /// Constant added to each sample.
-        offset: f64,
-        /// The underlying distribution.
-        inner: Box<Dist>,
-    },
     /// `inner` scaled by a constant `factor`.
     Scaled {
         /// Constant multiplying each sample.
@@ -85,14 +78,6 @@ impl Dist {
         }
     }
 
-    /// Shift this distribution by `offset`.
-    pub fn shifted(self, offset: f64) -> Dist {
-        Dist::Shifted {
-            offset,
-            inner: Box::new(self),
-        }
-    }
-
     /// Scale this distribution by `factor`.
     pub fn scaled(self, factor: f64) -> Dist {
         Dist::Scaled {
@@ -120,7 +105,6 @@ impl Dist {
             Dist::LogNormal { mu, sigma } => rng.log_normal(*mu, *sigma),
             Dist::Exponential { lambda } => rng.exponential(*lambda),
             Dist::Pareto { x_min, alpha } => rng.pareto(*x_min, *alpha),
-            Dist::Shifted { offset, inner } => offset + inner.sample(rng),
             Dist::Scaled { factor, inner } => factor * inner.sample(rng),
             Dist::Clamped { lo, hi, inner } => inner.sample(rng).clamp(*lo, *hi),
             Dist::Mix(parts) => {
@@ -154,7 +138,6 @@ impl Dist {
                     None
                 }
             }
-            Dist::Shifted { offset, inner } => inner.mean().map(|m| m + offset),
             Dist::Scaled { factor, inner } => inner.mean().map(|m| m * factor),
             Dist::Clamped { .. } => None,
             Dist::Mix(parts) => {
@@ -210,10 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn shifted_scaled_clamped() {
+    fn scaled_clamped() {
         let mut rng = Rng::new(4);
-        let d = Dist::Const(10.0).scaled(3.0).shifted(5.0);
-        assert_eq!(d.sample(&mut rng), 35.0);
+        let d = Dist::Const(10.0).scaled(3.0);
+        assert_eq!(d.sample(&mut rng), 30.0);
         let c = Dist::Const(100.0).clamped(0.0, 50.0);
         assert_eq!(c.sample(&mut rng), 50.0);
     }

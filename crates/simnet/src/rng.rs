@@ -113,16 +113,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi]` (inclusive). Panics if `lo > hi`.
-    #[inline]
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "Rng::range_inclusive: lo > hi");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform `usize` index in `[0, n)`. Panics if `n == 0`.
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {

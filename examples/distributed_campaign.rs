@@ -3,7 +3,7 @@
 //! recovery machinery has something to do.
 //!
 //! The coordinator folds chunks into the incremental figure index in
-//! `(day, shard, seq)` order — the same order the single-process campaign
+//! `(day, seq)` order — the same order the single-process campaign
 //! streams them — so the resulting figures are byte-identical to
 //! `run_campaign_streamed` over the same universe, crashes and all.
 //!
@@ -23,7 +23,6 @@ fn main() {
     let eco_cfg = EcosystemConfig::tiny_scale();
     let cfg = CoordConfig {
         chunk_visits: 32,
-        shards: 2,
         // Short lease so the simulated crash recovers quickly.
         lease_timeout: Duration::from_millis(500),
         ..CoordConfig::new(eco_cfg.clone())
@@ -48,7 +47,7 @@ fn main() {
             let cfg = cfg.clone();
             let crash_landed = crash_landed.clone();
             scope.spawn(move || {
-                let fp = config_fingerprint(&cfg.eco, cfg.shards, cfg.chunk_visits, &cfg.session);
+                let fp = config_fingerprint(&cfg.eco, cfg.chunk_visits, &cfg.session);
                 let stream = loop {
                     match std::net::TcpStream::connect(&addr) {
                         Ok(s) => break s,
@@ -83,7 +82,6 @@ fn main() {
                         std::thread::sleep(Duration::from_millis(5));
                     }
                     let wcfg = WorkerConfig {
-                        shards: cfg.shards,
                         chunk_visits: cfg.chunk_visits,
                         heartbeat_every: Duration::from_millis(200),
                         ..WorkerConfig::new(addr, cfg.eco.clone())

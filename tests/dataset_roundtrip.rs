@@ -25,10 +25,10 @@ fn tiny_campaign(cfg: &CampaignConfig) -> Vec<VisitChunk> {
 }
 
 #[test]
-fn csv_bytes_are_pinned_across_shard_layouts() {
+fn csv_bytes_are_pinned_across_chunk_sizes() {
     // xxh64 of the three tables at tiny scale, as written by the row
     // dataset the streaming writer replaced: the writer must reproduce
-    // them byte for byte, and so must any shard layout.
+    // them byte for byte, and so must any chunk size.
     const PINNED: [u64; 3] = [
         0xdbd5_11ca_4897_8d9b,
         0x364f_5cc0_9fa8_872f,
@@ -36,12 +36,11 @@ fn csv_bytes_are_pinned_across_shard_layouts() {
     ];
     let digests = |cfg: &CampaignConfig| tables(&tiny_campaign(cfg)).map(|t| xxh64(t.as_bytes()));
     assert_eq!(digests(&CampaignConfig::default()), PINNED);
-    let sharded = CampaignConfig {
-        shards: 4,
+    let ragged = CampaignConfig {
         chunk_visits: 23,
         ..CampaignConfig::default()
     };
-    assert_eq!(digests(&sharded), PINNED);
+    assert_eq!(digests(&ragged), PINNED);
 }
 
 #[test]

@@ -100,22 +100,21 @@ fn reports_are_deterministic() {
 }
 
 #[test]
-fn figure_outputs_identical_across_shard_counts() {
-    // Sharding restructures scheduling, interning and chunk boundaries —
-    // none of it may leak into results: every rendered figure must be
-    // byte-identical between an unsharded and a 4-shard campaign.
+fn figure_outputs_identical_across_chunk_sizes() {
+    // The block size restructures scheduling, interning and chunk
+    // boundaries — none of it may leak into results: every rendered
+    // figure must be byte-identical between 256- and 23-visit chunks.
     let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
-    let at = |shards, chunk_visits| {
+    let at = |chunk_visits| {
         render(
             &eco,
             &CampaignConfig {
-                shards,
                 chunk_visits,
                 ..CampaignConfig::default()
             },
         )
     };
-    assert_eq!(at(1, 256), at(4, 23));
+    assert_eq!(at(256), at(23));
 }
 
 #[test]
@@ -126,7 +125,7 @@ fn streamed_index_matches_dataset_index() {
     // back in key order before the fold.
     let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
     let cfg = CampaignConfig {
-        shards: 3,
+        chunk_visits: 37,
         ..CampaignConfig::default()
     };
     let (n_sites, n_days) = (eco.config().n_sites, eco.config().crawl_days);

@@ -1,7 +1,7 @@
 //! Failure-injection tests: the pipeline must stay sound when the network
 //! misbehaves — partner outages, heavy packet loss, dead pages — and
 //! campaign-level degraded-network scenarios must stay deterministic
-//! across parallelism and sharding.
+//! across parallelism and chunk sizes.
 
 mod common;
 
@@ -220,10 +220,10 @@ fn degraded_link_shows_up_in_latency_columns() {
 }
 
 #[test]
-fn scenario_campaign_bytes_identical_across_parallelism_and_shards() {
+fn scenario_campaign_bytes_identical_across_parallelism_and_chunk_sizes() {
     // The acceptance bar for the fault axes: with faults *enabled*, figure
     // bytes are a pure function of (seed, scenario) — parallelism 1 vs 8
-    // and shards 1 vs 4 must agree byte for byte.
+    // and 256- vs 17-visit chunks must agree byte for byte.
     let base = EcosystemConfig::tiny_scale().with_days(2);
     let cfg = base.clone().with_scenario(stressed_scenario(&base));
     let eco = SiteFactory::new(cfg);
@@ -244,15 +244,14 @@ fn scenario_campaign_bytes_identical_across_parallelism_and_shards() {
     );
     assert_eq!(p1, p8, "figure bytes differ between parallelism 1 and 8");
 
-    let s4 = figure_bytes(
+    let c17 = figure_bytes(
         &eco,
         &CampaignConfig {
-            shards: 4,
             chunk_visits: 17, // odd block size to stress the fold order
             ..CampaignConfig::default()
         },
     );
-    assert_eq!(p1, s4, "figure bytes differ between 1 and 4 shards");
+    assert_eq!(p1, c17, "figure bytes differ at 17-visit chunks");
 }
 
 #[test]
