@@ -46,6 +46,32 @@ mod tests {
     use crate::test_fixtures::small_index;
     use hb_crawler::{adoption_study, overlap_study};
 
+    /// xxh64 of the F4 and F4b CSVs over the full-size Wayback study
+    /// (1,000 sites a year, a 5,000-site overlap list) for a few seeds.
+    #[test]
+    fn history_csvs_are_pinned() {
+        let got: Vec<(u64, [u64; 2])> = [1u64, 7, 42]
+            .into_iter()
+            .map(|s| {
+                let reports = history_reports(&adoption_study(s, 1_000), &overlap_study(s, 5_000));
+                let csv: Vec<u64> = reports
+                    .iter()
+                    .map(|r| hb_core::xxh64(r.to_csv().as_bytes()))
+                    .collect();
+                (s, [csv[0], csv[1]])
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (1, [0x5944_5D64_48DC_D6F7, 0xBC80_249F_FD15_F4D9]),
+                (7, [0x59F8_B1B4_A631_3CB2, 0xBC80_249F_FD15_F4D9]),
+                (42, [0x203F_DB70_B9D2_C9F7, 0xBC80_249F_FD15_F4D9]),
+            ],
+            "F4/F4b CSV bytes moved"
+        );
+    }
+
     #[test]
     fn registry_builds_all_reports_with_unique_ids() {
         let adoption = adoption_study(1, 500);

@@ -147,6 +147,26 @@ mod tests {
         assert!((rate - 0.205).abs() < 0.03, "rate {rate}");
     }
 
+    /// xxh64 of every archived page of a 1,000-site list over all six
+    /// years, one seed: any change to the page template or to the order
+    /// of the `rng.chance` draws moves it (and with it F4/F4b).
+    #[test]
+    fn yearly_archive_html_is_pinned() {
+        let list = TopList::base(1_000);
+        let mut rng = Rng::new(5);
+        let mut all = String::new();
+        for &(year, adoption) in YEARLY_ADOPTION.iter() {
+            for s in yearly_archive(&list, year, adoption, &mut rng) {
+                all.push_str(&s.html);
+            }
+        }
+        assert_eq!(
+            (hb_core::xxh64(all.as_bytes()), all.len()),
+            (0x1A09_085A_3D72_595D, 1_270_117),
+            "archived page bytes moved"
+        );
+    }
+
     #[test]
     fn adoption_is_sticky_across_years() {
         let list = TopList::base(500);
