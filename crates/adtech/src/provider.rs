@@ -279,10 +279,10 @@ mod tests {
         assert!(!first.url.query.contains("rt"));
         assert_eq!(retry.url.query.get("rt"), Some("1"));
         for req in [&first, &retry] {
+            let mut hb = false;
+            req.for_each_visible_param(|k, _| hb |= k.starts_with("hb_"));
             assert!(
-                req.visible_params()
-                    .iter()
-                    .all(|(k, _)| !k.starts_with("hb_")),
+                !hb,
                 "waterfall traffic must not carry hb_*: {:?}",
                 req.url.query
             );

@@ -352,10 +352,11 @@ mod tests {
         let h2 = hb_seen.clone();
         sim.world_mut().browser.webrequest.tap(move |ev| {
             if let hb_dom::WebRequestEvent::Before { request, .. } = ev {
-                let params = request.visible_params();
-                if params.iter().any(|(k, _)| k.starts_with("hb_")) {
-                    *h2.borrow_mut() = true;
-                }
+                request.for_each_visible_param(|k, _| {
+                    if k.starts_with("hb_") {
+                        *h2.borrow_mut() = true;
+                    }
+                });
             }
         });
         let counts = EventCounts::tap(&mut sim.world_mut().browser);
@@ -428,10 +429,11 @@ mod tests {
         let h2 = hb_seen.clone();
         sim.world_mut().browser.webrequest.tap(move |ev| {
             if let hb_dom::WebRequestEvent::Before { request, .. } = ev {
-                let params = request.visible_params();
-                if params.iter().any(|(k, _)| k.starts_with("hb_")) {
-                    *h2.borrow_mut() = true;
-                }
+                request.for_each_visible_param(|k, _| {
+                    if k.starts_with("hb_") {
+                        *h2.borrow_mut() = true;
+                    }
+                });
             }
         });
         sim.run_to_idle(60_000);

@@ -172,14 +172,14 @@ impl HbDetector {
                     if let Some(obs) = index.get(&request.id).map(|&i| &mut requests[i as usize]) {
                         obs.completed_at = Some(*at);
                         obs.response_has_hb_params = response_has_hb_params(response);
-                        // Parse every JSON body, not just hb_-flagged ones:
+                        // Read every JSON body, not just hb_-flagged ones:
                         // bid/winner extraction must not depend on the
                         // payload carrying an hb_ key alongside the lists.
-                        // Structured bodies are borrowed (no tree clone);
-                        // text bodies are still parsed opportunistically.
-                        response.body.with_json(|body| {
-                            parse_response_content(obs, raw_bids, raw_winners, body)
-                        });
+                        // The tree is borrowed, not cloned; text bodies
+                        // (pages, scripts) carry no bids.
+                        if let Some(body) = response.body.json() {
+                            parse_response_content(obs, raw_bids, raw_winners, body);
+                        }
                     }
                 }
                 WebRequestEvent::Failed { request, .. } => {

@@ -9,104 +9,81 @@
 //! live path uses events + requests instead.
 
 use crate::list::LibrarySignatures;
-use hb_dom::HtmlDoc;
+use hb_dom::any_script;
 
 /// Outcome of statically analyzing one page.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StaticFinding {
-    /// Did any signature match?
+    /// Did any script `src` or inline body match a signature?
     pub hb_suspected: bool,
-    /// The script `src` values that matched.
-    pub matched_srcs: Vec<String>,
-    /// Number of inline scripts that matched.
-    pub matched_inline: usize,
 }
 
-/// Scan an HTML document for HB library signatures.
+/// Scan an HTML document for HB library signatures, stopping at the
+/// first script that matches.
 pub fn analyze_html(sigs: &LibrarySignatures, html: &str) -> StaticFinding {
-    let doc = HtmlDoc::scan(html);
-    let mut matched_srcs = Vec::new();
-    for src in doc.script_srcs() {
-        if sigs.matches_src(src) {
-            matched_srcs.push(src.to_string());
-        }
-    }
-    let matched_inline = doc
-        .scripts
-        .iter()
-        .filter(|s| !s.inline.is_empty() && sigs.matches_inline(&s.inline))
-        .count();
-    StaticFinding {
-        hb_suspected: !matched_srcs.is_empty() || matched_inline > 0,
-        matched_srcs,
-        matched_inline,
-    }
+    let hb_suspected = any_script(html, |src, inline| {
+        (!src.is_empty() && sigs.matches_src(src))
+            || (!inline.is_empty() && sigs.matches_inline(inline))
+    });
+    StaticFinding { hb_suspected }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_dom::HtmlBuilder;
 
-    fn sigs() -> LibrarySignatures {
-        LibrarySignatures::default()
+    fn suspected(html: &str) -> bool {
+        analyze_html(&LibrarySignatures::default(), html).hb_suspected
     }
 
     #[test]
     fn detects_external_wrapper() {
-        let html = HtmlBuilder::new("t")
-            .head_script("https://cdn.example/prebid.js")
-            .build();
-        let f = analyze_html(&sigs(), &html);
-        assert!(f.hb_suspected);
-        assert_eq!(f.matched_srcs.len(), 1);
+        assert!(suspected(
+            "<head><script src=\"https://cdn.example/prebid.js\"></script></head>"
+        ));
     }
 
     #[test]
     fn detects_inline_wrapper_code() {
-        let html = HtmlBuilder::new("t")
-            .head_inline("pbjs.requestBids({ timeout: 3000 });")
-            .build();
-        let f = analyze_html(&sigs(), &html);
-        assert!(f.hb_suspected);
-        assert_eq!(f.matched_inline, 1);
+        assert!(suspected(
+            "<head><script>pbjs.requestBids({ timeout: 3000 });</script></head>"
+        ));
     }
 
     #[test]
     fn clean_page_not_flagged() {
-        let html = HtmlBuilder::new("t")
-            .head_script("https://cdn.example/jquery.js")
-            .head_inline("console.log('x')")
-            .build();
-        let f = analyze_html(&sigs(), &html);
-        assert!(!f.hb_suspected);
+        assert!(!suspected(
+            "<head><script src=\"https://cdn.example/jquery.js\"></script>\
+             <script>console.log('x')</script></head>"
+        ));
     }
 
     #[test]
     fn false_positive_mode_misnamed_library() {
         // A non-HB library shipped under an HB-ish name — the paper's
         // stated false-positive mode for static analysis.
-        let html = HtmlBuilder::new("t")
-            .head_script("https://cdn.example/vendor/prebid-polyfill-shim.js")
-            .build();
-        let f = analyze_html(&sigs(), &html);
-        assert!(f.hb_suspected, "static analysis cannot tell the difference");
+        assert!(
+            suspected(
+                "<head><script src=\"https://cdn.example/vendor/prebid-polyfill-shim.js\">\
+                 </script></head>"
+            ),
+            "static analysis cannot tell the difference"
+        );
     }
 
     #[test]
     fn false_negative_mode_renamed_library() {
         // A renamed wrapper evades the signature list.
-        let html = HtmlBuilder::new("t")
-            .head_script("https://cdn.example/w.min.js")
-            .build();
-        let f = analyze_html(&sigs(), &html);
-        assert!(!f.hb_suspected, "renamed wrappers are missed");
+        assert!(
+            !suspected("<head><script src=\"https://cdn.example/w.min.js\"></script></head>"),
+            "renamed wrappers are missed"
+        );
     }
 
     #[test]
     fn case_insensitive_matching() {
-        let html = "<head><script src=\"https://c/PREBID.JS\"></script></head>";
-        let f = analyze_html(&sigs(), html);
-        assert!(f.hb_suspected);
+        assert!(suspected(
+            "<head><script src=\"https://c/PREBID.JS\"></script></head>"
+        ));
     }
 }

@@ -1,7 +1,11 @@
-//! Property tests for the detector's classification and list-matching
-//! invariants.
+//! Property tests for the detector's classification, list-matching and
+//! static script scan invariants.
 
-use hb_core::{classify_request, is_hb_param, PartnerEntry, PartnerList, RequestKind};
+use hb_core::{
+    analyze_html, classify_request, is_hb_param, LibrarySignatures, PartnerEntry, PartnerList,
+    RequestKind,
+};
+use hb_dom::any_script;
 use hb_http::{Request, RequestId, Url};
 use proptest::prelude::*;
 
@@ -17,7 +21,111 @@ fn arb_query() -> impl Strategy<Value = String> {
     proptest::string::string_regex("([a-z_]{1,10}=[a-zA-Z0-9.%-]{0,10}&?){0,6}").unwrap()
 }
 
+/// One generated `<script>`: `src` (empty: no attribute), inline body,
+/// tag spelling (case and an extra attribute), `src` quoting, and the
+/// non-script markup before it.
+type ScriptSpec = (String, String, usize, usize, usize);
+
+fn arb_script() -> impl Strategy<Value = ScriptSpec> {
+    (
+        "([a-zA-Z0-9:/._?=&-]{1,24})?",
+        "[a-zA-Z0-9 ;.(){}=,'\"]{0,30}",
+        0usize..3,
+        0usize..4,
+        0usize..5,
+    )
+}
+
+/// Markup that is not a script tag (nor contains one).
+const FILLER: [&str; 5] = [
+    "",
+    "<div id=\"ad-slot-1\" class=\"ad-unit\"></div>\n",
+    "<p>src=\"x.js\" is not a script</p>",
+    "<title>news</title>",
+    "<link rel=stylesheet href=s.css>",
+];
+
+/// Render the scripts as one page, spelling each tag the way its spec says.
+fn script_page(scripts: &[ScriptSpec]) -> String {
+    const TAGS: [(&str, &str, &str); 3] = [
+        ("<script", " src=", "</script>"),
+        ("<SCRIPT", " SRC=", "</SCRIPT>"),
+        ("<ScRiPt type=\"text/javascript\"", " Src=", "</sCrIpT>"),
+    ];
+    let mut html = String::from("<!DOCTYPE html>\n<html><head>");
+    for (src, inline, tag, quote, filler) in scripts {
+        let (open, attr, close) = TAGS[*tag];
+        html.push_str(FILLER[*filler]);
+        html.push_str(open);
+        if !src.is_empty() {
+            html.push_str(attr);
+            html.push_str(&match quote {
+                0 => format!("\"{src}\""),
+                1 => format!("'{src}'"),
+                2 => format!("{src} async"),
+                _ => src.clone(),
+            });
+        }
+        html.push('>');
+        html.push_str(inline);
+        html.push_str(close);
+    }
+    html.push_str("</head></html>\n");
+    html
+}
+
+/// Fragments that truncate tags, leave quotes open or are not ASCII.
+const FRAGMENTS: [&str; 12] = [
+    "<script",
+    "<SCRIPT src=",
+    " src=\"",
+    "src='",
+    "'",
+    "\"",
+    ">",
+    "</script>",
+    "</scr",
+    "pbjs.requestBids(",
+    "\u{e9}\u{4e2d}",
+    "\u{1F600}",
+];
+
 proptest! {
+    /// The script scan returns exactly the generated `(src, inline)`
+    /// pairs, whatever the tag case, `src` quoting and markup around them.
+    #[test]
+    fn script_scan_matches_reference(scripts in proptest::collection::vec(arb_script(), 0..8)) {
+        let html = script_page(&scripts);
+        let mut got = Vec::new();
+        any_script(&html, |src, inline| {
+            got.push((src.to_string(), inline.to_string()));
+            false
+        });
+        let want: Vec<(String, String)> = scripts
+            .iter()
+            .map(|(src, inline, ..)| (src.clone(), inline.trim().to_string()))
+            .collect();
+        prop_assert_eq!(got, want);
+    }
+
+    /// No input reaches a panic: the scan and `analyze_html` are total on
+    /// arbitrary text, truncated tags and unterminated quotes included.
+    #[test]
+    fn script_scan_total(
+        parts in proptest::collection::vec((0usize..FRAGMENTS.len(), "\\PC{0,6}"), 0..24),
+        tail in "\\PC{0,64}",
+    ) {
+        let mut html: String = parts.iter().map(|(i, s)| format!("{}{s}", FRAGMENTS[*i])).collect();
+        html.push_str(&tail);
+        for text in [html.as_str(), tail.as_str()] {
+            any_script(text, |_, inline| {
+                assert_eq!(inline, inline.trim());
+                false
+            });
+            let _ = analyze_html(&LibrarySignatures::default(), text);
+        }
+    }
+
     /// Classification never panics and always returns a coherent result on
     /// arbitrary URLs.
     #[test]

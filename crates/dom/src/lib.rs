@@ -1,9 +1,10 @@
 //! # hb-dom
 //!
 //! Browser substrate for the header bidding reproduction: the DOM event
-//! target, a tiny HTML scanner, the single-threaded JS event loop model,
-//! page lifecycle timing, the `webRequest` observation bus, and the
-//! [`Browser`] glue object.
+//! target, the single-threaded JS event loop model, page lifecycle
+//! timing, the `webRequest` observation bus, and the [`Browser`] glue
+//! object, plus the borrowed `<script>` scan that static analysis runs
+//! over archived pages.
 //!
 //! The crate is deliberately *passive*: it notifies, while the ad-tech
 //! orchestration layer (hb-adtech) drives the simulation. Each bus is a
@@ -25,6 +26,6 @@ pub mod webrequest;
 pub use browser::Browser;
 pub use event::{DomEvent, EventBus};
 pub use event_loop::{JsThread, TaskSlot};
-pub use html::{find_ci, AdSlotDiv, HtmlBuilder, HtmlDoc, ScriptTag};
+pub use html::{any_script, find_ci};
 pub use page::{Page, PageState};
 pub use webrequest::{FailureReason, WebRequestBus, WebRequestEvent};

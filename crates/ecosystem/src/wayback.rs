@@ -8,8 +8,8 @@
 //! wrapper technology shifts from bespoke inline code to prebid.js.
 
 use crate::toplist::TopList;
-use hb_dom::HtmlBuilder;
 use hb_simnet::Rng;
+use std::fmt::Write as _;
 
 /// Target adoption rate of the top-1k sites per year (Figure 4 shape).
 pub const YEARLY_ADOPTION: [(u32, f64); 6] = [
@@ -42,29 +42,50 @@ pub struct Snapshot {
 /// libraries that trip the signatures (false positives) — the precision
 /// discussion of §3.1.
 pub fn snapshot(domain: &str, year: u32, adopted: bool, rng: &mut Rng) -> Snapshot {
-    let mut b = HtmlBuilder::new(format!("{domain} ({year})"));
-    b = b.head_script("https://static.example/site.js");
-    if adopted {
+    // (external script, inline script) added to the head after site.js.
+    let (src, inline) = if adopted {
         let renamed = rng.chance(0.03); // false-negative mode
         if renamed {
-            b = b.head_script("https://cdn.example/w.min.js");
+            (Some("https://cdn.example/w.min.js"), None)
         } else if year < 2016 {
             // Early adopters ran bespoke header auctions.
-            b = b.head_inline("headerBidding.init({partners: 3});");
+            (None, Some("headerBidding.init({partners: 3});"))
         } else {
-            b = b.head_script("https://cdn.hbrepro.example/prebid.js");
-            b = b.head_inline("pbjs.requestBids({timeout: 3000});");
+            (
+                Some("https://cdn.hbrepro.example/prebid.js"),
+                Some("pbjs.requestBids({timeout: 3000});"),
+            )
         }
     } else if rng.chance(0.004) {
         // False-positive mode: an unrelated library with an HB-ish name.
-        b = b.head_script("https://cdn.example/vendor/prebid-polyfill-shim.js");
+        (
+            Some("https://cdn.example/vendor/prebid-polyfill-shim.js"),
+            None,
+        )
+    } else {
+        (None, None)
+    };
+    let mut html = String::with_capacity(512);
+    html.push_str("<!DOCTYPE html>\n<html>\n<head>\n<title>");
+    let _ = write!(html, "{domain} ({year})");
+    html.push_str("</title>\n<script src=\"https://static.example/site.js\"></script>\n");
+    if let Some(src) = src {
+        html.push_str("<script src=\"");
+        html.push_str(src);
+        html.push_str("\"></script>\n");
     }
-    b = b.ad_slot("ad-slot-1");
+    if let Some(body) = inline {
+        html.push_str("<script>");
+        html.push_str(body);
+        html.push_str("</script>\n");
+    }
+    html.push_str("</head>\n<body>\n<div id=\"ad-slot-1\" class=\"ad-unit\"></div>\n");
+    html.push_str("</body>\n</html>\n");
     Snapshot {
         domain: domain.to_string(),
         year,
         has_hb: adopted,
-        html: b.build(),
+        html,
     }
 }
 

@@ -24,10 +24,9 @@ use std::sync::Arc;
 /// The shared CDN host serving wrapper/ad-manager libraries.
 pub const CDN_HOST: &str = "cdn.hbrepro.example";
 
-/// Render a publisher page into `out` (cleared first). Byte-identical to
-/// what the former [`hb_dom::HtmlBuilder`] assembly produced, but written
-/// straight into one buffer: no per-fragment `format!` temporaries, no
-/// builder vectors — a memo-missed page render costs only the buffer's
+/// Render a publisher page into `out` (cleared first), written straight
+/// into one buffer: no per-fragment `format!` temporaries, no builder
+/// vectors — a memo-missed page render costs only the buffer's
 /// steady-state growth.
 pub fn render_page_html(site: &SiteProfile, specs: &[PartnerSpec], out: &mut String) {
     out.clear();

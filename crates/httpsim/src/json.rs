@@ -396,7 +396,8 @@ impl Json {
         Some(cur)
     }
 
-    /// Parse a JSON document.
+    /// Parse a JSON document. Message bodies are built as trees and never
+    /// parsed; this reads JSON files and result lines (`perf_ab`).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             text: input,

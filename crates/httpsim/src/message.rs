@@ -96,10 +96,8 @@ pub enum Body {
 
 impl Body {
     /// Borrow the structured JSON body, without parsing or cloning.
-    ///
-    /// Returns `None` for text bodies even when they contain JSON — use
-    /// [`Body::with_json`] (borrowing) or [`Body::into_json`] (owning)
-    /// when opportunistic text parsing is wanted.
+    /// `None` for every other body: text bodies (pages, scripts) are
+    /// never parsed as JSON.
     pub fn json(&self) -> Option<&Json> {
         match self {
             Body::Json(j) => Some(j),
@@ -107,24 +105,11 @@ impl Body {
         }
     }
 
-    /// Consume the body into JSON, parsing text bodies opportunistically.
-    /// The common `Body::Json` case moves the tree out without cloning.
+    /// Consume a structured JSON body, moving the tree out without
+    /// cloning; `None` for every other body, as for [`Body::json`].
     pub fn into_json(self) -> Option<Json> {
         match self {
             Body::Json(j) => Some(j),
-            Body::Text(t) => Json::parse(&t).ok(),
-            _ => None,
-        }
-    }
-
-    /// Run `f` against this body's JSON view: structured bodies are
-    /// borrowed directly (no clone), text bodies are parsed
-    /// opportunistically into a temporary. `None` when the body has no
-    /// JSON interpretation.
-    pub fn with_json<R>(&self, f: impl FnOnce(&Json) -> R) -> Option<R> {
-        match self {
-            Body::Json(j) => Some(f(j)),
-            Body::Text(t) => Json::parse(t).ok().map(|j| f(&j)),
             _ => None,
         }
     }
@@ -144,10 +129,12 @@ impl Body {
         matches!(self, Body::Empty)
     }
 
-    /// Visit the parameters this body exposes, in the same order
-    /// `visible_params` flattens them. Form and empty bodies visit
-    /// without heap allocation; JSON numbers/bools are formatted into one
-    /// reusable buffer.
+    /// Visit the parameters this body exposes: form pairs in order, or
+    /// the scalar fields of a JSON body, recursing into arrays and nested
+    /// objects (each key at its own name, matching how ad servers echo
+    /// `hb_*` targeting maps). Text and empty bodies expose none. Form and
+    /// empty bodies visit without heap allocation; JSON numbers/bools are
+    /// formatted into one reusable buffer.
     pub fn for_each_visible_param<F: FnMut(&str, &str)>(&self, f: &mut F) {
         self.any_visible_param(&mut |k, v| {
             f(k, v);
@@ -165,22 +152,14 @@ impl Body {
                 let mut buf = String::new();
                 probe_json_params(j, pred, &mut buf)
             }
-            Body::Text(t) => {
-                if let Ok(j) = Json::parse(t) {
-                    let mut buf = String::new();
-                    probe_json_params(&j, pred, &mut buf)
-                } else {
-                    false
-                }
-            }
-            Body::Empty => false,
+            Body::Text(_) | Body::Empty => false,
         }
     }
 }
 
-/// Borrowing, short-circuiting twin of `flatten_json_params`: same
-/// traversal and value formatting, but scalar strings are passed through
-/// without cloning and the walk stops once `pred` returns true.
+/// Pass each scalar field of `j` to `pred` (strings borrowed, whole
+/// numbers below 1e15 printed as integers, booleans as `true`/`false`,
+/// nulls skipped), stopping once `pred` returns true.
 fn probe_json_params<F: FnMut(&str, &str) -> bool>(
     j: &Json,
     pred: &mut F,
@@ -269,36 +248,11 @@ impl Request {
         self
     }
 
-    /// All parameters visible in this request: URL query parameters plus
-    /// form-body parameters plus flattened top-level JSON string/number
-    /// fields. This is the surface the detector scans for `hb_*` keys.
-    pub fn visible_params(&self) -> QueryParams {
-        let mut out = QueryParams::new();
-        for (k, v) in self.url.query.iter() {
-            out.append(k, v);
-        }
-        match &self.body {
-            Body::Form(q) => {
-                for (k, v) in q.iter() {
-                    out.append(k, v);
-                }
-            }
-            Body::Json(j) => flatten_json_params(j, &mut out),
-            Body::Text(t) => {
-                if let Ok(j) = Json::parse(t) {
-                    flatten_json_params(&j, &mut out);
-                }
-            }
-            Body::Empty => {}
-        }
-        out
-    }
-
-    /// Visit every parameter visible in this request (URL query, then
-    /// body), in [`visible_params`](Self::visible_params) order, without
-    /// building an owned map. Requests with form or empty bodies are
-    /// visited with zero heap allocation — this is the detector's
-    /// per-request hot path.
+    /// Visit every parameter visible in this request: URL query pairs,
+    /// then the body's (see [`Body::for_each_visible_param`]). This is the
+    /// surface the detector scans for `hb_*` keys. Requests with form or
+    /// empty bodies are visited with zero heap allocation — this is the
+    /// detector's per-request hot path.
     pub fn for_each_visible_param<F: FnMut(&str, &str)>(&self, mut f: F) {
         for (k, v) in self.url.query.iter() {
             f(k, v);
@@ -386,53 +340,12 @@ impl Response {
         }
     }
 
-    /// Parameters visible in the response body (JSON flattened); this is
-    /// what the detector scans to find `hb_*` keys in Server-Side HB.
-    pub fn visible_params(&self) -> QueryParams {
-        let mut out = QueryParams::new();
-        match &self.body {
-            Body::Form(q) => {
-                for (k, v) in q.iter() {
-                    out.append(k, v);
-                }
-            }
-            Body::Json(j) => flatten_json_params(j, &mut out),
-            Body::Text(t) => {
-                if let Ok(j) = Json::parse(t) {
-                    flatten_json_params(&j, &mut out);
-                }
-            }
-            Body::Empty => {}
-        }
-        out
-    }
-
-    /// Visit every parameter visible in this response body without
-    /// building an owned map (the detector probes every completed
-    /// response for `hb_*` keys).
+    /// Visit every parameter visible in this response body (see
+    /// [`Body::for_each_visible_param`]); this is what the detector scans
+    /// to find `hb_*` keys in Server-Side HB.
     pub fn for_each_visible_param<F: FnMut(&str, &str)>(&self, mut f: F) {
         self.body.for_each_visible_param(&mut f);
     }
-}
-
-/// Flatten scalar JSON fields (recursively, dotted-key-free) into params.
-/// Arrays are recursed; nested object keys are emitted at their own name,
-/// matching how ad servers echo `hb_*` targeting maps.
-///
-/// Implemented on top of the borrowing probe so numbers and booleans are
-/// formatted through one reusable buffer instead of a fresh `String` per
-/// key — the only allocations left are the owned copies `QueryParams`
-/// itself stores.
-fn flatten_json_params(j: &Json, out: &mut QueryParams) {
-    let mut buf = String::new();
-    probe_json_params(
-        j,
-        &mut |k, v| {
-            out.append(k, v);
-            false
-        },
-        &mut buf,
-    );
 }
 
 #[cfg(test)]
@@ -469,6 +382,13 @@ mod tests {
         assert_eq!(p.initiator, "prebid.js");
     }
 
+    /// Every `(key, value)` a request exposes, in visit order.
+    fn params(r: &Request) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        r.for_each_visible_param(|k, v| out.push((k.to_string(), v.to_string())));
+        out
+    }
+
     #[test]
     fn visible_params_merges_url_and_body() {
         let mut form = QueryParams::new();
@@ -478,9 +398,14 @@ mod tests {
             url("https://x.com/bid?hb_pb=0.50"),
             Body::Form(form),
         );
-        let p = r.visible_params();
-        assert_eq!(p.get("hb_pb"), Some("0.50"));
-        assert_eq!(p.get("hb_bidder"), Some("rubicon"));
+        // URL pairs first, then the form body's.
+        assert_eq!(
+            params(&r),
+            [
+                ("hb_pb".into(), "0.50".into()),
+                ("hb_bidder".into(), "rubicon".into())
+            ]
+        );
     }
 
     #[test]
@@ -495,21 +420,36 @@ mod tests {
                 "seats",
                 Json::Arr(vec![Json::obj([("hb_bidder", Json::str("openx"))])]),
             ),
+            ("x", Json::num(1.0)),
+            ("ok", Json::Bool(true)),
+            ("gone", Json::Null),
         ]);
         let r = Request::post(RequestId(4), url("https://x.com/bid"), Body::Json(body));
-        let p = r.visible_params();
-        assert_eq!(p.get("hb_adid"), Some("ad-77"));
-        assert_eq!(p.get("hb_size"), Some("300x250"));
-        assert_eq!(p.get("cpm"), Some("0.42"));
-        assert_eq!(p.get("hb_bidder"), Some("openx"));
-    }
-
-    #[test]
-    fn response_params_from_text_json() {
-        let rsp = Response::text(RequestId(5), r#"{"hb_price":"0.31","x":1}"#);
-        let p = rsp.visible_params();
-        assert_eq!(p.get("hb_price"), Some("0.31"));
-        assert_eq!(p.get("x"), Some("1"));
+        // Object keys visit in sorted order; nulls are skipped.
+        let want: Vec<(String, String)> = [
+            ("hb_adid", "ad-77"),
+            ("ok", "true"),
+            ("hb_bidder", "openx"),
+            ("cpm", "0.42"),
+            ("hb_size", "300x250"),
+            ("x", "1"),
+        ]
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .into();
+        assert_eq!(params(&r), want);
+        // The probe stops at the first match.
+        let mut seen = 0;
+        assert!(r.body.any_visible_param(&mut |k, _| {
+            seen += 1;
+            k == "hb_bidder"
+        }));
+        assert_eq!(seen, 3);
+        // Text bodies are pages and scripts: they expose no params, even
+        // when they happen to hold JSON.
+        let text = Response::text(RequestId(5), r#"{"hb_price":"0.31"}"#);
+        let mut any = false;
+        text.for_each_visible_param(|_, _| any = true);
+        assert!(!any);
     }
 
     #[test]
@@ -530,28 +470,13 @@ mod tests {
     }
 
     #[test]
-    fn body_into_json_parses_text() {
-        let b = Body::Text(r#"{"k":true}"#.into());
-        assert_eq!(
-            b.into_json().unwrap().get("k").unwrap().as_bool(),
-            Some(true)
-        );
+    fn body_into_json_moves_structured_bodies() {
+        assert!(Body::Text(r#"{"k":true}"#.into()).into_json().is_none());
         assert!(Body::Empty.into_json().is_none());
         let owned = Body::Json(Json::obj([("n", Json::num(4.0))]));
         assert_eq!(
             owned.into_json().unwrap().get("n").unwrap().as_f64(),
             Some(4.0)
         );
-    }
-
-    #[test]
-    fn body_with_json_covers_both_encodings() {
-        let structured = Body::Json(Json::obj([("k", Json::str("v"))]));
-        let text = Body::Text(r#"{"k":"v"}"#.into());
-        let read = |b: &Body| b.with_json(|j| j.get("k").unwrap().as_str().map(str::to_string));
-        assert_eq!(read(&structured).flatten().as_deref(), Some("v"));
-        assert_eq!(read(&text).flatten().as_deref(), Some("v"));
-        assert!(Body::Empty.with_json(|_| ()).is_none());
-        assert!(Body::Text("not json".into()).with_json(|_| ()).is_none());
     }
 }
