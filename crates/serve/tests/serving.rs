@@ -5,7 +5,9 @@
 use std::sync::Arc;
 
 use hb_ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory};
-use hb_serve::{serve_load_with, serve_requests, AdRequest, Decision, LoadGenConfig, ServeConfig};
+use hb_serve::{
+    serve_load_with, serve_requests, AdRequest, Decision, LoadGenConfig, ServeConfig, ServeStats,
+};
 use hb_simnet::{Dist, FaultInjector, HostFaultProfile, SimDuration, SimTime};
 
 fn universe() -> SiteFactory {
@@ -241,9 +243,12 @@ fn healthy_serving_fills_across_channels() {
 
 /// Byte identity of the serving plane at test scale: the run digests of
 /// a healthy load and of the same load with a degraded 4-provider slice
-/// (45% drops, 35% slowed by 220 ms — the `serve_zipf` shape). Any
-/// change to a serving wire shape, a leg's RNG draw order or the
-/// auction state machine moves them; a refactor must leave them alone.
+/// (45% drops, 35% slowed by 220 ms — the `serve_zipf` shape), plus
+/// each run's full counters and every shard's idle time. The digest
+/// folds only outcomes, so timeouts, trips, degraded fills, aborts and
+/// backstops are pinned through the counters. Any change to a serving
+/// wire shape, a leg's RNG draw order or the auction state machine
+/// moves them; a refactor must leave them alone.
 #[test]
 fn serve_digests_are_pinned() {
     let f = SiteFactory::new(EcosystemConfig::test_scale());
@@ -264,14 +269,58 @@ fn serve_digests_are_pinned() {
         ..LoadGenConfig::default()
     };
     let runs = [
-        ("healthy", f.net(), 0x8d9b_c5f6_3809_cc38),
+        (
+            "healthy",
+            f.net(),
+            0x8d9b_c5f6_3809_cc38,
+            ServeStats {
+                auctions: 3_000,
+                admitted: 3_000,
+                sheds: 0,
+                wins_hb: 20,
+                wins_s2s: 60,
+                wins_waterfall: 1_727,
+                wins_direct: 7,
+                wins_house: 134,
+                passbacks: 1_052,
+                degraded_fills: 15,
+                provider_timeouts: 612,
+                hedges_fired: 536,
+                hedge_wins: 6,
+                breaker_skips: 259,
+                breaker_trips: 25,
+                wf_aborts: 0,
+                budget_exhausted: 0,
+            },
+            [5_115_426, 5_070_965, 5_131_033, 4_885_182],
+        ),
         (
             "degraded",
             degraded_net(&f, &scenario),
             0xb8c3_9b07_f131_d3b4,
+            ServeStats {
+                auctions: 3_000,
+                admitted: 3_000,
+                sheds: 0,
+                wins_hb: 18,
+                wins_s2s: 61,
+                wins_waterfall: 1_107,
+                wins_direct: 5,
+                wins_house: 131,
+                passbacks: 1_678,
+                degraded_fills: 13,
+                provider_timeouts: 850,
+                hedges_fired: 518,
+                hedge_wins: 3,
+                breaker_skips: 2_319,
+                breaker_trips: 63,
+                wf_aborts: 0,
+                budget_exhausted: 0,
+            },
+            [4_780_681, 4_800_336, 5_131_033, 4_807_350],
         ),
     ];
-    for (label, net, pinned) in runs {
+    for (label, net, pinned, stats, ends_us) in runs {
         let report = serve_load_with(f.gen(), &net, &cfg, &load, 2, false);
         eprintln!(
             "{label}: digest {:#018x} {:?}",
@@ -279,6 +328,9 @@ fn serve_digests_are_pinned() {
             report.stats
         );
         assert_eq!(report.digest(), pinned, "{label} serve digest moved");
+        assert_eq!(report.stats, stats, "{label} serve counters moved");
+        let ends: Vec<u64> = report.shards.iter().map(|s| s.end.as_micros()).collect();
+        assert_eq!(ends, ends_us, "{label} shard end times moved");
     }
 }
 
@@ -286,6 +338,8 @@ fn serve_digests_are_pinned() {
 /// default config never takes: waterfall descents cut short by the abort
 /// margin, and auctions answered by the budget backstop. Both still keep
 /// the latency promise, and worker count still cannot change the result.
+/// The only test that reaches either exit, so it pins its digest and
+/// counters too.
 #[test]
 fn tight_budget_aborts_waterfalls_and_fires_the_backstop() {
     let f = universe();
@@ -315,6 +369,34 @@ fn tight_budget_aborts_waterfalls_and_fires_the_backstop() {
             );
         }
     }
+    assert_eq!(
+        solo.digest(),
+        0xc7f6_ba33_ee22_cdcc,
+        "tight-budget digest moved"
+    );
+    assert_eq!(
+        solo.stats,
+        ServeStats {
+            auctions: 1_000,
+            admitted: 1_000,
+            sheds: 0,
+            wins_hb: 4,
+            wins_s2s: 11,
+            wins_waterfall: 510,
+            wins_direct: 0,
+            wins_house: 46,
+            passbacks: 429,
+            degraded_fills: 4,
+            provider_timeouts: 22,
+            hedges_fired: 83,
+            hedge_wins: 0,
+            breaker_skips: 0,
+            breaker_trips: 0,
+            wf_aborts: 114,
+            budget_exhausted: 189,
+        },
+        "tight-budget counters moved"
+    );
     assert_eq!(solo.digest(), pooled.digest(), "run digest");
     assert_eq!(solo.stats, pooled.stats, "merged counters");
     for (a, b) in solo.shards.iter().zip(&pooled.shards) {
