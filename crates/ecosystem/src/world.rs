@@ -374,7 +374,7 @@ mod tests {
     use super::*;
     use crate::config::EcosystemConfig;
     use crate::factory::SiteFactory;
-    use hb_http::{RequestId, Status, Url};
+    use hb_http::{Body, RequestId, Status, Url};
 
     /// The eager reference world: every site of `sites` registered up
     /// front. `lazy_world_matches_eager_world` holds the lazy world to it.
@@ -439,12 +439,20 @@ mod tests {
         (factory, sites)
     }
 
-    /// Status and text body of `router`'s reply to `req`.
-    fn reply(router: &Router, req: &Request, seed: u64) -> Option<(u16, Option<String>)> {
+    /// Status and body of `router`'s reply to `req`.
+    fn reply(router: &Router, req: &Request, seed: u64) -> Option<(u16, Body)> {
         let mut rng = Rng::new(seed);
         router
             .dispatch(req, &mut rng)
-            .map(|r| (r.response.status.0, r.response.body.as_text()))
+            .map(|r| (r.response.status.0, r.response.body))
+    }
+
+    /// The page HTML `router` serves for `site`.
+    fn page_html(router: &Router, site: &SiteProfile) -> HStr {
+        match reply(router, &page_request(site), 1) {
+            Some((_, Body::Text(html))) => html,
+            other => panic!("{} served no page: {other:?}", site.domain),
+        }
     }
 
     fn page_request(site: &SiteProfile) -> Request {
@@ -470,7 +478,7 @@ mod tests {
         for site in &sites {
             let (status, body) = reply(&router, &page_request(site), 1).expect("routes");
             assert_eq!(status, Status::OK.0, "{} not served", site.domain);
-            assert!(body.unwrap().contains(site.domain.as_str()));
+            assert!(matches!(body, Body::Text(html) if html.contains(site.domain.as_str())));
         }
         let beyond = Request::get(RequestId(1), Url::https("pub201.example", "/"));
         assert_eq!(reply(&router, &beyond, 1).unwrap().0, Status::NOT_FOUND.0);
@@ -524,14 +532,12 @@ mod tests {
     fn page_html_reflects_hb_configuration() {
         let (factory, sites) = small_world();
         let router = factory.router();
-        let page_of =
-            |site: &SiteProfile| reply(&router, &page_request(site), 1).unwrap().1.unwrap();
         let hb_site = sites.iter().find(|s| s.facet.is_some()).unwrap();
-        let html = page_of(hb_site);
+        let html = page_html(&router, hb_site);
         assert!(html.contains("prebid.js"));
         assert!(html.contains("ad-slot-1"));
         let plain = sites.iter().find(|s| s.facet.is_none()).unwrap();
-        assert!(!page_of(plain).contains("prebid.js"));
+        assert!(!page_html(&router, plain).contains("prebid.js"));
     }
 
     #[test]

@@ -114,16 +114,6 @@ impl Body {
         }
     }
 
-    /// Body as text where meaningful.
-    pub fn as_text(&self) -> Option<String> {
-        match self {
-            Body::Text(t) => Some(t.as_str().to_owned()),
-            Body::Json(j) => Some(j.to_string_compact()),
-            Body::Form(q) => Some(q.encode()),
-            Body::Empty => None,
-        }
-    }
-
     /// True when no payload is present.
     pub fn is_empty(&self) -> bool {
         matches!(self, Body::Empty)

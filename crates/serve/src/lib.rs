@@ -21,7 +21,7 @@ pub mod request;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use loadgen::LoadGenConfig;
 pub use orchestrator::{
-    serve_load, serve_load_with, serve_requests, start_auction, ServeConfig, ServeReport,
-    ServeStats, ServeWorld, ShardReport,
+    serve_load_with, serve_requests, start_auction, ServeConfig, ServeReport, ServeStats,
+    ServeWorld, ShardReport,
 };
 pub use request::{AdRequest, AuctionOutcome, Channel, Decision};

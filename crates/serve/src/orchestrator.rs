@@ -12,6 +12,21 @@
 //! every event it ever scheduled is cancelled, so no orchestrator
 //! future outlives its request.
 //!
+//! # One leg lifecycle
+//!
+//! Every request the orchestrator sends is a *leg* with one lifecycle,
+//! whatever its kind: an HB leg per client partner, the ad-server
+//! mediation leg, or one waterfall tier at a time. A leg starts in
+//! `send_leg`, which is also the one breaker gate (an open breaker skips
+//! the leg). Sending draws the exchange on the auction's rng stream and
+//! schedules the leg's clamped timeout, then its arrival if the answer
+//! lands by that timeout, then (HB only) its hedge. A leg ends in exactly
+//! one of `on_leg_arrival` (breaker success, HB latency sample) or
+//! `on_leg_timeout` (breaker failure), each of which cancels the leg's
+//! other events before taking the kind's next step. An answer landing
+//! exactly at the timeout loses the tie: the timeout was scheduled first,
+//! so it fires first and cancels the arrival.
+//!
 //! Degradations are first-class and deterministic in `(seed, request)`:
 //!
 //! * **circuit breakers** ([`CircuitBreaker`]) per provider *host*
@@ -35,9 +50,9 @@ use std::sync::Arc;
 
 use hb_adtech::{
     hb_bid_request, hb_bids_from, mediation_request, mediation_winner, rtb_edge_host, tier_fill,
-    tier_request, BidPayload, FillChannel, Net, SiteRuntime, WinnerPayload,
+    tier_request, BidPayload, Cpm, FillChannel, Net, SiteRuntime,
 };
-use hb_ecosystem::{SiteFactory, SiteGen};
+use hb_ecosystem::SiteGen;
 use hb_http::{QueryParams, Request, RequestId, Response};
 use hb_simnet::{EventId, HStr, Rng, Scheduler, SimDuration, SimTime, Simulation, StopReason};
 use hb_stats::LogHistogram;
@@ -171,10 +186,22 @@ struct ProviderHealth {
     latency: LogHistogram,
 }
 
-/// One in-flight parallel-HB leg.
+/// Which demand path a leg serves.
+#[derive(Clone, Copy)]
+enum LegKind {
+    /// Parallel HB to the site's `client_partners[i]`.
+    Hb(usize),
+    /// The ad-server mediation leg.
+    Mediation,
+    /// Waterfall tier `waterfall_tiers[i]`, sent to its `rtb.` edge.
+    Tier(usize),
+}
+
+/// One leg of an auction, of any kind. `host` is the breaker's failure
+/// domain; only HB legs arm a hedge.
 struct Leg {
-    /// Index into the site's `client_partners`.
-    partner: usize,
+    kind: LegKind,
+    host: HStr,
     done: bool,
     sent_at: SimTime,
     hedge_sent_at: SimTime,
@@ -183,6 +210,24 @@ struct Leg {
     timeout: EventId,
     hedge_fire: Option<EventId>,
     hedge_arrival: Option<EventId>,
+}
+
+impl Leg {
+    /// Cancel every event the leg scheduled. The id of an event that
+    /// already fired or was cancelled is stale and cancels nothing.
+    fn cancel(&self, s: &mut Scheduler<ServeWorld>) {
+        for e in [
+            Some(self.timeout),
+            self.arrival,
+            self.hedge_fire,
+            self.hedge_arrival,
+        ]
+        .into_iter()
+        .flatten()
+        {
+            s.cancel(e);
+        }
+    }
 }
 
 /// One admitted auction's live state.
@@ -194,31 +239,60 @@ struct Auction {
     site: Arc<SiteRuntime>,
     label: HStr,
     budget_ev: EventId,
-    hb_open: u32,
+    /// Every leg sent, in send order: the HB fan-out, then the mediation
+    /// leg or the tiers one at a time.
     legs: Vec<Leg>,
     bids: Vec<BidPayload>,
     best_hb: Option<(u64, HStr)>,
-    med_arrival: Option<EventId>,
-    med_timeout: Option<EventId>,
-    /// Index into the site's `waterfall_tiers` of the next tier to try.
-    wf_idx: usize,
-    wf_arrival: Option<EventId>,
-    wf_timeout: Option<EventId>,
     hedges_fired: u32,
     hedge_wins: u32,
     breaker_skips: u32,
 }
 
 impl Auction {
-    /// A leg timeout started at `now`, clamped to the auction's deadline.
-    fn leg_deadline(&self, now: SimTime, timeout: SimDuration) -> SimTime {
-        now.saturating_add(timeout).min(self.deadline)
+    /// The request of a `kind` leg to `host`; `hedge` marks an HB leg's
+    /// backup. A tier draws its cache-buster here, right before the
+    /// exchange.
+    fn leg_request(&mut self, kind: LegKind, host: &HStr, id: RequestId, hedge: bool) -> Request {
+        match kind {
+            LegKind::Hb(p) => hb_bid_request(
+                id,
+                QueryParams::new(),
+                &self.site.client_partners[p],
+                &self.label,
+                &self.site.ad_units,
+                hedge,
+            ),
+            LegKind::Mediation => mediation_request(
+                id,
+                QueryParams::new(),
+                host,
+                &self.site.account_id,
+                &self.label,
+                &self.bids,
+            ),
+            LegKind::Tier(i) => {
+                let cb = self.rng.below(1_000_000_000);
+                tier_request(
+                    id,
+                    QueryParams::new(),
+                    host,
+                    self.site.waterfall_tiers[i].floor,
+                    &self.site.ad_units,
+                    cb,
+                    false,
+                )
+            }
+        }
+        .from_initiator("hb-serve")
     }
 
     /// Send a leg request on this auction's rng stream. The answer
     /// counts only if it lands by `timeout_at`: a dropped, unroutable or
     /// late request returns `None`, and the leg's timeout is the only
-    /// event that covers it. The serving plane never schedules the
+    /// event that covers it. An answer landing exactly at `timeout_at`
+    /// is scheduled but loses: the timeout was scheduled first, fires
+    /// first and cancels it. The serving plane never schedules the
     /// browser's 30 s network timeout, which is what keeps "every
     /// provider down" runs idle by the budget.
     fn send(
@@ -234,12 +308,19 @@ impl Auction {
     }
 }
 
+/// A price in CPM as the integer milli-units outcomes carry.
+fn milli(cpm: Cpm) -> u64 {
+    (cpm.0 * 1000.0).round() as u64
+}
+
 /// Slot with a generation stamp: every event closure captures
 /// `(slot, gen)` and no-ops when the generation moved on, so late
 /// events from a resolved auction can never touch its successor.
 struct Slot {
     gen: u32,
     auction: Option<Auction>,
+    /// The last auction's emptied leg list, kept for the next one.
+    legs: Vec<Leg>,
 }
 
 /// Where a shard's requests come from.
@@ -267,7 +348,6 @@ pub struct ServeWorld {
     stats: ServeStats,
     digest: u64,
     outcomes: Option<Vec<AuctionOutcome>>,
-    last_resolve: SimTime,
 }
 
 impl ServeWorld {
@@ -294,7 +374,6 @@ impl ServeWorld {
             stats: ServeStats::default(),
             digest: 0,
             outcomes: collect.then(Vec::new),
-            last_resolve: SimTime::ZERO,
         }
     }
 
@@ -339,9 +418,10 @@ macro_rules! live_auction {
 }
 
 /// The auction in `slot`, re-borrowed after a call that needed all of
-/// the world. Holds because the calling event's `live_auction!` has
-/// already checked the slot, and nothing since then resolves an auction:
-/// breaker, stats and request-id updates never free a slot.
+/// the world. Holds because the caller filled the slot or its event's
+/// `live_auction!` has already checked it, and nothing since then
+/// resolves an auction: breaker, stats and request-id updates never
+/// free a slot.
 fn checked(auctions: &mut [Slot], slot: usize) -> &mut Auction {
     auctions[slot]
         .auction
@@ -349,14 +429,14 @@ fn checked(auctions: &mut [Slot], slot: usize) -> &mut Auction {
         .expect("live_auction! checked this slot and nothing has resolved it since")
 }
 
-/// Admit (or shed) one request and start its auction.
+/// Admit (or shed) one request, then fan out to the site's client-side
+/// partners; advance straight on when it has none to send.
 pub fn start_auction(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, req: AdRequest) {
     w.stats.auctions += 1;
     if w.in_flight >= w.cfg.max_in_flight {
         w.stats.sheds += 1;
         finish_outcome(
             w,
-            s.now(),
             AuctionOutcome {
                 request: req.id,
                 rank: req.rank,
@@ -383,6 +463,7 @@ pub fn start_auction(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, req: AdR
             w.auctions.push(Slot {
                 gen: 0,
                 auction: None,
+                legs: Vec::new(),
             });
             w.auctions.len() - 1
         }
@@ -391,102 +472,88 @@ pub fn start_auction(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, req: AdR
     // The budget backstop: scheduled before any leg event at the same
     // instant, so at the deadline it resolves first and cancels them.
     let budget_ev = s.after(w.cfg.budget, move |w, s| on_budget(w, s, slot, gen));
+    let legs = std::mem::take(&mut w.auctions[slot].legs);
     w.auctions[slot].auction = Some(Auction {
         started: now,
         deadline: now.saturating_add(w.cfg.budget),
         rng,
-        site,
+        site: site.clone(),
         label,
         budget_ev,
-        hb_open: 0,
-        legs: Vec::new(),
+        legs,
         bids: Vec::new(),
         best_hb: None,
-        med_arrival: None,
-        med_timeout: None,
-        wf_idx: 0,
-        wf_arrival: None,
-        wf_timeout: None,
         hedges_fired: 0,
         hedge_wins: 0,
         breaker_skips: 0,
         req,
     });
-    begin_hb(w, s, slot, gen);
-}
-
-/// Fan out to the site's client-side partners (breaker permitting);
-/// advance straight on when the site has none to send.
-fn begin_hb(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32) {
-    let now = s.now();
-    let site = live_auction!(w, slot, gen).site.clone();
     for (partner, p) in site.client_partners.iter().enumerate() {
-        if !w.health_mut(&p.host).breaker.allow(now) {
-            checked(&mut w.auctions, slot).breaker_skips += 1;
-            w.stats.breaker_skips += 1;
-            continue;
-        }
-        dispatch_hb_leg(w, s, slot, gen, partner);
+        send_leg(w, s, slot, gen, LegKind::Hb(partner), p.host.clone());
     }
-    if checked(&mut w.auctions, slot).hb_open == 0 {
+    if checked(&mut w.auctions, slot).legs.is_empty() {
         after_hb(w, s, slot, gen);
     }
 }
 
-/// Send one HB leg's primary request and arm its timeout + hedge.
-fn dispatch_hb_leg(
+/// Send a leg of any kind and schedule its events, in this order: the
+/// timeout (clamped to the budget), the arrival when the answer lands in
+/// time, and for an HB leg the hedge. This is the one breaker gate: when
+/// `host`'s breaker is open the leg is skipped, counted, and `false`
+/// returned.
+fn send_leg(
     w: &mut ServeWorld,
     s: &mut Scheduler<ServeWorld>,
     slot: usize,
     gen: u32,
-    partner: usize,
-) {
+    kind: LegKind,
+    host: HStr,
+) -> bool {
     let now = s.now();
+    if !w.health_mut(&host).breaker.allow(now) {
+        checked(&mut w.auctions, slot).breaker_skips += 1;
+        w.stats.breaker_skips += 1;
+        return false;
+    }
     let id = w.next_request_id();
     let a = checked(&mut w.auctions, slot);
-    let host = a.site.client_partners[partner].host.clone();
-    let timeout_at = a.leg_deadline(now, HB_TIMEOUT);
-    let request = hb_bid_request(
-        id,
-        QueryParams::new(),
-        &a.site.client_partners[partner],
-        &a.label,
-        &a.site.ad_units,
-        false,
-    )
-    .from_initiator("hb-serve");
+    let limit = match kind {
+        LegKind::Hb(_) => HB_TIMEOUT,
+        LegKind::Mediation => MEDIATION_TIMEOUT,
+        LegKind::Tier(_) => TIER_TIMEOUT,
+    };
+    let timeout_at = now.saturating_add(limit).min(a.deadline);
+    let request = a.leg_request(kind, &host, id, false);
     let answer = a.send(&w.net, &request, now, timeout_at);
-    let leg_idx = a.legs.len();
-    a.hb_open += 1;
-    let timeout = s.at(timeout_at, move |w, s| {
-        on_leg_timeout(w, s, slot, gen, leg_idx)
+    let leg = a.legs.len();
+    let timeout = s.at(timeout_at, move |w, s| on_leg_timeout(w, s, slot, gen, leg));
+    let arrival = answer.map(|(at, rsp)| {
+        s.at(at, move |w, s| {
+            on_leg_arrival(w, s, slot, gen, leg, false, rsp)
+        })
     });
-    let mut leg = Leg {
-        partner,
+    let mut hedge_fire = None;
+    if let LegKind::Hb(_) = kind {
+        // Arm the hedge only if it would fire before the leg's timeout —
+        // a hedge with no time to answer is pure cost.
+        let hedge_at = now.saturating_add(w.hedge_delay(&host));
+        if hedge_at < timeout_at {
+            hedge_fire = Some(s.at(hedge_at, move |w, s| on_hedge_fire(w, s, slot, gen, leg)));
+        }
+    }
+    checked(&mut w.auctions, slot).legs.push(Leg {
+        kind,
+        host,
         done: false,
         sent_at: now,
         hedge_sent_at: SimTime::ZERO,
         timeout_at,
-        arrival: None,
+        arrival,
         timeout,
-        hedge_fire: None,
+        hedge_fire,
         hedge_arrival: None,
-    };
-    if let Some((at, rsp)) = answer {
-        let bids = hb_bids_from(&rsp);
-        leg.arrival = Some(s.at(at, move |w, s| {
-            on_leg_arrival(w, s, slot, gen, leg_idx, false, bids)
-        }));
-    }
-    // Arm the hedge only if it would fire before the leg's timeout —
-    // a hedge with no time to answer is pure cost.
-    let hedge_at = now.saturating_add(w.hedge_delay(&host));
-    if hedge_at < timeout_at {
-        leg.hedge_fire = Some(s.at(hedge_at, move |w, s| {
-            on_hedge_fire(w, s, slot, gen, leg_idx)
-        }));
-    }
-    checked(&mut w.auctions, slot).legs.push(leg);
+    });
+    true
 }
 
 /// The primary outran the provider's latency quantile: fire the backup.
@@ -500,33 +567,28 @@ fn on_hedge_fire(
     let now = s.now();
     let id = w.next_request_id();
     let a = live_auction!(w, slot, gen);
-    if a.legs[leg].done {
+    let l = &mut a.legs[leg];
+    if l.done {
         return;
     }
-    a.legs[leg].hedge_fire = None;
-    a.legs[leg].hedge_sent_at = now;
-    let timeout_at = a.legs[leg].timeout_at;
-    let request = hb_bid_request(
-        id,
-        QueryParams::new(),
-        &a.site.client_partners[a.legs[leg].partner],
-        &a.label,
-        &a.site.ad_units,
-        true,
-    )
-    .from_initiator("hb-serve");
+    l.hedge_sent_at = now;
+    let (kind, host, timeout_at) = (l.kind, l.host.clone(), l.timeout_at);
+    let request = a.leg_request(kind, &host, id, true);
     let answer = a.send(&w.net, &request, now, timeout_at);
     a.hedges_fired += 1;
     w.stats.hedges_fired += 1;
     if let Some((at, rsp)) = answer {
-        let bids = hb_bids_from(&rsp);
         a.legs[leg].hedge_arrival = Some(s.at(at, move |w, s| {
-            on_leg_arrival(w, s, slot, gen, leg, true, bids)
+            on_leg_arrival(w, s, slot, gen, leg, true, rsp)
         }));
     }
 }
 
-/// An HB response landed (primary or hedge — first one wins the leg).
+/// A leg's answer landed (for an HB leg, the primary's or the hedge's:
+/// the first one wins the leg). After the breaker and, for HB, latency
+/// bookkeeping, the kind's step: HB folds the bids and advances once
+/// every HB leg is done, mediation decides the auction, a tier fills it
+/// or descends.
 fn on_leg_arrival(
     w: &mut ServeWorld,
     s: &mut Scheduler<ServeWorld>,
@@ -534,57 +596,100 @@ fn on_leg_arrival(
     gen: u32,
     leg: usize,
     hedge: bool,
-    bids: Option<Vec<BidPayload>>,
+    rsp: Response,
 ) {
     let now = s.now();
     let a = live_auction!(w, slot, gen);
-    if a.legs[leg].done {
+    let l = &mut a.legs[leg];
+    if l.done {
         return;
     }
-    a.legs[leg].done = true;
-    let l = &mut a.legs[leg];
-    s.cancel(l.timeout);
-    if let Some(e) = l.hedge_fire.take() {
-        s.cancel(e);
-    }
-    let loser = if hedge {
-        l.arrival.take()
-    } else {
-        l.hedge_arrival.take()
-    };
-    if let Some(e) = loser {
-        s.cancel(e);
-    }
+    l.done = true;
+    l.cancel(s);
+    let (kind, host) = (l.kind, l.host.clone());
     let sent = if hedge { l.hedge_sent_at } else { l.sent_at };
-    let host = a.site.client_partners[l.partner].host.clone();
     if hedge {
         a.hedge_wins += 1;
         w.stats.hedge_wins += 1;
     }
-    if let Some(bids) = bids {
-        for b in bids {
-            let milli = (b.cpm.0 * 1000.0).round() as u64;
-            let better = match &a.best_hb {
-                None => true,
-                Some((best, _)) => milli > *best,
-            };
-            if better {
-                a.best_hb = Some((milli, b.bidder.clone()));
-            }
-            a.bids.push(b);
-        }
-    }
-    a.hb_open -= 1;
-    let advance = a.hb_open == 0;
     let h = w.health_mut(&host);
     h.breaker.record_success(now);
-    h.latency.record(now.saturating_since(sent).as_micros());
-    if advance {
-        after_hb(w, s, slot, gen);
+    if let LegKind::Hb(_) = kind {
+        h.latency.record(now.saturating_since(sent).as_micros());
+    }
+    let a = checked(&mut w.auctions, slot);
+    match kind {
+        LegKind::Hb(_) => {
+            for b in hb_bids_from(&rsp).into_iter().flatten() {
+                let price = milli(b.cpm);
+                let better = match &a.best_hb {
+                    None => true,
+                    Some((best, _)) => price > *best,
+                };
+                if better {
+                    a.best_hb = Some((price, b.bidder.clone()));
+                }
+                a.bids.push(b);
+            }
+            if a.legs.iter().all(|l| l.done) {
+                after_hb(w, s, slot, gen);
+            }
+        }
+        LegKind::Mediation => {
+            let decision = match mediation_winner(&rsp) {
+                Some(win) => {
+                    let channel = match win.channel {
+                        FillChannel::HeaderBid => {
+                            if a.bids.iter().any(|b| b.bidder == win.bidder) {
+                                Channel::Hb
+                            } else {
+                                Channel::S2s
+                            }
+                        }
+                        FillChannel::DirectOrder => Channel::Direct,
+                        FillChannel::Fallback => Channel::House,
+                        FillChannel::Unfilled => unreachable!("mediation_winner filters unfilled"),
+                    };
+                    let bidder = if win.bidder.as_str().is_empty() {
+                        HStr::from_static(match channel {
+                            Channel::Direct => "direct-order",
+                            _ => "house",
+                        })
+                    } else {
+                        win.bidder
+                    };
+                    Decision::Won {
+                        bidder,
+                        price_milli: milli(win.pb),
+                        channel,
+                    }
+                }
+                None => Decision::Passback,
+            };
+            resolve(w, s, slot, decision);
+        }
+        LegKind::Tier(i) => match tier_fill(&rsp) {
+            Some(price) => {
+                let bidder = a.site.waterfall_tiers[i].partner.code.clone();
+                resolve(
+                    w,
+                    s,
+                    slot,
+                    Decision::Won {
+                        bidder,
+                        price_milli: milli(price),
+                        channel: Channel::Waterfall,
+                    },
+                );
+            }
+            None => wf_next(w, s, slot, gen),
+        },
     }
 }
 
-/// An HB leg (primary and any hedge) went unanswered in time.
+/// A leg (and any hedge) went unanswered in time. After the failure
+/// bookkeeping, the kind's step: HB advances once every HB leg is done,
+/// mediation degrades to the held bids, a tier descends.
 fn on_leg_timeout(
     w: &mut ServeWorld,
     s: &mut Scheduler<ServeWorld>,
@@ -594,138 +699,42 @@ fn on_leg_timeout(
 ) {
     let now = s.now();
     let a = live_auction!(w, slot, gen);
-    if a.legs[leg].done {
+    let l = &mut a.legs[leg];
+    if l.done {
         return;
     }
-    a.legs[leg].done = true;
-    let l = &mut a.legs[leg];
-    for e in [
-        l.arrival.take(),
-        l.hedge_fire.take(),
-        l.hedge_arrival.take(),
-    ]
-    .into_iter()
-    .flatten()
-    {
-        s.cancel(e);
-    }
-    let host = a.site.client_partners[l.partner].host.clone();
-    a.hb_open -= 1;
-    let advance = a.hb_open == 0;
+    l.done = true;
+    l.cancel(s);
+    let (kind, host) = (l.kind, l.host.clone());
+    let all_done = a.legs.iter().all(|l| l.done);
     w.stats.provider_timeouts += 1;
     w.health_mut(&host).breaker.record_failure(now);
-    if advance {
-        after_hb(w, s, slot, gen);
-    }
-}
-
-/// HB fan-out complete (or empty): mediate for HB sites, descend the
-/// waterfall for waterfall sites.
-fn after_hb(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32) {
-    if live_auction!(w, slot, gen).site.facet.is_some() {
-        begin_mediation(w, s, slot, gen);
-    } else {
-        wf_next(w, s, slot, gen);
-    }
-}
-
-/// Send the ad-server mediation leg carrying the collected client bids.
-/// Every HB flavor resolves through the ad server; for server-side and
-/// hybrid accounts the same call runs the s2s fan-out inside it.
-fn begin_mediation(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32) {
-    let now = s.now();
-    let id = w.next_request_id();
-    let host = live_auction!(w, slot, gen).site.ad_server_host.clone();
-    if !w.health_mut(&host).breaker.allow(now) {
-        checked(&mut w.auctions, slot).breaker_skips += 1;
-        w.stats.breaker_skips += 1;
-        resolve_degraded(w, s, slot, gen);
-        return;
-    }
-    let a = checked(&mut w.auctions, slot);
-    let timeout_at = a.leg_deadline(now, MEDIATION_TIMEOUT);
-    let request = mediation_request(
-        id,
-        QueryParams::new(),
-        &host,
-        &a.site.account_id,
-        &a.label,
-        &a.bids,
-    )
-    .from_initiator("hb-serve");
-    let answer = a.send(&w.net, &request, now, timeout_at);
-    a.med_timeout = Some(s.at(timeout_at, move |w, s| {
-        on_mediation_timeout(w, s, slot, gen)
-    }));
-    if let Some((at, rsp)) = answer {
-        let winner = mediation_winner(&rsp);
-        a.med_arrival = Some(s.at(at, move |w, s| {
-            on_mediation_arrival(w, s, slot, gen, winner)
-        }));
-    }
-}
-
-/// Mediation answered: the ad server's pick resolves the auction.
-fn on_mediation_arrival(
-    w: &mut ServeWorld,
-    s: &mut Scheduler<ServeWorld>,
-    slot: usize,
-    gen: u32,
-    winner: Option<WinnerPayload>,
-) {
-    let now = s.now();
-    let a = live_auction!(w, slot, gen);
-    if let Some(e) = a.med_timeout.take() {
-        s.cancel(e);
-    }
-    a.med_arrival = None;
-    let decision = match winner {
-        Some(win) => {
-            let channel = match win.channel {
-                FillChannel::HeaderBid => {
-                    if a.bids.iter().any(|b| b.bidder == win.bidder) {
-                        Channel::Hb
-                    } else {
-                        Channel::S2s
-                    }
-                }
-                FillChannel::DirectOrder => Channel::Direct,
-                FillChannel::Fallback => Channel::House,
-                FillChannel::Unfilled => unreachable!("mediation_winner filters unfilled"),
-            };
-            let bidder = if win.bidder.as_str().is_empty() {
-                HStr::from_static(match channel {
-                    Channel::Direct => "direct-order",
-                    _ => "house",
-                })
-            } else {
-                win.bidder.clone()
-            };
-            Decision::Won {
-                bidder,
-                price_milli: (win.pb.0 * 1000.0).round() as u64,
-                channel,
+    match kind {
+        LegKind::Hb(_) => {
+            if all_done {
+                after_hb(w, s, slot, gen);
             }
         }
-        None => Decision::Passback,
-    };
-    let host = a.site.ad_server_host.clone();
-    w.health_mut(&host).breaker.record_success(now);
-    resolve(w, s, slot, decision);
+        LegKind::Mediation => resolve_degraded(w, s, slot, gen),
+        LegKind::Tier(_) => wf_next(w, s, slot, gen),
+    }
 }
 
-/// Mediation timed out: degrade to the best held client bid.
-fn on_mediation_timeout(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32) {
-    let now = s.now();
+/// HB fan-out complete (or empty): waterfall sites descend their tiers;
+/// HB sites send the ad-server mediation leg with the collected client
+/// bids, or degrade to them when its breaker is open. Every HB flavor
+/// resolves through the ad server; for server-side and hybrid accounts
+/// the same call runs the s2s fan-out inside it.
+fn after_hb(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32) {
     let a = live_auction!(w, slot, gen);
-    if let Some(e) = a.med_arrival.take() {
-        s.cancel(e);
+    if a.site.facet.is_none() {
+        wf_next(w, s, slot, gen);
+        return;
     }
-    a.med_timeout = None;
     let host = a.site.ad_server_host.clone();
-    w.stats.provider_timeouts += 1;
-    w.health_mut(&host).breaker.record_failure(now);
-    resolve_degraded(w, s, slot, gen);
+    if !send_leg(w, s, slot, gen, LegKind::Mediation, host) {
+        resolve_degraded(w, s, slot, gen);
+    }
 }
 
 /// The mediation leg is unavailable (timed out or breaker-open): answer
@@ -752,15 +761,23 @@ fn resolve_degraded(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usi
     }
 }
 
-/// Descend to the next waterfall tier, abort when the remaining budget
-/// can't cover another attempt, pass back when the chain is exhausted.
-/// Tier legs run on the partner's `rtb.` edge, which is also the
-/// breaker's failure domain.
+/// Send the next waterfall tier, abort when the remaining budget can't
+/// cover another attempt, pass back when the chain is exhausted. Tier
+/// legs run on the partner's `rtb.` edge, which is also the breaker's
+/// failure domain.
 fn wf_next(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: u32) {
     let now = s.now();
+    // The tier after the last one sent (breaker-skipped tiers send no
+    // leg, and a tier leg is always the auction's latest).
+    let mut idx = match live_auction!(w, slot, gen).legs.last() {
+        Some(Leg {
+            kind: LegKind::Tier(i),
+            ..
+        }) => i + 1,
+        _ => 0,
+    };
     loop {
-        let a = live_auction!(w, slot, gen);
-        let idx = a.wf_idx;
+        let a = checked(&mut w.auctions, slot);
         let Some(tier) = a.site.waterfall_tiers.get(idx) else {
             resolve(w, s, slot, Decision::Passback);
             return;
@@ -772,93 +789,12 @@ fn wf_next(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen: 
             resolve(w, s, slot, Decision::Passback);
             return;
         }
-        let floor = tier.floor;
         let edge = rtb_edge_host(&tier.partner.host);
-        a.wf_idx = idx + 1;
-        if !w.health_mut(&edge).breaker.allow(now) {
-            checked(&mut w.auctions, slot).breaker_skips += 1;
-            w.stats.breaker_skips += 1;
-            continue; // skip the dead tier without paying its timeout
+        if send_leg(w, s, slot, gen, LegKind::Tier(idx), edge) {
+            return;
         }
-        let id = w.next_request_id();
-        let a = checked(&mut w.auctions, slot);
-        let cb = a.rng.below(1_000_000_000);
-        let request = tier_request(
-            id,
-            QueryParams::new(),
-            &edge,
-            floor,
-            &a.site.ad_units,
-            cb,
-            false,
-        )
-        .from_initiator("hb-serve");
-        let timeout_at = a.leg_deadline(now, TIER_TIMEOUT);
-        let answer = a.send(&w.net, &request, now, timeout_at);
-        let timeout_edge = edge.clone();
-        a.wf_timeout = Some(s.at(timeout_at, move |w, s| {
-            on_tier_timeout(w, s, slot, gen, timeout_edge)
-        }));
-        if let Some((at, rsp)) = answer {
-            let fill = tier_fill(&rsp);
-            a.wf_arrival = Some(s.at(at, move |w, s| {
-                on_tier_arrival(w, s, slot, gen, idx, edge, fill)
-            }));
-        }
-        return;
+        idx += 1; // skip the dead tier without paying its timeout
     }
-}
-
-/// A tier answered: fill resolves, passback descends.
-fn on_tier_arrival(
-    w: &mut ServeWorld,
-    s: &mut Scheduler<ServeWorld>,
-    slot: usize,
-    gen: u32,
-    idx: usize,
-    edge: HStr,
-    fill: Option<hb_adtech::Cpm>,
-) {
-    let now = s.now();
-    let a = live_auction!(w, slot, gen);
-    if let Some(e) = a.wf_timeout.take() {
-        s.cancel(e);
-    }
-    a.wf_arrival = None;
-    let code = a.site.waterfall_tiers[idx].partner.code.clone();
-    w.health_mut(&edge).breaker.record_success(now);
-    match fill {
-        Some(price) => resolve(
-            w,
-            s,
-            slot,
-            Decision::Won {
-                bidder: code,
-                price_milli: (price.0 * 1000.0).round() as u64,
-                channel: Channel::Waterfall,
-            },
-        ),
-        None => wf_next(w, s, slot, gen),
-    }
-}
-
-/// A tier went unanswered: record the failure and descend.
-fn on_tier_timeout(
-    w: &mut ServeWorld,
-    s: &mut Scheduler<ServeWorld>,
-    slot: usize,
-    gen: u32,
-    edge: HStr,
-) {
-    let now = s.now();
-    let a = live_auction!(w, slot, gen);
-    if let Some(e) = a.wf_arrival.take() {
-        s.cancel(e);
-    }
-    a.wf_timeout = None;
-    w.stats.provider_timeouts += 1;
-    w.health_mut(&edge).breaker.record_failure(now);
-    wf_next(w, s, slot, gen);
 }
 
 /// The budget backstop fired: answer with whatever is held, now.
@@ -869,36 +805,25 @@ fn on_budget(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, gen
 }
 
 /// Resolve an admitted auction: cancel every outstanding event it owns,
-/// record latency, account the decision, free the slot.
+/// record latency, account the decision, free the slot (keeping its
+/// emptied leg list).
 fn resolve(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, decision: Decision) {
     let now = s.now();
-    let Some(a) = w.auctions[slot].auction.take() else {
+    let Some(mut a) = w.auctions[slot].auction.take() else {
         return;
     };
     w.auctions[slot].gen = w.auctions[slot].gen.wrapping_add(1);
     s.cancel(a.budget_ev);
-    for l in &a.legs {
-        s.cancel(l.timeout);
-        for e in [l.arrival, l.hedge_fire, l.hedge_arrival]
-            .into_iter()
-            .flatten()
-        {
-            s.cancel(e);
-        }
+    for l in a.legs.drain(..) {
+        l.cancel(s);
     }
-    for e in [a.med_arrival, a.med_timeout, a.wf_arrival, a.wf_timeout]
-        .into_iter()
-        .flatten()
-    {
-        s.cancel(e);
-    }
+    w.auctions[slot].legs = a.legs;
     let latency = now.saturating_since(a.started);
     w.hist.record(latency.as_micros());
     w.in_flight -= 1;
     w.free.push(slot);
     finish_outcome(
         w,
-        now,
         AuctionOutcome {
             request: a.req.id,
             rank: a.req.rank,
@@ -913,7 +838,7 @@ fn resolve(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, slot: usize, decis
 
 /// Account one finished outcome (fill channel counters, digest,
 /// optional collection).
-fn finish_outcome(w: &mut ServeWorld, now: SimTime, outcome: AuctionOutcome) {
+fn finish_outcome(w: &mut ServeWorld, outcome: AuctionOutcome) {
     match &outcome.decision {
         Decision::Won { channel, .. } => match channel {
             Channel::Hb => w.stats.wins_hb += 1,
@@ -926,7 +851,6 @@ fn finish_outcome(w: &mut ServeWorld, now: SimTime, outcome: AuctionOutcome) {
         Decision::Shed => {}
     }
     w.digest = outcome.fold_digest(w.digest);
-    w.last_resolve = w.last_resolve.max(now);
     if let Some(out) = &mut w.outcomes {
         out.push(outcome);
     }
@@ -1048,21 +972,11 @@ fn on_generated_arrival(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, n: u6
     start_auction(w, s, req);
 }
 
-/// Serve a generated load across `workers` threads. The shard set and
-/// every shard's computation are fixed by `(cfg, load)`; workers only
-/// claim shards, so any worker count produces byte-identical reports.
-pub fn serve_load(
-    factory: &SiteFactory,
-    cfg: &ServeConfig,
-    load: &LoadGenConfig,
-    workers: usize,
-    collect: bool,
-) -> ServeReport {
-    serve_load_with(factory.gen(), &factory.net(), cfg, load, workers, collect)
-}
-
-/// [`serve_load`] with an explicit network handle (scenario-degraded
-/// fault injectors, custom latency directories).
+/// Serve a generated load across `workers` threads on `net` (the
+/// universe's own [`SiteFactory::net`](hb_ecosystem::SiteFactory::net),
+/// or a scenario-degraded one). The shard set and every shard's
+/// computation are fixed by `(cfg, load)`; workers only claim shards, so
+/// any worker count produces byte-identical reports.
 pub fn serve_load_with(
     gen: &Arc<SiteGen>,
     net: &Net,

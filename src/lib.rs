@@ -65,7 +65,8 @@ pub mod prelude {
     };
     pub use hb_ecosystem::{EcosystemConfig, OutageWindow, ScenarioConfig, SiteFactory};
     pub use hb_serve::{
-        serve_load, AdRequest, AuctionOutcome, Decision, LoadGenConfig, ServeConfig, ServeReport,
+        serve_load_with, AdRequest, AuctionOutcome, Decision, LoadGenConfig, ServeConfig,
+        ServeReport,
     };
     pub use hb_simnet::{Rng, SimDuration, SimTime};
 }

@@ -34,14 +34,14 @@ fn write_request(out: &mut String, req: &Request) {
     write_body(out, &req.body);
 }
 
+/// A body as `kind:payload`, the payload as it travels on the wire.
 fn write_body(out: &mut String, body: &Body) {
-    let tag = match body {
-        Body::Empty => "empty",
-        Body::Text(_) => "text",
-        Body::Json(_) => "json",
-        Body::Form(_) => "form",
+    let _ = match body {
+        Body::Empty => writeln!(out, "empty:"),
+        Body::Text(t) => writeln!(out, "text:{t}"),
+        Body::Json(j) => writeln!(out, "json:{}", j.to_string_compact()),
+        Body::Form(q) => writeln!(out, "form:{}", q.encode()),
     };
-    let _ = writeln!(out, "{tag}:{}", body.as_text().unwrap_or_default());
 }
 
 /// One of the detector's two observation channels.
