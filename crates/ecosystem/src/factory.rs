@@ -9,6 +9,12 @@
 //! visited), which is what lets a shard of a million-rank toplist crawl
 //! its slice without paying for the other 999 shards.
 //!
+//! Derived values are shared through one bounded memo per universe: one
+//! entry per rank holds the site profile and, filled on first use, its
+//! runtime, ad-server account and page HTML. A full shard evicts one
+//! entry by second chance, so the popular head of a zipf workload stays
+//! resident while the long tail cycles through.
+//!
 //! Determinism: every endpoint is a pure function of `(request, rng)`, and
 //! the lazily derived profiles, accounts and latency models are
 //! byte-identical to registering every site up front (the `world` tests
@@ -24,105 +30,194 @@ use hb_core::PartnerList;
 use hb_http::Router;
 use hb_simnet::{FaultInjector, FxHashMap, Rng};
 use std::cell::RefCell;
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Shard count of the concurrent derivation memos (power of two; a rank
-/// maps to shard `rank & (MEMO_SHARDS - 1)`, so the contiguous rank
-/// blocks campaign workers claim land on different shards and readers
-/// almost never contend on the same lock).
+/// Shard count of the derivation memo (power of two; a rank maps to
+/// shard `rank & (MEMO_SHARDS - 1)`, so the contiguous rank blocks
+/// campaign workers claim land on different shards and readers almost
+/// never contend on the same lock).
 const MEMO_SHARDS: usize = 16;
 
-/// Per-shard entry cap. The memo is shared by every worker for the life
-/// of the universe, so it must stay bounded: adoption sweeps over huge
-/// toplists (`campaign/cold_sweep` walks fresh ranks forever) would
-/// otherwise grow it without limit. When a shard fills up it is simply
-/// cleared — derivation is pure in `(seed, rank)`, so eviction can never
-/// change bytes, only cost a re-derivation. 16 shards × 512 entries keeps
-/// the tiny and test universes and the daily-revisit working set of a
-/// medium crawl fully resident.
+/// Resident ranks per shard. The memo is shared by every worker for the
+/// life of the universe, so it must stay bounded: adoption sweeps over
+/// huge toplists (`campaign/cold_sweep` walks fresh ranks forever) would
+/// otherwise grow it without limit. A miss on a full shard evicts one
+/// entry by second chance (see [`Shard::insert`]); derivation is pure in
+/// `(seed, rank)`, so eviction can never change bytes, only cost a
+/// re-derivation. 16 shards × 512 entries keeps the tiny and test
+/// universes and the daily-revisit working set of a medium crawl fully
+/// resident.
 const MEMO_SHARD_CAP: usize = 512;
+
+// The memo caches pure values, and every derivation runs outside its
+// locks, so a panic elsewhere can never leave a half-derived value behind
+// a lock. The bookkeeping under the write lock keeps every index entry
+// pointing at a slot of that rank after each step, so a poisoned lock
+// still guards a usable shard: recover it instead of failing every later
+// lookup.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One resident rank: its entry and the second-chance bit a hit sets.
+struct Slot<T> {
+    rank: u32,
+    referenced: AtomicBool,
+    entry: Arc<T>,
+}
+
+/// One memo shard: resident slots in clock order, the rank index into
+/// them, and the clock hand. Slots are pushed as ranks arrive, so an
+/// unused shard holds nothing.
+struct Shard<T> {
+    index: FxHashMap<u32, usize>,
+    slots: Vec<Slot<T>>,
+    hand: usize,
+}
+
+impl<T> Default for Shard<T> {
+    fn default() -> Shard<T> {
+        Shard {
+            index: FxHashMap::default(),
+            slots: Vec::new(),
+            hand: 0,
+        }
+    }
+}
+
+impl<T> Shard<T> {
+    /// Publish `fresh` for `rank` unless the rank is already resident
+    /// (first insert wins). Returns the resident entry, and the entry the
+    /// caller drops once the lock is released: the evicted one, or
+    /// `fresh` if it lost the race.
+    ///
+    /// A full shard evicts by second chance (CLOCK): the hand clears the
+    /// referenced bit of each slot it passes until it reaches one that no
+    /// hit has marked since the hand last came by, and replaces it. A new
+    /// entry starts unreferenced, so a rank seen once is the next victim
+    /// unless it is hit again before the hand returns.
+    fn insert(&mut self, rank: u32, fresh: Arc<T>) -> (Arc<T>, Option<Arc<T>>) {
+        if let Some(&i) = self.index.get(&rank) {
+            let slot = &self.slots[i];
+            slot.referenced.store(true, Ordering::Relaxed);
+            return (Arc::clone(&slot.entry), Some(fresh));
+        }
+        let slot = Slot {
+            rank,
+            referenced: AtomicBool::new(false),
+            entry: Arc::clone(&fresh),
+        };
+        if self.slots.len() < MEMO_SHARD_CAP {
+            self.slots.push(slot);
+            self.index.insert(rank, self.slots.len() - 1);
+            return (fresh, None);
+        }
+        while std::mem::take(self.slots[self.hand].referenced.get_mut()) {
+            self.hand = (self.hand + 1) % MEMO_SHARD_CAP;
+        }
+        let victim = self.hand;
+        self.hand = (victim + 1) % MEMO_SHARD_CAP;
+        self.index.remove(&self.slots[victim].rank);
+        let evicted = std::mem::replace(&mut self.slots[victim], slot);
+        self.index.insert(rank, victim);
+        (fresh, Some(evicted.entry))
+    }
+}
 
 /// A sharded concurrent memo keyed by rank, shared by every worker of a
 /// universe: one derivation serves all threads, so a cold rank is paid
-/// once per campaign instead of once per worker thread (the per-thread
-/// LRUs this replaces re-derived every hot site N times under N workers).
+/// once per campaign instead of once per worker thread.
 ///
-/// Reads take a shard read lock and clone the value (`Arc`/`HStr` —
-/// pointer clones). A miss derives *outside* any lock, then publishes
-/// under the shard write lock with first-insert-wins: every caller gets a
-/// clone of the resident value, so concurrent derivations of the same
-/// rank always resolve to pointer-equal handles, never torn values.
+/// A hit runs under the shard read lock and only sets the slot's
+/// referenced bit. A miss derives *outside* any lock, then publishes
+/// under the shard write lock with first-insert-wins: every caller gets
+/// the resident entry, so concurrent derivations of the same rank always
+/// resolve to pointer-equal handles, never torn values.
 struct ShardedMemo<T> {
-    shards: Vec<RwLock<FxHashMap<u32, T>>>,
+    shards: Vec<RwLock<Shard<T>>>,
 }
 
-impl<T: Clone> ShardedMemo<T> {
+impl<T> ShardedMemo<T> {
     fn new() -> ShardedMemo<T> {
         ShardedMemo {
-            shards: (0..MEMO_SHARDS)
-                .map(|_| RwLock::new(FxHashMap::default()))
-                .collect(),
+            shards: (0..MEMO_SHARDS).map(|_| RwLock::default()).collect(),
         }
     }
 
-    fn shard(&self, rank: u32) -> &RwLock<FxHashMap<u32, T>> {
+    fn shard(&self, rank: u32) -> &RwLock<Shard<T>> {
         &self.shards[rank as usize & (MEMO_SHARDS - 1)]
     }
 
-    /// Fetch `rank`, deriving and publishing on miss. Whoever publishes
-    /// first wins; late derivers drop their value and return the winner's.
-    fn get_or_insert_with(&self, rank: u32, derive: impl FnOnce() -> T) -> T {
-        let shard = self.shard(rank);
-        if let Some(hit) = shard.read().expect("memo shard poisoned").get(&rank) {
-            return hit.clone();
+    /// Run `hit` on `rank`'s resident entry under the shard read lock,
+    /// marking the entry referenced; `None` if `rank` is not resident.
+    fn peek<R>(&self, rank: u32, hit: impl FnOnce(&Arc<T>) -> R) -> Option<R> {
+        let shard = read(self.shard(rank));
+        let slot = &shard.slots[*shard.index.get(&rank)?];
+        // A hot rank's bit is already set: skipping the store keeps its
+        // cache line shared between the readers.
+        if !slot.referenced.load(Ordering::Relaxed) {
+            slot.referenced.store(true, Ordering::Relaxed);
         }
-        // Derive outside the lock: a slow derivation must not block
-        // readers of the other ~511 ranks on this shard.
-        let value = derive();
-        let mut map = shard.write().expect("memo shard poisoned");
-        if map.len() >= MEMO_SHARD_CAP && !map.contains_key(&rank) {
-            map.clear();
-        }
-        map.entry(rank).or_insert(value).clone()
+        Some(hit(&slot.entry))
     }
 
+    /// Publish `value` for `rank` (see [`Shard::insert`]) and return the
+    /// resident entry. Whatever leaves the memo is dropped after the
+    /// write lock is released.
+    fn publish(&self, rank: u32, value: T) -> Arc<T> {
+        let fresh = Arc::new(value);
+        let (resident, dropped) = write(self.shard(rank)).insert(rank, fresh);
+        drop(dropped);
+        resident
+    }
+
+    /// Empty every shard, dropping its entries after its write lock is
+    /// released.
     fn clear(&self) {
         for shard in &self.shards {
-            shard.write().expect("memo shard poisoned").clear();
+            let dropped = std::mem::take(&mut *write(shard));
+            drop(dropped);
         }
     }
 }
 
-/// The four derivation memos of one universe, shared across its workers.
-/// Owned by [`SiteGen`], so the `(universe, rank)` keying of the old
-/// thread-local memos is implicit — dropping the factory drops its memo,
-/// and universes can never serve each other's profiles.
-struct DerivationMemo {
-    site: ShardedMemo<Arc<SiteProfile>>,
-    account: ShardedMemo<Arc<AdServerAccount>>,
-    runtime: ShardedMemo<Arc<hb_adtech::SiteRuntime>>,
+/// Everything the memo keeps for one rank: the derived profile, and the
+/// values derived from it, each filled on first use.
+struct MemoEntry {
+    site: Arc<SiteProfile>,
+    account: OnceLock<Arc<AdServerAccount>>,
+    runtime: OnceLock<Arc<hb_adtech::SiteRuntime>>,
     /// Rendered page HTML, stored as `HStr` (`Arc<str>` at this length):
     /// serving the page is a pointer clone. By far the most expensive
     /// derivation to repeat per visit.
-    page_html: ShardedMemo<hb_http::HStr>,
+    page_html: OnceLock<hb_http::HStr>,
 }
 
-impl DerivationMemo {
-    fn new() -> DerivationMemo {
-        DerivationMemo {
-            site: ShardedMemo::new(),
-            account: ShardedMemo::new(),
-            runtime: ShardedMemo::new(),
-            page_html: ShardedMemo::new(),
+impl MemoEntry {
+    fn new(site: SiteProfile) -> MemoEntry {
+        MemoEntry {
+            site: Arc::new(site),
+            account: OnceLock::new(),
+            runtime: OnceLock::new(),
+            page_html: OnceLock::new(),
         }
     }
+}
 
-    fn clear(&self) {
-        self.site.clear();
-        self.account.clear();
-        self.runtime.clear();
-        self.page_html.clear();
+/// `cell`'s value, derived on first use. `derive` runs outside every
+/// lock and the first value set wins, so concurrent callers share one
+/// handle.
+fn get_or_derive<T: Clone>(cell: &OnceLock<T>, derive: impl FnOnce() -> T) -> T {
+    if let Some(value) = cell.get() {
+        return value.clone();
     }
+    let value = derive();
+    cell.get_or_init(|| value).clone()
 }
 
 thread_local! {
@@ -131,7 +226,7 @@ thread_local! {
     /// cold derivation — the adoption-sweep hot path, where every rank is
     /// seen for the first time — stops paying per-site allocation churn.
     /// These are transient buffers (nothing derived is kept here), so they
-    /// stay thread-local while the memos themselves are shared.
+    /// stay thread-local while the memo itself is shared.
     static DERIVE_SCRATCH: RefCell<DeriveScratch> = RefCell::new(DeriveScratch::new());
 }
 
@@ -156,9 +251,11 @@ pub struct SiteGen {
     s2s_weights: Vec<f64>,
     runtime_ctx: RuntimeCtx,
     root: Rng,
-    /// The universe's shared derivation memo: one `Arc` per derived
-    /// site/account/runtime/page, served to every worker thread.
-    memo: DerivationMemo,
+    /// The universe's shared derivation memo: one entry per resident
+    /// rank, served to every worker thread. Owned here, so dropping the
+    /// factory drops its memo and universes never serve each other's
+    /// profiles.
+    memo: ShardedMemo<MemoEntry>,
 }
 
 impl SiteGen {
@@ -187,7 +284,7 @@ impl SiteGen {
             s2s_weights,
             runtime_ctx,
             root,
-            memo: DerivationMemo::new(),
+            memo: ShardedMemo::new(),
         }
     }
 
@@ -204,13 +301,32 @@ impl SiteGen {
         }
     }
 
+    /// Answer from `rank`'s memo entry. On a hit `read` runs under the
+    /// shard read lock, so no entry handle is cloned; when it cannot
+    /// answer, `fill` gets an entry handle outside every lock, and a miss
+    /// derives the site and publishes the entry first.
+    fn with_entry<R>(
+        &self,
+        rank: u32,
+        read: impl FnOnce(&MemoEntry) -> Option<R>,
+        fill: impl FnOnce(&MemoEntry) -> R,
+    ) -> R {
+        let entry = match self
+            .memo
+            .peek(rank, |e| read(e).ok_or_else(|| Arc::clone(e)))
+        {
+            Some(Ok(value)) => return value,
+            Some(Err(entry)) => entry,
+            None => self.memo.publish(rank, MemoEntry::new(self.site(rank))),
+        };
+        fill(&entry)
+    }
+
     /// [`SiteGen::site`] through the universe's shared concurrent memo:
     /// repeated lookups of the same rank — in-visit lazy resolution, daily
     /// revisits, *and other workers' visits* — cost one derivation total.
     pub fn site_shared(&self, rank: u32) -> Arc<SiteProfile> {
-        self.memo
-            .site
-            .get_or_insert_with(rank, || Arc::new(self.site(rank)))
+        self.with_entry(rank, |e| Some(Arc::clone(&e.site)), |e| Arc::clone(&e.site))
     }
 
     /// The site's ad-server account, through the shared memo. The
@@ -218,8 +334,33 @@ impl SiteGen {
     /// stamped on here, so every lazily resolved account carries the
     /// campaign's policy.
     pub fn account_shared(&self, rank: u32) -> Arc<AdServerAccount> {
-        self.memo.account.get_or_insert_with(rank, || {
-            let mut account = world::account_for(&self.site_shared(rank), &self.profiles_shared);
+        self.with_entry(rank, |e| e.account.get().cloned(), |e| self.account_of(e))
+    }
+
+    /// The site's ad-server account if `has_account` accepts its profile,
+    /// `None` otherwise: the ad servers' account resolvers read both from
+    /// one memo lookup.
+    pub(crate) fn account_where(
+        &self,
+        rank: u32,
+        has_account: impl Fn(&SiteProfile) -> bool,
+    ) -> Option<Arc<AdServerAccount>> {
+        self.with_entry(
+            rank,
+            |e| {
+                if has_account(&e.site) {
+                    e.account.get().cloned().map(Some)
+                } else {
+                    Some(None)
+                }
+            },
+            |e| has_account(&e.site).then(|| self.account_of(e)),
+        )
+    }
+
+    fn account_of(&self, entry: &MemoEntry) -> Arc<AdServerAccount> {
+        get_or_derive(&entry.account, || {
+            let mut account = world::account_for(&entry.site, &self.profiles_shared);
             let policy = &self.config.scenario.robustness;
             account.s2s_deadline = policy.s2s_deadline;
             account.s2s_retry_backoff = policy.retry_backoff;
@@ -233,34 +374,42 @@ impl SiteGen {
     /// miss builds it from the precomputed per-universe runtime tables,
     /// once, for every worker.
     pub fn runtime_shared(&self, rank: u32) -> Arc<hb_adtech::SiteRuntime> {
-        self.memo.runtime.get_or_insert_with(rank, || {
-            Arc::new(world::site_runtime_with(
-                &self.site_shared(rank),
-                &self.runtime_ctx,
-            ))
-        })
+        self.with_entry(
+            rank,
+            |e| e.runtime.get().cloned(),
+            |e| {
+                get_or_derive(&e.runtime, || {
+                    Arc::new(world::site_runtime_with(&e.site, &self.runtime_ctx))
+                })
+            },
+        )
     }
 
     /// The site's rendered page HTML, through the shared memo. A miss
     /// renders into the deriving thread's reusable page buffer; only the
     /// final `Arc<str>` the memo retains is allocated.
     pub fn page_html_shared(&self, rank: u32) -> hb_http::HStr {
-        self.memo.page_html.get_or_insert_with(rank, || {
-            let site = self.site_shared(rank);
-            DERIVE_SCRATCH.with(|s| {
-                let scratch = &mut *s.borrow_mut();
-                world::render_page_html(&site, &self.specs, &mut scratch.page);
-                hb_http::HStr::from(scratch.page.as_str())
-            })
-        })
+        self.with_entry(
+            rank,
+            |e| e.page_html.get().cloned(),
+            |e| {
+                get_or_derive(&e.page_html, || {
+                    DERIVE_SCRATCH.with(|s| {
+                        let scratch = &mut *s.borrow_mut();
+                        world::render_page_html(&e.site, &self.specs, &mut scratch.page);
+                        hb_http::HStr::from(scratch.page.as_str())
+                    })
+                })
+            },
+        )
     }
 
-    /// Drop every entry of this universe's shared derivation memo (site,
-    /// account, runtime, page HTML). Allocation tests use this to measure
-    /// the true memo-miss (cold) path, and the determinism suite uses it
-    /// to prove eviction is behaviour-free;
-    /// production code never needs it — a full shard simply recycles
-    /// itself. Clearing mid-campaign only costs re-derivations (pure in
+    /// Drop every entry of this universe's shared derivation memo (each
+    /// rank's site, account, runtime and page HTML). Allocation tests use
+    /// this to measure the true memo-miss (cold) path, and the
+    /// determinism suite uses it to prove eviction is behaviour-free;
+    /// production code never needs it — a full shard evicts one entry
+    /// per miss. Clearing mid-campaign only costs re-derivations (pure in
     /// `(seed, rank)`), never changes bytes.
     pub fn clear_memos(&self) {
         self.memo.clear();
@@ -545,5 +694,121 @@ mod tests {
         let mut rng = Rng::new(3);
         let sample = net.latency.lookup("pub1.example").sample(&mut rng);
         assert!(sample.as_micros() > 0);
+    }
+
+    /// A naive second-chance cache of one shard: hits found by a linear
+    /// scan, slots in arrival order, one hand.
+    struct ClockModel {
+        slots: Vec<(u32, bool)>,
+        hand: usize,
+    }
+
+    impl ClockModel {
+        /// Look `rank` up, inserting it on a miss; `true` on a hit.
+        fn lookup(&mut self, rank: u32) -> bool {
+            if let Some(slot) = self.slots.iter_mut().find(|s| s.0 == rank) {
+                slot.1 = true;
+                return true;
+            }
+            if self.slots.len() < MEMO_SHARD_CAP {
+                self.slots.push((rank, false));
+                return false;
+            }
+            loop {
+                let slot = &mut self.slots[self.hand];
+                self.hand = (self.hand + 1) % MEMO_SHARD_CAP;
+                if !slot.1 {
+                    *slot = (rank, false);
+                    return false;
+                }
+                slot.1 = false;
+            }
+        }
+    }
+
+    /// Look `rank` up the way `SiteGen` does: peek, publish on a miss.
+    /// `true` on a hit.
+    fn lookup(memo: &ShardedMemo<u32>, rank: u32) -> bool {
+        if let Some(value) = memo.peek(rank, |v| **v) {
+            assert_eq!(value, rank);
+            return true;
+        }
+        assert_eq!(*memo.publish(rank, rank), rank);
+        false
+    }
+
+    #[test]
+    fn memo_shard_matches_a_naive_second_chance_model() {
+        for seed in 0..6u64 {
+            let residue = (seed * 5) as usize % MEMO_SHARDS;
+            let memo = ShardedMemo::new();
+            let mut model = ClockModel {
+                slots: Vec::new(),
+                hand: 0,
+            };
+            let mut rng = Rng::new(seed);
+            for step in 0..6_000 {
+                // Skewed and uniform draws over three shards' worth of
+                // ranks, so hits, misses and evictions all occur.
+                let k = match rng.below(2) {
+                    0 => rng.zipf(3 * MEMO_SHARD_CAP as u64, 1.0),
+                    _ => rng.below(3 * MEMO_SHARD_CAP as u64) + 1,
+                };
+                let rank = (residue + MEMO_SHARDS * k as usize) as u32;
+                let hit = lookup(&memo, rank);
+                assert_eq!(hit, model.lookup(rank), "seed {seed} step {step}");
+                let shard = read(memo.shard(rank));
+                let slots: Vec<(u32, bool)> = shard
+                    .slots
+                    .iter()
+                    .map(|s| (s.rank, s.referenced.load(Ordering::Relaxed)))
+                    .collect();
+                assert!(slots.len() <= MEMO_SHARD_CAP);
+                assert_eq!(slots, model.slots, "seed {seed} step {step}");
+                assert_eq!(shard.hand, model.hand, "seed {seed} step {step}");
+                assert_eq!(shard.index.len(), slots.len());
+                assert!(shard.index.iter().all(|(&r, &i)| slots[i].0 == r));
+            }
+            for (i, shard) in memo.shards.iter().enumerate() {
+                assert_eq!(read(shard).slots.is_empty(), i != residue);
+            }
+        }
+    }
+
+    /// Misses of the policy second chance replaced: a full shard drops
+    /// every entry at once.
+    fn clear_on_full_misses(trace: &[u32]) -> usize {
+        let mut shards = vec![std::collections::HashSet::new(); MEMO_SHARDS];
+        let mut misses = 0;
+        for &rank in trace {
+            let shard = &mut shards[rank as usize & (MEMO_SHARDS - 1)];
+            if !shard.contains(&rank) {
+                misses += 1;
+                if shard.len() >= MEMO_SHARD_CAP {
+                    shard.clear();
+                }
+                shard.insert(rank);
+            }
+        }
+        misses
+    }
+
+    #[test]
+    fn memo_keeps_a_zipf_head_resident() {
+        // serve_zipf's traffic shape: zipf(1.0) over a paper-scale
+        // toplist of 35k ranks, four times what the memo holds.
+        let mut rng = Rng::new(1);
+        let trace: Vec<u32> = (0..200_000).map(|_| rng.zipf(35_000, 1.0) as u32).collect();
+        let memo = ShardedMemo::new();
+        let misses = trace.iter().filter(|&&rank| !lookup(&memo, rank)).count();
+        let clear_on_full = clear_on_full_misses(&trace);
+        assert!(
+            misses < clear_on_full,
+            "second chance missed {misses}, clear-on-full {clear_on_full}"
+        );
+        assert_eq!(misses, 38_616, "clear-on-full misses {clear_on_full}");
+        for shard in &memo.shards {
+            assert!(read(shard).slots.len() <= MEMO_SHARD_CAP);
+        }
     }
 }

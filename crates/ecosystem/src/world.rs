@@ -200,9 +200,10 @@ impl PublisherEndpoint {
         let g = gen.clone();
         let own_ads = AdServerEndpoint::with_resolver(move |account_id| {
             let rank = g.rank_of_account(account_id)?;
-            let site = g.site_shared(rank);
             // Only client-side sites operate an ad server of their own.
-            (site.facet == Some(hb_adtech::HbFacet::ClientSide)).then(|| g.account_shared(rank))
+            g.account_where(rank, |site| {
+                site.facet == Some(hb_adtech::HbFacet::ClientSide)
+            })
         });
         PublisherEndpoint {
             gen: gen.clone(),
@@ -250,10 +251,9 @@ pub(crate) fn build_lazy_world(gen: &Arc<SiteGen>) -> World {
             ads_host.clone(),
             AdServerEndpoint::with_resolver(move |account_id| {
                 let rank = g.rank_of_account(account_id)?;
-                let site = g.site_shared(rank);
                 // An account exists at this provider only if the site
                 // actually chose it.
-                (site.provider_id == Some(pid)).then(|| g.account_shared(rank))
+                g.account_where(rank, |site| site.provider_id == Some(pid))
             }),
         );
         latency.insert(ads_host, gen.specs[pid].to_profile(0).latency.clone());

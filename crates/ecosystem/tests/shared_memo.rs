@@ -12,14 +12,25 @@
 //! * **never torn**: every handle a thread observes is a complete,
 //!   correct derivation — byte-identical to the single-threaded one —
 //!   no matter how the publication race interleaves.
+//!
+//! One race walks more ranks than a memo shard holds, so evictions
+//! interleave with publications; there only the second property holds.
 
+use hb_adtech::{AdServerAccount, SiteRuntime};
 use hb_ecosystem::{EcosystemConfig, SiteFactory, SiteProfile};
 use hb_http::HStr;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// What one thread observed for one rank.
-type Observation = (u32, Arc<SiteProfile>, Arc<hb_adtech::SiteRuntime>, HStr);
+type Observation = (
+    u32,
+    Arc<SiteProfile>,
+    Arc<SiteRuntime>,
+    Arc<AdServerAccount>,
+    HStr,
+);
 
 /// Spawn `threads` workers over `ranks`, each walking the whole set from
 /// a staggered offset so lookups of the same rank collide mid-flight.
@@ -36,6 +47,7 @@ fn hammer(factory: &SiteFactory, ranks: &[u32], threads: usize) -> Vec<Vec<Obser
                                 rank,
                                 factory.site_shared(rank),
                                 factory.runtime_shared(rank),
+                                factory.gen().account_shared(rank),
                                 factory.gen().page_html_shared(rank),
                             )
                         })
@@ -50,42 +62,67 @@ fn hammer(factory: &SiteFactory, ranks: &[u32], threads: usize) -> Vec<Vec<Obser
     })
 }
 
-/// Assert every observation of `rank` across all threads is pointer-equal
-/// (one published derivation) and matches the reference derivation.
-fn check_observations(factory: &SiteFactory, observed: &[Vec<Observation>]) {
-    let mut by_rank: std::collections::BTreeMap<u32, Vec<&Observation>> = Default::default();
+/// Assert every observation of a rank is an untorn derivation: each
+/// distinct handle a thread saw equals the pure single-threaded
+/// derivation of (seed, rank). With `shared`, also assert that every
+/// observation of a rank across all threads is pointer-equal (one
+/// published derivation); eviction legitimately breaks that.
+fn check_observations(factory: &SiteFactory, observed: &[Vec<Observation>], shared: bool) {
+    // A universe no thread has touched derives every account afresh.
+    let pure = SiteFactory::new(factory.config().clone());
+    let mut by_rank: BTreeMap<u32, Vec<&Observation>> = BTreeMap::new();
     for thread in observed {
         for obs in thread {
             by_rank.entry(obs.0).or_default().push(obs);
         }
     }
     for (rank, obs) in by_rank {
-        let (_, first_site, first_rt, first_html) = obs[0];
-        for (_, site, rt, html) in &obs {
-            assert!(
-                Arc::ptr_eq(site, first_site),
-                "rank {rank}: site Arcs must be pointer-equal across threads"
-            );
-            assert!(
-                Arc::ptr_eq(rt, first_rt),
-                "rank {rank}: runtime Arcs must be pointer-equal across threads"
-            );
-            // The page is long enough to live behind an `Arc<str>`; the
-            // shared repr means the byte pointer itself is shared.
-            assert_eq!(
-                html.as_str().as_ptr(),
-                first_html.as_str().as_ptr(),
-                "rank {rank}: page HTML must share one allocation"
-            );
+        let (_, first_site, first_rt, first_account, first_html) = obs[0];
+        if shared {
+            for (_, site, rt, account, html) in &obs {
+                assert!(
+                    Arc::ptr_eq(site, first_site),
+                    "rank {rank}: site Arcs must be pointer-equal across threads"
+                );
+                assert!(
+                    Arc::ptr_eq(rt, first_rt),
+                    "rank {rank}: runtime Arcs must be pointer-equal across threads"
+                );
+                assert!(
+                    Arc::ptr_eq(account, first_account),
+                    "rank {rank}: account Arcs must be pointer-equal across threads"
+                );
+                // The page is long enough to live behind an `Arc<str>`;
+                // the shared repr means the byte pointer itself is shared.
+                assert_eq!(
+                    html.as_str().as_ptr(),
+                    first_html.as_str().as_ptr(),
+                    "rank {rank}: page HTML must share one allocation"
+                );
+            }
         }
         // Never torn: what the memo served is exactly the pure
         // single-threaded derivation of (seed, rank).
         let reference = factory.site(rank);
-        assert_eq!(**first_site, reference);
-        assert_eq!(first_rt.ad_units.len(), reference.ad_units.len());
-        let mut expected_html = String::new();
-        hb_ecosystem::render_page_html(&reference, factory.specs(), &mut expected_html);
-        assert_eq!(first_html.as_str(), expected_html);
+        let runtime = format!("{:?}", factory.runtime_for(&reference));
+        let account = format!("{:?}", pure.gen().account_shared(rank));
+        let mut html = String::new();
+        hb_ecosystem::render_page_html(&reference, factory.specs(), &mut html);
+        let mut checked = HashSet::new();
+        for (_, site, rt, acct, page) in &obs {
+            let handles = (
+                Arc::as_ptr(site),
+                Arc::as_ptr(rt),
+                Arc::as_ptr(acct),
+                page.as_str().as_ptr(),
+            );
+            if checked.insert(handles) {
+                assert_eq!(**site, reference, "rank {rank}: site");
+                assert_eq!(format!("{rt:?}"), runtime, "rank {rank}: runtime");
+                assert_eq!(format!("{acct:?}"), account, "rank {rank}: account");
+                assert_eq!(page.as_str(), html, "rank {rank}: page HTML");
+            }
+        }
     }
 }
 
@@ -94,7 +131,7 @@ fn eight_threads_share_every_derivation() {
     let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
     let ranks: Vec<u32> = (1..=200).collect();
     let observed = hammer(&factory, &ranks, 8);
-    check_observations(&factory, &observed);
+    check_observations(&factory, &observed, true);
 }
 
 #[test]
@@ -105,15 +142,27 @@ fn cleared_memo_republishes_consistently() {
     let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
     let ranks: Vec<u32> = (1..=64).collect();
     let first = hammer(&factory, &ranks, 4);
-    check_observations(&factory, &first);
+    check_observations(&factory, &first, true);
     factory.clear_memos();
     let second = hammer(&factory, &ranks, 4);
-    check_observations(&factory, &second);
+    check_observations(&factory, &second, true);
     // Across the clear, contents agree even though the allocations are new.
     for (a, b) in first[0].iter().zip(second[0].iter()) {
         assert_eq!(a.1.domain, b.1.domain);
-        assert_eq!(a.3.as_str(), b.3.as_str());
+        assert_eq!(a.4.as_str(), b.4.as_str());
     }
+}
+
+#[test]
+fn racing_past_the_memo_bound_serves_pure_derivations() {
+    // 640 ranks per shard against a cap of 512: the threads race
+    // evictions as well as publications. Handles may differ across an
+    // eviction, but every value served must still be the pure
+    // derivation.
+    let factory = SiteFactory::new(EcosystemConfig::paper_scale().with_sites(20_000));
+    let ranks: Vec<u32> = (1..=16 * 640).collect();
+    let observed = hammer(&factory, &ranks, 4);
+    check_observations(&factory, &observed, false);
 }
 
 proptest! {
@@ -131,6 +180,6 @@ proptest! {
         let factory =
             SiteFactory::new(EcosystemConfig::tiny_scale().with_seed(seed));
         let observed = hammer(&factory, &ranks, 4);
-        check_observations(&factory, &observed);
+        check_observations(&factory, &observed, true);
     }
 }

@@ -83,6 +83,7 @@ fn eight_workers_keep_up_with_one() {
         }
     }
 
+    let rounds = format!("1w {one:?}, 8w {eight:?}");
     let (one, eight) = (median(one), median(eight));
     let speedup = one.as_secs_f64() / eight.as_secs_f64().max(1e-9);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -94,7 +95,8 @@ fn eight_workers_keep_up_with_one() {
     if !cfg!(debug_assertions) {
         assert!(
             speedup >= floor,
-            "speedup_8w {speedup:.3} fell below the {cores}-core floor {floor:.3}"
+            "speedup_8w {speedup:.3} fell below the {cores}-core floor {floor:.3}; \
+             walls per round: {rounds}"
         );
     }
 }
