@@ -11,6 +11,7 @@ use crate::partner::PartnerProfile;
 use crate::protocol::{self, params, FillChannel, WinnerPayload};
 use crate::rtb::first_price_winner;
 use crate::types::{AdSize, AdUnit, Cpm};
+use crate::wrapper::{RETRY_BACKOFF, S2S_DEADLINE};
 use hb_http::{Endpoint, HStr, Request, Response, ServerReply};
 use hb_simnet::FxHashMap;
 use hb_simnet::{Rng, SimDuration};
@@ -47,14 +48,12 @@ pub struct AdServerAccount {
     /// The ad units this account serves (authoritative slot list;
     /// `Arc`-shared with the site profile and runtime).
     pub ad_units: Arc<[AdUnit]>,
-    /// Per-partner deadline of the server-side mediator: a partner whose
-    /// fan-out call exceeds it is retried once (after
-    /// [`Self::s2s_retry_backoff`]) and then dropped from the auction.
-    /// `None` (the default) waits for every partner — the baseline
-    /// semantics, with an unchanged RNG draw sequence.
-    pub s2s_deadline: Option<SimDuration>,
-    /// Backoff before the mediator's one retry of an over-deadline partner.
-    pub s2s_retry_backoff: SimDuration,
+    /// Run the mediator under the degraded posture: a partner whose
+    /// fan-out call exceeds the s2s deadline is retried once after the
+    /// retry backoff and then dropped from the auction. Off waits for
+    /// every partner — the baseline semantics, with an unchanged RNG draw
+    /// sequence.
+    pub degraded_posture: bool,
 }
 
 impl AdServerAccount {
@@ -67,8 +66,7 @@ impl AdServerAccount {
             floor: Cpm(0.01),
             s2s_partners: Vec::new(),
             ad_units: units.into(),
-            s2s_deadline: None,
-            s2s_retry_backoff: SimDuration::ZERO,
+            degraded_posture: false,
         }
     }
 }
@@ -214,18 +212,16 @@ where
     for partner in &account.s2s_partners {
         // Parallel fan-out: total time is the max over partners.
         let mut rtt = partner.s2s_latency.sample(rng) + partner.processing_time(n_units);
-        if let Some(deadline) = account.s2s_deadline {
-            if rtt > deadline {
-                // Over-deadline: the mediator abandons the call at the
-                // deadline and retries once after the backoff. A second
-                // miss drops the partner from this auction entirely.
-                let retry_rtt = partner.s2s_latency.sample(rng) + partner.processing_time(n_units);
-                if retry_rtt > deadline {
-                    slowest = slowest.max(deadline + account.s2s_retry_backoff + deadline);
-                    continue;
-                }
-                rtt = deadline + account.s2s_retry_backoff + retry_rtt;
+        if account.degraded_posture && rtt > S2S_DEADLINE {
+            // Over-deadline: the mediator abandons the call at the
+            // deadline and retries once after the backoff. A second miss
+            // drops the partner from this auction entirely.
+            let retry_rtt = partner.s2s_latency.sample(rng) + partner.processing_time(n_units);
+            if retry_rtt > S2S_DEADLINE {
+                slowest = slowest.max(S2S_DEADLINE + RETRY_BACKOFF + S2S_DEADLINE);
+                continue;
             }
+            rtt = S2S_DEADLINE + RETRY_BACKOFF + retry_rtt;
         }
         slowest = slowest.max(rtt);
         for unit in units.clone() {
@@ -558,28 +554,28 @@ mod tests {
         fast.per_slot_processing_ms = 10.0;
         let mut slow = PartnerProfile::test_profile(2, "slow");
         slow.bid_rate = 1.0;
-        slow.s2s_latency = LatencyModel::constant(500.0);
+        slow.s2s_latency = LatencyModel::constant(900.0);
         slow.per_slot_processing_ms = 10.0;
 
         let mut account = AdServerAccount::test_account("pub-4", vec![unit("s1")]);
         account.s2s_partners = vec![Arc::new(fast.clone()), Arc::new(slow.clone())];
         let units = account.ad_units.clone();
 
-        // Baseline (no deadline): both partners bid, latency = slowest.
+        // Baseline (posture off): both partners bid, latency = slowest.
         let mut rng = Rng::new(11);
         let (bids, dur) = run_s2s_auction(&account, &units[..], &mut rng);
         assert_eq!(bids.len(), 2);
-        assert!(dur >= SimDuration::from_millis(510), "dur {dur}");
+        assert!(dur >= SimDuration::from_millis(910), "dur {dur}");
 
-        // Deadline 100 ms: the slow partner misses twice and is dropped;
-        // the mediator gives up at deadline + backoff + deadline.
-        account.s2s_deadline = Some(SimDuration::from_millis(100));
-        account.s2s_retry_backoff = SimDuration::from_millis(25);
+        // Degraded posture: the slow partner misses the s2s deadline
+        // twice and is dropped; the mediator gives up at deadline +
+        // backoff + deadline.
+        account.degraded_posture = true;
         let mut rng = Rng::new(11);
         let (bids, dur) = run_s2s_auction(&account, &units[..], &mut rng);
         assert_eq!(bids.len(), 1, "slow partner dropped");
         assert_eq!(bids[0].bidder, "fast");
-        assert_eq!(dur, SimDuration::from_millis(225), "100 + 25 + 100");
+        assert_eq!(dur, S2S_DEADLINE + RETRY_BACKOFF + S2S_DEADLINE);
     }
 
     #[test]

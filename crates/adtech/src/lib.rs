@@ -36,6 +36,5 @@ pub use session::{send_request, Delivery, HostDirectory, Net, NetOutcome, PageWo
 pub use types::{AdSize, AdUnit, Cpm, HbFacet, SizeList};
 pub use waterfall::{rtb_price_param, start_waterfall, waterfall_endpoint, WaterfallTier};
 pub use wrapper::{
-    begin_visit, FlowState, PartnerRef, RobustnessPolicy, SiteRuntime, VisitGroundTruth,
-    WrapperConfig,
+    begin_visit, FlowState, PartnerRef, SiteRuntime, VisitGroundTruth, WrapperConfig, CDN_HOST,
 };

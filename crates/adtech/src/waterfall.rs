@@ -17,7 +17,7 @@ use crate::provider::{rtb_edge_host, tier_fill, tier_request};
 use crate::rtb::InternalAuction;
 use crate::session::{send_request, NetOutcome, PageWorld};
 use crate::types::{AdSize, Cpm};
-use crate::wrapper::PartnerRef;
+use crate::wrapper::{PartnerRef, RETRY_BACKOFF, TIER_DEADLINE};
 use hb_http::{Endpoint, HStr, Json, Request, Response, ServerReply, Url};
 use hb_simnet::{Dist, Rng, Scheduler, SimDuration, SimTime};
 
@@ -112,7 +112,7 @@ fn try_tier(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, start: SimTime, idx
 /// Send the tier's RTB call (attempt 0 or the one `rt=1`-marked retry).
 ///
 /// Every send bumps the waterfall attempt generation; the response
-/// continuation and the optional tier deadline both capture it, so
+/// continuation and the degraded posture's tier deadline both capture it, so
 /// whichever fires second sees a stale generation and no-ops. A dropped
 /// tier therefore advances on the deadline instead of hanging until the
 /// 30 s browser network timeout — and never advances twice.
@@ -176,15 +176,13 @@ fn send_tier_request(
             None => try_tier(w, s, start, idx + 1),
         }
     });
-    if let Some(deadline) = site.robustness.tier_deadline {
-        let retry = attempt == 0 && site.robustness.retry;
-        let backoff = site.robustness.retry_backoff;
-        s.after(deadline, move |w: &mut PageWorld, s| {
+    if site.degraded_posture {
+        s.after(TIER_DEADLINE, move |w: &mut PageWorld, s| {
             if w.flow.done || w.flow.wf_attempt != gen {
                 return; // tier answered in time
             }
-            if retry {
-                s.after(backoff, move |w: &mut PageWorld, s| {
+            if attempt == 0 {
+                s.after(RETRY_BACKOFF, move |w: &mut PageWorld, s| {
                     if w.flow.done || w.flow.wf_attempt != gen {
                         return; // the late answer landed during backoff
                     }
@@ -192,7 +190,7 @@ fn send_tier_request(
                     send_tier_request(w, s, start, idx, 1);
                 });
             } else {
-                // Retry spent (or disabled): the tier is dead — advance.
+                // Retry spent: the tier is dead — advance.
                 w.flow.truth.timed_out_partners += 1;
                 try_tier(w, s, start, idx + 1);
             }
@@ -231,7 +229,7 @@ mod tests {
     use super::*;
     use crate::session::{EventCounts, HostDirectory, Net};
     use crate::types::AdUnit;
-    use crate::wrapper::{begin_visit, RobustnessPolicy, SiteRuntime, WrapperConfig};
+    use crate::wrapper::{begin_visit, SiteRuntime, WrapperConfig, CDN_HOST};
     use hb_http::Router;
     use hb_simnet::{FaultInjector, LatencyModel, Rng, SimTime, Simulation};
     use std::cell::RefCell;
@@ -251,21 +249,21 @@ mod tests {
 
     /// World with a 2-tier waterfall: tier0 never fills, tier1 always does.
     fn build(fill0: f64, fill1: f64) -> Simulation<PageWorld> {
-        build_with(fill0, fill1, FaultInjector::none(), RobustnessPolicy::off())
+        build_with(fill0, fill1, FaultInjector::none(), false)
     }
 
-    /// [`build`] plus a fault injector and a robustness policy.
+    /// [`build`] plus a fault injector and the degraded-posture switch.
     fn build_with(
         fill0: f64,
         fill1: f64,
         faults: FaultInjector,
-        robustness: RobustnessPolicy,
+        degraded_posture: bool,
     ) -> Simulation<PageWorld> {
         let mut router = Router::new();
         router.register("pub1.example", |r: &Request, _: &mut Rng| {
             ServerReply::instant(Response::text(r.id, "<html><head></head></html>"))
         });
-        router.register("cdn.example", |r: &Request, _: &mut Rng| {
+        router.register(CDN_HOST, |r: &Request, _: &mut Rng| {
             ServerReply::instant(Response::text(r.id, "// js"))
         });
         router.register(
@@ -278,7 +276,7 @@ mod tests {
         );
         let mut latency = HostDirectory::new();
         latency.insert("pub1.example", LatencyModel::constant(30.0));
-        latency.insert("cdn.example", LatencyModel::constant(10.0));
+        latency.insert(CDN_HOST, LatencyModel::constant(10.0));
         latency.insert("rtb.adx0.example", LatencyModel::constant(80.0));
         latency.insert("rtb.adx1.example", LatencyModel::constant(80.0));
         let net = Net::new(Arc::new(router), Arc::new(latency), Arc::new(faults));
@@ -298,10 +296,8 @@ mod tests {
                 tier("adx0", "adx0.example", 0.0),
                 tier("adx1", "adx1.example", 0.0),
             ],
-            cdn_host: "cdn.example".into(),
-            render_fail_rate: 0.0,
             net_quality: 1.0,
-            robustness,
+            degraded_posture,
         };
         let mut sim = Simulation::new(world);
         sim.scheduler()
@@ -369,17 +365,11 @@ mod tests {
 
     #[test]
     fn dead_tier_advances_on_deadline_after_one_retry() {
-        // Tier 0's endpoint is hard-down. With a tier deadline + retry the
+        // Tier 0's endpoint is hard-down. Under the degraded posture the
         // chain retries once (marked rt=1, never hb_*) and then advances
         // to tier 1 instead of hanging until the browser network timeout.
-        let policy = RobustnessPolicy {
-            tier_deadline: Some(SimDuration::from_millis(300)),
-            retry: true,
-            retry_backoff: SimDuration::from_millis(50),
-            ..RobustnessPolicy::off()
-        };
         let faults = FaultInjector::none().with_outage("rtb.adx0.example");
-        let mut sim = build_with(0.0, 1.0, faults, policy);
+        let mut sim = build_with(0.0, 1.0, faults, true);
         sim.run_to_idle(60_000);
         let truth = &sim.world().flow.truth;
         assert_eq!(truth.waterfall_fill_tier, Some(1), "chain advanced");
@@ -387,23 +377,21 @@ mod tests {
         assert_eq!(truth.timed_out_partners, 1, "tier 0 resolved as dead");
         assert_eq!(truth.bids_dropped, 2, "both tier-0 attempts dropped");
         let lat = truth.waterfall_latency.unwrap();
-        // deadline (300) + backoff (50) + deadline (300) + tier1 hop.
-        assert!(lat >= SimDuration::from_millis(650), "lat {lat}");
-        assert!(lat <= SimDuration::from_millis(1_500), "lat {lat}");
+        // deadline + backoff + deadline, then the 80 ms tier-1 hop.
+        let chain = TIER_DEADLINE + RETRY_BACKOFF + TIER_DEADLINE;
+        assert!(lat >= chain + SimDuration::from_millis(80), "lat {lat}");
+        assert!(lat <= chain + SimDuration::from_millis(500), "lat {lat}");
     }
 
     #[test]
     fn dead_chain_with_deadlines_falls_back_without_hanging() {
-        // Every tier is down and retry is disabled: the chain must walk
-        // the deadlines and land on the house-ad fallback.
-        let policy = RobustnessPolicy {
-            tier_deadline: Some(SimDuration::from_millis(200)),
-            ..RobustnessPolicy::off()
-        };
+        // Every tier is down: the chain must walk each tier's deadline,
+        // retry and second deadline, and land on the house-ad fallback
+        // long before the 30 s browser network timeout.
         let faults = FaultInjector::none()
             .with_outage("rtb.adx0.example")
             .with_outage("rtb.adx1.example");
-        let mut sim = build_with(1.0, 1.0, faults, policy);
+        let mut sim = build_with(1.0, 1.0, faults, true);
         sim.run_to_idle(60_000);
         let w = sim.world();
         assert!(w.flow.done);
@@ -411,20 +399,20 @@ mod tests {
         assert_eq!(truth.waterfall_fill_tier, None);
         assert_eq!(truth.winners[0].channel, FillChannel::Fallback);
         assert_eq!(truth.timed_out_partners, 2);
+        assert_eq!(truth.retries, 2, "one retry per dead tier");
+        let per_tier = TIER_DEADLINE + RETRY_BACKOFF + TIER_DEADLINE;
         let lat = truth.waterfall_latency.unwrap();
-        assert!(lat <= SimDuration::from_millis(1_000), "lat {lat}");
+        assert!(lat >= per_tier + per_tier, "lat {lat}");
+        assert!(
+            lat <= per_tier + per_tier + SimDuration::from_millis(500),
+            "lat {lat}"
+        );
     }
 
     #[test]
     fn retried_waterfall_traffic_still_carries_no_hb_params() {
-        let policy = RobustnessPolicy {
-            tier_deadline: Some(SimDuration::from_millis(300)),
-            retry: true,
-            retry_backoff: SimDuration::from_millis(50),
-            ..RobustnessPolicy::off()
-        };
         let faults = FaultInjector::none().with_outage("rtb.adx0.example");
-        let mut sim = build_with(0.0, 1.0, faults, policy);
+        let mut sim = build_with(0.0, 1.0, faults, true);
         let hb_seen = Rc::new(RefCell::new(false));
         let h2 = hb_seen.clone();
         sim.world_mut().browser.webrequest.tap(move |ev| {

@@ -44,8 +44,6 @@ pub struct WrapperConfig {
     /// waiting for any bid (the paper's §5.2 explanation for partners
     /// losing 100% of their bids).
     pub send_immediately: bool,
-    /// `hb_pb` price bucket granularity.
-    pub pb_granularity: f64,
 }
 
 impl Default for WrapperConfig {
@@ -55,60 +53,38 @@ impl Default for WrapperConfig {
                 protocol::DEFAULT_BIDDER_TIMEOUT_MS,
             )),
             send_immediately: false,
-            pb_granularity: protocol::DEFAULT_PB_GRANULARITY,
         }
     }
 }
 
-/// Robustness behavior of the ad path under degraded networks. Everything
-/// defaults to **off**, which reproduces the baseline flows bit for bit:
-/// no extra events are scheduled, no retry requests are issued, and no
-/// RNG draws are added, so a healthy-scenario campaign stays
-/// byte-identical to one built without any robustness policy.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RobustnessPolicy {
-    /// Per-partner client bid deadline: a partner that has not answered
-    /// by then is resolved (retried once when [`Self::retry`] is set,
-    /// failed otherwise) so the auction never waits on a dead endpoint.
-    pub partner_deadline: Option<SimDuration>,
-    /// Issue one deterministic retry (marked `hb_retry=1`) when a bid
-    /// request fails or exceeds its deadline.
-    pub retry: bool,
-    /// Backoff before the retry request leaves.
-    pub retry_backoff: SimDuration,
-    /// Waterfall tier deadline: a tier that has not answered by then is
-    /// retried once (marked `rt=1`, no `hb_*` keys — waterfall traffic
-    /// must never carry them) and then advanced past, so the daisy chain
-    /// cannot hang on a dropped tier.
-    pub tier_deadline: Option<SimDuration>,
-    /// Serve a passback / house ad when every demand source failed, so a
-    /// fully degraded visit still renders and completes.
-    pub passback: bool,
-    /// Per-partner deadline of the server-side mediator's fan-out
-    /// (threaded into [`crate::adserver::AdServerAccount::s2s_deadline`]
-    /// by the ecosystem). `None` = wait for every s2s partner.
-    pub s2s_deadline: Option<SimDuration>,
-}
+/// The shared CDN host serving wrapper/ad-manager libraries.
+pub const CDN_HOST: &str = "cdn.hbrepro.example";
 
-impl RobustnessPolicy {
-    /// Everything disabled (the baseline semantics).
-    pub fn off() -> RobustnessPolicy {
-        RobustnessPolicy::default()
-    }
+/// Probability that a winning creative fails to render, the same for
+/// every site.
+const RENDER_FAIL_RATE: f64 = 0.015;
 
-    /// A sane degraded-network posture: 2.5 s partner deadline, one retry
-    /// after 100 ms, 2 s waterfall tier deadline, passback on.
-    pub fn degraded_defaults() -> RobustnessPolicy {
-        RobustnessPolicy {
-            partner_deadline: Some(SimDuration::from_millis(2_500)),
-            retry: true,
-            retry_backoff: SimDuration::from_millis(100),
-            tier_deadline: Some(SimDuration::from_millis(2_000)),
-            passback: true,
-            s2s_deadline: Some(SimDuration::from_millis(600)),
-        }
-    }
-}
+// The degraded posture (`SiteRuntime::degraded_posture`). Off, the flows
+// schedule no extra events, issue no retries and add no RNG draws, so a
+// healthy campaign stays byte-identical to the baseline flows. On, every
+// deadline below is armed, each demand source gets one retry, and a
+// passback fills the slots when every source failed.
+
+/// Per-partner client bid deadline: a partner that has not answered by
+/// then is retried once (marked `hb_retry=1`) and then resolved as timed
+/// out, so the auction never waits on a dead endpoint.
+pub(crate) const PARTNER_DEADLINE: SimDuration = SimDuration::from_millis(2_500);
+/// Backoff before the one retry of a bid request, a waterfall tier or an
+/// s2s partner call.
+pub(crate) const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(100);
+/// Waterfall tier deadline: a tier that has not answered by then is
+/// retried once (marked `rt=1`, no `hb_*` keys — waterfall traffic must
+/// never carry them) and then advanced past, so the daisy chain cannot
+/// hang on a dropped tier.
+pub(crate) const TIER_DEADLINE: SimDuration = SimDuration::from_millis(2_000);
+/// Per-partner deadline of the server-side mediator's fan-out: a partner
+/// over it is retried once and then dropped from the auction.
+pub(crate) const S2S_DEADLINE: SimDuration = SimDuration::from_millis(600);
 
 /// Everything the simulation needs to visit one site.
 #[derive(Clone, Debug)]
@@ -134,17 +110,14 @@ pub struct SiteRuntime {
     pub wrapper: WrapperConfig,
     /// Waterfall tiers (baseline comparison).
     pub waterfall_tiers: Vec<crate::waterfall::WaterfallTier>,
-    /// CDN host serving wrapper/ad-manager libraries.
-    pub cdn_host: HStr,
-    /// Probability an ad render fails after winning.
-    pub render_fail_rate: f64,
     /// Per-site network quality multiplier applied to every RTT of the
     /// visit (premium publishers sit on better-peered infrastructure;
     /// drives the rank-latency association of Fig. 13). 1.0 = neutral.
     pub net_quality: f64,
-    /// Robustness posture of the ad path (deadlines, retry, passback).
-    /// The default keeps everything off, i.e. baseline semantics.
-    pub robustness: RobustnessPolicy,
+    /// Run the ad path's degraded posture: partner and tier deadlines,
+    /// one retry per demand source, passback when every source failed.
+    /// Off reproduces the baseline flows bit for bit.
+    pub degraded_posture: bool,
 }
 
 /// Ground truth collected during the visit (for validating the detector
@@ -175,9 +148,10 @@ pub struct VisitGroundTruth {
     /// Ad-path requests (bid, tier, ad-server calls) whose response never
     /// arrived (network drop / timeout).
     pub bids_dropped: usize,
-    /// Retry requests issued by the robustness policy.
+    /// Retry requests issued by the degraded posture.
     pub retries: usize,
-    /// Distinct client partners resolved as timed out / failed.
+    /// Demand sources given up on after deadline/retry exhaustion: client
+    /// partners and waterfall tiers.
     pub timed_out_partners: usize,
     /// Did a passback / house ad fill the slots because every demand
     /// source failed?
@@ -255,7 +229,7 @@ pub struct FlowState {
     /// `site.client_partners`. A partner resolves exactly once, even
     /// when deadlines and in-flight responses race.
     pub partner_resolved: Vec<bool>,
-    /// Per-partner: has the one robustness retry been spent?
+    /// Per-partner: has the one degraded-posture retry been spent?
     pub partner_retried: Vec<bool>,
     /// Waterfall attempt generation, bumped on every tier transition or
     /// retry so stale deadline/response continuations no-op.
@@ -326,7 +300,7 @@ pub fn begin_visit(
 /// 2. Fetch wrapper + ad-manager libraries from the CDN, then start the flow.
 fn fetch_libraries(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
     let site = w.flow.site_handle();
-    let cdn = site.cdn_host.clone();
+    let cdn = HStr::from_static(CDN_HOST);
     // The ad-manager tag is fetched in parallel; we only gate on the
     // wrapper library (it is what issues the bid requests).
     let gpt_id = w.browser.next_request_id();
@@ -413,8 +387,8 @@ fn start_client_auction(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
         send_request(w, s, req, move |w, s, out| {
             handle_bid_outcome(w, s, idx, 0, out)
         });
-        if let Some(deadline) = site.robustness.partner_deadline {
-            s.after(deadline, move |w: &mut PageWorld, s| {
+        if site.degraded_posture {
+            s.after(PARTNER_DEADLINE, move |w: &mut PageWorld, s| {
                 partner_deadline_expired(w, s, idx, 0);
             });
         }
@@ -440,10 +414,10 @@ fn start_client_auction(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
 
 /// Handle a partner's bid response (or failure) for one attempt.
 ///
-/// With the robustness policy off every partner produces exactly one
+/// With the degraded posture off every partner produces exactly one
 /// outcome, so the resolution bookkeeping degenerates to the baseline
-/// "decrement pending once per partner" semantics. With deadlines/retry
-/// on, a partner can produce several outcomes (deadline expiry, the
+/// "decrement pending once per partner" semantics. With it on, a partner
+/// can produce several outcomes (deadline expiry, the
 /// original slow response, the retry response) — only the first
 /// *resolving* one decrements `partners_pending`.
 fn handle_bid_outcome(
@@ -504,7 +478,7 @@ fn handle_bid_outcome(
     }
     if !succeeded {
         let site = w.flow.site_handle();
-        if attempt == 0 && site.robustness.retry && !w.flow.partner_retried[partner_idx] {
+        if attempt == 0 && site.degraded_posture && !w.flow.partner_retried[partner_idx] {
             // First attempt failed fast: spend the retry; resolution is
             // deferred to the retry's outcome or deadline.
             launch_partner_retry(w, s, partner_idx);
@@ -545,7 +519,7 @@ fn partner_deadline_expired(
         return; // the retry's own deadline is armed
     }
     let site = w.flow.site_handle();
-    if attempt == 0 && site.robustness.retry {
+    if attempt == 0 && site.degraded_posture {
         launch_partner_retry(w, s, partner_idx);
         return;
     }
@@ -557,16 +531,13 @@ fn partner_deadline_expired(
     }
 }
 
-/// Issue the one deterministic retry for a partner: after the configured
+/// Issue the one deterministic retry for a partner: after the retry
 /// backoff, re-send the bid request marked `hb_retry=1` and re-arm the
 /// per-attempt deadline.
 fn launch_partner_retry(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, partner_idx: usize) {
-    let site = w.flow.site_handle();
     w.flow.partner_retried[partner_idx] = true;
     w.flow.truth.retries += 1;
-    let backoff = site.robustness.retry_backoff;
-    let deadline = site.robustness.partner_deadline;
-    s.after(backoff, move |w: &mut PageWorld, s| {
+    s.after(RETRY_BACKOFF, move |w: &mut PageWorld, s| {
         if w.flow.done
             || w.flow
                 .partner_resolved
@@ -592,11 +563,9 @@ fn launch_partner_retry(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, partner
         send_request(w, s, req, move |w, s, out| {
             handle_bid_outcome(w, s, partner_idx, 1, out)
         });
-        if let Some(d) = deadline {
-            s.after(d, move |w: &mut PageWorld, s| {
-                partner_deadline_expired(w, s, partner_idx, 1);
-            });
-        }
+        s.after(PARTNER_DEADLINE, move |w: &mut PageWorld, s| {
+            partner_deadline_expired(w, s, partner_idx, 1);
+        });
     });
 }
 
@@ -625,7 +594,7 @@ fn send_to_adserver(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
         .bids
         .iter()
         .map(|b| BidPayload {
-            cpm: b.cpm.bucket(site.wrapper.pb_granularity),
+            cpm: b.cpm.bucket(protocol::DEFAULT_PB_GRANULARITY),
             ..b.clone()
         })
         .collect();
@@ -711,7 +680,7 @@ fn handle_adserver_response(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, out
         },
         _ => Vec::new(),
     };
-    if winners.is_empty() && site.robustness.passback && !site.ad_units.is_empty() {
+    if winners.is_empty() && site.degraded_posture && !site.ad_units.is_empty() {
         // Graceful degradation: every demand source (including the ad
         // server itself) failed — fill the slots with a house ad so the
         // page still completes instead of timing out empty.
@@ -780,7 +749,7 @@ fn handle_adserver_response(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, out
     let n = winners.len();
     for (i, winner) in winners.into_iter().enumerate() {
         let delay = SimDuration::from_millis(20 + 15 * i as u64);
-        let fail = w.rng.chance(site.render_fail_rate) && winner.channel != FillChannel::Unfilled;
+        let fail = w.rng.chance(RENDER_FAIL_RATE) && winner.channel != FillChannel::Unfilled;
         let last = i + 1 == n;
         s.after(delay, move |w: &mut PageWorld, s| {
             let now = s.now();
@@ -834,26 +803,21 @@ mod tests {
     /// Build a tiny world: one publisher page, a CDN, two partners, and an
     /// ad server with one account.
     fn page_sim(facet: Option<HbFacet>, wrapper: WrapperConfig) -> Simulation<PageWorld> {
-        page_sim_with(
-            facet,
-            wrapper,
-            FaultInjector::none(),
-            RobustnessPolicy::off(),
-        )
+        page_sim_with(facet, wrapper, FaultInjector::none(), false)
     }
 
-    /// [`page_sim`] plus a fault injector and a robustness policy.
+    /// [`page_sim`] plus a fault injector and the degraded-posture switch.
     fn page_sim_with(
         facet: Option<HbFacet>,
         wrapper: WrapperConfig,
         faults: FaultInjector,
-        robustness: RobustnessPolicy,
+        degraded_posture: bool,
     ) -> Simulation<PageWorld> {
         let mut router = Router::new();
         router.register("pub1.example", |r: &Request, _: &mut Rng| {
             ServerReply::instant(Response::text(r.id, "<html><head></head></html>"))
         });
-        router.register("cdn.example", |r: &Request, _: &mut Rng| {
+        router.register(CDN_HOST, |r: &Request, _: &mut Rng| {
             ServerReply::instant(Response::text(r.id, "// js"))
         });
         let mut fast = PartnerProfile::test_profile(1, "alpha");
@@ -880,7 +844,7 @@ mod tests {
 
         let mut latency = HostDirectory::new();
         latency.insert("pub1.example", LatencyModel::constant(30.0));
-        latency.insert("cdn.example", LatencyModel::constant(10.0));
+        latency.insert(CDN_HOST, LatencyModel::constant(10.0));
         latency.insert("alpha.adnet.example", LatencyModel::constant(100.0));
         latency.insert("beta.adnet.example", LatencyModel::constant(400.0));
         latency.insert("ads.pub1.example", LatencyModel::constant(50.0));
@@ -924,10 +888,8 @@ mod tests {
             account_id: "pub-1".into(),
             wrapper,
             waterfall_tiers: vec![],
-            cdn_host: "cdn.example".into(),
-            render_fail_rate: 0.0,
             net_quality: 1.0,
-            robustness,
+            degraded_posture,
         };
         let mut sim = Simulation::new(world);
         sim.scheduler()
@@ -1070,20 +1032,15 @@ mod tests {
     #[test]
     fn partner_deadline_and_retry_resolve_dead_partner() {
         // alpha is hard-down; without a deadline the no-timeout wrapper
-        // would wait the full 30 s browser network timeout. The policy
-        // resolves it after one retry and the auction proceeds on beta.
+        // would wait the full 30 s browser network timeout. The degraded
+        // posture resolves it after one retry and the auction proceeds on
+        // beta.
         let cfg = WrapperConfig {
             timeout: None,
             ..WrapperConfig::default()
         };
-        let policy = RobustnessPolicy {
-            partner_deadline: Some(SimDuration::from_millis(500)),
-            retry: true,
-            retry_backoff: SimDuration::from_millis(50),
-            ..RobustnessPolicy::off()
-        };
         let faults = FaultInjector::none().with_outage("alpha.adnet.example");
-        let mut sim = page_sim_with(Some(HbFacet::ClientSide), cfg, faults, policy);
+        let mut sim = page_sim_with(Some(HbFacet::ClientSide), cfg, faults, true);
         let counts = EventCounts::tap(&mut sim.world_mut().browser);
         sim.run_to_idle(60_000);
         let w = sim.world();
@@ -1093,10 +1050,13 @@ mod tests {
         assert_eq!(truth.retries, 1, "one retry against alpha");
         assert_eq!(truth.timed_out_partners, 1);
         assert_eq!(truth.bids_dropped, 2, "both alpha attempts dropped");
-        // The auction resolved on the deadline chain (~1.1 s), not the
-        // 30 s network timeout.
+        assert!(!truth.passback_served, "beta's bids fill the slots");
+        // The auction resolved on the deadline chain (deadline + backoff
+        // + deadline, ~5.1 s), not the 30 s network timeout.
+        let chain = PARTNER_DEADLINE + RETRY_BACKOFF + PARTNER_DEADLINE;
         let lat = truth.hb_latency().unwrap();
-        assert!(lat <= SimDuration::from_millis(2_000), "lat {lat}");
+        assert!(lat >= chain, "lat {lat}");
+        assert!(lat <= chain + SimDuration::from_millis(500), "lat {lat}");
         assert!(truth
             .winners
             .iter()
@@ -1110,14 +1070,6 @@ mod tests {
         // Partners AND the ad server are down. Without passback the page
         // gives up with zero winners; with it the slots render house ads
         // and the visit still completes.
-        let policy = RobustnessPolicy {
-            partner_deadline: Some(SimDuration::from_millis(500)),
-            retry: false,
-            retry_backoff: SimDuration::ZERO,
-            tier_deadline: None,
-            passback: true,
-            s2s_deadline: None,
-        };
         let faults = FaultInjector::none()
             .with_outage("alpha.adnet.example")
             .with_outage("beta.adnet.example")
@@ -1126,7 +1078,7 @@ mod tests {
             Some(HbFacet::ClientSide),
             WrapperConfig::default(),
             faults,
-            policy,
+            true,
         );
         let counts = EventCounts::tap(&mut sim.world_mut().browser);
         sim.run_to_idle(60_000);
@@ -1140,20 +1092,11 @@ mod tests {
             .iter()
             .all(|win| win.channel == FillChannel::Fallback && win.bidder == "house"));
         assert_eq!(truth.timed_out_partners, 2);
-        assert_eq!(truth.retries, 0);
-        // Two partner requests + the ad-server call never answered.
-        assert_eq!(truth.bids_dropped, 3);
+        assert_eq!(truth.retries, 2, "one retry per dead partner");
+        // Four partner requests + the ad-server call never answered.
+        assert_eq!(truth.bids_dropped, 5);
         assert_eq!(counts.get(events::PASSBACK), 1);
         assert_eq!(counts.get(events::SLOT_RENDER_ENDED), 2);
-    }
-
-    #[test]
-    fn robustness_policy_defaults_are_off() {
-        assert_eq!(RobustnessPolicy::off(), RobustnessPolicy::default());
-        assert_ne!(
-            RobustnessPolicy::degraded_defaults(),
-            RobustnessPolicy::default()
-        );
     }
 
     #[test]

@@ -190,6 +190,16 @@ struct Shared {
 }
 
 impl Shared {
+    /// Lock the state. The lock is poisoned only if a thread panicked
+    /// while holding it, and no peer can cause that: frames are decoded
+    /// before the lock is taken, and what runs under it (`admit`,
+    /// `grant`, `expire_lapsed`, `take_ready`, the counters) looks peer
+    /// keys up with `get` and never indexes or unwraps on peer input. A
+    /// poisoned lock therefore means a bug here, and the panic must
+    /// propagate: unlike the derivation memo, `State` is updated across
+    /// several fields under one lock (`complete` with `complete_count`,
+    /// `leases` with `leased_block`, `buffered` with `folded`), so a
+    /// recovered guard could serve a half-updated schedule.
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().expect("coordinator state")
     }
@@ -382,6 +392,7 @@ fn lease_or_wait(shared: &Shared, cfg: &CoordConfig) -> Msg {
         st = shared
             .changed
             .wait_timeout(st, wake.saturating_duration_since(now))
+            // Poisoned only by a bug, never by a peer (see `Shared::lock`).
             .expect("coordinator state")
             .0;
     }
@@ -698,6 +709,7 @@ impl Coordinator {
                     if st.done {
                         break;
                     }
+                    // Poisoned only by a bug (see `Shared::lock`).
                     st = shared.changed.wait(st).expect("coordinator state");
                 }
                 drop(st);
@@ -729,8 +741,12 @@ impl Coordinator {
             // normally hang up first); the writer returns once the last
             // of them drops its appender.
             drop(spool);
+            // The writer sends every I/O error back to the appender that
+            // asked, so it panics only on a bug, which must propagate.
             writer.map(|w| w.join().expect("spool writer"))
         });
+        // Every thread has been joined, and the scope re-raised any
+        // panic, so no thread can have poisoned the lock.
         let mut st = shared.state.into_inner().expect("coordinator state");
         if let Some(log) = log {
             st.stats.segments_written = log.files_created;

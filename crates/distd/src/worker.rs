@@ -10,7 +10,7 @@
 //! a worker can be SIGKILLed at any instant and the re-issued lease
 //! produces a byte-identical chunk on another worker.
 //!
-//! Failure posture mirrors the ad-stack's `RobustnessPolicy`: every
+//! Failure posture mirrors the ad path's degraded posture: every
 //! remote interaction has a deadline, heartbeat replies get a *tighter*
 //! deadline (`hb_deadline`) so a half-open connection is detected as a
 //! stall and the wedged lease abandoned mid-block instead of heartbeated

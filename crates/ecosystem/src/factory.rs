@@ -269,8 +269,7 @@ impl SiteGen {
         let wf_weights = publisher::wf_weight_template(&specs);
         let provider_weights = providers.iter().map(|(_, w)| *w).collect();
         let s2s_weights = s2s_pool.iter().map(|&i| specs[i].weight).collect();
-        let runtime_ctx =
-            RuntimeCtx::new(&specs).with_robustness(config.scenario.robustness.clone());
+        let runtime_ctx = RuntimeCtx::new(&specs, config.scenario.degraded_posture);
         let root = Rng::new(config.seed).derive_str("site-profiles");
         SiteGen {
             config,
@@ -330,9 +329,9 @@ impl SiteGen {
     }
 
     /// The site's ad-server account, through the shared memo. The
-    /// scenario's mediator robustness (s2s deadline + retry backoff) is
-    /// stamped on here, so every lazily resolved account carries the
-    /// campaign's policy.
+    /// scenario's degraded posture (the mediator's s2s deadline and retry)
+    /// is stamped on here, so every lazily resolved account carries the
+    /// campaign's posture.
     pub fn account_shared(&self, rank: u32) -> Arc<AdServerAccount> {
         self.with_entry(rank, |e| e.account.get().cloned(), |e| self.account_of(e))
     }
@@ -361,9 +360,7 @@ impl SiteGen {
     fn account_of(&self, entry: &MemoEntry) -> Arc<AdServerAccount> {
         get_or_derive(&entry.account, || {
             let mut account = world::account_for(&entry.site, &self.profiles_shared);
-            let policy = &self.config.scenario.robustness;
-            account.s2s_deadline = policy.s2s_deadline;
-            account.s2s_retry_backoff = policy.retry_backoff;
+            account.degraded_posture = self.config.scenario.degraded_posture;
             Arc::new(account)
         })
     }
@@ -628,6 +625,8 @@ impl SiteFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ScenarioConfig;
+    use hb_adtech::HbFacet;
 
     fn tiny_factory() -> SiteFactory {
         SiteFactory::new(EcosystemConfig::tiny_scale())
@@ -690,10 +689,49 @@ mod tests {
         let net = f.net();
         assert!(net.router.resolve("pub1.example").is_some());
         assert!(net.router.resolve("appnexus-adnet.example").is_some());
-        assert!(net.router.resolve(crate::world::CDN_HOST).is_some());
+        assert!(net.router.resolve(hb_adtech::CDN_HOST).is_some());
         let mut rng = Rng::new(3);
         let sample = net.latency.lookup("pub1.example").sample(&mut rng);
         assert!(sample.as_micros() > 0);
+    }
+
+    #[test]
+    fn scenario_posture_reaches_runtime_and_account() {
+        // The runtime gets the posture from `RuntimeCtx::new`, the account
+        // from `account_of`'s stamp: check both, cold and after a clear,
+        // for every facet that talks to an ad server.
+        let stressed = ScenarioConfig::healthy()
+            .with_outage("appnexus-adnet.example", 1, 2)
+            .with_degraded_posture();
+        for (scenario, on) in [(ScenarioConfig::healthy(), false), (stressed, true)] {
+            let f = SiteFactory::new(EcosystemConfig::tiny_scale().with_scenario(scenario));
+            let ranks: Vec<u32> = [HbFacet::ServerSide, HbFacet::Hybrid, HbFacet::ClientSide]
+                .into_iter()
+                .flat_map(|facet| {
+                    f.hb_sites()
+                        .filter(move |s| s.facet == Some(facet))
+                        .take(2)
+                        .map(|s| s.rank)
+                })
+                .collect();
+            assert_eq!(ranks.len(), 6, "two ranks per facet");
+            for pass in ["cold", "after clear_memos"] {
+                for &r in &ranks {
+                    let g = f.gen();
+                    assert_eq!(
+                        g.runtime_shared(r).degraded_posture,
+                        on,
+                        "{pass} runtime {r}"
+                    );
+                    assert_eq!(
+                        g.account_shared(r).degraded_posture,
+                        on,
+                        "{pass} account {r}"
+                    );
+                }
+                f.clear_memos();
+            }
+        }
     }
 
     /// A naive second-chance cache of one shard: hits found by a linear

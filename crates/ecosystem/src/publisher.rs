@@ -395,7 +395,6 @@ pub fn generate_site_with(
     let wrapper = WrapperConfig {
         timeout,
         send_immediately,
-        pb_granularity: 0.01,
     };
 
     SiteProfile {

@@ -9,9 +9,10 @@
 //!   partner *tier* gets a worse loss profile than the rest of the network;
 //! * **degraded links** — per-host latency-model overrides (a congested
 //!   route to one endpoint);
-//! * **robustness policy** — the ad path's posture under the faults
-//!   (deadlines, retry, passback), threaded into every
-//!   [`SiteRuntime`](hb_adtech::SiteRuntime) and ad-server account.
+//! * **degraded posture** — one switch for the ad path's answer to the
+//!   faults (partner, tier and s2s deadlines, one retry, passback; the
+//!   durations are fixed constants in `hb_adtech::wrapper`), stamped into
+//!   every [`SiteRuntime`](hb_adtech::SiteRuntime) and ad-server account.
 //!
 //! Everything is deterministic in `(seed, rank, day)`: outage activation is
 //! a pure day-range check and ambient decisions are drawn from the visit's
@@ -19,7 +20,7 @@
 //! chunk sizes. [`ScenarioConfig::healthy()`] (the default) adds nothing
 //! and keeps campaigns byte-identical to a build without scenarios.
 
-use hb_adtech::{rtb_edge_host, RobustnessPolicy};
+use hb_adtech::rtb_edge_host;
 use hb_simnet::{FaultInjector, HStr, HostFaultProfile, LatencyModel};
 
 /// A scheduled hard outage: `host` is down for sim-days
@@ -55,7 +56,7 @@ impl OutageWindow {
 
 /// Composable campaign fault axes. The default ([`ScenarioConfig::healthy`])
 /// is the no-op scenario: no outages, no profiles, no degraded links, the
-/// robustness policy off — a campaign built with it is byte-identical to
+/// degraded posture off — a campaign built with it is byte-identical to
 /// one built before scenarios existed.
 #[derive(Clone, Debug, Default)]
 pub struct ScenarioConfig {
@@ -65,8 +66,9 @@ pub struct ScenarioConfig {
     pub host_profiles: Vec<(HStr, HostFaultProfile)>,
     /// Per-host latency-model overrides (degraded links).
     pub degraded_links: Vec<(HStr, LatencyModel)>,
-    /// Robustness posture of the ad path under the faults.
-    pub robustness: RobustnessPolicy,
+    /// Run the ad path's degraded posture (deadlines, one retry,
+    /// passback) under the faults.
+    pub degraded_posture: bool,
 }
 
 impl ScenarioConfig {
@@ -131,9 +133,9 @@ impl ScenarioConfig {
         self
     }
 
-    /// Builder: set the ad path's robustness policy.
-    pub fn with_robustness(mut self, policy: RobustnessPolicy) -> ScenarioConfig {
-        self.robustness = policy;
+    /// Builder: turn the ad path's degraded posture on.
+    pub fn with_degraded_posture(mut self) -> ScenarioConfig {
+        self.degraded_posture = true;
         self
     }
 
@@ -174,7 +176,9 @@ mod tests {
         assert!(!ScenarioConfig::healthy().has_outages());
         let s = ScenarioConfig::healthy().with_outage("x.example", 0, 3);
         assert!(s.has_outages());
-        let s = ScenarioConfig::healthy().with_robustness(RobustnessPolicy::degraded_defaults());
+        assert!(!ScenarioConfig::healthy().degraded_posture);
+        let s = ScenarioConfig::healthy().with_degraded_posture();
+        assert!(s.degraded_posture);
         assert!(!s.has_outages());
     }
 

@@ -14,15 +14,12 @@ use crate::factory::SiteGen;
 use crate::publisher::{partner_refs, SiteProfile};
 use hb_adtech::{
     partner_endpoint, rtb_edge_host, waterfall_endpoint, AdServerAccount, AdServerEndpoint,
-    DirectOrder, HostDirectory, PartnerProfile, PartnerRef, RobustnessPolicy,
+    DirectOrder, HostDirectory, PartnerProfile, PartnerRef, CDN_HOST,
 };
 use hb_http::{Endpoint, HStr, Request, Response, Router, ServerReply};
-use hb_simnet::{LatencyModel, Rng, SimDuration};
+use hb_simnet::{LatencyModel, Rng};
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// The shared CDN host serving wrapper/ad-manager libraries.
-pub const CDN_HOST: &str = "cdn.hbrepro.example";
 
 /// Render a publisher page into `out` (cleared first), written straight
 /// into one buffer: no per-fragment `format!` temporaries, no builder
@@ -100,10 +97,9 @@ pub(crate) fn account_for(site: &SiteProfile, profiles: &[Arc<PartnerProfile>]) 
             .map(|&i| profiles[i].clone())
             .collect(),
         ad_units: site.ad_units.clone(),
-        // Robustness is a campaign-scenario axis; the factory layers the
-        // scenario's mediator deadline on top of this baseline account.
-        s2s_deadline: None,
-        s2s_retry_backoff: SimDuration::ZERO,
+        // The degraded posture is a campaign-scenario axis; the factory
+        // stamps the scenario's switch on top of this baseline account.
+        degraded_posture: false,
     }
 }
 
@@ -297,14 +293,14 @@ pub(crate) struct RuntimeCtx {
     refs: Vec<PartnerRef>,
     /// Provider ad-server hosts, `ads.{partner host}` (index = partner id).
     ads_hosts: Vec<HStr>,
-    /// Ad-path robustness policy stamped into every derived runtime
-    /// (scenario axis; [`RobustnessPolicy::off`] outside degraded runs).
-    robustness: RobustnessPolicy,
+    /// The scenario's degraded-posture switch, stamped into every derived
+    /// runtime.
+    degraded_posture: bool,
 }
 
 impl RuntimeCtx {
     /// Build the tables from the catalog (O(catalog), once per universe).
-    pub(crate) fn new(specs: &[PartnerSpec]) -> RuntimeCtx {
+    pub(crate) fn new(specs: &[PartnerSpec], degraded_posture: bool) -> RuntimeCtx {
         let ids: Vec<usize> = (0..specs.len()).collect();
         RuntimeCtx {
             refs: partner_refs(specs, &ids),
@@ -312,21 +308,10 @@ impl RuntimeCtx {
                 .iter()
                 .map(|s| HStr::from_display(format_args!("ads.{}", s.host())))
                 .collect(),
-            robustness: RobustnessPolicy::off(),
+            degraded_posture,
         }
     }
-
-    /// Builder: stamp a robustness policy into derived runtimes.
-    pub(crate) fn with_robustness(mut self, policy: RobustnessPolicy) -> RuntimeCtx {
-        self.robustness = policy;
-        self
-    }
 }
-
-/// Probability that a winning creative fails to render
-/// ([`SiteRuntime::render_fail_rate`](hb_adtech::SiteRuntime::render_fail_rate)),
-/// the same for every site.
-const RENDER_FAIL_RATE: f64 = 0.015;
 
 /// Build the per-visit [`SiteRuntime`](hb_adtech::SiteRuntime) from the
 /// precomputed tables: partner refs and hostnames are cheap handle
@@ -362,10 +347,8 @@ pub(crate) fn site_runtime_with(site: &SiteProfile, ctx: &RuntimeCtx) -> hb_adte
                 floor: hb_adtech::Cpm(site.floor),
             })
             .collect(),
-        cdn_host: hb_http::HStr::from_static(CDN_HOST),
-        render_fail_rate: RENDER_FAIL_RATE,
         net_quality: site.net_quality,
-        robustness: ctx.robustness.clone(),
+        degraded_posture: ctx.degraded_posture,
     }
 }
 
@@ -595,7 +578,6 @@ mod tests {
         assert_eq!(rt.ad_units.len(), site.ad_units.len());
         assert_eq!(rt.client_partners.len(), site.client_partner_ids.len());
         assert!(!rt.waterfall_tiers.is_empty());
-        assert_eq!(rt.cdn_host, CDN_HOST);
-        assert_eq!(rt.render_fail_rate, RENDER_FAIL_RATE);
+        assert!(!rt.degraded_posture);
     }
 }

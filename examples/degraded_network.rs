@@ -28,9 +28,10 @@ fn main() {
     let healthy = base.clone();
 
     // 2. Ambient: two partner tiers run lossy/slow (drops and 900 ms
-    //    stalls), a third sits behind a congested 1.2 s link, and the ad
-    //    path runs its degraded posture (per-partner deadlines, one retry
-    //    with backoff, passback when everyone fails).
+    //    stalls), a third sits behind a congested 1.2 s link, and the
+    //    scenario's one posture switch turns on the ad path's degraded
+    //    posture (partner, tier and s2s deadlines, one retry with
+    //    backoff, passback when everyone fails).
     let ambient = base.clone().with_scenario(
         ScenarioConfig::healthy()
             .with_host_profile(
@@ -50,12 +51,13 @@ fn main() {
                 },
             )
             .with_degraded_link(specs[2].host(), LatencyModel::constant(1_200.0))
-            .with_robustness(RobustnessPolicy::degraded_defaults()),
+            .with_degraded_posture(),
     );
 
     // 3. Outage: on top of the ambient faults, one partner goes hard
-    //    down for a window of crawl days — the Z2 timeline shows the
-    //    timeout/passback step on exactly those days.
+    //    down for a window of crawl days, under the same degraded
+    //    posture — the Z2 timeline shows the timeout/passback step on
+    //    exactly those days.
     let outage_days_to = base.crawl_days;
     let outage = base.clone().with_scenario(
         ScenarioConfig::healthy()
@@ -68,7 +70,7 @@ fn main() {
                 },
             )
             .with_outage(specs[1].host(), 1, outage_days_to)
-            .with_robustness(RobustnessPolicy::degraded_defaults()),
+            .with_degraded_posture(),
     );
 
     println!("crawling the same universe under three scenarios…\n");

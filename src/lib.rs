@@ -53,7 +53,7 @@ pub use hb_stats as stats;
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use hb_adtech::{AdSize, AdUnit, Cpm, HbFacet, RobustnessPolicy};
+    pub use hb_adtech::{AdSize, AdUnit, Cpm, HbFacet};
     pub use hb_analysis::{
         fault_reports, history_reports, index_campaign, indexed_reports, DatasetIndex,
         DatasetIndexBuilder, FaultSlice, FigureReport,

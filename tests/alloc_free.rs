@@ -15,7 +15,7 @@
 //! * an admitted serving auction on a warm shard stays under a fixed
 //!   per-auction budget.
 
-use hb_repro::adtech::{HbFacet, RobustnessPolicy};
+use hb_repro::adtech::HbFacet;
 use hb_repro::core::{classify_request, Interner, PartnerList, RequestKind, VisitColumns};
 use hb_repro::crawler::{crawl_site_into, SessionConfig, TruthRecord, VisitScratch};
 use hb_repro::ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory};
@@ -293,8 +293,8 @@ fn cold_visit_stays_within_allocation_budget() {
 }
 
 /// Steady-state budget for a columnar visit that actually exercises the
-/// fault path: ambient loss on every partner plus the degraded
-/// robustness posture (per-partner deadlines, one retry with backoff,
+/// fault path: ambient loss on every partner plus the scenario's degraded
+/// posture switch (per-partner deadlines, one retry with backoff,
 /// passback). The retry machinery reuses the visit's pooled messages, so
 /// the budget is the client-side columnar budget plus a small surcharge
 /// for the extra truth counters and retried-request bookkeeping
@@ -306,8 +306,7 @@ fn fault_path_columnar_visit_stays_within_allocation_budget() {
     // Lossy ambient profile on every partner: whichever site we land on,
     // its demand sources are degraded and the drop -> retry -> give-up
     // machinery runs inside the visit.
-    let mut scenario =
-        ScenarioConfig::healthy().with_robustness(RobustnessPolicy::degraded_defaults());
+    let mut scenario = ScenarioConfig::healthy().with_degraded_posture();
     for spec in hb_repro::ecosystem::catalog::catalog() {
         scenario = scenario.with_host_profile(
             spec.host(),

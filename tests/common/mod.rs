@@ -85,7 +85,7 @@ pub fn visit(net: Net, runtime: SiteRuntime, list: Arc<PartnerList>, rng: Rng, d
 
 /// A stressed scenario touching every axis: one partner tier with a lossy
 /// ambient profile, one partner hard-down from day 1, a congested link to
-/// a third, and the ad path running its degraded robustness posture.
+/// a third, and the ad path running its degraded posture.
 pub fn stressed_scenario(eco_cfg: &EcosystemConfig) -> ScenarioConfig {
     let specs = hb_repro::ecosystem::catalog::catalog();
     ScenarioConfig::healthy()
@@ -99,5 +99,5 @@ pub fn stressed_scenario(eco_cfg: &EcosystemConfig) -> ScenarioConfig {
         )
         .with_outage(specs[1].host(), 1, eco_cfg.crawl_days)
         .with_degraded_link(specs[2].host(), LatencyModel::constant(1_200.0))
-        .with_robustness(RobustnessPolicy::degraded_defaults())
+        .with_degraded_posture()
 }

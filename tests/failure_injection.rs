@@ -272,7 +272,7 @@ fn outage_window_confines_timeouts_to_scheduled_days() {
     let cfg = base.clone().with_scenario(
         ScenarioConfig::healthy()
             .with_outage(probe.specs()[popular].host(), 1, 1)
-            .with_robustness(RobustnessPolicy::degraded_defaults()),
+            .with_degraded_posture(),
     );
     let eco = SiteFactory::new(cfg);
     let ix = index_campaign(&eco, &CampaignConfig::default());
@@ -307,8 +307,7 @@ fn total_demand_outage_completes_via_passback() {
         .find(|s| s.facet == Some(HbFacet::ClientSide))
         .expect("client-side site");
 
-    let mut scenario =
-        ScenarioConfig::healthy().with_robustness(RobustnessPolicy::degraded_defaults());
+    let mut scenario = ScenarioConfig::healthy().with_degraded_posture();
     for &pid in site
         .client_partner_ids
         .iter()
