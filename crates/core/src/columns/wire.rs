@@ -60,16 +60,17 @@ pub const FRAME_HEADER: usize = 4 + 1 + 8;
 /// streaming reader with a garbage length; the checksum is still
 /// verified later by [`open_frame`] once the full frame is buffered.
 pub fn frame_payload_len(header: &[u8]) -> Result<usize, WireError> {
-    if header.len() < FRAME_HEADER {
+    let Some(([m0, m1, m2, m3, version, len @ ..], _)) = header.split_first_chunk::<FRAME_HEADER>()
+    else {
         return Err(WireError::Truncated);
-    }
-    if header[0..4] != WIRE_MAGIC {
+    };
+    if [*m0, *m1, *m2, *m3] != WIRE_MAGIC {
         return Err(WireError::BadMagic);
     }
-    if header[4] != WIRE_VERSION {
-        return Err(WireError::BadVersion(header[4]));
+    if *version != WIRE_VERSION {
+        return Err(WireError::BadVersion(*version));
     }
-    Ok(u64::from_le_bytes(header[5..13].try_into().expect("8 bytes")) as usize)
+    Ok(u64::from_le_bytes(*len) as usize)
 }
 
 /// Decode failure. Every variant is a *rejection* — the decoder never
@@ -128,16 +129,6 @@ fn xxh_merge_round(acc: u64, val: u64) -> u64 {
         .wrapping_add(PRIME64_4)
 }
 
-#[inline]
-fn read_u64_le(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
-}
-
-#[inline]
-fn read_u32_le(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b[..4].try_into().expect("4 bytes"))
-}
-
 /// One-shot XXH64 with seed 0 — the frame integrity checksum. A 64-bit
 /// avalanche hash: any single-bit corruption of the payload flips the
 /// digest with overwhelming probability (verified exhaustively for every
@@ -151,12 +142,13 @@ pub fn xxh64(data: &[u8]) -> u64 {
         let mut v2 = PRIME64_2;
         let mut v3 = 0u64;
         let mut v4 = 0u64.wrapping_sub(PRIME64_1);
-        while rest.len() >= 32 {
-            v1 = xxh_round(v1, read_u64_le(&rest[0..]));
-            v2 = xxh_round(v2, read_u64_le(&rest[8..]));
-            v3 = xxh_round(v3, read_u64_le(&rest[16..]));
-            v4 = xxh_round(v4, read_u64_le(&rest[24..]));
-            rest = &rest[32..];
+        while let Some((stripe, tail)) = rest.split_first_chunk::<32>() {
+            let lanes = stripe.as_chunks::<8>().0;
+            v1 = xxh_round(v1, u64::from_le_bytes(lanes[0]));
+            v2 = xxh_round(v2, u64::from_le_bytes(lanes[1]));
+            v3 = xxh_round(v3, u64::from_le_bytes(lanes[2]));
+            v4 = xxh_round(v4, u64::from_le_bytes(lanes[3]));
+            rest = tail;
         }
         h = v1
             .rotate_left(1)
@@ -171,19 +163,19 @@ pub fn xxh64(data: &[u8]) -> u64 {
         h = PRIME64_5;
     }
     h = h.wrapping_add(len);
-    while rest.len() >= 8 {
-        h = (h ^ xxh_round(0, read_u64_le(rest)))
+    while let Some((word, tail)) = rest.split_first_chunk::<8>() {
+        h = (h ^ xxh_round(0, u64::from_le_bytes(*word)))
             .rotate_left(27)
             .wrapping_mul(PRIME64_1)
             .wrapping_add(PRIME64_4);
-        rest = &rest[8..];
+        rest = tail;
     }
-    if rest.len() >= 4 {
-        h = (h ^ u64::from(read_u32_le(rest)).wrapping_mul(PRIME64_1))
+    if let Some((word, tail)) = rest.split_first_chunk::<4>() {
+        h = (h ^ u64::from(u32::from_le_bytes(*word)).wrapping_mul(PRIME64_1))
             .rotate_left(23)
             .wrapping_mul(PRIME64_2)
             .wrapping_add(PRIME64_3);
-        rest = &rest[4..];
+        rest = tail;
     }
     for &b in rest {
         h = (h ^ u64::from(b).wrapping_mul(PRIME64_5))
@@ -224,20 +216,14 @@ pub fn open_frame(frame: &[u8]) -> Result<&[u8], WireError> {
     if frame.len() < FRAME_OVERHEAD {
         return Err(WireError::Truncated);
     }
-    if frame[0..4] != WIRE_MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if frame[4] != WIRE_VERSION {
-        return Err(WireError::BadVersion(frame[4]));
-    }
-    let declared = read_u64_le(&frame[5..13]);
-    let actual = (frame.len() - FRAME_OVERHEAD) as u64;
-    if declared != actual {
+    let declared = frame_payload_len(frame)?;
+    let (payload, sealed) = frame[FRAME_HEADER..]
+        .split_last_chunk::<8>()
+        .ok_or(WireError::Truncated)?;
+    if declared != payload.len() {
         return Err(WireError::LengthMismatch);
     }
-    let payload = &frame[13..frame.len() - 8];
-    let sealed = read_u64_le(&frame[frame.len() - 8..]);
-    if xxh64(payload) != sealed {
+    if xxh64(payload) != u64::from_le_bytes(*sealed) {
         return Err(WireError::ChecksumMismatch);
     }
     Ok(payload)
@@ -344,6 +330,14 @@ impl<'a> WireReader<'a> {
         }
     }
 
+    fn take_array<const N: usize>(&mut self) -> Result<&'a [u8; N], WireError> {
+        let a = self.buf[self.pos..]
+            .first_chunk::<N>()
+            .ok_or(WireError::Truncated)?;
+        self.pos += N;
+        Ok(a)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
@@ -369,12 +363,12 @@ impl<'a> WireReader<'a> {
 
     /// Read a `u32`, little-endian.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(read_u32_le(self.take(4)?))
+        Ok(u32::from_le_bytes(*self.take_array()?))
     }
 
     /// Read a `u64`, little-endian.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(read_u64_le(self.take(8)?))
+        Ok(u64::from_le_bytes(*self.take_array()?))
     }
 
     /// Read an `f64` bit pattern.

@@ -44,7 +44,6 @@
 //! shard partition is fixed by config — worker threads only decide
 //! *who* runs a shard, never *what* it computes.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -54,7 +53,9 @@ use hb_adtech::{
 };
 use hb_ecosystem::SiteGen;
 use hb_http::{QueryParams, Request, RequestId, Response};
-use hb_simnet::{EventId, HStr, Rng, Scheduler, SimDuration, SimTime, Simulation, StopReason};
+use hb_simnet::{
+    EventId, FxHashMap, HStr, Rng, Scheduler, SimDuration, SimTime, Simulation, StopReason,
+};
 use hb_stats::LogHistogram;
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -343,7 +344,7 @@ pub struct ServeWorld {
     auctions: Vec<Slot>,
     free: Vec<usize>,
     in_flight: u32,
-    health: HashMap<HStr, ProviderHealth>,
+    health: FxHashMap<HStr, ProviderHealth>,
     hist: LogHistogram,
     stats: ServeStats,
     digest: u64,
@@ -369,7 +370,7 @@ impl ServeWorld {
             auctions: Vec::new(),
             free: Vec::new(),
             in_flight: 0,
-            health: HashMap::new(),
+            health: FxHashMap::default(),
             hist: LogHistogram::new(),
             stats: ServeStats::default(),
             digest: 0,
@@ -944,6 +945,7 @@ fn run_shard(
     debug_assert!(matches!(stop, StopReason::Idle));
     let end = sim.now();
     let mut world = sim.into_world();
+    // The one walk of the Fx-hashed health map: a sum, so its order is moot.
     let trips: u64 = world.health.values().map(|h| h.breaker.trips()).sum();
     world.stats.breaker_trips = trips;
     ShardReport {

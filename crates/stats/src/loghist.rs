@@ -6,17 +6,22 @@
 //! and needs p50/p99/p999 without keeping any of them. [`LogHistogram`]
 //! buckets `u64` values (the serving plane uses microseconds) into
 //! logarithmic buckets with [`SUB_BUCKETS`] linear sub-buckets per
-//! octave, bounding relative quantile error to `1/SUB_BUCKETS` while the
-//! whole histogram stays a fixed flat array:
+//! octave, bounding relative quantile error to `1/SUB_BUCKETS`. The
+//! bucket array grows on demand, a whole octave at a time, up to the
+//! octave of the largest recorded value: an empty histogram allocates
+//! nothing, and a history bounded by 300,000 µs holds 480 buckets of
+//! the 1,920 that cover all of `u64`:
 //!
-//! * **allocation-free record path** — [`LogHistogram::record`] is pure
-//!   integer arithmetic on a preallocated array (the only allocation is
-//!   the array itself, at construction);
-//! * **deterministic merge** — [`LogHistogram::merge`] adds counts
-//!   element-wise, so `merge(a, b)` and `merge(b, a)` are byte-identical
-//!   no matter how many workers' histograms fold in or in what order
-//!   (pinned by tests); quantiles read from the merged histogram are
-//!   therefore byte-stable across worker counts;
+//! * **cheap record path** — [`LogHistogram::record`] is pure integer
+//!   arithmetic; it allocates only when a value lands above every octave
+//!   covered so far (at most once per octave over the histogram's life);
+//! * **deterministic merge** — [`LogHistogram::merge`] extends to the
+//!   longer operand and adds counts element-wise. The array's length is
+//!   a function of the recorded maximum, so `merge(a, b)` and
+//!   `merge(b, a)` are byte-identical no matter how many workers'
+//!   histograms fold in or in what order (pinned by tests); quantiles
+//!   read from the merged histogram are therefore byte-stable across
+//!   worker counts;
 //! * **deterministic quantiles** — [`LogHistogram::value_at_quantile`]
 //!   returns the upper bound of the bucket holding the target rank
 //!   (capped at the true maximum), a pure function of the counts.
@@ -28,19 +33,16 @@ const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
 /// `64 - SUB_BITS` octaves of `SUB_BUCKETS` sub-buckets each.
 const N_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUB_BUCKETS as usize;
 
-/// A fixed-size log-bucketed histogram over `u64` values.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A log-bucketed histogram over `u64` values.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LogHistogram {
-    counts: Box<[u64]>,
+    /// Counts of buckets `0..counts.len()`; every bucket above is empty.
+    /// Empty when nothing is recorded, else whole octaves through the
+    /// octave of `bucket_of(max)`, so equal counts mean equal lengths.
+    counts: Vec<u64>,
     count: u64,
     max: u64,
     sum: u128,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram::new()
-    }
 }
 
 /// Bucket index of `v`: values below [`SUB_BUCKETS`] map 1:1; above, the
@@ -74,25 +76,41 @@ fn bucket_upper(i: usize) -> u64 {
 }
 
 impl LogHistogram {
-    /// Empty histogram (allocates the bucket array once).
+    /// Empty histogram. Allocates nothing; buckets arrive with the
+    /// first value recorded or merged in.
     pub fn new() -> LogHistogram {
         LogHistogram {
-            counts: vec![0u64; N_BUCKETS].into_boxed_slice(),
+            counts: Vec::new(),
             count: 0,
             max: 0,
             sum: 0,
         }
     }
 
-    /// Record one value. No allocation; O(1).
+    /// Record one value. O(1); allocates only when `v` lands above every
+    /// octave recorded so far.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.counts[bucket_of(v)] += 1;
+        let i = bucket_of(v);
+        if i >= self.counts.len() {
+            self.grow_through(i);
+        }
+        self.counts[i] += 1;
         self.count += 1;
         self.sum += v as u128;
         if v > self.max {
             self.max = v;
         }
+    }
+
+    /// Extend the array with empty buckets through the end of bucket
+    /// `i`'s octave.
+    #[cold]
+    fn grow_through(&mut self, i: usize) {
+        let len = (i / SUB_BUCKETS as usize + 1) * SUB_BUCKETS as usize;
+        debug_assert!(len <= N_BUCKETS);
+        self.counts.reserve_exact(len - self.counts.len());
+        self.counts.resize(len, 0);
     }
 
     /// Total recorded values.
@@ -114,10 +132,14 @@ impl LogHistogram {
         }
     }
 
-    /// Fold `other` into `self`. Element-wise count addition: merging is
-    /// commutative and associative, so any fold order over any worker
-    /// partition yields byte-identical state.
+    /// Fold `other` into `self`. Extends to the longer array, then adds
+    /// counts element-wise: merging is commutative and associative, so
+    /// any fold order over any worker partition yields byte-identical
+    /// state.
     pub fn merge(&mut self, other: &LogHistogram) {
+        if other.counts.len() > self.counts.len() {
+            self.grow_through(other.counts.len() - 1);
+        }
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += *b;
         }
@@ -260,5 +282,38 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.value_at_quantile(0.5), 0);
         assert_eq!(h.mean(), 0.0);
+    }
+
+    #[test]
+    fn empty_histogram_and_its_clone_hold_no_allocation() {
+        let h = LogHistogram::new();
+        assert_eq!(h.counts.capacity(), 0);
+        assert_eq!(h.clone().counts.capacity(), 0);
+        assert_eq!(LogHistogram::default().counts.capacity(), 0);
+        let mut m = LogHistogram::new();
+        m.merge(&h);
+        assert_eq!(
+            m.counts.capacity(),
+            0,
+            "merging an empty histogram allocates nothing"
+        );
+    }
+
+    #[test]
+    fn buckets_grow_by_whole_octaves_up_to_the_largest_value() {
+        let mut h = LogHistogram::new();
+        h.record(0);
+        assert_eq!(h.counts.len(), SUB_BUCKETS as usize);
+        // An HB leg's history is bounded by its 300 ms timeout in µs, an
+        // auction's by the 1 s budget.
+        h.record(300_000);
+        assert_eq!(h.counts.len(), 480);
+        assert_eq!(h.counts.capacity(), 480);
+        h.record(1_000_000);
+        assert_eq!(h.counts.len(), 512);
+        h.record(7);
+        assert_eq!(h.counts.len(), 512, "a smaller value never grows the array");
+        h.record(u64::MAX);
+        assert_eq!(h.counts.len(), N_BUCKETS);
     }
 }

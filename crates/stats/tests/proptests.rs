@@ -1,6 +1,6 @@
 //! Property tests for statistics invariants.
 
-use hb_stats::{GroupedSamples, Samples, SortedGroups, Whisker};
+use hb_stats::{GroupedSamples, LogHistogram, Samples, SortedGroups, Whisker};
 use proptest::prelude::*;
 
 /// Values that stress sorting: non-finite values the samples must drop,
@@ -122,5 +122,151 @@ proptest! {
         let rows = hb_stats::parse_csv(&line);
         prop_assert_eq!(rows.len(), 1);
         prop_assert_eq!(&rows[0], &strings);
+    }
+}
+
+/// A naive `LogHistogram`: all 1,920 buckets (32 exact values, then 60
+/// octaves of 32 equal-width sub-buckets) in a fixed array, each bucket
+/// found by searching a table of lower bounds.
+struct FixedHistogram {
+    lower: Vec<u64>,
+    counts: Vec<u64>,
+    count: u64,
+    max: u64,
+    sum: u128,
+}
+
+impl FixedHistogram {
+    fn new() -> FixedHistogram {
+        let lower: Vec<u64> = (0..1_920u64)
+            .map(|i| {
+                if i < 32 {
+                    i
+                } else {
+                    (32 + i % 32) << (i / 32 - 1)
+                }
+            })
+            .collect();
+        FixedHistogram {
+            counts: vec![0; lower.len()],
+            lower,
+            count: 0,
+            max: 0,
+            sum: 0,
+        }
+    }
+
+    fn record(&mut self, v: u64) {
+        let i = self.lower.partition_point(|&lo| lo <= v) - 1;
+        self.counts[i] += 1;
+        self.count += 1;
+        self.max = self.max.max(v);
+        self.sum += u128::from(v);
+    }
+
+    fn upper(&self, i: usize) -> u64 {
+        self.lower.get(i + 1).map_or(u64::MAX, |next| next - 1)
+    }
+
+    fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    fn value_at_quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0;
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                return self.upper(i).min(self.max);
+            }
+        }
+        unreachable!("the counts sum to count")
+    }
+}
+
+/// Values that stress the bucket layout: 0, `u64::MAX`, every value
+/// within 1 of an octave edge, and values across the whole domain.
+fn edgy_u64() -> BoxedStrategy<u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(u64::MAX),
+        (0u32..64, 0u64..3).prop_map(|(k, d)| (1u64 << k).wrapping_add(d).wrapping_sub(1)),
+        0u64..1_000_000,
+        any::<u64>(),
+    ]
+    .boxed()
+}
+
+/// Split `values` across `parts` histograms (value `i` goes to part
+/// `tags[i] % parts`), merge them forward and backward, and hold both
+/// merges to each other, to one histogram of the whole stream and to the
+/// naive fixed-array reference.
+fn check_against_fixed_array(values: &[u64], tags: &[usize], parts: usize) -> TestCaseResult {
+    let mut shards = vec![LogHistogram::new(); parts];
+    let mut whole = LogHistogram::new();
+    let mut naive = FixedHistogram::new();
+    for (i, &v) in values.iter().enumerate() {
+        shards[tags.get(i).copied().unwrap_or(i) % parts].record(v);
+        whole.record(v);
+        naive.record(v);
+    }
+    let mut forward = LogHistogram::new();
+    for sh in &shards {
+        forward.merge(sh);
+    }
+    let mut backward = LogHistogram::new();
+    for sh in shards.iter().rev() {
+        backward.merge(sh);
+    }
+    prop_assert_eq!(&forward, &backward);
+    prop_assert_eq!(&forward, &whole);
+    prop_assert_eq!(forward.count(), naive.count);
+    prop_assert_eq!(forward.max(), naive.max);
+    prop_assert_eq!(forward.mean().to_bits(), naive.mean().to_bits());
+    for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+        prop_assert_eq!(
+            forward.value_at_quantile(q),
+            naive.value_at_quantile(q),
+            "quantile {} of {:?}",
+            q,
+            values
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    /// A `LogHistogram` that grows its buckets on demand answers exactly
+    /// like a fixed 1,920-bucket array, however its stream is split
+    /// across workers and in whichever order the parts merge.
+    #[test]
+    fn log_histogram_matches_a_fixed_array(
+        values in proptest::collection::vec(edgy_u64(), 0..200),
+        tags in proptest::collection::vec(0usize..4, 0..200),
+        parts in 1usize..5,
+    ) {
+        check_against_fixed_array(&values, &tags, parts)?;
+    }
+}
+
+#[test]
+fn log_histogram_matches_a_fixed_array_on_every_octave_edge() {
+    let mut values = vec![0, u64::MAX];
+    for k in 0..64 {
+        let edge = 1u64 << k;
+        values.extend([edge - 1, edge, edge.saturating_add(1)]);
+    }
+    for parts in 1..=4 {
+        check_against_fixed_array(&values, &[], parts).unwrap();
+        let reversed: Vec<u64> = values.iter().rev().copied().collect();
+        check_against_fixed_array(&reversed, &[], parts).unwrap();
     }
 }

@@ -25,6 +25,8 @@ use hb_repro::simnet::{Dist, HostFaultProfile, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+mod common;
+
 /// System allocator wrapper counting this thread's allocations.
 struct CountingAlloc;
 
@@ -402,22 +404,7 @@ const SERVE_AUCTION_BUDGET: u64 = 20;
 #[test]
 fn serving_auction_stays_within_allocation_budget() {
     let eco = SiteFactory::new(EcosystemConfig::tiny_scale());
-    let slice: Vec<String> = eco
-        .specs()
-        .iter()
-        .filter(|s| !s.is_ad_server)
-        .take(4)
-        .map(|s| s.host())
-        .collect();
-    let lossy = HostFaultProfile {
-        drop_chance: 0.45,
-        slow_chance: 0.35,
-        slow_penalty_ms: Dist::Const(220.0),
-    };
-    let injector = ScenarioConfig::healthy()
-        .with_provider_slice(slice, lossy)
-        .injector_for_day(&eco.faults(), 0);
-    let net = hb_repro::adtech::Net::new(eco.router(), eco.latency(), injector.into());
+    let net = common::degraded_serving_net(&eco);
     let load = LoadGenConfig {
         n_requests: 2_000,
         n_sites: u64::from(eco.config().n_sites),

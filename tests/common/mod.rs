@@ -101,3 +101,26 @@ pub fn stressed_scenario(eco_cfg: &EcosystemConfig) -> ScenarioConfig {
         .with_degraded_link(specs[2].host(), LatencyModel::constant(1_200.0))
         .with_degraded_posture()
 }
+
+/// The `serve_zipf` benchmark's degraded serving network over `eco`: the
+/// first four providers that are not ad servers drop 45% of exchanges and
+/// slow 35% by 220 ms, so hedges, breaker skips and waterfall descents
+/// all run.
+pub fn degraded_serving_net(eco: &SiteFactory) -> Net {
+    let slice: Vec<String> = eco
+        .specs()
+        .iter()
+        .filter(|s| !s.is_ad_server)
+        .take(4)
+        .map(|s| s.host())
+        .collect();
+    let lossy = HostFaultProfile {
+        drop_chance: 0.45,
+        slow_chance: 0.35,
+        slow_penalty_ms: Dist::Const(220.0),
+    };
+    let injector = ScenarioConfig::healthy()
+        .with_provider_slice(slice, lossy)
+        .injector_for_day(&eco.faults(), 0);
+    Net::new(eco.router(), eco.latency(), injector.into())
+}
