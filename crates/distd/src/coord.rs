@@ -25,10 +25,15 @@
 //! * **Ack implies durable.** With a spool configured, the sealed frame
 //!   is appended to the spool log and synced *before* the worker is
 //!   acked; a coordinator restarted on the same spool replays every acked
-//!   chunk and re-leases only the unfinished blocks. A handler waits for
-//!   the log's one writer *outside* the state lock, and the writer syncs
-//!   every frame queued meanwhile at once (group commit) — disk latency
-//!   never blocks the fabric.
+//!   chunk and re-leases only the unfinished blocks. A handler appends
+//!   *outside* the state lock: the first handler to find no sync running
+//!   writes and syncs every frame queued meanwhile at once, and the rest
+//!   wait for the sync that covers theirs (leader/follower group commit)
+//!   — disk latency never blocks the fabric.
+//! * **Rows match the lease.** A chunk is admitted only if its key names
+//!   a scheduled block and its rows are exactly that block's visits (the
+//!   block's day, its ranks in order). Anything else is refused and
+//!   counted in `frames_rejected`; the block stays leasable.
 //! * **Nothing on the wire is trusted.** Frames (worker submissions and
 //!   spool log frames alike) are checksum-verified before parsing and
 //!   structurally validated during it; failures are counted in
@@ -42,10 +47,13 @@
 //! change: admission and fold progress signal it. The fold thread sleeps
 //! on it until a chunk is admitted; a lease request that finds nothing
 //! leasable long-polls on it, waking early only when the earliest lease
-//! deadline falls due, and answers `Wait` only at its hold cap. The fold thread runs the sink with the state lock released, so it
-//! never stalls admission or leasing. Campaign completion wakes the
-//! accept loop with a self-connection so the listener can close without
-//! being polled.
+//! deadline falls due, and answers `Wait` only at its hold cap. The one
+//! exception is a request from a connection that still holds an
+//! unfinished lease: its worker is prefetching with its last block
+//! unsent, so it is answered at once. The fold thread runs the sink with
+//! the state lock released, so it never stalls admission or leasing.
+//! Campaign completion wakes the accept loop with a self-connection so
+//! the listener can close without being polled.
 //!
 //! ## Schedule construction
 //!
@@ -58,7 +66,7 @@
 //! in-process campaign's rank lists exactly.
 
 use crate::proto::{recv_msg, send_msg, DistdError, Msg};
-use crate::spool::{spool_load, LogAppender, SpoolLog};
+use crate::spool::{spool_load, SpoolLog};
 use crate::transport::{is_timeout, TcpTransport, Transport};
 use hb_crawler::{CampaignPlan, PlanBlock, SessionConfig, VisitChunk};
 use hb_ecosystem::EcosystemConfig;
@@ -143,6 +151,9 @@ struct Lease {
     /// retires it from the lease.
     blocks: Vec<usize>,
     deadline: Instant,
+    /// The worker id the requesting connection got at `Hello` (`None`
+    /// for a connection that never shook hands).
+    owner: Option<u32>,
 }
 
 struct State {
@@ -321,7 +332,7 @@ fn all_complete(st: &State) -> bool {
 /// 4-block lease can't hand one worker half the schedule while its
 /// peers idle on `Wait` (a measured regression: 8 blocks, 3 workers,
 /// 4-block grants left two workers starved).
-fn grant(st: &mut State, cfg: &CoordConfig) -> Msg {
+fn grant(st: &mut State, cfg: &CoordConfig, owner: Option<u32>) -> Msg {
     expire_lapsed(st, Instant::now());
     if st.done || all_complete(st) {
         return Msg::Done;
@@ -357,6 +368,7 @@ fn grant(st: &mut State, cfg: &CoordConfig) -> Msg {
         Lease {
             blocks: picked,
             deadline: Instant::now() + cfg.lease_timeout,
+            owner,
         },
     );
     st.stats.leases_issued += 1;
@@ -369,18 +381,28 @@ fn idle_backstop(cfg: &CoordConfig) -> Duration {
     cfg.lease_timeout.max(Duration::from_millis(250))
 }
 
-/// Answer a lease request, long-polling: while nothing is leasable the
-/// handler sleeps on `changed`, waking at the earliest lease deadline so
-/// a lapsed lease is re-issued promptly. Past half the idle backstop
-/// (below a worker's `io_timeout` at the defaults) it gives up with
-/// `Wait` and the worker asks again at once.
-fn lease_or_wait(shared: &Shared, cfg: &CoordConfig) -> Msg {
+/// Does `worker` still hold a lease with an unfinished block? (A lease
+/// leaves the table once its last block is admitted or it lapses.)
+fn holds_lease(st: &State, worker: Option<u32>) -> bool {
+    worker.is_some() && st.leases.values().any(|l| l.owner == worker)
+}
+
+/// Answer `worker`'s lease request, long-polling: while nothing is
+/// leasable the handler sleeps on `changed`, waking at the earliest lease
+/// deadline so a lapsed lease is re-issued promptly. Past half the idle
+/// backstop (below a worker's `io_timeout` at the defaults) it gives up
+/// with `Wait` and the worker asks again at once.
+///
+/// A worker that still holds an unfinished lease is prefetching its next
+/// one with its last block unsent, and the fold may be waiting on exactly
+/// that block; its request is answered at once, `Wait` included.
+fn lease_or_wait(shared: &Shared, cfg: &CoordConfig, worker: Option<u32>) -> Msg {
     let hold_until = Instant::now() + idle_backstop(cfg) / 2;
     let mut st = shared.lock();
     loop {
-        let reply = grant(&mut st, cfg);
+        let reply = grant(&mut st, cfg, worker);
         let now = Instant::now();
-        if reply != Msg::Wait || now >= hold_until {
+        if reply != Msg::Wait || now >= hold_until || holds_lease(&st, worker) {
             return reply;
         }
         let wake = st
@@ -398,29 +420,66 @@ fn lease_or_wait(shared: &Shared, cfg: &CoordConfig) -> Msg {
     }
 }
 
+/// What the schedule makes of a decoded chunk.
+enum Verdict {
+    /// No block of this schedule, or rows that are not its block's.
+    Refused,
+    /// Its block is already complete.
+    Duplicate,
+    /// The first chunk for block `idx`.
+    Fresh(usize),
+}
+
+/// Judge `chunk` against the schedule without booking anything. Its key
+/// must name a block, and its rows must be exactly that block's visits:
+/// the block's day on every row and the block's ranks, in order.
+fn judge(st: &State, chunk: &VisitChunk) -> Verdict {
+    let Some(&idx) = st.key_index.get(&chunk.key()) else {
+        // A block this schedule never issued: a stale worker from some
+        // other campaign.
+        return Verdict::Refused;
+    };
+    let block = &st.schedule[idx];
+    let rows_match = chunk.len() == block.ranks.len()
+        && chunk
+            .visits
+            .iter()
+            .zip(&block.ranks)
+            .all(|(v, &rank)| v.day == block.day && v.rank == rank);
+    if !rows_match {
+        // The right key over the wrong visits would fold into the
+        // figures as if it were the block.
+        Verdict::Refused
+    } else if st.complete[idx] {
+        Verdict::Duplicate
+    } else {
+        Verdict::Fresh(idx)
+    }
+}
+
 /// Admit one decoded chunk (already durable if a spool is configured —
 /// the caller appends it to the spool *before* taking the state lock).
 /// Returns the ack to send.
 fn admit(st: &mut State, chunk: VisitChunk) -> Msg {
-    let key = chunk.key();
-    let Some(&idx) = st.key_index.get(&key) else {
-        // A chunk for a block this schedule never issued: a stale worker
-        // from some other campaign. Refuse it.
-        st.stats.frames_rejected += 1;
-        return Msg::SubmitAck {
-            accepted: false,
-            duplicate: false,
-            done: all_complete(st),
-        };
+    let idx = match judge(st, &chunk) {
+        Verdict::Refused => {
+            st.stats.frames_rejected += 1;
+            return Msg::SubmitAck {
+                accepted: false,
+                duplicate: false,
+                done: all_complete(st),
+            };
+        }
+        Verdict::Duplicate => {
+            st.stats.chunks_duplicate_dropped += 1;
+            return Msg::SubmitAck {
+                accepted: true,
+                duplicate: true,
+                done: all_complete(st),
+            };
+        }
+        Verdict::Fresh(idx) => idx,
     };
-    if st.complete[idx] {
-        st.stats.chunks_duplicate_dropped += 1;
-        return Msg::SubmitAck {
-            accepted: true,
-            duplicate: true,
-            done: all_complete(st),
-        };
-    }
     st.complete[idx] = true;
     st.complete_count += 1;
     st.buffered.insert(idx, chunk);
@@ -441,8 +500,9 @@ fn admit(st: &mut State, chunk: VisitChunk) -> Msg {
 }
 
 /// One submission, end to end: decode and pre-check, spool *outside* the
-/// lock, admit, wake the fold thread.
-fn handle_submit(frame: Vec<u8>, shared: &Shared, spool: Option<&LogAppender>) -> Msg {
+/// state lock (this handler syncs the log itself or waits for the sync
+/// that covers its frame), admit, wake the fold thread.
+fn handle_submit(frame: Vec<u8>, shared: &Shared, spool: Option<&SpoolLog>) -> Msg {
     let chunk = match VisitChunk::decode(&frame) {
         Ok(c) => c,
         Err(_) => {
@@ -455,13 +515,11 @@ fn handle_submit(frame: Vec<u8>, shared: &Shared, spool: Option<&LogAppender>) -
             };
         }
     };
-    let key = chunk.key();
     {
-        // Unknown and duplicate keys are answered without touching disk;
-        // `admit` books the right counter for both.
+        // Refused and duplicate chunks are answered without touching
+        // disk; `admit` books the right counter for both.
         let mut st = shared.lock();
-        let fresh = st.key_index.get(&key).is_some_and(|&i| !st.complete[i]);
-        if !fresh {
+        if !matches!(judge(&st, &chunk), Verdict::Fresh(_)) {
             return admit(&mut st, chunk);
         }
     }
@@ -520,7 +578,7 @@ fn serve_conn(
     shared: &Shared,
     cfg: &CoordConfig,
     fingerprint: u64,
-    spool: Option<&LogAppender>,
+    spool: Option<&SpoolLog>,
 ) {
     if t.set_recv_deadline(Some(idle_backstop(cfg))).is_err() {
         return;
@@ -529,6 +587,9 @@ fn serve_conn(
         shared,
         armed: false,
     };
+    // The id this connection got at `Hello`: lease ownership follows the
+    // connection, not the id a frame claims.
+    let mut worker = None;
     let mut idle_strikes = 0u32;
     loop {
         let msg = match recv_msg(t) {
@@ -568,6 +629,7 @@ fn serve_conn(
                     st.next_worker_id += 1;
                     st.stats.workers_seen += 1;
                     live.arm(&mut st);
+                    worker = Some(id);
                     Msg::Welcome { worker_id: id }
                 } else {
                     Msg::Reject {
@@ -575,7 +637,7 @@ fn serve_conn(
                     }
                 }
             }
-            Msg::RequestLease { .. } => lease_or_wait(shared, cfg),
+            Msg::RequestLease { .. } => lease_or_wait(shared, cfg, worker),
             Msg::Heartbeat { lease_id, .. } => {
                 let mut st = shared.lock();
                 expire_lapsed(&mut st, Instant::now());
@@ -683,11 +745,8 @@ impl Coordinator {
             changed: Condvar::new(),
             done: AtomicBool::new(false),
         };
-        let log = std::thread::scope(|scope| {
-            let shared = &shared;
-            // The log's one writer: handlers hand it frames and wait for
-            // the sync of the batch that holds theirs.
-            let (spool, writer) = log.map(|log| log.spawn(scope)).unzip();
+        std::thread::scope(|scope| {
+            let (shared, spool) = (&shared, log.as_ref());
             // The fold thread owns the sink: it sleeps on `changed` until
             // a chunk is admitted, takes the ready run under the lock and
             // folds it with the lock released.
@@ -724,10 +783,8 @@ impl Coordinator {
                             break;
                         }
                         if let Ok(mut t) = TcpTransport::new(stream) {
-                            let spool = spool.clone();
-                            scope.spawn(move || {
-                                serve_conn(&mut t, shared, cfg, fingerprint, spool.as_ref())
-                            });
+                            scope
+                                .spawn(move || serve_conn(&mut t, shared, cfg, fingerprint, spool));
                         }
                     }
                     Err(_) => {
@@ -738,19 +795,16 @@ impl Coordinator {
                 }
             }
             // The handlers see `done` on their next idle timeout (workers
-            // normally hang up first); the writer returns once the last
-            // of them drops its appender.
-            drop(spool);
-            // The writer sends every I/O error back to the appender that
-            // asked, so it panics only on a bug, which must propagate.
-            writer.map(|w| w.join().expect("spool writer"))
+            // normally hang up first); the scope joins them all.
         });
         // Every thread has been joined, and the scope re-raised any
-        // panic, so no thread can have poisoned the lock.
+        // panic, so no thread can have poisoned the lock, and no handler
+        // is still appending to the log.
         let mut st = shared.state.into_inner().expect("coordinator state");
         if let Some(log) = log {
-            st.stats.segments_written = log.files_created;
-            st.stats.chunks_compacted = log.frames_appended;
+            let counts = log.finish();
+            st.stats.segments_written = counts.files_created;
+            st.stats.chunks_compacted = counts.frames_appended;
         }
         Ok(st.stats)
     }
@@ -896,14 +950,14 @@ mod tests {
         };
         let mut st = initial_state(&cfg);
         // Window of 2, one block per lease: exactly two grants, then Wait.
-        let a = grant(&mut st, &cfg);
-        let b = grant(&mut st, &cfg);
+        let a = grant(&mut st, &cfg, None);
+        let b = grant(&mut st, &cfg, None);
         assert!(matches!(a, Msg::Lease { .. }));
         assert!(matches!(b, Msg::Lease { .. }));
-        assert_eq!(grant(&mut st, &cfg), Msg::Wait);
+        assert_eq!(grant(&mut st, &cfg, None), Msg::Wait);
         // Let both lapse; the same two blocks are granted again.
         std::thread::sleep(Duration::from_millis(5));
-        let c = grant(&mut st, &cfg);
+        let c = grant(&mut st, &cfg, None);
         assert!(matches!(c, Msg::Lease { .. }));
         assert_eq!(st.stats.leases_reissued, 2);
         assert_eq!(st.stats.leases_issued, 3);
@@ -936,15 +990,18 @@ mod tests {
         let chunks = campaign_chunks(&cfg);
         assert!(chunks.len() >= 3, "need a third day-0 block");
         let shared = shared_over(&cfg);
-        for _ in 0..2 {
-            assert!(matches!(lease_or_wait(&shared, &cfg), Msg::Lease { .. }));
+        for w in 1..=2 {
+            assert!(matches!(
+                lease_or_wait(&shared, &cfg, Some(w)),
+                Msg::Lease { .. }
+            ));
         }
-        assert_eq!(grant(&mut shared.lock(), &cfg), Msg::Wait);
+        assert_eq!(grant(&mut shared.lock(), &cfg, None), Msg::Wait);
         let started = AtomicBool::new(false);
         let (reply, held_for) = std::thread::scope(|s| {
             let waiter = s.spawn(|| {
                 started.store(true, Ordering::Release);
-                lease_or_wait(&shared, &cfg)
+                lease_or_wait(&shared, &cfg, Some(3))
             });
             while !started.load(Ordering::Acquire) {
                 std::thread::yield_now();
@@ -984,19 +1041,81 @@ mod tests {
         let cap = idle_backstop(&cfg) / 2;
         assert_eq!(cap, Duration::from_millis(500));
         let shared = shared_over(&cfg);
-        for _ in 0..2 {
-            assert!(matches!(lease_or_wait(&shared, &cfg), Msg::Lease { .. }));
+        for w in 1..=2 {
+            assert!(matches!(
+                lease_or_wait(&shared, &cfg, Some(w)),
+                Msg::Lease { .. }
+            ));
         }
         let t = Instant::now();
-        assert_eq!(lease_or_wait(&shared, &cfg), Msg::Wait);
+        assert_eq!(lease_or_wait(&shared, &cfg, Some(3)), Msg::Wait);
         assert!(t.elapsed() >= cap, "Wait came after {:?}", t.elapsed());
         // Both leases lapse ~300 ms into the next hold: the request is
         // answered by the re-issue, before its own cap.
         std::thread::sleep(Duration::from_millis(200));
         let t = Instant::now();
-        assert!(matches!(lease_or_wait(&shared, &cfg), Msg::Lease { .. }));
+        assert!(matches!(
+            lease_or_wait(&shared, &cfg, Some(3)),
+            Msg::Lease { .. }
+        ));
         assert!(t.elapsed() < cap, "re-issue came after {:?}", t.elapsed());
         assert_eq!(shared.lock().stats.leases_reissued, 2);
+    }
+
+    /// A request from a connection that still holds an unfinished lease
+    /// is a prefetch: with nothing leasable it is answered at once, since
+    /// the fold may be waiting on that lease's own unsent block.
+    #[test]
+    fn nothing_leasable_answers_a_lease_holder_at_once() {
+        let cfg = CoordConfig {
+            reorder_window: 2,
+            lease_blocks: 1,
+            ..tiny_cfg()
+        };
+        let cap = idle_backstop(&cfg) / 2;
+        let shared = shared_over(&cfg);
+        for w in 1..=2 {
+            assert!(matches!(
+                lease_or_wait(&shared, &cfg, Some(w)),
+                Msg::Lease { .. }
+            ));
+        }
+        let t = Instant::now();
+        assert_eq!(lease_or_wait(&shared, &cfg, Some(1)), Msg::Wait);
+        assert!(
+            t.elapsed() < cap / 10,
+            "the holder waited {:?} against a {cap:?} cap",
+            t.elapsed()
+        );
+    }
+
+    /// The right key over the wrong visits is refused and counted, and
+    /// its block stays leasable; the honest chunk is then admitted.
+    #[test]
+    fn rows_that_are_not_their_blocks_are_refused() {
+        let cfg = tiny_cfg();
+        let chunks = campaign_chunks(&cfg);
+        let mut liar = chunks[1].clone();
+        (liar.day, liar.seq) = (chunks[0].day, chunks[0].seq);
+        let mut st = initial_state(&cfg);
+        assert!(matches!(
+            admit(&mut st, liar),
+            Msg::SubmitAck {
+                accepted: false,
+                duplicate: false,
+                ..
+            }
+        ));
+        assert_eq!(st.stats.frames_rejected, 1);
+        assert!(!st.complete[0], "the block stays leasable");
+        assert!(matches!(
+            admit(&mut st, chunks[0].clone()),
+            Msg::SubmitAck {
+                accepted: true,
+                duplicate: false,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -1010,7 +1129,7 @@ mod tests {
         let chunks = campaign_chunks(&cfg);
         assert!(chunks.len() >= 3, "need ≥ 3 day-0 blocks for a batch");
         let mut st = initial_state(&cfg);
-        let Msg::Lease { lease_id, blocks } = grant(&mut st, &cfg) else {
+        let Msg::Lease { lease_id, blocks } = grant(&mut st, &cfg, None) else {
             panic!("first grant must lease");
         };
         assert_eq!(blocks.len(), 3, "the lease batches up to lease_blocks");
@@ -1031,7 +1150,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         expire_lapsed(&mut st, Instant::now());
         assert_eq!(st.stats.leases_reissued, 1, "a lapsed batch counts once");
-        let Msg::Lease { blocks: again, .. } = grant(&mut st, &cfg) else {
+        let Msg::Lease { blocks: again, .. } = grant(&mut st, &cfg, None) else {
             panic!("re-grant must lease");
         };
         assert!(
@@ -1056,7 +1175,7 @@ mod tests {
         st.live_workers = 3;
         let mut granted = Vec::new();
         for _ in 0..3 {
-            match grant(&mut st, &cfg) {
+            match grant(&mut st, &cfg, None) {
                 Msg::Lease { blocks, .. } => granted.push(blocks.len()),
                 other => panic!("every live worker gets a lease, got {other:?}"),
             }
@@ -1066,7 +1185,7 @@ mod tests {
         // when peers are attached.
         let mut solo = initial_state(&cfg);
         solo.live_workers = 1;
-        let Msg::Lease { blocks, .. } = grant(&mut solo, &cfg) else {
+        let Msg::Lease { blocks, .. } = grant(&mut solo, &cfg, None) else {
             panic!("solo grant must lease");
         };
         assert_eq!(blocks.len(), 4, "solo worker keeps full batching");

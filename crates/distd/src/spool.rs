@@ -7,17 +7,22 @@
 //!
 //! ## Group commit
 //!
-//! One writer thread owns the open file. A connection handler sends its
-//! frame with a reply channel and waits. The writer blocks for one
-//! request, drains every other queued one, writes them all, calls
-//! `sync_data` once and answers each; whatever queued during that sync
-//! is the next batch. A write or sync error fails the whole batch (no
-//! ack, the blocks stay leasable) and closes the file, so the next batch
-//! starts a new one and a torn or unsynced tail can only ever be the end
-//! of its own file.
+//! Leader/follower, on the submitting handlers' own threads: there is no
+//! writer thread. A connection handler queues its frame under the log's
+//! one mutex and takes the batch number as its ticket. If no sync is
+//! running, it leads: it takes every queued frame, writes them all and
+//! calls `sync_data` once with the mutex released, then settles the batch
+//! and wakes the rest. Otherwise it waits on a condvar for the sync that
+//! covers its ticket; whatever queued during a sync is the next batch,
+//! led by the first of its appenders to wake. A write or sync error fails
+//! the whole batch (no ack, the blocks stay leasable) and closes the file,
+//! so the next batch starts a new one and a torn or unsynced tail can only
+//! ever be the end of its own file. A leader that unwinds fails its batch
+//! too and hands the log back, so no follower waits forever; an unwind
+//! inside the write closes the file like an error.
 //!
 //! A file holds at most the roll size's worth of frames (0: no limit).
-//! A restarted writer never appends to an old file: it starts a new one
+//! A restarted log never appends to an old file: it starts a new one
 //! numbered after the highest in the directory. After creating a file it
 //! fsyncs the directory, so the new name survives an OS crash as well as
 //! a killed process.
@@ -36,8 +41,7 @@ use hb_crawler::VisitChunk;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{self, Sender, SyncSender};
-use std::thread::{Scope, ScopedJoinHandle};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// File name of log file `n`.
 fn log_file_name(n: u64) -> String {
@@ -69,27 +73,10 @@ fn log_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(files)
 }
 
-/// One append request: a sealed frame and where to answer once the batch
-/// holding it is synced (or failed).
-type Append = (Vec<u8>, SyncSender<Result<(), io::ErrorKind>>);
-
-/// A connection handler's handle on the log writer.
-#[derive(Clone)]
-pub(crate) struct LogAppender(Sender<Append>);
-
-impl LogAppender {
-    /// Append one sealed frame; returns once the batch holding it is
-    /// durable.
-    pub(crate) fn append(&self, frame: Vec<u8>) -> io::Result<()> {
-        let gone = || io::Error::other("spool writer gone");
-        let (done, outcome) = mpsc::sync_channel(1);
-        self.0.send((frame, done)).map_err(|_| gone())?;
-        outcome.recv().map_err(|_| gone())?.map_err(io::Error::from)
-    }
-}
-
-/// The log's one writer: owns the open file.
-pub(crate) struct SpoolLog {
+/// The log file and its counters. Between batches it is parked in
+/// [`SpoolLog`]; while a batch is written and synced it belongs to the
+/// appender leading that batch.
+struct LogFile {
     dir: PathBuf,
     /// Frames per file before rolling to the next (0: never roll).
     roll_every: usize,
@@ -97,31 +84,14 @@ pub(crate) struct SpoolLog {
     next: u64,
     /// The open file and how many frames it holds; `None` after a failed
     /// batch, so the next batch starts a new file.
-    file: Option<(File, usize)>,
+    open: Option<(File, usize)>,
     /// Log files created.
-    pub(crate) files_created: u64,
+    files_created: u64,
     /// Frames appended and synced.
-    pub(crate) frames_appended: u64,
+    frames_appended: u64,
 }
 
-impl SpoolLog {
-    /// Open the log on `dir`: create its first file, numbered after the
-    /// highest one already there.
-    pub(crate) fn create(dir: &Path, roll_every: usize) -> io::Result<SpoolLog> {
-        fs::create_dir_all(dir)?;
-        let next = log_files(dir)?.last().map_or(0, |&(n, _)| n + 1);
-        let mut log = SpoolLog {
-            dir: dir.to_path_buf(),
-            roll_every,
-            next,
-            file: None,
-            files_created: 0,
-            frames_appended: 0,
-        };
-        log.file = Some((log.start_file()?, 0));
-        Ok(log)
-    }
-
+impl LogFile {
     /// Create the next file, then fsync the directory so its name is as
     /// durable as the frames about to be synced into it.
     fn start_file(&mut self) -> io::Result<File> {
@@ -137,10 +107,10 @@ impl SpoolLog {
     }
 
     /// Write a batch and sync it: once per file it touched.
-    fn write_batch(&mut self, batch: &[Append]) -> io::Result<()> {
-        // Taken for the batch: an error leaves no file open.
-        let mut open = self.file.take();
-        for (frame, _) in batch {
+    fn write_batch(&mut self, batch: &[Vec<u8>]) -> io::Result<()> {
+        // Taken for the batch: an error, or an unwind, leaves no file open.
+        let mut open = self.open.take();
+        for frame in batch {
             let full = open
                 .as_ref()
                 .is_none_or(|&(_, n)| self.roll_every > 0 && n >= self.roll_every);
@@ -157,31 +127,175 @@ impl SpoolLog {
         if let Some((file, _)) = &open {
             file.sync_data()?;
         }
-        self.file = open;
+        self.open = open;
         self.frames_appended += batch.len() as u64;
         Ok(())
     }
+}
 
-    /// Run the writer on its own thread in `scope` until every appender
-    /// is dropped; the thread hands the log back for its counters.
-    pub(crate) fn spawn<'scope>(
-        mut self,
-        scope: &'scope Scope<'scope, '_>,
-    ) -> (LogAppender, ScopedJoinHandle<'scope, SpoolLog>) {
-        let (tx, rx) = mpsc::channel::<Append>();
-        let writer = scope.spawn(move || {
-            let mut batch = Vec::new();
-            while let Ok(first) = rx.recv() {
-                batch.push(first);
-                batch.extend(rx.try_iter());
-                let outcome = self.write_batch(&batch).map_err(|e| e.kind());
-                for (_, done) in batch.drain(..) {
-                    let _ = done.send(outcome);
-                }
+/// What the appenders share under the log's one mutex.
+struct Queue {
+    /// Frames waiting for the next batch.
+    frames: Vec<Vec<u8>>,
+    /// Number of the batch `frames` will become: the ticket of every
+    /// appender queued now.
+    batch: u64,
+    /// Every batch numbered below this has been synced or has failed.
+    settled: u64,
+    /// The log file; `None` while a leader writes and syncs a batch.
+    file: Option<LogFile>,
+    /// Failed batches whose followers have not all been told: the
+    /// batch, its error, and how many followers are still to read it.
+    failed: Vec<(u64, io::ErrorKind, usize)>,
+}
+
+impl Queue {
+    /// The outcome of settled batch `ticket` for one of its followers.
+    fn outcome(&mut self, ticket: u64) -> io::Result<()> {
+        let Some(i) = self.failed.iter().position(|f| f.0 == ticket) else {
+            return Ok(());
+        };
+        let (_, kind, left) = &mut self.failed[i];
+        let kind = *kind;
+        *left -= 1;
+        if *left == 0 {
+            self.failed.swap_remove(i);
+        }
+        Err(kind.into())
+    }
+}
+
+/// The spool log, appended to by every connection handler.
+pub(crate) struct SpoolLog {
+    queue: Mutex<Queue>,
+    /// Signaled whenever a batch settles.
+    synced: Condvar,
+}
+
+/// A closed log's counters.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct LogCounts {
+    /// Log files created.
+    pub(crate) files_created: u64,
+    /// Frames appended and synced.
+    pub(crate) frames_appended: u64,
+}
+
+impl SpoolLog {
+    /// Open the log on `dir`: create its first file, numbered after the
+    /// highest one already there.
+    pub(crate) fn create(dir: &Path, roll_every: usize) -> io::Result<SpoolLog> {
+        fs::create_dir_all(dir)?;
+        let next = log_files(dir)?.last().map_or(0, |&(n, _)| n + 1);
+        let mut file = LogFile {
+            dir: dir.to_path_buf(),
+            roll_every,
+            next,
+            open: None,
+            files_created: 0,
+            frames_appended: 0,
+        };
+        file.open = Some((file.start_file()?, 0));
+        Ok(SpoolLog {
+            queue: Mutex::new(Queue {
+                frames: Vec::new(),
+                batch: 0,
+                settled: 0,
+                file: Some(file),
+                failed: Vec::new(),
+            }),
+            synced: Condvar::new(),
+        })
+    }
+
+    /// Lock the queue. Nothing panics while holding it (the write and
+    /// sync run unlocked, under [`Lead`]), so a poisoned lock still
+    /// guards a consistent queue.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append one sealed frame; returns once the batch holding it is
+    /// durable. The first appender to find no sync running leads: it
+    /// writes and syncs every queued frame on its own thread. The others
+    /// wait for the sync that covers their ticket.
+    pub(crate) fn append(&self, frame: Vec<u8>) -> io::Result<()> {
+        let mut q = self.lock();
+        let ticket = q.batch;
+        q.frames.push(frame);
+        loop {
+            if q.settled > ticket {
+                return q.outcome(ticket);
             }
-            self
-        });
-        (LogAppender(tx), writer)
+            if let Some(file) = q.file.take() {
+                // Batches settle in order and the file is parked only
+                // between them, so the queued batch is this ticket's.
+                debug_assert_eq!(q.settled, ticket);
+                let frames = std::mem::take(&mut q.frames);
+                q.batch += 1;
+                drop(q);
+                let mut lead = Lead {
+                    log: self,
+                    file: None,
+                    ticket,
+                    followers: frames.len() - 1,
+                    outcome: None,
+                };
+                let outcome = lead
+                    .file
+                    .insert(file)
+                    .write_batch(&frames)
+                    .map_err(|e| e.kind());
+                lead.outcome = Some(outcome);
+                drop(lead);
+                return outcome.map_err(io::Error::from);
+            }
+            q = self.synced.wait(q).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Close the log and return its counters. Call once every appender
+    /// has returned.
+    pub(crate) fn finish(self) -> LogCounts {
+        let q = self
+            .queue
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        q.file.map_or(LogCounts::default(), |f| LogCounts {
+            files_created: f.files_created,
+            frames_appended: f.frames_appended,
+        })
+    }
+}
+
+/// A leader's hold on the log file while it writes and syncs one batch
+/// unlocked. Dropping it parks the file, settles the batch and wakes the
+/// followers. A leader that unwinds before recording an outcome fails its
+/// batch, so no follower waits forever; if it unwound inside
+/// `write_batch`, that closed the file, so the next batch starts a new
+/// one.
+struct Lead<'a> {
+    log: &'a SpoolLog,
+    file: Option<LogFile>,
+    ticket: u64,
+    /// Appenders waiting on this batch besides the leader.
+    followers: usize,
+    outcome: Option<Result<(), io::ErrorKind>>,
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        let outcome = self.outcome.unwrap_or(Err(io::ErrorKind::Other));
+        let mut q = self.log.lock();
+        q.file = self.file.take();
+        q.settled = self.ticket + 1;
+        if let Err(kind) = outcome {
+            if self.followers > 0 {
+                q.failed.push((self.ticket, kind, self.followers));
+            }
+        }
+        drop(q);
+        self.log.synced.notify_all();
     }
 }
 
@@ -277,19 +391,14 @@ mod tests {
         chunks
     }
 
-    /// Append `chunks` through a writer on `dir`, one at a time; returns
-    /// the writer's log for its counters.
-    fn write_log(dir: &Path, roll_every: usize, chunks: &[VisitChunk]) -> SpoolLog {
-        std::thread::scope(|s| {
-            let (appender, writer) = SpoolLog::create(dir, roll_every)
-                .expect("create log")
-                .spawn(s);
-            for c in chunks {
-                appender.append(c.encode()).expect("append");
-            }
-            drop(appender);
-            writer.join().expect("writer")
-        })
+    /// Append `chunks` to a log on `dir`, one at a time; returns the
+    /// log's counters.
+    fn write_log(dir: &Path, roll_every: usize, chunks: &[VisitChunk]) -> LogCounts {
+        let log = SpoolLog::create(dir, roll_every).expect("create log");
+        for c in chunks {
+            log.append(c.encode()).expect("append");
+        }
+        log.finish()
     }
 
     fn keys(chunks: &[VisitChunk]) -> Vec<(u32, u32)> {
@@ -417,33 +526,31 @@ mod tests {
         assert!(chunks.len() >= 100, "got {} chunks", chunks.len());
         let (first, second) = chunks.split_at(chunks.len() / 2);
 
-        // Four threads append concurrently through one writer; every
-        // append that returned Ok replays exactly once.
+        // Four threads append concurrently to one log; every append that
+        // returned Ok replays exactly once.
+        let log = SpoolLog::create(&dir, 0).expect("create log");
         let acked: Vec<VisitChunk> = std::thread::scope(|s| {
-            let (appender, writer) = SpoolLog::create(&dir, 0).expect("create log").spawn(s);
             let threads: Vec<_> = first
                 .chunks(first.len().div_ceil(4))
                 .map(|share| {
-                    let appender = appender.clone();
+                    let log = &log;
                     s.spawn(move || {
                         share
                             .iter()
-                            .filter(|c| appender.append(c.encode()).is_ok())
+                            .filter(|c| log.append(c.encode()).is_ok())
                             .cloned()
                             .collect::<Vec<_>>()
                     })
                 })
                 .collect();
-            drop(appender);
-            let acked = threads
+            threads
                 .into_iter()
                 .flat_map(|t| t.join().expect("appender thread"))
-                .collect();
-            let log = writer.join().expect("writer");
-            assert_eq!(log.files_created, 1);
-            assert_eq!(log.frames_appended as usize, first.len());
-            acked
+                .collect()
         });
+        let log = log.finish();
+        assert_eq!(log.files_created, 1);
+        assert_eq!(log.frames_appended as usize, first.len());
         assert_eq!(acked.len(), first.len(), "every append was acked");
         let replay = spool_load(&dir).expect("replay");
         assert_eq!(keys(&replay.chunks), keys(&acked), "each acked frame once");
@@ -464,6 +571,116 @@ mod tests {
         for (a, b) in replay.chunks.iter().zip(&chunks) {
             assert_eq!(a.encode(), b.encode(), "byte-identical after restart");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Four concurrent appenders: whatever `append` returned `Ok` for is
+    /// already in the log when it returns, whoever led its batch.
+    #[test]
+    fn log_append_returns_only_once_its_frame_is_in_the_log() {
+        let dir = tmp_dir("ticket");
+        let chunks = tiny_campaign(2);
+        let chunks = &chunks[..40];
+        let log = SpoolLog::create(&dir, 0).expect("create log");
+        std::thread::scope(|s| {
+            for share in chunks.chunks(chunks.len() / 4) {
+                let (log, dir) = (&log, &dir);
+                s.spawn(move || {
+                    for c in share {
+                        log.append(c.encode()).expect("append");
+                        let replay = spool_load(dir).expect("replay");
+                        assert!(
+                            replay.chunks.iter().any(|r| r.key() == c.key()),
+                            "{:?} acked before it was in the log",
+                            c.key()
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(log.finish().frames_appended as usize, chunks.len());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A failed batch fails every appender in it and closes the file; once
+    /// the disk is back, the next batch starts a new file.
+    #[test]
+    fn log_failed_batch_fails_its_appenders_and_starts_a_new_file() {
+        let dir = tmp_dir("fail");
+        let chunks = tiny_campaign(2);
+        // Roll size 1: every frame needs a new file, which fails while
+        // the directory is gone.
+        let log = SpoolLog::create(&dir, 1).expect("create log");
+        log.append(chunks[0].encode()).expect("first append");
+        fs::remove_dir_all(&dir).expect("remove the spool");
+        let failed = std::thread::scope(|s| {
+            let threads: Vec<_> = chunks[1..9]
+                .chunks(2)
+                .map(|share| {
+                    let log = &log;
+                    s.spawn(move || {
+                        share
+                            .iter()
+                            .filter(|c| log.append(c.encode()).is_err())
+                            .count()
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("appender thread"))
+                .sum::<usize>()
+        });
+        assert_eq!(failed, 8, "no append into a missing directory is acked");
+        fs::create_dir_all(&dir).expect("restore the spool");
+        log.append(chunks[9].encode())
+            .expect("append after restore");
+        let counts = log.finish();
+        assert_eq!(counts.frames_appended, 2);
+        let replay = spool_load(&dir).expect("replay");
+        assert_eq!(keys(&replay.chunks), keys(&chunks[9..10]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A leader that unwinds mid-batch fails the batch for its followers
+    /// and leaves the log to the next appender.
+    #[test]
+    fn log_survives_a_leader_that_unwinds() {
+        let dir = tmp_dir("unwind");
+        let chunks = tiny_campaign(2);
+        let log = SpoolLog::create(&dir, 0).expect("create log");
+        // Take the lead on batch 0 by hand, as `append` does, and count
+        // one follower in it.
+        let file = {
+            let mut q = log.lock();
+            q.batch += 1;
+            q.file.take().expect("no sync running")
+        };
+        std::thread::scope(|s| {
+            // Queued behind the sync: it must wait for batch 0, then lead
+            // batch 1.
+            let next = s.spawn(|| log.append(chunks[1].encode()));
+            while log.lock().frames.is_empty() {
+                std::thread::yield_now();
+            }
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _lead = Lead {
+                    log: &log,
+                    file: Some(file),
+                    ticket: 0,
+                    followers: 1,
+                    outcome: None,
+                };
+                panic!("leader unwinds mid-batch");
+            }));
+            assert!(unwound.is_err());
+            next.join().expect("next appender").expect("batch 1 synced");
+        });
+        assert!(log.lock().outcome(0).is_err(), "batch 0's follower fails");
+        assert!(log.lock().failed.is_empty(), "told once, then forgotten");
+        assert_eq!(log.finish().frames_appended, 1, "batch 1 was synced");
+        let replay = spool_load(&dir).expect("replay");
+        assert_eq!(keys(&replay.chunks), keys(&chunks[1..2]));
         let _ = fs::remove_dir_all(&dir);
     }
 

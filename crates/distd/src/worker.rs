@@ -21,7 +21,7 @@
 
 use crate::proto::{config_fingerprint, recv_msg, send_msg, DistdError, Msg};
 use crate::transport::{Connector, TcpConnector, Transport};
-use hb_crawler::{crawl_block_until, SessionConfig, VisitScratch};
+use hb_crawler::{crawl_block_until, PlanBlock, SessionConfig, VisitScratch};
 use hb_ecosystem::{EcosystemConfig, SiteFactory};
 use std::time::{Duration, Instant};
 
@@ -321,9 +321,15 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerStats, DistdError> {
 ///
 /// Submits are pipelined: block N's `SubmitChunk` goes out, block N+1 is
 /// crawled while the coordinator spools N, and N's ack is read before
-/// N+1 is sent. A pending ack is also read before any heartbeat and at
-/// the end of every lease, so a connection never carries more than one
-/// unanswered frame.
+/// N+1 is sent. The pipeline runs across lease boundaries too: with the
+/// ack before a lease's last block read, the idle connection carries a
+/// `RequestLease` (answered at once, since this worker holds a lease),
+/// and only then the last block's submit, whose ack is read after the
+/// next lease's first block is crawled. A `Wait` reply, or a connection
+/// that is not the one the lease was granted on, ends the lease with a
+/// drain: submit, read the ack, then a long-polled request. A pending ack
+/// is also read before any heartbeat, so a connection never carries more
+/// than one unanswered frame.
 pub fn run_worker_session(
     cfg: &WorkerConfig,
     connector: &dyn Connector,
@@ -346,29 +352,32 @@ pub fn run_worker_session(
         worker_id,
     };
 
+    // The last submit of a lease stays in flight into the next one.
+    let mut in_flight: Option<InFlight> = None;
+    // A lease granted while the previous one's last block was in hand.
+    let mut prefetched: Option<(u64, Vec<PlanBlock>)> = None;
     loop {
-        let reply = send_msg(
-            &mut *link.t,
-            &Msg::RequestLease {
-                worker_id: link.worker_id,
+        let (lease_id, blocks) = match prefetched.take() {
+            Some(lease) => lease,
+            None => match request_lease(&mut link) {
+                Ok(Msg::Lease { lease_id, blocks }) => (lease_id, blocks),
+                Ok(Msg::Done) => return Ok(()),
+                Ok(Msg::Wait) => continue,
+                Ok(_) => return Err(DistdError::Protocol("unexpected lease reply")),
+                Err(e) => {
+                    link.reconnect(&e, stats)?;
+                    continue;
+                }
             },
-        )
-        .and_then(|()| recv_msg(&mut *link.t));
-        let (lease_id, blocks) = match reply {
-            Ok(Msg::Lease { lease_id, blocks }) => (lease_id, blocks),
-            Ok(Msg::Done) => return Ok(()),
-            Ok(Msg::Wait) => continue,
-            Ok(_) => return Err(DistdError::Protocol("unexpected lease reply")),
-            Err(e) => {
-                link.reconnect(&e, stats)?;
-                continue;
-            }
         };
+        // The coordinator knows a lease's owner by the connection it was
+        // granted on; after a reconnect the next request long-polls.
+        let granted_to = link.worker_id;
+        let last = blocks.len().saturating_sub(1);
         // The whole batch rides one lease: a heartbeat renews every
         // remaining block, each submit retires one, and expiry/wedging
         // abandons whatever is left.
-        let mut in_flight: Option<InFlight> = None;
-        for block in blocks {
+        for (i, block) in blocks.into_iter().enumerate() {
             let net = factory.net_for_day(block.day);
             let mut expired = false;
             let mut wedged = None;
@@ -447,17 +456,47 @@ pub fn run_worker_session(
                     Settled::Abandon => break,
                 }
             }
+            if i == last && link.worker_id == granted_to {
+                // The connection is idle and the lease's last block is in
+                // hand: ask for the next lease before submitting it, so
+                // its ack is read after the next lease's first crawl
+                // rather than drained here. The coordinator answers a
+                // lease holder at once; on `Wait` this lease ends with a
+                // drain (submit, read the ack, long-polled request).
+                match request_lease(&mut link) {
+                    Ok(Msg::Lease { lease_id, blocks }) => prefetched = Some((lease_id, blocks)),
+                    // Every block is complete, this one included.
+                    Ok(Msg::Done) => return Ok(()),
+                    Ok(Msg::Wait) => {}
+                    Ok(_) => return Err(DistdError::Protocol("unexpected lease reply")),
+                    // The submit goes out on the new connection.
+                    Err(e) => link.reconnect(&e, stats)?,
+                }
+            }
             let sent = link.t.send_frame(&msg);
             in_flight = Some(InFlight { msg, sent });
         }
-        // Nothing stays unanswered past the lease: the next frame on this
-        // connection is a `RequestLease`.
-        if let Some(sub) = in_flight.take() {
-            if let Settled::Done = settle(&mut link, stats, sub)? {
-                return Ok(());
+        if prefetched.is_none() {
+            // Nothing stays unanswered past the lease: the next frame on
+            // this connection is a long-polled `RequestLease`.
+            if let Some(sub) = in_flight.take() {
+                if let Settled::Done = settle(&mut link, stats, sub)? {
+                    return Ok(());
+                }
             }
         }
     }
+}
+
+/// Ask for a lease and read the reply.
+fn request_lease(link: &mut Link) -> Result<Msg, DistdError> {
+    send_msg(
+        &mut *link.t,
+        &Msg::RequestLease {
+            worker_id: link.worker_id,
+        },
+    )?;
+    recv_msg(&mut *link.t)
 }
 
 #[cfg(test)]

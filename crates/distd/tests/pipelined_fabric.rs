@@ -1,8 +1,11 @@
 //! The pipelined worker on a loopback fabric. Each worker sends block N's
-//! chunk, crawls block N+1, and only then reads N's ack; the wire contract
-//! is unchanged, so every connection must still carry at most one
-//! unanswered frame at every send. A frame-counting `Transport` wrapper
-//! checks that on every connection of a spooled campaign whose log rolls,
+//! chunk, crawls block N+1, and only then reads N's ack, across lease
+//! boundaries too: before a lease's last submit it prefetches the next
+//! lease on the idle connection. The wire contract is unchanged, so every
+//! connection must still carry at most one unanswered frame at every
+//! send, and a long-polled request (one sent with no leased block left to
+//! submit) is never answered `Wait`. A frame-counting `Transport` wrapper
+//! checks both on every connection of a spooled campaign whose log rolls,
 //! and the folded chunk stream must be byte-identical to
 //! `run_campaign_streamed`'s, figures included.
 
@@ -27,7 +30,10 @@ struct Tally {
     peak_unanswered: AtomicU64,
     submits: AtomicU64,
     heartbeats: AtomicU64,
+    /// `Wait` replies to long-polled requests.
     waits: AtomicU64,
+    /// Leases granted to requests sent with a leased block still unsent.
+    prefetched: AtomicU64,
 }
 
 struct CountingConnector {
@@ -41,6 +47,8 @@ impl Connector for CountingConnector {
             inner: self.inner.connect()?,
             tally: Arc::clone(&self.tally),
             unanswered: 0,
+            unsubmitted: 0,
+            prefetching: false,
         }))
     }
 }
@@ -49,6 +57,11 @@ struct CountingTransport {
     inner: Box<dyn Transport>,
     tally: Arc<Tally>,
     unanswered: u64,
+    /// Blocks leased on this connection and not yet submitted.
+    unsubmitted: u64,
+    /// The outstanding request is a prefetch: it went out with a leased
+    /// block still unsent.
+    prefetching: bool,
 }
 
 impl Transport for CountingTransport {
@@ -58,18 +71,33 @@ impl Transport for CountingTransport {
             .peak_unanswered
             .fetch_max(self.unanswered, Ordering::Relaxed);
         match Msg::decode(frame) {
-            Ok(Msg::SubmitChunk { .. }) => self.tally.submits.fetch_add(1, Ordering::Relaxed),
-            Ok(Msg::Heartbeat { .. }) => self.tally.heartbeats.fetch_add(1, Ordering::Relaxed),
-            _ => 0,
-        };
+            Ok(Msg::SubmitChunk { .. }) => {
+                self.unsubmitted = self.unsubmitted.saturating_sub(1);
+                self.tally.submits.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(Msg::Heartbeat { .. }) => {
+                self.tally.heartbeats.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(Msg::RequestLease { .. }) => self.prefetching = self.unsubmitted > 0,
+            _ => {}
+        }
         self.inner.send_frame(frame)
     }
 
     fn recv_frame(&mut self) -> Result<Vec<u8>, DistdError> {
         let frame = self.inner.recv_frame()?;
         self.unanswered = self.unanswered.saturating_sub(1);
-        if let Ok(Msg::Wait) = Msg::decode(&frame) {
-            self.tally.waits.fetch_add(1, Ordering::Relaxed);
+        match Msg::decode(&frame) {
+            Ok(Msg::Wait) if !self.prefetching => {
+                self.tally.waits.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(Msg::Lease { blocks, .. }) => {
+                if self.prefetching {
+                    self.tally.prefetched.fetch_add(1, Ordering::Relaxed);
+                }
+                self.unsubmitted += blocks.len() as u64;
+            }
+            _ => {}
         }
         Ok(frame)
     }
@@ -111,6 +139,9 @@ fn pipelined_workers_keep_one_unanswered_frame_and_fold_identical_bytes() {
             chunk_visits: CHUNK_VISITS,
             spool_dir: Some(spool.clone()),
             compact_every: 4,
+            // Two blocks per lease: more lease boundaries to prefetch
+            // across than the 7 day-0 blocks give at the default 4.
+            lease_blocks: 2,
             ..CoordConfig::new(eco.clone())
         },
     )
@@ -163,6 +194,10 @@ fn pipelined_workers_keep_one_unanswered_frame_and_fold_identical_bytes() {
         tally.waits.load(Ordering::Relaxed),
         0,
         "lease requests long-poll"
+    );
+    assert!(
+        tally.prefetched.load(Ordering::Relaxed) > 0,
+        "leases are prefetched before a lease's last submit"
     );
     assert!(
         tally.heartbeats.load(Ordering::Relaxed) > 0,

@@ -5,9 +5,14 @@
 //! One warmed 2,000-site × 1-day universe is crawled in 64-visit blocks
 //! (about 40 claimable blocks, enough to keep every worker busy) in 9
 //! interleaved rounds at 1 and 8 workers, alternating which goes first.
-//! The ratio of the median walls must reach a core-aware floor: 0.7 on
+//! The ratio of the fastest walls must reach a core-aware floor: 0.7 on
 //! 1 core, where 8 workers can only tie one; `0.55 × cores` on 2–7
 //! cores, where scaling is capped by the core count; 5.0 on 8 or more.
+//!
+//! The fastest round, not the median, because load from outside the
+//! process only ever adds time: on a shared box a busy minute slows most
+//! rounds of both worker counts, while contention in the code under test
+//! slows every 8-worker round, the fastest included.
 //!
 //! Timings mean nothing in an unoptimized build, so the floor is enforced
 //! only in release (`cargo test --release --test scaling`); a debug run
@@ -51,9 +56,8 @@ fn crawl(factory: &SiteFactory, workers: usize) -> (u64, Duration) {
     (visits, start.elapsed())
 }
 
-fn median(mut walls: Vec<Duration>) -> Duration {
-    walls.sort();
-    walls[walls.len() / 2]
+fn fastest(walls: &[Duration]) -> Duration {
+    walls.iter().copied().min().unwrap_or_default()
 }
 
 #[test]
@@ -84,12 +88,12 @@ fn eight_workers_keep_up_with_one() {
     }
 
     let rounds = format!("1w {one:?}, 8w {eight:?}");
-    let (one, eight) = (median(one), median(eight));
+    let (one, eight) = (fastest(&one), fastest(&eight));
     let speedup = one.as_secs_f64() / eight.as_secs_f64().max(1e-9);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let floor = speedup_floor(cores);
     eprintln!(
-        "scaling: 1w {one:?}, 8w {eight:?} -> speedup_8w {speedup:.3} on {cores} core(s); \
+        "scaling: fastest 1w {one:?}, 8w {eight:?} -> speedup_8w {speedup:.3} on {cores} core(s); \
          floor {floor:.3}"
     );
     if !cfg!(debug_assertions) {
