@@ -11,15 +11,19 @@
 //! Waterfall traffic deliberately carries **no `hb_*` parameters** and
 //! fires **no HB DOM events**; notification URLs use DSP-specific parameter
 //! names (paper §2.2). The detector must not flag it — tests assert that.
+//!
+//! Each tier's ad call is a page leg of [`crate::wrapper`]'s lifecycle;
+//! under the degraded posture a tier past its deadline is retried once
+//! (marked `rt=1`) and then passed over.
 
 use crate::protocol::{self, FillChannel, WinnerPayload};
-use crate::provider::{rtb_edge_host, tier_fill, tier_request};
+use crate::provider::{rtb_edge_host, tier_fill};
 use crate::rtb::InternalAuction;
 use crate::session::{send_request, NetOutcome, PageWorld};
 use crate::types::{AdSize, Cpm};
-use crate::wrapper::{PartnerRef, RETRY_BACKOFF, TIER_DEADLINE};
+use crate::wrapper::{open_leg, LegKind, PartnerRef};
 use hb_http::{Endpoint, HStr, Json, Request, Response, ServerReply, Url};
-use hb_simnet::{Dist, Rng, Scheduler, SimDuration, SimTime};
+use hb_simnet::{Dist, Rng, Scheduler, SimDuration};
 
 /// One tier of the waterfall chain.
 #[derive(Clone, Debug)]
@@ -89,126 +93,72 @@ pub fn start_waterfall(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
     let site = w.flow.site_handle();
     w.flow.truth.facet = None;
     w.flow.truth.slots_auctioned = site.ad_units.len();
-    let start = s.now();
-    w.flow.truth.first_bid_request_at = Some(start);
-    try_tier(w, s, start, 0);
+    w.flow.truth.first_bid_request_at = Some(s.now());
+    try_tier(w, s, 0);
 }
 
-/// Attempt tier `idx`; on passback move to the next tier; when exhausted,
-/// fall back to house ads. `start` is the chain's first request time.
-fn try_tier(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, start: SimTime, idx: usize) {
-    let site = w.flow.site_handle();
-    if idx >= site.waterfall_tiers.len() {
+/// Try tier `idx` as a page leg ([`crate::wrapper`] runs its send,
+/// deadline and retry); when the chain is exhausted, fall back to house
+/// ads.
+pub(crate) fn try_tier(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize) {
+    if idx < w.flow.site_handle().waterfall_tiers.len() {
+        open_leg(w, s, LegKind::Tier(idx));
+    } else {
         // Chain exhausted: fallback/house ad, no further network cost.
-        let now = s.now();
-        w.flow.truth.waterfall_latency = Some(now.saturating_since(start));
-        w.flow.truth.waterfall_fill_tier = None;
-        finish_waterfall(w, s, FillChannel::Fallback, Cpm(0.05));
-        return;
+        finish_waterfall(w, s, None);
     }
-    send_tier_request(w, s, start, idx, 0);
 }
 
-/// Send the tier's RTB call (attempt 0 or the one `rt=1`-marked retry).
-///
-/// Every send bumps the waterfall attempt generation; the response
-/// continuation and the degraded posture's tier deadline both capture it, so
-/// whichever fires second sees a stale generation and no-ops. A dropped
-/// tier therefore advances on the deadline instead of hanging until the
-/// 30 s browser network timeout — and never advances twice.
-///
-/// Waterfall traffic must never carry `hb_*` keys (the detector asserts
-/// it), so the retry marker is the DSP-style `rt` parameter.
-fn send_tier_request(
+/// The fill price of a tier's outcome; `None` is a pass-back or a
+/// failure.
+pub(crate) fn tier_price(w: &mut PageWorld, out: NetOutcome) -> Option<Cpm> {
+    let NetOutcome::Response(rsp) = out else {
+        return None;
+    };
+    let price = tier_fill(&rsp);
+    if let Some(body) = rsp.body.into_json() {
+        w.scratch.recycle_json(body);
+    }
+    price
+}
+
+/// End the chain: `fill` is the tier that filled and its price, sent a
+/// DSP-specific win notification (no `hb_*` keys); `None` is the house-ad
+/// fallback.
+pub(crate) fn finish_waterfall(
     w: &mut PageWorld,
     s: &mut Scheduler<PageWorld>,
-    start: SimTime,
-    idx: usize,
-    attempt: u8,
+    fill: Option<(usize, Cpm)>,
 ) {
     let site = w.flow.site_handle();
-    let tier = site.waterfall_tiers[idx].clone();
-    let edge = rtb_edge_host(&tier.partner.host);
-    let q = w.scratch.take_params();
-    let cb = w.rng.below(1_000_000_000);
-    let id = w.browser.next_request_id();
-    let req = tier_request(id, q, &edge, tier.floor, &site.ad_units, cb, attempt > 0)
-        .from_initiator("adserver-tag");
-    w.flow.wf_attempt = w.flow.wf_attempt.wrapping_add(1);
-    let gen = w.flow.wf_attempt;
-    send_request(w, s, req, move |w, s, out| {
-        if matches!(&out, NetOutcome::Failed(_)) {
-            w.flow.truth.bids_dropped += 1;
+    let now = s.now();
+    let truth = &mut w.flow.truth;
+    truth.waterfall_latency = truth.first_bid_request_at.map(|t| now.saturating_since(t));
+    truth.waterfall_fill_tier = fill.map(|(idx, _)| idx);
+    let (channel, price) = match fill {
+        Some((idx, price)) => {
+            let partner = &site.waterfall_tiers[idx].partner;
+            let mut q = w.scratch.take_params();
+            q.append(
+                HStr::from_static(rtb_price_param(&partner.code)),
+                HStr::from_display(format_args!("{:.4}", price.0)),
+            );
+            q.append("cb", crate::types::decimal(w.rng.below(1_000_000_000)));
+            let url = Url::https_pooled(
+                rtb_edge_host(&partner.host),
+                HStr::from_static(protocol::paths::RTB_NOTIFY),
+                q,
+            );
+            let id = w.browser.next_request_id();
+            let req = Request::get(id, url).from_initiator("adserver-tag");
+            send_request(w, s, req, |_, _, _| {});
+            (FillChannel::HeaderBid, price)
         }
-        if w.flow.done || w.flow.wf_attempt != gen {
-            return; // the deadline already moved the chain on
-        }
-        let filled_price = match out {
-            NetOutcome::Response(rsp) => {
-                let price = tier_fill(&rsp);
-                if let Some(body) = rsp.body.into_json() {
-                    w.scratch.recycle_json(body);
-                }
-                price
-            }
-            NetOutcome::Failed(_) => None,
-        };
-        match filled_price {
-            Some(price) => {
-                let now = s.now();
-                w.flow.truth.waterfall_latency = Some(now.saturating_since(start));
-                w.flow.truth.waterfall_fill_tier = Some(idx);
-                // DSP-specific win notification (no hb_* keys).
-                let pparam = rtb_price_param(&tier.partner.code);
-                let mut q = w.scratch.take_params();
-                q.append(
-                    HStr::from_static(pparam),
-                    HStr::from_display(format_args!("{:.4}", price.0)),
-                );
-                q.append("cb", crate::types::decimal(w.rng.below(1_000_000_000)));
-                let url =
-                    Url::https_pooled(edge, HStr::from_static(protocol::paths::RTB_NOTIFY), q);
-                let id = w.browser.next_request_id();
-                let req = Request::get(id, url).from_initiator("adserver-tag");
-                send_request(w, s, req, |_, _, _| {});
-                finish_waterfall(w, s, FillChannel::HeaderBid, price);
-            }
-            None => try_tier(w, s, start, idx + 1),
-        }
-    });
-    if site.degraded_posture {
-        s.after(TIER_DEADLINE, move |w: &mut PageWorld, s| {
-            if w.flow.done || w.flow.wf_attempt != gen {
-                return; // tier answered in time
-            }
-            if attempt == 0 {
-                s.after(RETRY_BACKOFF, move |w: &mut PageWorld, s| {
-                    if w.flow.done || w.flow.wf_attempt != gen {
-                        return; // the late answer landed during backoff
-                    }
-                    w.flow.truth.retries += 1;
-                    send_tier_request(w, s, start, idx, 1);
-                });
-            } else {
-                // Retry spent: the tier is dead — advance.
-                w.flow.truth.timed_out_partners += 1;
-                try_tier(w, s, start, idx + 1);
-            }
-        });
-    }
-}
-
-fn finish_waterfall(
-    w: &mut PageWorld,
-    s: &mut Scheduler<PageWorld>,
-    channel: FillChannel,
-    price: Cpm,
-) {
+        None => (FillChannel::Fallback, Cpm(0.05)),
+    };
     // Record a synthetic winner per slot for revenue accounting. Waterfall
     // fills are recorded as DirectOrder/Fallback-style winners without
     // bidder attribution (the client cannot see who won inside the network).
-    let site = w.flow.site_handle();
-    let now = s.now();
     for unit in site.ad_units.iter() {
         w.flow.truth.winners.push(WinnerPayload {
             slot: unit.code.clone(),
@@ -225,11 +175,13 @@ fn finish_waterfall(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::session::{EventCounts, HostDirectory, Net};
     use crate::types::AdUnit;
-    use crate::wrapper::{begin_visit, SiteRuntime, WrapperConfig, CDN_HOST};
+    use crate::wrapper::{
+        begin_visit, SiteRuntime, WrapperConfig, CDN_HOST, RETRY_BACKOFF, TIER_DEADLINE,
+    };
     use hb_http::Router;
     use hb_simnet::{FaultInjector, LatencyModel, Rng, SimTime, Simulation};
     use std::cell::RefCell;
@@ -259,6 +211,18 @@ mod tests {
         faults: FaultInjector,
         degraded_posture: bool,
     ) -> Simulation<PageWorld> {
+        build_tier0(fill0, fill1, faults, degraded_posture, Some(80.0))
+    }
+
+    /// [`build_with`] with tier 0's constant latency in ms; `None` leaves
+    /// tier 0's host unregistered (`NoSuchHost` after 1 ms).
+    pub(crate) fn build_tier0(
+        fill0: f64,
+        fill1: f64,
+        faults: FaultInjector,
+        degraded_posture: bool,
+        tier0_ms: Option<f64>,
+    ) -> Simulation<PageWorld> {
         let mut router = Router::new();
         router.register("pub1.example", |r: &Request, _: &mut Rng| {
             ServerReply::instant(Response::text(r.id, "<html><head></head></html>"))
@@ -266,10 +230,12 @@ mod tests {
         router.register(CDN_HOST, |r: &Request, _: &mut Rng| {
             ServerReply::instant(Response::text(r.id, "// js"))
         });
-        router.register(
-            "rtb.adx0.example",
-            waterfall_endpoint(fill0, Dist::Const(0.5), 5.0),
-        );
+        if tier0_ms.is_some() {
+            router.register(
+                "rtb.adx0.example",
+                waterfall_endpoint(fill0, Dist::Const(0.5), 5.0),
+            );
+        }
         router.register(
             "rtb.adx1.example",
             waterfall_endpoint(fill1, Dist::Const(0.5), 5.0),
@@ -277,7 +243,9 @@ mod tests {
         let mut latency = HostDirectory::new();
         latency.insert("pub1.example", LatencyModel::constant(30.0));
         latency.insert(CDN_HOST, LatencyModel::constant(10.0));
-        latency.insert("rtb.adx0.example", LatencyModel::constant(80.0));
+        if let Some(ms) = tier0_ms {
+            latency.insert("rtb.adx0.example", LatencyModel::constant(ms));
+        }
         latency.insert("rtb.adx1.example", LatencyModel::constant(80.0));
         let net = Net::new(Arc::new(router), Arc::new(latency), Arc::new(faults));
         let url = Url::parse("https://pub1.example/").unwrap();

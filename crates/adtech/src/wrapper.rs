@@ -15,9 +15,14 @@
 //! The wrapper fires the DOM events the paper's detector reverse-engineered
 //! (`auctionInit`, `bidRequested`, `bidResponse`, `auctionEnd`, `bidWon`,
 //! `slotRenderEnded`, `adRenderFailed`).
+//!
+//! A client partner's bid request and a waterfall tier's ad call are both
+//! a `PageLeg` with one lifecycle (send, deadline, one retry, give up):
+//! one send path, one outcome handler and one deadline handler. The kind
+//! picks the request and the step taken when the leg ends.
 
 use crate::protocol::{self, events, params, BidPayload, FillChannel, WinnerPayload};
-use crate::provider::{ad_server_params, hb_bid_request};
+use crate::provider::{ad_server_params, hb_bid_request, rtb_edge_host, tier_request};
 use crate::session::{send_request, NetOutcome, PageWorld};
 use crate::types::{AdUnit, HbFacet};
 use hb_http::{Body, HStr, Json, Request, Url};
@@ -207,6 +212,27 @@ impl VisitGroundTruth {
     }
 }
 
+/// Which demand source a [`PageLeg`] asks.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum LegKind {
+    /// A client partner's bid request; indexes `site.client_partners`.
+    Partner(usize),
+    /// A waterfall tier's ad call; indexes `site.waterfall_tiers`.
+    Tier(usize),
+}
+
+/// One demand source's request cycle on the page.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PageLeg {
+    pub(crate) kind: LegKind,
+    /// The attempt whose outcome counts: 0, then 1 once the retry is
+    /// taken (a partner's when it is launched, a tier's when it is sent).
+    pub(crate) attempt: u8,
+    /// Has the leg ended (answered, failed or given up)? A leg ends
+    /// exactly once, however its deadlines and responses race.
+    pub(crate) resolved: bool,
+}
+
 /// Mutable per-visit flow state living inside [`PageWorld`].
 #[derive(Default)]
 pub struct FlowState {
@@ -224,16 +250,9 @@ pub struct FlowState {
     pub sent_to_adserver: bool,
     /// Is the visit complete (ads rendered / given up)?
     pub done: bool,
-    /// Per-partner: has this partner's auction participation been
-    /// resolved (answered, failed, or deadline-expired)? Indexed like
-    /// `site.client_partners`. A partner resolves exactly once, even
-    /// when deadlines and in-flight responses race.
-    pub partner_resolved: Vec<bool>,
-    /// Per-partner: has the one degraded-posture retry been spent?
-    pub partner_retried: Vec<bool>,
-    /// Waterfall attempt generation, bumped on every tier transition or
-    /// retry so stale deadline/response continuations no-op.
-    pub wf_attempt: u32,
+    /// Every leg sent this visit, in send order; a continuation names its
+    /// leg by index. Emptied, not dropped, between pooled visits.
+    pub(crate) legs: Vec<PageLeg>,
     /// Ground truth accumulator.
     pub truth: VisitGroundTruth,
 }
@@ -247,20 +266,30 @@ impl FlowState {
         self.site.clone().expect("flow started without a site")
     }
 
-    /// Re-arm for the next pooled visit, keeping the collected-bids
-    /// buffer capacity. Equivalent to `*self = FlowState::default()`
-    /// minus the allocation churn.
+    /// Re-arm for the next pooled visit, keeping the collected-bids and
+    /// leg buffers' capacity. Equivalent to `*self = FlowState::default()`
+    /// minus the allocation churn. The exhaustive destructuring makes a
+    /// newly added field a compile error here, so per-visit state can
+    /// never leak across pooled visits silently.
     pub fn reset_for_visit(&mut self) {
-        self.site = None;
-        self.auction_id = HStr::EMPTY;
-        self.bids.clear();
-        self.partners_pending = 0;
-        self.sent_to_adserver = false;
-        self.done = false;
-        self.partner_resolved.clear();
-        self.partner_retried.clear();
-        self.wf_attempt = 0;
-        self.truth.reset_for_visit();
+        let FlowState {
+            site,
+            auction_id,
+            bids,
+            partners_pending,
+            sent_to_adserver,
+            done,
+            legs,
+            truth,
+        } = self;
+        *site = None;
+        *auction_id = HStr::EMPTY;
+        bids.clear();
+        *partners_pending = 0;
+        *sent_to_adserver = false;
+        *done = false;
+        legs.clear();
+        truth.reset_for_visit();
     }
 }
 
@@ -360,38 +389,8 @@ fn start_client_auction(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
     w.scratch.recycle_json(payload);
 
     w.flow.partners_pending = site.client_partners.len();
-    w.flow.partner_resolved.clear();
-    w.flow
-        .partner_resolved
-        .resize(site.client_partners.len(), false);
-    w.flow.partner_retried.clear();
-    w.flow
-        .partner_retried
-        .resize(site.client_partners.len(), false);
-
-    for (idx, partner) in site.client_partners.iter().enumerate() {
-        let q = w.scratch.take_params();
-        let id = w.browser.next_request_id();
-        let req = hb_bid_request(id, q, partner, &auction_id, &site.ad_units, false)
-            .from_initiator("prebid.js");
-        let payload = Json::obj([
-            (params::HB_BIDDER, Json::str(partner.code.clone())),
-            (params::HB_AUCTION, Json::str(auction_id.clone())),
-        ]);
-        w.browser
-            .fire_event(s.now(), events::BID_REQUESTED, &payload);
-        w.scratch.recycle_json(payload);
-        if w.flow.truth.first_bid_request_at.is_none() {
-            w.flow.truth.first_bid_request_at = Some(s.now());
-        }
-        send_request(w, s, req, move |w, s, out| {
-            handle_bid_outcome(w, s, idx, 0, out)
-        });
-        if site.degraded_posture {
-            s.after(PARTNER_DEADLINE, move |w: &mut PageWorld, s| {
-                partner_deadline_expired(w, s, idx, 0);
-            });
-        }
+    for idx in 0..site.client_partners.len() {
+        open_leg(w, s, LegKind::Partner(idx));
     }
 
     if site.client_partners.is_empty() {
@@ -412,161 +411,206 @@ fn start_client_auction(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
     }
 }
 
-/// Handle a partner's bid response (or failure) for one attempt.
+/// Open a leg of `kind` and send its first attempt.
+pub(crate) fn open_leg(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, kind: LegKind) {
+    let leg = w.flow.legs.len();
+    w.flow.legs.push(PageLeg {
+        kind,
+        attempt: 0,
+        resolved: false,
+    });
+    send_leg(w, s, leg);
+}
+
+/// The one send path: build the leg's request for its current attempt
+/// (a bid request with its `bidRequested` event, or a tier's ad call;
+/// attempt 1 carries the retry marker) and, under the degraded posture,
+/// arm the kind's deadline for that attempt.
+fn send_leg(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, leg: usize) {
+    let site = w.flow.site_handle();
+    let PageLeg { kind, attempt, .. } = w.flow.legs[leg];
+    let retry = attempt > 0;
+    let q = w.scratch.take_params();
+    let (req, deadline) = match kind {
+        LegKind::Partner(idx) => {
+            let partner = &site.client_partners[idx];
+            let id = w.browser.next_request_id();
+            let req = hb_bid_request(id, q, partner, &w.flow.auction_id, &site.ad_units, retry)
+                .from_initiator("prebid.js");
+            let payload = Json::obj([
+                (params::HB_BIDDER, Json::str(partner.code.clone())),
+                (params::HB_AUCTION, Json::str(w.flow.auction_id.clone())),
+            ]);
+            w.browser
+                .fire_event(s.now(), events::BID_REQUESTED, &payload);
+            w.scratch.recycle_json(payload);
+            (req, PARTNER_DEADLINE)
+        }
+        LegKind::Tier(idx) => {
+            // Waterfall traffic never carries `hb_*` keys (the detector
+            // asserts it): the retry marker is the DSP-style `rt=1`.
+            let tier = &site.waterfall_tiers[idx];
+            let cb = w.rng.below(1_000_000_000);
+            let id = w.browser.next_request_id();
+            let edge = rtb_edge_host(&tier.partner.host);
+            let req = tier_request(id, q, &edge, tier.floor, &site.ad_units, cb, retry)
+                .from_initiator("adserver-tag");
+            (req, TIER_DEADLINE)
+        }
+    };
+    if w.flow.truth.first_bid_request_at.is_none() {
+        w.flow.truth.first_bid_request_at = Some(s.now());
+    }
+    send_request(w, s, req, move |w, s, out| {
+        on_leg_outcome(w, s, leg, attempt, out)
+    });
+    if site.degraded_posture {
+        s.after(deadline, move |w: &mut PageWorld, s| {
+            on_leg_deadline(w, s, leg, attempt)
+        });
+    }
+}
+
+/// The one outcome handler: the response or failure of `attempt` of
+/// `leg`. A failure counts as a dropped request whatever the leg's state.
 ///
-/// With the degraded posture off every partner produces exactly one
-/// outcome, so the resolution bookkeeping degenerates to the baseline
-/// "decrement pending once per partner" semantics. With it on, a partner
-/// can produce several outcomes (deadline expiry, the
-/// original slow response, the retry response) — only the first
-/// *resolving* one decrements `partners_pending`.
-fn handle_bid_outcome(
+/// - A partner's bids count and fire even when the leg already ended or
+///   moved on to its retry. A failure of an unresolved partner spends the
+///   retry if it is still unspent, and gives the partner up otherwise; an
+///   answer ends the partner unless its retry superseded this attempt.
+/// - A tier's outcome counts only while its attempt is the current one:
+///   a fill ends the chain, anything else (a pass-back, an error, a fast
+///   failure) moves past the tier with no retry.
+fn on_leg_outcome(
     w: &mut PageWorld,
     s: &mut Scheduler<PageWorld>,
-    partner_idx: usize,
+    leg: usize,
     attempt: u8,
     out: NetOutcome,
 ) {
-    let succeeded = matches!(&out, NetOutcome::Response(rsp) if rsp.status.is_success());
     if matches!(&out, NetOutcome::Failed(_)) {
         w.flow.truth.bids_dropped += 1;
     }
-    let arrived_late = w.flow.sent_to_adserver;
-    if let NetOutcome::Response(rsp) = out {
-        if rsp.status.is_success() {
-            if let Some(body) = rsp.body.into_json() {
-                if let Some((_, bids)) = protocol::parse_bid_response(&body) {
-                    for bid in bids {
-                        w.flow.truth.client_bids += 1;
-                        if arrived_late {
-                            w.flow.truth.late_bids += 1;
-                        }
-                        let payload = Json::obj([
-                            (params::BIDDER, Json::str(bid.bidder.clone())),
-                            (params::HB_AUCTION, Json::str(w.flow.auction_id.clone())),
-                            (params::HB_SLOT, Json::str(bid.slot.clone())),
-                            (params::CPM, Json::num(bid.cpm.0)),
-                            (params::HB_SIZE, Json::str(bid.size.label())),
-                            (params::HB_CURRENCY, Json::str(bid.currency.clone())),
-                        ]);
-                        w.browser
-                            .fire_event(s.now(), events::BID_RESPONSE, &payload);
-                        w.scratch.recycle_json(payload);
-                        if !arrived_late {
-                            w.flow.bids.push(bid);
-                        }
-                    }
+    let l = w.flow.legs[leg];
+    let stale = l.resolved || attempt < l.attempt;
+    match l.kind {
+        LegKind::Partner(_) => {
+            let answered = collect_bids(w, s, out);
+            if l.resolved || (answered && stale) {
+                return;
+            }
+            if !answered {
+                if l.attempt == 0 && w.flow.site_handle().degraded_posture {
+                    spend_retry(w, s, leg);
+                    return;
                 }
-                // The response tree is dead; pool its spines for the
-                // next payload this worker builds.
-                w.scratch.recycle_json(body);
+                w.flow.truth.timed_out_partners += 1;
+            }
+            end_leg(w, s, leg);
+        }
+        LegKind::Tier(idx) if !stale => match crate::waterfall::tier_price(w, out) {
+            Some(price) => {
+                w.flow.legs[leg].resolved = true;
+                crate::waterfall::finish_waterfall(w, s, Some((idx, price)));
+            }
+            None => end_leg(w, s, leg),
+        },
+        LegKind::Tier(_) => {}
+    }
+}
+
+/// The one deadline handler, armed per attempt under the degraded
+/// posture. A leg still waiting on the attempt that armed it spends its
+/// retry on the first deadline and is given up on the retry's.
+fn on_leg_deadline(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, leg: usize, attempt: u8) {
+    let l = w.flow.legs[leg];
+    if w.flow.done || l.resolved || attempt != l.attempt {
+        return;
+    }
+    if attempt == 0 {
+        spend_retry(w, s, leg);
+    } else {
+        w.flow.truth.timed_out_partners += 1;
+        end_leg(w, s, leg);
+    }
+}
+
+/// Spend a leg's one retry: after [`RETRY_BACKOFF`], unless the leg ended
+/// meanwhile, re-send it as attempt 1. A partner's retry is counted and
+/// supersedes the original at once; a tier's only when it is sent, so a
+/// tier's original answer landing in the backoff still ends the tier.
+fn spend_retry(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, leg: usize) {
+    let at_launch = matches!(w.flow.legs[leg].kind, LegKind::Partner(_));
+    if at_launch {
+        w.flow.legs[leg].attempt = 1;
+        w.flow.truth.retries += 1;
+    }
+    s.after(RETRY_BACKOFF, move |w: &mut PageWorld, s| {
+        let l = &mut w.flow.legs[leg];
+        if w.flow.done || l.resolved {
+            return;
+        }
+        if !at_launch {
+            l.attempt = 1;
+            w.flow.truth.retries += 1;
+        }
+        send_leg(w, s, leg);
+    });
+}
+
+/// End a leg without a fill and take its kind's next step: the last
+/// partner in sends the auction to the ad server; the chain moves past
+/// the tier.
+fn end_leg(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, leg: usize) {
+    w.flow.legs[leg].resolved = true;
+    match w.flow.legs[leg].kind {
+        LegKind::Partner(_) => {
+            w.flow.partners_pending = w.flow.partners_pending.saturating_sub(1);
+            if w.flow.partners_pending == 0 && !w.flow.done {
+                send_to_adserver(w, s);
             }
         }
-    }
-
-    // Resolution bookkeeping. Outcomes arriving after the partner
-    // resolved (late responses past a deadline, the straggling network
-    // failure of an already-expired attempt) count bids/drops above but
-    // must not decrement `partners_pending` again.
-    if w.flow
-        .partner_resolved
-        .get(partner_idx)
-        .copied()
-        .unwrap_or(true)
-    {
-        return;
-    }
-    if !succeeded {
-        let site = w.flow.site_handle();
-        if attempt == 0 && site.degraded_posture && !w.flow.partner_retried[partner_idx] {
-            // First attempt failed fast: spend the retry; resolution is
-            // deferred to the retry's outcome or deadline.
-            launch_partner_retry(w, s, partner_idx);
-            return;
-        }
-        w.flow.truth.timed_out_partners += 1;
-    } else if attempt == 0 && w.flow.partner_retried[partner_idx] {
-        // The original attempt answered after its deadline launched a
-        // retry: the bids were counted above; the retry resolves.
-        return;
-    }
-    w.flow.partner_resolved[partner_idx] = true;
-    w.flow.partners_pending = w.flow.partners_pending.saturating_sub(1);
-    if w.flow.partners_pending == 0 && !w.flow.sent_to_adserver && !w.flow.done {
-        send_to_adserver(w, s);
+        LegKind::Tier(idx) => crate::waterfall::try_tier(w, s, idx + 1),
     }
 }
 
-/// A partner's per-attempt deadline fired. No-op when the partner already
-/// resolved or (for attempt 0) a retry superseded the attempt; otherwise
-/// spend the retry, or resolve the partner as timed out.
-fn partner_deadline_expired(
-    w: &mut PageWorld,
-    s: &mut Scheduler<PageWorld>,
-    partner_idx: usize,
-    attempt: u8,
-) {
-    if w.flow.done
-        || w.flow
-            .partner_resolved
-            .get(partner_idx)
-            .copied()
-            .unwrap_or(true)
-    {
-        return;
-    }
-    if attempt == 0 && w.flow.partner_retried[partner_idx] {
-        return; // the retry's own deadline is armed
-    }
-    let site = w.flow.site_handle();
-    if attempt == 0 && site.degraded_posture {
-        launch_partner_retry(w, s, partner_idx);
-        return;
-    }
-    w.flow.truth.timed_out_partners += 1;
-    w.flow.partner_resolved[partner_idx] = true;
-    w.flow.partners_pending = w.flow.partners_pending.saturating_sub(1);
-    if w.flow.partners_pending == 0 && !w.flow.sent_to_adserver && !w.flow.done {
-        send_to_adserver(w, s);
-    }
-}
-
-/// Issue the one deterministic retry for a partner: after the retry
-/// backoff, re-send the bid request marked `hb_retry=1` and re-arm the
-/// per-attempt deadline.
-fn launch_partner_retry(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, partner_idx: usize) {
-    w.flow.partner_retried[partner_idx] = true;
-    w.flow.truth.retries += 1;
-    s.after(RETRY_BACKOFF, move |w: &mut PageWorld, s| {
-        if w.flow.done
-            || w.flow
-                .partner_resolved
-                .get(partner_idx)
-                .copied()
-                .unwrap_or(true)
-        {
-            return;
+/// Count and fire the bids of a partner's response; they join the
+/// auction unless the ad-server request already left. Returns whether
+/// the partner answered (a success status).
+fn collect_bids(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, out: NetOutcome) -> bool {
+    let rsp = match out {
+        NetOutcome::Response(rsp) if rsp.status.is_success() => rsp,
+        _ => return false,
+    };
+    let arrived_late = w.flow.sent_to_adserver;
+    if let Some(body) = rsp.body.into_json() {
+        if let Some((_, bids)) = protocol::parse_bid_response(&body) {
+            for bid in bids {
+                w.flow.truth.client_bids += 1;
+                if arrived_late {
+                    w.flow.truth.late_bids += 1;
+                }
+                let payload = Json::obj([
+                    (params::BIDDER, Json::str(bid.bidder.clone())),
+                    (params::HB_AUCTION, Json::str(w.flow.auction_id.clone())),
+                    (params::HB_SLOT, Json::str(bid.slot.clone())),
+                    (params::CPM, Json::num(bid.cpm.0)),
+                    (params::HB_SIZE, Json::str(bid.size.label())),
+                    (params::HB_CURRENCY, Json::str(bid.currency.clone())),
+                ]);
+                w.browser
+                    .fire_event(s.now(), events::BID_RESPONSE, &payload);
+                w.scratch.recycle_json(payload);
+                if !arrived_late {
+                    w.flow.bids.push(bid);
+                }
+            }
         }
-        let site = w.flow.site_handle();
-        let partner = &site.client_partners[partner_idx];
-        let q = w.scratch.take_params();
-        let id = w.browser.next_request_id();
-        let req = hb_bid_request(id, q, partner, &w.flow.auction_id, &site.ad_units, true)
-            .from_initiator("prebid.js");
-        let payload = Json::obj([
-            (params::HB_BIDDER, Json::str(partner.code.clone())),
-            (params::HB_AUCTION, Json::str(w.flow.auction_id.clone())),
-        ]);
-        w.browser
-            .fire_event(s.now(), events::BID_REQUESTED, &payload);
-        w.scratch.recycle_json(payload);
-        send_request(w, s, req, move |w, s, out| {
-            handle_bid_outcome(w, s, partner_idx, 1, out)
-        });
-        s.after(PARTNER_DEADLINE, move |w: &mut PageWorld, s| {
-            partner_deadline_expired(w, s, partner_idx, 1);
-        });
-    });
+        // The response tree is dead; pool its spines for the next
+        // payload this worker builds.
+        w.scratch.recycle_json(body);
+    }
+    true
 }
 
 /// 4. Ship collected bids to the ad server; fires `auctionEnd`.
@@ -813,6 +857,18 @@ mod tests {
         faults: FaultInjector,
         degraded_posture: bool,
     ) -> Simulation<PageWorld> {
+        page_sim_alpha(facet, wrapper, faults, degraded_posture, Some(100.0))
+    }
+
+    /// [`page_sim_with`] with partner alpha's constant latency in ms;
+    /// `None` leaves alpha's host unregistered (`NoSuchHost` after 1 ms).
+    fn page_sim_alpha(
+        facet: Option<HbFacet>,
+        wrapper: WrapperConfig,
+        faults: FaultInjector,
+        degraded_posture: bool,
+        alpha_ms: Option<f64>,
+    ) -> Simulation<PageWorld> {
         let mut router = Router::new();
         router.register("pub1.example", |r: &Request, _: &mut Rng| {
             ServerReply::instant(Response::text(r.id, "<html><head></head></html>"))
@@ -826,7 +882,9 @@ mod tests {
         let mut slow = PartnerProfile::test_profile(2, "beta");
         slow.bid_rate = 1.0;
         slow.host = "beta.adnet.example".into();
-        router.register("alpha.adnet.example", partner_endpoint(fast));
+        if alpha_ms.is_some() {
+            router.register("alpha.adnet.example", partner_endpoint(fast));
+        }
         router.register("beta.adnet.example", partner_endpoint(slow));
 
         let units = vec![
@@ -845,7 +903,9 @@ mod tests {
         let mut latency = HostDirectory::new();
         latency.insert("pub1.example", LatencyModel::constant(30.0));
         latency.insert(CDN_HOST, LatencyModel::constant(10.0));
-        latency.insert("alpha.adnet.example", LatencyModel::constant(100.0));
+        if let Some(ms) = alpha_ms {
+            latency.insert("alpha.adnet.example", LatencyModel::constant(ms));
+        }
         latency.insert("beta.adnet.example", LatencyModel::constant(400.0));
         latency.insert("ads.pub1.example", LatencyModel::constant(50.0));
         latency.insert("dfp-adnet.example", LatencyModel::constant(50.0));
@@ -1097,6 +1157,148 @@ mod tests {
         assert_eq!(truth.bids_dropped, 5);
         assert_eq!(counts.get(events::PASSBACK), 1);
         assert_eq!(counts.get(events::SLOT_RENDER_ENDED), 2);
+    }
+
+    /// How the leg under test (partner alpha, or waterfall tier 0)
+    /// answers.
+    #[derive(Clone, Copy, Debug)]
+    enum Answer {
+        /// At its usual latency, well inside every deadline.
+        InTime,
+        /// 50 ms after its first deadline: inside the retry backoff.
+        InBackoff,
+        /// At a constant 3 s: after its first deadline and after the
+        /// retry left.
+        Late,
+        /// From an unregistered host: `NoSuchHost` after 1 ms.
+        NoSuchHost,
+        /// From a hard-down host: dropped, failing after the 30 s browser
+        /// network timeout.
+        Outage,
+    }
+
+    /// What one leg case left in the ground truth. `bids` is
+    /// `(client_bids, Some(late_bids))` for a partner leg and
+    /// `(0, waterfall_fill_tier)` for a tier leg; `latency_ms` is the HB
+    /// or waterfall latency.
+    #[derive(Debug, PartialEq)]
+    struct LegRow {
+        retries: usize,
+        timed_out: usize,
+        dropped: usize,
+        bids: (usize, Option<usize>),
+        latency_ms: u64,
+        bid_requested: u64,
+    }
+
+    fn run_leg_case(tier: bool, answer: Answer, posture: bool) -> LegRow {
+        let deadline = if tier {
+            TIER_DEADLINE
+        } else {
+            PARTNER_DEADLINE
+        };
+        let host = if tier {
+            "rtb.adx0.example"
+        } else {
+            "alpha.adnet.example"
+        };
+        let normal_ms = if tier { 80.0 } else { 100.0 };
+        let mut faults = FaultInjector::none();
+        let ms = match answer {
+            Answer::InTime => Some(normal_ms),
+            Answer::InBackoff => Some(deadline.as_millis_f64() + 50.0),
+            Answer::Late => Some(3_000.0),
+            Answer::NoSuchHost => None,
+            Answer::Outage => {
+                faults = faults.with_outage(host);
+                Some(normal_ms)
+            }
+        };
+        let mut sim = if tier {
+            crate::waterfall::tests::build_tier0(1.0, 1.0, faults, posture, ms)
+        } else {
+            page_sim_alpha(
+                Some(HbFacet::ClientSide),
+                WrapperConfig::default(),
+                faults,
+                posture,
+                ms,
+            )
+        };
+        let counts = EventCounts::tap(&mut sim.world_mut().browser);
+        sim.run_to_idle(60_000);
+        let w = sim.world();
+        assert!(w.flow.done, "{answer:?} posture {posture}: visit completed");
+        let t = &w.flow.truth;
+        let (bids, latency) = if tier {
+            ((0, t.waterfall_fill_tier), t.waterfall_latency)
+        } else {
+            ((t.client_bids, Some(t.late_bids)), t.hb_latency())
+        };
+        LegRow {
+            retries: t.retries,
+            timed_out: t.timed_out_partners,
+            dropped: t.bids_dropped,
+            bids,
+            latency_ms: latency.expect("latency recorded").as_micros() / 1_000,
+            bid_requested: counts.get(events::BID_REQUESTED),
+        }
+    }
+
+    /// Every page leg's lifecycle: {partner, tier} × how the leg answers
+    /// × posture {off, on}. A partner leg is alpha on the client-side page
+    /// (default 3 s wrapper timeout, beta answering at 400 ms); a tier leg
+    /// is tier 0 of a two-tier chain where both tiers fill. The rows pin
+    /// the per-kind rules of the one lifecycle:
+    /// - a partner's fast failure spends its retry; a tier's fast failure
+    ///   advances the chain with no retry and no timed-out source;
+    /// - a partner's stale answer still counts its bids (`InBackoff`,
+    ///   `Late`); a tier's stale answer counts nothing (`Late`, on);
+    /// - a tier's original answer during the backoff resolves the tier
+    ///   and cancels the retry (`InBackoff`, on: no retry counted); a
+    ///   partner's does not, and its retry leaves (three bid requests);
+    /// - a partner whose page finished before its retry's deadline is
+    ///   never counted timed out (`InBackoff`/`Late`, on).
+    #[test]
+    fn leg_behaviour_table() {
+        use Answer::*;
+        let row = |retries, timed_out, dropped, bids, latency_ms, bid_requested| LegRow {
+            retries,
+            timed_out,
+            dropped,
+            bids,
+            latency_ms,
+            bid_requested,
+        };
+        #[rustfmt::skip]
+        let table = [
+            // Partner legs: bids = (client_bids, Some(late_bids)).
+            (false, InTime, false, row(0, 0, 0, (4, Some(0)), 503, 2)),
+            (false, InTime, true, row(0, 0, 0, (4, Some(0)), 503, 2)),
+            (false, InBackoff, false, row(0, 0, 0, (4, Some(0)), 2_653, 2)),
+            (false, InBackoff, true, row(1, 0, 0, (6, Some(2)), 3_085, 3)),
+            (false, Late, false, row(0, 0, 0, (4, Some(2)), 3_085, 2)),
+            (false, Late, true, row(1, 0, 0, (6, Some(4)), 3_085, 3)),
+            (false, NoSuchHost, false, row(0, 1, 1, (2, Some(0)), 503, 2)),
+            (false, NoSuchHost, true, row(1, 1, 2, (2, Some(0)), 503, 3)),
+            (false, Outage, false, row(0, 1, 1, (2, Some(0)), 3_085, 2)),
+            (false, Outage, true, row(1, 1, 2, (2, Some(0)), 3_085, 3)),
+            // Tier legs: bids = (0, waterfall_fill_tier).
+            (true, InTime, false, row(0, 0, 0, (0, Some(0)), 87, 0)),
+            (true, InTime, true, row(0, 0, 0, (0, Some(0)), 87, 0)),
+            (true, InBackoff, false, row(0, 0, 0, (0, Some(0)), 2_057, 0)),
+            (true, InBackoff, true, row(0, 0, 0, (0, Some(0)), 2_057, 0)),
+            (true, Late, false, row(0, 0, 0, (0, Some(0)), 3_007, 0)),
+            (true, Late, true, row(1, 1, 0, (0, Some(1)), 4_187, 0)),
+            (true, NoSuchHost, false, row(0, 0, 1, (0, Some(1)), 88, 0)),
+            (true, NoSuchHost, true, row(0, 0, 1, (0, Some(1)), 88, 0)),
+            (true, Outage, false, row(0, 0, 1, (0, Some(1)), 30_087, 0)),
+            (true, Outage, true, row(1, 1, 2, (0, Some(1)), 4_187, 0)),
+        ];
+        for (tier, answer, posture, want) in table {
+            let got = run_leg_case(tier, answer, posture);
+            assert_eq!(got, want, "tier {tier}, {answer:?}, posture {posture}");
+        }
     }
 
     #[test]

@@ -622,7 +622,11 @@ pub fn decode_columns(r: &mut WireReader<'_>, n_strings: usize) -> Result<VisitC
         return Err(WireError::Corrupt("domain column length"));
     }
     for _ in 0..n {
-        cols.rank.push(r.u32()?);
+        // Ranks are 1-based; reports bin by `rank - 1`.
+        match r.u32()? {
+            0 => return Err(WireError::Corrupt("rank 0")),
+            rank => cols.rank.push(rank),
+        }
     }
     for _ in 0..n {
         cols.day.push(r.u32()?);

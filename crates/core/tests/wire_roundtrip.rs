@@ -199,3 +199,27 @@ proptest! {
         );
     }
 }
+
+/// Ranks are 1-based and reports bin by `rank - 1`: a well-sealed frame
+/// whose row says rank 0 is refused instead of reaching the fold.
+#[test]
+fn rank_zero_is_rejected() {
+    let row = |rank| RowSpec {
+        rank,
+        day: 1,
+        hb: true,
+        facet: 1,
+        n_partners: 1,
+        n_bids: 1,
+        n_lats: 1,
+        n_slots: 1,
+        n_events: 1,
+        latency: Some(500.0),
+        page_ms: None,
+    };
+    assert!(decode_frame(&sealed_frame(&[row(1)]).2).is_ok());
+    assert!(matches!(
+        decode_frame(&sealed_frame(&[row(1), row(0)]).2),
+        Err(hb_core::WireError::Corrupt("rank 0"))
+    ));
+}

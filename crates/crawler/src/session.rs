@@ -172,7 +172,7 @@ pub fn crawl_site_into(
 mod tests {
     use super::*;
     use hb_core::VisitRecord;
-    use hb_ecosystem::{EcosystemConfig, SiteFactory, SiteProfile};
+    use hb_ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory, SiteProfile};
 
     fn eco() -> SiteFactory {
         SiteFactory::new(EcosystemConfig::tiny_scale())
@@ -254,42 +254,56 @@ mod tests {
         // Nth reused-scratch visit must simulate identically to a visit on
         // a fresh scratch of the same (site, day). Catches any state a
         // future Browser/HbDetector field leaks across reset_for_visit /
-        // reset.
-        let eco = eco();
-        let mut scratch = VisitScratch::new(eco.partner_list());
-        let sites: Vec<_> = eco
-            .hb_sites()
-            .take(3)
-            .chain(eco.sites().filter(|s| s.facet.is_none()).take(2))
-            .collect();
-        for (day, site) in sites.into_iter().enumerate() {
-            let day = day as u32;
-            let pooled = visit_on(&eco, &mut scratch, &site, day);
-            let fresh = visit(&eco, &site, day);
-            assert_eq!(pooled.record.hb_detected, fresh.record.hb_detected);
-            assert_eq!(pooled.record.facet, fresh.record.facet);
-            assert_eq!(pooled.record.hb_latency_ms, fresh.record.hb_latency_ms);
-            assert_eq!(pooled.record.page_load_ms, fresh.record.page_load_ms);
-            assert_eq!(pooled.record.bids.len(), fresh.record.bids.len());
-            assert_eq!(pooled.record.slots.len(), fresh.record.slots.len());
-            assert_eq!(pooled.page_completed, fresh.page_completed);
-            assert_eq!(pooled.truth.client_bids, fresh.truth.client_bids);
-            assert_eq!(pooled.truth.late_bids, fresh.truth.late_bids);
-            assert_eq!(pooled.truth.winners, fresh.truth.winners);
-            assert_eq!(
-                pooled.truth.adserver_response_at,
-                fresh.truth.adserver_response_at
-            );
-            assert_eq!(
-                pooled.truth.waterfall_latency,
-                fresh.truth.waterfall_latency
-            );
-            // Symbol numbering matches because both sides interned the
-            // same strings into fresh interners in the same order.
-            assert_eq!(pooled.record.partners.len(), fresh.record.partners.len());
-            for (a, b) in pooled.record.partners.iter().zip(&fresh.record.partners) {
-                assert_eq!(pooled.strings.resolve(*a), fresh.strings.resolve(*b));
+        // reset. The second universe runs the degraded posture under heavy
+        // ambient loss, so pooled visits follow visits whose legs retried,
+        // timed out or never resolved.
+        let retrying = SiteFactory::new(
+            EcosystemConfig {
+                drop_chance: 0.2,
+                slow_chance: 0.3,
+                ..EcosystemConfig::tiny_scale()
             }
+            .with_scenario(ScenarioConfig::healthy().with_degraded_posture()),
+        );
+        for (eco, n_hb) in [(eco(), 3), (retrying, 8)] {
+            let mut scratch = VisitScratch::new(eco.partner_list());
+            let sites: Vec<_> = eco
+                .hb_sites()
+                .take(n_hb)
+                .chain(eco.sites().filter(|s| s.facet.is_none()).take(2))
+                .collect();
+            let mut retries = 0;
+            for (day, site) in sites.into_iter().enumerate() {
+                let day = day as u32;
+                let pooled = visit_on(&eco, &mut scratch, &site, day);
+                let fresh = visit(&eco, &site, day);
+                assert_eq!(pooled.record.hb_detected, fresh.record.hb_detected);
+                assert_eq!(pooled.record.facet, fresh.record.facet);
+                assert_eq!(pooled.record.hb_latency_ms, fresh.record.hb_latency_ms);
+                assert_eq!(pooled.record.page_load_ms, fresh.record.page_load_ms);
+                assert_eq!(pooled.record.bids.len(), fresh.record.bids.len());
+                assert_eq!(pooled.record.slots.len(), fresh.record.slots.len());
+                assert_eq!(pooled.page_completed, fresh.page_completed);
+                let (p, f) = (&pooled.truth, &fresh.truth);
+                assert_eq!(p.client_bids, f.client_bids);
+                assert_eq!(p.late_bids, f.late_bids);
+                assert_eq!(p.winners, f.winners);
+                assert_eq!(p.adserver_response_at, f.adserver_response_at);
+                assert_eq!(p.waterfall_latency, f.waterfall_latency);
+                assert_eq!(p.retries, f.retries);
+                assert_eq!(p.timed_out_partners, f.timed_out_partners);
+                assert_eq!(p.bids_dropped, f.bids_dropped);
+                assert_eq!(p.passback_served, f.passback_served);
+                retries += p.retries;
+                // Symbol numbering matches because both sides interned the
+                // same strings into fresh interners in the same order.
+                assert_eq!(pooled.record.partners.len(), fresh.record.partners.len());
+                for (a, b) in pooled.record.partners.iter().zip(&fresh.record.partners) {
+                    assert_eq!(pooled.strings.resolve(*a), fresh.strings.resolve(*b));
+                }
+            }
+            let posture = eco.config().scenario.degraded_posture;
+            assert_eq!(retries > 0, posture, "only the degraded universe retries");
         }
     }
 

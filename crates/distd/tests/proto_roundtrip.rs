@@ -7,11 +7,39 @@
 //! - the chaos schedule is a pure function of `(seed, connection,
 //!   frame index)`: two schedules built from the same config agree on
 //!   every decision, so a failing storm replays exactly from its seed,
-//!   and the designated liveness connections never fault at any level.
+//!   and the designated liveness connections never fault at any level;
+//! - a chunk frame whose payload a peer rewrote and re-sealed (so it
+//!   passes the checksum) either fails to decode or decodes to a chunk
+//!   that folds and renders every indexed and fault report without a
+//!   panic.
 
-use hb_crawler::PlanBlock;
+use hb_analysis::{fault_reports, indexed_reports, DatasetIndexBuilder};
+use hb_core::{open_frame, seal_frame};
+use hb_crawler::{run_campaign_streamed, CampaignConfig, PlanBlock, VisitChunk};
 use hb_distd::{ChaosConfig, ChaosSchedule, Msg, RxFault, TxFault};
+use hb_ecosystem::{EcosystemConfig, SiteFactory};
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+/// The tiny campaign's sealed chunk frames, crawled once per process.
+fn chunk_frames() -> &'static [Vec<u8>] {
+    static FRAMES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    FRAMES.get_or_init(|| {
+        let mut frames = Vec::new();
+        run_campaign_streamed(
+            &SiteFactory::new(EcosystemConfig::tiny_scale()),
+            &CampaignConfig::default(),
+            &mut |chunk| frames.push(chunk.encode()),
+        );
+        frames
+    })
+}
+
+/// A byte a hostile peer writes: the extremes of every length and
+/// count field, or anything at all.
+fn arb_hostile_byte() -> impl Strategy<Value = u8> {
+    prop_oneof![Just(0u8), Just(0xff), Just(0x7f), Just(0x80), any::<u8>()]
+}
 
 fn arb_block() -> impl Strategy<Value = PlanBlock> {
     (
@@ -137,5 +165,30 @@ proptest! {
             })
         });
         prop_assert!(differs, "adjacent seeds produced identical storms");
+    }
+
+    #[test]
+    fn resealed_hostile_chunk_never_panics_the_fold(
+        pick in any::<u64>(),
+        writes in proptest::collection::vec((any::<u64>(), arb_hostile_byte()), 1..8),
+    ) {
+        let frames = chunk_frames();
+        let frame = &frames[(pick % frames.len() as u64) as usize];
+        let mut payload = open_frame(frame).expect("campaign frame opens").to_vec();
+        for (at, byte) in writes {
+            let at = (at % payload.len() as u64) as usize;
+            payload[at] = byte;
+        }
+        let Ok(chunk) = VisitChunk::decode(&seal_frame(&payload)) else {
+            return Ok(());
+        };
+        let eco = EcosystemConfig::tiny_scale();
+        let mut builder = DatasetIndexBuilder::new(eco.n_sites, eco.crawl_days);
+        builder.push_chunk(&chunk);
+        let ix = builder.finish();
+        for report in indexed_reports(&ix).into_iter().chain(fault_reports(&ix)) {
+            prop_assert!(!report.render().is_empty(), "{} rendered nothing", report.id);
+            let _ = report.to_csv();
+        }
     }
 }
