@@ -123,7 +123,7 @@ fn main() {
     println!(
         "STATS blocks_total={} chunks_folded={} chunks_replayed={} leases_issued={} \
          leases_reissued={} chunks_duplicate_dropped={} frames_rejected={} workers_seen={} \
-         segments_written={} chunks_compacted={}",
+         segments_written={} chunks_compacted={} frame_syncs={} extension_syncs={}",
         stats.blocks_total,
         stats.chunks_folded,
         stats.chunks_replayed,
@@ -134,5 +134,7 @@ fn main() {
         stats.workers_seen,
         stats.segments_written,
         stats.chunks_compacted,
+        stats.frame_syncs,
+        stats.extension_syncs,
     );
 }

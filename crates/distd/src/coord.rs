@@ -144,6 +144,12 @@ pub struct CoordStats {
     /// Chunk frames appended to the spool log. (Named for the compaction
     /// the log replaced; the benchmark reads it under this name.)
     pub chunks_compacted: u64,
+    /// Spool `sync_data` calls that made frames durable: one per group
+    /// commit batch per log file it touched.
+    pub frame_syncs: u64,
+    /// Spool `sync_data` calls that made a log file's preallocated zeros
+    /// durable: one per MiB of frames a file reaches.
+    pub extension_syncs: u64,
 }
 
 struct Lease {
@@ -805,6 +811,8 @@ impl Coordinator {
             let counts = log.finish();
             st.stats.segments_written = counts.files_created;
             st.stats.chunks_compacted = counts.frames_appended;
+            st.stats.frame_syncs = counts.frame_syncs;
+            st.stats.extension_syncs = counts.extension_syncs;
         }
         Ok(st.stats)
     }

@@ -27,21 +27,42 @@
 //! fsyncs the directory, so the new name survives an OS crash as well as
 //! a killed process.
 //!
+//! ## Zeros ahead of the frames
+//!
+//! An open file is its frames followed by zeros: when a frame would run
+//! past the zeros, the leader first writes zeros out to the next MiB
+//! (`EXTEND_STEP`) and syncs them. That one extension sync makes the
+//! file's length and its blocks durable, so the frames then written over
+//! the zeros need a data-only `sync_data`, not a filesystem journal
+//! commit. A file is closed when it is full and when the log finishes;
+//! closing cuts the zeros off, so a closed file is exactly its frames.
+//! Only a file whose coordinator died, or whose batch failed, keeps a
+//! tail of zeros.
+//!
 //! ## Replay
 //!
 //! [`spool_load`] walks the files in number order and the frames of each
-//! file in order, reading one frame at a time. The first frame that fails
-//! its length check or `VisitChunk::decode` counts as one rejection and
-//! ends its file; later files still replay. Blocks past the cut are
-//! simply leased again, which is always safe because visits are pure.
+//! file in order, reading one frame at a time. Zeros from a frame
+//! boundary to the end of the file end it cleanly. Otherwise the first
+//! frame that fails its length check or `VisitChunk::decode` counts as
+//! one rejection and ends its file; later files still replay. Blocks past
+//! the cut are simply leased again, which is always safe because visits
+//! are pure.
 
 use crate::proto::MAX_PAYLOAD;
 use hb_core::{frame_payload_len, FRAME_HEADER, FRAME_OVERHEAD};
 use hb_crawler::VisitChunk;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+/// An open file's zeros run out to a multiple of this many bytes.
+const EXTEND_STEP: u64 = 1 << 20;
+
+/// The zeros an extension writes, a slice at a time, and that replay
+/// compares a file's tail against.
+static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
 
 /// File name of log file `n`.
 fn log_file_name(n: u64) -> String {
@@ -73,6 +94,42 @@ fn log_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(files)
 }
 
+/// The file frames are going into.
+struct OpenFile {
+    file: File,
+    /// Frames it holds.
+    frames: usize,
+    /// Bytes of frames it holds: where the next frame goes.
+    written: u64,
+    /// Its length: zeros from `written` to here.
+    zeroed: u64,
+}
+
+impl OpenFile {
+    /// Write zeros from the end of the file out to the first multiple of
+    /// [`EXTEND_STEP`] at or past `end`, and sync them: the new length and
+    /// blocks are durable before any frame is written over them.
+    fn extend(&mut self, end: u64) -> io::Result<()> {
+        let to = end.next_multiple_of(EXTEND_STEP);
+        self.file.seek(SeekFrom::Start(self.zeroed))?;
+        let mut left = to - self.zeroed;
+        while left > 0 {
+            let n = left.min(ZEROS.len() as u64) as usize;
+            self.file.write_all(&ZEROS[..n])?;
+            left -= n as u64;
+        }
+        self.file.sync_data()?;
+        self.file.seek(SeekFrom::Start(self.written))?;
+        self.zeroed = to;
+        Ok(())
+    }
+
+    /// Cut the zeros off, leaving the file exactly its frames.
+    fn trim(&self) -> io::Result<()> {
+        self.file.set_len(self.written)
+    }
+}
+
 /// The log file and its counters. Between batches it is parked in
 /// [`SpoolLog`]; while a batch is written and synced it belongs to the
 /// appender leading that batch.
@@ -82,53 +139,60 @@ struct LogFile {
     roll_every: usize,
     /// Number of the next file to create.
     next: u64,
-    /// The open file and how many frames it holds; `None` after a failed
-    /// batch, so the next batch starts a new file.
-    open: Option<(File, usize)>,
-    /// Log files created.
-    files_created: u64,
-    /// Frames appended and synced.
-    frames_appended: u64,
+    /// The open file; `None` once a file is full or after a failed
+    /// batch, so the next frame starts a new file.
+    open: Option<OpenFile>,
+    counts: LogCounts,
 }
 
 impl LogFile {
     /// Create the next file, then fsync the directory so its name is as
     /// durable as the frames about to be synced into it.
-    fn start_file(&mut self) -> io::Result<File> {
+    fn start_file(&mut self) -> io::Result<OpenFile> {
         let path = self.dir.join(log_file_name(self.next));
         self.next += 1;
-        let file = OpenOptions::new()
-            .append(true)
-            .create_new(true)
-            .open(path)?;
+        let file = OpenOptions::new().write(true).create_new(true).open(path)?;
         File::open(&self.dir)?.sync_all()?;
-        self.files_created += 1;
-        Ok(file)
+        self.counts.files_created += 1;
+        Ok(OpenFile {
+            file,
+            frames: 0,
+            written: 0,
+            zeroed: 0,
+        })
     }
 
-    /// Write a batch and sync it: once per file it touched.
+    /// Write a batch and sync it: once per file it touched, plus once
+    /// per extension.
     fn write_batch(&mut self, batch: &[Vec<u8>]) -> io::Result<()> {
         // Taken for the batch: an error, or an unwind, leaves no file open.
         let mut open = self.open.take();
         for frame in batch {
-            let full = open
-                .as_ref()
-                .is_none_or(|&(_, n)| self.roll_every > 0 && n >= self.roll_every);
-            if full {
-                if let Some((file, _)) = &open {
-                    file.sync_data()?;
-                }
-                open = Some((self.start_file()?, 0));
+            if open.is_none() {
+                open = Some(self.start_file()?);
             }
-            let (file, n) = open.as_mut().expect("opened above");
-            file.write_all(frame)?;
-            *n += 1;
+            let o = open.as_mut().expect("opened above");
+            let end = o.written + frame.len() as u64;
+            if end > o.zeroed {
+                o.extend(end)?;
+                self.counts.extension_syncs += 1;
+            }
+            o.file.write_all(frame)?;
+            o.written = end;
+            o.frames += 1;
+            if self.roll_every > 0 && o.frames >= self.roll_every {
+                let full = open.take().expect("written above");
+                full.file.sync_data()?;
+                self.counts.frame_syncs += 1;
+                full.trim()?;
+            }
         }
-        if let Some((file, _)) = &open {
-            file.sync_data()?;
+        if let Some(o) = &open {
+            o.file.sync_data()?;
+            self.counts.frame_syncs += 1;
         }
         self.open = open;
-        self.frames_appended += batch.len() as u64;
+        self.counts.frames_appended += batch.len() as u64;
         Ok(())
     }
 }
@@ -179,6 +243,11 @@ pub(crate) struct LogCounts {
     pub(crate) files_created: u64,
     /// Frames appended and synced.
     pub(crate) frames_appended: u64,
+    /// `sync_data` calls that made frames durable: one per batch per
+    /// file it touched.
+    pub(crate) frame_syncs: u64,
+    /// `sync_data` calls that made a file's new zeros durable.
+    pub(crate) extension_syncs: u64,
 }
 
 impl SpoolLog {
@@ -192,10 +261,9 @@ impl SpoolLog {
             roll_every,
             next,
             open: None,
-            files_created: 0,
-            frames_appended: 0,
+            counts: LogCounts::default(),
         };
-        file.open = Some((file.start_file()?, 0));
+        file.open = Some(file.start_file()?);
         Ok(SpoolLog {
             queue: Mutex::new(Queue {
                 frames: Vec::new(),
@@ -254,16 +322,19 @@ impl SpoolLog {
         }
     }
 
-    /// Close the log and return its counters. Call once every appender
-    /// has returned.
+    /// Close the log, cutting the zeros off its open file, and return
+    /// its counters. Call once every appender has returned.
     pub(crate) fn finish(self) -> LogCounts {
         let q = self
             .queue
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        q.file.map_or(LogCounts::default(), |f| LogCounts {
-            files_created: f.files_created,
-            frames_appended: f.frames_appended,
+        q.file.map_or(LogCounts::default(), |f| {
+            if let Some(o) = &f.open {
+                // A file left long replays the same: its tail is zeros.
+                let _ = o.trim();
+            }
+            f.counts
         })
     }
 }
@@ -337,13 +408,13 @@ fn replay_file(path: &Path, chunks: &mut Vec<VisitChunk>) -> io::Result<bool> {
     let mut reader = BufReader::new(file);
     let mut frame = Vec::new();
     while left > 0 {
-        if left < FRAME_HEADER as u64 {
-            return Ok(false);
-        }
-        frame.resize(FRAME_HEADER, 0);
+        let head = left.min(FRAME_HEADER as u64) as usize;
+        frame.resize(head, 0);
         reader.read_exact(&mut frame)?;
         let Some(len) = frame_len(&frame, left) else {
-            return Ok(false);
+            // Not a frame: the zeros an open file keeps ahead of its
+            // frames end it cleanly; anything else is damage.
+            return zero_tail(&frame, &mut reader, left - head as u64);
         };
         frame.resize(len, 0);
         reader.read_exact(&mut frame[FRAME_HEADER..])?;
@@ -352,6 +423,27 @@ fn replay_file(path: &Path, chunks: &mut Vec<VisitChunk>) -> io::Result<bool> {
             Ok(chunk) => chunks.push(chunk),
             Err(_) => return Ok(false),
         }
+    }
+    Ok(true)
+}
+
+/// Whether `head` and the `left` bytes after it in `reader` are all zeros.
+fn zero_tail(head: &[u8], reader: &mut impl BufRead, mut left: u64) -> io::Result<bool> {
+    if head.iter().any(|&b| b != 0) {
+        return Ok(false);
+    }
+    while left > 0 {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            // Cut off under us by the close of a live file: zeros too.
+            break;
+        }
+        let n = (buf.len().min(ZEROS.len()) as u64).min(left) as usize;
+        if buf[..n] != ZEROS[..n] {
+            return Ok(false);
+        }
+        reader.consume(n);
+        left -= n as u64;
     }
     Ok(true)
 }
@@ -450,18 +542,26 @@ mod tests {
 
     /// The naive model of the log: it is the frames, back to back, and
     /// replay after any cut or single bit flip inside the last two frames
-    /// returns exactly the frames before the damage. A later file after
-    /// a torn one still replays in full.
+    /// returns exactly the frames before the damage. A cut padded with
+    /// zeros out to the open file's length, as a killed coordinator
+    /// leaves it, replays the same, and only a cut inside a frame counts.
+    /// A later file after a torn one still replays in full.
     #[test]
     fn log_replay_is_exactly_the_fully_written_prefix() {
         let dir = tmp_dir("model");
         let campaign = tiny_campaign(2);
         let (chunks, later) = (&campaign[..5], &campaign[5..8]);
         let frames: Vec<Vec<u8>> = chunks.iter().map(VisitChunk::encode).collect();
-        write_log(&dir, 0, chunks);
         let path = dir.join(log_file_name(0));
+        let spool = SpoolLog::create(&dir, 0).expect("create log");
+        for f in &frames {
+            spool.append(f.clone()).expect("append");
+        }
+        let open_len = fs::metadata(&path).expect("open log").len();
+        spool.finish();
         let log = fs::read(&path).expect("log bytes");
         assert_eq!(log, frames.concat(), "the log is the frames, back to back");
+        assert!(open_len > log.len() as u64, "the open log ran ahead");
 
         // ends[i]: offset just past frame i.
         let ends: Vec<usize> = frames
@@ -486,6 +586,21 @@ mod tests {
             );
             let torn = usize::from(!ends.contains(&offset));
             assert_eq!(replay.rejected, torn, "cut at {offset}");
+
+            // The same cut with zeros out to the open length.
+            File::create(&path)
+                .and_then(|mut f| {
+                    f.write_all(&log[..offset])?;
+                    f.set_len(open_len)
+                })
+                .expect("pad with zeros");
+            let replay = spool_load(&dir).expect("replay");
+            assert_eq!(
+                keys(&replay.chunks),
+                keys(&chunks[..before]),
+                "padded cut at {offset}"
+            );
+            assert_eq!(replay.rejected, torn, "padded cut at {offset}");
 
             // Flip one bit at `offset`: the damaged frame and everything
             // after it are gone, and the damage counts once.
@@ -698,6 +813,13 @@ mod tests {
         let log = write_log(&dir, 4, &chunks);
         assert_eq!(log.files_created as usize, chunks.len().div_ceil(4));
         assert_eq!(log.frames_appended as usize, chunks.len());
+        // Closed files are exactly their frames: no zeros left over.
+        for (n, share) in chunks.chunks(4).enumerate() {
+            let bytes = fs::read(dir.join(log_file_name(n as u64))).expect("log file");
+            let frames: Vec<u8> = share.iter().flat_map(VisitChunk::encode).collect();
+            assert_eq!(bytes.len(), frames.len(), "file {n}'s length");
+            assert_eq!(bytes, frames, "file {n} is its frames");
+        }
         let replay = spool_load(&dir).expect("replay");
         assert_eq!(replay.files, chunks.len().div_ceil(4));
         assert_eq!(replay.rejected, 0);
@@ -706,5 +828,91 @@ mod tests {
             assert_eq!(a.encode(), b.encode(), "byte-identical replay");
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An open file's zeros run ahead of its frames, out to a whole
+    /// extension step; closing it cuts them off.
+    #[test]
+    fn log_open_file_runs_zeros_ahead_of_its_frames() {
+        let dir = tmp_dir("ahead");
+        let frames: Vec<Vec<u8>> = tiny_campaign(2)[..3]
+            .iter()
+            .map(VisitChunk::encode)
+            .collect();
+        let written = frames.concat();
+        let path = dir.join(log_file_name(0));
+        let log = SpoolLog::create(&dir, 0).expect("create log");
+        for f in &frames {
+            log.append(f.clone()).expect("append");
+        }
+        let open = fs::read(&path).expect("open log");
+        assert_eq!(open.len() as u64, EXTEND_STEP, "preallocated one step");
+        assert_eq!(&open[..written.len()], &written[..], "frames first");
+        assert!(open[written.len()..].iter().all(|&b| b == 0), "then zeros");
+        log.finish();
+        assert_eq!(fs::read(&path).expect("closed log"), written);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A log dropped without `finish`, as a killed coordinator leaves it:
+    /// its open file still ends in zeros, and every acked frame replays
+    /// with nothing rejected.
+    #[test]
+    fn log_dropped_unfinished_replays_every_acked_frame() {
+        let dir = tmp_dir("killed");
+        let chunks = &tiny_campaign(2)[..10];
+        // Roll size 4: two closed files and an open one holding two frames.
+        let log = SpoolLog::create(&dir, 4).expect("create log");
+        for c in chunks {
+            log.append(c.encode()).expect("append");
+        }
+        drop(log);
+        let open = fs::metadata(dir.join(log_file_name(2))).expect("open file");
+        let frames: usize = chunks[8..].iter().map(|c| c.encode().len()).sum();
+        assert!(open.len() > frames as u64, "the open file ends in zeros");
+        let replay = spool_load(&dir).expect("replay");
+        assert_eq!(replay.files, 3);
+        assert_eq!(replay.rejected, 0, "a zero tail is a clean end");
+        assert_eq!(keys(&replay.chunks), keys(chunks));
+        for (a, b) in replay.chunks.iter().zip(chunks) {
+            assert_eq!(a.encode(), b.encode(), "byte-identical replay");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One appender: every frame is its own batch, so N frames sync N
+    /// times, and each file extends once per step its frames reach,
+    /// a frame longer than a step included.
+    #[test]
+    fn log_counts_one_frame_sync_per_batch_and_one_extension_per_step() {
+        const KIB: usize = 1 << 10;
+        // (roll size, frame lengths, files, extension syncs, closed
+        // length of the last file)
+        let cases: [(usize, &[usize], u64, u64, usize); 3] = [
+            // Ends at 300..3000 KiB cross 1 and 2 MiB: zeros to 1, 2, 3 MiB.
+            (0, &[300 * KIB; 10], 1, 3, 3000 * KIB),
+            // Files of 4 + 4 + 2 frames: 2 + 2 + 1 extensions.
+            (4, &[300 * KIB; 10], 3, 5, 600 * KIB),
+            // One frame of 2.5 MiB: zeros to 3 MiB at once.
+            (0, &[2560 * KIB], 1, 1, 2560 * KIB),
+        ];
+        for (case, &(roll, lens, files, extensions, last_len)) in cases.iter().enumerate() {
+            let dir = tmp_dir(&format!("counts-{case}"));
+            let log = SpoolLog::create(&dir, roll).expect("create log");
+            for &len in lens {
+                log.append(vec![0xa5; len]).expect("append");
+            }
+            let last = dir.join(log_file_name(files - 1));
+            let open_len = fs::metadata(&last).expect("open file").len();
+            assert_eq!(open_len, (last_len as u64).next_multiple_of(EXTEND_STEP));
+            let counts = log.finish();
+            assert_eq!(counts.files_created, files, "case {case}");
+            assert_eq!(counts.frames_appended, lens.len() as u64, "case {case}");
+            assert_eq!(counts.frame_syncs, lens.len() as u64, "case {case}");
+            assert_eq!(counts.extension_syncs, extensions, "case {case}");
+            let closed_len = fs::metadata(&last).expect("closed file").len();
+            assert_eq!(closed_len, last_len as u64, "case {case}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -168,7 +168,7 @@ fn finish_coord(
     stats
 }
 
-fn spool_file_count(dir: &Path) -> usize {
+fn spooled_chunks(dir: &Path) -> usize {
     // The chunks replay reads: a frame a SIGKILL cut short is not one.
     spool_load(dir).map_or(0, |replay| replay.chunks.len())
 }
@@ -231,7 +231,7 @@ fn coordinator_restart_and_worker_kill_recover_byte_identical() {
             .expect("spawn phase-1 worker"),
         );
         let deadline = Instant::now() + Duration::from_secs(60);
-        while spool_file_count(&spool) < 2 {
+        while spooled_chunks(&spool) < 2 {
             assert!(
                 Instant::now() < deadline,
                 "no chunks reached the spool in time"
@@ -240,7 +240,7 @@ fn coordinator_restart_and_worker_kill_recover_byte_identical() {
         }
         // KillOnDrop delivers SIGKILL to coordinator and worker here.
     }
-    let spooled_before_restart = spool_file_count(&spool);
+    let spooled_before_restart = spooled_chunks(&spool);
     assert!(spooled_before_restart >= 2);
 
     // --- Phase 2: restart the coordinator on the same spool. A slow
@@ -262,9 +262,9 @@ fn coordinator_restart_and_worker_kill_recover_byte_identical() {
     // is warmed up and cycling leases — then kill it 150 ms into its next
     // block (a full 32-visit block takes >= 640 ms at 20 ms per visit),
     // so the SIGKILL is guaranteed to land mid-lease.
-    let before = spool_file_count(&spool);
+    let before = spooled_chunks(&spool);
     let deadline = Instant::now() + Duration::from_secs(60);
-    while spool_file_count(&spool) <= before {
+    while spooled_chunks(&spool) <= before {
         assert!(Instant::now() < deadline, "victim never submitted a block");
         std::thread::sleep(Duration::from_millis(20));
     }
