@@ -515,7 +515,7 @@ pub fn decode_interner(r: &mut WireReader<'_>) -> Result<Interner, WireError> {
     if n == 0 {
         return Err(WireError::Corrupt("empty interner"));
     }
-    let mut strings = Interner::new();
+    let mut strings = Interner::with_capacity(n);
     for i in 0..n {
         let s = r.str()?;
         let sym = strings.intern(s);

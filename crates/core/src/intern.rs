@@ -17,9 +17,9 @@
 //! so symbol numbering is identical regardless of scheduling or
 //! parallelism (see `hb-crawler`'s campaign module).
 
-use hb_simnet::FxHashMap;
+use hb_simnet::FxHasher;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::Hasher;
 
 /// A handle to an interned string. `Symbol::EMPTY` (the default) always
 /// resolves to `""` in every interner.
@@ -55,16 +55,28 @@ impl fmt::Debug for Symbol {
     }
 }
 
-/// A string interner: each distinct string is stored once (an `Arc<str>`
-/// shared between the lookup map and the index), and [`Interner::intern`]
-/// is idempotent — the same text always yields the same [`Symbol`].
+/// A string interner: each distinct string is stored once, and
+/// [`Interner::intern`] is idempotent — the same text always yields the
+/// same [`Symbol`].
+///
+/// All text lives in one buffer, string `i` at
+/// `text[offsets[i]..offsets[i + 1]]`, so interning a new string copies
+/// its bytes and allocates nothing else, and dropping an interner frees
+/// three buffers however many strings it holds. Lookups go through an
+/// open-addressed table of symbol indexes keyed by the Fx hash of the
+/// text: interning happens per record string on the crawl, decode and
+/// fold paths, and symbol numbering comes from insertion order, so the
+/// hasher cannot influence any output.
 #[derive(Clone, Debug)]
 pub struct Interner {
-    strings: Vec<Arc<str>>,
-    /// Fx-hashed: interning happens per record string on the crawl and
-    /// merge hot paths; symbol numbering comes from `strings` order, so
-    /// the hasher cannot influence any output.
-    map: FxHashMap<Arc<str>, Symbol>,
+    /// Every string's bytes, back to back, in symbol order.
+    text: String,
+    /// `offsets[i]..offsets[i + 1]` is string `i`'s span of `text`; one
+    /// more entry than there are strings.
+    offsets: Vec<u32>,
+    /// Linear-probing table of `symbol index + 1` (0: an empty slot). Its
+    /// length is a power of two, at least twice the number of strings.
+    table: Vec<u32>,
 }
 
 impl Default for Interner {
@@ -73,27 +85,79 @@ impl Default for Interner {
     }
 }
 
+/// Slots of the smallest table: room for 8 strings.
+const MIN_TABLE: usize = 16;
+
+/// The table key of `s`. Fx is not collision-resistant; what it hashes
+/// here is text the crawl produced or a chunk frame carried.
+fn hash(s: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(s.as_bytes());
+    h.finish()
+}
+
 impl Interner {
     /// New interner with `""` pre-interned as [`Symbol::EMPTY`].
     pub fn new() -> Interner {
+        Interner::with_capacity(0)
+    }
+
+    /// [`Interner::new`], with room for `strings` strings, `""` included,
+    /// before its table first grows.
+    pub fn with_capacity(strings: usize) -> Interner {
+        let slots = (2 * strings).next_power_of_two().max(MIN_TABLE);
+        let mut offsets = Vec::with_capacity(strings + 1);
+        offsets.push(0);
         let mut interner = Interner {
-            strings: Vec::new(),
-            map: FxHashMap::default(),
+            text: String::new(),
+            offsets,
+            table: vec![0; slots],
         };
         interner.intern("");
         interner
     }
 
-    /// Intern `s`, returning its symbol (allocating only on first sight).
+    /// Intern `s`, returning its symbol (copying its text only on first
+    /// sight).
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&sym) = self.map.get(s) {
-            return sym;
+        let mask = self.table.len() - 1;
+        let mut slot = hash(s) as usize & mask;
+        loop {
+            match self.table[slot] {
+                0 => break,
+                entry => {
+                    let sym = Symbol(entry - 1);
+                    if self.resolve(sym) == s {
+                        return sym;
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
         }
-        let arc: Arc<str> = Arc::from(s);
-        let sym = Symbol(self.strings.len() as u32);
-        self.strings.push(arc.clone());
-        self.map.insert(arc, sym);
+        let sym = Symbol(self.len() as u32);
+        self.text.push_str(s);
+        let end = u32::try_from(self.text.len()).expect("interned text stays under 4 GiB");
+        self.offsets.push(end);
+        self.table[slot] = sym.0 + 1;
+        if 2 * self.len() > self.table.len() {
+            self.grow();
+        }
         sym
+    }
+
+    /// Double the table and re-seat every symbol.
+    fn grow(&mut self) {
+        let slots = 2 * self.table.len();
+        let mask = slots - 1;
+        let mut table = vec![0; slots];
+        for (sym, s) in self.iter() {
+            let mut slot = hash(s) as usize & mask;
+            while table[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            table[slot] = sym.0 + 1;
+        }
+        self.table = table;
     }
 
     /// Resolve a symbol to its text.
@@ -102,25 +166,26 @@ impl Interner {
     /// Panics if `sym` was produced by a different interner with more
     /// entries than this one.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.0 as usize]
+        let i = sym.index();
+        &self.text[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Number of distinct strings (including the pre-interned `""`).
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.offsets.len() - 1
     }
 
     /// Always false: `""` is pre-interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.len() == 0
     }
 
     /// Iterate `(symbol, text)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.strings
-            .iter()
+        self.offsets
+            .windows(2)
             .enumerate()
-            .map(|(i, s)| (Symbol(i as u32), &**s))
+            .map(|(i, w)| (Symbol(i as u32), &self.text[w[0] as usize..w[1] as usize]))
     }
 }
 
@@ -156,5 +221,49 @@ mod tests {
         i.intern("a");
         let texts: Vec<&str> = i.iter().map(|(_, s)| s).collect();
         assert_eq!(texts, vec!["", "b", "a"]);
+    }
+
+    proptest::proptest! {
+        /// The interner against a naive model, a `Vec<String>` searched
+        /// front to back: over up to 400 draws from 341 possible strings
+        /// the table grows from 16 slots to 1,024, and every symbol, the
+        /// length, resolution and iteration order must match the model
+        /// throughout. A wire round trip rebuilds the same interner.
+        #[test]
+        fn interner_matches_a_naive_model_across_table_growth(
+            words in proptest::collection::vec(
+                proptest::string::string_regex("[a-d]{0,4}").expect("pattern"),
+                0..400,
+            ),
+        ) {
+            let mut model = vec![String::new()];
+            let mut interner = Interner::new();
+            for w in &words {
+                let want = model.iter().position(|m| m == w).unwrap_or_else(|| {
+                    model.push(w.clone());
+                    model.len() - 1
+                });
+                proptest::prop_assert_eq!(interner.intern(w).index(), want);
+                proptest::prop_assert_eq!(interner.len(), model.len());
+            }
+            for w in &words {
+                let sym = interner.intern(w);
+                proptest::prop_assert_eq!(interner.resolve(sym), w.as_str());
+            }
+            proptest::prop_assert_eq!(interner.len(), model.len());
+            let texts: Vec<&str> = interner.iter().map(|(_, s)| s).collect();
+            proptest::prop_assert_eq!(&texts, &model);
+            for (i, m) in model.iter().enumerate() {
+                proptest::prop_assert_eq!(interner.resolve(Symbol(i as u32)), m.as_str());
+            }
+
+            let mut w = crate::WireWriter::new();
+            crate::encode_interner(&interner, &mut w);
+            let bytes = w.into_bytes();
+            let back = crate::decode_interner(&mut crate::WireReader::new(&bytes))
+                .expect("round trip");
+            let back: Vec<&str> = back.iter().map(|(_, s)| s).collect();
+            proptest::prop_assert_eq!(back, texts);
+        }
     }
 }

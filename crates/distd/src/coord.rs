@@ -22,18 +22,20 @@
 //!   the original worker submitted anyway) yields byte-identical chunks;
 //!   the second arrival is detected by its `(day, seq)` key and
 //!   dropped, counted in `chunks_duplicate_dropped`.
-//! * **Ack implies durable.** With a spool configured, the sealed frame
-//!   is appended to the spool log and synced *before* the worker is
-//!   acked; a coordinator restarted on the same spool replays every acked
-//!   chunk and re-leases only the unfinished blocks. A handler appends
-//!   *outside* the state lock: the first handler to find no sync running
-//!   writes and syncs every frame queued meanwhile at once, and the rest
-//!   wait for the sync that covers theirs (leader/follower group commit)
-//!   — disk latency never blocks the fabric.
+//! * **Ack implies durable.** With a spool configured, a submission's
+//!   fresh frames are appended to the spool log and synced *before* the
+//!   worker is acked; a coordinator restarted on the same spool replays
+//!   every acked chunk and re-leases only the unfinished blocks. A
+//!   handler appends *outside* the state lock: the first handler to find
+//!   no sync running writes and syncs every frame queued meanwhile at
+//!   once, and the rest wait for the sync that covers theirs
+//!   (leader/follower group commit) — disk latency never blocks the
+//!   fabric.
 //! * **Rows match the lease.** A chunk is admitted only if its key names
 //!   a scheduled block and its rows are exactly that block's visits (the
 //!   block's day, its ranks in order). Anything else is refused and
-//!   counted in `frames_rejected`; the block stays leasable.
+//!   counted in `frames_rejected`, together with every other chunk of
+//!   its submission; the blocks stay leasable.
 //! * **Nothing on the wire is trusted.** Frames (worker submissions and
 //!   spool log frames alike) are checksum-verified before parsing and
 //!   structurally validated during it; failures are counted in
@@ -49,7 +51,7 @@
 //! leasable long-polls on it, waking early only when the earliest lease
 //! deadline falls due, and answers `Wait` only at its hold cap. The one
 //! exception is a request from a connection that still holds an
-//! unfinished lease: its worker is prefetching with its last block
+//! unfinished lease: its worker is prefetching with that lease's chunks
 //! unsent, so it is answered at once. The fold thread runs the sink with
 //! the state lock released, so it never stalls admission or leasing.
 //! Campaign completion wakes the accept loop with a self-connection so
@@ -153,8 +155,8 @@ pub struct CoordStats {
 }
 
 struct Lease {
-    /// Remaining block indices this lease covers; submitting a block
-    /// retires it from the lease.
+    /// Remaining block indices this lease covers; admitting a block's
+    /// chunk retires it from the lease.
     blocks: Vec<usize>,
     deadline: Instant,
     /// The worker id the requesting connection got at `Hello` (`None`
@@ -400,8 +402,9 @@ fn holds_lease(st: &State, worker: Option<u32>) -> bool {
 /// with `Wait` and the worker asks again at once.
 ///
 /// A worker that still holds an unfinished lease is prefetching its next
-/// one with its last block unsent, and the fold may be waiting on exactly
-/// that block; its request is answered at once, `Wait` included.
+/// one with that lease's chunks unsent, and the fold may be waiting on
+/// exactly those blocks; its request is answered at once, `Wait`
+/// included.
 fn lease_or_wait(shared: &Shared, cfg: &CoordConfig, worker: Option<u32>) -> Msg {
     let hold_until = Instant::now() + idle_backstop(cfg) / 2;
     let mut st = shared.lock();
@@ -463,87 +466,131 @@ fn judge(st: &State, chunk: &VisitChunk) -> Verdict {
     }
 }
 
-/// Admit one decoded chunk (already durable if a spool is configured —
-/// the caller appends it to the spool *before* taking the state lock).
-/// Returns the ack to send.
-fn admit(st: &mut State, chunk: VisitChunk) -> Msg {
-    let idx = match judge(st, &chunk) {
-        Verdict::Refused => {
-            st.stats.frames_rejected += 1;
-            return Msg::SubmitAck {
-                accepted: false,
-                duplicate: false,
-                done: all_complete(st),
-            };
+/// Judge a submission's chunks without booking anything: how many the
+/// schedule refuses, and the positions of the fresh ones (a block named
+/// twice in one submission is fresh once).
+fn judge_all(st: &State, chunks: &[VisitChunk]) -> (u64, Vec<usize>) {
+    let mut refused = 0;
+    let mut fresh: Vec<(usize, usize)> = Vec::new();
+    for (at, chunk) in chunks.iter().enumerate() {
+        match judge(st, chunk) {
+            Verdict::Refused => refused += 1,
+            Verdict::Fresh(idx) if !fresh.iter().any(|&(b, _)| b == idx) => fresh.push((idx, at)),
+            _ => {}
         }
-        Verdict::Duplicate => {
-            st.stats.chunks_duplicate_dropped += 1;
-            return Msg::SubmitAck {
-                accepted: true,
-                duplicate: true,
-                done: all_complete(st),
-            };
-        }
-        Verdict::Fresh(idx) => idx,
-    };
-    st.complete[idx] = true;
-    st.complete_count += 1;
-    st.buffered.insert(idx, chunk);
-    if let Some(lease_id) = st.leased_block.remove(&idx) {
-        // Retire just this block; the lease lives on for its others.
-        if let Some(lease) = st.leases.get_mut(&lease_id) {
-            lease.blocks.retain(|&b| b != idx);
-            if lease.blocks.is_empty() {
-                st.leases.remove(&lease_id);
+    }
+    (refused, fresh.into_iter().map(|(_, at)| at).collect())
+}
+
+/// The ack of a refused submission: nothing of it was taken.
+fn refusal(done: bool) -> Msg {
+    Msg::SubmitAck {
+        accepted: false,
+        duplicates: 0,
+        done,
+    }
+}
+
+/// Admit one decoded chunk, booking the counter its verdict calls for;
+/// a fresh chunk completes its block and waits in the reorder buffer.
+fn admit_one(st: &mut State, chunk: VisitChunk) -> Verdict {
+    let verdict = judge(st, &chunk);
+    match verdict {
+        Verdict::Refused => st.stats.frames_rejected += 1,
+        Verdict::Duplicate => st.stats.chunks_duplicate_dropped += 1,
+        Verdict::Fresh(idx) => {
+            st.complete[idx] = true;
+            st.complete_count += 1;
+            st.buffered.insert(idx, chunk);
+            if let Some(lease_id) = st.leased_block.remove(&idx) {
+                // Retire just this block; the lease lives on for its
+                // others.
+                if let Some(lease) = st.leases.get_mut(&lease_id) {
+                    lease.blocks.retain(|&b| b != idx);
+                    if lease.blocks.is_empty() {
+                        st.leases.remove(&lease_id);
+                    }
+                }
             }
+        }
+    }
+    verdict
+}
+
+/// Admit a submission's decoded chunks (already durable if a spool is
+/// configured — the caller appends them to the spool *before* taking
+/// the state lock) and return the ack. If the schedule refuses any
+/// chunk, none is taken and each refused one counts in
+/// `frames_rejected`.
+fn admit(st: &mut State, chunks: Vec<VisitChunk>) -> Msg {
+    let (refused, _) = judge_all(st, &chunks);
+    if refused > 0 {
+        st.stats.frames_rejected += refused;
+        return refusal(all_complete(st));
+    }
+    let mut duplicates = 0;
+    for chunk in chunks {
+        if let Verdict::Duplicate = admit_one(st, chunk) {
+            duplicates += 1;
         }
     }
     Msg::SubmitAck {
         accepted: true,
-        duplicate: false,
+        duplicates,
         done: all_complete(st),
     }
 }
 
-/// One submission, end to end: decode and pre-check, spool *outside* the
-/// state lock (this handler syncs the log itself or waits for the sync
-/// that covers its frame), admit, wake the fold thread.
-fn handle_submit(frame: Vec<u8>, shared: &Shared, spool: Option<&SpoolLog>) -> Msg {
-    let chunk = match VisitChunk::decode(&frame) {
-        Ok(c) => c,
-        Err(_) => {
-            let mut st = shared.lock();
-            st.stats.frames_rejected += 1;
-            return Msg::SubmitAck {
-                accepted: false,
-                duplicate: false,
-                done: all_complete(&st),
-            };
-        }
-    };
-    {
-        // Refused and duplicate chunks are answered without touching
-        // disk; `admit` books the right counter for both.
-        let mut st = shared.lock();
-        if !matches!(judge(&st, &chunk), Verdict::Fresh(_)) {
-            return admit(&mut st, chunk);
+/// One submission — a lease's sealed chunks — end to end. Every frame is
+/// decoded and judged before anything touches disk: one corrupt or
+/// refused frame refuses the whole submission, and each such frame
+/// counts in `frames_rejected`. The fresh frames then go to the spool as
+/// one group-commit entry *outside* the state lock (this handler syncs
+/// the log itself or waits for the sync that covers them), and the
+/// chunks are admitted under one lock with one wake-up of the fold
+/// thread.
+fn handle_submit(frames: Vec<Vec<u8>>, shared: &Shared, spool: Option<&SpoolLog>) -> Msg {
+    let mut chunks = Vec::with_capacity(frames.len());
+    let mut corrupt = 0;
+    for frame in &frames {
+        match VisitChunk::decode(frame) {
+            Ok(chunk) => chunks.push(chunk),
+            Err(_) => corrupt += 1,
         }
     }
+    let fresh = {
+        let mut st = shared.lock();
+        let (refused, fresh) = judge_all(&st, &chunks);
+        if corrupt + refused > 0 {
+            st.stats.frames_rejected += corrupt + refused;
+            return refusal(all_complete(&st));
+        }
+        if fresh.is_empty() {
+            // All duplicates: answered without touching disk.
+            return admit(&mut st, chunks);
+        }
+        fresh
+    };
     if let Some(spool) = spool {
-        if spool.append(frame).is_err() {
+        // Every frame decoded, so positions in `chunks` are positions in
+        // `frames`.
+        let mut fresh = fresh.into_iter().peekable();
+        let fresh_frames = frames
+            .into_iter()
+            .enumerate()
+            .filter(|&(at, _)| fresh.next_if_eq(&at).is_some())
+            .map(|(_, frame)| frame)
+            .collect();
+        if spool.append(fresh_frames).is_err() {
             // Durability could not be guaranteed; do not ack, leave the
-            // block leasable so a later submit can retry.
-            return Msg::SubmitAck {
-                accepted: false,
-                duplicate: false,
-                done: false,
-            };
+            // blocks leasable so a later submit can retry.
+            return refusal(false);
         }
     }
     let mut st = shared.lock();
     // Two handlers can race the same key past the pre-check; both frames
     // are byte-identical and durable, and `admit` drops the loser by key.
-    let ack = admit(&mut st, chunk);
+    let ack = admit(&mut st, chunks);
     drop(st);
     shared.changed.notify_all();
     ack
@@ -655,7 +702,7 @@ fn serve_conn(
                     None => Msg::Expired,
                 }
             }
-            Msg::SubmitChunk { frame, .. } => handle_submit(frame, shared, spool),
+            Msg::SubmitChunk { frames, .. } => handle_submit(frames, shared, spool),
             // Anything else is a peer speaking the wrong side of the
             // protocol; drop it.
             _ => return,
@@ -711,12 +758,7 @@ impl Coordinator {
                 let mut rest = Vec::new();
                 for chunk in pending {
                     if st.key_index.contains_key(&chunk.key()) {
-                        if let Msg::SubmitAck {
-                            accepted: true,
-                            duplicate: false,
-                            ..
-                        } = admit(&mut st, chunk)
-                        {
+                        if let Verdict::Fresh(_) = admit_one(&mut st, chunk) {
                             st.stats.chunks_replayed += 1;
                         }
                     } else {
@@ -849,7 +891,7 @@ mod tests {
     fn schedule_keys_after(cfg: &CoordConfig, chunks: &[VisitChunk]) -> Vec<(u32, u32)> {
         let mut st = initial_state(cfg);
         for chunk in chunks {
-            admit(&mut st, chunk.clone());
+            admit(&mut st, vec![chunk.clone()]);
             fold_ready(&mut st, &mut |_| {});
         }
         assert!(st.done && st.schedule_final);
@@ -896,12 +938,12 @@ mod tests {
             let mut rest = Vec::new();
             for chunk in queue.into_iter().rev() {
                 if st.key_index.contains_key(&chunk.key()) {
-                    let ack = admit(&mut st, chunk);
+                    let ack = admit(&mut st, vec![chunk]);
                     assert!(matches!(
                         ack,
                         Msg::SubmitAck {
                             accepted: true,
-                            duplicate: false,
+                            duplicates: 0,
                             ..
                         }
                     ));
@@ -927,25 +969,34 @@ mod tests {
         let mut sink = |_c: VisitChunk| n += 1;
         let first = chunks[0].clone();
         assert!(matches!(
-            admit(&mut st, first.clone()),
+            admit(&mut st, vec![first.clone()]),
             Msg::SubmitAck {
                 accepted: true,
-                duplicate: false,
+                duplicates: 0,
                 ..
             }
         ));
-        // The re-crawl of an expired lease arrives late: same key.
+        // The re-crawl of an expired lease arrives late: same key, and a
+        // submission naming one block twice takes it once.
         assert!(matches!(
-            admit(&mut st, first),
+            admit(&mut st, vec![first]),
             Msg::SubmitAck {
                 accepted: true,
-                duplicate: true,
+                duplicates: 1,
+                ..
+            }
+        ));
+        assert!(matches!(
+            admit(&mut st, vec![chunks[1].clone(), chunks[1].clone()]),
+            Msg::SubmitAck {
+                accepted: true,
+                duplicates: 1,
                 ..
             }
         ));
         fold_ready(&mut st, &mut sink);
-        assert_eq!(n, 1);
-        assert_eq!(st.stats.chunks_duplicate_dropped, 1);
+        assert_eq!(n, 2);
+        assert_eq!(st.stats.chunks_duplicate_dropped, 2);
     }
 
     #[test]
@@ -1018,7 +1069,7 @@ mod tests {
             // Block 0 lands and folds: the window moves on to block 2.
             let folded_at = Instant::now();
             let mut st = shared.lock();
-            admit(&mut st, chunks[0].clone());
+            admit(&mut st, vec![chunks[0].clone()]);
             assert_eq!(take_ready(&mut st).len(), 1);
             drop(st);
             shared.changed.notify_all();
@@ -1098,7 +1149,8 @@ mod tests {
     }
 
     /// The right key over the wrong visits is refused and counted, and
-    /// its block stays leasable; the honest chunk is then admitted.
+    /// its block stays leasable, as does the honest chunk submitted with
+    /// it; the honest chunk alone is then admitted.
     #[test]
     fn rows_that_are_not_their_blocks_are_refused() {
         let cfg = tiny_cfg();
@@ -1107,20 +1159,21 @@ mod tests {
         (liar.day, liar.seq) = (chunks[0].day, chunks[0].seq);
         let mut st = initial_state(&cfg);
         assert!(matches!(
-            admit(&mut st, liar),
+            admit(&mut st, vec![chunks[1].clone(), liar]),
             Msg::SubmitAck {
                 accepted: false,
-                duplicate: false,
+                duplicates: 0,
                 ..
             }
         ));
         assert_eq!(st.stats.frames_rejected, 1);
         assert!(!st.complete[0], "the block stays leasable");
+        assert!(!st.complete[1], "nothing of the submission is taken");
         assert!(matches!(
-            admit(&mut st, chunks[0].clone()),
+            admit(&mut st, vec![chunks[0].clone()]),
             Msg::SubmitAck {
                 accepted: true,
-                duplicate: false,
+                duplicates: 0,
                 ..
             }
         ));
@@ -1144,10 +1197,10 @@ mod tests {
         assert_eq!(st.stats.leases_issued, 1, "one round-trip, three blocks");
         // Submitting the first block retires it but keeps the lease.
         assert!(matches!(
-            admit(&mut st, chunks[0].clone()),
+            admit(&mut st, vec![chunks[0].clone()]),
             Msg::SubmitAck {
                 accepted: true,
-                duplicate: false,
+                duplicates: 0,
                 ..
             }
         ));
@@ -1206,10 +1259,10 @@ mod tests {
         chunk.seq = 9_999; // no such block on day 0 of this schedule
         let mut st = initial_state(&cfg);
         assert!(matches!(
-            admit(&mut st, chunk),
+            admit(&mut st, vec![chunk]),
             Msg::SubmitAck {
                 accepted: false,
-                duplicate: false,
+                duplicates: 0,
                 ..
             }
         ));

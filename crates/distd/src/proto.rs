@@ -14,17 +14,20 @@
 //!                            <--  Lease{lease_id, blocks} | Wait | Done
 //!   Heartbeat{lease_id}      -->
 //!                            <--  HeartbeatAck | Expired
-//!   SubmitChunk{lease_id,..} -->
-//!                            <--  SubmitAck{accepted, duplicate, done}
+//!   SubmitChunk{lease_id,    -->
+//!               frames}
+//!                            <--  SubmitAck{accepted, duplicates, done}
 //! ```
 //!
 //! A lease names up to `lease_blocks` of the campaign plan's blocks —
 //! each a `(day, seq)` key plus the explicit rank list — so a
 //! worker needs no schedule state of its own and a fast worker is not
-//! bound by one request round-trip per block. Campaign visits are pure functions of
-//! `(seed, rank, day)`, which is what makes lease re-issue after a crash
-//! idempotent (any two workers crawling the same block produce
-//! byte-identical chunks).
+//! bound by one request round-trip per block. The lease is also the unit
+//! of submission: one `SubmitChunk` carries the sealed chunk of every
+//! block of the lease, and one `SubmitAck` answers it. Campaign visits
+//! are pure functions of `(seed, rank, day)`, which is what makes lease
+//! re-issue after a crash idempotent (any two workers crawling the same
+//! block produce byte-identical chunks).
 
 use crate::transport::Transport;
 use hb_core::{open_frame, seal_frame, WireError, WireReader, WireWriter};
@@ -129,8 +132,8 @@ pub enum Msg {
         worker_id: u32,
     },
     /// A batched block lease: crawl every block in `blocks` and submit
-    /// each sealed chunk before the lease deadline lapses (heartbeats
-    /// renew the whole batch; each submitted chunk retires its block).
+    /// their sealed chunks, in one [`Msg::SubmitChunk`], before the lease
+    /// deadline lapses (heartbeats renew the whole batch).
     Lease {
         /// Lease identity, echoed in heartbeats and every submit.
         lease_id: u64,
@@ -154,23 +157,27 @@ pub enum Msg {
     HeartbeatAck,
     /// The lease lapsed and was re-issued; abandon its blocks.
     Expired,
-    /// Deliver a finished block: the sealed chunk frame, verbatim.
+    /// Deliver a finished lease: the sealed chunk frame of each of its
+    /// blocks, verbatim, in lease order. The coordinator takes or refuses
+    /// the frames together.
     SubmitChunk {
-        /// The lease this chunk fulfills.
+        /// The lease these chunks fulfill.
         lease_id: u64,
-        /// Sealed chunk frame ([`hb_crawler::VisitChunk::encode`] bytes).
-        frame: Vec<u8>,
+        /// Sealed chunk frames ([`hb_crawler::VisitChunk::encode`] bytes),
+        /// one per leased block; never empty.
+        frames: Vec<Vec<u8>>,
     },
-    /// Submit outcome. `accepted && duplicate` means another worker beat
-    /// this one to the block (normal after a lease re-issue) — the chunk
-    /// was dropped but the worker is square. `done` piggybacks campaign
-    /// completion on the final ack so the submitting worker can exit
-    /// without another request round-trip.
+    /// Submit outcome. An accepted submit's `duplicates` frames were for
+    /// blocks another worker had already completed (normal after a lease
+    /// re-issue): they were dropped but the worker is square. `done`
+    /// piggybacks campaign completion on the final ack so the submitting
+    /// worker can exit without another request round-trip.
     SubmitAck {
-        /// False only when the frame failed validation.
+        /// False when any frame failed validation (nothing was taken) or
+        /// the spool could not make the fresh ones durable.
         accepted: bool,
-        /// The block was already complete.
-        duplicate: bool,
+        /// Frames whose block was already complete.
+        duplicates: u32,
         /// This submit completed the campaign.
         done: bool,
     },
@@ -186,8 +193,11 @@ const TAG_DONE: u8 = 7;
 pub(crate) const TAG_HEARTBEAT: u8 = 8;
 const TAG_HEARTBEAT_ACK: u8 = 9;
 const TAG_EXPIRED: u8 = 10;
-pub(crate) const TAG_SUBMIT_CHUNK: u8 = 11;
-pub(crate) const TAG_SUBMIT_ACK: u8 = 12;
+// Tags 11 and 12 carried the one-frame submit and its ack. They stay
+// unassigned, so a one-frame submit from an older worker is refused as a
+// corrupt frame instead of being read as a lease's submit.
+pub(crate) const TAG_SUBMIT_CHUNK: u8 = 13;
+pub(crate) const TAG_SUBMIT_ACK: u8 = 14;
 
 /// Message tag of a sealed frame, without decoding it (the chaos layer
 /// keys some fault kinds on the message kind; a frame too short to carry
@@ -199,6 +209,9 @@ pub(crate) fn frame_tag(frame: &[u8]) -> Option<u8> {
 /// Smallest on-wire footprint of one leased [`PlanBlock`]: its two key
 /// words plus the length word of an empty rank list.
 const LEASE_BLOCK_MIN: usize = 4 + 4 + 4;
+
+/// Smallest on-wire footprint of one submitted frame: its length word.
+const SUBMIT_FRAME_MIN: usize = 4;
 
 impl Msg {
     /// Encode as a sealed frame ready for the socket.
@@ -241,19 +254,22 @@ impl Msg {
             }
             Msg::HeartbeatAck => w.u8(TAG_HEARTBEAT_ACK),
             Msg::Expired => w.u8(TAG_EXPIRED),
-            Msg::SubmitChunk { lease_id, frame } => {
+            Msg::SubmitChunk { lease_id, frames } => {
                 w.u8(TAG_SUBMIT_CHUNK);
                 w.u64(*lease_id);
-                w.bytes(frame);
+                w.len(frames.len());
+                for frame in frames {
+                    w.bytes(frame);
+                }
             }
             Msg::SubmitAck {
                 accepted,
-                duplicate,
+                duplicates,
                 done,
             } => {
                 w.u8(TAG_SUBMIT_ACK);
                 w.bool(*accepted);
-                w.bool(*duplicate);
+                w.u32(*duplicates);
                 w.bool(*done);
             }
         }
@@ -297,13 +313,21 @@ impl Msg {
             },
             TAG_HEARTBEAT_ACK => Msg::HeartbeatAck,
             TAG_EXPIRED => Msg::Expired,
-            TAG_SUBMIT_CHUNK => Msg::SubmitChunk {
-                lease_id: r.u64()?,
-                frame: r.bytes()?.to_vec(),
-            },
+            TAG_SUBMIT_CHUNK => {
+                let lease_id = r.u64()?;
+                let n = r.bounded_len(SUBMIT_FRAME_MIN)?;
+                if n == 0 {
+                    return Err(WireError::Corrupt("empty submit"));
+                }
+                let mut frames = Vec::with_capacity(n);
+                for _ in 0..n {
+                    frames.push(r.bytes()?.to_vec());
+                }
+                Msg::SubmitChunk { lease_id, frames }
+            }
             TAG_SUBMIT_ACK => Msg::SubmitAck {
                 accepted: r.bool()?,
-                duplicate: r.bool()?,
+                duplicates: r.u32()?,
                 done: r.bool()?,
             },
             _ => return Err(WireError::Corrupt("message tag")),
@@ -378,11 +402,11 @@ mod tests {
             Msg::Expired,
             Msg::SubmitChunk {
                 lease_id: 99,
-                frame: vec![1, 2, 3, 4, 5],
+                frames: vec![vec![1, 2, 3, 4, 5], vec![], vec![6]],
             },
             Msg::SubmitAck {
                 accepted: true,
-                duplicate: false,
+                duplicates: 2,
                 done: true,
             },
         ];

@@ -8,11 +8,12 @@
 //! ## Group commit
 //!
 //! Leader/follower, on the submitting handlers' own threads: there is no
-//! writer thread. A connection handler queues its frame under the log's
-//! one mutex and takes the batch number as its ticket. If no sync is
-//! running, it leads: it takes every queued frame, writes them all and
-//! calls `sync_data` once with the mutex released, then settles the batch
-//! and wakes the rest. Otherwise it waits on a condvar for the sync that
+//! writer thread. A connection handler queues its frames (a submitted
+//! lease's fresh chunks, next to each other) under the log's one mutex
+//! and takes the batch number as its ticket. If no sync is running, it
+//! leads: it takes every queued frame, writes them all and calls
+//! `sync_data` once with the mutex released, then settles the batch and
+//! wakes the rest. Otherwise it waits on a condvar for the sync that
 //! covers its ticket; whatever queued during a sync is the next batch,
 //! led by the first of its appenders to wake. A write or sync error fails
 //! the whole batch (no ack, the blocks stay leasable) and closes the file,
@@ -168,10 +169,10 @@ impl LogFile {
         // Taken for the batch: an error, or an unwind, leaves no file open.
         let mut open = self.open.take();
         for frame in batch {
-            if open.is_none() {
-                open = Some(self.start_file()?);
-            }
-            let o = open.as_mut().expect("opened above");
+            let mut o = match open.take() {
+                Some(o) => o,
+                None => self.start_file()?,
+            };
             let end = o.written + frame.len() as u64;
             if end > o.zeroed {
                 o.extend(end)?;
@@ -181,10 +182,12 @@ impl LogFile {
             o.written = end;
             o.frames += 1;
             if self.roll_every > 0 && o.frames >= self.roll_every {
-                let full = open.take().expect("written above");
-                full.file.sync_data()?;
+                // Full: close it, so the next frame starts the next file.
+                o.file.sync_data()?;
                 self.counts.frame_syncs += 1;
-                full.trim()?;
+                o.trim()?;
+            } else {
+                open = Some(o);
             }
         }
         if let Some(o) = &open {
@@ -201,6 +204,8 @@ impl LogFile {
 struct Queue {
     /// Frames waiting for the next batch.
     frames: Vec<Vec<u8>>,
+    /// Appenders whose frames are in `frames`.
+    appenders: usize,
     /// Number of the batch `frames` will become: the ticket of every
     /// appender queued now.
     batch: u64,
@@ -267,6 +272,7 @@ impl SpoolLog {
         Ok(SpoolLog {
             queue: Mutex::new(Queue {
                 frames: Vec::new(),
+                appenders: 0,
                 batch: 0,
                 settled: 0,
                 file: Some(file),
@@ -283,14 +289,15 @@ impl SpoolLog {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Append one sealed frame; returns once the batch holding it is
-    /// durable. The first appender to find no sync running leads: it
-    /// writes and syncs every queued frame on its own thread. The others
-    /// wait for the sync that covers their ticket.
-    pub(crate) fn append(&self, frame: Vec<u8>) -> io::Result<()> {
+    /// Append sealed frames, next to each other in the log; returns once
+    /// the batch holding them is durable. The first appender to find no
+    /// sync running leads: it writes and syncs every queued frame on its
+    /// own thread. The others wait for the sync that covers their ticket.
+    pub(crate) fn append(&self, frames: Vec<Vec<u8>>) -> io::Result<()> {
         let mut q = self.lock();
         let ticket = q.batch;
-        q.frames.push(frame);
+        q.frames.extend(frames);
+        q.appenders += 1;
         loop {
             if q.settled > ticket {
                 return q.outcome(ticket);
@@ -300,13 +307,14 @@ impl SpoolLog {
                 // between them, so the queued batch is this ticket's.
                 debug_assert_eq!(q.settled, ticket);
                 let frames = std::mem::take(&mut q.frames);
+                let followers = std::mem::take(&mut q.appenders) - 1;
                 q.batch += 1;
                 drop(q);
                 let mut lead = Lead {
                     log: self,
                     file: None,
                     ticket,
-                    followers: frames.len() - 1,
+                    followers,
                     outcome: None,
                 };
                 let outcome = lead
@@ -488,7 +496,7 @@ mod tests {
     fn write_log(dir: &Path, roll_every: usize, chunks: &[VisitChunk]) -> LogCounts {
         let log = SpoolLog::create(dir, roll_every).expect("create log");
         for c in chunks {
-            log.append(c.encode()).expect("append");
+            log.append(vec![c.encode()]).expect("append");
         }
         log.finish()
     }
@@ -555,7 +563,7 @@ mod tests {
         let path = dir.join(log_file_name(0));
         let spool = SpoolLog::create(&dir, 0).expect("create log");
         for f in &frames {
-            spool.append(f.clone()).expect("append");
+            spool.append(vec![f.clone()]).expect("append");
         }
         let open_len = fs::metadata(&path).expect("open log").len();
         spool.finish();
@@ -652,7 +660,7 @@ mod tests {
                     s.spawn(move || {
                         share
                             .iter()
-                            .filter(|c| log.append(c.encode()).is_ok())
+                            .filter(|c| log.append(vec![c.encode()]).is_ok())
                             .cloned()
                             .collect::<Vec<_>>()
                     })
@@ -702,7 +710,7 @@ mod tests {
                 let (log, dir) = (&log, &dir);
                 s.spawn(move || {
                     for c in share {
-                        log.append(c.encode()).expect("append");
+                        log.append(vec![c.encode()]).expect("append");
                         let replay = spool_load(dir).expect("replay");
                         assert!(
                             replay.chunks.iter().any(|r| r.key() == c.key()),
@@ -726,7 +734,7 @@ mod tests {
         // Roll size 1: every frame needs a new file, which fails while
         // the directory is gone.
         let log = SpoolLog::create(&dir, 1).expect("create log");
-        log.append(chunks[0].encode()).expect("first append");
+        log.append(vec![chunks[0].encode()]).expect("first append");
         fs::remove_dir_all(&dir).expect("remove the spool");
         let failed = std::thread::scope(|s| {
             let threads: Vec<_> = chunks[1..9]
@@ -736,7 +744,7 @@ mod tests {
                     s.spawn(move || {
                         share
                             .iter()
-                            .filter(|c| log.append(c.encode()).is_err())
+                            .filter(|c| log.append(vec![c.encode()]).is_err())
                             .count()
                     })
                 })
@@ -748,12 +756,112 @@ mod tests {
         });
         assert_eq!(failed, 8, "no append into a missing directory is acked");
         fs::create_dir_all(&dir).expect("restore the spool");
-        log.append(chunks[9].encode())
+        log.append(vec![chunks[9].encode()])
             .expect("append after restore");
         let counts = log.finish();
         assert_eq!(counts.frames_appended, 2);
         let replay = spool_load(&dir).expect("replay");
         assert_eq!(keys(&replay.chunks), keys(&chunks[9..10]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A failed batch of multi-frame appenders: followers are counted by
+    /// appender, not by frame, so each appender is told of the failure
+    /// exactly once and no entry is left in `failed`.
+    #[test]
+    fn log_failed_multi_frame_batch_fails_each_appender_once() {
+        let dir = tmp_dir("fail-multi");
+        let frames: Vec<Vec<u8>> = tiny_campaign(2)[..9]
+            .iter()
+            .map(VisitChunk::encode)
+            .collect();
+        // Roll size 1: the first frame fills file 0, so every later frame
+        // needs a new file, which fails while the directory is gone.
+        let log = SpoolLog::create(&dir, 1).expect("create log");
+        log.append(vec![frames[0].clone()]).expect("first append");
+        fs::remove_dir_all(&dir).expect("remove the spool");
+        // Hold batch 1's lead by hand so that all four appenders, two
+        // frames each, queue into batch 2.
+        let file = {
+            let mut q = log.lock();
+            q.batch += 1;
+            q.file.take().expect("no sync running")
+        };
+        let shares: Vec<&[Vec<u8>]> = frames[1..].chunks(2).collect();
+        let failed = std::thread::scope(|s| {
+            let threads: Vec<_> = shares
+                .iter()
+                .map(|share| {
+                    let log = &log;
+                    s.spawn(move || log.append(share.to_vec()))
+                })
+                .collect();
+            while log.lock().appenders < shares.len() {
+                std::thread::yield_now();
+            }
+            drop(Lead {
+                log: &log,
+                file: Some(file),
+                ticket: 1,
+                followers: 0,
+                outcome: Some(Ok(())),
+            });
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("appender thread"))
+                .filter(Result::is_err)
+                .count()
+        });
+        assert_eq!(failed, shares.len(), "every appender of the batch fails");
+        assert!(
+            log.lock().failed.is_empty(),
+            "each told once, then forgotten"
+        );
+        assert_eq!(log.finish().frames_appended, 1);
+    }
+
+    /// Concurrent multi-frame appenders: each appender's frames sit next
+    /// to each other in the log, in the order given, whoever led their
+    /// batch, and each batch syncs once.
+    #[test]
+    fn log_keeps_each_appenders_frames_together() {
+        let dir = tmp_dir("together");
+        let chunks = tiny_campaign(2);
+        let groups: Vec<&[VisitChunk]> = chunks[..48].chunks(3).collect();
+        let log = SpoolLog::create(&dir, 0).expect("create log");
+        std::thread::scope(|s| {
+            for share in groups.chunks(4) {
+                let log = &log;
+                s.spawn(move || {
+                    for group in share {
+                        let frames = group.iter().map(VisitChunk::encode).collect();
+                        log.append(frames).expect("append");
+                    }
+                });
+            }
+        });
+        let counts = log.finish();
+        assert_eq!(counts.frames_appended, 48);
+        assert!(counts.frame_syncs <= groups.len() as u64, "{counts:?}");
+        // The log's chunk keys in file order.
+        let bytes = fs::read(dir.join(log_file_name(0))).expect("log bytes");
+        let mut order = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let len = frame_len(&bytes[at..], (bytes.len() - at) as u64).expect("a frame");
+            let chunk = VisitChunk::decode(&bytes[at..at + len]).expect("decodes");
+            order.push(chunk.key());
+            at += len;
+        }
+        assert_eq!(order.len(), 48);
+        for group in &groups {
+            let keys: Vec<_> = group.iter().map(VisitChunk::key).collect();
+            let first = order
+                .iter()
+                .position(|&k| k == keys[0])
+                .expect("in the log");
+            assert_eq!(order[first..first + keys.len()], keys[..], "split group");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -774,7 +882,7 @@ mod tests {
         std::thread::scope(|s| {
             // Queued behind the sync: it must wait for batch 0, then lead
             // batch 1.
-            let next = s.spawn(|| log.append(chunks[1].encode()));
+            let next = s.spawn(|| log.append(vec![chunks[1].encode()]));
             while log.lock().frames.is_empty() {
                 std::thread::yield_now();
             }
@@ -843,7 +951,7 @@ mod tests {
         let path = dir.join(log_file_name(0));
         let log = SpoolLog::create(&dir, 0).expect("create log");
         for f in &frames {
-            log.append(f.clone()).expect("append");
+            log.append(vec![f.clone()]).expect("append");
         }
         let open = fs::read(&path).expect("open log");
         assert_eq!(open.len() as u64, EXTEND_STEP, "preallocated one step");
@@ -864,7 +972,7 @@ mod tests {
         // Roll size 4: two closed files and an open one holding two frames.
         let log = SpoolLog::create(&dir, 4).expect("create log");
         for c in chunks {
-            log.append(c.encode()).expect("append");
+            log.append(vec![c.encode()]).expect("append");
         }
         drop(log);
         let open = fs::metadata(dir.join(log_file_name(2))).expect("open file");
@@ -900,7 +1008,7 @@ mod tests {
             let dir = tmp_dir(&format!("counts-{case}"));
             let log = SpoolLog::create(&dir, roll).expect("create log");
             for &len in lens {
-                log.append(vec![0xa5; len]).expect("append");
+                log.append(vec![vec![0xa5; len]]).expect("append");
             }
             let last = dir.join(log_file_name(files - 1));
             let open_len = fs::metadata(&last).expect("open file").len();

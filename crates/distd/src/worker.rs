@@ -5,10 +5,10 @@
 //! proves it), asks for a lease — up to `lease_blocks` blocks per
 //! round-trip — crawls each block with the exact in-process machinery
 //! (`hb_crawler::crawl_block_until` — same block-local interner, same
-//! direct-to-column sessions, same pooled scratch), and ships each sealed
-//! chunk back. Because visits are pure functions of `(seed, rank, day)`,
-//! a worker can be SIGKILLed at any instant and the re-issued lease
-//! produces a byte-identical chunk on another worker.
+//! direct-to-column sessions, same pooled scratch), and ships the lease's
+//! sealed chunks back in one message. Because visits are pure functions
+//! of `(seed, rank, day)`, a worker can be SIGKILLed at any instant and
+//! the re-issued lease produces byte-identical chunks on another worker.
 //!
 //! Failure posture mirrors the ad path's degraded posture: every
 //! remote interaction has a deadline, heartbeat replies get a *tighter*
@@ -238,27 +238,27 @@ impl Link<'_> {
 }
 
 /// A sent `SubmitChunk` whose ack has not been read yet. `msg` is the
-/// encoded message, kept for the one idempotent re-send; `sent` is how
-/// the first send went.
+/// encoded message, kept for the one idempotent re-send; `frames` is how
+/// many blocks it carries; `sent` is how the first send went.
 struct InFlight {
     msg: Vec<u8>,
+    frames: u64,
     sent: Result<(), DistdError>,
 }
 
 /// What reading an in-flight submit's ack decided.
 enum Settled {
-    /// Acked (fresh or duplicate); carry on with the lease.
+    /// Acked, or given up on after two failed attempts (its blocks are
+    /// left to the lease-expiry path); carry on.
     Next,
     /// The ack said the campaign is complete.
     Done,
-    /// Two failed attempts; the rest of the lease is abandoned.
-    Abandon,
 }
 
 /// Read the ack of the in-flight submit. A rejected ack or a lost
 /// connection gets one re-send of the same bytes (idempotent: duplicate-
 /// dropped if the first submit landed); a second failure abandons the
-/// rest of the lease to the lease-expiry path.
+/// submitted lease to the lease-expiry path.
 fn settle(link: &mut Link, stats: &mut WorkerStats, sub: InFlight) -> Result<Settled, DistdError> {
     let mut reply = sub.sent.and_then(|()| recv_msg(&mut *link.t));
     let mut resent = false;
@@ -266,14 +266,12 @@ fn settle(link: &mut Link, stats: &mut WorkerStats, sub: InFlight) -> Result<Set
         let retry = match reply {
             Ok(Msg::SubmitAck {
                 accepted: true,
-                duplicate,
+                duplicates,
                 done,
             }) => {
-                if duplicate {
-                    stats.duplicates += 1;
-                } else {
-                    stats.blocks_completed += 1;
-                }
+                let duplicates = u64::from(duplicates).min(sub.frames);
+                stats.duplicates += duplicates;
+                stats.blocks_completed += sub.frames - duplicates;
                 // Completion piggybacks on the ack: no final request
                 // round-trip.
                 return Ok(if done { Settled::Done } else { Settled::Next });
@@ -290,7 +288,7 @@ fn settle(link: &mut Link, stats: &mut WorkerStats, sub: InFlight) -> Result<Set
         };
         if !retry || resent {
             stats.leases_abandoned += 1;
-            return Ok(Settled::Abandon);
+            return Ok(Settled::Next);
         }
         resent = true;
         reply = link
@@ -319,17 +317,17 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerStats, DistdError> {
 /// survive an error exit, so a harness respawning crashed workers can
 /// still account for everything this session saw.
 ///
-/// Submits are pipelined: block N's `SubmitChunk` goes out, block N+1 is
-/// crawled while the coordinator spools N, and N's ack is read before
-/// N+1 is sent. The pipeline runs across lease boundaries too: with the
-/// ack before a lease's last block read, the idle connection carries a
-/// `RequestLease` (answered at once, since this worker holds a lease),
-/// and only then the last block's submit, whose ack is read after the
-/// next lease's first block is crawled. A `Wait` reply, or a connection
-/// that is not the one the lease was granted on, ends the lease with a
-/// drain: submit, read the ack, then a long-polled request. A pending ack
-/// is also read before any heartbeat, so a connection never carries more
-/// than one unanswered frame.
+/// The lease is the unit of submission: the worker crawls and seals
+/// every block of a lease, then ships all of its frames in one
+/// `SubmitChunk`. Submits are pipelined across leases: with a lease's
+/// frames in hand, the worker reads the previous lease's ack, asks for
+/// the next lease on the idle connection (answered at once, since this
+/// worker holds a lease), and only then sends the submit, whose ack is
+/// read after the next lease is crawled. A `Wait` reply, or a
+/// connection that is not the one the lease was granted on, ends the
+/// lease with a drain: submit, read the ack, then a long-polled request.
+/// A pending ack is also read before any heartbeat, so a connection
+/// never carries more than one unanswered frame.
 pub fn run_worker_session(
     cfg: &WorkerConfig,
     connector: &dyn Connector,
@@ -352,36 +350,46 @@ pub fn run_worker_session(
         worker_id,
     };
 
-    // The last submit of a lease stays in flight into the next one.
+    // A lease's submit stays in flight while the next lease is crawled.
     let mut in_flight: Option<InFlight> = None;
-    // A lease granted while the previous one's last block was in hand.
+    // A lease granted while the previous one's frames were in hand.
     let mut prefetched: Option<(u64, Vec<PlanBlock>)> = None;
-    loop {
+    'leases: loop {
         let (lease_id, blocks) = match prefetched.take() {
             Some(lease) => lease,
-            None => match request_lease(&mut link) {
-                Ok(Msg::Lease { lease_id, blocks }) => (lease_id, blocks),
-                Ok(Msg::Done) => return Ok(()),
-                Ok(Msg::Wait) => continue,
-                Ok(_) => return Err(DistdError::Protocol("unexpected lease reply")),
-                Err(e) => {
-                    link.reconnect(&e, stats)?;
-                    continue;
+            None => {
+                // Nothing stays unanswered past a lease: the next frame on
+                // this connection is a long-polled `RequestLease`.
+                if let Some(sub) = in_flight.take() {
+                    if let Settled::Done = settle(&mut link, stats, sub)? {
+                        return Ok(());
+                    }
                 }
-            },
+                match request_lease(&mut link) {
+                    Ok(Msg::Lease { lease_id, blocks }) => (lease_id, blocks),
+                    Ok(Msg::Done) => return Ok(()),
+                    Ok(Msg::Wait) => continue,
+                    Ok(_) => return Err(DistdError::Protocol("unexpected lease reply")),
+                    Err(e) => {
+                        link.reconnect(&e, stats)?;
+                        continue;
+                    }
+                }
+            }
         };
         // The coordinator knows a lease's owner by the connection it was
         // granted on; after a reconnect the next request long-polls.
         let granted_to = link.worker_id;
-        let last = blocks.len().saturating_sub(1);
         // The whole batch rides one lease: a heartbeat renews every
-        // remaining block, each submit retires one, and expiry/wedging
-        // abandons whatever is left.
-        for (i, block) in blocks.into_iter().enumerate() {
+        // block, the submit retires them all, and expiry/wedging abandons
+        // the lease.
+        let mut frames = Vec::with_capacity(blocks.len());
+        for block in &blocks {
             let net = factory.net_for_day(block.day);
             let mut expired = false;
             let mut wedged = None;
-            // An in-flight ack read at a heartbeat that ended the lease.
+            // The previous lease's ack read at a heartbeat: campaign
+            // done, or the coordinator lost for good.
             let mut settled_early = None;
             let mut crawled = 0u64;
             let mut last_hb = Instant::now();
@@ -422,17 +430,15 @@ pub fn run_worker_session(
                 },
             );
             stats.visits += crawled;
-            match settled_early.transpose()? {
-                Some(Settled::Done) => return Ok(()),
-                Some(_) => break,
-                None => {}
+            if let Some(Settled::Done) = settled_early.transpose()? {
+                return Ok(());
             }
             if expired {
                 // The batch was re-issued to someone else; drop
                 // everything (submitting would only be dropped as
                 // duplicates anyway) and move on.
                 stats.leases_expired += 1;
-                break;
+                continue 'leases;
             }
             if let Some(e) = wedged {
                 // Half-open connection: no renewals are landing, so the
@@ -440,51 +446,40 @@ pub fn run_worker_session(
                 // instead of heartbeating a black hole.
                 stats.leases_abandoned += 1;
                 link.reconnect(&e, stats)?;
-                break;
+                continue 'leases;
             }
-            let chunk = chunk.expect("not abandoned");
-            // Encoded once; a re-send reuses these bytes.
-            let msg = Msg::SubmitChunk {
-                lease_id,
-                frame: chunk.encode(),
-            }
-            .encode();
-            if let Some(sub) = in_flight.take() {
-                match settle(&mut link, stats, sub)? {
-                    Settled::Next => {}
-                    Settled::Done => return Ok(()),
-                    Settled::Abandon => break,
-                }
-            }
-            if i == last && link.worker_id == granted_to {
-                // The connection is idle and the lease's last block is in
-                // hand: ask for the next lease before submitting it, so
-                // its ack is read after the next lease's first crawl
-                // rather than drained here. The coordinator answers a
-                // lease holder at once; on `Wait` this lease ends with a
-                // drain (submit, read the ack, long-polled request).
-                match request_lease(&mut link) {
-                    Ok(Msg::Lease { lease_id, blocks }) => prefetched = Some((lease_id, blocks)),
-                    // Every block is complete, this one included.
-                    Ok(Msg::Done) => return Ok(()),
-                    Ok(Msg::Wait) => {}
-                    Ok(_) => return Err(DistdError::Protocol("unexpected lease reply")),
-                    // The submit goes out on the new connection.
-                    Err(e) => link.reconnect(&e, stats)?,
-                }
-            }
-            let sent = link.t.send_frame(&msg);
-            in_flight = Some(InFlight { msg, sent });
+            frames.push(chunk.expect("not abandoned").encode());
         }
-        if prefetched.is_none() {
-            // Nothing stays unanswered past the lease: the next frame on
-            // this connection is a long-polled `RequestLease`.
-            if let Some(sub) = in_flight.take() {
-                if let Settled::Done = settle(&mut link, stats, sub)? {
-                    return Ok(());
-                }
+        // Encoded once; a re-send reuses these bytes.
+        let msg = Msg::SubmitChunk { lease_id, frames }.encode();
+        if let Some(sub) = in_flight.take() {
+            if let Settled::Done = settle(&mut link, stats, sub)? {
+                return Ok(());
             }
         }
+        if link.worker_id == granted_to {
+            // The connection is idle and the lease's frames are in hand:
+            // ask for the next lease before submitting them, so their
+            // ack is read after the next lease's crawl rather than
+            // drained here. The coordinator answers a lease holder at
+            // once; on `Wait` this lease ends with a drain (submit, read
+            // the ack, long-polled request).
+            match request_lease(&mut link) {
+                Ok(Msg::Lease { lease_id, blocks }) => prefetched = Some((lease_id, blocks)),
+                // Every block is complete, this lease's included.
+                Ok(Msg::Done) => return Ok(()),
+                Ok(Msg::Wait) => {}
+                Ok(_) => return Err(DistdError::Protocol("unexpected lease reply")),
+                // The submit goes out on the new connection.
+                Err(e) => link.reconnect(&e, stats)?,
+            }
+        }
+        let sent = link.t.send_frame(&msg);
+        in_flight = Some(InFlight {
+            msg,
+            frames: blocks.len() as u64,
+            sent,
+        });
     }
 }
 

@@ -1,13 +1,14 @@
-//! The pipelined worker on a loopback fabric. Each worker sends block N's
-//! chunk, crawls block N+1, and only then reads N's ack, across lease
-//! boundaries too: before a lease's last submit it prefetches the next
-//! lease on the idle connection. The wire contract is unchanged, so every
+//! The pipelined worker on a loopback fabric. Each worker submits a
+//! lease's chunks in one message, crawls the next lease, and only then
+//! reads the submit's ack: with a lease's frames in hand it prefetches
+//! the next lease on the idle connection before submitting. Every
 //! connection must still carry at most one unanswered frame at every
-//! send, and a long-polled request (one sent with no leased block left to
-//! submit) is never answered `Wait`. A frame-counting `Transport` wrapper
-//! checks both on every connection of a spooled campaign whose log rolls,
-//! and the folded chunk stream must be byte-identical to
-//! `run_campaign_streamed`'s, figures included.
+//! send, a long-polled request (one sent with no leased block left to
+//! submit) is never answered `Wait`, and each granted lease is submitted
+//! exactly once. A frame-counting `Transport` wrapper checks all three on
+//! every connection of a spooled campaign whose log rolls, and the folded
+//! chunk stream must be byte-identical to `run_campaign_streamed`'s,
+//! figures included.
 
 use hb_analysis::{indexed_reports, DatasetIndexBuilder};
 use hb_crawler::{run_campaign_streamed, CampaignConfig, VisitChunk};
@@ -28,7 +29,11 @@ const CHUNK_VISITS: usize = 32;
 struct Tally {
     /// Most frames ever unanswered on one connection, counted at a send.
     peak_unanswered: AtomicU64,
+    /// Leases granted.
+    leases: AtomicU64,
     submits: AtomicU64,
+    /// Chunk frames across all submits.
+    frames: AtomicU64,
     heartbeats: AtomicU64,
     /// `Wait` replies to long-polled requests.
     waits: AtomicU64,
@@ -71,9 +76,11 @@ impl Transport for CountingTransport {
             .peak_unanswered
             .fetch_max(self.unanswered, Ordering::Relaxed);
         match Msg::decode(frame) {
-            Ok(Msg::SubmitChunk { .. }) => {
-                self.unsubmitted = self.unsubmitted.saturating_sub(1);
+            Ok(Msg::SubmitChunk { frames, .. }) => {
+                let n = frames.len() as u64;
+                self.unsubmitted = self.unsubmitted.saturating_sub(n);
                 self.tally.submits.fetch_add(1, Ordering::Relaxed);
+                self.tally.frames.fetch_add(n, Ordering::Relaxed);
             }
             Ok(Msg::Heartbeat { .. }) => {
                 self.tally.heartbeats.fetch_add(1, Ordering::Relaxed);
@@ -92,6 +99,7 @@ impl Transport for CountingTransport {
                 self.tally.waits.fetch_add(1, Ordering::Relaxed);
             }
             Ok(Msg::Lease { blocks, .. }) => {
+                self.tally.leases.fetch_add(1, Ordering::Relaxed);
                 if self.prefetching {
                     self.tally.prefetched.fetch_add(1, Ordering::Relaxed);
                 }
@@ -207,10 +215,21 @@ fn pipelined_workers_keep_one_unanswered_frame_and_fold_identical_bytes() {
     assert_eq!(completed as usize, want.len());
     assert_eq!(
         tally.submits.load(Ordering::Relaxed),
+        tally.leases.load(Ordering::Relaxed),
+        "one submit per lease, no re-sends"
+    );
+    assert_eq!(tally.leases.load(Ordering::Relaxed), coord.leases_issued);
+    assert_eq!(
+        tally.frames.load(Ordering::Relaxed),
         completed,
-        "no re-sends"
+        "one frame per block"
     );
     assert_eq!(coord.chunks_folded, want.len());
+    assert_eq!(
+        coord.chunks_compacted as usize,
+        want.len(),
+        "each block spooled once"
+    );
     assert_eq!(coord.frames_rejected + coord.leases_reissued, 0);
     assert!(
         coord.segments_written > 0,

@@ -14,7 +14,7 @@
 //!   panic.
 
 use hb_analysis::{fault_reports, indexed_reports, DatasetIndexBuilder};
-use hb_core::{open_frame, seal_frame};
+use hb_core::{open_frame, seal_frame, WireError};
 use hb_crawler::{run_campaign_streamed, CampaignConfig, PlanBlock, VisitChunk};
 use hb_distd::{ChaosConfig, ChaosSchedule, Msg, RxFault, TxFault};
 use hb_ecosystem::{EcosystemConfig, SiteFactory};
@@ -68,16 +68,76 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
         }),
         Just(Msg::HeartbeatAck),
         Just(Msg::Expired),
-        (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..200))
-            .prop_map(|(lease_id, frame)| Msg::SubmitChunk { lease_id, frame }),
-        (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(accepted, duplicate, done)| {
+        (
+            any::<u64>(),
+            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 1..5)
+        )
+            .prop_map(|(lease_id, frames)| Msg::SubmitChunk { lease_id, frames }),
+        (any::<bool>(), any::<u32>(), any::<bool>()).prop_map(|(accepted, duplicates, done)| {
             Msg::SubmitAck {
                 accepted,
-                duplicate,
+                duplicates,
                 done,
             }
         }),
     ]
+}
+
+/// The payload of a sealed message frame.
+fn payload(msg: &Msg) -> Vec<u8> {
+    open_frame(&msg.encode()).expect("clean frame").to_vec()
+}
+
+/// A lease's submit carries every frame of the lease, in order, and
+/// nothing else decodes as one: an empty frame list, a frame count no
+/// payload could hold (refused by its bound before anything is
+/// allocated for it), and a one-frame submit under the retired tag.
+#[test]
+fn multi_frame_submit_round_trips_and_malformed_ones_are_refused() {
+    let frames = chunk_frames().to_vec();
+    assert!(frames.len() >= 2, "a multi-frame submit");
+    let msg = Msg::SubmitChunk {
+        lease_id: 7,
+        frames: frames.clone(),
+    };
+    let Ok(Msg::SubmitChunk {
+        lease_id: 7,
+        frames: back,
+    }) = Msg::decode(&msg.encode())
+    else {
+        panic!("a multi-frame submit decodes");
+    };
+    assert_eq!(back, frames);
+    for chunk in &back {
+        VisitChunk::decode(chunk).expect("each carried frame is a sealed chunk");
+    }
+
+    let empty = Msg::SubmitChunk {
+        lease_id: 7,
+        frames: Vec::new(),
+    };
+    assert!(matches!(
+        Msg::decode(&empty.encode()),
+        Err(WireError::Corrupt("empty submit"))
+    ));
+
+    // Tag, lease id, then the frame count.
+    let mut hostile = payload(&empty);
+    hostile[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(matches!(
+        Msg::decode(&seal_frame(&hostile)),
+        Err(WireError::Corrupt("length exceeds payload"))
+    ));
+
+    // The one-frame submit: tag 11, lease id, one length-prefixed frame.
+    let mut old = vec![11u8];
+    old.extend_from_slice(&7u64.to_le_bytes());
+    old.extend_from_slice(&(frames[0].len() as u32).to_le_bytes());
+    old.extend_from_slice(&frames[0]);
+    assert!(matches!(
+        Msg::decode(&seal_frame(&old)),
+        Err(WireError::Corrupt("message tag"))
+    ));
 }
 
 proptest! {
